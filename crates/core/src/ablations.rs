@@ -23,7 +23,7 @@ use sprint_workloads::{ModelConfig, ProxyTask, TraceGenerator};
 
 use crate::counting::{simulate_head, ExecutionMode};
 use crate::experiments::Scale;
-use crate::{ExperimentResult, SprintConfig, SystemError};
+use crate::{ExperimentResult, SprintConfig, SprintError};
 
 /// Extracts the live-region submatrix.
 fn submatrix(m: &sprint_attention::Matrix, rows: usize) -> sprint_attention::Matrix {
@@ -42,7 +42,7 @@ fn run_variant(
     task: &ProxyTask,
     pruner: &mut InMemoryPruner,
     spec: &ThresholdSpec,
-) -> Result<(f64, f64, f64), SystemError> {
+) -> Result<(f64, f64, f64), SprintError> {
     let live = trace.live_tokens();
     let s = trace.seq_len();
     let mut decisions = Vec::with_capacity(s);
@@ -91,7 +91,7 @@ fn run_variant(
 /// # Errors
 ///
 /// Propagates substrate errors.
-pub fn margin_sweep(scale: &Scale) -> Result<ExperimentResult, SystemError> {
+pub fn margin_sweep(scale: &Scale) -> Result<ExperimentResult, SprintError> {
     let model = ModelConfig::bert_base();
     let spec = model.trace_spec().with_seq_len(scale.accuracy_seq);
     let trace = TraceGenerator::new(scale.seed ^ 0x3a5).generate(&spec)?;
@@ -136,7 +136,7 @@ pub fn margin_sweep(scale: &Scale) -> Result<ExperimentResult, SystemError> {
 /// # Errors
 ///
 /// Propagates substrate errors.
-pub fn cell_bits_sweep(scale: &Scale) -> Result<ExperimentResult, SystemError> {
+pub fn cell_bits_sweep(scale: &Scale) -> Result<ExperimentResult, SprintError> {
     let model = ModelConfig::bert_base();
     let spec = model.trace_spec().with_seq_len(scale.accuracy_seq);
     let trace = TraceGenerator::new(scale.seed ^ 0x3b5).generate(&spec)?;
@@ -365,7 +365,7 @@ pub fn heterogeneous_memory(scale: &Scale) -> ExperimentResult {
 /// # Errors
 ///
 /// Propagates substrate errors.
-pub fn all(scale: &Scale) -> Result<Vec<ExperimentResult>, SystemError> {
+pub fn all(scale: &Scale) -> Result<Vec<ExperimentResult>, SprintError> {
     Ok(vec![
         margin_sweep(scale)?,
         cell_bits_sweep(scale)?,

@@ -7,7 +7,7 @@ use sprint_engine::{Engine, ExecutionMode, FaultPolicy, ModelProfile, ModelReque
 use sprint_reram::{FaultModel, NoiseModel, ThresholdSpec};
 use sprint_workloads::{ModelConfig, TaskScore};
 
-use crate::{SprintConfig, SystemError};
+use crate::{SprintConfig, SprintError};
 
 /// The four bars of Fig. 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -62,7 +62,7 @@ pub fn evaluate_scenarios(
     model: &ModelConfig,
     seq_len: Option<usize>,
     seed: u64,
-) -> Result<ScenarioScores, SystemError> {
+) -> Result<ScenarioScores, SprintError> {
     // One model server serves all four scenarios as one batch:
     // `Dense` is the software baseline, `Oracle` the full-precision
     // runtime pruning, and the two SPRINT variants run the analog
@@ -81,7 +81,7 @@ pub fn evaluate_scenarios(
                 .with_accuracy(true)
         })
         .collect();
-    let responses = server.serve_many(&requests).map_err(SystemError::from)?;
+    let responses = server.serve_many(&requests)?;
     let score =
         |i: usize| -> TaskScore { responses[i].total.accuracy().expect("accuracy requested") };
 
@@ -116,7 +116,7 @@ pub fn fault_scenarios(
     seq_len: Option<usize>,
     seed: u64,
     fault_rate: f64,
-) -> Result<(ScenarioScores, u64), SystemError> {
+) -> Result<(ScenarioScores, u64), SprintError> {
     let mut builder = Engine::builder(SprintConfig::medium())
         .noise(NoiseModel::default())
         .seed(seed ^ 0xacc)
@@ -128,7 +128,7 @@ pub fn fault_scenarios(
             .map_err(sprint_engine::SprintError::from)?;
         builder = builder.fault_model(fault_model);
     }
-    let server = ModelServer::new(builder.build().map_err(SystemError::from)?);
+    let server = ModelServer::new(builder.build()?);
     let profile = accuracy_profile(model, seq_len);
     let requests: Vec<ModelRequest> = ExecutionMode::ALL
         .iter()
@@ -139,7 +139,7 @@ pub fn fault_scenarios(
                 .with_accuracy(true)
         })
         .collect();
-    let responses = server.serve_many(&requests).map_err(SystemError::from)?;
+    let responses = server.serve_many(&requests)?;
     let score =
         |i: usize| -> TaskScore { responses[i].total.accuracy().expect("accuracy requested") };
     let faults = responses
@@ -173,14 +173,13 @@ fn accuracy_profile(model: &ModelConfig, seq_len: Option<usize>) -> ModelProfile
 /// The engine the accuracy sweeps share: M-SPRINT, one worker, memory
 /// accounting off (only the attention outputs feed the proxy task, so
 /// the per-query DRAM timing simulation would be pure overhead).
-fn accuracy_engine(noise: NoiseModel, seed: u64) -> Result<Engine, SystemError> {
+fn accuracy_engine(noise: NoiseModel, seed: u64) -> Result<Engine, SprintError> {
     Engine::builder(SprintConfig::medium())
         .noise(noise)
         .seed(seed)
         .worker_slots(1)
         .memory_accounting(false)
         .build()
-        .map_err(SystemError::from)
 }
 
 /// The Fig. 5 sweep: task accuracy as a function of the number of bits
@@ -197,7 +196,7 @@ pub fn bit_sensitivity(
     seq_len: Option<usize>,
     max_bits: u32,
     seed: u64,
-) -> Result<Vec<(u32, f64)>, SystemError> {
+) -> Result<Vec<(u32, f64)>, SprintError> {
     // One server sweeps every bit width as one batch: the crossbars
     // are reprogrammed in place per width, and the shared base seed
     // pins the same trace and proxy task across the whole sweep (the
@@ -213,7 +212,7 @@ pub fn bit_sensitivity(
                 .with_accuracy(true)
         })
         .collect();
-    let responses = server.serve_many(&requests).map_err(SystemError::from)?;
+    let responses = server.serve_many(&requests)?;
     Ok(responses
         .iter()
         .zip(1..=max_bits)

@@ -15,7 +15,7 @@ use crate::accuracy::{bit_sensitivity, evaluate_scenarios};
 use crate::counting::{simulate_head, ExecutionMode};
 use crate::ffn::end_to_end;
 use crate::prior_art::{sprint_metrics, PriorArt};
-use crate::{geomean, ExperimentResult, HeadProfile, SprintConfig, SyntheticHeadSpec, SystemError};
+use crate::{geomean, ExperimentResult, HeadProfile, SprintConfig, SprintError, SyntheticHeadSpec};
 
 /// How large to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,7 +142,7 @@ pub fn fig1(scale: &Scale) -> ExperimentResult {
 /// # Errors
 ///
 /// Propagates trace-generation and engine errors.
-pub fn fig2(scale: &Scale) -> Result<ExperimentResult, SystemError> {
+pub fn fig2(scale: &Scale) -> Result<ExperimentResult, SprintError> {
     let seq = 48.min(scale.seq_cap);
     let live = (seq * 2) / 3;
     let spec = ModelConfig::bert_base()
@@ -154,11 +154,8 @@ pub fn fig2(scale: &Scale) -> Result<ExperimentResult, SystemError> {
     let engine = Engine::builder(SprintConfig::small())
         .mode(EngineMode::Oracle)
         .worker_slots(1)
-        .build()
-        .map_err(SystemError::from)?;
-    let response = engine
-        .run_head(&HeadRequest::from_trace(&trace))
-        .map_err(SystemError::from)?;
+        .build()?;
+    let response = engine.run_head(&HeadRequest::from_trace(&trace))?;
     let mut result =
         ExperimentResult::new("fig2", "Query-key unpruned map (rows: queries, cols: keys)");
     for (i, d) in response.decisions.iter().enumerate() {
@@ -184,7 +181,7 @@ pub fn fig2(scale: &Scale) -> Result<ExperimentResult, SystemError> {
 /// # Errors
 ///
 /// Propagates trace-generation errors.
-pub fn fig3(scale: &Scale) -> Result<ExperimentResult, SystemError> {
+pub fn fig3(scale: &Scale) -> Result<ExperimentResult, SprintError> {
     let mut result = ExperimentResult::new(
         "fig3",
         "Adjacent-query kept-set overlap: dataset vs random (Eq. 1)",
@@ -195,8 +192,7 @@ pub fn fig3(scale: &Scale) -> Result<ExperimentResult, SystemError> {
     // engine — run_head takes &self — rather than per-trace bookkeeping).
     let engine = Engine::builder(SprintConfig::small())
         .mode(EngineMode::Oracle)
-        .build()
-        .map_err(SystemError::from)?;
+        .build()?;
     let models: Vec<(usize, ModelConfig)> =
         ModelConfig::real_models().into_iter().enumerate().collect();
     let rows = sprint_parallel::par_try_map(&models, |&(i, ref model)| {
@@ -206,12 +202,10 @@ pub fn fig3(scale: &Scale) -> Result<ExperimentResult, SystemError> {
         let live = trace.live_tokens() as u64;
         let m = ((live as f64) * model.keep_rate()).round() as u64;
         let random = overlap::expected_overlap_fraction(live, m.min(live));
-        let response = engine
-            .run_head(&HeadRequest::from_trace(&trace).with_head_id(i as u64))
-            .map_err(SystemError::from)?;
+        let response = engine.run_head(&HeadRequest::from_trace(&trace).with_head_id(i as u64))?;
         let observed = sprint_attention::pruning_stats(&response.decisions[..trace.live_tokens()])
             .mean_adjacent_overlap;
-        Ok::<_, SystemError>([
+        Ok::<_, SprintError>([
             model.name.to_string(),
             format!("{:.1}%", random * 100.0),
             format!("{:.1}%", observed * 100.0),
@@ -230,7 +224,7 @@ pub fn fig3(scale: &Scale) -> Result<ExperimentResult, SystemError> {
 /// # Errors
 ///
 /// Propagates substrate errors.
-pub fn fig5(scale: &Scale) -> Result<ExperimentResult, SystemError> {
+pub fn fig5(scale: &Scale) -> Result<ExperimentResult, SprintError> {
     let mut mrpc = ModelConfig::bert_base();
     mrpc.name = "BERT-MRPC";
     mrpc.padding_fraction = 0.6;
@@ -304,7 +298,7 @@ pub fn fig8(scale: &Scale) -> ExperimentResult {
 /// # Errors
 ///
 /// Propagates substrate errors.
-pub fn fig9(scale: &Scale) -> Result<ExperimentResult, SystemError> {
+pub fn fig9(scale: &Scale) -> Result<ExperimentResult, SprintError> {
     let mut result = ExperimentResult::new(
         "fig9",
         "Task accuracy: baseline / runtime pruning / SPRINT w/o recompute / SPRINT",
@@ -702,7 +696,7 @@ pub fn extras(scale: &Scale) -> ExperimentResult {
 /// # Errors
 ///
 /// Propagates substrate errors.
-pub fn fault_sweep(scale: &Scale) -> Result<ExperimentResult, SystemError> {
+pub fn fault_sweep(scale: &Scale) -> Result<ExperimentResult, SprintError> {
     let mut result = ExperimentResult::new(
         "fault_sweep",
         "Task accuracy vs ReRAM cell fault rate (BERT-base, Monitor policy)",
@@ -739,7 +733,7 @@ pub fn fault_sweep(scale: &Scale) -> Result<ExperimentResult, SystemError> {
 }
 
 /// One experiment driver, boxed for the parallel fan-out of [`all`].
-type Driver = Box<dyn Fn(&Scale) -> Result<Vec<ExperimentResult>, SystemError> + Send + Sync>;
+type Driver = Box<dyn Fn(&Scale) -> Result<Vec<ExperimentResult>, SprintError> + Send + Sync>;
 
 /// Outer worker cap for the driver fan-out of [`all`]. Most drivers
 /// parallelize their own model loops at the full worker count, so the
@@ -760,7 +754,7 @@ const OUTER_DRIVERS: usize = 4;
 /// # Errors
 ///
 /// Propagates the first driver error.
-pub fn all(scale: &Scale) -> Result<Vec<ExperimentResult>, SystemError> {
+pub fn all(scale: &Scale) -> Result<Vec<ExperimentResult>, SprintError> {
     let drivers: Vec<Driver> = vec![
         Box::new(|_| Ok(vec![tab1()])),
         Box::new(|_| Ok(vec![tab2()])),

@@ -6,9 +6,6 @@
 //! `sprint-attention`, `sprint-workloads`, `sprint-energy`) into
 //!
 //! * [`SprintConfig`] — the S/M/L hardware configurations of Table I;
-//! * [`SprintSystem`] — the functional end-to-end pipeline (in-memory
-//!   thresholding → selective fetch → on-chip recompute) used for the
-//!   accuracy studies of Figs. 5 and 9;
 //! * [`HeadProfile`] / [`counting`] — the operation-counting
 //!   performance and energy simulator of §VII, reproducing Figs. 1 and
 //!   10–13 and Table III;
@@ -39,7 +36,6 @@ mod ffn;
 mod prior_art;
 mod profile;
 mod report;
-mod system;
 
 pub use accuracy::{
     bit_sensitivity, evaluate_scenarios, mean_degradation, AccuracyScenario, ScenarioScores,
@@ -49,8 +45,7 @@ pub use ffn::{end_to_end, EndToEnd, FfnConfig};
 pub use prior_art::{sprint_metrics, AcceleratorMetrics, PriorArt};
 pub use profile::{HeadProfile, SyntheticHeadSpec};
 pub use report::{geomean, results_to_json, ExperimentResult};
-// The hardware configuration and the legacy error now live in
-// `sprint-engine` (the serving front door); re-exported here so every
-// pre-engine path keeps compiling.
-pub use sprint_engine::{SprintConfig, SystemError};
-pub use system::{SprintSystem, SystemOutput};
+// The hardware configuration and the error type live in
+// `sprint-engine` (the serving front door); re-exported here for the
+// experiment drivers' callers.
+pub use sprint_engine::{SprintConfig, SprintError};

@@ -492,9 +492,9 @@ impl Engine {
     }
 
     /// [`Engine::run_head`] with an explicit raw pruner seed (no
-    /// derivation). This is the oracle-compatibility entry: the legacy
-    /// `SprintSystem::run_head` shim and the equivalence tests use it
-    /// to reproduce pre-engine outputs bit-for-bit.
+    /// derivation). This is the oracle-compatibility entry: the
+    /// equivalence tests use it to reproduce the frozen pre-engine
+    /// pipeline's outputs bit-for-bit.
     ///
     /// # Errors
     ///
@@ -1074,6 +1074,24 @@ mod tests {
     }
 
     #[test]
+    fn ideal_sprint_decisions_agree_with_the_digital_reference() {
+        // With ideal analog hardware the only divergence from the
+        // trace's digital decisions is the 4-bit MSB approximation; the
+        // kept sets must still agree on the overwhelming majority.
+        let t = trace(64, 17);
+        let out = engine(ExecutionMode::Sprint)
+            .run_head(&HeadRequest::from_trace(&t))
+            .unwrap();
+        let (live, reference) = (t.live_tokens(), t.reference_decisions());
+        let agree = (0..live * live)
+            .map(|pair| (pair / live, pair % live))
+            .filter(|&(i, j)| out.decisions[i].is_pruned(j) == reference[i].is_pruned(j))
+            .count();
+        let rate = agree as f64 / (live * live) as f64;
+        assert!(rate > 0.9, "decision agreement {rate}");
+    }
+
+    #[test]
     fn dense_mode_keeps_every_live_key() {
         let t = trace(48, 8);
         let out = engine(ExecutionMode::Dense)
@@ -1230,7 +1248,8 @@ mod tests {
             .run_head(&HeadRequest::from_trace(&t))
             .unwrap();
         assert_eq!(recovered, fresh);
-        assert!(e.scratches.iter().all(|s| !s.is_poisoned()));
+        // A single-head call claims — and recovers — the first slot.
+        assert!(!e.scratches[0].is_poisoned());
         // The blocking-fallback path recovers too.
         for slot in &e.scratches {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

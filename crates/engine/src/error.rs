@@ -1,11 +1,9 @@
-//! The unified engine error type and the legacy [`SystemError`].
+//! The unified engine error type.
 //!
-//! Every substrate crate exposes its own error enum; before the engine
-//! redesign each caller stitched them together ad hoc. [`SprintError`]
+//! Every substrate crate exposes its own error enum. [`SprintError`]
 //! is the single error the serving API surfaces: one `From` impl per
 //! substrate (`AttentionError`, `ReramError`, `MemoryError`,
-//! `AcceleratorError`) plus the legacy end-to-end [`SystemError`], so
-//! `?` composes across every layer.
+//! `AcceleratorError`), so `?` composes across every layer.
 
 use std::error::Error;
 use std::fmt;
@@ -14,54 +12,6 @@ use sprint_accelerator::AcceleratorError;
 use sprint_attention::AttentionError;
 use sprint_memory::MemoryError;
 use sprint_reram::ReramError;
-
-/// Errors from the end-to-end system (any substrate can fail).
-///
-/// This is the pre-engine error of `SprintSystem::run_head`, kept for
-/// the shimmed legacy API; new code should use [`SprintError`].
-#[derive(Debug)]
-pub enum SystemError {
-    /// Attention math error.
-    Attention(AttentionError),
-    /// ReRAM substrate error.
-    Reram(ReramError),
-    /// Memory subsystem error.
-    Memory(MemoryError),
-    /// An engine-level failure with no legacy equivalent (malformed
-    /// request, accelerator model error), carried as text.
-    Engine(String),
-}
-
-impl fmt::Display for SystemError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SystemError::Attention(e) => write!(f, "attention: {e}"),
-            SystemError::Reram(e) => write!(f, "reram: {e}"),
-            SystemError::Memory(e) => write!(f, "memory: {e}"),
-            SystemError::Engine(msg) => write!(f, "engine: {msg}"),
-        }
-    }
-}
-
-impl Error for SystemError {}
-
-impl From<AttentionError> for SystemError {
-    fn from(e: AttentionError) -> Self {
-        SystemError::Attention(e)
-    }
-}
-
-impl From<ReramError> for SystemError {
-    fn from(e: ReramError) -> Self {
-        SystemError::Reram(e)
-    }
-}
-
-impl From<MemoryError> for SystemError {
-    fn from(e: MemoryError) -> Self {
-        SystemError::Memory(e)
-    }
-}
 
 /// The one error type of the engine API.
 ///
@@ -155,29 +105,6 @@ impl From<AcceleratorError> for SprintError {
     }
 }
 
-impl From<SystemError> for SprintError {
-    fn from(e: SystemError) -> Self {
-        match e {
-            SystemError::Attention(e) => SprintError::Attention(e),
-            SystemError::Reram(e) => SprintError::Reram(e),
-            SystemError::Memory(e) => SprintError::Memory(e),
-            SystemError::Engine(msg) => SprintError::Request(msg),
-        }
-    }
-}
-
-impl From<SprintError> for SystemError {
-    fn from(e: SprintError) -> Self {
-        match e {
-            SprintError::Attention(e) => SystemError::Attention(e),
-            SprintError::Reram(e) => SystemError::Reram(e),
-            SprintError::Memory(e) => SystemError::Memory(e),
-            SprintError::Accelerator(e) => SystemError::Engine(e.to_string()),
-            SprintError::Request(msg) => SystemError::Engine(msg),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,23 +113,6 @@ mod tests {
     fn errors_are_send_sync() {
         fn assert_err<E: Error + Send + Sync + 'static>() {}
         assert_err::<SprintError>();
-        assert_err::<SystemError>();
-    }
-
-    #[test]
-    fn conversions_round_trip_the_substrate_variants() {
-        let e = SprintError::from(ReramError::InvalidParameter("x".into()));
-        let legacy = SystemError::from(e);
-        assert!(matches!(legacy, SystemError::Reram(_)));
-        let back = SprintError::from(legacy);
-        assert!(matches!(back, SprintError::Reram(_)));
-    }
-
-    #[test]
-    fn request_errors_survive_the_legacy_boundary_as_text() {
-        let e = SprintError::Request("padding over cross-shaped head".into());
-        let legacy = SystemError::from(e);
-        assert!(legacy.to_string().contains("cross-shaped"));
     }
 
     #[test]

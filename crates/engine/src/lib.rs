@@ -31,6 +31,10 @@
 //!   interleaves many concurrent sessions over [`sprint_parallel`]
 //!   with the same bit-identical-across-worker-counts seeding
 //!   contract as `run_batch`;
+//! * [`SessionTable`] — the one owner of decode-session residency
+//!   (LRU eviction under a residency cap or page-pool pressure,
+//!   transparent rehydration), called by [`DecodeLoop`] and by the
+//!   HTTP server's `/v1/decode`;
 //! * [`FaultPolicy`] / [`FaultReport`] — fault-tolerant serving over a
 //!   faulty substrate: an engine built with a
 //!   [`sprint_reram::FaultModel`] scrubs each head's programmed
@@ -92,13 +96,14 @@ mod model;
 pub mod reference;
 mod request;
 mod serve;
+mod sessions;
 
 pub use config::SprintConfig;
 pub use decode::{
     DecodeSession, DecodeStep, EvictedSession, SessionPerf, SessionRequest, StepPerf, StepResponse,
 };
 pub use engine::{derive_head_seed, BatchReport, Engine, EngineBuilder};
-pub use error::{SprintError, SystemError};
+pub use error::SprintError;
 pub use fault::{FaultPolicy, FaultReport};
 pub use mode::ExecutionMode;
 pub use model::{HeadPlan, LayerReport, ModelProfile, ModelRequest, ModelResponse, PerfRollup};
@@ -107,4 +112,5 @@ pub use serve::{
     DecodeLoop, DecodeReport, DecodeTask, ModelServer, ServeLoop, ServeStats, ServeSummary,
     SessionReport,
 };
+pub use sessions::{SessionError, SessionOpen, SessionTable};
 pub use sprint_attention::{active_tier, avx2_available, SimdTier};

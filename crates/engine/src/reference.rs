@@ -1,7 +1,7 @@
 //! The frozen pre-engine pipeline, kept as the equivalence oracle.
 //!
-//! [`run_head_frozen`] is the seed `SprintSystem::run_head`
-//! implementation, line for line: it builds a **fresh** pruner, memory
+//! [`run_head_frozen`] is the seed repository's per-head pipeline,
+//! line for line: it builds a **fresh** pruner, memory
 //! controller and workspace on every call and pays every per-head
 //! allocation the engine now amortizes. The equivalence tests prove
 //! that [`crate::Engine`] — with its reprogrammed crossbars, cold-reset
@@ -30,8 +30,8 @@ use crate::{
 ///
 /// For self-shaped, trace-driven requests in the
 /// [`ExecutionMode::Sprint`] / [`ExecutionMode::NoRecompute`] modes
-/// this is exactly the seed `SprintSystem::run_head` (the `recompute`
-/// flag mapped onto the two modes); the generalizations the engine
+/// this is exactly the seed pipeline (its `recompute` flag mapped
+/// onto the two modes); the generalizations the engine
 /// added — cross-shaped unpadded heads, zero-live heads — are handled
 /// by the same rules so the oracle covers the full request space.
 ///

@@ -172,9 +172,6 @@ impl<'a> HeadRequest<'a> {
 }
 
 /// The outcome of one head execution.
-///
-/// Field-compatible with the pre-engine `SystemOutput` (which is now
-/// an alias of this type).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HeadResponse {
     /// Final attention values (`s_q × d_v`).

@@ -23,11 +23,12 @@ use std::time::Instant;
 
 use sprint_energy::EnergyBreakdown;
 use sprint_reram::ThresholdSpec;
-use sprint_workloads::{Arrival, HeadTrace, ProxyTask, TaskScore, TraceGenerator, TraceSpec};
+use sprint_workloads::{Arrival, ProxyTask, TaskScore, TraceGenerator, TraceSpec};
 
-use crate::decode::{DecodeStep, SessionRequest};
+use crate::decode::SessionPerf;
 use crate::engine::{derive_head_seed, BatchReport};
 use crate::model::{HeadPlan, LayerReport, ModelRequest, ModelResponse, PerfRollup, TRACE_SALT};
+use crate::sessions::{SessionOpen, SessionTable};
 use crate::{Engine, ExecutionMode, HeadRequest, SprintError};
 
 /// Per-stage execution accounting for one [`ModelServer::serve_many`]
@@ -672,34 +673,19 @@ impl<'a> DecodeLoop<'a> {
         threads: usize,
         tasks: &[DecodeTask],
     ) -> Result<DecodeReport, SprintError> {
-        for (i, task) in tasks.iter().enumerate() {
-            if task.prefill == 0 || task.prefill >= task.spec.seq_len {
-                return Err(SprintError::Request(format!(
-                    "decode task {i}: prefill {} outside 1..{}",
-                    task.prefill, task.spec.seq_len
-                )));
-            }
-        }
-        // Honor the explicit count (sessions are independent; there is
-        // no slot constraint to clamp against) — `run()` already
-        // defaults to `max_threads()`.
-        let workers = threads.max(1);
-        let started = Instant::now();
-        let (sessions, worker_stats) =
-            sprint_parallel::par_chunk_try_map_threads(workers, tasks, |_, i, task| {
-                self.run_one(i, task)
-            })?;
-        let busy_ns = started.elapsed().as_nanos().max(1);
-        Ok(self.finish_report(sessions, (0, 0, 0), busy_ns, worker_stats))
+        // One single-session chunk per task: a round-robin over one
+        // session is that session run to completion.
+        let singles: Vec<_> = (0..tasks.len()).map(|i| i..i + 1).collect();
+        self.run_chunks(threads, tasks, &singles, 1)
     }
 
     /// Runs every task under a per-worker **residency cap**: at most
     /// `resident_cap` sessions per worker hold KV pages at once, the
-    /// rest sit evicted ([`crate::DecodeSession::evict`]) with only
-    /// their stub and retained trace. Each worker serves its sessions
-    /// one token per turn, round-robin; a turn on an evicted session
-    /// transparently rehydrates it through the ordinary prefill path
-    /// ([`Engine::resume_session`]), evicting its own least-recently
+    /// rest sit evicted (in the worker's own [`crate::SessionTable`])
+    /// with only their stub and retained trace. Each worker serves its
+    /// sessions one token per turn, round-robin; a turn on an evicted
+    /// session transparently rehydrates it through the ordinary prefill
+    /// path ([`Engine::resume_session`]), evicting its own least-recently
     /// used session first when the shared page pool is exhausted.
     ///
     /// Under an ideal noise model and no fault model, the per-session
@@ -741,6 +727,22 @@ impl<'a> DecodeLoop<'a> {
         tasks: &[DecodeTask],
         resident_cap: usize,
     ) -> Result<DecodeReport, SprintError> {
+        // One chunk per worker, the same contiguous split `run` uses —
+        // the chunk round-robins internally instead of finishing each
+        // session before the next.
+        let ranges = sprint_parallel::chunk_ranges(tasks.len(), threads.max(1));
+        self.run_chunks(threads, tasks, &ranges, resident_cap.max(1))
+    }
+
+    /// Runs each of `ranges` as one [`DecodeLoop::churn_chunk`] over up
+    /// to `threads` workers and folds the closed sessions into a report.
+    fn run_chunks(
+        &self,
+        threads: usize,
+        tasks: &[DecodeTask],
+        ranges: &[std::ops::Range<usize>],
+        cap: usize,
+    ) -> Result<DecodeReport, SprintError> {
         for (i, task) in tasks.iter().enumerate() {
             if task.prefill == 0 || task.prefill >= task.spec.seq_len {
                 return Err(SprintError::Request(format!(
@@ -749,96 +751,58 @@ impl<'a> DecodeLoop<'a> {
                 )));
             }
         }
-        let workers = threads.max(1);
-        let cap = resident_cap.max(1);
         let started = Instant::now();
-        // One chunk per worker, the same contiguous split `run` uses —
-        // the chunk round-robins internally instead of finishing each
-        // session before the next.
-        let ranges = sprint_parallel::chunk_ranges(tasks.len(), workers);
-        let (chunks, worker_stats) =
-            sprint_parallel::par_chunk_try_map_threads(workers.max(1), &ranges, |_, _, range| {
+        // Honor the explicit count (sessions are independent; there is
+        // no slot constraint to clamp against).
+        let (chunks, workers) =
+            sprint_parallel::par_chunk_try_map_threads(threads.max(1), ranges, |_, _, range| {
                 self.churn_chunk(range.clone(), tasks, cap)
             })?;
         let busy_ns = started.elapsed().as_nanos().max(1);
-        let mut sessions = Vec::with_capacity(tasks.len());
-        let mut totals = (0u64, 0u64, 0u64);
-        for (reports, evictions, rehydrations, rehydrated_tokens) in chunks {
-            sessions.extend(reports);
-            totals.0 += evictions;
-            totals.1 += rehydrations;
-            totals.2 += rehydrated_tokens;
-        }
-        Ok(self.finish_report(sessions, totals, busy_ns, worker_stats))
-    }
-
-    fn finish_report(
-        &self,
-        sessions: Vec<SessionReport>,
-        (evictions, rehydrations, rehydrated_tokens): (u64, u64, u64),
-        busy_ns: u128,
-        workers: Vec<sprint_parallel::WorkerStats>,
-    ) -> DecodeReport {
-        let tokens = sessions.iter().map(|s: &SessionReport| s.tokens).sum();
-        let faults_detected = sessions.iter().map(|s| s.faults_detected).sum();
-        let demoted_sessions = sessions.iter().filter(|s| s.demoted).count() as u64;
+        let closed: Vec<(SessionReport, SessionPerf)> = chunks.into_iter().flatten().collect();
+        let sum = |count: fn(&SessionPerf) -> u64| closed.iter().map(|(_, perf)| count(perf)).sum();
         let pool = self.engine.kv_pool();
-        DecodeReport {
-            sessions,
-            tokens,
-            faults_detected,
-            demoted_sessions,
-            evictions,
-            rehydrations,
-            rehydrated_tokens,
+        Ok(DecodeReport {
+            tokens: sum(|perf| perf.tokens),
+            faults_detected: sum(|perf| perf.faults_detected),
+            demoted_sessions: sum(|perf| u64::from(perf.demoted)),
+            evictions: sum(|perf| perf.evictions),
+            rehydrations: sum(|perf| perf.rehydrations),
+            rehydrated_tokens: sum(|perf| perf.rehydrated_tokens),
             kv_pages_in_use: pool.pages_in_use(),
             kv_pages_peak: pool.peak_pages(),
             busy_ns,
             workers,
-        }
+            sessions: closed.into_iter().map(|(report, _)| report).collect(),
+        })
     }
 
-    /// Synthesizes task `i`'s token stream (the retained history every
-    /// rehydration replays from).
-    fn synth_trace(&self, i: usize, task: &DecodeTask) -> Result<HeadTrace, SprintError> {
+    /// What task `i`'s session opens from: its synthesized token stream
+    /// (the retained history every rehydration replays from), seeded
+    /// and overridden as the task asks.
+    fn session_open(&self, i: usize, task: &DecodeTask) -> Result<SessionOpen, SprintError> {
         let mut spec = task.spec;
         spec.padding_fraction = 0.0;
         let trace_seed = derive_head_seed(self.engine.seed() ^ TRACE_SALT, i as u64);
-        Ok(TraceGenerator::new(trace_seed).generate(&spec)?)
-    }
-
-    /// Opens task `i`'s session from its trace's prefill rows.
-    fn open_one(
-        &self,
-        i: usize,
-        task: &DecodeTask,
-        trace: &HeadTrace,
-    ) -> Result<crate::DecodeSession, SprintError> {
-        let prefill_k = trace.k().prefix_rows(task.prefill)?;
-        let prefill_v = trace.v().prefix_rows(task.prefill)?;
-        let mut request =
-            SessionRequest::new(&prefill_k, &prefill_v, trace.config(), trace.threshold())
-                .with_head_id(i as u64);
-        if let Some(mode) = task.mode {
-            request = request.with_mode(mode);
-        }
-        if let Some(spec) = task.threshold_spec {
-            request = request.with_threshold_spec(spec);
-        }
-        self.engine.open_session(&request)
+        Ok(SessionOpen {
+            trace: TraceGenerator::new(trace_seed).generate(&spec)?,
+            prefill: task.prefill,
+            head_id: i as u64,
+            mode: task.mode,
+            threshold_spec: task.threshold_spec,
+        })
     }
 
     /// Folds a finished session into its report.
-    fn close_one(
+    fn report(
         i: usize,
-        prefill: usize,
-        session: &crate::DecodeSession,
+        task: &DecodeTask,
+        perf: &SessionPerf,
         final_output: Vec<f32>,
     ) -> SessionReport {
-        let perf = *session.perf();
         SessionReport {
             session: i,
-            prefill,
+            prefill: task.prefill,
             tokens: perf.tokens,
             kept_fraction: perf.kept_fraction(),
             energy: perf.energy,
@@ -852,184 +816,40 @@ impl<'a> DecodeLoop<'a> {
         }
     }
 
-    /// Synthesizes task `i`'s token stream and decodes it end to end.
-    fn run_one(&self, i: usize, task: &DecodeTask) -> Result<SessionReport, SprintError> {
-        let trace = self.synth_trace(i, task)?;
-        let mut session = self.open_one(i, task, &trace)?;
-        let mut final_output = Vec::new();
-        for t in task.prefill..task.spec.seq_len {
-            let response = session.step(&DecodeStep {
-                q: trace.q().row(t),
-                k: trace.k().row(t),
-                v: trace.v().row(t),
-            })?;
-            final_output = response.output;
-        }
-        Ok(Self::close_one(i, task.prefill, &session, final_output))
-    }
-
-    /// One worker's share of [`DecodeLoop::run_churn`]: round-robin
-    /// one-token turns over `range`'s sessions with at most `cap` of
-    /// them resident. Returns the chunk's reports (in task order) plus
-    /// its `(evictions, rehydrations, rehydrated_tokens)` totals.
-    #[allow(clippy::type_complexity)]
+    /// One worker's share of a run: round-robin one-token turns over
+    /// `range`'s sessions through a [`SessionTable`] of its own capped
+    /// at `cap` resident sessions — a worker evicts only its own
+    /// sessions, in an order fixed by the turn sequence. Sessions open
+    /// on their first turn and close on their last, freeing their
+    /// pages. Returns each session's report and final accounting, in
+    /// task order.
     fn churn_chunk(
         &self,
         range: std::ops::Range<usize>,
         tasks: &[DecodeTask],
         cap: usize,
-    ) -> Result<(Vec<SessionReport>, u64, u64, u64), SprintError> {
-        enum Slot {
-            Unopened,
-            Live(Box<crate::DecodeSession>),
-            Parked(Box<crate::EvictedSession>),
-            Done,
-        }
-        struct ChurnSlot {
-            task_index: usize,
-            trace: HeadTrace,
-            /// Next token to decode (== current history length).
-            t: usize,
-            final_output: Vec<f32>,
-            state: Slot,
-        }
-        /// Parks the least-recently-used resident session other than
-        /// `current`, returning whether anything could be parked.
-        fn evict_coldest(slots: &mut [ChurnSlot], lru: &mut Vec<usize>, current: usize) -> bool {
-            let Some(pos) = lru.iter().position(|&x| x != current) else {
-                return false;
-            };
-            let victim = lru.remove(pos);
-            match std::mem::replace(&mut slots[victim].state, Slot::Unopened) {
-                Slot::Live(session) => {
-                    slots[victim].state = Slot::Parked(Box::new(session.evict()))
-                }
-                other => slots[victim].state = other, // unreachable by construction
-            }
-            true
-        }
-
-        let mut slots: Vec<ChurnSlot> = range
-            .clone()
-            .map(|i| {
-                Ok(ChurnSlot {
-                    task_index: i,
-                    trace: self.synth_trace(i, &tasks[i])?,
-                    t: tasks[i].prefill,
-                    final_output: Vec::new(),
-                    state: Slot::Unopened,
-                })
-            })
-            .collect::<Result<_, SprintError>>()?;
-        // Resident slots in recency order: front = coldest.
-        let mut lru: Vec<usize> = Vec::new();
-        let mut reports: Vec<Option<SessionReport>> = (0..slots.len()).map(|_| None).collect();
-        let mut evictions = 0u64;
-        let mut rehydrations = 0u64;
-        let mut rehydrated_tokens = 0u64;
-        let mut remaining = slots.len();
-        while remaining > 0 {
-            for s in 0..slots.len() {
-                if matches!(slots[s].state, Slot::Done) {
+    ) -> Result<Vec<(SessionReport, SessionPerf)>, SprintError> {
+        let table = SessionTable::new(Some(cap));
+        let mut ids: Vec<Option<u64>> = vec![None; range.len()];
+        let mut closed: Vec<Option<(SessionReport, SessionPerf)>> = vec![None; range.len()];
+        while closed.iter().any(Option::is_none) {
+            for (s, i) in range.clone().enumerate() {
+                if closed[s].is_some() {
                     continue;
                 }
-                // Make the session resident (open or rehydrate),
-                // evicting our own coldest session on pool pressure.
-                while !matches!(slots[s].state, Slot::Live(_)) {
-                    let i = slots[s].task_index;
-                    let attempt = match &slots[s].state {
-                        Slot::Unopened => self.open_one(i, &tasks[i], &slots[s].trace),
-                        Slot::Parked(stub) => {
-                            let k = slots[s].trace.k().prefix_rows(slots[s].t)?;
-                            let v = slots[s].trace.v().prefix_rows(slots[s].t)?;
-                            self.engine.resume_session(stub, &k, &v)
-                        }
-                        _ => unreachable!("done and live slots handled above"),
-                    };
-                    match attempt {
-                        Ok(session) => {
-                            slots[s].state = Slot::Live(Box::new(session));
-                            lru.push(s);
-                        }
-                        Err(e) if e.is_pool_exhausted() => {
-                            if !evict_coldest(&mut slots, &mut lru, s) {
-                                return Err(e);
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                // Serve one token (retrying through eviction if the
-                // history append needs a page the pool cannot give).
-                if let Some(pos) = lru.iter().position(|&x| x == s) {
-                    lru.remove(pos);
-                    lru.push(s);
-                }
-                loop {
-                    let t = slots[s].t;
-                    let ChurnSlot { trace, state, .. } = &mut slots[s];
-                    let Slot::Live(session) = state else {
-                        unreachable!("made resident above")
-                    };
-                    match session.step(&DecodeStep {
-                        q: trace.q().row(t),
-                        k: trace.k().row(t),
-                        v: trace.v().row(t),
-                    }) {
-                        Ok(response) => {
-                            slots[s].final_output = response.output;
-                            slots[s].t += 1;
-                            break;
-                        }
-                        Err(e) if e.is_pool_exhausted() => {
-                            if !evict_coldest(&mut slots, &mut lru, s) {
-                                return Err(e);
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                // Finished sessions close immediately, freeing pages.
-                let i = slots[s].task_index;
-                if slots[s].t == tasks[i].spec.seq_len {
-                    if let Some(pos) = lru.iter().position(|&x| x == s) {
-                        lru.remove(pos);
-                    }
-                    let state = std::mem::replace(&mut slots[s].state, Slot::Done);
-                    let Slot::Live(session) = state else {
-                        unreachable!("just stepped")
-                    };
-                    let perf = session.perf();
-                    evictions += perf.evictions;
-                    rehydrations += perf.rehydrations;
-                    rehydrated_tokens += perf.rehydrated_tokens;
-                    reports[s] = Some(Self::close_one(
-                        i,
-                        tasks[i].prefill,
-                        &session,
-                        std::mem::take(&mut slots[s].final_output),
-                    ));
-                    remaining -= 1;
-                    continue;
-                }
-                // Enforce the residency cap: the coldest sessions park
-                // until their next turn.
-                while lru.len() > cap {
-                    let victim = lru.remove(0);
-                    match std::mem::replace(&mut slots[victim].state, Slot::Unopened) {
-                        Slot::Live(session) => {
-                            slots[victim].state = Slot::Parked(Box::new(session.evict()))
-                        }
-                        other => slots[victim].state = other,
-                    }
+                let task = &tasks[i];
+                let id = match ids[s] {
+                    Some(id) => id,
+                    None => *ids[s].insert(table.open(self.engine, self.session_open(i, task)?)?),
+                };
+                let response = table.step(self.engine, id)?;
+                if response.position + 1 == task.spec.seq_len {
+                    let perf = table.close(id)?;
+                    closed[s] = Some((Self::report(i, task, &perf, response.output), perf));
                 }
             }
         }
-        let reports = reports
-            .into_iter()
-            .map(|r| r.expect("every slot finished"))
-            .collect();
-        Ok((reports, evictions, rehydrations, rehydrated_tokens))
+        Ok(closed.into_iter().flatten().collect())
     }
 }
 
@@ -1392,27 +1212,7 @@ mod tests {
             .seed(21)
             .build()
             .unwrap();
-        let base = ModelConfig::bert_base().trace_spec();
-        let tasks = [
-            DecodeTask {
-                spec: base.with_seq_len(24),
-                prefill: 16,
-                mode: None,
-                threshold_spec: None,
-            },
-            DecodeTask {
-                spec: base.with_seq_len(40),
-                prefill: 8,
-                mode: Some(ExecutionMode::Oracle),
-                threshold_spec: None,
-            },
-            DecodeTask {
-                spec: base.with_seq_len(16),
-                prefill: 12,
-                mode: Some(ExecutionMode::Dense),
-                threshold_spec: None,
-            },
-        ];
+        let tasks = churn_tasks();
         let loop_ = DecodeLoop::new(&engine);
         let reference = loop_.run_threads(1, &tasks).unwrap();
         assert_eq!(reference.sessions.len(), 3);

@@ -3,8 +3,7 @@
 //! Every test compares [`sprint_engine::Engine`] — crossbars
 //! reprogrammed in place, controller cold-reset, pooled scratch —
 //! against [`sprint_engine::reference::run_head_frozen`], the frozen
-//! pre-engine pipeline that rebuilds everything per call (the seed
-//! `SprintSystem::run_head`). Responses must be bit-identical
+//! pre-engine pipeline that rebuilds everything per call. Responses must be bit-identical
 //! (`PartialEq` over output matrix, decisions and both stat blocks),
 //! across all four execution modes, head shapes, and worker counts.
 
@@ -178,9 +177,8 @@ fn run_batch_is_worker_count_independent() {
 
 #[test]
 fn shim_seed_compatibility_via_raw_seeds() {
-    // run_head_seeded with a raw seed reproduces what a pre-engine
-    // SprintSystem::new(cfg, noise, seed) produced — the oracle path
-    // the legacy shim rides on.
+    // run_head_seeded with a raw seed reproduces what the pre-engine
+    // pipeline built with (cfg, noise, seed) produced.
     let t = trace(ModelConfig::bert_base(), 80, 15);
     let engine = Engine::builder(SprintConfig::medium())
         .noise(NoiseModel::default())

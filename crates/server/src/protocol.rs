@@ -61,6 +61,90 @@ fn mode_name(mode: ExecutionMode) -> &'static str {
     }
 }
 
+/// Largest `seq_len` either endpoint accepts: the longest catalog
+/// model's. A request synthesizes a trace of this many rows and scores
+/// it against itself, so an unbounded value is an unbounded allocation.
+pub const MAX_SEQ_LEN: usize = 4096;
+/// Largest `layers` override (the deepest catalog model has 36).
+pub const MAX_LAYERS: usize = 64;
+/// Largest `heads` override (the widest catalog model has 64).
+pub const MAX_HEADS: usize = 64;
+
+/// The required `model` field, resolved against the catalog.
+fn model_field(body: &Json) -> Result<(&str, ModelConfig), String> {
+    let model = body
+        .str_field("model")
+        .ok_or_else(|| format!("missing 'model' (one of {})", MODEL_NAMES.join(", ")))?;
+    let config = model_by_name(model).ok_or_else(|| {
+        format!(
+            "unknown model '{model}' (one of {})",
+            MODEL_NAMES.join(", ")
+        )
+    })?;
+    Ok((model, config))
+}
+
+/// An optional shape field: a non-negative integer of at most `max`.
+fn bounded_field(body: &Json, key: &str, max: usize) -> Result<Option<usize>, String> {
+    let Some(value) = body.get(key) else {
+        return Ok(None);
+    };
+    let n = value
+        .as_u64()
+        .ok_or_else(|| format!("'{key}' must be a non-negative integer"))?;
+    match usize::try_from(n) {
+        Ok(n) if n <= max => Ok(Some(n)),
+        _ => Err(format!("'{key}' {n} exceeds the limit of {max}")),
+    }
+}
+
+/// The optional trace `seed` (default 0).
+fn seed_field(body: &Json) -> Result<u64, String> {
+    match body.get("seed") {
+        None => Ok(0),
+        Some(v) => v
+            .as_u64()
+            .ok_or_else(|| "'seed' must be a non-negative integer".to_string()),
+    }
+}
+
+/// A parsed `POST /v1/decode` `open` body (docs/server.md). Only
+/// `model` is required; `seq_len` defaults to 32 tokens, `prefill`
+/// to half of `seq_len`, `seed` to 0.
+#[derive(Debug, Clone)]
+pub struct DecodeOpen {
+    /// The catalog model the token stream is synthesized for.
+    pub model: ModelConfig,
+    /// Tokens in the session's stream (prefill + decoded).
+    pub seq_len: usize,
+    /// Tokens the session opens with, in `1..seq_len`.
+    pub prefill: usize,
+    /// Trace seed, also the session's head id.
+    pub seed: u64,
+}
+
+impl DecodeOpen {
+    /// Parses the JSON body of a decode `open` call.
+    ///
+    /// # Errors
+    ///
+    /// A client-facing message naming the offending field.
+    pub fn parse(body: &Json) -> Result<DecodeOpen, String> {
+        let (_, model) = model_field(body)?;
+        let seq_len = bounded_field(body, "seq_len", MAX_SEQ_LEN)?.unwrap_or(32);
+        let prefill = bounded_field(body, "prefill", MAX_SEQ_LEN)?.unwrap_or(seq_len / 2);
+        if prefill == 0 || prefill >= seq_len {
+            return Err(format!("prefill {prefill} outside 1..{seq_len}"));
+        }
+        Ok(DecodeOpen {
+            model,
+            seq_len,
+            prefill,
+            seed: seed_field(body)?,
+        })
+    }
+}
+
 /// A parsed `POST /v1/serve` body.
 ///
 /// ```json
@@ -94,25 +178,7 @@ impl ServeRequest {
     ///
     /// A client-facing message naming the offending field.
     pub fn parse(body: &Json) -> Result<ServeRequest, String> {
-        let model = body
-            .str_field("model")
-            .ok_or_else(|| format!("missing 'model' (one of {})", MODEL_NAMES.join(", ")))?
-            .to_string();
-        if model_by_name(&model).is_none() {
-            return Err(format!(
-                "unknown model '{model}' (one of {})",
-                MODEL_NAMES.join(", ")
-            ));
-        }
-        let dim = |key: &str| -> Result<Option<usize>, String> {
-            match body.get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_u64()
-                    .map(|n| Some(n as usize))
-                    .ok_or_else(|| format!("'{key}' must be a non-negative integer")),
-            }
-        };
+        let (model, _) = model_field(body)?;
         let mode = match body.get("mode") {
             None => None,
             Some(v) => {
@@ -123,14 +189,11 @@ impl ServeRequest {
             }
         };
         Ok(ServeRequest {
-            model,
-            layers: dim("layers")?,
-            heads: dim("heads")?,
-            seq_len: dim("seq_len")?,
-            seed: match body.get("seed") {
-                None => 0,
-                Some(v) => v.as_u64().ok_or("'seed' must be a non-negative integer")?,
-            },
+            model: model.to_string(),
+            layers: bounded_field(body, "layers", MAX_LAYERS)?,
+            heads: bounded_field(body, "heads", MAX_HEADS)?,
+            seq_len: bounded_field(body, "seq_len", MAX_SEQ_LEN)?,
+            seed: seed_field(body)?,
             mode,
         })
     }
@@ -218,10 +281,31 @@ mod tests {
             (r#"{"model":"synth1","seed":-1}"#, "'seed'"),
             (r#"{"model":"synth1","layers":"x"}"#, "'layers'"),
             (r#"{"model":"synth1","mode":"warp"}"#, "unknown mode"),
+            (r#"{"model":"synth1","seq_len":4097}"#, "'seq_len' 4097"),
+            (r#"{"model":"synth1","layers":65}"#, "'layers' 65"),
+            (r#"{"model":"synth1","heads":1e3}"#, "'heads'"),
         ] {
             let err = ServeRequest::parse(&Json::parse(body).unwrap()).unwrap_err();
             assert!(err.contains(needle), "{body}: {err}");
         }
+        for (body, needle) in [
+            (r#"{"model":"nope"}"#, "unknown model"),
+            (r#"{"model":"synth1","seq_len":"x"}"#, "'seq_len'"),
+            (r#"{"model":"synth1","prefill":-1}"#, "'prefill'"),
+            (r#"{"model":"synth1","seed":"abc"}"#, "'seed'"),
+            (r#"{"model":"synth1","seq_len":4097}"#, "'seq_len' 4097"),
+            (r#"{"model":"synth1","seq_len":8,"prefill":8}"#, "prefill 8"),
+            (r#"{"model":"synth1","seq_len":8,"prefill":0}"#, "prefill 0"),
+        ] {
+            let err = DecodeOpen::parse(&Json::parse(body).unwrap()).unwrap_err();
+            assert!(err.contains(needle), "{body}: {err}");
+        }
+        // The largest catalog shapes stay servable on both endpoints.
+        let largest =
+            Json::parse(r#"{"model":"synth2","seq_len":4096,"layers":36,"heads":64}"#).unwrap();
+        assert!(ServeRequest::parse(&largest).is_ok());
+        let open = DecodeOpen::parse(&largest).unwrap();
+        assert_eq!((open.seq_len, open.prefill, open.seed), (4096, 2048, 0));
     }
 
     #[test]

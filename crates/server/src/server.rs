@@ -36,24 +36,23 @@
 //! handler pool wind down — an admitted request always gets its
 //! response.
 
-use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::protocol::{self, ServeRequest};
+use crate::protocol::{self, DecodeOpen, ServeRequest};
 use crate::queue::{AdmissionQueue, Rejection};
 use minihttp::{read_request, Request, Response};
 use sprint_engine::{
-    DecodeSession, DecodeStep, Engine, EvictedSession, ModelRequest, ModelResponse, ModelServer,
-    SessionRequest, SprintError,
+    Engine, ModelRequest, ModelResponse, ModelServer, SessionError, SessionOpen, SessionTable,
+    SprintError,
 };
-use sprint_workloads::{HeadTrace, TraceGenerator};
+use sprint_workloads::TraceGenerator;
 
 /// How the server is built: socket, pool sizes, batching, and
 /// admission capacities.
@@ -112,30 +111,6 @@ struct QueuedServe {
     reply: mpsc::Sender<Result<ModelResponse, SprintError>>,
 }
 
-/// Where a decode session's substrate currently lives.
-enum SessionSlot {
-    /// KV pages resident in the shared pool; steps serve directly.
-    Resident(Box<DecodeSession>),
-    /// Pages dropped back to the pool; the next step rehydrates the
-    /// session from its retained trace before serving.
-    Evicted(Box<EvictedSession>),
-    /// Transitional placeholder while a session moves between states
-    /// (never observed across a lock release).
-    Vacant,
-}
-
-/// One open decode session: the synthesized token stream plus the
-/// engine session consuming it (resident or evicted).
-struct SessionState {
-    slot: SessionSlot,
-    trace: HeadTrace,
-    next_token: usize,
-    seq_len: usize,
-    /// Monotone recency stamp ([`Shared::lru_tick`]) — the coldest
-    /// resident session is the eviction victim under pool pressure.
-    last_used: u64,
-}
-
 struct Shared {
     server: ModelServer,
     config: ServerConfig,
@@ -143,13 +118,9 @@ struct Shared {
     queue: Mutex<AdmissionQueue<QueuedServe>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
-    sessions: Mutex<HashMap<u64, Arc<Mutex<SessionState>>>>,
-    next_session: AtomicU64,
-    /// Recency clock for session LRU eviction.
-    lru_tick: AtomicU64,
-    /// Sessions currently holding KV pages (maintained at every
-    /// open/rehydrate/evict/close transition).
-    resident_sessions: AtomicU64,
+    /// Every open `/v1/decode` session: residency, LRU eviction and
+    /// rehydration all happen inside the table.
+    sessions: SessionTable,
 }
 
 /// A running server: the listener, handler pool and batcher threads,
@@ -190,10 +161,7 @@ impl Server {
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             metrics: Metrics::new(),
-            sessions: Mutex::new(HashMap::new()),
-            next_session: AtomicU64::new(1),
-            lru_tick: AtomicU64::new(0),
-            resident_sessions: AtomicU64::new(0),
+            sessions: SessionTable::new(config.max_resident_sessions),
             config,
         });
 
@@ -407,6 +375,14 @@ fn route(shared: &Shared, request: &Request) -> Response {
         ("GET", "/metrics") => {
             let depth = shared.queue.lock().expect("queue poisoned").depth();
             let pool = shared.server.engine().kv_pool();
+            // The table owns these two counts; the exposition copies them.
+            let metrics = &shared.metrics;
+            metrics
+                .sessions_evicted
+                .store(shared.sessions.evictions(), Ordering::Relaxed);
+            metrics
+                .sessions_rehydrated
+                .store(shared.sessions.rehydrations(), Ordering::Relaxed);
             Response::text(
                 200,
                 shared.metrics.render(
@@ -497,71 +473,32 @@ fn decode_endpoint(shared: &Shared, request: &Request) -> Response {
         Ok(body) => body,
         Err(e) => return bad_request(format!("invalid JSON body: {e}")),
     };
-    match body.str_field("action") {
-        Some("open") => decode_open(shared, &body),
-        Some("step") => decode_step(shared, &body),
-        Some("close") => decode_close(shared, &body),
+    match (body.str_field("action"), body.u64_field("session")) {
+        (Some("open"), _) => decode_open(shared, &body),
+        (Some("step"), Some(id)) => decode_step(shared, id).unwrap_or_else(session_error),
+        (Some("close"), Some(id)) => decode_close(shared, id).unwrap_or_else(session_error),
+        (Some("step" | "close"), None) => bad_request("missing 'session' id"),
         _ => bad_request("'action' must be one of open, step, close"),
     }
 }
 
-/// Evicts the least-recently-used resident session other than
-/// `exclude`, returning whether anything was evicted. Candidates are
-/// probed with `try_lock` (a locked session is mid-step and therefore
-/// hot); acquisition is also non-blocking, so two handlers evicting
-/// concurrently can never deadlock on each other's session locks.
-fn evict_coldest(shared: &Shared, exclude: Option<u64>) -> bool {
-    let mut candidates: Vec<(u64, Arc<Mutex<SessionState>>)> = {
-        let sessions = shared.sessions.lock().expect("sessions poisoned");
-        sessions
-            .iter()
-            .filter(|(&id, _)| Some(id) != exclude)
-            .filter_map(|(_, entry)| {
-                let state = entry.try_lock().ok()?;
-                matches!(state.slot, SessionSlot::Resident(_))
-                    .then(|| (state.last_used, Arc::clone(entry)))
-            })
-            .collect()
+/// Maps a table failure onto the wire: `404` unknown id, `409` for a
+/// finished stream, `409` + `Retry-After` for a KV page pool that
+/// stayed exhausted after evicting everything evictable, `500`
+/// otherwise.
+fn session_error(e: SessionError) -> Response {
+    let status = match e {
+        SessionError::Unknown(_) => 404,
+        SessionError::Exhausted(_) | SessionError::PoolExhausted(_) => 409,
+        SessionError::Engine(_) => 500,
     };
-    candidates.sort_by_key(|&(tick, _)| tick);
-    for (_, entry) in candidates {
-        let Ok(mut state) = entry.try_lock() else {
-            continue; // grabbed by a step since the probe: hot again
-        };
-        match std::mem::replace(&mut state.slot, SessionSlot::Vacant) {
-            SessionSlot::Resident(session) => {
-                state.slot = SessionSlot::Evicted(Box::new(session.evict()));
-                shared
-                    .metrics
-                    .sessions_evicted
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.resident_sessions.fetch_sub(1, Ordering::Relaxed);
-                return true;
-            }
-            other => state.slot = other, // rehydration won the race
-        }
-    }
-    false
-}
-
-/// Parks cold sessions until at most `max_resident_sessions` hold
-/// pages (no-op when unconfigured).
-fn enforce_resident_cap(shared: &Shared, exclude: Option<u64>) {
-    let Some(cap) = shared.config.max_resident_sessions else {
-        return;
-    };
-    while shared.resident_sessions.load(Ordering::Relaxed) > cap as u64 {
-        if !evict_coldest(shared, exclude) {
-            return; // everything else is locked or already evicted
-        }
-    }
-}
-
-/// The `409 Conflict` answer for a KV page pool that stayed exhausted
-/// even after evicting everything evictable.
-fn pool_exhausted(e: &SprintError) -> Response {
     let body = Json::obj([("error", Json::Str(e.to_string()))]).to_string();
-    Response::json(409, body).with_header("Retry-After", "1")
+    let response = Response::json(status, body);
+    if matches!(e, SessionError::PoolExhausted(_)) {
+        response.with_header("Retry-After", "1")
+    } else {
+        response
+    }
 }
 
 fn decode_open(shared: &Shared, body: &Json) -> Response {
@@ -569,171 +506,45 @@ fn decode_open(shared: &Shared, body: &Json) -> Response {
         return Response::json(503, r#"{"error":"server is draining"}"#)
             .with_header("Retry-After", "5");
     }
-    let Some(model) = body.str_field("model") else {
-        return bad_request("missing 'model'");
+    let open = match DecodeOpen::parse(body) {
+        Ok(open) => open,
+        Err(e) => return bad_request(e),
     };
-    let Some(config) = protocol::model_by_name(model) else {
-        return bad_request(format!("unknown model '{model}'"));
-    };
-    let seq_len = body.u64_field("seq_len").unwrap_or(32) as usize;
-    let prefill = body
-        .u64_field("prefill")
-        .map_or(seq_len / 2, |p| p as usize);
-    let seed = body.u64_field("seed").unwrap_or(0);
-    if prefill == 0 || prefill >= seq_len {
-        return bad_request(format!("prefill {prefill} outside 1..{seq_len}"));
-    }
-    let mut spec = config.trace_spec().with_seq_len(seq_len);
+    let mut spec = open.model.trace_spec().with_seq_len(open.seq_len);
     spec.padding_fraction = 0.0; // decode histories hold only real tokens
-    let trace = match TraceGenerator::new(seed).generate(&spec) {
+    let trace = match TraceGenerator::new(open.seed).generate(&spec) {
         Ok(trace) => trace,
         Err(e) => return bad_request(format!("trace synthesis failed: {e}")),
     };
-    let session = loop {
-        let open = (|| -> Result<DecodeSession, SprintError> {
-            let prefill_k = trace.k().prefix_rows(prefill)?;
-            let prefill_v = trace.v().prefix_rows(prefill)?;
-            let session_request =
-                SessionRequest::new(&prefill_k, &prefill_v, trace.config(), trace.threshold())
-                    .with_head_id(seed);
-            shared.server.engine().open_session(&session_request)
-        })();
-        match open {
-            Ok(session) => break session,
-            Err(e) if e.is_pool_exhausted() => {
-                // Page pressure is retryable: park the coldest open
-                // session and try again. 409 only when nothing is left
-                // to evict — the pool is truly exhausted.
-                if !evict_coldest(shared, None) {
-                    return pool_exhausted(&e);
-                }
-            }
-            Err(e) => {
-                let body = Json::obj([("error", Json::Str(e.to_string()))]).to_string();
-                return Response::json(500, body);
-            }
-        }
-    };
-    let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-    shared.sessions.lock().expect("sessions poisoned").insert(
-        id,
-        Arc::new(Mutex::new(SessionState {
-            slot: SessionSlot::Resident(Box::new(session)),
+    let opened = shared.sessions.open(
+        shared.server.engine(),
+        SessionOpen {
             trace,
-            next_token: prefill,
-            seq_len,
-            last_used: shared.lru_tick.fetch_add(1, Ordering::Relaxed),
-        })),
+            prefill: open.prefill,
+            head_id: open.seed,
+            mode: None,
+            threshold_spec: None,
+        },
     );
+    let id = match opened {
+        Ok(id) => id,
+        Err(e) => return session_error(e),
+    };
     shared
         .metrics
         .sessions_opened
         .fetch_add(1, Ordering::Relaxed);
     shared.metrics.sessions_open.fetch_add(1, Ordering::Relaxed);
-    shared.resident_sessions.fetch_add(1, Ordering::Relaxed);
-    enforce_resident_cap(shared, Some(id));
     let body = Json::obj([
         ("session", Json::Int(id as i128)),
-        ("position", Json::Int(prefill as i128)),
-        ("seq_len", Json::Int(seq_len as i128)),
+        ("position", Json::Int(open.prefill as i128)),
+        ("seq_len", Json::Int(open.seq_len as i128)),
     ]);
     Response::json(200, body.to_string())
 }
 
-fn session_of(shared: &Shared, body: &Json) -> Result<(u64, Arc<Mutex<SessionState>>), Response> {
-    let Some(id) = body.u64_field("session") else {
-        return Err(bad_request("missing 'session' id"));
-    };
-    let sessions = shared.sessions.lock().expect("sessions poisoned");
-    match sessions.get(&id) {
-        Some(entry) => Ok((id, Arc::clone(entry))),
-        None => Err(Response::json(
-            404,
-            Json::obj([("error", Json::Str(format!("no session {id}")))]).to_string(),
-        )),
-    }
-}
-
-fn decode_step(shared: &Shared, body: &Json) -> Response {
-    let (id, entry) = match session_of(shared, body) {
-        Ok(found) => found,
-        Err(response) => return response,
-    };
-    let mut state = entry.lock().expect("session poisoned");
-    if state.next_token >= state.seq_len {
-        return Response::json(
-            409,
-            r#"{"error":"session exhausted its token stream; close it"}"#,
-        );
-    }
-    state.last_used = shared.lru_tick.fetch_add(1, Ordering::Relaxed);
-    // Transparent rehydration: an evicted session rebuilds from its
-    // replayed trace history through the ordinary prefill path before
-    // the step serves. Pool pressure evicts a colder session and
-    // retries; 409 only when nothing else can be evicted.
-    while matches!(state.slot, SessionSlot::Evicted(_)) {
-        let resume = (|| -> Result<DecodeSession, SprintError> {
-            let SessionSlot::Evicted(stub) = &state.slot else {
-                unreachable!("guarded by the loop condition");
-            };
-            let k = state.trace.k().prefix_rows(state.next_token)?;
-            let v = state.trace.v().prefix_rows(state.next_token)?;
-            shared.server.engine().resume_session(stub, &k, &v)
-        })();
-        match resume {
-            Ok(session) => {
-                state.slot = SessionSlot::Resident(Box::new(session));
-                shared
-                    .metrics
-                    .sessions_rehydrated
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.resident_sessions.fetch_add(1, Ordering::Relaxed);
-                enforce_resident_cap(shared, Some(id));
-            }
-            Err(e) if e.is_pool_exhausted() => {
-                if !evict_coldest(shared, Some(id)) {
-                    return pool_exhausted(&e);
-                }
-            }
-            Err(e) => {
-                let body = Json::obj([("error", Json::Str(e.to_string()))]).to_string();
-                return Response::json(500, body);
-            }
-        }
-    }
-    let t = state.next_token;
-    // Owned copies: the trace and the session live in the same entry,
-    // so borrowing rows across the mutable step call cannot work.
-    let (q, k, v) = (
-        state.trace.q().row(t).to_vec(),
-        state.trace.k().row(t).to_vec(),
-        state.trace.v().row(t).to_vec(),
-    );
-    let step = DecodeStep {
-        q: &q,
-        k: &k,
-        v: &v,
-    };
-    let response = loop {
-        let SessionSlot::Resident(session) = &mut state.slot else {
-            unreachable!("rehydrated above");
-        };
-        match session.step(&step) {
-            Ok(response) => break response,
-            Err(e) if e.is_pool_exhausted() => {
-                // The history append needed a page the pool could not
-                // give; the failed push left the session untouched.
-                if !evict_coldest(shared, Some(id)) {
-                    return pool_exhausted(&e);
-                }
-            }
-            Err(e) => {
-                let body = Json::obj([("error", Json::Str(e.to_string()))]).to_string();
-                return Response::json(500, body);
-            }
-        }
-    };
-    state.next_token += 1;
+fn decode_step(shared: &Shared, id: u64) -> Result<Response, SessionError> {
+    let response = shared.sessions.step(shared.server.engine(), id)?;
     shared.metrics.decode_steps.fetch_add(1, Ordering::Relaxed);
     shared.metrics.record_faults(
         response.perf.faults_detected,
@@ -753,34 +564,12 @@ fn decode_step(shared: &Shared, body: &Json) -> Response {
         ("demoted", Json::Bool(response.perf.demoted)),
         ("output", Json::Arr(output)),
     ]);
-    Response::json(200, body.to_string())
+    Ok(Response::json(200, body.to_string()))
 }
 
-fn decode_close(shared: &Shared, body: &Json) -> Response {
-    let Some(id) = body.u64_field("session") else {
-        return bad_request("missing 'session' id");
-    };
-    let entry = shared
-        .sessions
-        .lock()
-        .expect("sessions poisoned")
-        .remove(&id);
-    let Some(entry) = entry else {
-        return Response::json(
-            404,
-            Json::obj([("error", Json::Str(format!("no session {id}")))]).to_string(),
-        );
-    };
+fn decode_close(shared: &Shared, id: u64) -> Result<Response, SessionError> {
+    let perf = shared.sessions.close(id)?;
     shared.metrics.sessions_open.fetch_sub(1, Ordering::Relaxed);
-    let state = entry.lock().expect("session poisoned");
-    let perf = match &state.slot {
-        SessionSlot::Resident(session) => {
-            shared.resident_sessions.fetch_sub(1, Ordering::Relaxed);
-            *session.perf()
-        }
-        SessionSlot::Evicted(stub) => *stub.perf(),
-        SessionSlot::Vacant => unreachable!("vacant only inside a held lock"),
-    };
     let body = Json::obj([
         ("session", Json::Int(id as i128)),
         ("tokens", Json::Int(perf.tokens as i128)),
@@ -793,5 +582,5 @@ fn decode_close(shared: &Shared, body: &Json) -> Response {
         ("fault_retries", Json::Int(perf.fault_retries as i128)),
         ("demoted", Json::Bool(perf.demoted)),
     ]);
-    Response::json(200, body.to_string())
+    Ok(Response::json(200, body.to_string()))
 }

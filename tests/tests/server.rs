@@ -561,12 +561,41 @@ fn draining_server_refuses_new_work_with_503() {
 fn malformed_bodies_get_400_not_a_hang() {
     let server = boot(ServerConfig::default());
     let mut client = client(&server);
-    for (body, needle) in [
-        ("{not json", "invalid JSON"),
-        (r#"{"model":"unknown_model"}"#, "unknown model"),
-        (r#"{}"#, "missing 'model'"),
+    for (path, body, needle) in [
+        ("/v1/serve", "{not json", "invalid JSON"),
+        ("/v1/serve", r#"{"model":"unknown_model"}"#, "unknown model"),
+        ("/v1/serve", r#"{}"#, "missing 'model'"),
+        (
+            "/v1/serve",
+            r#"{"model":"synth1","seq_len":1000000}"#,
+            "'seq_len'",
+        ),
+        ("/v1/serve", r#"{"model":"synth1","heads":65}"#, "'heads'"),
+        // A decode open answers the same mistakes the same way instead
+        // of silently falling back to its defaults.
+        (
+            "/v1/decode",
+            r#"{"action":"open","model":"bert_base","seq_len":"x"}"#,
+            "'seq_len'",
+        ),
+        (
+            "/v1/decode",
+            r#"{"action":"open","model":"bert_base","prefill":-1}"#,
+            "'prefill'",
+        ),
+        (
+            "/v1/decode",
+            r#"{"action":"open","model":"bert_base","seed":"abc"}"#,
+            "'seed'",
+        ),
+        (
+            "/v1/decode",
+            r#"{"action":"open","model":"bert_base","seq_len":1000000}"#,
+            "'seq_len'",
+        ),
+        ("/v1/decode", r#"{"action":"open"}"#, "missing 'model'"),
     ] {
-        let response = client.post_json("/v1/serve", body).expect("error responds");
+        let response = client.post_json(path, body).expect("error responds");
         assert_eq!(response.status, 400, "{body}");
         assert!(
             response.body_str().contains(needle),

@@ -7,7 +7,7 @@
 //! stage scaling with the prune rate. Run with `-- --bench-json` to
 //! record the timings in `BENCH_report.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
 use sprint_attention::reference::{dense_attention_naive, pruned_attention_naive};
@@ -120,4 +120,4 @@ fn bench(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench);
-criterion_main!(benches);
+sprint_bench::bench_main!(benches);

@@ -15,13 +15,11 @@
 //! ≥5x tokens/sec at s = 512); run with `-- --bench-json` to record
 //! both in `BENCH_report.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
-use sprint_attention::{Matrix, PagePool};
-use sprint_engine::{
-    DecodeLoop, DecodeStep, DecodeTask, Engine, HeadRequest, SessionRequest, SprintConfig,
-};
+use sprint_attention::Matrix;
+use sprint_engine::{DecodeStep, Engine, HeadRequest, SessionRequest, SprintConfig};
 use sprint_reram::NoiseModel;
 use sprint_workloads::{HeadTrace, ModelConfig, TraceGenerator};
 
@@ -98,94 +96,7 @@ fn bench(c: &mut Criterion) {
     });
 
     group.finish();
-    churn(c);
-}
-
-/// Session-churn scenario: eight decode streams over a KV page pool
-/// sized for two of them (N sessions, pool N/4). `run_churn` keeps
-/// every stream alive by LRU-evicting cold sessions' pages and
-/// rehydrating them from replayed history on their next turn. Recorded
-/// against a never-evicted twin over an unbounded pool, plus
-/// pseudo-entries with the run's exact churn counters — `report
-/// --check` bounds the amortized rehydration overhead and requires
-/// zero page-accounting drift.
-const CHURN_SESSIONS: usize = 8;
-const CHURN_SEQ: usize = 32;
-const CHURN_PREFILL: usize = 16;
-/// 4 tokens per page at BERT-B geometry (5 bytes × (64 + 64) per
-/// token), so a full 32-token session holds 8 pages.
-const CHURN_PAGE_BYTES: usize = 4 * 5 * 128;
-/// Two full sessions' worth of pages: CHURN_SESSIONS / 4.
-const CHURN_POOL_PAGES: usize = (CHURN_SESSIONS / 4) * (CHURN_SEQ / 4);
-
-fn churn(c: &mut Criterion) {
-    let tasks: Vec<DecodeTask> = (0..CHURN_SESSIONS)
-        .map(|_| DecodeTask {
-            spec: ModelConfig::bert_base()
-                .trace_spec()
-                .with_seq_len(CHURN_SEQ)
-                .with_padding(0.0),
-            prefill: CHURN_PREFILL,
-            mode: None,
-            threshold_spec: None,
-        })
-        .collect();
-    let bounded = Engine::builder(SprintConfig::medium())
-        .noise(NoiseModel::default())
-        .seed(7)
-        .kv_pool(PagePool::bounded(CHURN_PAGE_BYTES, CHURN_POOL_PAGES))
-        .build()
-        .expect("bounded engine build");
-    let resident = Engine::builder(SprintConfig::medium())
-        .noise(NoiseModel::default())
-        .seed(7)
-        .kv_pool(PagePool::unbounded(CHURN_PAGE_BYTES))
-        .build()
-        .expect("resident engine build");
-
-    let mut group = c.benchmark_group("decode_throughput");
-    group.sample_size(10);
-    group.bench_function(
-        &format!("churn/{CHURN_SESSIONS}sess_s{CHURN_SEQ}_pool{CHURN_POOL_PAGES}"),
-        |b| {
-            b.iter(|| {
-                let report = DecodeLoop::new(&bounded)
-                    .run_churn(&tasks, CHURN_SESSIONS)
-                    .expect("churn run");
-                black_box(report.tokens)
-            })
-        },
-    );
-    group.bench_function(
-        &format!("churn_resident/{CHURN_SESSIONS}sess_s{CHURN_SEQ}"),
-        |b| {
-            b.iter(|| {
-                let report = DecodeLoop::new(&resident)
-                    .run_threads(1, &tasks)
-                    .expect("resident run");
-                black_box(report.tokens)
-            })
-        },
-    );
-
-    // One counted run for the accounting pseudo-entries (the "samples"
-    // are counts, not nanoseconds, like host/available_parallelism).
-    let report = DecodeLoop::new(&bounded)
-        .run_churn(&tasks, CHURN_SESSIONS)
-        .expect("counted churn run");
-    group.record_samples("churn/evictions", &[u128::from(report.evictions)]);
-    group.record_samples(
-        "churn/rehydrated_tokens",
-        &[u128::from(report.rehydrated_tokens)],
-    );
-    group.record_samples("churn/peak_pages", &[report.kv_pages_peak as u128]);
-    group.record_samples("churn/pool_capacity_pages", &[CHURN_POOL_PAGES as u128]);
-    group.record_samples(
-        "churn/pages_leaked",
-        &[bounded.kv_pool().pages_in_use() as u128],
-    );
-    group.finish();
 }
 
 criterion_group!(benches, bench);
-criterion_main!(benches);
+sprint_bench::bench_main!(benches);

@@ -6,12 +6,12 @@
 //! dispatch layer's win: `simd/scalar/dense-fused` vs
 //! `simd/avx2/dense-fused`, the paper-default pruned head, and the
 //! quantized single-query decode path over a paged KV history. The
-//! `host/simd_avx2` pseudo-entry records whether the AVX2 rows were
+//! `host/simd_avx2` flag row records whether the AVX2 rows were
 //! actually measured (0 on hosts without AVX2+FMA, where the rows are
-//! omitted and `report --check` skips the speedup floors). Run with
+//! omitted and `report --check` skips the speedup floor). Run with
 //! `-- --bench-json` to record the timings in `BENCH_report.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
 use sprint_attention::{
@@ -19,6 +19,7 @@ use sprint_attention::{
     quantized_attention_decode_with, AttentionConfig, KvCache, Matrix, PaddingMask, SimdTier,
     Workspace,
 };
+use sprint_bench::report::{Row, Unit};
 
 const SEQ: usize = 512;
 const DIM: usize = 64;
@@ -91,18 +92,14 @@ fn bench(c: &mut Criterion) {
         });
     }
     group.finish();
+}
 
-    // Pseudo-entry: whether the AVX2 rows above were measured on real
-    // AVX2+FMA hardware. `report --check` gates the simd speedup
-    // floors on this, the same convention as
-    // `host/available_parallelism` for the wall-clock scaling rows.
-    let mut host = c.benchmark_group("host");
-    host.record_samples(
-        "simd_avx2",
-        &[u128::from(sprint_attention::avx2_available())],
-    );
-    host.finish();
+/// Whether the AVX2 rows above were measured on real AVX2+FMA
+/// hardware; `report --check` gates the simd speedup floor on it.
+fn host_rows() -> Vec<Row> {
+    let avx2 = u128::from(sprint_attention::avx2_available());
+    vec![Row::value("host/simd_avx2", Unit::Flag, avx2, 1)]
 }
 
 criterion_group!(benches, bench);
-criterion_main!(benches);
+sprint_bench::bench_main!(benches; host_rows());

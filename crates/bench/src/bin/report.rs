@@ -5,16 +5,17 @@
 //! cargo run -p sprint-bench --bin report --release fig11     # one artifact
 //! cargo run -p sprint-bench --bin report --release -- --json # machine readable
 //! cargo run -p sprint-bench --bin report --release -- --quick
-//! cargo run -p sprint-bench --bin report -- --check          # validate BENCH_report.json
+//! cargo run -p sprint-bench --bin report -- --check [PATH]   # validate BENCH_report.json
 //! ```
 //!
-//! `--json` additionally records the results in the `"experiments"`
-//! section of `BENCH_report.json` at the repo root (preserving the
-//! `"benches"` section written by `cargo bench -- --bench-json`), so
-//! the perf trajectory is versioned. `--check` validates that file:
-//! it must exist, parse, and hold non-empty entries with finite
-//! timings — the CI bench-smoke job runs it after a bench pass.
+//! A full-scale, unfiltered `--json` run also replaces the
+//! `experiments` section of the committed report, leaving `benches` as
+//! it is. `--check` validates a report file (the committed one by
+//! default; CI also points it at the file a fresh `--bench-json` run
+//! just wrote) and runs its floors. The format, the merge and the
+//! floors live in [`sprint_bench::report`].
 
+use sprint_bench::report::{array_lines, experiment_json, Report};
 use sprint_core::experiments::{self, Scale};
 use sprint_core::ExperimentResult;
 
@@ -43,505 +44,23 @@ fn run_one(id: &str, scale: &Scale) -> Result<Vec<ExperimentResult>, Box<dyn std
     })
 }
 
-/// The repo-root report file both writers share.
-fn report_path() -> std::path::PathBuf {
-    criterion::report::repo_root().join("BENCH_report.json")
-}
-
-/// Replaces the `"experiments"` section of `BENCH_report.json`,
-/// preserving any `"benches"` section in place.
-fn write_experiments_section(results_json: &str) -> std::io::Result<std::path::PathBuf> {
-    use criterion::report::{raw_section, render_report};
-    let path = report_path();
-    let mut sections = vec![("experiments", results_json.to_string())];
-    if let Some(existing) = std::fs::read_to_string(&path)
-        .ok()
-        .as_deref()
-        .and_then(|text| raw_section(text, "benches"))
-    {
-        sections.push(("benches", existing));
-    }
-    std::fs::write(&path, render_report(&sections))?;
-    Ok(path)
-}
-
-/// Validates a bench-report file (the repo-root `BENCH_report.json` by
-/// default, or an explicit path — CI points this at the file a fresh
-/// `--bench-json` run just emitted, so a silently-broken emission
-/// cannot hide behind the committed snapshot): present, parseable, and
-/// every bench entry non-empty with finite (parseable, positive-sample)
-/// numbers.
-fn check_report(explicit: Option<&str>) -> Result<(), String> {
-    use criterion::report::{array_items, raw_section, string_field, u128_field};
-    let path = explicit.map_or_else(report_path, std::path::PathBuf::from);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let benches = raw_section(&text, "benches")
-        .ok_or_else(|| format!("{}: no \"benches\" section", path.display()))?;
-    let items = array_items(&benches);
-    if items.is_empty() {
-        return Err(format!("{}: \"benches\" is empty", path.display()));
-    }
-    for (n, item) in items.iter().enumerate() {
-        let id = string_field(item, "id")
-            .filter(|id| !id.is_empty())
-            .ok_or_else(|| format!("bench entry {n}: missing or empty id"))?;
-        for field in ["median_ns", "min_ns", "max_ns"] {
-            u128_field(item, field)
-                .ok_or_else(|| format!("bench '{id}': missing or non-finite {field}"))?;
-        }
-        let samples =
-            u128_field(item, "samples").ok_or_else(|| format!("bench '{id}': missing samples"))?;
-        if samples == 0 {
-            return Err(format!("bench '{id}': zero samples"));
-        }
-    }
-    check_scaling(&items)?;
-    check_simd(&items)?;
-    check_fault_sweep(&text)?;
-    check_server_stress(&items)?;
-    check_decode_churn(&items)?;
-    println!(
-        "{} ok: {} bench entr{} with finite timings{}",
-        path.display(),
-        items.len(),
-        if items.len() == 1 { "y" } else { "ies" },
-        if raw_section(&text, "experiments").is_some() {
-            ", experiments section present"
-        } else {
-            ""
-        },
-    );
-    Ok(())
-}
-
-/// How much of the 1-worker time the 4-worker row may take before the
-/// check fails: 0.6× (a ≥1.67× speedup). Generous against the ideal
-/// 0.25× so fan-out overhead and noisy medians never flake the check,
-/// while a regression to flat scaling (ratio ≈ 1.0) always fails.
-const SCALING_RATIO_MAX: f64 = 0.6;
-
-/// Validates the worker-scaling ratios recorded by the engine and
-/// model-serving benches, so a regression to flat scaling fails
-/// bench-smoke instead of going unnoticed.
-///
-/// Two kinds of rows, checked differently:
-///
-/// * `*_critical_path/workers{N}` rows are per-worker thread-CPU
-///   critical paths — host-independent, so whenever the workers1 and
-///   workers4 rows are both present their ratio must clear
-///   [`SCALING_RATIO_MAX`] unconditionally.
-/// * wall-clock rows (`engine/run_batch/workers{N}`,
-///   `model_serving/serve/workers{N}`) only show speedup with free
-///   cores, so their ratio is enforced only when the report's
-///   `host/available_parallelism` entry records ≥ 4 cores; otherwise
-///   the check notes the skip.
-///
-/// Pairs whose rows are absent are skipped with a note — CI's
-/// bench-smoke emits a fresh file from a subset of benches, so absence
-/// is normal there.
-fn check_scaling(items: &[String]) -> Result<(), String> {
-    use criterion::report::{string_field, u128_field};
-    let median_of = |id: &str| -> Option<u128> {
-        items
-            .iter()
-            .find(|item| string_field(item, "id").as_deref() == Some(id))
-            .and_then(|item| u128_field(item, "median_ns"))
-    };
-    let cores = median_of("host/available_parallelism");
-    let wall_enforced = cores.is_some_and(|c| c >= 4);
-    let pairs = [
-        ("engine/run_batch_critical_path", true),
-        ("model_serving/serve_critical_path", true),
-        ("engine/run_batch", false),
-        ("model_serving/serve", false),
-    ];
-    for (prefix, host_independent) in pairs {
-        let (one, four) = (
-            median_of(&format!("{prefix}/workers1")),
-            median_of(&format!("{prefix}/workers4")),
-        );
-        let (Some(one), Some(four)) = (one, four) else {
-            println!("scaling: {prefix}/workers1 vs workers4 not in this report (skipped)");
-            continue;
-        };
-        if !host_independent && !wall_enforced {
-            println!(
-                "scaling: {prefix} wall ratio {:.2} not enforced (host recorded {} core(s))",
-                four as f64 / one.max(1) as f64,
-                cores.map_or_else(|| "no".to_string(), |c| c.to_string()),
-            );
-            continue;
-        }
-        let ratio = four as f64 / one.max(1) as f64;
-        if ratio > SCALING_RATIO_MAX {
-            return Err(format!(
-                "{prefix}: workers4 median is {ratio:.2}x workers1 \
-                 (limit {SCALING_RATIO_MAX}) — parallel scaling regressed to flat"
-            ));
-        }
-        println!("scaling: {prefix} workers4/workers1 ratio {ratio:.2} ok");
-    }
-    Ok(())
-}
-
-/// Minimum scalar-over-AVX2 speedup the `simd_kernels` fused rows must
-/// clear on AVX2 hosts (the ISSUE 10 tentpole floor). Measured
-/// medians sit around 2.2×; a regression of the vector lanes to
-/// scalar-equivalent speed (ratio ≈ 1.0) always fails.
-const SIMD_SPEEDUP_MIN: f64 = 2.0;
-
-/// How much slower than the dense fused kernel the 50 %-keep pruned
-/// kernel may run: the low-sparsity crossover (ISSUE 10 satellite)
-/// streams every key below the sparse-walk break-even, so rate50 must
-/// track dense instead of paying the skip walk's branchy tax.
-const CROSSOVER_RATIO_MAX: f64 = 1.05;
-
-/// Validates the SIMD-tier rows of `simd_kernels` plus the
-/// low-sparsity crossover floor:
-///
-/// * On hosts whose report carries `host/simd_avx2` = 1 (the bench
-///   records runtime AVX2+FMA detection as a 0/1 pseudo-row), the
-///   forced-scalar over forced-AVX2 ratio of the `dense-fused` and
-///   `pruned-fused` rows must clear [`SIMD_SPEEDUP_MIN`]. Hosts
-///   without AVX2 (or reports without the pseudo-row) skip with a
-///   note — the tiers are identical there by construction.
-/// * Whenever `pruned/fused-rate50` and `dense/fused` are both
-///   present, rate50 must stay within [`CROSSOVER_RATIO_MAX`] of
-///   dense — tier-independent, so never gated.
-///
-/// Absent rows are skipped with a note (CI's bench-smoke emits from a
-/// subset of benches).
-fn check_simd(items: &[String]) -> Result<(), String> {
-    use criterion::report::{string_field, u128_field};
-    let median_of = |id: &str| -> Option<u128> {
-        items
-            .iter()
-            .find(|item| string_field(item, "id").as_deref() == Some(id))
-            .and_then(|item| u128_field(item, "median_ns"))
-    };
-    match median_of("host/simd_avx2") {
-        None => println!("simd: no host/simd_avx2 row (speedup floors skipped)"),
-        Some(0) => println!("simd: host has no AVX2+FMA (speedup floors skipped)"),
-        Some(_) => {
-            for kernel in ["dense-fused", "pruned-fused"] {
-                let (scalar, avx2) = (
-                    median_of(&format!("simd/scalar/{kernel}")),
-                    median_of(&format!("simd/avx2/{kernel}")),
-                );
-                let (Some(scalar), Some(avx2)) = (scalar, avx2) else {
-                    println!("simd: {kernel} tier rows not in this report (skipped)");
-                    continue;
-                };
-                let speedup = scalar as f64 / avx2.max(1) as f64;
-                if speedup < SIMD_SPEEDUP_MIN {
-                    return Err(format!(
-                        "simd/{kernel}: avx2 tier is only {speedup:.2}x the scalar tier \
-                         (floor {SIMD_SPEEDUP_MIN}x) — the vector lanes regressed"
-                    ));
-                }
-                println!("simd: {kernel} scalar/avx2 speedup {speedup:.2}x ok");
-            }
-        }
-    }
-    let (rate50, dense) = (median_of("pruned/fused-rate50"), median_of("dense/fused"));
-    if let (Some(rate50), Some(dense)) = (rate50, dense) {
-        let ratio = rate50 as f64 / dense.max(1) as f64;
-        if ratio > CROSSOVER_RATIO_MAX {
-            return Err(format!(
-                "pruned/fused-rate50 is {ratio:.2}x dense/fused \
-                 (limit {CROSSOVER_RATIO_MAX}) — the low-sparsity crossover regressed"
-            ));
-        }
-        println!("simd: rate50/dense crossover ratio {ratio:.2} ok");
-    } else {
-        println!("simd: rate50 vs dense rows not in this report (crossover check skipped)");
-    }
-    Ok(())
-}
-
-/// Validates the fault_sweep experiment rows whenever the report
-/// carries an experiments section (CI's fresh bench emission does not
-/// — the check notes the skip there):
-///
-/// * the digital columns (Baseline, Runtime Pruning) never touch the
-///   analog substrate, so their cells must be literally identical
-///   across fault rates;
-/// * SPRINT's accuracy must not increase as the rate grows, and must
-///   end strictly below the fault-free row (the fault sets nest, so
-///   degradation is monotone by construction);
-/// * the detected-fault count must be non-decreasing.
-fn check_fault_sweep(text: &str) -> Result<(), String> {
-    use criterion::report::{array_items, raw_section, string_field};
-    let Some(experiments) = raw_section(text, "experiments") else {
-        println!("fault_sweep: no experiments section in this report (skipped)");
-        return Ok(());
-    };
-    let Some(sweep) = array_items(&experiments)
-        .into_iter()
-        .find(|item| string_field(item, "id").as_deref() == Some("fault_sweep"))
-    else {
-        println!("fault_sweep: not among this report's experiments (skipped)");
-        return Ok(());
-    };
-    let rows: Vec<Vec<String>> = array_items(&raw_section(&sweep, "rows").unwrap_or_default())
-        .iter()
-        .map(|row| {
-            array_items(row)
-                .into_iter()
-                .map(|cell| cell.trim_matches('"').to_string())
-                .collect()
-        })
-        .collect();
-    if rows.len() < 2 || rows.iter().any(|row| row.len() < 6) {
-        return Err("fault_sweep: needs at least two rows of six columns".into());
-    }
-    let num = |row: &[String], col: usize| -> Result<f64, String> {
-        row[col]
-            .parse::<f64>()
-            .map_err(|_| format!("fault_sweep: cell {:?} is not a number", row[col]))
-    };
-    for row in &rows[1..] {
-        for col in [1usize, 2] {
-            if row[col] != rows[0][col] {
-                return Err(format!(
-                    "fault_sweep: digital column {col} drifts with the fault rate \
-                     ({} vs {}) — these modes must be fault-immune",
-                    row[col], rows[0][col]
-                ));
-            }
-        }
-    }
-    for pair in rows.windows(2) {
-        if num(&pair[1], 4)? > num(&pair[0], 4)? + 1e-9 {
-            return Err(format!(
-                "fault_sweep: SPRINT accuracy rises with the fault rate ({} -> {})",
-                pair[0][4], pair[1][4]
-            ));
-        }
-        if num(&pair[1], 5)? < num(&pair[0], 5)? {
-            return Err(format!(
-                "fault_sweep: detected fault count shrinks as the rate grows ({} -> {})",
-                pair[0][5], pair[1][5]
-            ));
-        }
-    }
-    let (first, last) = (
-        rows.first().expect("checked"),
-        rows.last().expect("checked"),
-    );
-    if num(last, 4)? >= num(first, 4)? {
-        return Err(format!(
-            "fault_sweep: SPRINT shows no degradation at the highest rate ({} vs {})",
-            last[4], first[4]
-        ));
-    }
-    println!(
-        "fault_sweep: {} rows ok (digital columns flat, SPRINT degradation monotone)",
-        rows.len()
-    );
-    Ok(())
-}
-
-/// Minimum sustained QPS the capacity phase of the HTTP stress
-/// harness must record. Deliberately modest: the harness runs a tiny
-/// request shape and must hold this floor on a single-core host.
-const SERVER_MIN_QPS: u128 = 5;
-
-/// Shed-rate band (parts per million of offered requests) for the
-/// overload phase: the server must actually shed under ~2x-capacity
-/// load (floor), but never collapse into rejecting nearly everything
-/// (ceiling).
-const SERVER_SHED_PPM: (u128, u128) = (1_000, 950_000);
-
-/// Overload p99 latency ceiling (ns) for requests that *were* served:
-/// bounded queues must keep the tail bounded even while shedding.
-const SERVER_OVERLOAD_P99_MAX_NS: u128 = 2_000_000_000;
-
-/// Validates the `server/...` rows the HTTP stress harness
-/// (`cargo run -p sprint-server --bin stress_test`) records:
-///
-/// * `server/stress/sustained_qps` ≥ [`SERVER_MIN_QPS`];
-/// * `server/overload/shed_rate_ppm` inside [`SERVER_SHED_PPM`] —
-///   admission control engaged, but the server kept serving;
-/// * `server/overload/p99_ns` ≤ [`SERVER_OVERLOAD_P99_MAX_NS`].
-///
-/// Rows that are absent are skipped with a note — CI's fresh bench
-/// emission does not run the stress harness.
-fn check_server_stress(items: &[String]) -> Result<(), String> {
-    use criterion::report::{string_field, u128_field};
-    let median_of = |id: &str| -> Option<u128> {
-        items
-            .iter()
-            .find(|item| string_field(item, "id").as_deref() == Some(id))
-            .and_then(|item| u128_field(item, "median_ns"))
-    };
-    match median_of("server/stress/sustained_qps") {
-        None => println!("server: stress rows not in this report (skipped)"),
-        Some(qps) if qps < SERVER_MIN_QPS => {
-            return Err(format!(
-                "server/stress/sustained_qps: {qps} QPS is below the {SERVER_MIN_QPS} floor"
-            ));
-        }
-        Some(qps) => println!("server: sustained {qps} QPS ok (floor {SERVER_MIN_QPS})"),
-    }
-    match median_of("server/overload/shed_rate_ppm") {
-        None => println!("server: overload rows not in this report (skipped)"),
-        Some(ppm) if ppm < SERVER_SHED_PPM.0 => {
-            return Err(format!(
-                "server/overload/shed_rate_ppm: {ppm} ppm — the server never shed \
-                 under 2x-capacity load; admission control is not engaging"
-            ));
-        }
-        Some(ppm) if ppm > SERVER_SHED_PPM.1 => {
-            return Err(format!(
-                "server/overload/shed_rate_ppm: {ppm} ppm — the server rejected \
-                 nearly everything under overload"
-            ));
-        }
-        Some(ppm) => println!(
-            "server: overload shed rate {ppm} ppm inside [{}, {}]",
-            SERVER_SHED_PPM.0, SERVER_SHED_PPM.1
-        ),
-    }
-    match median_of("server/overload/p99_ns") {
-        None => {}
-        Some(p99) if p99 > SERVER_OVERLOAD_P99_MAX_NS => {
-            return Err(format!(
-                "server/overload/p99_ns: {p99} ns exceeds the \
-                 {SERVER_OVERLOAD_P99_MAX_NS} ns ceiling — bounded queues \
-                 are no longer bounding the tail"
-            ));
-        }
-        Some(p99) => println!(
-            "server: overload p99 {:.1} ms under the {} ms ceiling",
-            p99 as f64 / 1e6,
-            SERVER_OVERLOAD_P99_MAX_NS / 1_000_000
-        ),
-    }
-    Ok(())
-}
-
-/// Ceiling on the churned-run / never-evicted-run wall ratio. Each
-/// rehydration replays the session's whole history (a full reprogram +
-/// requantize), so churn over a quarter-size pool is legitimately
-/// slower than staying resident — but by a bounded, amortized factor.
-/// A regression that replays per *step* instead of per *rehydration*
-/// (or re-replays already-resident sessions) blows well past this.
-const CHURN_OVERHEAD_MAX: f64 = 50.0;
-
-/// Validates the `decode_throughput/churn/...` rows the session-churn
-/// scenario records (eight sessions over a pool sized for two):
-///
-/// * `churn/pages_leaked` must be exactly zero — every page a churned
-///   run ever allocated went back to the pool (zero accounting drift);
-/// * `churn/evictions` and `churn/rehydrated_tokens` must be non-zero —
-///   the scenario actually exercised the evict/rehydrate path;
-/// * `churn/peak_pages` must not exceed `churn/pool_capacity_pages` —
-///   a bounded pool stayed bounded;
-/// * the churned wall median must stay within [`CHURN_OVERHEAD_MAX`]×
-///   the never-evicted twin's (`churn_resident/...`) — rehydration's
-///   amortized cost is bounded.
-///
-/// Absent rows are skipped with a note — other bench groups' emissions
-/// don't carry them.
-fn check_decode_churn(items: &[String]) -> Result<(), String> {
-    use criterion::report::{string_field, u128_field};
-    let median_of = |id: &str| -> Option<u128> {
-        items
-            .iter()
-            .find(|item| string_field(item, "id").as_deref() == Some(id))
-            .and_then(|item| u128_field(item, "median_ns"))
-    };
-    let churn_wall = items.iter().find_map(|item| {
-        let id = string_field(item, "id")?;
-        if id.starts_with("decode_throughput/churn/") && id.contains("sess_") {
-            u128_field(item, "median_ns")
-        } else {
-            None
-        }
-    });
-    let Some(churn_wall) = churn_wall else {
-        println!("decode churn: rows not in this report (skipped)");
-        return Ok(());
-    };
-    match median_of("decode_throughput/churn/pages_leaked") {
-        Some(0) => println!("decode churn: zero page-accounting drift"),
-        Some(n) => {
-            return Err(format!(
-                "decode_throughput/churn/pages_leaked: {n} page(s) never \
-                 returned to the pool — KV page accounting drifted"
-            ));
-        }
-        None => {
-            return Err(
-                "decode churn: scenario row present but churn/pages_leaked missing".to_string(),
-            );
-        }
-    }
-    for (id, what) in [
-        ("decode_throughput/churn/evictions", "eviction"),
-        (
-            "decode_throughput/churn/rehydrated_tokens",
-            "rehydrated token",
-        ),
-    ] {
-        match median_of(id) {
-            Some(0) => {
-                return Err(format!(
-                    "{id}: zero {what}s — the churn scenario never left residency; \
-                     the pool is no longer applying pressure"
-                ));
-            }
-            Some(n) => println!("decode churn: {n} {what}s"),
-            None => {
-                return Err(format!(
-                    "decode churn: scenario row present but {id} missing"
-                ))
-            }
-        }
-    }
-    if let (Some(peak), Some(cap)) = (
-        median_of("decode_throughput/churn/peak_pages"),
-        median_of("decode_throughput/churn/pool_capacity_pages"),
-    ) {
-        if peak > cap {
-            return Err(format!(
-                "decode_throughput/churn/peak_pages: {peak} exceeds the \
-                 {cap}-page pool capacity — the bound was not enforced"
-            ));
-        }
-        println!("decode churn: peak {peak} pages within the {cap}-page pool");
-    }
-    let resident = items.iter().find_map(|item| {
-        let id = string_field(item, "id")?;
-        if id.starts_with("decode_throughput/churn_resident/") {
-            u128_field(item, "median_ns")
-        } else {
-            None
-        }
-    });
-    if let Some(resident) = resident {
-        let ratio = churn_wall as f64 / resident.max(1) as f64;
-        if ratio > CHURN_OVERHEAD_MAX {
-            return Err(format!(
-                "decode churn: churned run is {ratio:.1}x the never-evicted twin \
-                 (limit {CHURN_OVERHEAD_MAX}) — rehydration cost is no longer amortized"
-            ));
-        }
-        println!(
-            "decode churn: wall overhead {ratio:.2}x the never-evicted twin \
-             (limit {CHURN_OVERHEAD_MAX})"
-        );
-    }
-    Ok(())
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(pos) = args.iter().position(|a| a == "--check") {
-        let explicit = args.get(pos + 1).filter(|a| !a.starts_with("--"));
-        return check_report(explicit.map(String::as_str)).map_err(Into::into);
+        let path = args
+            .get(pos + 1)
+            .filter(|a| !a.starts_with("--"))
+            .map_or_else(Report::default_path, std::path::PathBuf::from);
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let lines = Report::parse(&text)
+            .and_then(|report| report.check())
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        for line in lines {
+            println!("{line}");
+        }
+        println!("{} ok", path.display());
+        return Ok(());
     }
     let json = args.iter().any(|a| a == "--json");
     let quick = args.iter().any(|a| a == "--quick");
@@ -558,14 +77,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if json {
-        let rendered = sprint_core::results_to_json(&results);
-        println!("{rendered}");
+        let experiments: Vec<_> = results.iter().map(experiment_json).collect();
+        println!("{}", array_lines(&experiments, ""));
         // Only a full-scale, unfiltered run may update the versioned
         // snapshot — partial or reduced-scale JSON stays on stdout.
         if quick || !ids.is_empty() {
-            eprintln!("partial/quick run: BENCH_report.json left untouched");
+            eprintln!("partial/quick run: the committed report is left untouched");
         } else {
-            let path = write_experiments_section(&rendered)?;
+            let path = Report::default_path();
+            let mut report = Report::load(&path)?;
+            report.experiments = experiments;
+            report.save(&path)?;
             eprintln!("wrote experiments section to {}", path.display());
         }
     } else {

@@ -2,10 +2,12 @@
 //!
 //! The criterion benches (one per paper table/figure) and the `report`
 //! binary both drive the experiment drivers in
-//! [`sprint_core::experiments`]; this crate only holds the scale
-//! presets they share.
+//! [`sprint_core::experiments`]; this crate holds the scale presets
+//! they share and [`report`], the owner of `BENCH_report.json`.
 
 use sprint_core::experiments::Scale;
+
+pub mod report;
 
 /// The scale benches run at: large enough to show the paper's shapes,
 /// small enough for criterion's repeated sampling.
@@ -17,17 +19,12 @@ pub fn bench_scale() -> Scale {
     }
 }
 
-/// The full paper scale used by the report binary.
-pub fn report_scale() -> Scale {
-    Scale::full()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn scales_are_ordered() {
-        assert!(bench_scale().seq_cap < report_scale().seq_cap);
+        assert!(bench_scale().seq_cap < Scale::full().seq_cap);
     }
 }

@@ -44,7 +44,7 @@ pub use counting::{ExecutionMode, HeadPerf};
 pub use ffn::{end_to_end, EndToEnd, FfnConfig};
 pub use prior_art::{sprint_metrics, AcceleratorMetrics, PriorArt};
 pub use profile::{HeadProfile, SyntheticHeadSpec};
-pub use report::{geomean, results_to_json, ExperimentResult};
+pub use report::{geomean, ExperimentResult};
 // The hardware configuration and the error type live in
 // `sprint-engine` (the serving front door); re-exported here for the
 // experiment drivers' callers.

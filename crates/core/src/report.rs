@@ -74,98 +74,6 @@ impl ExperimentResult {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_string_array(items: &[String], indent: &str) -> String {
-    if items.is_empty() {
-        return "[]".to_string();
-    }
-    let inner: Vec<String> = items
-        .iter()
-        .map(|s| format!("{indent}  \"{}\"", json_escape(s)))
-        .collect();
-    format!("[\n{}\n{indent}]", inner.join(",\n"))
-}
-
-impl ExperimentResult {
-    /// Renders this result as a pretty-printed JSON object.
-    ///
-    /// Hand-rolled because the offline build vendors a no-op `serde`
-    /// stand-in (see `vendor/serde`); the schema matches what
-    /// `serde_json` would derive for the struct: `id`, `title`,
-    /// `headers`, `rows`, `notes`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use sprint_core::ExperimentResult;
-    ///
-    /// let mut r = ExperimentResult::new("fig11", "Speedup").headers(["Model", "S"]);
-    /// r.push_row(["BERT-B", "9.0x"]);
-    /// let json = r.to_json();
-    /// assert!(json.contains("\"id\": \"fig11\""));
-    /// assert!(json.contains("\"BERT-B\""));
-    /// ```
-    pub fn to_json(&self) -> String {
-        self.to_json_indented("")
-    }
-
-    fn to_json_indented(&self, indent: &str) -> String {
-        let rows = if self.rows.is_empty() {
-            "[]".to_string()
-        } else {
-            let inner: Vec<String> = self
-                .rows
-                .iter()
-                .map(|row| {
-                    format!(
-                        "{indent}    {}",
-                        json_string_array(row, &format!("{indent}    "))
-                    )
-                })
-                .collect();
-            format!("[\n{}\n{indent}  ]", inner.join(",\n"))
-        };
-        format!(
-            "{{\n{i}  \"id\": \"{}\",\n{i}  \"title\": \"{}\",\n{i}  \"headers\": {},\n{i}  \"rows\": {},\n{i}  \"notes\": {}\n{i}}}",
-            json_escape(&self.id),
-            json_escape(&self.title),
-            json_string_array(&self.headers, &format!("{indent}  ")),
-            rows,
-            json_string_array(&self.notes, &format!("{indent}  ")),
-            i = indent,
-        )
-    }
-}
-
-/// Renders a slice of results as a pretty-printed JSON array (the
-/// `--json` output of the report binary).
-pub fn results_to_json(results: &[ExperimentResult]) -> String {
-    if results.is_empty() {
-        return "[]".to_string();
-    }
-    let inner: Vec<String> = results
-        .iter()
-        .map(|r| format!("  {}", r.to_json_indented("  ")))
-        .collect();
-    format!("[\n{}\n]", inner.join(",\n"))
-}
-
 impl std::fmt::Display for ExperimentResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "== {} — {} ==", self.id, self.title)?;

@@ -109,8 +109,8 @@ pub use mode::ExecutionMode;
 pub use model::{HeadPlan, LayerReport, ModelProfile, ModelRequest, ModelResponse, PerfRollup};
 pub use request::{HeadRequest, HeadResponse};
 pub use serve::{
-    DecodeLoop, DecodeReport, DecodeTask, ModelServer, ServeLoop, ServeStats, ServeSummary,
-    SessionReport,
+    nearest_rank, DecodeLoop, DecodeReport, DecodeTask, ModelServer, ServeLoop, ServeStats,
+    ServeSummary, SessionReport,
 };
 pub use sessions::{SessionError, SessionOpen, SessionTable};
 pub use sprint_attention::{active_tier, avx2_available, SimdTier};

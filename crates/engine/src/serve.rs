@@ -889,6 +889,19 @@ pub struct ServeSummary {
     latencies_ns: Vec<u128>,
 }
 
+/// The nearest-rank percentile of an ascending-sorted slice: the
+/// sample at rank `⌈pct/100 · n⌉`, no interpolation; `T::default()`
+/// (zero) for an empty slice. The one estimator behind
+/// [`ServeSummary::latency_ns`], the server's `/metrics` reservoir and
+/// the stress harness.
+pub fn nearest_rank<T: Copy + Default>(sorted: &[T], pct: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 impl ServeSummary {
     /// Request latency (queueing + service) at percentile `pct`
     /// (`0.0..=100.0`); zero when nothing was served.
@@ -907,11 +920,7 @@ impl ServeSummary {
     /// The [`std::fmt::Display`] rendering states the sample count and
     /// flags a saturated p99 for exactly this reason.
     pub fn latency_ns(&self, pct: f64) -> u128 {
-        if self.latencies_ns.is_empty() {
-            return 0;
-        }
-        let rank = ((pct / 100.0) * self.latencies_ns.len() as f64).ceil() as usize;
-        self.latencies_ns[rank.clamp(1, self.latencies_ns.len()) - 1]
+        nearest_rank(&self.latencies_ns, pct)
     }
 
     /// Whether `pct` is resolvable from this many samples — i.e.

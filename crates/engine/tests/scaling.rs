@@ -90,6 +90,25 @@ fn critical_path_shrinks_with_worker_count() {
         four.critical_path_ns(),
         avg
     );
+    // The same contract one level up: a model pass's critical path
+    // (serial stages plus the busiest worker of each fan-out).
+    let server = ModelServer::new(e);
+    let request = ModelRequest::new(
+        ModelProfile::from_model(&ModelConfig::bert_base())
+            .with_layers(4)
+            .with_heads(8)
+            .with_seq_len(160),
+    )
+    .with_seed(41);
+    let request = std::slice::from_ref(&request);
+    let (_, one) = server.serve_many_report(1, request).unwrap();
+    let (_, four) = server.serve_many_report(4, request).unwrap();
+    assert!(
+        2 * four.critical_path_ns() <= one.critical_path_ns(),
+        "4-worker serve critical path {} ns is not under half the 1-worker {} ns",
+        four.critical_path_ns(),
+        one.critical_path_ns()
+    );
 }
 
 #[test]

@@ -119,16 +119,14 @@ impl Metrics {
     /// Nearest-rank quantiles over the reservoir: `(p50, p90, p99)` in
     /// nanoseconds, zeros when nothing has completed.
     pub fn latency_quantiles_ns(&self) -> (u64, u64, u64) {
-        let ring = self.latencies_ns.lock().expect("latency ring poisoned");
-        if ring.samples.is_empty() {
-            return (0, 0, 0);
-        }
-        let mut sorted = ring.samples.clone();
+        let mut sorted = self
+            .latencies_ns
+            .lock()
+            .expect("latency ring poisoned")
+            .samples
+            .clone();
         sorted.sort_unstable();
-        let pick = |pct: f64| {
-            let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        };
+        let pick = |pct: f64| sprint_engine::nearest_rank(&sorted, pct);
         (pick(50.0), pick(90.0), pick(99.0))
     }
 

@@ -561,7 +561,12 @@ fn draining_server_refuses_new_work_with_503() {
 fn malformed_bodies_get_400_not_a_hang() {
     let server = boot(ServerConfig::default());
     let mut client = client(&server);
+    // Well inside the body limit; unbounded parser recursion over it
+    // overflowed the handler's stack and aborted the whole process.
+    let deep = "[".repeat(100_000);
     for (path, body, needle) in [
+        ("/v1/serve", deep.as_str(), "nesting"),
+        ("/v1/decode", deep.as_str(), "nesting"),
         ("/v1/serve", "{not json", "invalid JSON"),
         ("/v1/serve", r#"{"model":"unknown_model"}"#, "unknown model"),
         ("/v1/serve", r#"{}"#, "missing 'model'"),
@@ -595,14 +600,17 @@ fn malformed_bodies_get_400_not_a_hang() {
         ),
         ("/v1/decode", r#"{"action":"open"}"#, "missing 'model'"),
     ] {
+        let shown = &body[..body.len().min(80)];
         let response = client.post_json(path, body).expect("error responds");
-        assert_eq!(response.status, 400, "{body}");
+        assert_eq!(response.status, 400, "{shown}");
         assert!(
             response.body_str().contains(needle),
-            "{body}: {}",
+            "{shown}: {}",
             response.body_str()
         );
     }
+    let health = client.get("/health").expect("the server survived");
+    assert_eq!(health.status, 200);
     let response = client
         .post_json("/v1/decode", r#"{"action":"step","session":999}"#)
         .unwrap();

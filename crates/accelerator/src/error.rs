@@ -13,15 +13,6 @@ pub enum AcceleratorError {
         /// Offending value.
         value: usize,
     },
-    /// Per-query inputs disagree on sequence length or count.
-    LengthMismatch {
-        /// What was compared.
-        what: &'static str,
-        /// Expected length.
-        expected: usize,
-        /// Found length.
-        found: usize,
-    },
 }
 
 impl fmt::Display for AcceleratorError {
@@ -30,11 +21,6 @@ impl fmt::Display for AcceleratorError {
             AcceleratorError::InvalidConfig { name, value } => {
                 write!(f, "invalid accelerator configuration: {name} = {value}")
             }
-            AcceleratorError::LengthMismatch {
-                what,
-                expected,
-                found,
-            } => write!(f, "{what} has length {found}, expected {expected}"),
         }
     }
 }

@@ -1,24 +1,22 @@
 //! The SPRINT on-chip accelerator (§VI).
 //!
-//! Models the digital half of the paper: `N` CORELETs, each an
-//! independent attention pipeline of a QK processing unit (1-D 64-way
-//! 8×8-bit MAC), a softmax unit (12-bit inputs, two 64-entry LUTs, two
-//! dividers) and a V processing unit, fed from banked K/V buffers
-//! *without double buffering* and with a rotating-pointer bypass for
-//! in-flight data misses.
-//!
-//! The pieces:
+//! The digital half of the paper is `N` CORELETs, each an independent
+//! attention pipeline of a QK processing unit (1-D 64-way 8×8-bit
+//! MAC), a softmax unit and a V processing unit, fed from banked K/V
+//! buffers. This crate models the two structural pieces the
+//! experiments study directly:
 //!
 //! * [`MappingPolicy`] / [`assign_tokens`] — sequential vs
 //!   token-interleaved distribution of unpruned keys across CORELETs,
 //!   and the imbalance statistics of Fig. 8;
 //! * [`KvBuffer`] — the on-chip K/V buffer with LRU replacement and
 //!   residency lookup (the per-CORELET "look-up-tables \[that\] record
-//!   which key and value vectors are currently present on chip");
-//! * [`Corelet`] — per-query stage timing (QK-PU, softmax, V-PU) with
-//!   miss-stall modelling;
-//! * [`HeadPipeline`] — multi-CORELET execution of a whole head, the
-//!   worst-CORELET delay rule of §VII, and aggregate statistics.
+//!   which key and value vectors are currently present on chip"), the
+//!   subject of the residency ablation.
+//!
+//! There is no CORELET timing model here: per-query latency (worst
+//! CORELET under token interleaving vs. the memory stream) is the
+//! §VII counting rule, owned by `sprint_engine::cost`.
 //!
 //! # Example
 //!
@@ -33,13 +31,9 @@
 //! ```
 
 mod buffers;
-mod corelet;
 mod error;
 mod mapping;
-mod pipeline;
 
 pub use buffers::{Eviction, KvBuffer};
-pub use corelet::{Corelet, CoreletConfig, QueryTiming};
 pub use error::AcceleratorError;
 pub use mapping::{assign_tokens, imbalance_ratio, mean_imbalance, MappingPolicy};
-pub use pipeline::{HeadPipeline, HeadStats, PipelineConfig};

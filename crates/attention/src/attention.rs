@@ -250,28 +250,15 @@ pub(crate) fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
 /// Reference dense self-attention in `f32`:
 /// `softmax(scale · Q Kᵀ) × V`.
 ///
-/// # Errors
-///
-/// Returns [`AttentionError::ShapeMismatch`] when `Q`/`K` embedding
-/// sizes differ or `K`/`V` sequence lengths differ.
-pub fn dense_attention(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    cfg: &AttentionConfig,
-) -> Result<AttentionOutput, AttentionError> {
-    dense_attention_with(q, k, v, cfg, &mut Workspace::new())
-}
-
-/// [`dense_attention`] with a caller-provided [`Workspace`]: output
-/// matrices come from the workspace's buffer pool (see
+/// Output matrices come from the workspace's buffer pool (see
 /// [`Workspace::recycle`]), the register-blocked `Q × Kᵀ` pass writes
 /// the scores once, and the softmax runs in place on each
 /// probability-matrix row.
 ///
 /// # Errors
 ///
-/// Same shape errors as [`dense_attention`].
+/// Returns [`AttentionError::ShapeMismatch`] when `Q`/`K` embedding
+/// sizes differ or `K`/`V` sequence lengths differ.
 pub fn dense_attention_with(
     q: &Matrix,
     k: &Matrix,
@@ -319,23 +306,6 @@ pub fn dense_attention_with(
 /// an all-pruned decision and an all-zero output row, matching the
 /// two-dimensional sequence reduction of §VI).
 ///
-/// # Errors
-///
-/// Shape errors as in [`dense_attention`]; additionally the padding
-/// mask, when given, must cover exactly `k.rows()` tokens.
-pub fn pruned_attention(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    cfg: &AttentionConfig,
-    threshold: f32,
-    padding: Option<&PaddingMask>,
-) -> Result<(AttentionOutput, Vec<PruneDecision>), AttentionError> {
-    pruned_attention_with(q, k, v, cfg, threshold, padding, &mut Workspace::new())
-}
-
-/// [`pruned_attention`] with a caller-provided [`Workspace`].
-///
 /// The fused flow per live query row: the blocked `Q × Kᵀ` pass has
 /// already written the raw scores for the live region, the keep mask is
 /// built in the workspace, pruned entries are masked to `-inf` in the
@@ -346,7 +316,8 @@ pub fn pruned_attention(
 ///
 /// # Errors
 ///
-/// Same errors as [`pruned_attention`].
+/// Shape errors as in [`dense_attention_with`]; additionally the
+/// padding mask, when given, must cover exactly `k.rows()` tokens.
 pub fn pruned_attention_with(
     q: &Matrix,
     k: &Matrix,
@@ -490,22 +461,6 @@ pub struct QuantizedAttentionOutput {
 /// full dense computation is performed in quantized arithmetic (the
 /// iso-precision baseline accelerator).
 ///
-/// # Errors
-///
-/// Shape errors as in [`dense_attention`]; a decision slice, when
-/// given, must contain one decision of length `k.rows()` per query.
-pub fn quantized_attention(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    cfg: &AttentionConfig,
-    decisions: Option<&[PruneDecision]>,
-) -> Result<QuantizedAttentionOutput, AttentionError> {
-    quantized_attention_with(q, k, v, cfg, decisions, &mut Workspace::new())
-}
-
-/// [`quantized_attention`] with a caller-provided [`Workspace`].
-///
 /// Fused like the float path: integer score rows are written once,
 /// probabilities go straight into the probability matrix via
 /// [`SoftmaxLut::probabilities_into`], and the V-PU accumulates each
@@ -515,7 +470,8 @@ pub fn quantized_attention(
 ///
 /// # Errors
 ///
-/// Same errors as [`quantized_attention`].
+/// Shape errors as in [`dense_attention_with`]; a decision slice, when
+/// given, must contain one decision of length `k.rows()` per query.
 pub fn quantized_attention_with(
     q: &Matrix,
     k: &Matrix,
@@ -690,8 +646,9 @@ mod tests {
 
     #[test]
     fn dense_attention_rows_are_distributions() {
+        let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
-        let out = dense_attention(&q, &k, &v, &AttentionConfig::new(4)).unwrap();
+        let out = dense_attention_with(&q, &k, &v, &AttentionConfig::new(4), ws).unwrap();
         for i in 0..3 {
             let sum: f32 = out.probs.row(i).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
@@ -758,8 +715,9 @@ mod tests {
 
     #[test]
     fn dense_attention_prefers_aligned_key() {
+        let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
-        let out = dense_attention(&q, &k, &v, &AttentionConfig::new(4)).unwrap();
+        let out = dense_attention_with(&q, &k, &v, &AttentionConfig::new(4), ws).unwrap();
         // Query 0 aligns with key 0; its probability must dominate.
         assert!(out.probs.get(0, 0) > out.probs.get(0, 1));
         assert!(out.probs.get(0, 0) > out.probs.get(0, 2));
@@ -767,21 +725,23 @@ mod tests {
 
     #[test]
     fn dense_attention_shape_errors() {
+        let ws = &mut Workspace::new();
         let q = Matrix::zeros(2, 3).unwrap();
         let k = Matrix::zeros(2, 4).unwrap();
         let v = Matrix::zeros(2, 4).unwrap();
-        assert!(dense_attention(&q, &k, &v, &AttentionConfig::new(3)).is_err());
+        assert!(dense_attention_with(&q, &k, &v, &AttentionConfig::new(3), ws).is_err());
         let k2 = Matrix::zeros(2, 3).unwrap();
         let v2 = Matrix::zeros(3, 3).unwrap();
-        assert!(dense_attention(&q, &k2, &v2, &AttentionConfig::new(3)).is_err());
+        assert!(dense_attention_with(&q, &k2, &v2, &AttentionConfig::new(3), ws).is_err());
     }
 
     #[test]
     fn pruned_attention_with_low_threshold_matches_dense() {
+        let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
         let cfg = AttentionConfig::new(4);
-        let dense = dense_attention(&q, &k, &v, &cfg).unwrap();
-        let (pruned, decisions) = pruned_attention(&q, &k, &v, &cfg, -1e30, None).unwrap();
+        let dense = dense_attention_with(&q, &k, &v, &cfg, ws).unwrap();
+        let (pruned, decisions) = pruned_attention_with(&q, &k, &v, &cfg, -1e30, None, ws).unwrap();
         for (i, d) in decisions.iter().enumerate().take(3) {
             assert!(d.kept_count() == 3, "nothing pruned");
             for j in 0..3 {
@@ -792,10 +752,11 @@ mod tests {
 
     #[test]
     fn pruned_attention_removes_low_scores() {
+        let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
         let cfg = AttentionConfig::with_scale(4, 1.0);
         // Scores for query 0 are [1, 0, 0]; threshold 0.5 keeps only key 0.
-        let (out, decisions) = pruned_attention(&q, &k, &v, &cfg, 0.5, None).unwrap();
+        let (out, decisions) = pruned_attention_with(&q, &k, &v, &cfg, 0.5, None, ws).unwrap();
         assert_eq!(decisions[0].kept_indices(), vec![0]);
         assert!((out.probs.get(0, 0) - 1.0).abs() < 1e-6);
         assert_eq!(out.probs.get(0, 1), 0.0);
@@ -804,10 +765,12 @@ mod tests {
 
     #[test]
     fn pruned_attention_respects_padding() {
+        let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
         let cfg = AttentionConfig::new(4);
         let pad = PaddingMask::new(3, 2).unwrap();
-        let (out, decisions) = pruned_attention(&q, &k, &v, &cfg, -1e30, Some(&pad)).unwrap();
+        let (out, decisions) =
+            pruned_attention_with(&q, &k, &v, &cfg, -1e30, Some(&pad), ws).unwrap();
         // Key 2 is padding: pruned for every live query.
         assert!(decisions[0].is_pruned(2));
         assert!(decisions[1].is_pruned(2));
@@ -818,6 +781,7 @@ mod tests {
 
     #[test]
     fn pruned_attention_queries_beyond_key_mask_are_live() {
+        let ws = &mut Workspace::new();
         // Regression: with s_q > s_k the query index used to be clamped
         // against the *key* mask length, so trailing queries inherited
         // the last key's padding state. Queries beyond the mask are not
@@ -839,7 +803,8 @@ mod tests {
         let v = k.clone();
         let cfg = AttentionConfig::new(4);
         let pad = PaddingMask::new(3, 2).unwrap();
-        let (out, decisions) = pruned_attention(&q, &k, &v, &cfg, -1e30, Some(&pad)).unwrap();
+        let (out, decisions) =
+            pruned_attention_with(&q, &k, &v, &cfg, -1e30, Some(&pad), ws).unwrap();
         // Queries 3 and 4 sit beyond the 3-token key mask: live, with
         // only the padded key pruned.
         for (i, d) in decisions.iter().enumerate().take(5).skip(3) {
@@ -867,18 +832,20 @@ mod tests {
 
     #[test]
     fn pruned_attention_rejects_wrong_mask_length() {
+        let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
         let cfg = AttentionConfig::new(4);
         let pad = PaddingMask::new(5, 2).unwrap();
-        assert!(pruned_attention(&q, &k, &v, &cfg, 0.0, Some(&pad)).is_err());
+        assert!(pruned_attention_with(&q, &k, &v, &cfg, 0.0, Some(&pad), ws).is_err());
     }
 
     #[test]
     fn quantized_attention_tracks_dense_reference() {
+        let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
         let cfg = AttentionConfig::new(4);
-        let dense = dense_attention(&q, &k, &v, &cfg).unwrap();
-        let hw = quantized_attention(&q, &k, &v, &cfg, None).unwrap();
+        let dense = dense_attention_with(&q, &k, &v, &cfg, ws).unwrap();
+        let hw = quantized_attention_with(&q, &k, &v, &cfg, None, ws).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 assert!(
@@ -897,6 +864,7 @@ mod tests {
 
     #[test]
     fn quantized_attention_honours_decisions() {
+        let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
         let cfg = AttentionConfig::new(4);
         let decisions = vec![
@@ -904,7 +872,7 @@ mod tests {
             PruneDecision::new(vec![true, false, true]),
             PruneDecision::new(vec![false, false, true]),
         ];
-        let hw = quantized_attention(&q, &k, &v, &cfg, Some(&decisions)).unwrap();
+        let hw = quantized_attention_with(&q, &k, &v, &cfg, Some(&decisions), ws).unwrap();
         assert_eq!(hw.scores.get(0, 1), f32::NEG_INFINITY);
         assert!((hw.probs.get(0, 0) - 1.0).abs() < 1e-3);
         assert_eq!(hw.probs.get(1, 0), 0.0);
@@ -912,15 +880,16 @@ mod tests {
 
     #[test]
     fn quantized_attention_validates_decision_shape() {
+        let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
         let cfg = AttentionConfig::new(4);
         let bad_count = vec![PruneDecision::new(vec![false; 3])];
-        assert!(quantized_attention(&q, &k, &v, &cfg, Some(&bad_count)).is_err());
+        assert!(quantized_attention_with(&q, &k, &v, &cfg, Some(&bad_count), ws).is_err());
         let bad_len = vec![
             PruneDecision::new(vec![false; 2]),
             PruneDecision::new(vec![false; 2]),
             PruneDecision::new(vec![false; 2]),
         ];
-        assert!(quantized_attention(&q, &k, &v, &cfg, Some(&bad_len)).is_err());
+        assert!(quantized_attention_with(&q, &k, &v, &cfg, Some(&bad_len), ws).is_err());
     }
 }

@@ -666,7 +666,7 @@ pub fn quantized_attention_decode_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dense_attention, pruned_attention, quantized_attention};
+    use crate::{dense_attention_with, pruned_attention_with, quantized_attention_with};
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut state = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(99);
@@ -811,16 +811,18 @@ mod tests {
         // Paged storage (7 tokens/page) must not perturb a single bit.
         let kv = KvCache::new_in(&tiny_pool(7, 16, 16), &k, &v).unwrap();
         let mut ws = Workspace::new();
+        let batch_ws = &mut Workspace::new();
         for r in 0..4 {
             let q1 = one_row(&q_all, r);
             // Dense.
             let dense_row = dense_attention_decode_with(&q1, &k, &v, &cfg, &mut ws).unwrap();
-            let dense_full = dense_attention(&q1, &k, &v, &cfg).unwrap();
+            let dense_full = dense_attention_with(&q1, &k, &v, &cfg, batch_ws).unwrap();
             assert_eq!(dense_row.as_slice(), dense_full.output.row(0));
             // Pruned, matrix and paged forms.
             let (pruned_row, decision) =
                 pruned_attention_decode_with(&q1, &k, &v, &cfg, 0.02, &mut ws).unwrap();
-            let (pruned_full, decisions) = pruned_attention(&q1, &k, &v, &cfg, 0.02, None).unwrap();
+            let (pruned_full, decisions) =
+                pruned_attention_with(&q1, &k, &v, &cfg, 0.02, None, batch_ws).unwrap();
             assert_eq!(pruned_row.as_slice(), pruned_full.output.row(0));
             assert_eq!(decision, decisions[0]);
             let (paged_row, paged_decision) =
@@ -830,8 +832,15 @@ mod tests {
             // Quantized, pruned and unpruned.
             for d in [None, Some(&decision)] {
                 let hw_row = quantized_attention_decode_with(&q1, &kv, &cfg, d, &mut ws).unwrap();
-                let hw_full =
-                    quantized_attention(&q1, &k, &v, &cfg, d.map(std::slice::from_ref)).unwrap();
+                let hw_full = quantized_attention_with(
+                    &q1,
+                    &k,
+                    &v,
+                    &cfg,
+                    d.map(std::slice::from_ref),
+                    batch_ws,
+                )
+                .unwrap();
                 assert_eq!(hw_row.as_slice(), hw_full.output.row(0), "query {r}");
             }
         }

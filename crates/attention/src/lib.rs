@@ -11,14 +11,14 @@
 //! # Example
 //!
 //! ```
-//! use sprint_attention::{Matrix, dense_attention, AttentionConfig};
+//! use sprint_attention::{dense_attention_with, AttentionConfig, Matrix, Workspace};
 //!
 //! # fn main() -> Result<(), sprint_attention::AttentionError> {
 //! let d = 4;
 //! let q = Matrix::from_rows(&[vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 1.0, 0.0, 0.0]])?;
 //! let k = q.clone();
 //! let v = Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0], vec![5.0, 6.0, 7.0, 8.0]])?;
-//! let out = dense_attention(&q, &k, &v, &AttentionConfig::new(d))?;
+//! let out = dense_attention_with(&q, &k, &v, &AttentionConfig::new(d), &mut Workspace::new())?;
 //! assert_eq!(out.output.rows(), 2);
 //! # Ok(())
 //! # }
@@ -40,9 +40,8 @@ mod softmax;
 mod workspace;
 
 pub use attention::{
-    dense_attention, dense_attention_with, pruned_attention, pruned_attention_with,
-    quantized_attention, quantized_attention_with, AttentionConfig, AttentionOutput, PaddingMask,
-    QuantizedAttentionOutput, MASK_NEG,
+    dense_attention_with, pruned_attention_with, quantized_attention_with, AttentionConfig,
+    AttentionOutput, PaddingMask, QuantizedAttentionOutput, MASK_NEG,
 };
 pub use decode::{
     dense_attention_decode_with, pruned_attention_decode_cached_with, pruned_attention_decode_with,

@@ -77,13 +77,17 @@ impl PruneDecision {
         &self.pruned
     }
 
-    /// Indices of kept (unpruned) keys, ascending.
-    pub fn kept_indices(&self) -> Vec<usize> {
+    /// Iterates the indices of kept (unpruned) keys, ascending.
+    pub fn iter_kept(&self) -> impl Iterator<Item = usize> + '_ {
         self.pruned
             .iter()
             .enumerate()
             .filter_map(|(i, &p)| (!p).then_some(i))
-            .collect()
+    }
+
+    /// Indices of kept (unpruned) keys, ascending.
+    pub fn kept_indices(&self) -> Vec<usize> {
+        self.iter_kept().collect()
     }
 
     /// Number of kept keys.

@@ -26,11 +26,11 @@ use crate::{
 use crate::attention::{check_shapes, query_is_live, validate_decisions, validate_padding};
 
 /// Naive dense attention: per-pair dot products, per-row allocations,
-/// dense `probs × V`. Semantics identical to [`crate::dense_attention`].
+/// dense `probs × V`. Semantics identical to [`crate::dense_attention_with`].
 ///
 /// # Errors
 ///
-/// Same shape errors as [`crate::dense_attention`].
+/// Same shape errors as [`crate::dense_attention_with`].
 pub fn dense_attention_naive(
     q: &Matrix,
     k: &Matrix,
@@ -60,12 +60,12 @@ pub fn dense_attention_naive(
 }
 
 /// Naive runtime-pruned attention. Semantics identical to
-/// [`crate::pruned_attention`] (including the corrected query-liveness
+/// [`crate::pruned_attention_with`] (including the corrected query-liveness
 /// indexing for `s_q != s_k`).
 ///
 /// # Errors
 ///
-/// Same errors as [`crate::pruned_attention`].
+/// Same errors as [`crate::pruned_attention_with`].
 pub fn pruned_attention_naive(
     q: &Matrix,
     k: &Matrix,
@@ -136,11 +136,11 @@ pub fn pruned_attention_naive(
 
 /// Naive quantized attention: per-pair integer MACs, per-row probability
 /// allocation, per-element V-PU probability re-rounding. Semantics
-/// identical to [`crate::quantized_attention`].
+/// identical to [`crate::quantized_attention_with`].
 ///
 /// # Errors
 ///
-/// Same errors as [`crate::quantized_attention`].
+/// Same errors as [`crate::quantized_attention_with`].
 pub fn quantized_attention_naive(
     q: &Matrix,
     k: &Matrix,

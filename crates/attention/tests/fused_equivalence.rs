@@ -11,8 +11,8 @@ use sprint_attention::reference::{
     dense_attention_naive, pruned_attention_naive, quantized_attention_naive,
 };
 use sprint_attention::{
-    dense_attention, dense_attention_with, pruned_attention, pruned_attention_with,
-    quantized_attention, AttentionConfig, Matrix, PaddingMask, PruneDecision, Workspace,
+    dense_attention_with, pruned_attention_with, quantized_attention_with, AttentionConfig, Matrix,
+    PaddingMask, PruneDecision, Workspace,
 };
 
 /// Deterministic pseudo-random matrix from a seed (splitmix-style).
@@ -60,7 +60,7 @@ proptest! {
         let k = random_matrix(s_k, d, seed ^ 1, 2.0);
         let v = random_matrix(s_k, d, seed ^ 2, 1.0);
         let cfg = AttentionConfig::new(d);
-        let fused = dense_attention(&q, &k, &v, &cfg).unwrap();
+        let fused = dense_attention_with(&q, &k, &v, &cfg, &mut Workspace::new()).unwrap();
         let naive = dense_attention_naive(&q, &k, &v, &cfg).unwrap();
         assert_close(&fused.scores, &naive.scores, 1e-5, "dense scores");
         assert_close(&fused.probs, &naive.probs, 1e-5, "dense probs");
@@ -81,7 +81,7 @@ proptest! {
         let cfg = AttentionConfig::new(d);
         let live = s - pad.min(s - 1);
         let mask = PaddingMask::new(s, live).unwrap();
-        let (fused, fd) = pruned_attention(&q, &k, &v, &cfg, threshold, Some(&mask)).unwrap();
+        let (fused, fd) = pruned_attention_with(&q, &k, &v, &cfg, threshold, Some(&mask), &mut Workspace::new()).unwrap();
         let (naive, nd) = pruned_attention_naive(&q, &k, &v, &cfg, threshold, Some(&mask)).unwrap();
         prop_assert_eq!(fd, nd, "decisions must be identical");
         assert_close(&fused.scores, &naive.scores, 1e-5, "pruned scores");
@@ -99,9 +99,9 @@ proptest! {
         let k = random_matrix(s, d, seed ^ 1, 2.0);
         let v = random_matrix(s, d, seed ^ 2, 1.0);
         let cfg = AttentionConfig::new(d);
-        let dense = dense_attention(&q, &k, &v, &cfg).unwrap();
+        let dense = dense_attention_with(&q, &k, &v, &cfg, &mut Workspace::new()).unwrap();
         let (pruned, decisions) =
-            pruned_attention(&q, &k, &v, &cfg, f32::NEG_INFINITY, None).unwrap();
+            pruned_attention_with(&q, &k, &v, &cfg, f32::NEG_INFINITY, None, &mut Workspace::new()).unwrap();
         for dec in &decisions {
             prop_assert_eq!(dec.kept_count(), s, "nothing pruned at -inf threshold");
         }
@@ -169,7 +169,7 @@ proptest! {
                 )
             })
             .collect();
-        let fused = quantized_attention(&q, &k, &v, &cfg, Some(&decisions)).unwrap();
+        let fused = quantized_attention_with(&q, &k, &v, &cfg, Some(&decisions), &mut Workspace::new()).unwrap();
         let naive = quantized_attention_naive(&q, &k, &v, &cfg, Some(&decisions)).unwrap();
         // The integer datapath is identical arithmetic: bitwise equality.
         prop_assert_eq!(&fused.scores, &naive.scores);
@@ -195,7 +195,7 @@ proptest! {
             let shared =
                 sprint_attention::pruned_attention_with(&q, &k, &v, &cfg, threshold, None, &mut ws)
                     .unwrap();
-            let fresh = pruned_attention(&q, &k, &v, &cfg, threshold, None).unwrap();
+            let fresh = pruned_attention_with(&q, &k, &v, &cfg, threshold, None, &mut Workspace::new()).unwrap();
             prop_assert_eq!(shared.0.probs, fresh.0.probs);
             prop_assert_eq!(shared.1, fresh.1);
         }

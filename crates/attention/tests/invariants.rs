@@ -4,8 +4,8 @@
 //! threshold.
 
 use sprint_attention::{
-    dense_attention, pruned_attention, quantize_matrix, softmax_exact, AttentionConfig, Matrix,
-    QuantParams, SoftmaxLut,
+    dense_attention_with, pruned_attention_with, quantize_matrix, softmax_exact, AttentionConfig,
+    Matrix, QuantParams, SoftmaxLut, Workspace,
 };
 
 fn sample_matrix(rows: usize, cols: usize, amp: f32, phase: f32) -> Matrix {
@@ -93,10 +93,19 @@ fn all_keep_pruned_attention_equals_dense() {
     let k = sample_matrix(5, d, 1.0, 1.3);
     let v = sample_matrix(5, d, 2.0, 2.6);
     let cfg = AttentionConfig::new(d);
-    let dense = dense_attention(&q, &k, &v, &cfg).unwrap();
+    let dense = dense_attention_with(&q, &k, &v, &cfg, &mut Workspace::new()).unwrap();
     // A threshold of -inf keeps every key: the paper's pruned datapath
     // must then be bit-identical (same arithmetic) to the dense one.
-    let (pruned, decisions) = pruned_attention(&q, &k, &v, &cfg, f32::NEG_INFINITY, None).unwrap();
+    let (pruned, decisions) = pruned_attention_with(
+        &q,
+        &k,
+        &v,
+        &cfg,
+        f32::NEG_INFINITY,
+        None,
+        &mut Workspace::new(),
+    )
+    .unwrap();
     for d in &decisions {
         assert_eq!(d.kept_count(), d.len(), "all-keep decision");
     }

@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 use sprint_attention::reference::{dense_attention_naive, pruned_attention_naive};
 use sprint_attention::{
-    calibrate_threshold, dense_attention, pruned_attention_with, AttentionConfig, Matrix,
+    calibrate_threshold, dense_attention_with, pruned_attention_with, AttentionConfig, Matrix,
     PaddingMask, Workspace,
 };
 
@@ -62,7 +62,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("dense");
     group.sample_size(10);
     group.bench_function("fused", |b| {
-        b.iter(|| black_box(dense_attention(&q, &k, &v, &cfg).unwrap()))
+        b.iter(|| black_box(dense_attention_with(&q, &k, &v, &cfg, &mut Workspace::new()).unwrap()))
     });
     group.bench_function("naive", |b| {
         b.iter(|| black_box(dense_attention_naive(&q, &k, &v, &cfg).unwrap()))

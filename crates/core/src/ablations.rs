@@ -16,7 +16,7 @@
 //!   index buffers vs a plain LRU cache.
 
 use sprint_accelerator::KvBuffer;
-use sprint_attention::{quantized_attention, PruneDecision};
+use sprint_attention::{quantized_attention_with, PruneDecision, Workspace};
 use sprint_energy::AdcCostModel;
 use sprint_reram::{InMemoryPruner, NoiseModel, ThresholdSpec};
 use sprint_workloads::{ModelConfig, ProxyTask, TraceGenerator};
@@ -70,12 +70,13 @@ fn run_variant(
     for _ in live..s {
         decisions.push(PruneDecision::new(vec![true; s]));
     }
-    let out = quantized_attention(
+    let out = quantized_attention_with(
         trace.q(),
         trace.k(),
         trace.v(),
         &trace.config(),
         Some(&decisions),
+        &mut Workspace::new(),
     )?;
     let score = task.evaluate(&out.output)?;
     Ok((

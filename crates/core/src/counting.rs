@@ -9,20 +9,27 @@
 //! in-memory thresholding delay, the memory-channel bandwidth and the
 //! worst-CORELET compute time per query.
 //!
-//! Four execution modes cover the paper's comparison points:
+//! Four execution modes cover the paper's comparison points. Each is a
+//! *count producer* for the one cost model in [`sprint_engine::cost`]:
+//! it derives fetch and operation counts from the profile's kept sets
+//! and an `SldResidency` buffer model, and is priced and timed as
+//! the Fig. 9 pipeline in the last column.
 //!
-//! | Mode | Fetches | Computes | Figures |
-//! |---|---|---|---|
-//! | [`ExecutionMode::Baseline`] | everything (padded incl.) | full `s×s` | denominator everywhere |
-//! | [`ExecutionMode::MaskOnly`] | live tokens only | `live×live` | Fig. 10 "Mask Only" |
-//! | [`ExecutionMode::PruningOnly`] | all K, kept V | all QK, kept softmax/V | Fig. 13 second bar |
-//! | [`ExecutionMode::Sprint`] | kept K/V via SLD | kept everything | Figs. 10–13 |
+//! | Mode | Fetches | Computes | Figures | Costed as |
+//! |---|---|---|---|---|
+//! | [`ExecutionMode::Baseline`] | everything (padded incl.) | full `s×s` | denominator everywhere | `Dense` |
+//! | [`ExecutionMode::MaskOnly`] | live tokens only | `live×live` | Fig. 10 "Mask Only" | `Dense` |
+//! | [`ExecutionMode::PruningOnly`] | all K, kept V | all QK, kept softmax/V | Fig. 13 second bar | `Oracle` |
+//! | [`ExecutionMode::Sprint`] | kept K/V via SLD | kept everything | Figs. 10–13 | `Sprint` |
 
 use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
-use sprint_energy::{Category, EnergyBreakdown};
+use sprint_energy::EnergyBreakdown;
+use sprint_engine::cost::{query_cycles, worst_corelet_load, OpCounts};
+use sprint_engine::ExecutionMode as Pipeline;
+use sprint_reram::{ARRAY_COLS, ARRAY_ROWS};
 
 use crate::{HeadProfile, SprintConfig};
 
@@ -162,17 +169,6 @@ impl SldResidency {
     }
 }
 
-/// Command-bus occupancy of the thresholding handshake per query
-/// (CopyQ beats + ReadP). The handshake and fetches for query i+1 are
-/// issued while query i computes (the controller "proactively
-/// prefetches" unpruned vectors, §VI), so only the bus occupancy can
-/// bound throughput, never the analog latency.
-const THRESHOLD_ISSUE_CYCLES: u64 = 4;
-/// Transposable-array column width (Table I).
-const ARRAY_COLS: usize = 128;
-/// Transposable-array wordlines (Table I).
-const ARRAY_ROWS: usize = 64;
-
 /// Counts one head under `mode` on `cfg`.
 ///
 /// # Panics
@@ -180,110 +176,103 @@ const ARRAY_ROWS: usize = 64;
 /// Panics if the profile has a zero live region (checked by
 /// construction in [`HeadProfile`]).
 pub fn simulate_head(profile: &HeadProfile, cfg: &SprintConfig, mode: ExecutionMode) -> HeadPerf {
-    match mode {
-        ExecutionMode::Baseline => dense_like(profile, cfg, mode, profile.seq_len),
-        ExecutionMode::MaskOnly => dense_like(profile, cfg, mode, profile.live),
-        ExecutionMode::PruningOnly => pruning_only(profile, cfg),
-        ExecutionMode::Sprint => sprint(profile, cfg),
+    let g = Geometry {
+        d_bits: (profile.head_dim * 8) as u64,
+        cpt: profile.head_dim.div_ceil(cfg.head_dim.max(1)) as u64,
+        cpp: cfg.cycles_per_pair(),
+        corelets: cfg.corelets.max(1),
+        capacity: cfg.kv_capacity_pairs(),
+    };
+    let counted = match mode {
+        ExecutionMode::Baseline => dense_like(profile, &g, profile.seq_len),
+        ExecutionMode::MaskOnly => dense_like(profile, &g, profile.live),
+        ExecutionMode::PruningOnly => pruning_only(profile, &g),
+        ExecutionMode::Sprint => sprint(profile, &g),
+    };
+    let counts = counted.counts;
+    HeadPerf {
+        mode,
+        cycles: counted.cycles,
+        energy: counts.energy(&cfg.energies),
+        bytes_from_memory: counts.reram_read_bits / 8,
+        fetched_pairs: counted.fetched_pairs,
+        reused_pairs: counted.reused_pairs,
+        qk_dots: counts.qk_dots,
+        vpu_dots: counts.vpu_dots,
+        softmax_ops: counts.softmax_ops,
     }
 }
 
+/// The per-head constants every producer derives its counts from.
+struct Geometry {
+    /// Bits of one K or V vector.
+    d_bits: u64,
+    /// MAC-array passes per dot product.
+    cpt: u64,
+    /// Channel cycles to move one K/V pair.
+    cpp: f64,
+    corelets: usize,
+    /// On-chip capacity in K/V pairs.
+    capacity: usize,
+}
+
+/// What a producer hands back to [`simulate_head`] for pricing.
+struct Counted {
+    counts: OpCounts,
+    cycles: u64,
+    fetched_pairs: u64,
+    reused_pairs: u64,
+}
+
 /// Baseline and MaskOnly differ only in the effective sequence length.
-fn dense_like(
-    profile: &HeadProfile,
-    cfg: &SprintConfig,
-    mode: ExecutionMode,
-    n: usize,
-) -> HeadPerf {
-    let u = &cfg.energies;
-    let d_bits = (profile.head_dim * 8) as u64;
-    let pair_bits = 2 * d_bits;
-    let capacity = cfg.kv_capacity_pairs();
-    let cpp = cfg.cycles_per_pair();
-    let cpt = profile.head_dim.div_ceil(cfg.head_dim.max(1)) as u64;
-
-    let mut energy = EnergyBreakdown::new();
-    // Embeddings written to ReRAM once per head (Q, K, V).
-    let write_bits = 3 * profile.seq_len as u64 * d_bits;
-    energy.charge(Category::ReramWrite, u.reram_write_bits(write_bits));
-
+fn dense_like(profile: &HeadProfile, g: &Geometry, n: usize) -> Counted {
     // Data movement: the baseline pins as much of the working set as
     // fits (the best a design without SLD can do on a cyclic scan) and
     // restreams the remainder every query. This reproduces the Fig. 1
     // gradient: data movement decreases smoothly with capacity and
     // collapses once the whole sequence fits.
-    let refetch = n.saturating_sub(capacity) as u64;
+    let refetch = n.saturating_sub(g.capacity) as u64;
     let fetched_pairs = n as u64 + (n as u64 - 1) * refetch;
-    let q_read_bits = n as u64 * d_bits;
-    let read_bits = fetched_pairs * pair_bits + q_read_bits;
-    energy.charge(Category::ReramRead, u.reram_read_bits(read_bits));
 
-    // Compute: full n x n.
-    let qk_dots = (n * n) as u64;
-    let vpu_dots = (n * n) as u64;
-    let softmax_ops = (n * n) as u64;
-    energy.charge(Category::QkPu, u.qk_pu_dot_product * (qk_dots * cpt));
-    energy.charge(Category::VPu, u.qk_pu_dot_product * (vpu_dots * cpt));
-    energy.charge(Category::Softmax, u.softmax * softmax_ops);
+    let pairs = (n * n) as u64;
+    let counts = OpCounts {
+        // Embeddings written to ReRAM once per head (Q, K, V).
+        reram_write_bits: 3 * profile.seq_len as u64 * g.d_bits,
+        // Fetched pairs plus the streamed query vectors.
+        reram_read_bits: fetched_pairs * 2 * g.d_bits + n as u64 * g.d_bits,
+        // Writes on every fetched pair.
+        onchip_write_bits: fetched_pairs * 2 * g.d_bits,
+        // Compute: full n x n.
+        ..OpCounts::on_chip(Pipeline::Dense, pairs, pairs, g.cpt, g.d_bits)
+    };
 
-    // On-chip traffic: one K read per QK dot, one V read per V dot;
-    // writes on every fetched pair.
-    energy.charge(
-        Category::OnChipRead,
-        u.buffer_access_bits((qk_dots + vpu_dots) * d_bits),
-    );
-    energy.charge(
-        Category::OnChipWrite,
-        u.buffer_access_bits(fetched_pairs * pair_bits),
-    );
+    let cycles = (0..n)
+        .map(|q| {
+            let fetch_this = if q == 0 { n as u64 } else { refetch };
+            let mem = (fetch_this as f64 * g.cpp).ceil() as u64;
+            query_cycles(Pipeline::Dense, n, 0, g.corelets, g.cpt, mem)
+        })
+        .sum();
 
-    // Latency: the next query starts once the current query's QK,
-    // softmax and xV stages have all drained (§VI), so per-query cost
-    // is the stage sum, overlapped with memory streaming.
-    let mut cycles = 0u64;
-    for q in 0..n {
-        let fetch_this = if q == 0 { n as u64 } else { refetch };
-        let compute = 3 * (n.div_ceil(cfg.corelets) as u64) * cpt;
-        let mem = (fetch_this as f64 * cpp).ceil() as u64;
-        cycles += compute.max(mem);
-    }
-
-    HeadPerf {
-        mode,
+    Counted {
+        counts,
         cycles,
-        energy,
-        bytes_from_memory: read_bits / 8,
         fetched_pairs,
-        reused_pairs: (n as u64 * n as u64).saturating_sub(fetched_pairs),
-        qk_dots,
-        vpu_dots,
-        softmax_ops,
+        reused_pairs: pairs.saturating_sub(fetched_pairs),
     }
 }
 
-fn pruning_only(profile: &HeadProfile, cfg: &SprintConfig) -> HeadPerf {
-    let u = &cfg.energies;
+fn pruning_only(profile: &HeadProfile, g: &Geometry) -> Counted {
     let s = profile.seq_len;
-    let d_bits = (profile.head_dim * 8) as u64;
-    let capacity = cfg.kv_capacity_pairs();
-    let cpp = cfg.cycles_per_pair();
-    let cpt = profile.head_dim.div_ceil(cfg.head_dim.max(1)) as u64;
-
-    let mut energy = EnergyBreakdown::new();
-    let write_bits = 3 * s as u64 * d_bits;
-    energy.charge(Category::ReramWrite, u.reram_write_bits(write_bits));
 
     // K vectors stream for every query (thresholding needs all
     // scores) beyond the pinned capacity; V vectors fetch only after
     // pruning, with reuse.
-    let k_refetch = s.saturating_sub(capacity) as u64;
+    let k_refetch = s.saturating_sub(g.capacity) as u64;
     let mut k_fetch_vectors = s as u64;
-    let mut v_buffer = SldResidency::new(capacity);
+    let mut v_buffer = SldResidency::new(g.capacity);
     let mut v_fetch_vectors = 0u64;
-    let mut qk_dots = 0u64;
-    let mut vpu_dots = 0u64;
-    let mut softmax_ops = 0u64;
-    let mut onchip_read_bits = 0u64;
+    let mut kept_scores = 0u64;
     let mut cycles = 0u64;
 
     for (q, kept) in profile.kept_per_query.iter().enumerate() {
@@ -291,143 +280,90 @@ fn pruning_only(profile: &HeadProfile, cfg: &SprintConfig) -> HeadPerf {
         if q > 0 {
             k_fetch_vectors += k_refetch;
         }
-        qk_dots += s as u64;
-        onchip_read_bits += s as u64 * d_bits;
         let v_this = v_buffer.access(kept);
         v_fetch_vectors += v_this;
-        vpu_dots += kept.len() as u64;
-        softmax_ops += kept.len() as u64;
-        onchip_read_bits += kept.len() as u64 * d_bits;
+        kept_scores += kept.len() as u64;
 
         // QK runs over every key; only the kept scores flow through
         // softmax and the V-PU — the source of the modest pruning-only
-        // speedup (paper: 1.8/1.7/1.7x).
-        let compute =
-            ((s.div_ceil(cfg.corelets) + 2 * kept.len().div_ceil(cfg.corelets)) as u64) * cpt;
-        let mem = (((k_this + v_this) as f64) * cpp / 2.0).ceil() as u64;
-        cycles += compute.max(mem);
+        // speedup (paper: 1.8/1.7/1.7x). Without in-memory pruning
+        // there is no interleaved kept set: survivors split evenly.
+        let worst = kept.len().div_ceil(g.corelets) as u64;
+        let mem = (((k_this + v_this) as f64) * g.cpp / 2.0).ceil() as u64;
+        cycles += query_cycles(Pipeline::Oracle, s, worst, g.corelets, g.cpt, mem);
     }
 
-    let q_read_bits = s as u64 * d_bits;
-    let read_bits = (k_fetch_vectors + v_fetch_vectors) * d_bits + q_read_bits;
-    energy.charge(Category::ReramRead, u.reram_read_bits(read_bits));
-    energy.charge(Category::QkPu, u.qk_pu_dot_product * (qk_dots * cpt));
-    energy.charge(Category::VPu, u.qk_pu_dot_product * (vpu_dots * cpt));
-    energy.charge(Category::Softmax, u.softmax * softmax_ops);
-    energy.charge(Category::OnChipRead, u.buffer_access_bits(onchip_read_bits));
-    energy.charge(
-        Category::OnChipWrite,
-        u.buffer_access_bits((k_fetch_vectors + v_fetch_vectors) * d_bits),
-    );
-
-    HeadPerf {
-        mode: ExecutionMode::PruningOnly,
+    let fetched_vectors = k_fetch_vectors + v_fetch_vectors;
+    let score_pairs = (profile.kept_per_query.len() * s) as u64;
+    let counts = OpCounts {
+        reram_write_bits: 3 * s as u64 * g.d_bits,
+        reram_read_bits: fetched_vectors * g.d_bits + s as u64 * g.d_bits,
+        onchip_write_bits: fetched_vectors * g.d_bits,
+        ..OpCounts::on_chip(Pipeline::Oracle, score_pairs, kept_scores, g.cpt, g.d_bits)
+    };
+    Counted {
+        counts,
         cycles,
-        energy,
-        bytes_from_memory: read_bits / 8,
-        fetched_pairs: (k_fetch_vectors + v_fetch_vectors) / 2,
+        fetched_pairs: fetched_vectors / 2,
         reused_pairs: v_buffer.hits,
-        qk_dots,
-        vpu_dots,
-        softmax_ops,
     }
 }
 
-fn sprint(profile: &HeadProfile, cfg: &SprintConfig) -> HeadPerf {
-    let u = &cfg.energies;
+fn sprint(profile: &HeadProfile, g: &Geometry) -> Counted {
     let live = profile.live;
     let d = profile.head_dim;
-    let d_bits = (d * 8) as u64;
-    let pair_bits = 2 * d_bits;
-    let capacity = cfg.kv_capacity_pairs();
-    let cpp = cfg.cycles_per_pair();
-    let cpt = d.div_ceil(cfg.head_dim.max(1)) as u64;
+    let queries = &profile.kept_per_query[..live.min(profile.kept_per_query.len())];
 
-    let mut energy = EnergyBreakdown::new();
-    let write_bits = 3 * profile.seq_len as u64 * d_bits;
-    energy.charge(Category::ReramWrite, u.reram_write_bits(write_bits));
-
-    let col_tiles = live.div_ceil(ARRAY_COLS) as u64;
-    let row_tiles = d.div_ceil(ARRAY_ROWS) as u64;
-
-    let mut buffer = SldResidency::new(capacity);
+    let mut buffer = SldResidency::new(g.capacity);
     let mut fetched_pairs = 0u64;
-    let mut qk_dots = 0u64;
-    let mut softmax_ops = 0u64;
-    let mut inmem_ops = 0u64;
-    let mut comparator_firings = 0u64;
-    let mut onchip_read_bits = 0u64;
+    let mut kept_scores = 0u64;
     let mut cycles = 0u64;
+    let mut loads = vec![0u64; g.corelets];
 
-    for kept in profile.kept_per_query.iter().take(live) {
-        // In-memory thresholding (2-D reduction filters padded columns).
-        inmem_ops += col_tiles * row_tiles;
-        comparator_firings += live as u64;
-
+    for kept in queries {
         // Selective fetch through SLD + finite capacity.
         let misses = buffer.access(kept);
         fetched_pairs += misses;
+        kept_scores += kept.len() as u64;
 
-        qk_dots += kept.len() as u64;
-        softmax_ops += kept.len() as u64;
-        onchip_read_bits += 2 * kept.len() as u64 * d_bits;
-
-        // Latency: worst CORELET under token interleaving, memory
-        // streaming, and the (mostly hidden) handshake.
-        let mut per_corelet = vec![0u64; cfg.corelets];
-        for &j in kept {
-            per_corelet[j % cfg.corelets] += 1;
-        }
-        let qk_worst = per_corelet.iter().copied().max().unwrap_or(0) * cpt;
-        let compute = 3 * qk_worst;
-        let mem = (misses as f64 * cpp).ceil() as u64;
-        cycles += compute.max(mem).max(THRESHOLD_ISSUE_CYCLES);
+        let worst = worst_corelet_load(kept.iter().copied(), &mut loads);
+        let mem = (misses as f64 * g.cpp).ceil() as u64;
+        cycles += query_cycles(Pipeline::Sprint, live, worst, g.corelets, g.cpt, mem);
     }
-    let vpu_dots = qk_dots;
-    let reused_pairs = buffer.hits;
 
-    // Reads: fetched pairs (K MSB from transposable arrays + K LSB +
-    // V from standard arrays = one pair payload) plus the streamed
-    // query vectors. The CopyQ MSB transfers and ReadP pruning vectors
-    // stay on the memory-side command path: they are charged to the
-    // in-ReRAM-pruning energy but are not K/V/Q data movement (the
-    // Fig. 10 metric).
-    let q_read_bits = live as u64 * d_bits;
-    let copyq_bits = live as u64 * (d as u64 * 4);
-    let readp_bits = live as u64 * live as u64 / 8;
-    let read_bits = fetched_pairs * pair_bits + q_read_bits;
-    energy.charge(Category::ReramRead, u.reram_read_bits(read_bits));
-    energy.charge(
-        Category::InReramPruning,
-        u.in_memory_computation * inmem_ops
-            + u.analog_comparator * comparator_firings as f64
-            + u.reram_read_bits(copyq_bits + readp_bits),
-    );
-    energy.charge(Category::QkPu, u.qk_pu_dot_product * (qk_dots * cpt));
-    energy.charge(Category::VPu, u.qk_pu_dot_product * (vpu_dots * cpt));
-    energy.charge(Category::Softmax, u.softmax * softmax_ops);
-    energy.charge(Category::OnChipRead, u.buffer_access_bits(onchip_read_bits));
-    energy.charge(
-        Category::OnChipWrite,
-        u.buffer_access_bits(fetched_pairs * pair_bits),
-    );
-
-    HeadPerf {
-        mode: ExecutionMode::Sprint,
+    // In-memory thresholding, once per live query: one analog op per
+    // array tile and one comparator per live key (the 2-D reduction
+    // filters padded columns).
+    let tiles = (live.div_ceil(ARRAY_COLS) * d.div_ceil(ARRAY_ROWS)) as u64;
+    let score_pairs = (queries.len() * live) as u64;
+    let counts = OpCounts {
+        reram_write_bits: 3 * profile.seq_len as u64 * g.d_bits,
+        // Reads: fetched pairs (K MSB from transposable arrays + K LSB
+        // + V from standard arrays = one pair payload) plus the
+        // streamed query vectors.
+        reram_read_bits: fetched_pairs * 2 * g.d_bits + live as u64 * g.d_bits,
+        in_memory_ops: queries.len() as u64 * tiles,
+        comparator_firings: queries.len() as u64 * live as u64,
+        // The CopyQ MSB transfers and ReadP pruning vectors stay on
+        // the memory-side command path: they are charged to the
+        // in-ReRAM-pruning energy but are not K/V/Q data movement (the
+        // Fig. 10 metric).
+        command_bits: live as u64 * (d as u64 * 4) + live as u64 * live as u64 / 8,
+        onchip_write_bits: fetched_pairs * 2 * g.d_bits,
+        ..OpCounts::on_chip(Pipeline::Sprint, score_pairs, kept_scores, g.cpt, g.d_bits)
+    };
+    Counted {
+        counts,
         cycles,
-        energy,
-        bytes_from_memory: read_bits / 8,
         fetched_pairs,
-        reused_pairs,
-        qk_dots,
-        vpu_dots,
-        softmax_ops,
+        reused_pairs: buffer.hits,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sprint_energy::Category;
 
     fn bert_like() -> HeadProfile {
         HeadProfile::synthetic(384, 207, 0.254, 0.85, 42)

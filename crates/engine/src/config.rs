@@ -2,8 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sprint_accelerator::{CoreletConfig, MappingPolicy, PipelineConfig};
-use sprint_energy::{AreaModel, Cycles, TimingParams, UnitEnergies};
+use sprint_energy::{AreaModel, TimingParams, UnitEnergies};
 use sprint_memory::MemoryGeometry;
 
 /// One SPRINT hardware configuration.
@@ -113,11 +112,6 @@ impl SprintConfig {
         (self.onchip_kib * 1024) / (2 * self.head_dim)
     }
 
-    /// K/V pairs each CORELET's buffer slice can hold.
-    pub fn kv_capacity_per_corelet(&self) -> usize {
-        (self.kv_capacity_pairs() / self.corelets).max(1)
-    }
-
     /// Total memory channels across CORELETs.
     pub fn total_channels(&self) -> usize {
         self.channels_per_corelet * self.corelets
@@ -152,22 +146,6 @@ impl SprintConfig {
             rows_per_bank: 4096,
             bytes_per_fetch: 2 * self.head_dim,
             bursts_per_fetch: (2 * self.head_dim).div_ceil(32),
-        }
-    }
-
-    /// The matching `sprint-accelerator` pipeline configuration.
-    pub fn pipeline_config(&self) -> PipelineConfig {
-        PipelineConfig {
-            corelets: self.corelets,
-            corelet: CoreletConfig {
-                mac_lanes: self.head_dim.max(1),
-                dividers: 2,
-                kv_capacity: self.kv_capacity_per_corelet(),
-                divider_latency: Cycles::new(8),
-            },
-            policy: MappingPolicy::Interleaved,
-            fetch_first_latency: self.timing.thresholding_latency() + self.timing.miss_latency(),
-            fetch_per_vector: Cycles::new(self.cycles_per_pair().ceil() as u64),
         }
     }
 }
@@ -241,16 +219,9 @@ mod tests {
     #[test]
     fn derived_configs_are_consistent() {
         for cfg in SprintConfig::all() {
-            let pipe = cfg.pipeline_config();
-            assert_eq!(pipe.corelets, cfg.corelets);
-            assert_eq!(
-                pipe.corelet.kv_capacity * cfg.corelets,
-                cfg.kv_capacity_pairs()
-            );
             let geom = cfg.memory_geometry();
             geom.validate().unwrap();
             assert_eq!(geom.channels, cfg.total_channels());
-            pipe.validate().unwrap();
         }
     }
 

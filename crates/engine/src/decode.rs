@@ -29,13 +29,13 @@ use sprint_attention::{
     pruned_attention_decode_cached_with, quantized_attention_decode_with, softmax_inplace_tier,
     AttentionConfig, KvCache, Matrix, PruneDecision, Workspace,
 };
-use sprint_energy::{Category, EnergyBreakdown};
+use sprint_energy::EnergyBreakdown;
 use sprint_memory::{MemoryController, MemoryStats};
 use sprint_reram::{FaultModel, InMemoryPruner, NoiseModel, PruneHardwareStats, ThresholdSpec};
 
+use crate::cost::{query_cycles, worst_corelet_load, OpCounts};
 use crate::engine::derive_head_seed;
 use crate::fault::resolve_faults;
-use crate::model::{onchip_op_counts, per_query_compute_cycles, THRESHOLD_ISSUE_CYCLES};
 use crate::{Engine, ExecutionMode, FaultPolicy, SprintConfig, SprintError};
 
 /// The prefill of a decode session: the key/value history accumulated
@@ -480,12 +480,11 @@ impl Engine {
             // so the placeholder never reaches a step's outcome.
             let q0 = Matrix::zeros(1, stub.d)?;
             let mut p = InMemoryPruner::new(&q0, k, stub.attn.scale(), stub.noise, stub.seed)?;
-            perf.rehydration_energy.charge(
-                Category::ReramWrite,
-                stub.config
-                    .energies
-                    .reram_write_bits(stub.history_len as u64 * 2 * (stub.d * 8) as u64),
-            );
+            perf.rehydration_energy += OpCounts {
+                reram_write_bits: stub.history_len as u64 * 2 * (stub.d * 8) as u64,
+                ..OpCounts::default()
+            }
+            .energy(&stub.config.energies);
             if let Some(model) = stub.fault_model {
                 // A rebuild is a fresh program epoch: stamp the model
                 // and scrub everything, as the first step would.
@@ -769,12 +768,12 @@ impl DecodeSession {
         Ok(response)
     }
 
-    /// Fills in the step's energy and latency deltas, mirroring the
-    /// Table II counting of [`crate::PerfRollup::from_response`] for a
-    /// single live query over `s` history keys. The crossbar write
-    /// cost of `perf.programmed_tokens` tokens lands in
-    /// `program_energy` (K and V rows, `2·d` bytes per token), kept
-    /// apart from the recurring step energy.
+    /// Fills in the step's energy and latency deltas: the
+    /// [`crate::cost`] producer for a single live query over `s`
+    /// history keys. The crossbar write cost of
+    /// `perf.programmed_tokens` tokens lands in `program_energy` (K
+    /// and V rows, `2·d` bytes per token), kept apart from the
+    /// recurring step energy.
     fn count_step(
         &self,
         perf: &mut StepPerf,
@@ -785,65 +784,34 @@ impl DecodeSession {
         let u = &self.config.energies;
         let d = self.kv.embed_dim();
         let s = decision.len();
-        let kept = decision.kept_count() as u64;
         let d_bits = (d * 8) as u64;
         let cpt = d.div_ceil(self.config.head_dim.max(1)) as u64;
 
-        perf.program_energy.charge(
-            Category::ReramWrite,
-            u.reram_write_bits(perf.programmed_tokens * 2 * d_bits),
-        );
+        perf.program_energy = OpCounts {
+            reram_write_bits: perf.programmed_tokens * 2 * d_bits,
+            ..OpCounts::default()
+        }
+        .energy(u);
 
-        let mut energy = EnergyBreakdown::new();
-        energy.charge(
-            Category::ReramRead,
-            u.reram_read_bits(memory_stats.bytes_fetched * 8 + d_bits),
-        );
+        let kept = decision.kept_count() as u64;
+        let mut counts = OpCounts {
+            reram_read_bits: memory_stats.bytes_fetched * 8 + d_bits,
+            onchip_write_bits: memory_stats.fetched_vectors * d_bits,
+            // One query's counts: `s` dense pairs, `kept` survivors.
+            ..OpCounts::on_chip(self.mode, s as u64, kept, cpt, d_bits)
+        };
         if prune_stats.queries_pruned > 0 {
-            let copyq_bits = d as u64 * 4;
-            let readp_bits = s as u64 / 8;
-            energy.charge(
-                Category::InReramPruning,
-                u.in_memory_computation * prune_stats.in_memory_ops
-                    + u.analog_comparator * prune_stats.comparator_firings as f64
-                    + u.reram_read_bits(copyq_bits + readp_bits),
-            );
+            counts.in_memory_ops = prune_stats.in_memory_ops;
+            counts.comparator_firings = prune_stats.comparator_firings;
+            counts.command_bits = d as u64 * 4 + s as u64 / 8;
         }
-        // One query's counts: `s` dense pairs, `kept` survivors (the
-        // shared Fig. 9 stage table in `model.rs`).
-        let (qk_dots, vpu_dots, softmax_ops) = onchip_op_counts(self.mode, s as u64, kept);
-        energy.charge(Category::QkPu, u.qk_pu_dot_product * (qk_dots * cpt));
-        energy.charge(Category::VPu, u.qk_pu_dot_product * (vpu_dots * cpt));
-        energy.charge(Category::Softmax, u.softmax * softmax_ops);
-        energy.charge(
-            Category::OnChipRead,
-            u.buffer_access_bits((qk_dots + vpu_dots) * d_bits),
-        );
-        energy.charge(
-            Category::OnChipWrite,
-            u.buffer_access_bits(memory_stats.fetched_vectors * d_bits),
-        );
-        perf.energy = energy;
+        perf.energy = counts.energy(u);
 
-        // Latency: worst CORELET under token interleaving vs. the
-        // memory stream, with the analog handshake floor.
         let corelets = self.config.corelets.max(1);
-        let mut per_corelet = vec![0u64; corelets];
-        for (j, &pruned) in decision.as_slice().iter().enumerate() {
-            if !pruned {
-                per_corelet[j % corelets] += 1;
-            }
-        }
-        let worst = per_corelet.iter().copied().max().unwrap_or(0);
-        let compute = per_query_compute_cycles(self.mode, s, worst, corelets, cpt);
+        let worst = worst_corelet_load(decision.iter_kept(), &mut vec![0u64; corelets]);
         let mem =
             (memory_stats.fetched_vectors as f64 * self.config.cycles_per_pair()).ceil() as u64;
-        let floor = if self.mode.uses_in_memory_pruning() {
-            THRESHOLD_ISSUE_CYCLES
-        } else {
-            0
-        };
-        perf.cycles = compute.max(mem).max(floor);
+        perf.cycles = query_cycles(self.mode, s, worst, corelets, cpt, mem);
     }
 }
 

@@ -49,6 +49,9 @@
 //!   impls for every substrate error enum;
 //! * [`SprintConfig`] — the S/M/L hardware configurations of Table I
 //!   (moved here from `sprint-core`, which re-exports it);
+//! * [`mod@cost`] — the §VII cost model: the one Table II charge sheet
+//!   and per-query latency rule behind [`PerfRollup`], [`StepPerf`]
+//!   and `sprint-core`'s figure drivers;
 //! * [`mod@reference`] — the frozen pre-engine pipeline, kept as the
 //!   oracle that the engine's state reuse is proven bit-identical
 //!   against.
@@ -87,6 +90,7 @@
 mod architecture_contract {}
 
 mod config;
+pub mod cost;
 mod decode;
 mod engine;
 mod error;

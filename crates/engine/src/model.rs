@@ -11,10 +11,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use sprint_energy::{Category, EnergyBreakdown};
+use sprint_energy::EnergyBreakdown;
 use sprint_reram::ThresholdSpec;
 use sprint_workloads::{ModelConfig, TaskScore, TraceSpec};
 
+use crate::cost::{query_cycles, worst_corelet_load, OpCounts};
 use crate::{derive_head_seed, ExecutionMode, HeadResponse, SprintConfig, SprintError};
 
 /// Salt mixed into the base seed for trace synthesis (distinct from
@@ -24,51 +25,6 @@ use crate::{derive_head_seed, ExecutionMode, HeadResponse, SprintConfig, SprintE
 pub(crate) const TRACE_SALT: u64 = 0x7ace;
 /// Salt mixed into the base seed for proxy-task construction.
 const TASK_SALT: u64 = 0x7a51;
-
-/// Command-bus occupancy of the thresholding handshake per query
-/// (mirrors the counting simulator's floor; the handshake overlaps the
-/// previous query's compute, so only bus occupancy can bound it).
-/// Shared with the per-step decode accounting.
-pub(crate) const THRESHOLD_ISSUE_CYCLES: u64 = 4;
-
-/// The (QK-PU, V-PU, softmax) operation counts of a pipeline stage
-/// under `mode`: `dense` where the stage runs over everything, `kept`
-/// where it touches only survivors (the Fig. 9 pipelines). The single
-/// source of truth shared by the per-head roll-up
-/// ([`PerfRollup::from_response`], which passes head totals) and the
-/// per-step decode accounting (which passes one query's counts) — when
-/// touching it, the profile-driven simulator in `sprint-core::counting`
-/// must stay in step too.
-pub(crate) fn onchip_op_counts(mode: ExecutionMode, dense: u64, kept: u64) -> (u64, u64, u64) {
-    match mode {
-        // Full dense QK; Dense keeps everything downstream too.
-        ExecutionMode::Dense => (dense, dense, dense),
-        ExecutionMode::Oracle => (dense, kept, kept),
-        // Recompute touches only the survivors.
-        ExecutionMode::Sprint => (kept, kept, kept),
-        // Approximate scores skip the QK-PU entirely.
-        ExecutionMode::NoRecompute => (0, kept, kept),
-    }
-}
-
-/// One query's compute cycles under token interleaving: `n` live keys,
-/// `worst` the worst-CORELET kept count, `cpt` cycles per tile.
-/// Shared by [`PerfRollup::from_response`] and the decode-step
-/// accounting for the same reason as [`onchip_op_counts`].
-pub(crate) fn per_query_compute_cycles(
-    mode: ExecutionMode,
-    n: usize,
-    worst: u64,
-    corelets: usize,
-    cpt: u64,
-) -> u64 {
-    match mode {
-        ExecutionMode::Dense => 3 * (n.div_ceil(corelets) as u64) * cpt,
-        ExecutionMode::Oracle => (n.div_ceil(corelets) as u64 + 2 * worst) * cpt,
-        ExecutionMode::Sprint => 3 * worst * cpt,
-        ExecutionMode::NoRecompute => 2 * worst * cpt,
-    }
-}
 
 /// The layers × heads shape of one served model.
 ///
@@ -472,11 +428,9 @@ impl PerfRollup {
     /// padded length; `mode` must be the mode the head actually ran
     /// under.
     ///
-    /// This is the execution-grounded sibling of the profile-driven
-    /// counting simulator in `sprint-core::counting` (which predicts
-    /// from synthetic kept-set profiles and owns the figure drivers).
-    /// They share the Table II methodology by design — when touching
-    /// unit charges or the latency model, keep both in step.
+    /// This is the execution-grounded producer for [`crate::cost`]; the
+    /// profile-driven one (synthetic kept sets, the figure drivers) is
+    /// `sprint-core::counting`.
     pub fn from_response(
         mode: ExecutionMode,
         config: &SprintConfig,
@@ -485,62 +439,37 @@ impl PerfRollup {
         live: usize,
         response: &HeadResponse,
     ) -> PerfRollup {
-        let u = &config.energies;
         let d_bits = (head_dim * 8) as u64;
         let cpt = head_dim.div_ceil(config.head_dim.max(1)) as u64;
         let cpp = config.cycles_per_pair();
         let corelets = config.corelets.max(1);
 
         let live_q = live.min(response.decisions.len());
-        let kept_scores: u64 = response.decisions[..live_q]
-            .iter()
-            .map(|d| d.kept_count() as u64)
-            .sum();
+        let decisions = &response.decisions[..live_q];
+        let kept_scores: u64 = decisions.iter().map(|d| d.kept_count() as u64).sum();
 
-        let mut energy = EnergyBreakdown::new();
-        // Embeddings written to ReRAM once per head (Q, K, V).
-        energy.charge(
-            Category::ReramWrite,
-            u.reram_write_bits(3 * seq_len as u64 * d_bits),
-        );
-        // Data movement: what the controller actually fetched, plus
-        // the streamed query vectors.
-        let read_bits = response.memory_stats.bytes_fetched * 8 + live as u64 * d_bits;
-        energy.charge(Category::ReramRead, u.reram_read_bits(read_bits));
+        let mut counts = OpCounts {
+            // Embeddings written to ReRAM once per head (Q, K, V).
+            reram_write_bits: 3 * seq_len as u64 * d_bits,
+            // Data movement: what the controller actually fetched, plus
+            // the streamed query vectors.
+            reram_read_bits: response.memory_stats.bytes_fetched * 8 + live as u64 * d_bits,
+            onchip_write_bits: response.memory_stats.fetched_vectors * d_bits,
+            // On-chip compute: which units run depends on the pipeline
+            // (head totals: live×live dense pairs vs. summed kept scores).
+            ..OpCounts::on_chip(mode, (live * live) as u64, kept_scores, cpt, d_bits)
+        };
         // In-ReRAM pruning: the pruner's own operation counters plus
-        // the CopyQ/ReadP command payloads (analog modes only; the
-        // counters are zero otherwise).
+        // the CopyQ/ReadP command payloads (analog modes only; a head
+        // demoted before its first query charges none of them).
         let p = &response.prune_stats;
         if p.queries_pruned > 0 {
-            let copyq_bits = live as u64 * (head_dim as u64 * 4);
-            let readp_bits = (live * live) as u64 / 8;
-            energy.charge(
-                Category::InReramPruning,
-                u.in_memory_computation * p.in_memory_ops
-                    + u.analog_comparator * p.comparator_firings as f64
-                    + u.reram_read_bits(copyq_bits + readp_bits),
-            );
+            counts.in_memory_ops = p.in_memory_ops;
+            counts.comparator_firings = p.comparator_firings;
+            counts.command_bits = live as u64 * (head_dim as u64 * 4) + (live * live) as u64 / 8;
         }
-        // On-chip compute: which units run depends on the pipeline
-        // (head totals: live×live dense pairs vs. summed kept scores).
-        let (qk_dots, vpu_dots, softmax_ops) =
-            onchip_op_counts(mode, (live * live) as u64, kept_scores);
-        energy.charge(Category::QkPu, u.qk_pu_dot_product * (qk_dots * cpt));
-        energy.charge(Category::VPu, u.qk_pu_dot_product * (vpu_dots * cpt));
-        energy.charge(Category::Softmax, u.softmax * softmax_ops);
-        energy.charge(
-            Category::OnChipRead,
-            u.buffer_access_bits((qk_dots + vpu_dots) * d_bits),
-        );
-        energy.charge(
-            Category::OnChipWrite,
-            u.buffer_access_bits(response.memory_stats.fetched_vectors * d_bits),
-        );
 
-        // Latency: per-query worst-CORELET compute under token
-        // interleaving, overlapped with the (query-averaged) memory
-        // stream; analog modes never drop below the handshake's bus
-        // occupancy.
+        // Latency: the memory stream is query-averaged.
         let mean_fetch = if live_q > 0 {
             response
                 .memory_stats
@@ -550,29 +479,19 @@ impl PerfRollup {
             0
         };
         let mem = (mean_fetch as f64 * cpp).ceil() as u64;
-        let mut cycles = 0u64;
-        let mut per_corelet = vec![0u64; corelets];
-        for d in response.decisions[..live_q].iter() {
-            per_corelet.fill(0);
-            for (j, &pruned) in d.as_slice().iter().enumerate() {
-                if !pruned {
-                    per_corelet[j % corelets] += 1;
-                }
-            }
-            let worst = per_corelet.iter().copied().max().unwrap_or(0);
-            let compute = per_query_compute_cycles(mode, live, worst, corelets, cpt);
-            let floor = if mode.uses_in_memory_pruning() {
-                THRESHOLD_ISSUE_CYCLES
-            } else {
-                0
-            };
-            cycles += compute.max(mem).max(floor);
-        }
+        let mut loads = vec![0u64; corelets];
+        let cycles = decisions
+            .iter()
+            .map(|d| {
+                let worst = worst_corelet_load(d.iter_kept(), &mut loads);
+                query_cycles(mode, live, worst, corelets, cpt, mem)
+            })
+            .sum();
 
         PerfRollup {
             heads: 1,
             cycles,
-            energy,
+            energy: counts.energy(&config.energies),
             fetched_vectors: response.memory_stats.fetched_vectors,
             reused_vectors: response.memory_stats.reused_vectors,
             bytes_fetched: response.memory_stats.bytes_fetched,

@@ -11,11 +11,12 @@
 //!
 //! The digital modes ([`crate::ExecutionMode::Dense`] /
 //! [`crate::ExecutionMode::Oracle`]) reproduce the pre-engine accuracy
-//! drivers: a direct `pruned_attention` call with `f32::MIN` or the
+//! drivers: a direct `pruned_attention_with` call with `f32::MIN` or the
 //! learned threshold respectively.
 
 use sprint_attention::{
-    pruned_attention, quantized_attention, softmax_inplace, Matrix, PruneDecision, Workspace,
+    pruned_attention_with, quantized_attention_with, softmax_inplace, Matrix, PruneDecision,
+    Workspace,
 };
 use sprint_memory::MemoryController;
 use sprint_reram::{InMemoryPruner, NoiseModel, ThresholdSpec};
@@ -57,8 +58,15 @@ pub fn run_head_frozen(
                 _ => request.threshold(),
             };
             let padding = request.padding();
-            let (out, decisions) =
-                pruned_attention(q, k, v, &request.config(), threshold, padding.as_ref())?;
+            let (out, decisions) = pruned_attention_with(
+                q,
+                k,
+                v,
+                &request.config(),
+                threshold,
+                padding.as_ref(),
+                &mut Workspace::new(),
+            )?;
             let mut memory_stats = sprint_memory::MemoryStats::default();
             if live_q > 0 && live_k > 0 {
                 let mut controller =
@@ -130,7 +138,15 @@ pub fn run_head_frozen(
             let output = if recompute {
                 // On-chip recompute: full-precision (8-bit datapath)
                 // scores for every surviving key.
-                quantized_attention(q, k, v, &request.config(), Some(&decisions))?.output
+                quantized_attention_with(
+                    q,
+                    k,
+                    v,
+                    &request.config(),
+                    Some(&decisions),
+                    &mut Workspace::new(),
+                )?
+                .output
             } else {
                 // No recompute: the approximate in-memory scores drive
                 // the softmax and weighted sum directly. The workspace

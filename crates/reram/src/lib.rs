@@ -45,5 +45,7 @@ pub use crossbar::CrossbarArray;
 pub use error::ReramError;
 pub use fault::{CellFault, FaultMap, FaultModel, FaultSite, ProgramOutcome, RepairOutcome};
 pub use noise::NoiseModel;
-pub use pruner::{InMemoryPruner, PruneHardwareStats, PruneOutcome, ThresholdSpec};
+pub use pruner::{
+    InMemoryPruner, PruneHardwareStats, PruneOutcome, ThresholdSpec, ARRAY_COLS, ARRAY_ROWS,
+};
 pub use transposable::{AccessMode, TransposableArray};

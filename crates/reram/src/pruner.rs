@@ -34,9 +34,9 @@ use crate::{
 };
 
 /// Columns per transposable array (Table I: 64 × 128).
-const ARRAY_COLS: usize = 128;
+pub const ARRAY_COLS: usize = 128;
 /// Wordlines per transposable array (Table I).
-const ARRAY_ROWS: usize = 64;
+pub const ARRAY_ROWS: usize = 64;
 
 /// How the analog score is compared against the threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

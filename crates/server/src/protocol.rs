@@ -84,7 +84,9 @@ fn model_field(body: &Json) -> Result<(&str, ModelConfig), String> {
     Ok((model, config))
 }
 
-/// An optional shape field: a non-negative integer of at most `max`.
+/// An optional shape field: an integer in `1..=max`. Zero is refused
+/// here, at the door: a zero-sized grid is the client's mistake, and
+/// past this point it would fail a whole engine batch.
 fn bounded_field(body: &Json, key: &str, max: usize) -> Result<Option<usize>, String> {
     let Some(value) = body.get(key) else {
         return Ok(None);
@@ -93,6 +95,7 @@ fn bounded_field(body: &Json, key: &str, max: usize) -> Result<Option<usize>, St
         .as_u64()
         .ok_or_else(|| format!("'{key}' must be a non-negative integer"))?;
     match usize::try_from(n) {
+        Ok(0) => Err(format!("'{key}' must be at least 1")),
         Ok(n) if n <= max => Ok(Some(n)),
         _ => Err(format!("'{key}' {n} exceeds the limit of {max}")),
     }
@@ -284,6 +287,18 @@ mod tests {
             (r#"{"model":"synth1","seq_len":4097}"#, "'seq_len' 4097"),
             (r#"{"model":"synth1","layers":65}"#, "'layers' 65"),
             (r#"{"model":"synth1","heads":1e3}"#, "'heads'"),
+            (
+                r#"{"model":"synth1","heads":0}"#,
+                "'heads' must be at least 1",
+            ),
+            (
+                r#"{"model":"synth1","layers":0}"#,
+                "'layers' must be at least 1",
+            ),
+            (
+                r#"{"model":"synth1","seq_len":0}"#,
+                "'seq_len' must be at least 1",
+            ),
         ] {
             let err = ServeRequest::parse(&Json::parse(body).unwrap()).unwrap_err();
             assert!(err.contains(needle), "{body}: {err}");
@@ -295,7 +310,11 @@ mod tests {
             (r#"{"model":"synth1","seed":"abc"}"#, "'seed'"),
             (r#"{"model":"synth1","seq_len":4097}"#, "'seq_len' 4097"),
             (r#"{"model":"synth1","seq_len":8,"prefill":8}"#, "prefill 8"),
-            (r#"{"model":"synth1","seq_len":8,"prefill":0}"#, "prefill 0"),
+            (
+                r#"{"model":"synth1","seq_len":8,"prefill":0}"#,
+                "'prefill' must be at least 1",
+            ),
+            (r#"{"model":"synth1","seq_len":1}"#, "prefill 0"),
         ] {
             let err = DecodeOpen::parse(&Json::parse(body).unwrap()).unwrap_err();
             assert!(err.contains(needle), "{body}: {err}");

@@ -69,9 +69,10 @@ pub struct TaskScore {
 /// assert!((score.accuracy - task.baseline_accuracy()).abs() < 0.12);
 ///
 /// fn trace_dense_output(trace: &sprint_workloads::HeadTrace) -> sprint_attention::Matrix {
-///     let (out, _) = sprint_attention::pruned_attention(
+///     let (out, _) = sprint_attention::pruned_attention_with(
 ///         trace.q(), trace.k(), trace.v(), &trace.config(),
 ///         f32::MIN, Some(&trace.padding()),
+///         &mut sprint_attention::Workspace::new(),
 ///     ).unwrap();
 ///     out.output
 /// }
@@ -128,13 +129,14 @@ impl ProxyTask {
         model: &crate::ModelConfig,
         seed: u64,
     ) -> Result<Self, AttentionError> {
-        let (dense, _) = sprint_attention::pruned_attention(
+        let (dense, _) = sprint_attention::pruned_attention_with(
             trace.q(),
             trace.k(),
             trace.v(),
             &trace.config(),
             f32::MIN,
             Some(&trace.padding()),
+            &mut sprint_attention::Workspace::new(),
         )?;
         let live = trace.live_tokens();
         let dims = trace.v().cols();
@@ -324,13 +326,14 @@ mod tests {
     }
 
     fn dense_output(trace: &crate::HeadTrace) -> Matrix {
-        sprint_attention::pruned_attention(
+        sprint_attention::pruned_attention_with(
             trace.q(),
             trace.k(),
             trace.v(),
             &trace.config(),
             f32::MIN,
             Some(&trace.padding()),
+            &mut sprint_attention::Workspace::new(),
         )
         .unwrap()
         .0
@@ -377,13 +380,14 @@ mod tests {
             let spec = model.trace_spec().with_seq_len(128);
             let trace = TraceGenerator::new(seed).generate(&spec).unwrap();
             let task = ProxyTask::new(&trace, &model, 13).unwrap();
-            let (pruned, _) = sprint_attention::pruned_attention(
+            let (pruned, _) = sprint_attention::pruned_attention_with(
                 trace.q(),
                 trace.k(),
                 trace.v(),
                 &trace.config(),
                 trace.threshold(),
                 Some(&trace.padding()),
+                &mut sprint_attention::Workspace::new(),
             )
             .unwrap();
             let score = task.evaluate(&pruned.output).unwrap();

@@ -1,7 +1,9 @@
 //! Cross-crate integration: the full functional pipeline against the
 //! analytical reference implementations.
 
-use sprint_attention::{mean_abs_error, prune_set_overlap, pruned_attention, PruneDecision};
+use sprint_attention::{
+    mean_abs_error, prune_set_overlap, pruned_attention_with, PruneDecision, Workspace,
+};
 use sprint_core::SprintConfig;
 use sprint_engine::{
     Engine, ExecutionMode, HeadRequest, HeadResponse, ModelProfile, ModelRequest, ModelResponse,
@@ -71,13 +73,14 @@ fn margin_protects_reference_kept_set_across_the_stack() {
 fn sprint_system_output_matches_runtime_pruning_reference() {
     let trace = bert_trace(96, 32);
     let out = run_sprint(SprintConfig::medium(), NoiseModel::default(), 5, &trace);
-    let (reference, _) = pruned_attention(
+    let (reference, _) = pruned_attention_with(
         trace.q(),
         trace.k(),
         trace.v(),
         &trace.config(),
         trace.threshold(),
         Some(&trace.padding()),
+        &mut Workspace::new(),
     )
     .unwrap();
     let mae = mean_abs_error(&out.output, &reference.output).unwrap();

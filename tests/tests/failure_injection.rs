@@ -118,12 +118,13 @@ fn fully_pruned_queries_flow_through_the_whole_stack() {
     let decisions: Vec<_> = (0..24)
         .map(|_| sprint_attention::PruneDecision::new(vec![true; 24]))
         .collect();
-    let result = sprint_attention::quantized_attention(
+    let result = sprint_attention::quantized_attention_with(
         trace.q(),
         trace.k(),
         trace.v(),
         &trace.config(),
         Some(&decisions),
+        &mut sprint_attention::Workspace::new(),
     )
     .unwrap();
     for i in 0..24 {

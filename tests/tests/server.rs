@@ -576,6 +576,19 @@ fn malformed_bodies_get_400_not_a_hang() {
             "'seq_len'",
         ),
         ("/v1/serve", r#"{"model":"synth1","heads":65}"#, "'heads'"),
+        // A zero-sized grid is the client's mistake too: admitted, it
+        // failed its whole engine batch and came back 500.
+        ("/v1/serve", r#"{"model":"vit_base","heads":0}"#, "'heads'"),
+        (
+            "/v1/serve",
+            r#"{"model":"vit_base","layers":0}"#,
+            "'layers'",
+        ),
+        (
+            "/v1/serve",
+            r#"{"model":"vit_base","seq_len":0}"#,
+            "'seq_len'",
+        ),
         // A decode open answers the same mistakes the same way instead
         // of silently falling back to its defaults.
         (
@@ -611,6 +624,11 @@ fn malformed_bodies_get_400_not_a_hang() {
     }
     let health = client.get("/health").expect("the server survived");
     assert_eq!(health.status, 200);
+    let metrics = client.get("/metrics").unwrap().body_str();
+    assert!(
+        metrics.contains("\nsprint_requests_admitted_total 0\n"),
+        "a refused body is never admitted:\n{metrics}"
+    );
     let response = client
         .post_json("/v1/decode", r#"{"action":"step","session":999}"#)
         .unwrap();

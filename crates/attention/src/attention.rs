@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::simd::{self, SimdTier};
+use crate::simd;
 use crate::softmax::softmax_inplace_tier;
 use crate::{quantize_matrix, AttentionError, Matrix, PruneDecision, SoftmaxLut, Workspace};
 
@@ -461,12 +461,11 @@ pub struct QuantizedAttentionOutput {
 /// full dense computation is performed in quantized arithmetic (the
 /// iso-precision baseline accelerator).
 ///
-/// Fused like the float path: integer score rows are written once,
-/// probabilities go straight into the probability matrix via
-/// [`SoftmaxLut::probabilities_into`], and the V-PU accumulates each
-/// output row in the workspace's integer accumulator — probabilities
-/// are encoded once per key instead of once per key *per output
-/// column*, and pruned keys are skipped entirely.
+/// Every stage walks one ascending list of kept keys per query row
+/// (`None` is the list `0..s_k`): the QK-PU dot, the head-wide softmax
+/// range, the two-LUT softmax and the V-PU accumulate all cost what
+/// survived. `scores` and `probs` are still returned whole, `-inf` and
+/// `0.0` at pruned positions.
 ///
 /// # Errors
 ///
@@ -484,6 +483,8 @@ pub fn quantized_attention_with(
     let tier = ws.simd_tier();
     let (s_q, s_k) = (q.rows(), k.rows());
     validate_decisions(s_q, s_k, decisions)?;
+    let mut kept = std::mem::take(&mut ws.kept);
+    kept.fill(s_k, decisions)?;
 
     // 8-bit quantization of the operand matrices (per-tensor symmetric).
     let qq = quantize_matrix(q, 8)?;
@@ -491,50 +492,42 @@ pub fn quantized_attention_with(
     let qv = quantize_matrix(v, 8)?;
     let score_lsb = qq.params().step() * qk.params().step() * cfg.scale();
 
-    let mut scores = ws.zeroed_matrix(s_q, s_k)?;
-    for i in 0..s_q {
-        // Integer MAC: i8 x i8 accumulated in i32 (the QK-PU).
-        quantized_score_row_into(
-            tier,
-            qq.code_row(i),
-            &qk,
-            |j| decisions.map_or(true, |ds| ds[i].is_kept(j)),
-            score_lsb,
-            scores.row_mut(i),
-        );
-    }
-
-    // Softmax with 12-bit inputs via the two-LUT unit. The range is the
-    // largest finite score offset seen in this head.
+    // Integer MAC: i8 x i8 accumulated in i32 (the QK-PU). The softmax
+    // range is the largest finite score offset seen in this head.
+    let mut scores = ws.filled_matrix(s_q, s_k, f32::NEG_INFINITY)?;
     let mut max_offset = 1.0f32;
     for i in 0..s_q {
-        let row = scores.row(i);
-        let max = simd::row_max(tier, row);
-        if max == f32::NEG_INFINITY {
-            continue;
-        }
-        for &s in row {
-            if s != f32::NEG_INFINITY {
-                max_offset = max_offset.max(max - s);
-            }
-        }
-    }
-    let unit = SoftmaxLut::new(max_offset.max(1e-3))?;
-    let mut probs = ws.zeroed_matrix(s_q, s_k)?;
-    for i in 0..s_q {
-        unit.probabilities_into(scores.row(i), probs.row_mut(i))?;
+        let q_codes = qq.code_row(i);
+        max_offset = max_offset.max(quantized_score_row_into(
+            kept.row(i),
+            |j| simd::idot(tier, q_codes, qk.code_row(j)),
+            score_lsb,
+            scores.row_mut(i),
+        ));
     }
 
-    // V-PU: 8-bit probabilities x 8-bit values, accumulated per output
-    // row in i32 and clamped to 16 bits at the end (same arithmetic as
-    // the per-element form, one probability encode per key).
+    // Softmax with 12-bit inputs via the two-LUT unit, then the V-PU:
+    // 8-bit probabilities x 8-bit values, accumulated per output row
+    // in i32 and clamped to 16 bits at the end.
+    let unit = SoftmaxLut::new(max_offset.max(1e-3))?;
+    let mut probs = ws.zeroed_matrix(s_q, s_k)?;
     let d_v = v.cols();
     let out_lsb = qv.params().step() / 255.0;
     let mut output = ws.zeroed_matrix(s_q, d_v)?;
     let acc = ws.acc_row(d_v);
     for i in 0..s_q {
-        vpu_row_into(tier, probs.row(i), &qv, out_lsb, acc, output.row_mut(i));
+        softmax_vpu_row_into(
+            &unit,
+            kept.row(i),
+            scores.row(i),
+            probs.row_mut(i),
+            |acc, p_code, j| simd::vpu_accumulate(tier, acc, p_code, qv.code_row(j)),
+            out_lsb,
+            acc,
+            output.row_mut(i),
+        );
     }
+    ws.kept = kept;
 
     Ok(QuantizedAttentionOutput {
         scores,
@@ -543,53 +536,69 @@ pub fn quantized_attention_with(
     })
 }
 
-/// Integer dot product (the QK-PU's i8 × i8 → i32 MAC chain). Shared
-/// with the single-query decode kernel so both paths MAC identically.
+/// Integer dot product (the QK-PU's i8 × i8 → i32 MAC chain), the
+/// scalar tier of [`simd::idot`].
 #[inline]
 pub(crate) fn idot(a: &[i32], b: &[i32]) -> i32 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
-/// One query's QK-PU score row: kept keys get the dequantized integer
-/// MAC, pruned keys `-inf`. The single code-level core shared by the
-/// batch kernel and the single-query decode kernel, so their
-/// bit-identical contract holds by construction, not just by test.
+/// One query's QK-PU score row over its kept keys: `srow[j]` gets the
+/// dequantized integer MAC `dot(j)`, every other position stays as the
+/// caller filled it (`-inf`). Returns the row's largest finite score
+/// offset `max − s` (0 for a row with no finite score), which the
+/// caller folds into the softmax range. With
+/// [`softmax_vpu_row_into`], the code-level row core the batch kernel
+/// and the single-query decode kernel share, so their bit-identical
+/// contract holds by construction, not just by test.
 pub(crate) fn quantized_score_row_into(
-    tier: SimdTier,
-    q_codes: &[i32],
-    qk: &crate::QuantizedMatrix,
-    kept: impl Fn(usize) -> bool,
+    kept: &[u32],
+    dot: impl Fn(usize) -> i32,
     score_lsb: f32,
     srow: &mut [f32],
-) {
-    for (j, slot) in srow.iter_mut().enumerate() {
-        *slot = if kept(j) {
-            simd::idot(tier, q_codes, qk.code_row(j)) as f32 * score_lsb
-        } else {
-            f32::NEG_INFINITY
-        };
+) -> f32 {
+    let mut max = f32::NEG_INFINITY;
+    for &j in kept {
+        let score = dot(j as usize) as f32 * score_lsb;
+        srow[j as usize] = score;
+        max = max.max(score);
     }
+    let mut offset = 0.0f32;
+    if max != f32::NEG_INFINITY {
+        for &j in kept {
+            let score = srow[j as usize];
+            if score != f32::NEG_INFINITY {
+                offset = offset.max(max - score);
+            }
+        }
+    }
+    offset
 }
 
-/// The V-PU accumulation of one probability row over quantized values:
-/// 8-bit probability codes × 8-bit value codes accumulated in `i32`,
-/// clamped to 16 bits and dequantized into `out_row`. Shared by the
-/// batch and decode kernels like [`quantized_score_row_into`].
-pub(crate) fn vpu_row_into(
-    tier: SimdTier,
-    probs_row: &[f32],
-    qv: &crate::QuantizedMatrix,
+/// One query's two-LUT softmax and V-PU accumulation over its kept
+/// keys: 8-bit probabilities into `prow` (zero elsewhere, as the caller
+/// zeroed it), then 8-bit probability codes × 8-bit value codes —
+/// `accumulate(acc, p_code, j)` adds key `j`'s value row — summed in
+/// `i32`, clamped to 16 bits and dequantized into `out_row`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn softmax_vpu_row_into(
+    unit: &SoftmaxLut,
+    kept: &[u32],
+    srow: &[f32],
+    prow: &mut [f32],
+    mut accumulate: impl FnMut(&mut [i32], i32, usize),
     out_lsb: f32,
     acc: &mut [i32],
     out_row: &mut [f32],
 ) {
+    let keys = kept.iter().map(|&j| j as usize);
+    unit.probabilities_over(srow, prow, keys.clone());
     acc.fill(0);
-    for (j, &p) in probs_row.iter().enumerate() {
-        let p_code = (p * 255.0).round() as i32;
-        if p_code == 0 {
-            continue;
+    for j in keys {
+        let p_code = (prow[j] * 255.0).round() as i32;
+        if p_code != 0 {
+            accumulate(acc, p_code, j);
         }
-        simd::vpu_accumulate(tier, acc, p_code, qv.code_row(j));
     }
     for (slot, &a) in out_row.iter_mut().zip(acc.iter()) {
         // Final attention value kept in 16 bits.

@@ -23,7 +23,9 @@
 //! eviction safe: a rehydrated cache rebuilt from the same rows is the
 //! same cache, bit for bit.
 
-use crate::attention::{check_shapes, DENSE_AV_CROSSOVER};
+use crate::attention::{
+    check_shapes, quantized_score_row_into, softmax_vpu_row_into, DENSE_AV_CROSSOVER,
+};
 use crate::paged::{PageBuffers, PagePool, DEFAULT_PAGE_BYTES};
 use crate::simd;
 use crate::{
@@ -602,62 +604,42 @@ pub fn quantized_attention_decode_with(
         }
     }
 
+    let mut kept = std::mem::take(&mut ws.kept);
+    kept.fill(s_k, decision.map(std::slice::from_ref))?;
+    let kept_row = kept.row(0);
+
     // Per-step 8-bit query quantization; K/V codes come from the
     // cache's pages.
     let qq = quantize_matrix(q, 8)?;
     let score_lsb = qq.params().step() * kv.k_params().step() * cfg.scale();
 
-    // Integer score row (QK-PU MACs over kept keys only) — the same
-    // arithmetic as the batch kernel's score stage, reading each key's
-    // codes from its page.
-    let mut scores = ws.zeroed_matrix(1, s_k)?;
-    {
-        let q_codes = qq.code_row(0);
-        for (j, slot) in scores.row_mut(0).iter_mut().enumerate() {
-            *slot = if decision.map_or(true, |d| d.is_kept(j)) {
-                simd::idot_i8(tier, q_codes, kv.k_code_row(j)) as f32 * score_lsb
-            } else {
-                f32::NEG_INFINITY
-            };
-        }
-    }
-
-    // Two-LUT softmax with the same per-call range rule as the batch
-    // kernel (largest finite score offset in this step's row).
-    let mut max_offset = 1.0f32;
-    let row = scores.row(0);
-    let max = simd::row_max(tier, row);
-    if max != f32::NEG_INFINITY {
-        for &s in row {
-            if s != f32::NEG_INFINITY {
-                max_offset = max_offset.max(max - s);
-            }
-        }
-    }
+    // The batch kernel's row core over this step's single row, each
+    // key's codes read from its page: QK-PU MACs over kept keys, the
+    // same per-call softmax range rule (largest finite score offset),
+    // two-LUT softmax, V-PU.
+    let q_codes = qq.code_row(0);
+    let mut scores = ws.filled_matrix(1, s_k, f32::NEG_INFINITY)?;
+    let max_offset = 1.0f32.max(quantized_score_row_into(
+        kept_row,
+        |j| simd::idot_i8(tier, q_codes, kv.k_code_row(j)),
+        score_lsb,
+        scores.row_mut(0),
+    ));
     let unit = SoftmaxLut::new(max_offset.max(1e-3))?;
     let mut probs = ws.zeroed_matrix(1, s_k)?;
-    unit.probabilities_into(scores.row(0), probs.row_mut(0))?;
-
-    // V-PU: 8-bit probabilities × cached 8-bit values — the batch
-    // kernel's V-PU arithmetic over this step's single row, values
-    // read from page storage.
     let d_v = kv.value_dim();
-    let out_lsb = kv.v_params().step() / 255.0;
     let mut output = vec![0.0f32; d_v];
-    let acc = ws.acc_row(d_v);
-    acc.fill(0);
-    for (j, &p) in probs.row(0).iter().enumerate() {
-        let p_code = (p * 255.0).round() as i32;
-        if p_code == 0 {
-            continue;
-        }
-        simd::vpu_accumulate_i8(tier, acc, p_code, kv.v_code_row(j));
-    }
-    for (slot, &a) in output.iter_mut().zip(acc.iter()) {
-        // Final attention value kept in 16 bits.
-        let acc16 = a.clamp(i32::from(i16::MIN), i32::from(i16::MAX));
-        *slot = acc16 as f32 * out_lsb;
-    }
+    softmax_vpu_row_into(
+        &unit,
+        kept_row,
+        scores.row(0),
+        probs.row_mut(0),
+        |acc, p_code, j| simd::vpu_accumulate_i8(tier, acc, p_code, kv.v_code_row(j)),
+        kv.v_params().step() / 255.0,
+        ws.acc_row(d_v),
+        &mut output,
+    );
+    ws.kept = kept;
     ws.recycle(scores);
     ws.recycle(probs);
     Ok(output)

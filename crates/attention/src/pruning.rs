@@ -143,6 +143,64 @@ impl PruneDecision {
     }
 }
 
+/// Ascending kept-key indices per query row: what the deciding step
+/// hands the recompute kernel, so that every stage of the quantized
+/// datapath visits only surviving keys.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeptLists {
+    indices: Vec<u32>,
+    /// Row `i` is `indices[offsets[i]..offsets[i + 1]]`. Empty when no
+    /// decisions were given: every row then shares the one list
+    /// `0..s_k`.
+    offsets: Vec<usize>,
+}
+
+impl KeptLists {
+    /// Rebuilds the lists for `decisions` over `s_k` keys (each
+    /// decision already validated to cover exactly `s_k`), reusing the
+    /// allocations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AttentionError::InvalidDimension`] when `s_k` does
+    /// not fit the 32-bit indices.
+    pub(crate) fn fill(
+        &mut self,
+        s_k: usize,
+        decisions: Option<&[PruneDecision]>,
+    ) -> Result<(), AttentionError> {
+        let keys = u32::try_from(s_k).map_err(|_| AttentionError::InvalidDimension {
+            name: "keys",
+            value: s_k,
+        })?;
+        self.indices.clear();
+        self.offsets.clear();
+        let Some(decisions) = decisions else {
+            self.indices.extend(0..keys);
+            return Ok(());
+        };
+        self.offsets.push(0);
+        for d in decisions {
+            self.indices.extend(
+                (0..keys)
+                    .zip(d.as_slice())
+                    .filter_map(|(j, &p)| (!p).then_some(j)),
+            );
+            self.offsets.push(self.indices.len());
+        }
+        Ok(())
+    }
+
+    /// The kept keys of query row `i`, ascending.
+    pub(crate) fn row(&self, i: usize) -> &[u32] {
+        if self.offsets.is_empty() {
+            &self.indices
+        } else {
+            &self.indices[self.offsets[i]..self.offsets[i + 1]]
+        }
+    }
+}
+
 /// Aggregate pruning statistics over all queries of a head.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PruningStats {

@@ -351,13 +351,16 @@ pub(crate) fn av_rows(
     }
 }
 
-/// Integer QK-PU dot over `i32` code rows. Bit-identical across tiers.
-pub(crate) fn idot(tier: SimdTier, a: &[i32], b: &[i32]) -> i32 {
+/// Integer QK-PU dot over `i32` code rows (8-bit-range codes, whose
+/// products cannot overflow the `i32` sum). Bit-identical across
+/// tiers. Public for `sprint-reram`'s comparator calibration, which
+/// walks the same codes; a forced [`SimdTier::Avx2`] on a host without
+/// it takes the scalar arm.
+pub fn idot(tier: SimdTier, a: &[i32], b: &[i32]) -> i32 {
     #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx2 {
-        debug_assert!(avx2_available(), "unsanitized Avx2 tier");
-        // SAFETY: Avx2 tiers only exist after `sanitize_tier` confirmed
-        // AVX2+FMA; memory accesses are slice-bounded.
+    if tier == SimdTier::Avx2 && avx2_available() {
+        // SAFETY: AVX2+FMA were just confirmed; memory accesses are
+        // slice-bounded.
         return unsafe { avx2::idot(a, b) };
     }
     let _ = tier;

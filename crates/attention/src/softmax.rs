@@ -254,30 +254,45 @@ impl SoftmaxLut {
                 right: (out.len(), 1),
             });
         }
-        let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        if max == f32::NEG_INFINITY {
-            out.fill(0.0);
-            return Ok(());
-        }
+        self.probabilities_over(scores, out, 0..scores.len());
+        Ok(())
+    }
+
+    /// The unit over the positions `keys` yields, in that order; every
+    /// other position of `out` is left as it is. A `-inf` score adds
+    /// exactly `0.0` to the FIFO sum and divides to `0.0`, so walking
+    /// only a row's kept keys over a zeroed `out` is the same
+    /// arithmetic, bit for bit, as walking the whole row.
+    pub(crate) fn probabilities_over(
+        &self,
+        scores: &[f32],
+        out: &mut [f32],
+        keys: impl Iterator<Item = usize> + Clone,
+    ) {
+        let max = keys
+            .clone()
+            .map(|j| scores[j])
+            .fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
-        for (slot, &s) in out.iter_mut().zip(scores) {
-            let e = if s == f32::NEG_INFINITY {
-                0.0
-            } else {
-                self.exp_neg(max - s)
-            };
-            *slot = e;
-            sum += e;
+        if max != f32::NEG_INFINITY {
+            for j in keys.clone() {
+                let e = if scores[j] == f32::NEG_INFINITY {
+                    0.0
+                } else {
+                    self.exp_neg(max - scores[j])
+                };
+                out[j] = e;
+                sum += e;
+            }
         }
         if sum == 0.0 {
-            out.fill(0.0);
-            return Ok(());
+            keys.for_each(|j| out[j] = 0.0);
+            return;
         }
         // The divider output is an 8-bit probability.
-        for slot in out.iter_mut() {
-            *slot = (*slot / sum * 255.0).round() / 255.0;
+        for j in keys {
+            out[j] = (out[j] / sum * 255.0).round() / 255.0;
         }
-        Ok(())
     }
 }
 

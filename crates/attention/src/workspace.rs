@@ -42,6 +42,9 @@
 pub struct Workspace {
     prob_row: Vec<f32>,
     acc_row: Vec<i32>,
+    /// The quantized kernels' kept-key lists (taken for the length of
+    /// a call, put back on success).
+    pub(crate) kept: crate::pruning::KeptLists,
     pool: Vec<Vec<f32>>,
     tier: crate::SimdTier,
 }
@@ -51,6 +54,7 @@ impl Default for Workspace {
         Workspace {
             prob_row: Vec::new(),
             acc_row: Vec::new(),
+            kept: Default::default(),
             pool: Vec::new(),
             tier: crate::active_tier(),
         }
@@ -82,8 +86,7 @@ impl Workspace {
         Workspace {
             prob_row: vec![0.0; s_k],
             acc_row: vec![0; d_v],
-            pool: Vec::new(),
-            tier: crate::active_tier(),
+            ..Workspace::default()
         }
     }
 
@@ -149,6 +152,20 @@ impl Workspace {
         rows: usize,
         cols: usize,
     ) -> Result<crate::Matrix, crate::AttentionError> {
+        self.filled_matrix(rows, cols, 0.0)
+    }
+
+    /// [`Workspace::zeroed_matrix`] with every entry set to `value`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Workspace::zeroed_matrix`].
+    pub(crate) fn filled_matrix(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        value: f32,
+    ) -> Result<crate::Matrix, crate::AttentionError> {
         let n = rows * cols;
         // On a miss, allocate fresh rather than consuming (and
         // reallocating) a pooled buffer that is too small — mixed-size
@@ -158,7 +175,7 @@ impl Workspace {
             None => Vec::new(),
         };
         buf.clear();
-        buf.resize(n, 0.0);
+        buf.resize(n, value);
         crate::Matrix::from_vec(rows, cols, buf)
     }
 

@@ -11,8 +11,9 @@ use sprint_attention::reference::{
     dense_attention_naive, pruned_attention_naive, quantized_attention_naive,
 };
 use sprint_attention::{
-    dense_attention_with, pruned_attention_with, quantized_attention_with, AttentionConfig, Matrix,
-    PaddingMask, PruneDecision, Workspace,
+    dense_attention_with, pruned_attention_with, quantized_attention_decode_with,
+    quantized_attention_with, AttentionConfig, KvCache, Matrix, PaddingMask, PruneDecision,
+    Workspace,
 };
 
 /// Deterministic pseudo-random matrix from a seed (splitmix-style).
@@ -46,8 +47,76 @@ fn assert_close(a: &Matrix, b: &Matrix, tol: f32, what: &str) {
     }
 }
 
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// One decision per query, cycling through the row shapes the kept-key
+/// walk must get right: nothing kept, one key kept, every key kept,
+/// keys kept only at and beyond `live`, and a seeded scatter.
+fn mixed_decisions(s_q: usize, s_k: usize, live: usize, seed: u64) -> Vec<PruneDecision> {
+    let scatter = random_matrix(s_q, s_k, seed ^ 0xdec1, 2.0);
+    (0..s_q)
+        .map(|i| {
+            let pruned = (0..s_k)
+                .map(|j| match i % 5 {
+                    0 => true,
+                    1 => j != (i * 7 + seed as usize) % s_k,
+                    2 => false,
+                    3 => j < live,
+                    _ => scatter.get(i, j) < 0.4,
+                })
+                .collect();
+            PruneDecision::new(pruned)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn prop_quantized_kept_walk_matches_naive_bit_for_bit(
+        s_q in 1usize..14,
+        s_k in 1usize..18,
+        d in 1usize..12,
+        live_share in 0usize..5,
+        dense in proptest::bool::ANY,
+        seed in 0u64..400,
+    ) {
+        let q = random_matrix(s_q, d, seed, 2.0);
+        let k = random_matrix(s_k, d, seed ^ 1, 2.0);
+        let v = random_matrix(s_k, d, seed ^ 2, 1.0);
+        let cfg = AttentionConfig::new(d);
+        let mixed = mixed_decisions(s_q, s_k, s_k * live_share / 4, seed);
+        let decisions = (!dense).then_some(mixed.as_slice());
+        let mut ws = Workspace::new();
+        let fused = quantized_attention_with(&q, &k, &v, &cfg, decisions, &mut ws).unwrap();
+        let naive = quantized_attention_naive(&q, &k, &v, &cfg, decisions).unwrap();
+        // Pruned positions are filled, not computed: -inf scores and
+        // +0.0 probabilities, the sign included.
+        prop_assert_eq!(bits(&fused.scores), bits(&naive.scores));
+        prop_assert_eq!(bits(&fused.probs), bits(&naive.probs));
+        prop_assert_eq!(bits(&fused.output), bits(&naive.output));
+
+        // The single-query kernel against the batch kernel over the
+        // same one-row Q (the softmax range is per call), row by row,
+        // through the workspace the batch call just used.
+        let kv = KvCache::new(&k, &v).unwrap();
+        for i in 0..s_q {
+            let q1 = Matrix::from_vec(1, d, q.row(i).to_vec()).unwrap();
+            let decision = decisions.map(|ds| &ds[i]);
+            let step = quantized_attention_decode_with(&q1, &kv, &cfg, decision, &mut ws).unwrap();
+            let batch = quantized_attention_with(
+                &q1, &k, &v, &cfg, decision.map(std::slice::from_ref), &mut ws,
+            ).unwrap();
+            prop_assert_eq!(
+                step.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                bits(&batch.output),
+                "row {}", i
+            );
+        }
+    }
 
     #[test]
     fn prop_dense_fused_matches_naive(

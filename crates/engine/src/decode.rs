@@ -684,28 +684,34 @@ impl DecodeSession {
         let (output, decision, prune_stats) = if analog && !self.demoted {
             let pruner = self.pruner.as_mut().expect("pruner installed above");
             let before = pruner.stats();
-            let outcome = pruner.prune_query(step.q, self.threshold, &self.spec)?;
-            let delta = pruner.stats().delta_since(&before);
-            let decision = outcome.decision;
-            let output = if self.mode == ExecutionMode::Sprint {
-                quantized_attention_decode_with(
+            let mut pruned = vec![false; s];
+            let (output, decision) = if self.mode == ExecutionMode::Sprint {
+                pruner.prune_query_into(step.q, self.threshold, &self.spec, &mut pruned, None)?;
+                let decision = PruneDecision::new(pruned);
+                let output = quantized_attention_decode_with(
                     q1,
                     &self.kv,
                     &self.attn,
                     Some(&decision),
                     &mut self.ws,
-                )?
+                )?;
+                (output, decision)
             } else {
                 // No recompute: softmax directly over the
                 // approximate analog scores of the kept keys.
                 let tier = self.ws.simd_tier();
                 let prow = self.ws.prob_row(s);
-                for (j, slot) in prow.iter_mut().enumerate() {
-                    *slot = if decision.is_kept(j) {
-                        outcome.approx_scores[j]
-                    } else {
-                        f32::NEG_INFINITY
-                    };
+                pruner.prune_query_into(
+                    step.q,
+                    self.threshold,
+                    &self.spec,
+                    &mut pruned,
+                    Some(&mut *prow),
+                )?;
+                for (slot, &p) in prow.iter_mut().zip(&pruned) {
+                    if p {
+                        *slot = f32::NEG_INFINITY;
+                    }
                 }
                 softmax_inplace_tier(prow, tier);
                 let mut out = vec![0.0f32; d_v];
@@ -716,9 +722,9 @@ impl DecodeSession {
                         }
                     }
                 }
-                out
+                (out, PruneDecision::new(pruned))
             };
-            (output, decision, delta)
+            (output, decision, pruner.stats().delta_since(&before))
         } else {
             // Dense / Oracle — or an analog session that faults have
             // demoted. Recalibrations of the cached K/V images are

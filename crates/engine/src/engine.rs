@@ -756,7 +756,7 @@ impl Engine {
                 self.config.timing,
             )?);
         }
-        if scratch.approx.len() < live_q {
+        if !recompute && scratch.approx.len() < live_q {
             scratch.approx.resize_with(live_q, Vec::new);
         }
 
@@ -772,23 +772,30 @@ impl Engine {
                 c.reset_cold();
             }
             for i in 0..live_q {
-                let outcome = pruner.prune_query(q.row(i), threshold, spec)?;
-                // Extend the live-region decision to the full key
-                // sequence: padded keys are always pruned.
+                // The row's decision over the full key sequence, built
+                // once: the comparators fill the live region, padded
+                // keys stay pruned.
                 let mut pruned = vec![true; s_k];
-                for (j, flag) in pruned.iter_mut().enumerate().take(live_k) {
-                    *flag = outcome.decision.is_pruned(j);
+                let live = &mut pruned[..live_k];
+                if recompute {
+                    pruner.prune_query_into(q.row(i), threshold, spec, live, None)?;
+                } else {
+                    // Only the approximate-score softmax reads the
+                    // analog scores: kept keys carry theirs, every
+                    // other position is masked.
+                    let row = &mut scratch.approx[i];
+                    row.clear();
+                    row.resize(s_k, f32::NEG_INFINITY);
+                    let scores = Some(&mut row[..live_k]);
+                    pruner.prune_query_into(q.row(i), threshold, spec, live, scores)?;
+                    for (score, &p) in row.iter_mut().zip(&pruned) {
+                        if p {
+                            *score = f32::NEG_INFINITY;
+                        }
+                    }
                 }
                 if let Some(c) = controller.as_mut() {
                     c.process_query(&pruned[..live_k])?;
-                }
-                let row = &mut scratch.approx[i];
-                row.clear();
-                row.resize(s_k, f32::NEG_INFINITY);
-                for j in 0..live_k {
-                    if !pruned[j] {
-                        row[j] = outcome.approx_scores[j];
-                    }
                 }
                 decisions.push(PruneDecision::new(pruned));
             }

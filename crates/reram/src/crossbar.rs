@@ -6,6 +6,14 @@
 //! wordlines through DACs and sums column currents; the model applies
 //! per-cell programming variation (fixed at write time) and additive
 //! per-operation output noise from a [`NoiseModel`].
+//!
+//! The effective weights (and the fault overlay) are stored
+//! column-lane-blocked, `[block of LANES columns][row][lane]`, so one
+//! row step of [`CrossbarArray::vmm`] advances [`LANES`] independent
+//! column sums. Every column still accumulates rows ascending from
+//! `0.0`, multiply then add, and draws its read noise in column order
+//! after the dots — the summation and draw contract of
+//! ARCHITECTURE.md, "Analog path: storage, summation and draw order".
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,7 +45,7 @@ pub struct CrossbarArray {
     /// Programmed integer codes, column-major (`cols × rows`).
     codes: Vec<i32>,
     /// Effective analog weight of each cell (code × (1 + variation)),
-    /// column-major.
+    /// lane-blocked (see [`lane_cell`]); lanes past `cols` hold `0.0`.
     weights: Vec<f64>,
     noise: NoiseModel,
     rng: StdRngState,
@@ -49,10 +57,30 @@ pub struct CrossbarArray {
     /// faults re-roll per epoch). Maintained unconditionally but only
     /// observable through a fault model.
     epochs: Vec<u64>,
-    /// Fault-overlaid analog weights, column-major. Empty unless a
-    /// fault model is attached; refreshed per column on program,
-    /// epoch advance and model attachment.
+    /// Fault-overlaid analog weights, lane-blocked like `weights`.
+    /// Empty unless a fault model is attached; refreshed per column on
+    /// program, epoch advance and model attachment.
     faulted_weights: Vec<f64>,
+    /// The wordline drive of the running [`CrossbarArray::vmm`] as
+    /// `f64` (scratch, no model state).
+    drive: Vec<f64>,
+}
+
+/// Columns per block of the lane-blocked weight layout: the number of
+/// independent column sums one row step of [`CrossbarArray::vmm`]
+/// advances.
+pub(crate) const LANES: usize = 16;
+
+/// Cells of a lane-blocked `rows × cols` weight image (whole blocks).
+fn lane_cells(rows: usize, cols: usize) -> usize {
+    cols.div_ceil(LANES) * rows * LANES
+}
+
+/// Index of cell `(row, col)` in the lane-blocked layout
+/// `[col / LANES][row][col % LANES]`. A block is appended whole, so
+/// growing `cols` never moves a cell.
+fn lane_cell(rows: usize, row: usize, col: usize) -> usize {
+    (col / LANES * rows + row) * LANES + col % LANES
 }
 
 /// Serializable wrapper holding the RNG seed/stream; the RNG itself is
@@ -136,13 +164,14 @@ impl CrossbarArray {
             cols,
             cell_bits,
             codes: vec![0; rows * cols],
-            weights: vec![0.0; rows * cols],
+            weights: vec![0.0; lane_cells(rows, cols)],
             noise,
             rng: StdRngState::new(seed),
             vmm_count: 0,
             fault: None,
             epochs: vec![0; cols],
             faulted_weights: Vec::new(),
+            drive: Vec::new(),
         })
     }
 
@@ -174,7 +203,7 @@ impl CrossbarArray {
         self.codes.clear();
         self.codes.resize(rows * cols, 0);
         self.weights.clear();
-        self.weights.resize(rows * cols, 0.0);
+        self.weights.resize(lane_cells(rows, cols), 0.0);
         self.noise = noise;
         self.rng = StdRngState::new(seed);
         self.vmm_count = 0;
@@ -182,7 +211,7 @@ impl CrossbarArray {
         self.epochs.resize(cols, 0);
         if self.fault.is_some() {
             self.faulted_weights.clear();
-            self.faulted_weights.resize(rows * cols, 0.0);
+            self.faulted_weights.resize(self.weights.len(), 0.0);
             for c in 0..cols {
                 self.refresh_faulted_column(c);
             }
@@ -196,17 +225,16 @@ impl CrossbarArray {
     ///
     /// This is the incremental-growth entry of the decode path: keys
     /// are stored column-wise, so appending one row of the logical K
-    /// matrix appends one crossbar column. The column-major cell layout
-    /// makes the append a pure extension of the backing buffers — no
-    /// existing cell moves, so the array keeps behaving exactly as it
-    /// did for the old columns. The RNG state is left untouched; new
-    /// columns draw their programming variation when
-    /// [`CrossbarArray::program_column`] writes them.
+    /// matrix appends one crossbar column. A new column takes the next
+    /// free lane of the last block, or opens a new block at the end of
+    /// the backing buffers — no existing cell moves, so the array keeps
+    /// behaving exactly as it did for the old columns. The RNG state is
+    /// left untouched; new columns draw their programming variation
+    /// when [`CrossbarArray::program_column`] writes them.
     pub fn append_cols(&mut self, added: usize) {
         self.codes.resize(self.codes.len() + added * self.rows, 0);
-        self.weights
-            .resize(self.weights.len() + added * self.rows, 0.0);
         self.cols += added;
+        self.weights.resize(lane_cells(self.rows, self.cols), 0.0);
         self.epochs.resize(self.cols, 0);
         if self.fault.is_some() {
             self.faulted_weights.resize(self.weights.len(), 0.0);
@@ -282,15 +310,14 @@ impl CrossbarArray {
             }
         }
         let sigma = self.noise.programming_sigma();
+        self.codes[col * self.rows..(col + 1) * self.rows].copy_from_slice(values);
         for (r, &v) in values.iter().enumerate() {
-            let idx = col * self.rows + r;
-            self.codes[idx] = v;
             let variation = if sigma > 0.0 {
                 1.0 + sigma * normal(self.rng.rng())
             } else {
                 1.0
             };
-            self.weights[idx] = v as f64 * variation;
+            self.weights[lane_cell(self.rows, r, col)] = v as f64 * variation;
         }
         self.epochs[col] += 1;
         self.refresh_faulted_column(col);
@@ -342,6 +369,15 @@ impl CrossbarArray {
     ///
     /// Returns [`ReramError::IndexOutOfRange`] for a bad column.
     pub fn intended_codes(&self, col: usize) -> Result<Vec<i32>, ReramError> {
+        self.intended_column(col).map(<[i32]>::to_vec)
+    }
+
+    /// [`CrossbarArray::intended_codes`] borrowed from the shadow.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReramError::IndexOutOfRange`] for a bad column.
+    pub fn intended_column(&self, col: usize) -> Result<&[i32], ReramError> {
         if col >= self.cols {
             return Err(ReramError::IndexOutOfRange {
                 what: "column",
@@ -349,7 +385,7 @@ impl CrossbarArray {
                 bound: self.cols,
             });
         }
-        Ok(self.codes[col * self.rows..(col + 1) * self.rows].to_vec())
+        Ok(&self.codes[col * self.rows..(col + 1) * self.rows])
     }
 
     /// Analog vector-matrix multiplication (Eq. 2): drives `input`
@@ -361,6 +397,28 @@ impl CrossbarArray {
     /// Returns [`ReramError::LengthMismatch`] unless
     /// `input.len() == rows`.
     pub fn vmm(&mut self, input: &[i32]) -> Result<Vec<f64>, ReramError> {
+        let mut out = Vec::new();
+        self.vmm_into(input, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`CrossbarArray::vmm`] into a caller-owned buffer (cleared
+    /// first), so a caller issuing one operation per query reuses one
+    /// allocation.
+    ///
+    /// Each block of 16 columns (`LANES`) is summed one wordline at a
+    /// time: every column's sum starts at `0.0` and takes its rows in
+    /// ascending order, multiply then add, exactly as a column-by-column
+    /// walk would. Read noise is added afterwards, one draw per column
+    /// in ascending column order from this array's stream, and not at
+    /// all when the drive is all zero (the noise scales with the
+    /// drive's full scale).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReramError::LengthMismatch`] unless
+    /// `input.len() == rows`; `out` is then left untouched.
+    pub fn vmm_into(&mut self, input: &[i32], out: &mut Vec<f64>) -> Result<(), ReramError> {
         if input.len() != self.rows {
             return Err(ReramError::LengthMismatch {
                 what: "input vector",
@@ -369,26 +427,32 @@ impl CrossbarArray {
             });
         }
         self.vmm_count += 1;
-        let full_scale = self.full_scale(input);
-        let sigma = self.noise.relative_sigma() * full_scale;
+        let sigma = self.noise.relative_sigma() * self.full_scale(input);
+        self.drive.clear();
+        self.drive.extend(input.iter().map(|&x| x as f64));
         let effective = if self.fault.is_some() {
             &self.faulted_weights
         } else {
             &self.weights
         };
-        let mut out = Vec::with_capacity(self.cols);
-        for c in 0..self.cols {
-            let weights = &effective[c * self.rows..(c + 1) * self.rows];
-            let mut acc = 0.0f64;
-            for (w, &x) in weights.iter().zip(input) {
-                acc += w * x as f64;
+        out.clear();
+        for block in effective.chunks_exact(self.rows * LANES) {
+            let mut acc = [0.0f64; LANES];
+            for (cells, &x) in block.chunks_exact(LANES).zip(&self.drive) {
+                for (a, &w) in acc.iter_mut().zip(cells) {
+                    *a += w * x;
+                }
             }
-            if sigma > 0.0 {
-                acc += sigma * normal(self.rng.rng());
-            }
-            out.push(acc);
+            out.extend_from_slice(&acc);
         }
-        Ok(out)
+        out.truncate(self.cols);
+        if sigma > 0.0 {
+            let rng = self.rng.rng();
+            for o in out.iter_mut() {
+                *o += sigma * normal(rng);
+            }
+        }
+        Ok(())
     }
 
     /// The exact digital dot products the analog operation
@@ -468,7 +532,7 @@ impl CrossbarArray {
         let epoch = self.epochs[col];
         let code_max = self.code_max() as f64;
         for r in 0..self.rows {
-            let idx = col * self.rows + r;
+            let idx = lane_cell(self.rows, r, col);
             self.faulted_weights[idx] = match fault.cell_fault(self.rng.seed, r, col, epoch) {
                 CellFault::None => self.weights[idx],
                 CellFault::StuckOn => code_max,
@@ -814,6 +878,228 @@ mod tests {
         let analog = xb.vmm(&[1, 1, 1, 1]).unwrap()[0];
         assert!(analog < 8.0, "worn cells must read below {analog}");
         assert!(analog > 8.0 * 0.9 * 0.9, "drift bounded at 10%");
+    }
+
+    /// The array as it was before the lane-blocked layout: weights
+    /// column-major, one column summed at a time, its read noise drawn
+    /// inside the column loop, the fault overlay evaluated cell by
+    /// cell. The oracle of the storage-order differential tests.
+    struct ColumnOrderArray {
+        rows: usize,
+        cell_bits: u32,
+        weights: Vec<f64>,
+        epochs: Vec<u64>,
+        noise: NoiseModel,
+        seed: u64,
+        rng: StdRng,
+        fault: Option<FaultModel>,
+    }
+
+    impl ColumnOrderArray {
+        fn new(rows: usize, cols: usize, cell_bits: u32, noise: NoiseModel, seed: u64) -> Self {
+            ColumnOrderArray {
+                rows,
+                cell_bits,
+                weights: vec![0.0; rows * cols],
+                epochs: vec![0; cols],
+                noise,
+                seed,
+                rng: StdRng::seed_from_u64(seed),
+                fault: None,
+            }
+        }
+
+        fn append_cols(&mut self, added: usize) {
+            self.weights
+                .resize(self.weights.len() + added * self.rows, 0.0);
+            self.epochs.resize(self.epochs.len() + added, 0);
+        }
+
+        fn program_column(&mut self, col: usize, values: &[i32]) {
+            let sigma = self.noise.programming_sigma();
+            for (r, &v) in values.iter().enumerate() {
+                let variation = if sigma > 0.0 {
+                    1.0 + sigma * normal(&mut self.rng)
+                } else {
+                    1.0
+                };
+                self.weights[col * self.rows + r] = v as f64 * variation;
+            }
+            self.epochs[col] += 1;
+        }
+
+        fn vmm(&mut self, input: &[i32]) -> Vec<f64> {
+            let drive: f64 = input.iter().map(|&x| (x as f64).abs()).sum();
+            let code_max = ((1 << (self.cell_bits - 1)) - 1) as f64;
+            let sigma = self.noise.relative_sigma() * (drive * code_max);
+            let mut out = Vec::new();
+            for (c, column) in self.weights.chunks_exact(self.rows).enumerate() {
+                let mut acc = 0.0f64;
+                for (r, (&w, &x)) in column.iter().zip(input).enumerate() {
+                    let state = self.fault.map_or(CellFault::None, |f| {
+                        f.cell_fault(self.seed, r, c, self.epochs[c])
+                    });
+                    let w = match state {
+                        CellFault::None => w,
+                        CellFault::StuckOn => code_max,
+                        CellFault::StuckOff | CellFault::Transient => 0.0,
+                        CellFault::Worn(f) => w * f,
+                    };
+                    acc += w * x as f64;
+                }
+                if sigma > 0.0 {
+                    acc += sigma * normal(&mut self.rng);
+                }
+                out.push(acc);
+            }
+            out
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Codes in the 4-bit range, varying with `salt`.
+    fn codes(n: usize, salt: usize) -> Vec<i32> {
+        (0..n)
+            .map(|r| ((r * 7 + salt * 13 + 5) % 16) as i32 - 8)
+            .collect()
+    }
+
+    /// Three drives — non-zero, all zero, non-zero — must read the same
+    /// bits from both arrays, which also proves that every call spent
+    /// the same number of draws (none for the zero drive).
+    fn assert_reads_agree(xb: &mut CrossbarArray, oracle: &mut ColumnOrderArray, label: &str) {
+        let rows = xb.rows();
+        for (step, drive) in [codes(rows, 3), vec![0; rows], codes(rows, 11)]
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(
+                bits(&xb.vmm(drive).unwrap()),
+                bits(&oracle.vmm(drive)),
+                "{label}: read {step}"
+            );
+        }
+    }
+
+    fn noise_models() -> [(&'static str, NoiseModel); 3] {
+        [
+            ("ideal", NoiseModel::ideal()),
+            ("default", NoiseModel::default()),
+            (
+                "programming-only",
+                NoiseModel::from_sigmas(0.0, 0.01).unwrap(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn lane_blocked_vmm_matches_the_column_order_walk() {
+        let fault = FaultModel::uniform(0.2, 17).unwrap();
+        for rows in [1usize, 3, 64] {
+            for cols in [1, LANES - 1, LANES, LANES + 1, 128] {
+                for (name, noise) in noise_models() {
+                    // No fault model, one attached before programming,
+                    // one attached after.
+                    for attach in [None, Some(true), Some(false)] {
+                        let label = format!("{rows}x{cols} {name} fault {attach:?}");
+                        let mut xb = CrossbarArray::new(rows, cols, 4, noise, 9).unwrap();
+                        let mut oracle = ColumnOrderArray::new(rows, cols, 4, noise, 9);
+                        if attach == Some(true) {
+                            xb.set_fault_model(Some(fault));
+                        }
+                        for c in 0..cols {
+                            xb.program_column(c, &codes(rows, c)).unwrap();
+                            oracle.program_column(c, &codes(rows, c));
+                        }
+                        if attach == Some(false) {
+                            xb.set_fault_model(Some(fault));
+                        }
+                        oracle.fault = attach.map(|_| fault);
+                        assert_reads_agree(&mut xb, &mut oracle, &label);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn appending_columns_across_a_block_boundary_moves_no_cell() {
+        for (name, noise) in noise_models() {
+            for fault in [None, Some(FaultModel::uniform(0.2, 5).unwrap())] {
+                let mut xb = CrossbarArray::new(3, LANES - 2, 4, noise, 21).unwrap();
+                let mut oracle = ColumnOrderArray::new(3, LANES - 2, 4, noise, 21);
+                xb.set_fault_model(fault);
+                oracle.fault = fault;
+                for c in 0..LANES - 2 {
+                    xb.program_column(c, &codes(3, c)).unwrap();
+                    oracle.program_column(c, &codes(3, c));
+                }
+                for c in LANES - 2..LANES + 3 {
+                    xb.append_cols(1);
+                    oracle.append_cols(1);
+                    // The fresh column reads unprogrammed, then programmed.
+                    let label = format!("{name} fault {} col {c}", fault.is_some());
+                    assert_reads_agree(&mut xb, &mut oracle, &label);
+                    xb.program_column(c, &codes(3, c)).unwrap();
+                    oracle.program_column(c, &codes(3, c));
+                    assert_reads_agree(&mut xb, &mut oracle, &label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reset_to_another_geometry_leaves_no_stale_lane() {
+        let noise = NoiseModel::default();
+        let fault = Some(FaultModel::uniform(0.2, 3).unwrap());
+        let mut xb = CrossbarArray::new(64, LANES + 1, 4, noise, 1).unwrap();
+        xb.set_fault_model(fault);
+        for c in 0..LANES + 1 {
+            xb.program_column(c, &codes(64, c)).unwrap();
+        }
+        xb.vmm(&codes(64, 0)).unwrap();
+        // Fewer rows and a partly filled last block: every lane the old
+        // geometry wrote must read as unprogrammed.
+        for (rows, cols) in [(3, LANES + 3), (5, 2)] {
+            xb.reset(rows, cols, 4, noise, 77).unwrap();
+            let mut oracle = ColumnOrderArray::new(rows, cols, 4, noise, 77);
+            oracle.fault = fault;
+            assert_reads_agree(&mut xb, &mut oracle, "after reset");
+            for c in (0..cols).rev() {
+                xb.program_column(c, &codes(rows, c)).unwrap();
+                oracle.program_column(c, &codes(rows, c));
+            }
+            assert_reads_agree(&mut xb, &mut oracle, "reprogrammed");
+        }
+    }
+
+    #[test]
+    fn verified_program_retries_keep_the_draw_order() {
+        // Every retry reprograms the column (fresh variation draws) and
+        // backs off 2^(attempt-1) epochs; the oracle replays exactly
+        // that from the reported outcome.
+        let noise = NoiseModel::default();
+        let fault = FaultModel::new(11).with_transient_rate(0.15).unwrap();
+        let mut xb = CrossbarArray::new(16, LANES + 2, 4, noise, 13).unwrap();
+        let mut oracle = ColumnOrderArray::new(16, LANES + 2, 4, noise, 13);
+        xb.set_fault_model(Some(fault));
+        oracle.fault = Some(fault);
+        let mut retried = 0;
+        for c in 0..LANES + 2 {
+            let outcome = xb.program_column_verified(c, &codes(16, c), 8).unwrap();
+            for attempt in 1..=outcome.attempts {
+                oracle.program_column(c, &codes(16, c));
+                if attempt < outcome.attempts {
+                    oracle.epochs[c] += 1 << (attempt - 1);
+                }
+            }
+            retried += outcome.attempts - 1;
+        }
+        assert!(retried > 0, "a 15 % upset rate must force retries");
+        assert_reads_agree(&mut xb, &mut oracle, "after verified programming");
     }
 
     proptest! {

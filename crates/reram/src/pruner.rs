@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
-use sprint_attention::{quantize_matrix, Matrix, PruneDecision, QuantParams};
+use sprint_attention::{active_tier, quantize_matrix, simd, Matrix, PruneDecision, QuantParams};
 
 /// The effective analog noise for a given MLC depth: cells denser than
 /// the 4-bit design point halve their level spacing with every extra
@@ -191,6 +191,12 @@ pub struct InMemoryPruner {
     /// instead of the faulty analog column.
     remapped: BTreeSet<usize>,
     stats: PruneHardwareStats,
+    /// Staging kept from query to query: the staged query's MSB
+    /// nibbles, every key's merged code-unit score, and one tile's
+    /// partial sums.
+    q_msb: Vec<i32>,
+    code_scores: Vec<f64>,
+    partial: Vec<f64>,
 }
 
 impl InMemoryPruner {
@@ -257,6 +263,9 @@ impl InMemoryPruner {
             fault: None,
             remapped: BTreeSet::new(),
             stats: PruneHardwareStats::default(),
+            q_msb: Vec::new(),
+            code_scores: Vec::new(),
+            partial: Vec::new(),
         };
         pruner.reprogram_with_cell_bits(q, k, attention_scale, noise, seed, cell_bits)?;
         Ok(pruner)
@@ -351,7 +360,6 @@ impl InMemoryPruner {
         let qk = quantize_matrix(k, 8)
             .map_err(|e| ReramError::InvalidParameter(format!("key quantization: {e}")))?;
 
-        let fault = self.fault;
         let col_tiles = s.div_ceil(ARRAY_COLS);
         let row_tiles = d.div_ceil(ARRAY_ROWS);
         self.tiles.truncate(col_tiles);
@@ -370,23 +378,35 @@ impl InMemoryPruner {
                         rows, cols, cell_bits, noise, tile_seed,
                     )?);
                 } else {
+                    // Programmed detached: the overlay is a pure
+                    // function of the finished cells, so the fault
+                    // model goes back on once, after the last key.
+                    row_arrays[rt].set_fault_model(None);
                     row_arrays[rt].reset(rows, cols, cell_bits, noise, tile_seed)?;
                 }
-                row_arrays[rt].set_fault_model(fault);
             }
         }
 
         // Program every key's MSB nibbles.
+        let shift = 8 - cell_bits;
+        let mut codes = Vec::with_capacity(ARRAY_ROWS);
         for j in 0..s {
             let ct = j / ARRAY_COLS;
             let slot = j % ARRAY_COLS;
             for (rt, arr) in self.tiles[ct].iter_mut().enumerate() {
                 let base = rt * ARRAY_ROWS;
-                let shift = 8 - cell_bits;
-                let codes: Vec<i32> = (0..arr.rows())
-                    .map(|r| round_msb_bits(qk.code(j, base + r), shift, cell_bits))
-                    .collect();
+                codes.clear();
+                codes.extend(
+                    qk.code_row(j)[base..base + arr.rows()]
+                        .iter()
+                        .map(|&code| round_msb_bits(code, shift, cell_bits)),
+                );
                 arr.store_key(slot, &codes)?;
+            }
+        }
+        if self.fault.is_some() {
+            for arr in self.tiles.iter_mut().flatten() {
+                arr.set_fault_model(self.fault);
             }
         }
 
@@ -441,15 +461,28 @@ impl InMemoryPruner {
         }
         // Calibrate the analog full scale against the observed score
         // range: sample up to 128 query rows and take the largest
-        // exact |code dot|.
-        let sample = q.rows().min(128);
-        let mut observed = 0.0f64;
-        for i in 0..sample {
-            let scores = self.exact_msb_scores(q.row(i))?;
-            for sc in scores {
-                observed = observed.max((sc as f64 / self.score_lsb).abs());
+        // exact |code dot|, as the score the digital reference reports
+        // for it (`exact_msb_scores` rounds each score to `f32`). That
+        // round trip is monotone in |dot| and symmetric in its sign, so
+        // it is applied once, to the largest integer dot.
+        let tier = active_tier();
+        let mut largest = 0u64;
+        for i in 0..q.rows().min(128) {
+            self.stage_query_msb(q.row(i));
+            for row_arrays in &self.tiles {
+                for slot in 0..row_arrays[0].cols() {
+                    let mut dot = 0i64;
+                    for (rt, arr) in row_arrays.iter().enumerate() {
+                        let base = rt * ARRAY_ROWS;
+                        let nibbles = &self.q_msb[base..base + arr.rows()];
+                        dot += i64::from(simd::idot(tier, arr.intended_key(slot)?, nibbles));
+                    }
+                    largest = largest.max(dot.unsigned_abs());
+                }
             }
         }
+        let reported = (largest as f64 * self.score_lsb) as f32;
+        let observed = 0.0f64.max((reported as f64 / self.score_lsb).abs());
         // The comparator/ADC reference range is provisioned with 4x
         // headroom over the nominal workload (design-time margin for
         // process, temperature and workload drift). The Fig. 5 score
@@ -685,6 +718,40 @@ impl InMemoryPruner {
         threshold: f32,
         spec: &ThresholdSpec,
     ) -> Result<PruneOutcome, ReramError> {
+        let mut pruned = vec![false; self.s];
+        let mut approx_scores = vec![0.0; self.s];
+        self.prune_query_into(
+            q_row,
+            threshold,
+            spec,
+            &mut pruned,
+            Some(&mut approx_scores),
+        )?;
+        Ok(PruneOutcome {
+            decision: PruneDecision::new(pruned),
+            approx_scores,
+        })
+    }
+
+    /// [`InMemoryPruner::prune_query`] into caller-owned rows: one
+    /// pruned flag per key in `pruned` and, when asked for, one
+    /// approximate score per key in `approx_scores`. A caller that
+    /// embeds the key region in a longer row (padding), or never reads
+    /// the approximate scores, stages neither twice.
+    ///
+    /// # Errors
+    ///
+    /// As [`InMemoryPruner::prune_query`]; additionally
+    /// [`ReramError::LengthMismatch`] unless both rows hold exactly
+    /// [`InMemoryPruner::keys`] entries.
+    pub fn prune_query_into(
+        &mut self,
+        q_row: &[f32],
+        threshold: f32,
+        spec: &ThresholdSpec,
+        pruned: &mut [bool],
+        approx_scores: Option<&mut [f32]>,
+    ) -> Result<(), ReramError> {
         if q_row.len() != self.d {
             return Err(ReramError::LengthMismatch {
                 what: "query row",
@@ -699,14 +766,20 @@ impl InMemoryPruner {
                 )));
             }
         }
+        let approx_len = approx_scores.as_ref().map_or(self.s, |a| a.len());
+        for found in [pruned.len(), approx_len] {
+            if found != self.s {
+                return Err(ReramError::LengthMismatch {
+                    what: "per-key output row",
+                    expected: self.s,
+                    found,
+                });
+            }
+        }
         // Query MSB nibbles (the low-precision DAC input), rounded to
         // keep the approximation zero-mean. Query and key precision
         // are set identically (§III-B footnote).
-        let shift = 8 - self.cell_bits;
-        let q_msb: Vec<i32> = q_row
-            .iter()
-            .map(|&x| round_msb_bits(self.q_params.quantize(x), shift, self.cell_bits))
-            .collect();
+        self.stage_query_msb(q_row);
 
         // The analog noise is referenced to the crossbar's drive-based
         // full scale (that is what the ADC-equivalent accuracy of the
@@ -717,59 +790,66 @@ impl InMemoryPruner {
             .enumerate()
             .map(|(rt, arr)| {
                 let base = rt * ARRAY_ROWS;
-                arr.full_scale(&q_msb[base..base + arr.rows()])
+                arr.full_scale(&self.q_msb[base..base + arr.rows()])
             })
             .sum();
 
-        let mut code_scores = self.analog_scores(&q_msb)?;
+        self.analog_scores()?;
         self.stats.queries_pruned += 1;
         self.stats.comparator_firings += self.s as u64;
 
         // Keys remapped to spare columns are served by verified
         // fault-free cells: the controller substitutes their exact
         // digital-shadow scores for the faulty analog readings.
-        if !self.remapped.is_empty() {
-            for &j in &self.remapped {
-                code_scores[j] = self.exact_key_score(&q_msb, j)? as f64;
+        for &j in &self.remapped {
+            self.code_scores[j] = exact_key_score(&self.tiles, &self.q_msb, j)? as f64;
+        }
+
+        let cut = threshold as f64 / self.score_lsb - spec.margin_fraction * drive_fs;
+        for (flag, score) in pruned.iter_mut().zip(self.code_scores.iter_mut()) {
+            if let Some(bits) = spec.score_bits {
+                *score = quantize_symmetric(*score, self.full_scale_codes, bits);
+            }
+            *flag = *score < cut;
+        }
+        if let Some(approx) = approx_scores {
+            for (a, &compared) in approx.iter_mut().zip(&self.code_scores) {
+                *a = (compared * self.score_lsb) as f32;
             }
         }
-
-        let th_codes = threshold as f64 / self.score_lsb;
-        let margin_codes = spec.margin_fraction * drive_fs;
-        let mut pruned = Vec::with_capacity(self.s);
-        let mut approx_scores = Vec::with_capacity(self.s);
-        for &raw in &code_scores {
-            let compared = match spec.score_bits {
-                Some(bits) => quantize_symmetric(raw, self.full_scale_codes, bits),
-                None => raw,
-            };
-            pruned.push(compared < th_codes - margin_codes);
-            approx_scores.push((compared * self.score_lsb) as f32);
-        }
-        Ok(PruneOutcome {
-            decision: PruneDecision::new(pruned),
-            approx_scores,
-        })
+        Ok(())
     }
 
-    /// The analog code-unit score of every key for the given query
-    /// nibbles, merging row-tile currents.
-    fn analog_scores(&mut self, q_msb: &[i32]) -> Result<Vec<f64>, ReramError> {
-        let mut out = vec![0.0f64; self.s];
+    /// Stages a query row's MSB nibbles in `self.q_msb`.
+    fn stage_query_msb(&mut self, q_row: &[f32]) {
+        let shift = 8 - self.cell_bits;
+        self.q_msb.clear();
+        self.q_msb.extend(
+            q_row
+                .iter()
+                .map(|&x| round_msb_bits(self.q_params.quantize(x), shift, self.cell_bits)),
+        );
+    }
+
+    /// The analog code-unit score of every key for the staged query
+    /// nibbles, merging row-tile currents, left in `self.code_scores`.
+    fn analog_scores(&mut self) -> Result<(), ReramError> {
+        self.code_scores.clear();
+        self.code_scores.resize(self.s, 0.0);
         for (ct, row_arrays) in self.tiles.iter_mut().enumerate() {
             let base_col = ct * ARRAY_COLS;
             for (rt, arr) in row_arrays.iter_mut().enumerate() {
                 let base_row = rt * ARRAY_ROWS;
-                let input = &q_msb[base_row..base_row + arr.rows()];
-                let partial = arr.in_situ_compute(input)?;
+                let input = &self.q_msb[base_row..base_row + arr.rows()];
+                arr.in_situ_compute_into(input, &mut self.partial)?;
                 self.stats.in_memory_ops += 1;
                 self.stats.dac_conversions += arr.rows() as u64;
-                for (c, p) in partial.iter().enumerate() {
-                    out[base_col + c] += p;
+                for (merged, p) in self.code_scores[base_col..].iter_mut().zip(&self.partial) {
+                    *merged += p;
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Exact digital reference of the MSB-level scores (no analog
@@ -907,8 +987,8 @@ impl InMemoryPruner {
         let slot = j % ARRAY_COLS;
         for (rt, arr) in self.tiles[ct].iter_mut().enumerate() {
             let read = arr.transposed_read(slot)?;
-            let intended = arr.intended_codes(slot)?;
-            for (r, (got, want)) in read.iter().zip(&intended).enumerate() {
+            let intended = arr.intended_key(slot)?;
+            for (r, (got, want)) in read.iter().zip(intended).enumerate() {
                 if got != want {
                     sites.push(FaultSite {
                         crossbar: arr.identity(),
@@ -993,23 +1073,26 @@ impl InMemoryPruner {
     pub fn remapped_keys(&self) -> Vec<usize> {
         self.remapped.iter().copied().collect()
     }
+}
 
-    /// The exact digital-shadow score of key `j` for the given query
-    /// nibbles, in code units (the spare-column substitute for a
-    /// remapped key).
-    fn exact_key_score(&self, q_msb: &[i32], j: usize) -> Result<i64, ReramError> {
-        let ct = j / ARRAY_COLS;
-        let slot = j % ARRAY_COLS;
-        let mut acc = 0i64;
-        for (rt, arr) in self.tiles[ct].iter().enumerate() {
-            let base = rt * ARRAY_ROWS;
-            let intended = arr.intended_codes(slot)?;
-            for (r, &w) in intended.iter().enumerate() {
-                acc += w as i64 * q_msb[base + r] as i64;
-            }
+/// The exact digital-shadow score of key `j` for the given query
+/// nibbles, in code units (the spare-column substitute for a remapped
+/// key).
+fn exact_key_score(
+    tiles: &[Vec<TransposableArray>],
+    q_msb: &[i32],
+    j: usize,
+) -> Result<i64, ReramError> {
+    let ct = j / ARRAY_COLS;
+    let slot = j % ARRAY_COLS;
+    let mut acc = 0i64;
+    for (rt, arr) in tiles[ct].iter().enumerate() {
+        let base = rt * ARRAY_ROWS;
+        for (r, &w) in arr.intended_key(slot)?.iter().enumerate() {
+            acc += w as i64 * q_msb[base + r] as i64;
         }
-        Ok(acc)
     }
+    Ok(acc)
 }
 
 /// The derived RNG seed of tile `(col_tile, row_tile)` — shared by the
@@ -1229,6 +1312,21 @@ mod tests {
         assert!(pruner
             .prune_query(q.row(0), 0.0, &ThresholdSpec::quantized(17))
             .is_err());
+        // Caller-owned rows must cover exactly the stored keys.
+        let spec = ThresholdSpec::default();
+        let (mut flags, mut scores) = ([false; 8], [0.0f32; 8]);
+        assert!(pruner
+            .prune_query_into(q.row(0), 0.0, &spec, &mut flags[..7], None)
+            .is_err());
+        assert!(pruner
+            .prune_query_into(q.row(0), 0.0, &spec, &mut flags, Some(&mut scores[..7]))
+            .is_err());
+        pruner
+            .prune_query_into(q.row(0), 0.0, &spec, &mut flags, Some(&mut scores))
+            .unwrap();
+        let outcome = pruner.prune_query(q.row(0), 0.0, &spec).unwrap();
+        assert_eq!(outcome.decision.as_slice(), flags);
+        assert_eq!(outcome.approx_scores, scores);
     }
 
     #[test]
@@ -1581,6 +1679,58 @@ mod cell_bit_tests {
         let k = random_matrix(8, 16, 5);
         let p = InMemoryPruner::new(&q, &k, 0.25, NoiseModel::ideal(), 6).unwrap();
         assert_eq!(p.cell_bits(), 4);
+    }
+
+    /// The full scale as it was calibrated before the integer walk:
+    /// every sampled row's exact scores, each rounded to `f32` and
+    /// converted back to code units, scanned for the largest.
+    fn full_scale_by_float_scan(p: &InMemoryPruner, q: &Matrix) -> f64 {
+        let mut observed = 0.0f64;
+        for i in 0..q.rows().min(128) {
+            for sc in p.exact_msb_scores(q.row(i)).unwrap() {
+                observed = observed.max((sc as f64 / p.score_lsb).abs());
+            }
+        }
+        (observed * 4.0).max(p.d as f64)
+    }
+
+    #[test]
+    fn integer_full_scale_calibration_equals_the_float_scan() {
+        // d = 128 merges two row tiles per key; 140 query rows exceed
+        // the 128-row sample; 200 keys span two column tiles.
+        for d in [64usize, 128] {
+            let q = random_matrix(140, d, 21);
+            let k = random_matrix(200, d, 22);
+            for cell_bits in 2..=8 {
+                let build = || {
+                    InMemoryPruner::with_cell_bits(
+                        &q,
+                        &k,
+                        0.11,
+                        NoiseModel::default(),
+                        5,
+                        cell_bits,
+                    )
+                    .unwrap()
+                };
+                let mut calibrated = build();
+                let mut scanned = build();
+                scanned.full_scale_codes = full_scale_by_float_scan(&scanned, &q);
+                assert_eq!(
+                    calibrated.full_scale_codes.to_bits(),
+                    scanned.full_scale_codes.to_bits(),
+                    "d {d} cell_bits {cell_bits}"
+                );
+                let spec = ThresholdSpec::quantized(4);
+                for i in [0, 77, 139] {
+                    assert_eq!(
+                        calibrated.prune_query(q.row(i), 0.02, &spec).unwrap(),
+                        scanned.prune_query(q.row(i), 0.02, &spec).unwrap(),
+                        "d {d} cell_bits {cell_bits} query {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

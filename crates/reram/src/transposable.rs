@@ -167,9 +167,25 @@ impl TransposableArray {
     ///
     /// Propagates [`CrossbarArray::vmm`] errors.
     pub fn in_situ_compute(&mut self, query_msb: &[i32]) -> Result<Vec<f64>, ReramError> {
+        let mut out = Vec::new();
+        self.in_situ_compute_into(query_msb, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`TransposableArray::in_situ_compute`] into a caller-owned
+    /// buffer — see [`CrossbarArray::vmm_into`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CrossbarArray::vmm_into`] errors.
+    pub fn in_situ_compute_into(
+        &mut self,
+        query_msb: &[i32],
+        out: &mut Vec<f64>,
+    ) -> Result<(), ReramError> {
         self.mode = AccessMode::InSituCompute;
         self.compute_ops += 1;
-        self.inner.vmm(query_msb)
+        self.inner.vmm_into(query_msb, out)
     }
 
     /// Exact digital reference for [`TransposableArray::in_situ_compute`].
@@ -225,6 +241,15 @@ impl TransposableArray {
     /// Returns [`ReramError::IndexOutOfRange`] for a bad slot.
     pub fn intended_codes(&self, slot: usize) -> Result<Vec<i32>, ReramError> {
         self.inner.intended_codes(slot)
+    }
+
+    /// [`TransposableArray::intended_codes`] borrowed from the shadow.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReramError::IndexOutOfRange`] for a bad slot.
+    pub fn intended_key(&self, slot: usize) -> Result<&[i32], ReramError> {
+        self.inner.intended_column(slot)
     }
 
     /// Write-verifies key `slot`: the rows whose digital readout

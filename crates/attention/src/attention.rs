@@ -9,8 +9,6 @@
 //! [`Workspace`]; the naive originals survive in [`crate::reference`]
 //! as the property-test oracle and bench baseline.
 
-use serde::{Deserialize, Serialize};
-
 use crate::simd;
 use crate::softmax::softmax_inplace_tier;
 use crate::{quantize_matrix, AttentionError, Matrix, PruneDecision, SoftmaxLut, Workspace};
@@ -42,7 +40,7 @@ pub(crate) const DENSE_AV_CROSSOVER: f32 = 0.35;
 /// let cfg = AttentionConfig::new(64);
 /// assert!((cfg.scale() - 0.125).abs() < 1e-6); // 1/sqrt(64)
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttentionConfig {
     d: usize,
     scale: f32,
@@ -87,7 +85,7 @@ impl AttentionConfig {
 
 /// A prefix padding mask: the first `live` tokens are real, the rest
 /// are padding (the gray stripes of Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaddingMask {
     total: usize,
     live: usize,
@@ -143,7 +141,7 @@ impl PaddingMask {
 }
 
 /// The full intermediate state of one attention head evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttentionOutput {
     /// Raw (scaled) scores `Q × Kᵀ`, `s_q × s_k`. Pruned/masked entries
     /// hold `f32::NEG_INFINITY`.
@@ -441,7 +439,7 @@ pub fn pruned_attention_with(
 }
 
 /// Result of the quantized (hardware) attention datapath.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedAttentionOutput {
     /// Recomputed scores (dequantized from the 8-bit × 8-bit integer
     /// dot products). Pruned entries hold `f32::NEG_INFINITY`.

@@ -5,8 +5,6 @@
 //! score, we employ 16-bit precision" (§VI). This module provides the
 //! symmetric (zero-point-free) quantizer used for all of those widths.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{AttentionError, Matrix};
 
 /// Parameters of a symmetric uniform quantizer.
@@ -29,7 +27,7 @@ use crate::{AttentionError, Matrix};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     bits: u32,
     scale: f32,
@@ -166,7 +164,7 @@ pub fn dequantize(q: i32, bits: u32, max_abs: f32) -> Result<f32, AttentionError
 /// This is the at-rest format of Q/K/V data in SPRINT's ReRAM: 8-bit
 /// codes whose upper four bits (`msb_nibble`) live in the transposable
 /// arrays and lower four (`lsb_nibble`) in standard arrays (§III-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,

@@ -1,7 +1,5 @@
 //! A small row-major `f32` matrix, sized for attention heads.
 
-use serde::{Deserialize, Serialize};
-
 use crate::AttentionError;
 
 /// A dense row-major matrix of `f32` values.
@@ -22,7 +20,7 @@ use crate::AttentionError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -10,8 +10,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{AttentionError, Matrix};
 
 /// The pruning decision for one query: which keys were pruned.
@@ -25,7 +23,7 @@ use crate::{AttentionError, Matrix};
 /// reference-count bump, so the padded tail of a head — one identical
 /// all-pruned decision per padded query — shares a single allocation
 /// instead of materializing `s × s` flags.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PruneDecision {
     pruned: Arc<Vec<bool>>,
 }
@@ -202,7 +200,7 @@ impl KeptLists {
 }
 
 /// Aggregate pruning statistics over all queries of a head.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PruningStats {
     /// Mean fraction of keys pruned per live query.
     pub mean_prune_rate: f64,
@@ -256,7 +254,7 @@ pub fn pruning_stats(decisions: &[PruneDecision]) -> PruningStats {
 /// assert_eq!(set.layer(3), -0.5);
 /// assert_eq!(set.layers(), 12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdSet {
     per_layer: Vec<f32>,
 }

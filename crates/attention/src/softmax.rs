@@ -7,8 +7,6 @@
 //! into a coarse and a fine part, each indexing a 64-entry table, and
 //! the two table outputs are multiplied.
 
-use serde::{Deserialize, Serialize};
-
 use crate::AttentionError;
 
 /// Numerically-stable exact softmax over a slice.
@@ -146,7 +144,7 @@ pub fn softmax_masked(scores: &[f32], keep: &[bool]) -> Result<Vec<f32>, Attenti
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxLut {
     /// Real score range covered by the 12-bit input (max − min).
     range: f32,

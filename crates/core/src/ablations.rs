@@ -15,9 +15,9 @@
 //! * [`residency_policy`] — §VI: the per-CORELET look-up tables and
 //!   index buffers vs a plain LRU cache.
 
-use sprint_accelerator::KvBuffer;
 use sprint_attention::{quantized_attention_with, PruneDecision, Workspace};
 use sprint_energy::AdcCostModel;
+use sprint_memory::{Residency, ResidencyPolicy};
 use sprint_reram::{InMemoryPruner, NoiseModel, ThresholdSpec};
 use sprint_workloads::{ModelConfig, ProxyTask, TraceGenerator};
 
@@ -275,16 +275,13 @@ pub fn residency_policy(scale: &Scale) -> ExperimentResult {
         let sld = simulate_head(&profile, &cfg, ExecutionMode::Sprint);
 
         // Plain LRU over the same kept sets and capacity.
-        let mut lru = KvBuffer::new(cfg.kv_capacity_pairs()).expect("capacity > 0");
-        let mut lru_fetched = 0u64;
-        for kept in profile.kept_per_query.iter().take(profile.live) {
-            for &j in kept {
-                if !lru.touch(j) {
-                    lru.insert(j);
-                    lru_fetched += 1;
-                }
-            }
-        }
+        let mut lru = Residency::new(cfg.kv_capacity_pairs(), ResidencyPolicy::Lru);
+        let lru_fetched: u64 = profile
+            .kept_per_query
+            .iter()
+            .take(profile.live)
+            .map(|kept| lru.access(kept))
+            .sum();
         result.push_row([
             model.name.to_string(),
             format!("{:.0}", profile.mean_kept()),

@@ -1,8 +1,6 @@
 //! The four accuracy scenarios of Fig. 9, plus the bit-sensitivity
 //! sweep of Fig. 5.
 
-use serde::{Deserialize, Serialize};
-
 use sprint_engine::{Engine, ExecutionMode, FaultPolicy, ModelProfile, ModelRequest, ModelServer};
 use sprint_reram::{FaultModel, NoiseModel, ThresholdSpec};
 use sprint_workloads::{ModelConfig, TaskScore};
@@ -10,7 +8,7 @@ use sprint_workloads::{ModelConfig, TaskScore};
 use crate::{SprintConfig, SprintError};
 
 /// The four bars of Fig. 9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccuracyScenario {
     /// Software-only dense attention.
     Baseline,
@@ -36,7 +34,7 @@ impl AccuracyScenario {
 }
 
 /// Task scores of the four scenarios on one model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioScores {
     /// Software-only baseline.
     pub baseline: TaskScore,

@@ -12,8 +12,8 @@
 //! Four execution modes cover the paper's comparison points. Each is a
 //! *count producer* for the one cost model in [`sprint_engine::cost`]:
 //! it derives fetch and operation counts from the profile's kept sets
-//! and an `SldResidency` buffer model, and is priced and timed as
-//! the Fig. 9 pipeline in the last column.
+//! and the finite SLD-pinned [`Residency`] buffer model, and is priced
+//! and timed as the Fig. 9 pipeline in the last column.
 //!
 //! | Mode | Fetches | Computes | Figures | Costed as |
 //! |---|---|---|---|---|
@@ -22,19 +22,16 @@
 //! | [`ExecutionMode::PruningOnly`] | all K, kept V | all QK, kept softmax/V | Fig. 13 second bar | `Oracle` |
 //! | [`ExecutionMode::Sprint`] | kept K/V via SLD | kept everything | Figs. 10–13 | `Sprint` |
 
-use std::collections::HashSet;
-
-use serde::{Deserialize, Serialize};
-
 use sprint_energy::EnergyBreakdown;
 use sprint_engine::cost::{query_cycles, worst_corelet_load, OpCounts};
 use sprint_engine::ExecutionMode as Pipeline;
+use sprint_memory::{Residency, ResidencyPolicy};
 use sprint_reram::{ARRAY_COLS, ARRAY_ROWS};
 
 use crate::{HeadProfile, SprintConfig};
 
 /// Which system variant to count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
     /// Iso-resource design without in-memory pruning, SLD or the
     /// two-dimensional padded-region reduction.
@@ -63,7 +60,7 @@ impl ExecutionMode {
 }
 
 /// Counted performance of one head under one mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadPerf {
     /// The mode counted.
     pub mode: ExecutionMode,
@@ -99,73 +96,6 @@ impl HeadPerf {
     /// Data-movement reduction relative to `other` (Fig. 10 metric).
     pub fn data_movement_reduction_over(&self, other: &HeadPerf) -> f64 {
         1.0 - self.bytes_from_memory as f64 / other.bytes_from_memory.max(1) as f64
-    }
-}
-
-/// On-chip K/V residency under SLD-informed replacement: the per-
-/// CORELET look-up tables and unpruned-index buffers know exactly
-/// which keys the current query needs, so the controller preferably
-/// retains keys that are still in the kept set and evicts the rest —
-/// unlike plain LRU, which thrashes when the kept working set cycles.
-#[derive(Debug)]
-struct SldResidency {
-    /// Retention-ordered resident keys (pinned kept set first, then
-    /// older residents).
-    order: Vec<usize>,
-    members: HashSet<usize>,
-    capacity: usize,
-    hits: u64,
-}
-
-impl SldResidency {
-    fn new(capacity: usize) -> Self {
-        SldResidency {
-            order: Vec::new(),
-            members: HashSet::new(),
-            capacity: capacity.max(1),
-            hits: 0,
-        }
-    }
-
-    /// Processes one query's kept set; returns the fetch (miss) count.
-    /// Every non-resident kept key is fetched. Retention pins the
-    /// current kept set (resident members first — the stable,
-    /// globally-salient keys) and keeps older residents in the spare
-    /// capacity, since a key kept recently is likely kept again soon.
-    fn access(&mut self, kept: &[usize]) -> u64 {
-        let mut misses = 0u64;
-        let kept_set: HashSet<usize> = kept.iter().copied().collect();
-        let mut next: Vec<usize> = Vec::with_capacity(self.capacity);
-        for &j in kept {
-            if self.members.contains(&j) {
-                self.hits += 1;
-                if next.len() < self.capacity {
-                    next.push(j);
-                }
-            }
-        }
-        for &j in kept {
-            if !self.members.contains(&j) {
-                misses += 1;
-                if next.len() < self.capacity {
-                    next.push(j);
-                }
-            }
-        }
-        // Spare room: retain older residents in their previous order.
-        if next.len() < self.capacity {
-            for &j in self.order.iter() {
-                if !kept_set.contains(&j) {
-                    next.push(j);
-                    if next.len() == self.capacity {
-                        break;
-                    }
-                }
-            }
-        }
-        self.members = next.iter().copied().collect();
-        self.order = next;
-        misses
     }
 }
 
@@ -270,7 +200,7 @@ fn pruning_only(profile: &HeadProfile, g: &Geometry) -> Counted {
     // pruning, with reuse.
     let k_refetch = s.saturating_sub(g.capacity) as u64;
     let mut k_fetch_vectors = s as u64;
-    let mut v_buffer = SldResidency::new(g.capacity);
+    let mut v_buffer = Residency::new(g.capacity, ResidencyPolicy::SldPinned);
     let mut v_fetch_vectors = 0u64;
     let mut kept_scores = 0u64;
     let mut cycles = 0u64;
@@ -305,7 +235,7 @@ fn pruning_only(profile: &HeadProfile, g: &Geometry) -> Counted {
         counts,
         cycles,
         fetched_pairs: fetched_vectors / 2,
-        reused_pairs: v_buffer.hits,
+        reused_pairs: v_buffer.hits(),
     }
 }
 
@@ -314,7 +244,7 @@ fn sprint(profile: &HeadProfile, g: &Geometry) -> Counted {
     let d = profile.head_dim;
     let queries = &profile.kept_per_query[..live.min(profile.kept_per_query.len())];
 
-    let mut buffer = SldResidency::new(g.capacity);
+    let mut buffer = Residency::new(g.capacity, ResidencyPolicy::SldPinned);
     let mut fetched_pairs = 0u64;
     let mut kept_scores = 0u64;
     let mut cycles = 0u64;
@@ -356,7 +286,7 @@ fn sprint(profile: &HeadProfile, g: &Geometry) -> Counted {
         counts,
         cycles,
         fetched_pairs,
-        reused_pairs: buffer.hits,
+        reused_pairs: buffer.hits(),
     }
 }
 

@@ -6,8 +6,8 @@
 //! lengths; `Scale::full()` regenerates the paper-size experiments
 //! (used by `cargo run -p sprint-bench --bin report`).
 
-use sprint_accelerator::{mean_imbalance, MappingPolicy};
 use sprint_energy::Category;
+use sprint_engine::cost::{mean_imbalance, MappingPolicy};
 use sprint_engine::{Engine, ExecutionMode as EngineMode, HeadRequest};
 use sprint_workloads::{overlap, ModelConfig, TraceGenerator};
 

@@ -7,15 +7,13 @@
 //! the two-dimensional sequence reduction: padded tokens skip the FFN
 //! entirely, cutting its iteration count by the live fraction.
 
-use serde::{Deserialize, Serialize};
-
 use sprint_workloads::ModelConfig;
 
 use crate::counting::{simulate_head, ExecutionMode};
 use crate::{HeadProfile, SprintConfig};
 
 /// Transformer-layer dimensions relevant to the FFN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FfnConfig {
     /// Model embedding width (heads × 64 in the studied models).
     pub d_model: usize,
@@ -41,7 +39,7 @@ impl FfnConfig {
 }
 
 /// End-to-end (attention + FFN) comparison for one model/config.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EndToEnd {
     /// Attention-only speedup (Fig. 11's metric).
     pub attention_speedup: f64,

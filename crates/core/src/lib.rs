@@ -2,8 +2,9 @@
 //! pruning and on-chip recomputation.
 //!
 //! This is the top-level crate of the reproduction: it assembles the
-//! substrates (`sprint-reram`, `sprint-memory`, `sprint-accelerator`,
-//! `sprint-attention`, `sprint-workloads`, `sprint-energy`) into
+//! substrates (`sprint-reram`, `sprint-memory`, `sprint-attention`,
+//! `sprint-workloads`, `sprint-energy`) and the engine's cost model
+//! (`sprint_engine::cost`) into
 //!
 //! * [`SprintConfig`] — the S/M/L hardware configurations of Table I;
 //! * [`HeadProfile`] / [`counting`] — the operation-counting

@@ -4,15 +4,13 @@
 //! exactly as the SPRINT paper does; the M-SPRINT row is measured on
 //! this reproduction's counting simulator over the studied workloads.
 
-use serde::{Deserialize, Serialize};
-
 use sprint_energy::dennard_scale;
 
 use crate::counting::{simulate_head, ExecutionMode};
 use crate::{HeadProfile, SprintConfig};
 
 /// One accelerator's Table III row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorMetrics {
     /// Design name.
     pub name: String,
@@ -53,7 +51,7 @@ impl AcceleratorMetrics {
 }
 
 /// The published prior-art rows of Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PriorArt {
     /// A3 (HPCA 2020): sort-based approximate attention.
     A3,

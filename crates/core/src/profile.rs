@@ -3,7 +3,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use sprint_workloads::HeadTrace;
 
@@ -25,7 +24,7 @@ use sprint_workloads::HeadTrace;
 /// assert_eq!(p.live, 192);
 /// assert!((p.mean_kept() - 48.0).abs() < 8.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadProfile {
     /// Total sequence length including padding.
     pub seq_len: usize,
@@ -39,7 +38,7 @@ pub struct HeadProfile {
 
 /// Parameters of one [`HeadProfile::synthetic`] call, for batched
 /// parallel generation via [`HeadProfile::synthetic_many`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticHeadSpec {
     /// Total sequence length including padding.
     pub seq_len: usize,

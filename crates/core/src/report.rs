@@ -1,8 +1,6 @@
 //! Experiment result formatting shared by the benches and the report
 //! binary.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometric mean of a slice of positive values (the aggregation the
 /// paper uses for Figs. 11 and 12).
 ///
@@ -31,7 +29,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 
 /// One regenerated table or figure: an id (`fig11`, `tab3`, ...), a
 /// title, column headers and formatted rows.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentResult {
     /// Stable identifier ("fig11").
     pub id: String,

@@ -1,9 +1,7 @@
 //! Area/floorplan model (Fig. 14, Table III) and Dennard scaling.
 
-use serde::{Deserialize, Serialize};
-
 /// Area of one named floorplan component, in mm² at 65 nm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentArea {
     /// Component name as it appears on the Fig. 14 floorplan.
     pub name: String,
@@ -32,7 +30,7 @@ pub struct ComponentArea {
 /// let m = AreaModel::m_sprint();
 /// assert!((m.total_mm2() - 1.9).abs() / 1.9 < 0.05);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaModel {
     /// Number of CORELETs (1, 2 or 4 for S/M/L).
     pub corelets: usize,

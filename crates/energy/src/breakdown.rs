@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::Energy;
 
 /// The eight energy categories of the paper's Fig. 13 breakdown.
@@ -12,7 +10,7 @@ use crate::Energy;
 /// Every joule spent by either the baseline design or SPRINT is attributed
 /// to exactly one of these buckets, so that reductions can be reported as
 /// ratios over identical category sets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     /// Standard ReRAM (main memory) reads of Q / K / V data.
     ReramRead,
@@ -98,7 +96,7 @@ impl fmt::Display for Category {
 /// let frac = bd.fraction(Category::QkPu);
 /// assert!(frac > 0.6 && frac < 0.7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     buckets: [Energy; 8],
 }

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A quantity of energy, stored in picojoules.
 ///
 /// All unit energies in the SPRINT paper (Table II) are reported in
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(write > read);
 /// assert_eq!((read + write).as_pj(), 1587.2 + 12492.8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64);
 
 impl Energy {

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// The SPRINT digital clock: 1 GHz (Table I, "@ 1 GHz").
 pub const DEFAULT_CLOCK_HZ: f64 = 1.0e9;
 
@@ -20,9 +18,7 @@ pub const DEFAULT_CLOCK_HZ: f64 = 1.0e9;
 /// assert_eq!(lat.as_u64(), 8);
 /// assert!((lat.as_seconds(DEFAULT_CLOCK_HZ) - 8e-9).abs() < 1e-18);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -103,7 +99,7 @@ impl fmt::Display for Cycles {
 /// the constraint the paper introduces between a `CopyQ` that starts
 /// in-memory thresholding and the `ReadP` that collects the binary
 /// pruning vector ("<8 cycles" per the paper's circuit simulations, §V-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingParams {
     /// Row-activate to column-access delay.
     pub t_rcd: Cycles,
@@ -141,22 +137,6 @@ impl Default for TimingParams {
 }
 
 impl TimingParams {
-    /// Latency of a row-buffer hit read: CAS + burst.
-    pub fn hit_latency(&self) -> Cycles {
-        self.t_cl + self.t_burst
-    }
-
-    /// Latency of a row-buffer miss read: precharge + activate + CAS + burst.
-    pub fn miss_latency(&self) -> Cycles {
-        self.t_rp + self.t_rcd + self.hit_latency()
-    }
-
-    /// Latency of a full in-memory thresholding round for one query:
-    /// CopyQ bus occupancy + analog thresholding + ReadP (read-like).
-    pub fn thresholding_latency(&self) -> Cycles {
-        self.t_cl + self.t_ax_th + self.hit_latency()
-    }
-
     /// Validates internal consistency of the parameter set.
     ///
     /// # Errors
@@ -215,18 +195,6 @@ mod tests {
         let p = TimingParams::default();
         p.validate().expect("defaults must validate");
         assert_eq!(p.t_ax_th, Cycles::new(8), "paper: tAxTh < 8 cycles");
-    }
-
-    #[test]
-    fn miss_latency_exceeds_hit_latency() {
-        let p = TimingParams::default();
-        assert!(p.miss_latency() > p.hit_latency());
-    }
-
-    #[test]
-    fn thresholding_latency_includes_analog_phase() {
-        let p = TimingParams::default();
-        assert!(p.thresholding_latency() >= p.t_ax_th + p.hit_latency());
     }
 
     #[test]

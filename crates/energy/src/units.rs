@@ -1,8 +1,6 @@
 //! Per-operation unit energies (Table II of the paper) and the ADC cost
 //! model discussed in §III.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Energy;
 
 /// Post-layout unit energies of the major SPRINT microarchitectural units.
@@ -33,7 +31,7 @@ use crate::Energy;
 /// let per_query = u.in_memory_computation + u.analog_comparator_bank;
 /// assert!(per_query.as_pj() < u.reram_read_bits(128 * 64 * 8).as_pj());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitEnergies {
     /// One 8-bit, 64-tap dot product on the QK-PU or V-PU: 192.56 pJ.
     pub qk_pu_dot_product: Energy,
@@ -116,7 +114,7 @@ impl UnitEnergies {
 /// The paper cites a 5-bit ADC as >20× the power and >30× the area of a
 /// 1-bit ADC (implemented as a comparator). SPRINT's decision to threshold
 /// in analog and emit 1-bit pruning flags rests on this asymmetry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdcCostModel {
     /// Power of a b-bit flash ADC relative to a 1-bit comparator,
     /// modelled as `2^b / 2` (doubling per bit), which reproduces the

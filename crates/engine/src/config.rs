@@ -1,7 +1,5 @@
 //! The S/M/L-SPRINT hardware configurations (Table I).
 
-use serde::{Deserialize, Serialize};
-
 use sprint_energy::{AreaModel, TimingParams, UnitEnergies};
 use sprint_memory::MemoryGeometry;
 
@@ -29,7 +27,7 @@ use sprint_memory::MemoryGeometry;
 /// assert_eq!(m.onchip_kib, 32);
 /// assert_eq!(m.kv_capacity_pairs(), 256);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SprintConfig {
     /// Configuration name ("S-SPRINT", ...).
     pub name: &'static str,

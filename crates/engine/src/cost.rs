@@ -14,6 +14,16 @@
 //! The count → category → unit-energy table and the per-mode
 //! stage/latency table are in `ARCHITECTURE.md`, "Cost model"; the
 //! tests below hold this module to them.
+//!
+//! The token-to-CORELET mapping lives here too, next to the latency
+//! rule it feeds (§VI, Fig. 8). Unpruned key indices cluster spatially
+//! (Fig. 2), so assigning *contiguous blocks* of the sequence to
+//! CORELETs concentrates work on whichever CORELET owns the active
+//! cluster. SPRINT instead interleaves tokens: with `N` CORELETs, key
+//! `K_{N·n+i}` belongs to CORELET `i`, which spreads every cluster
+//! evenly. [`worst_corelet_load`] is that rule as a count;
+//! [`assign_tokens`] materialises it (and the sequential strawman) as
+//! work lists for the Fig. 8 imbalance statistics.
 
 use sprint_energy::{Category, EnergyBreakdown, UnitEnergies};
 
@@ -126,7 +136,7 @@ impl OpCounts {
 
 /// Worst per-CORELET share of one query's kept keys under token
 /// interleaving: key `j` belongs to CORELET `j % N` (Fig. 8; the rule
-/// `sprint_accelerator::assign_tokens` materialises as work lists).
+/// [`assign_tokens`] materialises as work lists).
 /// `loads` is the caller's scratch, one slot per CORELET.
 pub fn worst_corelet_load(kept: impl IntoIterator<Item = usize>, loads: &mut [u64]) -> u64 {
     loads.fill(0);
@@ -136,6 +146,105 @@ pub fn worst_corelet_load(kept: impl IntoIterator<Item = usize>, loads: &mut [u6
     // to the plain flag loop (about a third faster, measured).
     kept.into_iter().for_each(|j| loads[j % corelets] += 1);
     loads.iter().copied().max().unwrap_or(0)
+}
+
+/// How unpruned tokens map to CORELETs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MappingPolicy {
+    /// Contiguous block per CORELET (the strawman of Fig. 8).
+    Sequential,
+    /// Round-robin token interleaving (SPRINT's scheme).
+    Interleaved,
+}
+
+/// Assigns the kept key indices of one query to `corelets` work lists.
+///
+/// `seq_len` is the total sequence length, needed to size the
+/// sequential blocks.
+///
+/// # Panics
+///
+/// Panics if `corelets == 0` or `seq_len == 0`.
+///
+/// # Example
+///
+/// ```
+/// use sprint_engine::cost::{assign_tokens, MappingPolicy};
+///
+/// let kept = vec![0, 1, 2, 3];
+/// let a = assign_tokens(&kept, 2, MappingPolicy::Interleaved, 8);
+/// assert_eq!(a[0], vec![0, 2]);
+/// assert_eq!(a[1], vec![1, 3]);
+/// let b = assign_tokens(&kept, 2, MappingPolicy::Sequential, 8);
+/// assert_eq!(b[0], vec![0, 1, 2, 3]); // all in the first block of 4
+/// assert!(b[1].is_empty());
+/// ```
+pub fn assign_tokens(
+    kept: &[usize],
+    corelets: usize,
+    policy: MappingPolicy,
+    seq_len: usize,
+) -> Vec<Vec<usize>> {
+    assert!(corelets > 0, "at least one CORELET");
+    assert!(seq_len > 0, "sequence length must be non-zero");
+    let mut out = vec![Vec::new(); corelets];
+    match policy {
+        MappingPolicy::Interleaved => {
+            for &j in kept {
+                out[j % corelets].push(j);
+            }
+        }
+        MappingPolicy::Sequential => {
+            let block = seq_len.div_ceil(corelets);
+            for &j in kept {
+                out[(j / block).min(corelets - 1)].push(j);
+            }
+        }
+    }
+    out
+}
+
+/// The imbalance ratio of one assignment: max over min assigned tokens
+/// per CORELET (Fig. 8's metric; 1.0 is ideal balance).
+///
+/// CORELETs with zero tokens count as one token, mirroring the paper's
+/// finite ratios on small models where some CORELETs idle.
+pub fn imbalance_ratio(assignments: &[Vec<usize>]) -> f64 {
+    if assignments.is_empty() {
+        return 1.0;
+    }
+    let max = assignments.iter().map(Vec::len).max().unwrap_or(0);
+    let min = assignments.iter().map(Vec::len).min().unwrap_or(0);
+    if max == 0 {
+        return 1.0;
+    }
+    max as f64 / min.max(1) as f64
+}
+
+/// Mean imbalance ratio over all queries of a head.
+///
+/// `kept_per_query` holds the kept key indices of each query; queries
+/// with no kept keys are skipped (padded region).
+pub fn mean_imbalance(
+    kept_per_query: &[Vec<usize>],
+    corelets: usize,
+    policy: MappingPolicy,
+    seq_len: usize,
+) -> f64 {
+    let mut sum = 0.0;
+    let mut n = 0usize;
+    for kept in kept_per_query {
+        if kept.is_empty() {
+            continue;
+        }
+        sum += imbalance_ratio(&assign_tokens(kept, corelets, policy, seq_len));
+        n += 1;
+    }
+    if n == 0 {
+        1.0
+    } else {
+        sum / n as f64
+    }
 }
 
 /// One query's latency: the next query starts once this one's stages
@@ -173,7 +282,7 @@ pub fn query_cycles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sprint_accelerator::{assign_tokens, MappingPolicy};
+    use proptest::prelude::*;
 
     /// Every field at a distinct non-zero value.
     fn busy() -> OpCounts {
@@ -337,5 +446,110 @@ mod tests {
             );
         }
         assert_eq!(worst_corelet_load([], &mut [0u64; 4]), 0);
+    }
+
+    #[test]
+    fn interleaving_spreads_clusters() {
+        // A 32-wide cluster in a 128 sequence over 4 CORELETs.
+        let kept: Vec<usize> = (40..72).collect();
+        let a = assign_tokens(&kept, 4, MappingPolicy::Interleaved, 128);
+        assert!(a.iter().all(|v| v.len() == 8), "{a:?}");
+        assert!((imbalance_ratio(&a) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sequential_concentrates_clusters() {
+        let kept: Vec<usize> = (40..72).collect();
+        let a = assign_tokens(&kept, 4, MappingPolicy::Sequential, 128);
+        // Block size 32: the cluster spans blocks 1 and 2 unevenly.
+        let ratio = imbalance_ratio(&a);
+        assert!(ratio >= 3.0, "ratio={ratio} assignments={a:?}");
+    }
+
+    #[test]
+    fn paper_interleaving_rule_k_4n_plus_i() {
+        // "given total four available CORELETs, SPRINT process K_{4n+i}
+        // in the i-th CORELET".
+        let kept: Vec<usize> = (0..16).collect();
+        let a = assign_tokens(&kept, 4, MappingPolicy::Interleaved, 16);
+        for (i, list) in a.iter().enumerate() {
+            assert!(list.iter().all(|&j| j % 4 == i));
+        }
+    }
+
+    #[test]
+    fn every_token_assigned_exactly_once() {
+        let kept: Vec<usize> = vec![3, 17, 18, 19, 64, 100];
+        for policy in [MappingPolicy::Sequential, MappingPolicy::Interleaved] {
+            let a = assign_tokens(&kept, 3, policy, 128);
+            let mut all: Vec<usize> = a.concat();
+            all.sort_unstable();
+            assert_eq!(all, kept, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn imbalance_handles_edge_cases() {
+        assert_eq!(imbalance_ratio(&[]), 1.0);
+        assert_eq!(imbalance_ratio(&[vec![], vec![]]), 1.0);
+        // One CORELET idle: min clamps to 1.
+        assert_eq!(imbalance_ratio(&[vec![1, 2, 3], vec![]]), 3.0);
+    }
+
+    #[test]
+    fn mean_imbalance_skips_empty_queries() {
+        // Both non-empty queries split evenly over 2 CORELETs; the
+        // empty (padded) query must not drag the average.
+        let queries = vec![vec![0, 1, 2, 3], vec![], vec![0, 1, 4, 5]];
+        let m = mean_imbalance(&queries, 2, MappingPolicy::Interleaved, 8);
+        assert!(
+            (m - 1.0).abs() < 1e-9,
+            "balanced queries average to 1, got {m}"
+        );
+    }
+
+    #[test]
+    fn interleaving_dominates_sequential_at_every_corelet_count() {
+        // Fig. 8: at 2/4/8/16 CORELETs, interleaving stays near the
+        // ideal ratio of 1 while the sequential mapping suffers badly
+        // on a clustered mask.
+        let kept: Vec<usize> = (100..160).collect();
+        let seq_len = 512;
+        for n in [2usize, 4, 8, 16] {
+            let seq = imbalance_ratio(&assign_tokens(&kept, n, MappingPolicy::Sequential, seq_len));
+            let int = imbalance_ratio(&assign_tokens(
+                &kept,
+                n,
+                MappingPolicy::Interleaved,
+                seq_len,
+            ));
+            assert!(
+                int <= seq,
+                "interleaving never worse: n={n} int={int} seq={seq}"
+            );
+            assert!(int <= 2.0, "interleaved ratio stays small: n={n} int={int}");
+            assert!(
+                seq >= 4.0,
+                "sequential suffers on clusters: n={n} seq={seq}"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_assignment_partitions_kept(
+            kept_bits in proptest::collection::vec(proptest::bool::ANY, 1..256),
+            corelets in 1usize..9,
+            interleaved in proptest::bool::ANY,
+        ) {
+            let kept: Vec<usize> = kept_bits
+                .iter().enumerate().filter_map(|(j, &b)| b.then_some(j)).collect();
+            let policy = if interleaved { MappingPolicy::Interleaved } else { MappingPolicy::Sequential };
+            let a = assign_tokens(&kept, corelets, policy, kept_bits.len());
+            let mut all: Vec<usize> = a.concat();
+            all.sort_unstable();
+            prop_assert_eq!(all, kept);
+            prop_assert!(imbalance_ratio(&a) >= 1.0);
+        }
     }
 }

@@ -34,7 +34,7 @@ use sprint_memory::{MemoryController, MemoryStats};
 use sprint_reram::{FaultModel, InMemoryPruner, NoiseModel, PruneHardwareStats, ThresholdSpec};
 
 use crate::cost::{query_cycles, worst_corelet_load, OpCounts};
-use crate::engine::derive_head_seed;
+use crate::engine::{derive_head_seed, lazy_controller};
 use crate::fault::resolve_faults;
 use crate::{Engine, ExecutionMode, FaultPolicy, SprintConfig, SprintError};
 
@@ -289,6 +289,21 @@ impl SessionPerf {
 /// ```
 #[derive(Debug)]
 pub struct DecodeSession {
+    params: SessionParams,
+    kv: KvCache,
+    pruner: Option<InMemoryPruner>,
+    controller: Option<MemoryController>,
+    ws: Workspace,
+    /// Persistent 1×d staging for the step query.
+    q_step: Option<Matrix>,
+}
+
+/// Everything a session is apart from its substrate: fixed at open
+/// (but for the accounting and the sticky demotion), moved into the
+/// [`EvictedSession`] stub by [`DecodeSession::evict`] and handed
+/// back by [`Engine::resume_session`].
+#[derive(Debug, Clone)]
+struct SessionParams {
     config: SprintConfig,
     noise: NoiseModel,
     spec: ThresholdSpec,
@@ -297,12 +312,6 @@ pub struct DecodeSession {
     attn: AttentionConfig,
     threshold: f32,
     memory_accounting: bool,
-    kv: KvCache,
-    pruner: Option<InMemoryPruner>,
-    controller: Option<MemoryController>,
-    ws: Workspace,
-    /// Persistent 1×d staging for the step query.
-    q_step: Option<Matrix>,
     perf: SessionPerf,
     fault_model: Option<FaultModel>,
     fault_policy: FaultPolicy,
@@ -329,22 +338,11 @@ pub struct DecodeSession {
 /// per-session trace seed and token count; the engine keeps nothing).
 #[derive(Debug)]
 pub struct EvictedSession {
-    config: SprintConfig,
-    noise: NoiseModel,
-    spec: ThresholdSpec,
-    mode: ExecutionMode,
-    seed: u64,
-    attn: AttentionConfig,
-    threshold: f32,
-    memory_accounting: bool,
+    params: SessionParams,
     had_pruner: bool,
     history_len: usize,
     d: usize,
     d_v: usize,
-    perf: SessionPerf,
-    fault_model: Option<FaultModel>,
-    fault_policy: FaultPolicy,
-    demoted: bool,
 }
 
 impl EvictedSession {
@@ -356,12 +354,12 @@ impl EvictedSession {
 
     /// The mode the session ran (and will resume) under.
     pub fn mode(&self) -> ExecutionMode {
-        self.mode
+        self.params.mode
     }
 
     /// Cumulative accounting, carried across the eviction.
     pub fn perf(&self) -> &SessionPerf {
-        &self.perf
+        &self.params.perf
     }
 }
 
@@ -401,23 +399,25 @@ impl Engine {
             )));
         }
         Ok(DecodeSession {
-            config: self.config().clone(),
-            noise: self.noise(),
-            spec: request.threshold_spec.unwrap_or(self.threshold_spec()),
-            mode: request.mode.unwrap_or(self.mode()),
-            seed: derive_head_seed(self.seed(), request.head_id.unwrap_or(0)),
-            attn: request.config,
-            threshold: request.threshold,
-            memory_accounting: self.memory_accounting_enabled(),
+            params: SessionParams {
+                config: self.config().clone(),
+                noise: self.noise(),
+                spec: request.threshold_spec.unwrap_or(self.threshold_spec()),
+                mode: request.mode.unwrap_or(self.mode()),
+                seed: derive_head_seed(self.seed(), request.head_id.unwrap_or(0)),
+                attn: request.config,
+                threshold: request.threshold,
+                memory_accounting: self.memory_accounting_enabled(),
+                perf: SessionPerf::default(),
+                fault_model: self.fault_model(),
+                fault_policy: self.fault_policy(),
+                demoted: false,
+            },
             kv: KvCache::new_in(self.kv_pool(), request.k, request.v)?,
             pruner: None,
             controller: None,
             ws: self.session_workspace(),
             q_step: None,
-            perf: SessionPerf::default(),
-            fault_model: self.fault_model(),
-            fault_policy: self.fault_policy(),
-            demoted: false,
         })
     }
 
@@ -464,14 +464,13 @@ impl Engine {
             )));
         }
         let kv = KvCache::new_in(self.kv_pool(), k, v)?;
-        let mut perf = stub.perf;
-        perf.rehydrations += 1;
-        perf.rehydrated_tokens += stub.history_len as u64;
-        let mut demoted = stub.demoted;
+        let mut params = stub.params.clone();
+        params.perf.rehydrations += 1;
+        params.perf.rehydrated_tokens += stub.history_len as u64;
         let analog = matches!(
-            stub.mode,
+            params.mode,
             ExecutionMode::Sprint | ExecutionMode::NoRecompute
-        ) && !demoted;
+        ) && !params.demoted;
         let mut pruner = None;
         if stub.had_pruner && analog {
             // Reprogram the crossbars from the replayed history with a
@@ -479,45 +478,35 @@ impl Engine {
             // every analog step and recomputes all query-side state,
             // so the placeholder never reaches a step's outcome.
             let q0 = Matrix::zeros(1, stub.d)?;
-            let mut p = InMemoryPruner::new(&q0, k, stub.attn.scale(), stub.noise, stub.seed)?;
-            perf.rehydration_energy += OpCounts {
+            let mut p =
+                InMemoryPruner::new(&q0, k, params.attn.scale(), params.noise, params.seed)?;
+            params.perf.rehydration_energy += OpCounts {
                 reram_write_bits: stub.history_len as u64 * 2 * (stub.d * 8) as u64,
                 ..OpCounts::default()
             }
-            .energy(&stub.config.energies);
-            if let Some(model) = stub.fault_model {
+            .energy(&params.config.energies);
+            if let Some(model) = params.fault_model {
                 // A rebuild is a fresh program epoch: stamp the model
                 // and scrub everything, as the first step would.
                 p.set_fault_model(Some(model));
                 let map = p.scrub()?;
-                let resolved = resolve_faults(&mut p, stub.fault_policy, map)?;
-                perf.faults_detected += resolved.faults_detected;
-                perf.fault_retries += resolved.retries;
+                let resolved = resolve_faults(&mut p, params.fault_policy, map)?;
+                params.perf.faults_detected += resolved.faults_detected;
+                params.perf.fault_retries += resolved.retries;
                 if resolved.demoted {
-                    demoted = true;
-                    perf.demoted = true;
+                    params.demoted = true;
+                    params.perf.demoted = true;
                 }
             }
             pruner = Some(p);
         }
         Ok(DecodeSession {
-            config: stub.config.clone(),
-            noise: stub.noise,
-            spec: stub.spec,
-            mode: stub.mode,
-            seed: stub.seed,
-            attn: stub.attn,
-            threshold: stub.threshold,
-            memory_accounting: stub.memory_accounting,
+            params,
             kv,
             pruner,
             controller: None,
             ws: self.session_workspace(),
             q_step: None,
-            perf,
-            fault_model: stub.fault_model,
-            fault_policy: stub.fault_policy,
-            demoted,
         })
     }
 }
@@ -530,12 +519,12 @@ impl DecodeSession {
 
     /// The mode every step of this session runs under.
     pub fn mode(&self) -> ExecutionMode {
-        self.mode
+        self.params.mode
     }
 
     /// Cumulative session accounting.
     pub fn perf(&self) -> &SessionPerf {
-        &self.perf
+        &self.params.perf
     }
 
     /// Pages this session's KV cache currently holds.
@@ -549,24 +538,13 @@ impl DecodeSession {
     /// and accounting needed for [`Engine::resume_session`] to rebuild
     /// the session — bit-identically — from the replayed history.
     pub fn evict(mut self) -> EvictedSession {
-        self.perf.evictions += 1;
+        self.params.perf.evictions += 1;
         EvictedSession {
             history_len: self.kv.len(),
             d: self.kv.embed_dim(),
             d_v: self.kv.value_dim(),
             had_pruner: self.pruner.is_some(),
-            config: self.config,
-            noise: self.noise,
-            spec: self.spec,
-            mode: self.mode,
-            seed: self.seed,
-            attn: self.attn,
-            threshold: self.threshold,
-            memory_accounting: self.memory_accounting,
-            perf: self.perf,
-            fault_model: self.fault_model,
-            fault_policy: self.fault_policy,
-            demoted: self.demoted,
+            params: self.params,
         }
         // The partially-moved `self` drops here: the KvCache releases
         // its pages, the pruner/controller/workspace free their state.
@@ -616,12 +594,12 @@ impl DecodeSession {
 
         let mut perf = StepPerf::default();
         let analog = matches!(
-            self.mode,
+            self.params.mode,
             ExecutionMode::Sprint | ExecutionMode::NoRecompute
-        ) && !self.demoted;
+        ) && !self.params.demoted;
         if analog {
             // Grow (or first-build) the programmed crossbars.
-            let needs_full_scale = self.spec.score_bits.is_some();
+            let needs_full_scale = self.params.spec.score_bits.is_some();
             let (first_build, reprogrammed) = match self.pruner.as_mut() {
                 Some(p) => {
                     // The new key row comes straight from page storage;
@@ -641,9 +619,9 @@ impl DecodeSession {
                     self.pruner = Some(InMemoryPruner::new(
                         q1,
                         &self.kv.gather_k(),
-                        self.attn.scale(),
-                        self.noise,
-                        self.seed,
+                        self.params.attn.scale(),
+                        self.params.noise,
+                        self.params.seed,
                     )?);
                     (true, false)
                 }
@@ -654,7 +632,7 @@ impl DecodeSession {
                 perf.recalibrated = true;
                 perf.programmed_tokens = perf.programmed_tokens.max(s as u64);
             }
-            if let Some(model) = self.fault_model {
+            if let Some(model) = self.params.fault_model {
                 let pruner = self.pruner.as_mut().expect("pruner installed above");
                 let fresh_stamp = pruner.fault_model().is_none();
                 if fresh_stamp {
@@ -670,28 +648,34 @@ impl DecodeSession {
                 } else {
                     pruner.scrub_key(s - 1)?
                 };
-                let resolved = resolve_faults(pruner, self.fault_policy, map)?;
+                let resolved = resolve_faults(pruner, self.params.fault_policy, map)?;
                 perf.faults_detected = resolved.faults_detected;
                 perf.fault_retries = resolved.retries;
                 if resolved.demoted {
                     // Graceful degradation: this step and every later
                     // one run the exact digital pipeline.
-                    self.demoted = true;
+                    self.params.demoted = true;
                     perf.demoted = true;
                 }
             }
         }
-        let (output, decision, prune_stats) = if analog && !self.demoted {
+        let (output, decision, prune_stats) = if analog && !self.params.demoted {
             let pruner = self.pruner.as_mut().expect("pruner installed above");
             let before = pruner.stats();
             let mut pruned = vec![false; s];
-            let (output, decision) = if self.mode == ExecutionMode::Sprint {
-                pruner.prune_query_into(step.q, self.threshold, &self.spec, &mut pruned, None)?;
+            let (output, decision) = if self.params.mode == ExecutionMode::Sprint {
+                pruner.prune_query_into(
+                    step.q,
+                    self.params.threshold,
+                    &self.params.spec,
+                    &mut pruned,
+                    None,
+                )?;
                 let decision = PruneDecision::new(pruned);
                 let output = quantized_attention_decode_with(
                     q1,
                     &self.kv,
-                    &self.attn,
+                    &self.params.attn,
                     Some(&decision),
                     &mut self.ws,
                 )?;
@@ -703,8 +687,8 @@ impl DecodeSession {
                 let prow = self.ws.prob_row(s);
                 pruner.prune_query_into(
                     step.q,
-                    self.threshold,
-                    &self.spec,
+                    self.params.threshold,
+                    &self.params.spec,
                     &mut pruned,
                     Some(&mut *prow),
                 )?;
@@ -730,15 +714,15 @@ impl DecodeSession {
             // demoted. Recalibrations of the cached K/V images are
             // free here (nothing further is programmed), so the
             // programming perf fields stay zero.
-            let threshold = if self.mode == ExecutionMode::Dense || self.demoted {
+            let threshold = if self.params.mode == ExecutionMode::Dense || self.params.demoted {
                 f32::MIN
             } else {
-                self.threshold
+                self.params.threshold
             };
             let (output, decision) = pruned_attention_decode_cached_with(
                 q1,
                 &self.kv,
-                &self.attn,
+                &self.params.attn,
                 threshold,
                 &mut self.ws,
             )?;
@@ -748,14 +732,8 @@ impl DecodeSession {
         // Selective fetch through the session's controller (statistics
         // only, exactly as in the engine's head pipeline).
         let mut memory_stats = MemoryStats::default();
-        if self.memory_accounting {
-            if self.controller.is_none() {
-                self.controller = Some(MemoryController::new(
-                    self.config.memory_geometry(),
-                    self.config.timing,
-                )?);
-            }
-            let controller = self.controller.as_mut().expect("controller installed");
+        if self.params.memory_accounting {
+            let controller = lazy_controller(&mut self.controller, &self.params.config)?;
             controller.reset_cold();
             controller.process_query(decision.as_slice())?;
             memory_stats = controller.stats();
@@ -770,7 +748,7 @@ impl DecodeSession {
             memory_stats,
             perf,
         };
-        self.perf.record(&response);
+        self.params.perf.record(&response);
         Ok(response)
     }
 
@@ -787,11 +765,11 @@ impl DecodeSession {
         prune_stats: &PruneHardwareStats,
         memory_stats: &MemoryStats,
     ) {
-        let u = &self.config.energies;
+        let u = &self.params.config.energies;
         let d = self.kv.embed_dim();
         let s = decision.len();
         let d_bits = (d * 8) as u64;
-        let cpt = d.div_ceil(self.config.head_dim.max(1)) as u64;
+        let cpt = d.div_ceil(self.params.config.head_dim.max(1)) as u64;
 
         perf.program_energy = OpCounts {
             reram_write_bits: perf.programmed_tokens * 2 * d_bits,
@@ -804,7 +782,7 @@ impl DecodeSession {
             reram_read_bits: memory_stats.bytes_fetched * 8 + d_bits,
             onchip_write_bits: memory_stats.fetched_vectors * d_bits,
             // One query's counts: `s` dense pairs, `kept` survivors.
-            ..OpCounts::on_chip(self.mode, s as u64, kept, cpt, d_bits)
+            ..OpCounts::on_chip(self.params.mode, s as u64, kept, cpt, d_bits)
         };
         if prune_stats.queries_pruned > 0 {
             counts.in_memory_ops = prune_stats.in_memory_ops;
@@ -813,11 +791,11 @@ impl DecodeSession {
         }
         perf.energy = counts.energy(u);
 
-        let corelets = self.config.corelets.max(1);
+        let corelets = self.params.config.corelets.max(1);
         let worst = worst_corelet_load(decision.iter_kept(), &mut vec![0u64; corelets]);
-        let mem =
-            (memory_stats.fetched_vectors as f64 * self.config.cycles_per_pair()).ceil() as u64;
-        perf.cycles = query_cycles(self.mode, s, worst, corelets, cpt, mem);
+        let mem = (memory_stats.fetched_vectors as f64 * self.params.config.cycles_per_pair())
+            .ceil() as u64;
+        perf.cycles = query_cycles(self.params.mode, s, worst, corelets, cpt, mem);
     }
 }
 

@@ -243,10 +243,10 @@ impl EngineBuilder {
                 Mutex::new(scratch)
             })
             .collect();
-        scratches[0].get_mut().expect("fresh mutex").controller = Some(MemoryController::new(
-            self.config.memory_geometry(),
-            self.config.timing,
-        )?);
+        lazy_controller(
+            &mut scratches[0].get_mut().expect("fresh mutex").controller,
+            &self.config,
+        )?;
         Ok(Engine {
             config: self.config,
             noise: self.noise,
@@ -270,6 +270,22 @@ impl EngineBuilder {
 /// (Q and K); anything beyond that is transient and returned to the
 /// allocator so a long serving run cannot accumulate buffers.
 const MAT_POOL_CAP: usize = 4;
+
+/// The memory controller in `slot`, built over `config`'s geometry and
+/// timing on first use. Worker scratches and decode sessions construct
+/// theirs lazily so an accounting-free engine never pays for one.
+pub(crate) fn lazy_controller<'a>(
+    slot: &'a mut Option<MemoryController>,
+    config: &SprintConfig,
+) -> Result<&'a mut MemoryController, SprintError> {
+    if slot.is_none() {
+        *slot = Some(MemoryController::new(
+            config.memory_geometry(),
+            config.timing,
+        )?);
+    }
+    Ok(slot.as_mut().expect("installed above"))
+}
 
 /// Per-worker reusable substrate state. Everything heavy a head needs
 /// — pruner crossbars, the memory controller, attention workspace,
@@ -750,12 +766,6 @@ impl Engine {
                 return Ok(response);
             }
         }
-        if self.memory_accounting && scratch.controller.is_none() {
-            scratch.controller = Some(MemoryController::new(
-                self.config.memory_geometry(),
-                self.config.timing,
-            )?);
-        }
         if !recompute && scratch.approx.len() < live_q {
             scratch.approx.resize_with(live_q, Vec::new);
         }
@@ -764,10 +774,11 @@ impl Engine {
         let mut decisions = Vec::with_capacity(s_q);
         let (prune_stats, memory_stats) = {
             let pruner = scratch.pruner.as_mut().expect("pruner just installed");
-            let mut controller = scratch
-                .controller
-                .as_mut()
-                .filter(|_| self.memory_accounting);
+            let mut controller = if self.memory_accounting {
+                Some(lazy_controller(&mut scratch.controller, &self.config)?)
+            } else {
+                None
+            };
             if let Some(c) = controller.as_mut() {
                 c.reset_cold();
             }
@@ -880,13 +891,7 @@ impl Engine {
 
         let mut memory_stats = sprint_memory::MemoryStats::default();
         if self.memory_accounting && live_q > 0 && live_k > 0 {
-            if scratch.controller.is_none() {
-                scratch.controller = Some(MemoryController::new(
-                    self.config.memory_geometry(),
-                    self.config.timing,
-                )?);
-            }
-            let controller = scratch.controller.as_mut().expect("controller installed");
+            let controller = lazy_controller(&mut scratch.controller, &self.config)?;
             controller.reset_cold();
             for d in decisions.iter().take(live_q) {
                 controller.process_query(&d.as_slice()[..live_k])?;

@@ -2,13 +2,12 @@
 //!
 //! Every substrate crate exposes its own error enum. [`SprintError`]
 //! is the single error the serving API surfaces: one `From` impl per
-//! substrate (`AttentionError`, `ReramError`, `MemoryError`,
-//! `AcceleratorError`), so `?` composes across every layer.
+//! substrate (`AttentionError`, `ReramError`, `MemoryError`), so `?`
+//! composes across every layer.
 
 use std::error::Error;
 use std::fmt;
 
-use sprint_accelerator::AcceleratorError;
 use sprint_attention::AttentionError;
 use sprint_memory::MemoryError;
 use sprint_reram::ReramError;
@@ -37,8 +36,6 @@ pub enum SprintError {
     Reram(ReramError),
     /// Memory subsystem error (geometry, timing, addressing).
     Memory(MemoryError),
-    /// Accelerator model error (CORELET configuration, mapping).
-    Accelerator(AcceleratorError),
     /// The request itself is malformed (inconsistent shapes, padding
     /// over a cross-shaped head).
     Request(String),
@@ -50,7 +47,6 @@ impl fmt::Display for SprintError {
             SprintError::Attention(e) => write!(f, "attention: {e}"),
             SprintError::Reram(e) => write!(f, "reram: {e}"),
             SprintError::Memory(e) => write!(f, "memory: {e}"),
-            SprintError::Accelerator(e) => write!(f, "accelerator: {e}"),
             SprintError::Request(msg) => write!(f, "invalid request: {msg}"),
         }
     }
@@ -75,7 +71,6 @@ impl Error for SprintError {
             SprintError::Attention(e) => Some(e),
             SprintError::Reram(e) => Some(e),
             SprintError::Memory(e) => Some(e),
-            SprintError::Accelerator(e) => Some(e),
             SprintError::Request(_) => None,
         }
     }
@@ -96,12 +91,6 @@ impl From<ReramError> for SprintError {
 impl From<MemoryError> for SprintError {
     fn from(e: MemoryError) -> Self {
         SprintError::Memory(e)
-    }
-}
-
-impl From<AcceleratorError> for SprintError {
-    fn from(e: AcceleratorError) -> Self {
-        SprintError::Accelerator(e)
     }
 }
 

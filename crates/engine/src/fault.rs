@@ -26,8 +26,6 @@
 //! never from scheduling — so responses stay bit-identical across
 //! worker counts even with faults injected.
 
-use serde::{Deserialize, Serialize};
-
 use sprint_reram::{FaultMap, InMemoryPruner, ReramError};
 
 use crate::SprintError;
@@ -39,7 +37,7 @@ use crate::SprintError;
 /// The default is `Demote { max_attempts: 3 }`: bounded repair, then
 /// graceful degradation to the exact digital pipeline — every request
 /// completes, accuracy is never silently lost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPolicy {
     /// Detect and count faults; serve the degraded analog result as-is
     /// (no repair, no fallback). The accuracy-vs-fault-rate sweeps run
@@ -88,7 +86,7 @@ impl Default for FaultPolicy {
 /// [`crate::HeadResponse`]. All-zero (the [`Default`]) when the engine
 /// has no fault model or the scrub came back clean, so fault-free
 /// responses compare equal to pre-fault-support ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultReport {
     /// Faulty cells the scrub detected (before repair).
     pub faults_detected: u64,

@@ -21,9 +21,9 @@
 //!   (layers × heads, per-layer sequence lengths, shared base seed)
 //!   decomposed into head requests, scheduled over the engine's worker
 //!   pool, and aggregated into per-layer / whole-model
-//!   [`ModelResponse`] roll-ups; [`ServeLoop`] drives it from a
-//!   synthetic arrival stream and reports throughput and latency
-//!   percentiles;
+//!   [`ModelResponse`] roll-ups (traffic — admission, batching,
+//!   latency percentiles — is `sprint_server`'s queue and batcher on
+//!   top of it);
 //! * [`DecodeSession`] — autoregressive decode: a stateful session
 //!   over programmed crossbars, an append-only KV cache and per-step
 //!   scratch, serving one-query SPRINT attention per generated token
@@ -51,7 +51,8 @@
 //!   (moved here from `sprint-core`, which re-exports it);
 //! * [`mod@cost`] — the §VII cost model: the one Table II charge sheet
 //!   and per-query latency rule behind [`PerfRollup`], [`StepPerf`]
-//!   and `sprint-core`'s figure drivers;
+//!   and `sprint-core`'s figure drivers, and the token-to-CORELET
+//!   mapping (token interleaving, Fig. 8) that rule rests on;
 //! * [`mod@reference`] — the frozen pre-engine pipeline, kept as the
 //!   oracle that the engine's state reuse is proven bit-identical
 //!   against.
@@ -113,8 +114,7 @@ pub use mode::ExecutionMode;
 pub use model::{HeadPlan, LayerReport, ModelProfile, ModelRequest, ModelResponse, PerfRollup};
 pub use request::{HeadRequest, HeadResponse};
 pub use serve::{
-    nearest_rank, DecodeLoop, DecodeReport, DecodeTask, ModelServer, ServeLoop, ServeStats,
-    ServeSummary, SessionReport,
+    nearest_rank, DecodeLoop, DecodeReport, DecodeTask, ModelServer, ServeStats, SessionReport,
 };
 pub use sessions::{SessionError, SessionOpen, SessionTable};
 pub use sprint_attention::{active_tier, avx2_available, SimdTier};

@@ -1,11 +1,9 @@
 //! The functional execution modes of the engine.
 
-use serde::{Deserialize, Serialize};
-
 /// How the engine executes a head — the four functional pipelines of
 /// the paper's Fig. 9 evaluation, replacing the bare `recompute: bool`
 /// flag of the pre-engine API.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
     /// Full SPRINT: analog in-memory thresholding, SLD-driven
     /// selective fetch, and on-chip 8-bit recomputation of the

@@ -9,8 +9,6 @@
 //! [`LayerReport`]s and a whole-model [`PerfRollup`] of energy,
 //! latency, data movement and (optionally) proxy-task accuracy.
 
-use serde::{Deserialize, Serialize};
-
 use sprint_energy::EnergyBreakdown;
 use sprint_reram::ThresholdSpec;
 use sprint_workloads::{ModelConfig, TaskScore, TraceSpec};
@@ -49,7 +47,7 @@ const TASK_SALT: u64 = 0x7a51;
 /// assert_eq!(profile.layers(), 2);
 /// assert_eq!(profile.head_count(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     name: String,
     head_dim: usize,
@@ -237,7 +235,7 @@ impl ModelProfile {
 ///     .with_mode(ExecutionMode::Oracle);
 /// assert_eq!(request.head_plan().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelRequest {
     profile: ModelProfile,
     base_seed: u64,
@@ -349,7 +347,7 @@ impl ModelRequest {
 
 /// One head's slot in a [`ModelRequest::head_plan`]: grid position,
 /// derived seeds, and the trace spec to synthesize it from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeadPlan {
     /// Layer index within the model.
     pub layer: usize,
@@ -376,7 +374,7 @@ pub struct HeadPlan {
 /// Roll-ups add: a layer's rollup is the [`PerfRollup::merge`] of its
 /// heads, the model total the merge of its layers. The property tests
 /// pin `serve() == Σ run_head()` through this type.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PerfRollup {
     /// Heads aggregated.
     pub heads: u64,
@@ -565,7 +563,7 @@ impl PerfRollup {
 }
 
 /// The roll-up of one layer of a served pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// Layer index within the model.
     pub layer: usize,
@@ -577,7 +575,7 @@ pub struct LayerReport {
 
 /// The aggregated outcome of one [`ModelRequest`]: per-layer reports
 /// plus the whole-model [`PerfRollup`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelResponse {
     /// The served model's display name.
     pub model: String,

@@ -1,7 +1,5 @@
 //! The request/response pair of the serving API.
 
-use serde::{Deserialize, Serialize};
-
 use sprint_attention::{AttentionConfig, Matrix, PaddingMask, PruneDecision};
 use sprint_memory::MemoryStats;
 use sprint_reram::{PruneHardwareStats, ThresholdSpec};
@@ -172,7 +170,7 @@ impl<'a> HeadRequest<'a> {
 }
 
 /// The outcome of one head execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadResponse {
     /// Final attention values (`s_q × d_v`).
     pub output: Matrix,

@@ -1,5 +1,5 @@
 //! Model-level serving: [`ModelServer`] over the [`Engine`], and the
-//! trace-driven [`ServeLoop`].
+//! interleaved decode driver [`DecodeLoop`].
 //!
 //! The [`Engine`] serves isolated heads; the evaluation — and any real
 //! deployment — is model-shaped. [`ModelServer`] closes that gap: it
@@ -13,17 +13,16 @@
 //! to a sequential per-head loop over the same
 //! [`ModelRequest::head_plan`].
 //!
-//! [`ServeLoop`] adds traffic on top: a
-//! [`sprint_workloads::ArrivalSpec`] stream feeds model requests into
-//! the server, due arrivals are batched in flight, and the loop
-//! reports throughput and latency percentiles — the repo's first
-//! end-to-end serving scenario.
+//! Traffic — arrivals, admission, in-flight batching, latency
+//! percentiles — is the HTTP server's job (`sprint_server`: its
+//! admission queue and batcher call
+//! [`ModelServer::serve_many_threads`]).
 
 use std::time::Instant;
 
 use sprint_energy::EnergyBreakdown;
 use sprint_reram::ThresholdSpec;
-use sprint_workloads::{Arrival, ProxyTask, TaskScore, TraceGenerator, TraceSpec};
+use sprint_workloads::{ProxyTask, TaskScore, TraceGenerator, TraceSpec};
 
 use crate::decode::SessionPerf;
 use crate::engine::{derive_head_seed, BatchReport};
@@ -148,7 +147,7 @@ impl ModelServer {
     }
 
     /// Serves several passes as one flattened head batch — the
-    /// in-flight batching entry the [`ServeLoop`] uses. Each pass
+    /// in-flight batching entry the HTTP server's batcher uses. Each pass
     /// keeps its own base seed, so the responses equal one
     /// [`ModelServer::serve`] call per request.
     ///
@@ -368,146 +367,6 @@ impl ModelServer {
             fold_ns: fold_started.elapsed().as_nanos(),
         };
         Ok((out, stats))
-    }
-}
-
-/// A trace-driven serving loop: synthetic arrivals in, a throughput /
-/// latency report out.
-///
-/// The loop replays an [`Arrival`] stream against a set of
-/// [`ModelRequest`] templates on a virtual clock: every arrival due at
-/// the current instant joins the next in-flight batch (up to
-/// [`ServeLoop::max_batch`]), the batch runs through
-/// [`ModelServer::serve_many`] while the wall-clock service time is
-/// measured, and the clock advances by that service time. A request's
-/// latency is queueing delay plus service — the standard open-loop
-/// serving model.
-///
-/// # Example
-///
-/// ```
-/// use sprint_engine::{Engine, ModelProfile, ModelRequest, ModelServer, ServeLoop, SprintConfig};
-/// use sprint_workloads::{ArrivalSpec, ModelConfig, TraceGenerator};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let server = ModelServer::new(Engine::builder(SprintConfig::small()).build()?);
-/// let template = ModelRequest::new(
-///     ModelProfile::from_model(&ModelConfig::vit_base())
-///         .with_layers(1)
-///         .with_heads(2)
-///         .with_seq_len(32),
-/// );
-/// let arrivals = TraceGenerator::new(9).arrivals(&ArrivalSpec::poisson(4, 200_000.0, 1))?;
-/// let summary = ServeLoop::new(&server).run(&arrivals, &[template])?;
-/// assert_eq!(summary.served, 4);
-/// assert!(summary.throughput_per_s() > 0.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ServeLoop<'a> {
-    server: &'a ModelServer,
-    max_batch: usize,
-}
-
-impl<'a> ServeLoop<'a> {
-    /// A loop over `server` with the default in-flight batch cap (8).
-    pub fn new(server: &'a ModelServer) -> Self {
-        ServeLoop {
-            server,
-            max_batch: 8,
-        }
-    }
-
-    /// Caps how many due model requests one batch may coalesce
-    /// (clamped to at least 1).
-    #[must_use]
-    pub fn max_batch(mut self, n: usize) -> Self {
-        self.max_batch = n.max(1);
-        self
-    }
-
-    /// Replays `arrivals` against the request `templates`
-    /// (`arrival.template` indexes into the slice).
-    ///
-    /// # Errors
-    ///
-    /// [`SprintError::Request`] for an empty template set or an
-    /// out-of-range template index; serving errors otherwise.
-    pub fn run(
-        &self,
-        arrivals: &[Arrival],
-        templates: &[ModelRequest],
-    ) -> Result<ServeSummary, SprintError> {
-        if templates.is_empty() {
-            return Err(SprintError::Request(
-                "serve loop needs at least one request template".to_string(),
-            ));
-        }
-        if let Some(bad) = arrivals.iter().find(|a| a.template >= templates.len()) {
-            return Err(SprintError::Request(format!(
-                "arrival template {} out of range ({} templates)",
-                bad.template,
-                templates.len()
-            )));
-        }
-        let mut order: Vec<&Arrival> = arrivals.iter().collect();
-        order.sort_by_key(|a| a.at_ns);
-
-        let mut clock: u128 = 0;
-        let mut busy_ns: u128 = 0;
-        let mut batches = 0usize;
-        let mut heads = 0u64;
-        let mut faults_detected = 0u64;
-        let mut fault_retries = 0u64;
-        let mut remapped_columns = 0u64;
-        let mut heads_demoted = 0u64;
-        let mut latencies_ns: Vec<u128> = Vec::with_capacity(order.len());
-        let mut i = 0usize;
-        while i < order.len() {
-            // Idle until the next arrival, then coalesce everything due.
-            let now = clock.max(order[i].at_ns as u128);
-            let mut batch: Vec<&Arrival> = Vec::new();
-            while i < order.len() && (order[i].at_ns as u128) <= now && batch.len() < self.max_batch
-            {
-                batch.push(order[i]);
-                i += 1;
-            }
-            let requests: Vec<ModelRequest> = batch
-                .iter()
-                .map(|a| templates[a.template].clone())
-                .collect();
-            let started = Instant::now();
-            let responses = self.server.serve_many(&requests)?;
-            let service = started.elapsed().as_nanos().max(1);
-            busy_ns += service;
-            batches += 1;
-            clock = now + service;
-            for (arrival, response) in batch.iter().zip(&responses) {
-                latencies_ns.push(clock - arrival.at_ns as u128);
-                heads += response.total.heads;
-                faults_detected += response.total.faults_detected;
-                fault_retries += response.total.fault_retries;
-                remapped_columns += response.total.remapped_columns;
-                heads_demoted += response.total.heads_demoted;
-            }
-        }
-        latencies_ns.sort_unstable();
-        let pool = self.server.engine().kv_pool();
-        Ok(ServeSummary {
-            served: order.len(),
-            heads,
-            batches,
-            busy_ns,
-            makespan_ns: clock,
-            faults_detected,
-            fault_retries,
-            remapped_columns,
-            heads_demoted,
-            kv_pages_in_use: pool.pages_in_use(),
-            kv_pages_peak: pool.peak_pages(),
-            latencies_ns,
-        })
     }
 }
 
@@ -853,47 +712,12 @@ impl<'a> DecodeLoop<'a> {
     }
 }
 
-/// The outcome of one [`ServeLoop::run`]: what was served, how fast,
-/// and the request-latency distribution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeSummary {
-    /// Model requests completed.
-    pub served: usize,
-    /// Attention heads executed across all requests.
-    pub heads: u64,
-    /// Batches dispatched (≤ `served`; smaller means coalescing
-    /// happened).
-    pub batches: usize,
-    /// Wall-clock nanoseconds spent serving (the busy time).
-    pub busy_ns: u128,
-    /// Virtual nanoseconds from the first arrival epoch to the last
-    /// completion.
-    pub makespan_ns: u128,
-    /// ReRAM cell faults detected across all served requests (zero
-    /// without a [`sprint_reram::FaultModel`] on the engine).
-    pub faults_detected: u64,
-    /// Write-verify reprogram retries spent repairing faulty cells
-    /// across all served requests (see [`crate::FaultPolicy`]).
-    pub fault_retries: u64,
-    /// Crossbar columns remapped to spares across all served requests.
-    pub remapped_columns: u64,
-    /// Heads demoted to the exact digital pipeline across all served
-    /// requests (see [`crate::FaultPolicy`]).
-    pub heads_demoted: u64,
-    /// Pages resident in the engine's shared KV page pool when the run
-    /// finished (held by decode sessions sharing the engine; zero for
-    /// a pure model-serving deployment).
-    pub kv_pages_in_use: usize,
-    /// The pool's lifetime peak resident page count.
-    pub kv_pages_peak: usize,
-    latencies_ns: Vec<u128>,
-}
-
 /// The nearest-rank percentile of an ascending-sorted slice: the
 /// sample at rank `⌈pct/100 · n⌉`, no interpolation; `T::default()`
-/// (zero) for an empty slice. The one estimator behind
-/// [`ServeSummary::latency_ns`], the server's `/metrics` reservoir and
-/// the stress harness.
+/// (zero) for an empty slice. The one estimator behind the server's
+/// `/metrics` reservoir and the stress harness. Any percentile above
+/// `100 · (1 − 1/n)` returns the sample **maximum**: over fewer than
+/// 100 samples "p99" is simply the slowest one.
 pub fn nearest_rank<T: Copy + Default>(sorted: &[T], pct: f64) -> T {
     if sorted.is_empty() {
         return T::default();
@@ -902,107 +726,12 @@ pub fn nearest_rank<T: Copy + Default>(sorted: &[T], pct: f64) -> T {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-impl ServeSummary {
-    /// Request latency (queueing + service) at percentile `pct`
-    /// (`0.0..=100.0`); zero when nothing was served.
-    ///
-    /// This is the **nearest-rank** estimator — the sorted sample at
-    /// rank `⌈pct/100 · n⌉` — with **no interpolation** between
-    /// samples. Two consequences at small sample counts:
-    ///
-    /// * any percentile above `100 · (1 − 1/n)` returns the sample
-    ///   **maximum** — over fewer than 100 served requests, "p99" is
-    ///   simply the slowest request, not a resolved tail estimate
-    ///   (see [`ServeSummary::resolves_percentile`]);
-    /// * adjacent percentiles collapse onto the same sample, so small
-    ///   runs report step-shaped, not smooth, latency curves.
-    ///
-    /// The [`std::fmt::Display`] rendering states the sample count and
-    /// flags a saturated p99 for exactly this reason.
-    pub fn latency_ns(&self, pct: f64) -> u128 {
-        nearest_rank(&self.latencies_ns, pct)
-    }
-
-    /// Whether `pct` is resolvable from this many samples — i.e.
-    /// whether the nearest-rank estimate can point at anything other
-    /// than the maximum. `p` percent needs at least `100 / (100 − p)`
-    /// samples (100 for p99, 10 for p90, 2 for p50).
-    pub fn resolves_percentile(&self, pct: f64) -> bool {
-        let n = self.latencies_ns.len() as f64;
-        n * (100.0 - pct.clamp(0.0, 100.0)) >= 100.0
-    }
-
-    /// Completed model requests per second of makespan.
-    pub fn throughput_per_s(&self) -> f64 {
-        self.served as f64 / (self.makespan_ns.max(1) as f64 / 1e9)
-    }
-
-    /// Heads executed per second of makespan.
-    pub fn head_throughput_per_s(&self) -> f64 {
-        self.heads as f64 / (self.makespan_ns.max(1) as f64 / 1e9)
-    }
-
-    /// Mean model requests per dispatched batch.
-    pub fn mean_batch(&self) -> f64 {
-        self.served as f64 / self.batches.max(1) as f64
-    }
-}
-
-impl std::fmt::Display for ServeSummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "served {} model requests ({} heads) in {} batches (mean batch {:.2})",
-            self.served,
-            self.heads,
-            self.batches,
-            self.mean_batch()
-        )?;
-        writeln!(
-            f,
-            "throughput: {:.1} models/s ({:.1} heads/s); busy {:.3} ms of {:.3} ms makespan",
-            self.throughput_per_s(),
-            self.head_throughput_per_s(),
-            self.busy_ns as f64 / 1e6,
-            self.makespan_ns as f64 / 1e6,
-        )?;
-        if self.faults_detected > 0 || self.heads_demoted > 0 {
-            writeln!(
-                f,
-                "faults: {} cells detected, {} retries, {} columns remapped, \
-                 {} heads demoted to the exact pipeline",
-                self.faults_detected, self.fault_retries, self.remapped_columns, self.heads_demoted,
-            )?;
-        }
-        if self.kv_pages_peak > 0 {
-            writeln!(
-                f,
-                "kv pool: {} pages resident, peak {}",
-                self.kv_pages_in_use, self.kv_pages_peak,
-            )?;
-        }
-        write!(
-            f,
-            "latency (nearest-rank over {} samples): p50 {:.3} ms, p90 {:.3} ms, p99 {:.3} ms{}",
-            self.latencies_ns.len(),
-            self.latency_ns(50.0) as f64 / 1e6,
-            self.latency_ns(90.0) as f64 / 1e6,
-            self.latency_ns(99.0) as f64 / 1e6,
-            if self.resolves_percentile(99.0) {
-                ""
-            } else {
-                " [p99 = max: under 100 samples]"
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{ExecutionMode, ModelProfile, SprintConfig};
     use sprint_reram::NoiseModel;
-    use sprint_workloads::{ArrivalSpec, ModelConfig};
+    use sprint_workloads::ModelConfig;
 
     fn server(slots: usize) -> ModelServer {
         ModelServer::new(
@@ -1111,107 +840,19 @@ mod tests {
     }
 
     #[test]
-    fn serve_loop_reports_traffic() {
-        let s = server(2);
-        let template = ModelRequest::new(
-            ModelProfile::from_model(&ModelConfig::vit_base())
-                .with_layers(1)
-                .with_heads(2)
-                .with_seq_len(32),
-        )
-        .with_seed(5);
-        let arrivals = TraceGenerator::new(17)
-            .arrivals(&ArrivalSpec::poisson(6, 50_000.0, 1))
-            .unwrap();
-        let summary = ServeLoop::new(&s)
-            .max_batch(4)
-            .run(&arrivals, &[template])
-            .unwrap();
-        assert_eq!(summary.served, 6);
-        assert_eq!(summary.heads, 12);
-        assert!(summary.batches <= 6);
-        assert!(summary.busy_ns > 0);
-        assert!(summary.latency_ns(50.0) <= summary.latency_ns(99.0));
-        assert!(summary.throughput_per_s() > 0.0);
-        let text = summary.to_string();
-        assert!(text.contains("p99"), "display renders percentiles: {text}");
-    }
-
-    #[test]
     fn percentiles_saturate_to_max_at_small_sample_counts() {
-        let summary = ServeSummary {
-            served: 6,
-            heads: 0,
-            batches: 6,
-            busy_ns: 1,
-            makespan_ns: 1,
-            faults_detected: 0,
-            fault_retries: 0,
-            remapped_columns: 0,
-            heads_demoted: 0,
-            kv_pages_in_use: 0,
-            kv_pages_peak: 0,
-            latencies_ns: vec![10, 20, 30, 40, 50, 60],
-        };
+        let six: [u128; 6] = [10, 20, 30, 40, 50, 60];
         // Nearest-rank: p50 of 6 samples is rank ceil(3) = sample 30.
-        assert_eq!(summary.latency_ns(50.0), 30);
+        assert_eq!(nearest_rank(&six, 50.0), 30);
         // Anything above 100·(1 − 1/6) ≈ 83.3% collapses to the max.
-        assert_eq!(summary.latency_ns(90.0), 60);
-        assert_eq!(summary.latency_ns(99.0), 60);
-        assert_eq!(summary.latency_ns(100.0), 60);
-        assert!(summary.resolves_percentile(50.0));
-        assert!(!summary.resolves_percentile(90.0));
-        assert!(!summary.resolves_percentile(99.0));
-        let text = summary.to_string();
-        assert!(text.contains("6 samples"), "{text}");
-        assert!(text.contains("p99 = max"), "{text}");
-        // 100+ samples resolve p99 and drop the caveat.
-        let big = ServeSummary {
-            served: 200,
-            heads: 0,
-            batches: 200,
-            busy_ns: 1,
-            makespan_ns: 1,
-            faults_detected: 0,
-            fault_retries: 0,
-            remapped_columns: 0,
-            heads_demoted: 0,
-            kv_pages_in_use: 0,
-            kv_pages_peak: 0,
-            latencies_ns: (1..=200).collect(),
-        };
-        assert!(big.resolves_percentile(99.0));
-        assert_eq!(big.latency_ns(99.0), 198);
-        assert!(!big.to_string().contains("p99 = max"));
-    }
-
-    #[test]
-    fn display_surfaces_fault_rollups_when_present() {
-        let mut summary = ServeSummary {
-            served: 1,
-            heads: 2,
-            batches: 1,
-            busy_ns: 1,
-            makespan_ns: 1,
-            faults_detected: 7,
-            fault_retries: 3,
-            remapped_columns: 2,
-            heads_demoted: 1,
-            kv_pages_in_use: 0,
-            kv_pages_peak: 0,
-            latencies_ns: vec![10],
-        };
-        let text = summary.to_string();
-        assert!(
-            text.contains("7 cells detected, 3 retries, 2 columns remapped"),
-            "{text}"
-        );
-        assert!(text.contains("1 heads demoted"), "{text}");
-        summary.faults_detected = 0;
-        summary.fault_retries = 0;
-        summary.remapped_columns = 0;
-        summary.heads_demoted = 0;
-        assert!(!summary.to_string().contains("faults:"));
+        assert_eq!(nearest_rank(&six, 90.0), 60);
+        assert_eq!(nearest_rank(&six, 99.0), 60);
+        assert_eq!(nearest_rank(&six, 100.0), 60);
+        assert_eq!(nearest_rank(&six, 0.0), 10);
+        // 100+ samples resolve p99.
+        let big: Vec<u128> = (1..=200).collect();
+        assert_eq!(nearest_rank(&big, 99.0), 198);
+        assert_eq!(nearest_rank::<u128>(&[], 50.0), 0);
     }
 
     #[test]
@@ -1359,22 +1000,5 @@ mod tests {
                 Err(SprintError::Request(_))
             ));
         }
-    }
-
-    #[test]
-    fn serve_loop_validates_templates() {
-        let s = server(1);
-        let arrivals = [Arrival {
-            at_ns: 0,
-            template: 3,
-        }];
-        assert!(matches!(
-            ServeLoop::new(&s).run(&arrivals, &[]),
-            Err(SprintError::Request(_))
-        ));
-        assert!(matches!(
-            ServeLoop::new(&s).run(&arrivals, &[tiny_request()]),
-            Err(SprintError::Request(_))
-        ));
     }
 }

@@ -1,0 +1,318 @@
+//! The finite on-chip K/V buffer (§VI): which key/value pairs are
+//! resident, and what each query's kept set has to fetch.
+//!
+//! "Each CORELET keeps look-up tables [that] record which key and
+//! value vectors are currently present on chip"; SPRINT has no double
+//! buffering, so an incoming pair replaces a resident one. This is
+//! the one model of that buffer: the figure drivers
+//! (`sprint_core::counting`) count their fetches through it, and the
+//! residency ablation runs it under both replacement policies.
+//!
+//! Every resident key carries a retention rank and a full buffer gives
+//! up its lowest-ranked key; the two [`ResidencyPolicy`] values differ
+//! only in how a query's accesses rank the keys it touches.
+
+use std::collections::{BTreeMap, HashMap};
+
+/// How a query's kept set ranks the keys it touches for retention.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResidencyPolicy {
+    /// SLD-informed replacement: the unpruned-index buffers hold the
+    /// whole kept set of the current query, so the controller pins it
+    /// as a block — resident members first (the stable, globally
+    /// salient keys), then the ones just fetched, each in kept order —
+    /// above every older resident, and only then evicts. Older
+    /// residents fill the spare room in their previous order, since a
+    /// key kept recently is likely kept again soon.
+    SldPinned,
+    /// A plain LRU cache: keys are touched one at a time in kept
+    /// order, each becoming the most recent, and a miss on a full
+    /// buffer evicts the least recently used key at once — even one
+    /// the same query still needs, which is why LRU thrashes when the
+    /// kept working set cycles past the capacity.
+    Lru,
+}
+
+/// A K/V buffer of finite capacity tracking resident key indices.
+///
+/// # Example
+///
+/// ```
+/// use sprint_memory::{Residency, ResidencyPolicy};
+///
+/// let mut buffer = Residency::new(2, ResidencyPolicy::SldPinned);
+/// assert_eq!(buffer.access(&[7, 9]), 2, "cold: both fetched");
+/// assert_eq!(buffer.access(&[9, 11]), 1, "9 is reused");
+/// // The kept set is pinned; 7 was the resident it displaced.
+/// assert!(buffer.contains(9) && buffer.contains(11) && !buffer.contains(7));
+/// assert_eq!(buffer.hits(), 1);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Residency {
+    capacity: usize,
+    policy: ResidencyPolicy,
+    /// Resident key → retention rank (the look-up table).
+    rank: HashMap<usize, u64>,
+    /// The same table by rank; ranks are unique, the lowest is evicted
+    /// first.
+    by_rank: BTreeMap<u64, usize>,
+    /// The highest rank handed out so far.
+    clock: u64,
+    hits: u64,
+}
+
+impl Residency {
+    /// An empty buffer holding at most `capacity` K/V pairs (at least
+    /// one: the pair being computed on).
+    pub fn new(capacity: usize, policy: ResidencyPolicy) -> Self {
+        Residency {
+            capacity: capacity.max(1),
+            policy,
+            rank: HashMap::new(),
+            by_rank: BTreeMap::new(),
+            clock: 0,
+            hits: 0,
+        }
+    }
+
+    /// Processes one query's kept key indices (distinct, in the order
+    /// the CORELETs consume them) and returns how many had to be
+    /// fetched. Every non-resident kept key is fetched; what stays
+    /// resident afterwards is the policy's choice.
+    pub fn access(&mut self, kept: &[usize]) -> u64 {
+        match self.policy {
+            ResidencyPolicy::SldPinned => {
+                let (resident, fetched): (Vec<usize>, Vec<usize>) =
+                    kept.iter().partition(|j| self.contains(**j));
+                self.hits += resident.len() as u64;
+                self.clock += kept.len() as u64;
+                for (i, &j) in resident.iter().chain(&fetched).enumerate() {
+                    self.place(j, self.clock - i as u64);
+                }
+                while self.len() > self.capacity {
+                    self.evict_lowest();
+                }
+                fetched.len() as u64
+            }
+            ResidencyPolicy::Lru => {
+                let mut misses = 0;
+                for &j in kept {
+                    if self.contains(j) {
+                        self.hits += 1;
+                    } else {
+                        misses += 1;
+                        if self.len() == self.capacity {
+                            self.evict_lowest();
+                        }
+                    }
+                    self.clock += 1;
+                    self.place(j, self.clock);
+                }
+                misses
+            }
+        }
+    }
+
+    /// Kept keys found resident over all accesses so far.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Whether `key` is resident (the look-up-table check).
+    pub fn contains(&self, key: usize) -> bool {
+        self.rank.contains_key(&key)
+    }
+
+    /// Number of resident pairs; never above the capacity.
+    pub fn len(&self) -> usize {
+        self.rank.len()
+    }
+
+    /// Whether nothing is resident.
+    pub fn is_empty(&self) -> bool {
+        self.rank.is_empty()
+    }
+
+    fn place(&mut self, key: usize, rank: u64) {
+        if let Some(old) = self.rank.insert(key, rank) {
+            self.by_rank.remove(&old);
+        }
+        self.by_rank.insert(rank, key);
+    }
+
+    fn evict_lowest(&mut self) {
+        if let Some((_, key)) = self.by_rank.pop_first() {
+            self.rank.remove(&key);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use ResidencyPolicy::{Lru, SldPinned};
+
+    fn resident(buffer: &Residency, universe: usize) -> Vec<usize> {
+        (0..universe).filter(|&j| buffer.contains(j)).collect()
+    }
+
+    #[test]
+    fn zero_capacity_is_clamped_to_one_pair() {
+        for policy in [SldPinned, Lru] {
+            let mut buffer = Residency::new(0, policy);
+            assert!(buffer.is_empty());
+            assert_eq!(buffer.access(&[4]), 1);
+            assert_eq!(buffer.access(&[4]), 0, "{policy:?}: one pair stays");
+            assert_eq!(buffer.len(), 1);
+        }
+    }
+
+    #[test]
+    fn inserts_up_to_capacity_without_eviction() {
+        for policy in [SldPinned, Lru] {
+            let mut buffer = Residency::new(3, policy);
+            assert_eq!(buffer.access(&[1]), 1);
+            assert_eq!(buffer.access(&[2]), 1);
+            assert_eq!(buffer.access(&[3]), 1);
+            assert_eq!(resident(&buffer, 8), vec![1, 2, 3], "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn lru_victim_is_least_recently_used() {
+        let mut buffer = Residency::new(2, Lru);
+        buffer.access(&[1, 2]);
+        buffer.access(&[1]); // the hit refreshes 1: 2 becomes LRU
+        assert_eq!(buffer.access(&[3]), 1);
+        assert_eq!(resident(&buffer, 8), vec![1, 3]);
+    }
+
+    #[test]
+    fn reinsert_refreshes_instead_of_duplicating() {
+        let mut buffer = Residency::new(2, Lru);
+        buffer.access(&[1, 2]);
+        assert_eq!(buffer.access(&[1]), 0);
+        assert_eq!(buffer.len(), 2);
+        buffer.access(&[3]);
+        assert!(!buffer.contains(2), "2 was least recently used");
+    }
+
+    #[test]
+    fn touch_counts_hits_and_misses() {
+        for policy in [SldPinned, Lru] {
+            let mut buffer = Residency::new(2, policy);
+            assert_eq!(buffer.access(&[5]), 1);
+            assert_eq!(buffer.access(&[5, 6]), 1, "{policy:?}");
+            assert_eq!(buffer.hits(), 1, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn lru_evicts_mid_query_what_sld_pins() {
+        // Capacity 2, a kept set of 3 cycling: LRU evicts each key
+        // just before the query returns to it; SLD pinning keeps the
+        // first two of the block.
+        let kept = [0usize, 1, 2];
+        let mut lru = Residency::new(2, Lru);
+        let mut sld = Residency::new(2, SldPinned);
+        assert_eq!((lru.access(&kept), sld.access(&kept)), (3, 3));
+        assert_eq!(lru.access(&kept), 3, "LRU thrashes");
+        assert_eq!(sld.access(&kept), 1, "0 and 1 stayed pinned");
+    }
+
+    #[test]
+    fn sld_retains_resident_kept_keys_first() {
+        let mut buffer = Residency::new(3, SldPinned);
+        buffer.access(&[10, 11, 12]);
+        // 12 is resident, 1 and 2 are new: the block is 12, 1, 2.
+        assert_eq!(buffer.access(&[1, 2, 12]), 2);
+        assert_eq!(resident(&buffer, 16), vec![1, 2, 12]);
+        // Five kept, two of them resident, room for three: both
+        // resident ones and the first fetched one stay.
+        assert_eq!(buffer.access(&[5, 6, 7, 2, 12]), 3);
+        assert_eq!(resident(&buffer, 16), vec![2, 5, 12]);
+    }
+
+    #[test]
+    fn sld_fills_spare_room_with_older_residents_in_previous_order() {
+        let mut buffer = Residency::new(4, SldPinned);
+        buffer.access(&[1, 2, 3, 4]); // retention order 1, 2, 3, 4
+        assert_eq!(buffer.access(&[9, 3]), 1); // block 3, 9; then 1, 2
+        assert_eq!(resident(&buffer, 16), vec![1, 2, 3, 9]);
+        assert_eq!(buffer.access(&[8]), 1); // block 8; then 3, 9, 1
+        assert_eq!(resident(&buffer, 16), vec![1, 3, 8, 9]);
+    }
+
+    #[test]
+    fn sld_kept_set_larger_than_the_capacity_retains_its_head() {
+        let mut buffer = Residency::new(3, SldPinned);
+        buffer.access(&[20, 21]);
+        // Everything non-resident is fetched, even what cannot stay.
+        assert_eq!(buffer.access(&[0, 1, 2, 3, 4]), 5);
+        assert_eq!(resident(&buffer, 32), vec![0, 1, 2]);
+        assert_eq!(buffer.hits(), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_len_never_exceeds_capacity(
+            queries in proptest::collection::vec(
+                proptest::collection::vec(proptest::bool::ANY, 32..33), 0..24),
+            cap in 1usize..16,
+            lru in proptest::bool::ANY,
+        ) {
+            let mut buffer = Residency::new(cap, if lru { Lru } else { SldPinned });
+            for flags in &queries {
+                let kept: Vec<usize> = (0..32).filter(|&j| flags[j]).collect();
+                let before = buffer.hits();
+                let misses = buffer.access(&kept);
+                prop_assert!(buffer.len() <= cap);
+                prop_assert_eq!(misses + buffer.hits() - before, kept.len() as u64);
+            }
+        }
+
+        #[test]
+        fn prop_recent_window_is_resident(
+            keys in proptest::collection::vec(0usize..64, 1..100),
+            cap in 1usize..8,
+        ) {
+            let mut buffer = Residency::new(cap, Lru);
+            for &k in &keys {
+                buffer.access(&[k]);
+            }
+            // The last `cap` *distinct* keys must be resident.
+            let mut seen = Vec::new();
+            for k in keys.iter().rev() {
+                if !seen.contains(k) {
+                    seen.push(*k);
+                }
+                if seen.len() == cap {
+                    break;
+                }
+            }
+            for k in seen {
+                prop_assert!(buffer.contains(k), "recently used {k} evicted");
+            }
+        }
+
+        #[test]
+        fn prop_ample_capacity_fetches_each_key_once(
+            queries in proptest::collection::vec(
+                proptest::collection::vec(proptest::bool::ANY, 24..25), 1..16),
+            lru in proptest::bool::ANY,
+        ) {
+            let mut buffer = Residency::new(24, if lru { Lru } else { SldPinned });
+            let mut fetched = 0u64;
+            let mut touched = [false; 24];
+            for flags in &queries {
+                let kept: Vec<usize> = (0..24).filter(|&j| flags[j]).collect();
+                fetched += buffer.access(&kept);
+                kept.iter().for_each(|&j| touched[j] = true);
+            }
+            let distinct = touched.iter().filter(|&&t| t).count();
+            prop_assert_eq!(fetched, distinct as u64);
+            prop_assert_eq!(buffer.len(), distinct);
+        }
+    }
+}

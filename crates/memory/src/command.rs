@@ -1,7 +1,5 @@
 //! Memory commands, including the two SPRINT additions (§V-C).
 
-use serde::{Deserialize, Serialize};
-
 use sprint_energy::Cycles;
 
 /// One memory command as issued by the backend engine.
@@ -10,7 +8,7 @@ use sprint_energy::Cycles;
 /// MSB elements into the in-memory query buffer (with a start bit on
 /// the final beat to trigger thresholding) and `ReadP` reads the
 /// resulting binary pruning vector out of the bank row buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryCommand {
     /// Activate `row` in `bank` (moves the row into the row buffer).
     Activate {
@@ -71,7 +69,7 @@ impl MemoryCommand {
 }
 
 /// A command stamped with its issue cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedCommand {
     /// Issue cycle.
     pub at: Cycles,

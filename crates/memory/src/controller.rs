@@ -8,8 +8,6 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use sprint_energy::{Cycles, TimingParams};
 
 use crate::{
@@ -17,7 +15,7 @@ use crate::{
 };
 
 /// Aggregate controller statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryStats {
     /// Queries processed (thresholding handshakes).
     pub queries: u64,
@@ -40,7 +38,7 @@ pub struct MemoryStats {
 }
 
 /// Per-query outcome of the threshold-and-fetch flow.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryOutcome {
     /// Keys fetched from main memory (ascending).
     pub fetched_keys: Vec<usize>,
@@ -87,6 +85,9 @@ pub struct MemoryController {
     /// tables of §VI). The SLD vector is the fast single-query-window
     /// approximation; this table catches keys that leave the kept set
     /// for a query and return later, so they are not refetched.
+    /// Unbounded — it fetches and reuses exactly what an SLD-pinned
+    /// [`crate::Residency`] of unlimited capacity does
+    /// (`tests/tests/model_cross_validation.rs`), and nothing evicts.
     resident: HashSet<usize>,
     stats: MemoryStats,
     now: Cycles,

@@ -8,12 +8,10 @@
 //! **base register** (the channel's first key index) and a **shared
 //! up-counter** stepping by the channel count.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{KeyLocation, MemoryError, MemoryGeometry};
 
 /// One generated key fetch: logical key index plus physical location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyAddress {
     /// Logical key index within the sequence.
     pub key: usize,
@@ -36,7 +34,7 @@ pub struct KeyAddress {
 /// let keys: Vec<usize> = out.iter().map(|a| a.key).collect();
 /// assert_eq!(keys, vec![1, 5]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryRequestGenerator {
     /// Base register: the first key index on this channel.
     base: usize,
@@ -97,7 +95,7 @@ impl MemoryRequestGenerator {
 /// The key index generator: identical microarchitecture to the MRG but
 /// fed the spatial-locality vector, producing the indices whose score
 /// computation can bootstrap from on-chip data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyIndexGenerator {
     inner: MemoryRequestGenerator,
 }

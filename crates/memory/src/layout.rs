@@ -8,12 +8,10 @@
 //! balanced per-channel work. Within a channel, consecutive keys fill
 //! the same row before moving on, preserving row-buffer locality.
 
-use serde::{Deserialize, Serialize};
-
 use crate::MemoryError;
 
 /// Physical location of one key/value vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeyLocation {
     /// Memory channel.
     pub channel: usize,
@@ -40,7 +38,7 @@ pub struct KeyLocation {
 /// let b = g.key_location(1).unwrap();
 /// assert_ne!(a.channel, b.channel, "adjacent keys go to different channels");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryGeometry {
     /// Number of channels (Table I: 16 × 64-bit @ 1 GHz per CORELET).
     pub channels: usize,

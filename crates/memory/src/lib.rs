@@ -22,7 +22,11 @@
 //!   up-counter address generation;
 //! * [`ChannelScheduler`] and [`MemoryController`] — an FR-FCFS-style
 //!   backend and the frontend orchestration of the
-//!   threshold-fetch-compute flow, with cycle and energy accounting.
+//!   threshold-fetch-compute flow, with cycle and energy accounting;
+//! * [`Residency`] — the finite on-chip K/V buffer the fetches land
+//!   in (§VI), under SLD-pinned or plain LRU replacement
+//!   ([`ResidencyPolicy`]): the one model of what a kept set must
+//!   fetch once capacity binds.
 //!
 //! # Example
 //!
@@ -45,6 +49,7 @@
 
 #![warn(missing_docs)]
 
+mod buffers;
 mod command;
 mod controller;
 mod engines;
@@ -54,6 +59,7 @@ mod scheduler;
 mod sld;
 mod timing;
 
+pub use buffers::{Residency, ResidencyPolicy};
 pub use command::{CommandTrace, MemoryCommand, TimedCommand};
 pub use controller::{MemoryController, MemoryStats, QueryOutcome};
 pub use engines::{KeyAddress, KeyIndexGenerator, MemoryRequestGenerator};

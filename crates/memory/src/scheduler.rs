@@ -6,14 +6,12 @@
 //! command is placed at its earliest legal cycle by the
 //! [`TimingChecker`] — making the emitted trace legal by construction.
 
-use serde::{Deserialize, Serialize};
-
 use sprint_energy::{Cycles, TimingParams};
 
 use crate::{CommandTrace, KeyAddress, MemoryCommand, MemoryError, TimedCommand, TimingChecker};
 
 /// The outcome of scheduling one batch of fetches on one channel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleResult {
     /// Cycle the first fetched vector is fully on the bus (the
     /// accelerator can start computing then).

@@ -10,12 +10,10 @@
 //!   already resident → the KIG bootstraps score computation on them
 //!   immediately.
 
-use serde::{Deserialize, Serialize};
-
 use crate::MemoryError;
 
 /// The two output vectors of the SLD engine for one query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SldSplit {
     /// Eq. 4: keys to fetch from main memory (`true` = fetch).
     pub memory_requests: Vec<bool>,
@@ -70,7 +68,7 @@ impl SldSplit {
 /// assert_eq!(s1.hit_indices(), vec![0]);
 /// assert_eq!(s1.request_indices(), vec![3]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SldEngine {
     last: Option<Vec<bool>>,
 }

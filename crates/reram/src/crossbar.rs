@@ -17,7 +17,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{CellFault, FaultModel, NoiseModel, ProgramOutcome, ReramError};
 
@@ -37,7 +36,7 @@ use crate::{CellFault, FaultModel, NoiseModel, ProgramOutcome, ReramError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrossbarArray {
     rows: usize,
     cols: usize,
@@ -48,7 +47,11 @@ pub struct CrossbarArray {
     /// lane-blocked (see [`lane_cell`]); lanes past `cols` hold `0.0`.
     weights: Vec<f64>,
     noise: NoiseModel,
-    rng: StdRngState,
+    /// The construction seed: starts the noise stream and doubles as
+    /// the array's identity for fault hashing.
+    seed: u64,
+    /// The noise stream (programming variation and read noise).
+    rng: StdRng,
     vmm_count: u64,
     /// Optional hard-fault injector. `None` leaves every path below
     /// bit-identical to the fault-unaware array.
@@ -81,36 +84,6 @@ fn lane_cells(rows: usize, cols: usize) -> usize {
 /// growing `cols` never moves a cell.
 fn lane_cell(rows: usize, row: usize, col: usize) -> usize {
     (col / LANES * rows + row) * LANES + col % LANES
-}
-
-/// Serializable wrapper holding the RNG seed/stream; the RNG itself is
-/// reconstructed on deserialize.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct StdRngState {
-    seed: u64,
-    #[serde(skip, default = "none_rng")]
-    rng: Option<StdRng>,
-}
-
-// Referenced only from the `#[serde(default)]` attribute above, which
-// the vendored no-op derive does not expand.
-#[allow(dead_code)]
-fn none_rng() -> Option<StdRng> {
-    None
-}
-
-impl StdRngState {
-    fn new(seed: u64) -> Self {
-        StdRngState {
-            seed,
-            rng: Some(StdRng::seed_from_u64(seed)),
-        }
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        let seed = self.seed;
-        self.rng.get_or_insert_with(|| StdRng::seed_from_u64(seed))
-    }
 }
 
 /// Shared geometry validation for [`CrossbarArray::new`] and
@@ -166,7 +139,8 @@ impl CrossbarArray {
             codes: vec![0; rows * cols],
             weights: vec![0.0; lane_cells(rows, cols)],
             noise,
-            rng: StdRngState::new(seed),
+            seed,
+            rng: StdRng::seed_from_u64(seed),
             vmm_count: 0,
             fault: None,
             epochs: vec![0; cols],
@@ -205,7 +179,8 @@ impl CrossbarArray {
         self.weights.clear();
         self.weights.resize(lane_cells(rows, cols), 0.0);
         self.noise = noise;
-        self.rng = StdRngState::new(seed);
+        self.seed = seed;
+        self.rng = StdRng::seed_from_u64(seed);
         self.vmm_count = 0;
         self.epochs.clear();
         self.epochs.resize(cols, 0);
@@ -313,7 +288,7 @@ impl CrossbarArray {
         self.codes[col * self.rows..(col + 1) * self.rows].copy_from_slice(values);
         for (r, &v) in values.iter().enumerate() {
             let variation = if sigma > 0.0 {
-                1.0 + sigma * normal(self.rng.rng())
+                1.0 + sigma * normal(&mut self.rng)
             } else {
                 1.0
             };
@@ -350,7 +325,7 @@ impl CrossbarArray {
             .iter()
             .enumerate()
             .map(
-                |(r, &code)| match fault.cell_fault(self.rng.seed, r, col, epoch) {
+                |(r, &code)| match fault.cell_fault(self.seed, r, col, epoch) {
                     CellFault::None => code,
                     CellFault::StuckOn => self.code_max(),
                     CellFault::StuckOff | CellFault::Transient => 0,
@@ -447,7 +422,7 @@ impl CrossbarArray {
         }
         out.truncate(self.cols);
         if sigma > 0.0 {
-            let rng = self.rng.rng();
+            let rng = &mut self.rng;
             for o in out.iter_mut() {
                 *o += sigma * normal(rng);
             }
@@ -494,7 +469,7 @@ impl CrossbarArray {
     /// The construction seed, doubling as this array's stable identity
     /// for fault hashing and [`crate::FaultSite`] coordinates.
     pub fn identity(&self) -> u64 {
-        self.rng.seed
+        self.seed
     }
 
     /// The attached fault model, if any.
@@ -533,7 +508,7 @@ impl CrossbarArray {
         let code_max = self.code_max() as f64;
         for r in 0..self.rows {
             let idx = lane_cell(self.rows, r, col);
-            self.faulted_weights[idx] = match fault.cell_fault(self.rng.seed, r, col, epoch) {
+            self.faulted_weights[idx] = match fault.cell_fault(self.seed, r, col, epoch) {
                 CellFault::None => self.weights[idx],
                 CellFault::StuckOn => code_max,
                 CellFault::StuckOff | CellFault::Transient => 0.0,

@@ -27,8 +27,6 @@
 //! rate, so raising a rate only ever adds faults. Accuracy-vs-rate
 //! sweeps are therefore monotone by construction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ReramError;
 
 /// splitmix64 finalizer: the same mixer the engine uses for head-seed
@@ -93,7 +91,7 @@ pub enum CellFault {
 /// let heavy = FaultModel::new(1).with_stuck_rates(0.5, 0.5).unwrap();
 /// assert!(!heavy.is_quiet());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     stuck_on_rate: f64,
     stuck_off_rate: f64,
@@ -268,7 +266,7 @@ impl FaultModel {
 }
 
 /// The coordinates of one faulty cell, as detected by a scrub pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSite {
     /// Construction seed of the crossbar tile holding the cell (the
     /// tile's stable identity across reprogram/reset cycles).
@@ -281,7 +279,7 @@ pub struct FaultSite {
 
 /// The result of a scrub pass: every cell whose digital readout
 /// disagrees with the intended (write-verified) codes.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultMap {
     /// How many keys the scrub covered.
     pub keys_scanned: usize,
@@ -315,7 +313,7 @@ impl FaultMap {
 }
 
 /// The outcome of a verified (bounded-retry) column program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramOutcome {
     /// Program attempts performed (at least 1).
     pub attempts: u32,
@@ -334,7 +332,7 @@ impl ProgramOutcome {
 }
 
 /// The outcome of an [`crate::InMemoryPruner::repair`] pass.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RepairOutcome {
     /// Retry attempts spent beyond each column's first reprogram.
     pub retries: u64,

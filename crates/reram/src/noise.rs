@@ -9,8 +9,6 @@
 //! output, parameterized as an equivalent ADC bit count, plus a static
 //! per-cell programming variation applied by [`crate::CrossbarArray`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::ReramError;
 
 /// Aggregate analog error model.
@@ -29,7 +27,7 @@ use crate::ReramError;
 /// let ideal = NoiseModel::ideal();
 /// assert!(hp.relative_sigma() > ideal.relative_sigma());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     relative_sigma: f64,
     programming_sigma: f64,

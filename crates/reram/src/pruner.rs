@@ -11,8 +11,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use sprint_attention::{active_tier, quantize_matrix, simd, Matrix, PruneDecision, QuantParams};
 
 /// The effective analog noise for a given MLC depth: cells denser than
@@ -39,7 +37,7 @@ pub const ARRAY_COLS: usize = 128;
 pub const ARRAY_ROWS: usize = 64;
 
 /// How the analog score is compared against the threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdSpec {
     /// `Some(b)`: quantize the in-memory score to `b` bits before the
     /// comparison (Eq. 3's `Score_R^b`, the Fig. 5 sensitivity knob).
@@ -83,7 +81,7 @@ impl ThresholdSpec {
 }
 
 /// Operation counters for energy accounting (§VII methodology).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PruneHardwareStats {
     /// Analog in-memory vector-matrix operations (per array tile).
     pub in_memory_ops: u64,
@@ -119,7 +117,7 @@ impl PruneHardwareStats {
 }
 
 /// The outcome of in-memory thresholding for one query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PruneOutcome {
     /// The binary pruning vector (`true` = pruned), as shipped back to
     /// the memory controller by `ReadP`.

@@ -13,12 +13,10 @@
 //! vectors possible without sequentially activating every row (§III-A
 //! challenge ③).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CrossbarArray, FaultModel, NoiseModel, ProgramOutcome, ReramError};
 
 /// The access mode a transposable array was last used in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessMode {
     /// No access yet.
     Idle,
@@ -44,7 +42,7 @@ pub enum AccessMode {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransposableArray {
     inner: CrossbarArray,
     mode: AccessMode,

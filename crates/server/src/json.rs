@@ -1,8 +1,8 @@
 //! A minimal JSON value: parse, render, and field access.
 //!
-//! The workspace's vendored `serde` is an offline no-op stand-in, so
-//! the wire protocol is built on this hand-rolled module instead. It
-//! covers exactly what the serving protocol needs — objects, arrays,
+//! The workspace's only serializer: the wire protocol, `report
+//! --json` and the `BENCH_report.json` records are all built on this
+//! hand-rolled module. It covers exactly what they need — objects, arrays,
 //! strings with the standard escapes, integers, floats, booleans and
 //! null — and keeps two deliberate properties:
 //!

@@ -7,7 +7,9 @@
 //! instead of queuing unboundedly and letting tail latency run away.
 //!
 //! The drain side is round-robin across tenants — a tenant flooding
-//! its own queue delays itself, not its neighbors.
+//! its own queue delays itself, not its neighbors. Only tenants with
+//! queued work have an entry, so the table is bounded by the global
+//! cap however many tenant names clients invent.
 
 use std::collections::VecDeque;
 
@@ -57,11 +59,12 @@ impl Rejection {
 /// server wraps it in a `Mutex` alongside its condvar.
 #[derive(Debug)]
 pub struct AdmissionQueue<T> {
-    tenants: Vec<(String, VecDeque<T>)>,
+    /// Tenants with queued work, next to be served first; every FIFO
+    /// here is non-empty.
+    tenants: VecDeque<(String, VecDeque<T>)>,
     per_tenant: usize,
     global: usize,
     depth: usize,
-    next_tenant: usize,
     closed: bool,
 }
 
@@ -70,11 +73,10 @@ impl<T> AdmissionQueue<T> {
     /// and `global` items in total (both ≥ 1 enforced by clamping).
     pub fn new(per_tenant: usize, global: usize) -> Self {
         AdmissionQueue {
-            tenants: Vec::new(),
+            tenants: VecDeque::new(),
             per_tenant: per_tenant.max(1),
             global: global.max(1),
             depth: 0,
-            next_tenant: 0,
             closed: false,
         }
     }
@@ -110,43 +112,37 @@ impl<T> AdmissionQueue<T> {
                 capacity: self.global,
             });
         }
-        let idx = match self.tenants.iter().position(|(name, _)| name == tenant) {
-            Some(i) => i,
-            None => {
-                self.tenants.push((tenant.to_string(), VecDeque::new()));
-                self.tenants.len() - 1
+        match self.tenants.iter_mut().find(|(name, _)| name == tenant) {
+            Some((_, fifo)) if fifo.len() >= self.per_tenant => {
+                return Err(Rejection::TenantFull {
+                    capacity: self.per_tenant,
+                });
             }
-        };
-        if self.tenants[idx].1.len() >= self.per_tenant {
-            return Err(Rejection::TenantFull {
-                capacity: self.per_tenant,
-            });
+            Some((_, fifo)) => fifo.push_back(item),
+            None => self
+                .tenants
+                .push_back((tenant.to_string(), VecDeque::from([item]))),
         }
-        self.tenants[idx].1.push_back(item);
         self.depth += 1;
         Ok(())
     }
 
     /// Pops up to `max` items, visiting tenants round-robin (one item
-    /// per tenant per lap) starting after the last tenant served.
-    /// Returns an empty vec when idle.
+    /// per tenant per lap) starting after the last tenant served. A
+    /// tenant whose FIFO empties leaves the table. Returns an empty
+    /// vec when idle.
     pub fn drain(&mut self, max: usize) -> Vec<T> {
         let mut out = Vec::new();
-        if self.tenants.is_empty() || max == 0 {
-            return out;
-        }
-        let n = self.tenants.len();
-        let mut misses = 0;
-        while out.len() < max && misses < n {
-            let idx = self.next_tenant % n;
-            self.next_tenant = (self.next_tenant + 1) % n;
-            match self.tenants[idx].1.pop_front() {
-                Some(item) => {
-                    out.push(item);
-                    self.depth -= 1;
-                    misses = 0;
-                }
-                None => misses += 1,
+        while out.len() < max {
+            let Some((name, mut fifo)) = self.tenants.pop_front() else {
+                break;
+            };
+            if let Some(item) = fifo.pop_front() {
+                out.push(item);
+                self.depth -= 1;
+            }
+            if !fifo.is_empty() {
+                self.tenants.push_back((name, fifo));
             }
         }
         out
@@ -188,6 +184,34 @@ mod tests {
         assert_eq!(q.drain(10), vec!["a2", "a3"]);
         assert_eq!(q.depth(), 0);
         assert!(q.drain(4).is_empty());
+    }
+
+    #[test]
+    fn drained_tenants_leave_no_entry_behind() {
+        // A client controls the tenant name: fresh names must not grow
+        // the table past the work actually queued.
+        let mut q: AdmissionQueue<usize> = AdmissionQueue::new(4, 8);
+        for i in 0..10_000 {
+            let name = format!("tenant-{i}");
+            q.submit(&name, i).unwrap();
+            if i % 3 == 0 {
+                q.submit(&name, i).unwrap();
+            }
+            assert!(q.tenants.len() <= q.depth() && q.depth() <= 8);
+            if q.depth() >= 6 {
+                let queued = q.depth();
+                assert_eq!(q.drain(usize::MAX).len(), queued);
+                assert_eq!((q.tenants.len(), q.depth()), (0, 0));
+            }
+        }
+        // A returning tenant is admitted afresh and still round-robins.
+        q.drain(usize::MAX);
+        for item in [1, 2] {
+            q.submit("a", item).unwrap();
+        }
+        q.submit("b", 3).unwrap();
+        assert_eq!(q.drain(8), vec![1, 3, 2]);
+        assert!(q.tenants.is_empty());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`ProxyTask`] — the accuracy-proxy task used by the Fig. 5 / Fig. 9
 //!   studies;
 //! * [`ArrivalSpec`] — synthetic Poisson request-arrival streams that
-//!   feed the trace-driven serving loop (`sprint_engine::ServeLoop`).
+//!   drive traffic at the HTTP server (`examples/serve_http.rs`, the
+//!   `stress_test` harness).
 //!
 //! # Example
 //!

@@ -1,11 +1,9 @@
 //! The eight studied workloads (§VII "Benchmarks").
 
-use serde::{Deserialize, Serialize};
-
 use crate::trace::TraceSpec;
 
 /// The transformer models evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// BERT-Base on SQuAD.
     BertBase,
@@ -26,7 +24,7 @@ pub enum ModelKind {
 }
 
 /// The dataset each model is fine-tuned and evaluated on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// Stanford Question Answering Dataset.
     Squad,
@@ -56,7 +54,7 @@ pub enum Dataset {
 /// assert!((m.pruning_rate - 0.739).abs() < 1e-9);
 /// assert!(m.is_generative());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Which model this is.
     pub kind: ModelKind,

@@ -23,7 +23,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use sprint_attention::{softmax_exact, AttentionError, Matrix};
 
@@ -41,7 +40,7 @@ const NUM_CLASSES: usize = 8;
 const POOL_HALF: usize = 4;
 
 /// The evaluation outcome of one variant on a [`ProxyTask`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskScore {
     /// Task accuracy in `[0, 1]` (classification proxy).
     pub accuracy: f64,
@@ -77,7 +76,7 @@ pub struct TaskScore {
 ///     out.output
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProxyTask {
     /// Classifier head: `NUM_CLASSES × d`, row-major.
     head: Vec<f64>,

@@ -20,7 +20,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use sprint_attention::{
     calibrate_threshold, pruning_stats, AttentionConfig, AttentionError, Matrix, PaddingMask,
@@ -30,7 +29,7 @@ use sprint_attention::{
 use crate::stats::{dot, normal, unit_vec};
 
 /// Specification of one synthetic head trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSpec {
     /// Total sequence length including padding.
     pub seq_len: usize,
@@ -132,7 +131,7 @@ impl Default for TraceSpec {
 /// One synthetic attention head: Q/K/V matrices, padding mask, the
 /// calibrated learned threshold, and the digital-reference pruning
 /// decisions with their statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadTrace {
     q: Matrix,
     k: Matrix,
@@ -316,7 +315,7 @@ impl TraceGenerator {
 /// long-run mean gap; only the clustering changes. The serving stress
 /// harness (`sprint-server`'s `stress_test`) replays all three to
 /// exercise admission control under steady, bursty and ramping load.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ArrivalShape {
     /// Memoryless (Poisson) arrivals: exponential inter-arrival gaps,
     /// the standard model for independent user traffic.
@@ -349,15 +348,15 @@ pub enum ArrivalShape {
     },
 }
 
-/// Specification of a synthetic request-arrival stream for the
-/// trace-driven serving loop (`sprint_engine::ServeLoop`) and the
-/// HTTP stress harness.
+/// Specification of a synthetic request-arrival stream, replayed at
+/// the HTTP server by `examples/serve_http.rs` and the stress
+/// harness.
 ///
 /// The [`ArrivalShape`] controls clustering (steady Poisson, bursts,
 /// or a linear ramp) at the same long-run mean rate. Each arrival
 /// picks one of `templates` request templates uniformly, so a
 /// mixed-model stream needs no extra machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalSpec {
     /// Number of arrivals to draw.
     pub count: usize,
@@ -445,7 +444,7 @@ impl ArrivalSpec {
 }
 
 /// One request arrival of a synthetic traffic stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// Arrival time in nanoseconds of virtual time (non-decreasing
     /// within a generated stream).
@@ -547,7 +546,7 @@ impl TraceGenerator {
 /// Sessions open implicitly at their first `Step` and close when their
 /// last one is served; an evicted session rehydrates transparently at
 /// its next `Step`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEvent {
     /// Decode one token on session `session`.
     Step {
@@ -575,7 +574,7 @@ impl ChurnEvent {
 /// ([`TraceGenerator::churn_schedule`]): `sessions` concurrent decode
 /// streams of `steps_per_session` tokens each, randomly interleaved,
 /// with evictions injected at `evict_fraction` per served step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnSpec {
     /// Concurrent decode sessions.
     pub sessions: usize,

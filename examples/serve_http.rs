@@ -6,8 +6,7 @@
 //! cargo run -p sprint-examples --example serve_http --release
 //! ```
 //!
-//! This is the serving analogue of `serve_trace`: the same
-//! `ArrivalSpec` machinery drives the traffic, but requests travel
+//! An `ArrivalSpec` stream drives the traffic; requests travel
 //! through TCP, HTTP/1.1 keep-alive parsing, per-tenant admission
 //! queues and the deterministic batching window before they reach the
 //! engine — and the responses coming back are bit-identical to direct

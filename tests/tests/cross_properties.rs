@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use sprint_accelerator::{assign_tokens, MappingPolicy};
+use sprint_engine::cost::{assign_tokens, MappingPolicy};
 use sprint_memory::{MemoryGeometry, MemoryRequestGenerator, SldEngine};
 use sprint_workloads::{TraceGenerator, TraceSpec};
 

@@ -112,6 +112,57 @@ fn the_two_front_doors_price_the_same_decisions_identically() {
 }
 
 #[test]
+fn unbounded_sld_pinned_residency_is_the_served_controllers_residency() {
+    // The served controller keeps residency in an unbounded set; the
+    // figure drivers count through the finite `Residency`. With the
+    // capacity out of the way the two must fetch and reuse exactly the
+    // same keys, query by query, on the decisions the engine executed
+    // — so giving the controller a capacity later is a one-argument
+    // change whose only effect is the capacity.
+    use sprint_memory::{MemoryController, Residency, ResidencyPolicy};
+    let cfg = SprintConfig::medium();
+    for (model, seq_len) in [
+        (ModelConfig::gpt2_large(), 256),
+        (ModelConfig::bert_base(), 512),
+    ] {
+        let spec = model.trace_spec().with_seq_len(seq_len);
+        let trace = TraceGenerator::new(0xcafe).generate(&spec).unwrap();
+        let live = trace.live_tokens();
+        for mode in [
+            sprint_engine::ExecutionMode::Sprint,
+            sprint_engine::ExecutionMode::Oracle,
+            sprint_engine::ExecutionMode::Dense,
+        ] {
+            let engine = Engine::builder(cfg.clone())
+                .mode(mode)
+                .seed(3)
+                .build()
+                .unwrap();
+            let response = engine.run_head(&HeadRequest::from_trace(&trace)).unwrap();
+
+            let mut controller = MemoryController::new(cfg.memory_geometry(), cfg.timing).unwrap();
+            let mut residency = Residency::new(usize::MAX, ResidencyPolicy::SldPinned);
+            for (q, decision) in response.decisions.iter().take(live).enumerate() {
+                let pruned = &decision.as_slice()[..live];
+                let kept: Vec<usize> = (0..live).filter(|&j| !pruned[j]).collect();
+                let outcome = controller.process_query(pruned).unwrap();
+                let reused_before = residency.hits();
+                let fetched = residency.access(&kept);
+                let at = format!("{} s = {seq_len} {mode:?} query {q}", model.name);
+                assert_eq!(outcome.fetched_keys.len() as u64, fetched, "{at}");
+                assert_eq!(
+                    outcome.reused_keys.len() as u64,
+                    residency.hits() - reused_before,
+                    "{at}"
+                );
+            }
+            // And the replayed controller is the one the engine ran.
+            assert_eq!(controller.stats(), response.memory_stats);
+        }
+    }
+}
+
+#[test]
 fn counting_compute_counts_match_reference_decisions_exactly() {
     let spec = ModelConfig::vit_base().trace_spec().with_seq_len(80);
     let trace = TraceGenerator::new(0xbeef).generate(&spec).unwrap();

@@ -481,6 +481,59 @@ fn overload_sheds_with_429_and_retry_after() {
 }
 
 #[test]
+fn fresh_tenant_names_are_served_fairly_and_leave_the_queue_empty() {
+    // The tenant name is the client's to choose: 200 distinct
+    // `X-Tenant` values over four connections all get the same 200
+    // and the admission queue keeps nothing of them afterwards.
+    let server = boot(ServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let body = r#"{"model":"synth1","layers":1,"heads":1,"seq_len":16,"seed":3}"#;
+    let handles: Vec<_> = (0..4)
+        .map(|c| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut client = minihttp::Client::connect(addr)
+                    .with_read_timeout(Some(Duration::from_secs(60)));
+                (0..50)
+                    .map(|i| {
+                        let tenant = format!("tenant-{c}-{i}");
+                        let response = client
+                            .send(
+                                "POST",
+                                "/v1/serve",
+                                &[("X-Tenant", tenant.as_str())],
+                                body.as_bytes(),
+                            )
+                            .expect("serve responds");
+                        (response.status, response.body_str())
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let replies: Vec<(u16, String)> = handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("client thread"))
+        .collect();
+    assert_eq!(replies.len(), 200);
+    let mut default_tenant = client(&server);
+    let reference = default_tenant.post_json("/v1/serve", body).unwrap();
+    for (status, reply) in &replies {
+        assert_eq!(*status, 200, "{reply}");
+        assert_eq!(*reply, reference.body_str(), "a tenant name changes no bit");
+    }
+    let metrics = default_tenant.get("/metrics").unwrap().body_str();
+    for line in [
+        "sprint_queue_depth 0",
+        "sprint_requests_admitted_total 201",
+        "sprint_requests_rejected_total 0",
+    ] {
+        assert!(metrics.lines().any(|l| l == line), "{line}:\n{metrics}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_requests() {
     // A request enters the (slow) batcher; shutdown must wait for it.
     let server = boot(ServerConfig {

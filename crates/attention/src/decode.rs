@@ -29,8 +29,8 @@ use crate::attention::{
 use crate::paged::{PageBuffers, PagePool, DEFAULT_PAGE_BYTES};
 use crate::simd;
 use crate::{
-    dense_attention_with, pruned_attention_with, quantize_matrix, AttentionConfig, AttentionError,
-    Matrix, PruneDecision, QuantParams, SoftmaxLut, Workspace,
+    dense_attention_with, quantize_matrix, AttentionConfig, AttentionError, Matrix, PruneDecision,
+    QuantParams, SoftmaxLut, Workspace,
 };
 
 /// One page of history: a slice of the K/V rows and their codes, plus
@@ -487,42 +487,22 @@ pub fn dense_attention_decode_with(
     Ok(out.output.into_vec())
 }
 
-/// Single-query runtime-pruned attention: the output row plus the
-/// step's [`PruneDecision`], bit-identical to
-/// [`pruned_attention_with`] over the same one-row `Q` without
-/// padding. `threshold == f32::MIN` reduces to the dense baseline with
-/// an all-kept decision — the digital decode pipelines (Dense/Oracle)
-/// both route through here.
+/// Single-query runtime-pruned attention reading K/V straight from a
+/// paged [`KvCache`] — no gather: the output row plus the step's
+/// [`PruneDecision`], bit-identical to
+/// [`crate::pruned_attention_with`] over the same one-row `Q` and the
+/// cache's gathered history without padding. The per-key score is the
+/// same four-lane `dot` reduction the blocked `Q × Kᵀ` pass performs
+/// for a one-row `Q`, and the mask/softmax/sparse-AV flow is the batch
+/// kernel's, verbatim, over page-resident rows. `threshold ==
+/// f32::MIN` reduces to the dense baseline with an all-kept decision —
+/// the digital decode pipelines (Dense/Oracle) both route through
+/// here.
 ///
 /// # Errors
 ///
-/// Shape errors as in [`pruned_attention_with`]; additionally `q` must
-/// hold exactly one row.
-pub fn pruned_attention_decode_with(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    cfg: &AttentionConfig,
-    threshold: f32,
-    ws: &mut Workspace,
-) -> Result<(Vec<f32>, PruneDecision), AttentionError> {
-    check_decode_query(q, k)?;
-    let (out, mut decisions) = pruned_attention_with(q, k, v, cfg, threshold, None, ws)?;
-    ws.recycle(out.scores);
-    ws.recycle(out.probs);
-    Ok((out.output.into_vec(), decisions.remove(0)))
-}
-
-/// [`pruned_attention_decode_with`] reading K/V straight from a paged
-/// [`KvCache`] — no gather. Bit-identical to the matrix form over the
-/// cache's gathered history: the per-key score is the same four-lane
-/// `dot` reduction the blocked `Q × Kᵀ` pass performs for a one-row
-/// `Q`, and the mask/softmax/sparse-AV flow is the batch kernel's,
-/// verbatim, over page-resident rows.
-///
-/// # Errors
-///
-/// Shape errors as in [`pruned_attention_decode_with`].
+/// Shape errors as in [`crate::pruned_attention_with`]; additionally
+/// `q` must hold exactly one row.
 pub fn pruned_attention_decode_cached_with(
     q: &Matrix,
     kv: &KvCache,
@@ -800,17 +780,13 @@ mod tests {
             let dense_row = dense_attention_decode_with(&q1, &k, &v, &cfg, &mut ws).unwrap();
             let dense_full = dense_attention_with(&q1, &k, &v, &cfg, batch_ws).unwrap();
             assert_eq!(dense_row.as_slice(), dense_full.output.row(0));
-            // Pruned, matrix and paged forms.
+            // Pruned, over the paged cache.
             let (pruned_row, decision) =
-                pruned_attention_decode_with(&q1, &k, &v, &cfg, 0.02, &mut ws).unwrap();
+                pruned_attention_decode_cached_with(&q1, &kv, &cfg, 0.02, &mut ws).unwrap();
             let (pruned_full, decisions) =
                 pruned_attention_with(&q1, &k, &v, &cfg, 0.02, None, batch_ws).unwrap();
             assert_eq!(pruned_row.as_slice(), pruned_full.output.row(0));
             assert_eq!(decision, decisions[0]);
-            let (paged_row, paged_decision) =
-                pruned_attention_decode_cached_with(&q1, &kv, &cfg, 0.02, &mut ws).unwrap();
-            assert_eq!(paged_row, pruned_row, "query {r}: paged pruned");
-            assert_eq!(paged_decision, decision);
             // Quantized, pruned and unpruned.
             for d in [None, Some(&decision)] {
                 let hw_row = quantized_attention_decode_with(&q1, &kv, &cfg, d, &mut ws).unwrap();
@@ -836,7 +812,6 @@ mod tests {
         let kv = KvCache::new(&k, &k).unwrap();
         let mut ws = Workspace::new();
         assert!(dense_attention_decode_with(&q2, &k, &k, &cfg, &mut ws).is_err());
-        assert!(pruned_attention_decode_with(&q2, &k, &k, &cfg, 0.0, &mut ws).is_err());
         assert!(pruned_attention_decode_cached_with(&q2, &kv, &cfg, 0.0, &mut ws).is_err());
         assert!(quantized_attention_decode_with(&q2, &kv, &cfg, None, &mut ws).is_err());
         // Wrong decision length.

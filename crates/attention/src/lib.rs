@@ -44,7 +44,7 @@ pub use attention::{
     AttentionOutput, PaddingMask, QuantizedAttentionOutput, MASK_NEG,
 };
 pub use decode::{
-    dense_attention_decode_with, pruned_attention_decode_cached_with, pruned_attention_decode_with,
+    dense_attention_decode_with, pruned_attention_decode_cached_with,
     quantized_attention_decode_with, KvCache, KvDelta,
 };
 pub use error::AttentionError;

@@ -11,7 +11,7 @@
 //! state:
 //!
 //! * the programmed [`InMemoryPruner`] crossbars, grown in place via
-//!   [`InMemoryPruner::extend`] (one appended column per token;
+//!   [`InMemoryPruner::extend_row`] (one appended column per token;
 //!   full reprogram only on the rare quantizer recalibration);
 //! * the append-only [`KvCache`] with incrementally maintained 8-bit
 //!   K/V codes for the on-chip recompute stage;

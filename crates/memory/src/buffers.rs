@@ -4,17 +4,19 @@
 //! "Each CORELET keeps look-up tables [that] record which key and
 //! value vectors are currently present on chip"; SPRINT has no double
 //! buffering, so an incoming pair replaces a resident one. This is
-//! the one model of that buffer: the figure drivers
-//! (`sprint_core::counting`) count their fetches through it, and the
-//! residency ablation runs it under both replacement policies.
+//! the one model of that buffer: the served
+//! [`crate::MemoryController`] takes every query's kept set through
+//! it, the figure drivers (`sprint_core::counting`) count their
+//! fetches through it, and the residency ablation runs it under both
+//! replacement policies.
 //!
-//! Every resident key carries a retention rank and a full buffer gives
-//! up its lowest-ranked key; the two [`ResidencyPolicy`] values differ
-//! only in how a query's accesses rank the keys it touches.
+//! The resident keys sit in one list ordered by retention, lowest
+//! first, beside a key-indexed presence table; a full buffer gives up
+//! the front of the list. The two [`ResidencyPolicy`] values differ
+//! only in where a query's accesses put the keys it touches.
 
-use std::collections::{BTreeMap, HashMap};
-
-/// How a query's kept set ranks the keys it touches for retention.
+/// Where a query's kept set puts the keys it touches in the retention
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResidencyPolicy {
     /// SLD-informed replacement: the unpruned-index buffers hold the
@@ -35,6 +37,13 @@ pub enum ResidencyPolicy {
 
 /// A K/V buffer of finite capacity tracking resident key indices.
 ///
+/// Between two adjacent queries an ample `SldPinned` buffer is the
+/// paper's SLD engine: the misses of query `t` are Eq. 4,
+/// `Pᵗ⁻¹ ∧ ¬Pᵗ` (kept now, pruned before), and the reuses Eq. 5,
+/// `¬Pᵗ⁻¹ ∧ ¬Pᵗ`. Past that one-query window the table also knows the
+/// keys that left the kept set and came back, and the ones a full
+/// buffer gave up.
+///
 /// # Example
 ///
 /// ```
@@ -43,6 +52,7 @@ pub enum ResidencyPolicy {
 /// let mut buffer = Residency::new(2, ResidencyPolicy::SldPinned);
 /// assert_eq!(buffer.access(&[7, 9]), 2, "cold: both fetched");
 /// assert_eq!(buffer.access(&[9, 11]), 1, "9 is reused");
+/// assert_eq!((buffer.missed(), buffer.reused()), (&[11][..], &[9][..]));
 /// // The kept set is pinned; 7 was the resident it displaced.
 /// assert!(buffer.contains(9) && buffer.contains(11) && !buffer.contains(7));
 /// assert_eq!(buffer.hits(), 1);
@@ -51,13 +61,13 @@ pub enum ResidencyPolicy {
 pub struct Residency {
     capacity: usize,
     policy: ResidencyPolicy,
-    /// Resident key → retention rank (the look-up table).
-    rank: HashMap<usize, u64>,
-    /// The same table by rank; ranks are unique, the lowest is evicted
-    /// first.
-    by_rank: BTreeMap<u64, usize>,
-    /// The highest rank handed out so far.
-    clock: u64,
+    /// Resident keys, lowest retention first: the front is evicted.
+    order: Vec<usize>,
+    /// The look-up table: `present[key]` iff `key` is in `order`.
+    present: Vec<bool>,
+    /// The last access's non-resident and resident keys, in kept order.
+    missed: Vec<usize>,
+    reused: Vec<usize>,
     hits: u64,
 }
 
@@ -68,9 +78,10 @@ impl Residency {
         Residency {
             capacity: capacity.max(1),
             policy,
-            rank: HashMap::new(),
-            by_rank: BTreeMap::new(),
-            clock: 0,
+            order: Vec::new(),
+            present: Vec::new(),
+            missed: Vec::new(),
+            reused: Vec::new(),
             hits: 0,
         }
     }
@@ -80,37 +91,66 @@ impl Residency {
     /// fetched. Every non-resident kept key is fetched; what stays
     /// resident afterwards is the policy's choice.
     pub fn access(&mut self, kept: &[usize]) -> u64 {
+        self.missed.clear();
+        self.reused.clear();
         match self.policy {
             ResidencyPolicy::SldPinned => {
-                let (resident, fetched): (Vec<usize>, Vec<usize>) =
-                    kept.iter().partition(|j| self.contains(**j));
-                self.hits += resident.len() as u64;
-                self.clock += kept.len() as u64;
-                for (i, &j) in resident.iter().chain(&fetched).enumerate() {
-                    self.place(j, self.clock - i as u64);
-                }
-                while self.len() > self.capacity {
-                    self.evict_lowest();
-                }
-                fetched.len() as u64
-            }
-            ResidencyPolicy::Lru => {
-                let mut misses = 0;
+                // Stable partition: lift the resident kept keys out of
+                // the list, then append the block lowest first.
                 for &j in kept {
-                    if self.contains(j) {
-                        self.hits += 1;
-                    } else {
-                        misses += 1;
-                        if self.len() == self.capacity {
-                            self.evict_lowest();
+                    match self.present.get_mut(j) {
+                        Some(resident) if *resident => {
+                            *resident = false;
+                            self.reused.push(j);
+                        }
+                        _ => {
+                            self.missed.push(j);
+                            self.cover(j);
                         }
                     }
-                    self.clock += 1;
-                    self.place(j, self.clock);
                 }
-                misses
+                let present = &self.present;
+                self.order.retain(|&k| present[k]);
+                for &j in self.missed.iter().rev().chain(self.reused.iter().rev()) {
+                    self.present[j] = true;
+                    self.order.push(j);
+                }
+                let excess = self.order.len().saturating_sub(self.capacity);
+                for k in self.order.drain(..excess) {
+                    self.present[k] = false;
+                }
+            }
+            ResidencyPolicy::Lru => {
+                for &j in kept {
+                    if self.contains(j) {
+                        self.reused.push(j);
+                        let at = self.order.iter().position(|&k| k == j);
+                        self.order.remove(at.expect("a present key is in the list"));
+                    } else {
+                        self.missed.push(j);
+                        if self.order.len() == self.capacity {
+                            let victim = self.order.remove(0);
+                            self.present[victim] = false;
+                        }
+                        self.cover(j);
+                        self.present[j] = true;
+                    }
+                    self.order.push(j);
+                }
             }
         }
+        self.hits += self.reused.len() as u64;
+        self.missed.len() as u64
+    }
+
+    /// The keys the last access had to fetch, in kept order.
+    pub fn missed(&self) -> &[usize] {
+        &self.missed
+    }
+
+    /// The keys the last access found resident, in kept order.
+    pub fn reused(&self) -> &[usize] {
+        &self.reused
     }
 
     /// Kept keys found resident over all accesses so far.
@@ -120,29 +160,35 @@ impl Residency {
 
     /// Whether `key` is resident (the look-up-table check).
     pub fn contains(&self, key: usize) -> bool {
-        self.rank.contains_key(&key)
+        self.present.get(key).is_some_and(|&p| p)
     }
 
     /// Number of resident pairs; never above the capacity.
     pub fn len(&self) -> usize {
-        self.rank.len()
+        self.order.len()
     }
 
     /// Whether nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.rank.is_empty()
+        self.order.is_empty()
     }
 
-    fn place(&mut self, key: usize, rank: u64) {
-        if let Some(old) = self.rank.insert(key, rank) {
-            self.by_rank.remove(&old);
+    /// Empties the buffer and zeroes the hit count, keeping the
+    /// allocations; costs the number of resident pairs, not the size
+    /// of the table.
+    pub fn clear(&mut self) {
+        for k in self.order.drain(..) {
+            self.present[k] = false;
         }
-        self.by_rank.insert(rank, key);
+        self.missed.clear();
+        self.reused.clear();
+        self.hits = 0;
     }
 
-    fn evict_lowest(&mut self) {
-        if let Some((_, key)) = self.by_rank.pop_first() {
-            self.rank.remove(&key);
+    /// Grows the look-up table to index `key`.
+    fn cover(&mut self, key: usize) {
+        if key >= self.present.len() {
+            self.present.resize(key + 1, false);
         }
     }
 }
@@ -165,6 +211,45 @@ mod tests {
             assert_eq!(buffer.access(&[4]), 1);
             assert_eq!(buffer.access(&[4]), 0, "{policy:?}: one pair stays");
             assert_eq!(buffer.len(), 1);
+        }
+    }
+
+    #[test]
+    fn eq4_eq5_hold_between_adjacent_queries() {
+        // Fig. 2 narrative: query "The" keeps K{2,4,5,6,11,13}; the
+        // adjacent query "more" additionally needs "appear" and "in"
+        // while reusing the rest. `true` = pruned, the paper's encoding.
+        let pruning =
+            |kept: &[usize]| -> Vec<bool> { (0..16).map(|j| !kept.contains(&j)).collect() };
+        let kept = |p: &[bool]| -> Vec<usize> { (0..16).filter(|&j| !p[j]).collect() };
+        let prev = pruning(&[2, 4, 5, 6, 11, 13]);
+        let cur = pruning(&[4, 5, 6, 7, 8, 11, 13]);
+        let mut buffer = Residency::new(usize::MAX, SldPinned);
+        buffer.access(&kept(&prev));
+        buffer.access(&kept(&cur));
+        let eq4: Vec<usize> = (0..16).filter(|&j| prev[j] && !cur[j]).collect();
+        let eq5: Vec<usize> = (0..16).filter(|&j| !prev[j] && !cur[j]).collect();
+        assert_eq!(buffer.missed(), eq4, "Eq. 4: P(t-1) AND NOT P(t)");
+        assert_eq!(buffer.missed(), [7, 8]);
+        assert_eq!(buffer.reused(), eq5, "Eq. 5: NOT P(t-1) AND NOT P(t)");
+        assert_eq!(buffer.reused(), [4, 5, 6, 11, 13]);
+        // Key 2 left the kept set for one query and comes back: the
+        // one-query window of Eq. 4 would refetch it, the table reuses it.
+        assert_eq!(buffer.access(&[2, 7]), 0);
+        assert_eq!(buffer.reused(), [2, 7]);
+    }
+
+    #[test]
+    fn clear_leaves_a_fresh_buffer() {
+        for policy in [SldPinned, Lru] {
+            let mut buffer = Residency::new(3, policy);
+            buffer.access(&[4, 40, 2]);
+            buffer.access(&[4, 9]);
+            buffer.clear();
+            assert!(buffer.is_empty() && buffer.hits() == 0, "{policy:?}");
+            assert_eq!(resident(&buffer, 64), Vec::<usize>::new(), "{policy:?}");
+            assert_eq!(buffer.access(&[40, 4]), 2, "{policy:?}: cold again");
+            assert_eq!(buffer.missed(), [40, 4]);
         }
     }
 
@@ -269,6 +354,10 @@ mod tests {
                 let misses = buffer.access(&kept);
                 prop_assert!(buffer.len() <= cap);
                 prop_assert_eq!(misses + buffer.hits() - before, kept.len() as u64);
+                // Fetches and reuses partition the kept set.
+                let mut split = [buffer.missed(), buffer.reused()].concat();
+                split.sort_unstable();
+                prop_assert_eq!(split, kept);
             }
         }
 

@@ -1,17 +1,17 @@
 //! The SPRINT memory controller frontend (§V-B/C).
 //!
 //! Orchestrates, per query: the in-memory thresholding handshake
-//! (`CopyQ`/`ReadP`), the SLD split of the returned pruning vector,
-//! per-channel MRG address generation, and backend scheduling of the
-//! selective fetches. Accumulates the statistics the §VII performance
-//! simulator consumes.
-
-use std::collections::HashSet;
+//! (`CopyQ`/`ReadP`), the look-up of the returned pruning vector's
+//! kept keys in the on-chip [`Residency`] (the SLD split, Eqs. 4–5),
+//! per-channel MRG address generation for the ones that missed, and
+//! backend scheduling of those selective fetches. Accumulates the
+//! statistics the §VII performance simulator consumes.
 
 use sprint_energy::{Cycles, TimingParams};
 
 use crate::{
-    ChannelScheduler, CommandTrace, MemoryError, MemoryGeometry, MemoryRequestGenerator, SldEngine,
+    ChannelScheduler, CommandTrace, MemoryError, MemoryGeometry, MemoryRequestGenerator, Residency,
+    ResidencyPolicy,
 };
 
 /// Aggregate controller statistics.
@@ -56,8 +56,8 @@ pub struct QueryOutcome {
     pub commands: Option<CommandTrace>,
 }
 
-/// The memory controller: one SLD frontend plus one scheduler and MRG
-/// per channel.
+/// The memory controller: one on-chip residency table in the frontend
+/// plus one scheduler and MRG per channel.
 ///
 /// # Example
 ///
@@ -78,17 +78,21 @@ pub struct QueryOutcome {
 #[derive(Debug)]
 pub struct MemoryController {
     geometry: MemoryGeometry,
-    sld: SldEngine,
     schedulers: Vec<ChannelScheduler>,
     mrgs: Vec<MemoryRequestGenerator>,
     /// Keys currently resident on chip (the per-CORELET look-up
-    /// tables of §VI). The SLD vector is the fast single-query-window
-    /// approximation; this table catches keys that leave the kept set
-    /// for a query and return later, so they are not refetched.
-    /// Unbounded — it fetches and reuses exactly what an SLD-pinned
-    /// [`crate::Residency`] of unlimited capacity does
-    /// (`tests/tests/model_cross_validation.rs`), and nothing evicts.
-    resident: HashSet<usize>,
+    /// tables of §VI): what a kept key misses here is fetched, what
+    /// it finds is reused — also a key that left the kept set for a
+    /// query and returns later. Unbounded, so nothing evicts; the
+    /// capacity argument is the one thing the figure drivers set
+    /// differently.
+    residency: Residency,
+    /// Length of this head's pruning vectors, fixed by its first query.
+    keys: Option<usize>,
+    /// Per-query scratch: the kept key indices and the Eq. 4
+    /// memory-request vector the MRGs walk.
+    kept: Vec<usize>,
+    requests: Vec<bool>,
     stats: MemoryStats,
     now: Cycles,
     record_traces: bool,
@@ -116,10 +120,12 @@ impl MemoryController {
         }
         Ok(MemoryController {
             geometry,
-            sld: SldEngine::new(),
             schedulers,
             mrgs,
-            resident: HashSet::new(),
+            residency: Residency::new(usize::MAX, ResidencyPolicy::SldPinned),
+            keys: None,
+            kept: Vec::new(),
+            requests: Vec::new(),
             stats: MemoryStats::default(),
             now: Cycles::ZERO,
             record_traces: false,
@@ -142,15 +148,15 @@ impl MemoryController {
         self.stats
     }
 
-    /// Resets the SLD history and residency tables (new head: on-chip
-    /// buffers invalid).
+    /// Empties the residency table (new head: on-chip buffers
+    /// invalid, and its pruning vectors may have another length).
     pub fn start_new_head(&mut self) {
-        self.sld.reset();
-        self.resident.clear();
+        self.residency.clear();
+        self.keys = None;
     }
 
     /// Restores the controller to its freshly-constructed state —
-    /// cold schedulers, empty SLD/residency tables, zeroed statistics
+    /// cold schedulers, empty residency table, zeroed statistics
     /// and cycle counters — reusing every allocation. A controller
     /// reset this way behaves bit-identically to a new one over the
     /// same geometry and timing; the serving engine uses this to run
@@ -161,22 +167,32 @@ impl MemoryController {
         for sched in &mut self.schedulers {
             sched.reset_cold();
         }
-        self.sld.reset();
-        self.resident.clear();
+        self.start_new_head();
         self.stats = MemoryStats::default();
         self.now = Cycles::ZERO;
     }
 
-    /// Runs the full per-query flow: thresholding handshake, SLD
-    /// split, MRG address generation and backend fetch scheduling.
+    /// Runs the full per-query flow: thresholding handshake,
+    /// residency look-up, MRG address generation and backend fetch
+    /// scheduling.
     ///
     /// `pruned[j] == true` means key `j` was pruned by the in-memory
     /// comparators.
     ///
     /// # Errors
     ///
-    /// Propagates SLD length, addressing and timing errors.
+    /// Returns [`MemoryError::LengthMismatch`] if the vector length
+    /// changes within a head; propagates addressing and timing errors.
     pub fn process_query(&mut self, pruned: &[bool]) -> Result<QueryOutcome, MemoryError> {
+        let expected = *self.keys.get_or_insert(pruned.len());
+        if expected != pruned.len() {
+            return Err(MemoryError::LengthMismatch {
+                what: "pruning vector",
+                expected,
+                found: pruned.len(),
+            });
+        }
+
         // 1. Thresholding handshake on every channel holding K MSBs.
         let mut trace = self.record_traces.then(CommandTrace::new);
         let mut pruning_ready = self.now;
@@ -191,28 +207,28 @@ impl MemoryController {
         }
         self.stats.queries += 1;
 
-        // 2. Frontend split, then residency filtering: the SLD vector
-        // flags keys absent from the *previous* kept set; the look-up
-        // tables suppress requests for keys still resident from older
-        // queries.
-        let mut split = self.sld.process(pruned)?;
-        for (j, req) in split.memory_requests.iter_mut().enumerate() {
-            if *req && self.resident.contains(&j) {
-                *req = false;
-                split.locality_hits[j] = true;
-            }
-        }
-        for (j, &req) in split.memory_requests.iter().enumerate() {
-            if req {
-                self.resident.insert(j);
-            }
-        }
+        // 2. Frontend split: the kept keys the look-up tables miss are
+        // the memory requests (Eq. 4), the ones they hold the locality
+        // hits (Eq. 5).
+        self.kept.clear();
+        let kept = pruned.iter().enumerate().filter(|(_, &p)| !p);
+        self.kept.extend(kept.map(|(j, _)| j));
+        let missed = self.residency.access(&self.kept);
 
-        // 3. Per-channel MRG + backend scheduling.
+        // 3. Per-channel MRG + backend scheduling. When every kept key
+        // was on chip the request vector stays empty: nothing to build
+        // and nothing for the MRGs to walk.
+        self.requests.clear();
+        if missed > 0 {
+            self.requests.resize(pruned.len(), false);
+            for &j in self.residency.missed() {
+                self.requests[j] = true;
+            }
+        }
         let mut first_data: Option<Cycles> = None;
         let mut finish = pruning_ready;
         for (sched, mrg) in self.schedulers.iter_mut().zip(&self.mrgs) {
-            let fetches = mrg.generate(&split.memory_requests);
+            let fetches = mrg.generate(&self.requests);
             if fetches.is_empty() {
                 continue;
             }
@@ -231,14 +247,13 @@ impl MemoryController {
             }
         }
 
-        let reused_keys = split.hit_indices();
-        self.stats.reused_vectors += reused_keys.len() as u64;
+        self.stats.reused_vectors += self.residency.reused().len() as u64;
         self.now = finish;
         self.stats.busy_until = finish;
 
         Ok(QueryOutcome {
-            fetched_keys: split.request_indices(),
-            reused_keys,
+            fetched_keys: self.residency.missed().to_vec(),
+            reused_keys: self.residency.reused().to_vec(),
             pruning_ready,
             first_data,
             finish,
@@ -251,6 +266,7 @@ impl MemoryController {
 mod tests {
     use super::*;
     use crate::{MemoryCommand, TimingChecker};
+    use proptest::prelude::*;
 
     fn controller() -> MemoryController {
         MemoryController::new(MemoryGeometry::default(), TimingParams::default()).unwrap()
@@ -401,6 +417,60 @@ mod tests {
     fn length_change_mid_head_errors() {
         let mut mc = controller();
         mc.process_query(&keep(16, &[0])).unwrap();
-        assert!(mc.process_query(&keep(17, &[0])).is_err());
+        assert_eq!(
+            mc.process_query(&keep(17, &[0])),
+            Err(MemoryError::LengthMismatch {
+                what: "pruning vector",
+                expected: 16,
+                found: 17,
+            })
+        );
+        mc.start_new_head();
+        assert!(mc.process_query(&keep(17, &[0])).is_ok(), "a new head");
+    }
+
+    proptest! {
+        /// The controller against the plain set it used to keep:
+        /// `fetched = kept − seen; seen ∪= kept`.
+        #[test]
+        fn prop_outcomes_match_the_set_model(
+            keys in 1usize..601,
+            flags in proptest::collection::vec(
+                proptest::collection::vec(proptest::bool::ANY, 600..601), 1..41),
+            events in proptest::collection::vec(0u8..8, 40..41),
+        ) {
+            let mut mc = controller();
+            let bytes_per_fetch = mc.geometry().bytes_per_fetch as u64;
+            let mut seen = vec![false; keys];
+            let (mut fetched_total, mut reused_total) = (0u64, 0u64);
+            for (flags, event) in flags.iter().zip(&events) {
+                match event {
+                    0 => {
+                        mc.reset_cold();
+                        (fetched_total, reused_total) = (0, 0);
+                        seen.fill(false);
+                    }
+                    1 => {
+                        mc.start_new_head();
+                        seen.fill(false);
+                    }
+                    _ => {}
+                }
+                let pruned = &flags[..keys];
+                let kept = (0..keys).filter(|&j| !pruned[j]);
+                let (reused, fetched): (Vec<usize>, Vec<usize>) = kept.partition(|&j| seen[j]);
+                fetched.iter().for_each(|&j| seen[j] = true);
+                fetched_total += fetched.len() as u64;
+                reused_total += reused.len() as u64;
+
+                let outcome = mc.process_query(pruned).unwrap();
+                prop_assert_eq!(outcome.fetched_keys, fetched);
+                prop_assert_eq!(outcome.reused_keys, reused);
+                let stats = mc.stats();
+                prop_assert_eq!(stats.fetched_vectors, fetched_total);
+                prop_assert_eq!(stats.reused_vectors, reused_total);
+                prop_assert_eq!(stats.bytes_fetched, fetched_total * bytes_per_fetch);
+            }
+        }
     }
 }

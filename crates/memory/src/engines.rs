@@ -1,12 +1,10 @@
-//! The memory-request and key-index generator engines (§V-C).
+//! The memory-request generator engine (§V-C).
 //!
 //! One MRG per memory controller/channel turns the SLD's memory-request
 //! vector into addressed fetches for the keys *resident on that
-//! channel*; the KIG runs the identical microarchitecture over the
-//! spatial-locality vector to hand the accelerator the indices it can
-//! start computing on immediately. Both walk the bit vector with a
-//! **base register** (the channel's first key index) and a **shared
-//! up-counter** stepping by the channel count.
+//! channel*. It walks the bit vector with a **base register** (the
+//! channel's first key index) and a **shared up-counter** stepping by
+//! the channel count.
 
 use crate::{KeyLocation, MemoryError, MemoryGeometry};
 
@@ -19,7 +17,9 @@ pub struct KeyAddress {
     pub location: KeyLocation,
 }
 
-/// The per-channel memory request generator.
+/// The per-channel memory request generator. The paper's key index
+/// generator (KIG) is the same walk over the spatial-locality vector,
+/// so it has no type of its own.
 ///
 /// # Example
 ///
@@ -92,42 +92,6 @@ impl MemoryRequestGenerator {
     }
 }
 
-/// The key index generator: identical microarchitecture to the MRG but
-/// fed the spatial-locality vector, producing the indices whose score
-/// computation can bootstrap from on-chip data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyIndexGenerator {
-    inner: MemoryRequestGenerator,
-}
-
-impl KeyIndexGenerator {
-    /// Creates the generator for `channel`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MemoryRequestGenerator::new`].
-    pub fn new(channel: usize, geometry: MemoryGeometry) -> Result<Self, MemoryError> {
-        Ok(KeyIndexGenerator {
-            inner: MemoryRequestGenerator::new(channel, geometry)?,
-        })
-    }
-
-    /// The channel this engine serves.
-    pub fn channel(&self) -> usize {
-        self.inner.channel()
-    }
-
-    /// Emits the on-chip key indices of this channel from the
-    /// spatial-locality vector.
-    pub fn generate(&self, locality_vector: &[bool]) -> Vec<usize> {
-        self.inner
-            .generate(locality_vector)
-            .into_iter()
-            .map(|a| a.key)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,7 +112,6 @@ mod tests {
     fn construction_validates_channel() {
         assert!(MemoryRequestGenerator::new(4, small_geometry()).is_err());
         assert!(MemoryRequestGenerator::new(3, small_geometry()).is_ok());
-        assert!(KeyIndexGenerator::new(9, small_geometry()).is_err());
     }
 
     #[test]
@@ -176,18 +139,6 @@ mod tests {
         seen.sort_unstable();
         let expected: Vec<usize> = (0..40).filter(|j| j % 3 == 0).collect();
         assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn kig_mirrors_mrg_addressing() {
-        let g = small_geometry();
-        let vector: Vec<bool> = (0..24).map(|j| j % 5 == 0).collect();
-        for ch in 0..4 {
-            let mrg = MemoryRequestGenerator::new(ch, g).unwrap();
-            let kig = KeyIndexGenerator::new(ch, g).unwrap();
-            let mrg_keys: Vec<usize> = mrg.generate(&vector).iter().map(|a| a.key).collect();
-            assert_eq!(kig.generate(&vector), mrg_keys);
-        }
     }
 
     #[test]

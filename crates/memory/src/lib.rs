@@ -14,19 +14,19 @@
 //! * [`TimingChecker`] — validates command streams against
 //!   tRCD/tRP/tCL/tRRD/tFAW and the new `tAxTh` constraint between a
 //!   triggering `CopyQ` and the earliest `ReadP`;
-//! * [`SldEngine`] — spatial-locality detection (Eqs. 4–5), splitting
-//!   each pruning vector into *memory requests* (kept, not on chip)
-//!   and *locality hits* (kept, already on chip);
-//! * [`MemoryRequestGenerator`] / [`KeyIndexGenerator`] — the per-
-//!   channel MRG/KIG engines with their base register + shared
-//!   up-counter address generation;
+//! * [`Residency`] — the on-chip K/V buffer and its look-up tables
+//!   (§VI), under SLD-pinned or plain LRU replacement
+//!   ([`ResidencyPolicy`]): the one model of what a kept set must
+//!   fetch. Looking a pruning vector's kept keys up in it is the
+//!   spatial-locality detection of Eqs. 4–5, splitting them into
+//!   *memory requests* (kept, not on chip) and *locality hits* (kept,
+//!   already on chip);
+//! * [`MemoryRequestGenerator`] — the per-channel MRG engine with its
+//!   base register + shared up-counter address generation;
 //! * [`ChannelScheduler`] and [`MemoryController`] — an FR-FCFS-style
 //!   backend and the frontend orchestration of the
-//!   threshold-fetch-compute flow, with cycle and energy accounting;
-//! * [`Residency`] — the finite on-chip K/V buffer the fetches land
-//!   in (§VI), under SLD-pinned or plain LRU replacement
-//!   ([`ResidencyPolicy`]): the one model of what a kept set must
-//!   fetch once capacity binds.
+//!   threshold-fetch-compute flow over one unbounded [`Residency`],
+//!   with cycle and energy accounting.
 //!
 //! # Example
 //!
@@ -56,15 +56,13 @@ mod engines;
 mod error;
 mod layout;
 mod scheduler;
-mod sld;
 mod timing;
 
 pub use buffers::{Residency, ResidencyPolicy};
 pub use command::{CommandTrace, MemoryCommand, TimedCommand};
 pub use controller::{MemoryController, MemoryStats, QueryOutcome};
-pub use engines::{KeyAddress, KeyIndexGenerator, MemoryRequestGenerator};
+pub use engines::{KeyAddress, MemoryRequestGenerator};
 pub use error::MemoryError;
 pub use layout::{KeyLocation, MemoryGeometry};
 pub use scheduler::{ChannelScheduler, ScheduleResult};
-pub use sld::{SldEngine, SldSplit};
 pub use timing::TimingChecker;

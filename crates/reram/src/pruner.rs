@@ -157,13 +157,13 @@ pub struct InMemoryPruner {
     cell_bits: u32,
     q_params: QuantParams,
     /// The 8-bit key quantizer the stored MSB codes were derived from.
-    /// [`InMemoryPruner::extend`] appends new keys under these params
+    /// [`InMemoryPruner::extend_row`] appends new keys under these params
     /// while they still cover the history's range, and reprograms
     /// everything when a new key forces a recalibration.
     k_params: QuantParams,
     /// Running `max_abs` of the programmed key history (append-only:
-    /// never shrinks), so `extend`'s params check folds only the new
-    /// rows instead of rescanning the whole history.
+    /// never shrinks), so `extend_row`'s params check folds only the
+    /// new row instead of rescanning the whole history.
     k_max_abs: f32,
     /// The score scaling (1/√d in the models), kept for recomputing
     /// `score_lsb` when either quantizer recalibrates.
@@ -182,7 +182,7 @@ pub struct InMemoryPruner {
     /// margin for process, temperature and workload drift).
     full_scale_codes: f64,
     /// Optional hard-fault injector, stamped onto every tile (and onto
-    /// tiles created later by [`InMemoryPruner::extend`]).
+    /// tiles created later by [`InMemoryPruner::extend_row`]).
     fault: Option<FaultModel>,
     /// Keys remapped to verified fault-free spare columns: the memory
     /// controller routes their scores from the exact digital shadow
@@ -430,7 +430,7 @@ impl InMemoryPruner {
     /// it unless their comparator needs it.
     ///
     /// Fresh construction performs exactly this calibration, so a
-    /// long-lived pruner that calls [`InMemoryPruner::extend`] followed
+    /// long-lived pruner that calls [`InMemoryPruner::extend_row`] followed
     /// by `calibrate_query(step_q, ...)` matches a pruner freshly built
     /// from the same grown history and step query.
     ///
@@ -491,99 +491,34 @@ impl InMemoryPruner {
         Ok(())
     }
 
-    /// Appends the new trailing rows of `k_full` (everything beyond
-    /// the keys already stored) to the programmed crossbars — the
-    /// incremental entry of the autoregressive decode path.
+    /// Appends one key row to the programmed crossbars — the
+    /// incremental entry of the autoregressive decode path. The paged
+    /// decode path hands each step's key row straight from page
+    /// storage; the full key history sits behind a closure and its
+    /// `O(s·d)` gather is paid only when it is needed. Two regimes:
     ///
-    /// `k_full` is the *entire* key history, whose first `keys()` rows
-    /// must be the keys this pruner already stores. Two regimes:
-    ///
-    /// * **Append** (the common case): the new keys fit the calibrated
-    ///   key-quantizer range, so their MSB codes are programmed into
-    ///   fresh columns ([`TransposableArray::append_slots`]) without
-    ///   touching any existing cell — `O(added · d)` work. Returns
-    ///   `Ok(false)`.
-    /// * **Recalibration** (rare — a new key exceeds every magnitude
+    /// * **Append** (the common case): the new key fits the calibrated
+    ///   key-quantizer range, so its MSB codes are programmed into a
+    ///   fresh column ([`TransposableArray::append_slots`]) without
+    ///   touching any existing cell — `O(d)` work, `history` is not
+    ///   called. Returns `Ok(false)`.
+    /// * **Recalibration** (rare — the new key exceeds every magnitude
     ///   seen so far): the shared 8-bit quantizer must re-cover the
     ///   grown range, which changes every stored code, so the whole
     ///   history is requantized and reprogrammed exactly as a fresh
-    ///   construction would be. Returns `Ok(true)` and **zeroes the
-    ///   hardware counters** (snapshot [`InMemoryPruner::stats`]
-    ///   *after* `extend` when computing per-step deltas).
+    ///   construction would be. `history()` must return the entire
+    ///   grown key history, new row included. Returns `Ok(true)` and
+    ///   **zeroes the hardware counters** (snapshot
+    ///   [`InMemoryPruner::stats`] *after* `extend_row` when computing
+    ///   per-step deltas).
     ///
     /// In both regimes the stored codes afterwards equal those of a
-    /// pruner freshly built over `k_full`, so — after a matching
-    /// [`InMemoryPruner::calibrate_query`] — decode-step outcomes are
-    /// bit-identical to a reprogram-from-scratch oracle under an ideal
-    /// (noise-free) analog model. Under a noisy model the *draws*
-    /// differ (a fresh pruner consumes its RNG streams in a different
-    /// order), so equivalence is distributional, not bitwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReramError::LengthMismatch`] for a wrong embedding
-    /// size and [`ReramError::InvalidParameter`] if `k_full` holds
-    /// fewer rows than are already programmed.
-    pub fn extend(&mut self, k_full: &Matrix) -> Result<bool, ReramError> {
-        if k_full.cols() != self.d {
-            return Err(ReramError::LengthMismatch {
-                what: "key embedding",
-                expected: self.d,
-                found: k_full.cols(),
-            });
-        }
-        if k_full.rows() < self.s {
-            return Err(ReramError::InvalidParameter(format!(
-                "key history shrank: {} stored, {} offered",
-                self.s,
-                k_full.rows()
-            )));
-        }
-        if k_full.rows() == self.s {
-            return Ok(false);
-        }
-        // Fold only the appended rows into the running maximum — the
-        // same fold `Matrix::max_abs` performs, grouped over (stored
-        // prefix, new rows), so the derived params are bit-identical
-        // to a from-scratch calibration over `k_full` at O(added·d).
-        let new_max = k_full.as_slice()[self.s * self.d..]
-            .iter()
-            .fold(self.k_max_abs, |m, v| m.max(v.abs()));
-        let new_params = QuantParams::for_max_abs(8, new_max)
-            .map_err(|e| ReramError::InvalidParameter(format!("key quantization: {e}")))?;
-        if new_params != self.k_params {
-            // A new key widened the range: every stored code changes,
-            // so requantize and reprogram the full history (the same
-            // tiling, seeds and programming order as a fresh build).
-            self.program_keys(k_full)?;
-            let unit = 4f64.powi((8 - self.cell_bits) as i32);
-            self.score_lsb = unit
-                * self.q_params.step() as f64
-                * self.k_params.step() as f64
-                * self.attention_scale as f64;
-            return Ok(true);
-        }
-        self.k_max_abs = new_max;
-        for j in self.s..k_full.rows() {
-            self.append_key(j, k_full.row(j))?;
-            self.s += 1;
-        }
-        Ok(false)
-    }
-
-    /// [`InMemoryPruner::extend`] for exactly one appended key row,
-    /// with the full-history gather deferred behind a closure: the
-    /// paged decode path hands each step's key row straight from page
-    /// storage and only pays the `O(s·d)` `history()` gather on the
-    /// rare recalibration (a key that widens the quantizer range,
-    /// which requantizes and reprograms everything — exactly as
-    /// [`InMemoryPruner::extend`] would).
-    ///
-    /// `history()` must return the entire grown key history, new row
-    /// included. Returns `Ok(true)` on a recalibrating reprogram
-    /// (hardware counters zeroed, as in `extend`), `Ok(false)` on the
-    /// common `O(d)` single-column append. The stored codes afterwards
-    /// equal a fresh build over the grown history in both regimes.
+    /// pruner freshly built over the grown history, so — after a
+    /// matching [`InMemoryPruner::calibrate_query`] — decode-step
+    /// outcomes are bit-identical to a reprogram-from-scratch oracle
+    /// under an ideal (noise-free) analog model. Under a noisy model
+    /// the *draws* differ (a fresh pruner consumes its RNG streams in a
+    /// different order), so equivalence is distributional, not bitwise.
     ///
     /// # Errors
     ///
@@ -631,9 +566,8 @@ impl InMemoryPruner {
     }
 
     /// Programs key `j` (== the current key count) into fresh crossbar
-    /// columns under the already-calibrated quantizer — the shared
-    /// append arm of [`InMemoryPruner::extend`] and
-    /// [`InMemoryPruner::extend_row`]. Does not bump `self.s`.
+    /// columns under the already-calibrated quantizer — the append arm
+    /// of [`InMemoryPruner::extend_row`]. Does not bump `self.s`.
     fn append_key(&mut self, j: usize, key: &[f32]) -> Result<(), ReramError> {
         let noise = effective_noise(self.noise, self.cell_bits)?;
         let shift = 8 - self.cell_bits;
@@ -1380,7 +1314,7 @@ mod tests {
             let q_row = Matrix::from_vec(1, 128, q_all.row(s - start).to_vec()).unwrap();
             let k = prefix(&k_all, s);
             let before = grown.stats();
-            let reprogrammed = grown.extend(&k).unwrap();
+            let reprogrammed = grown.extend_row(k.row(s - 1), || k.clone()).unwrap();
             grown.calibrate_query(&q_row, true).unwrap();
             let mut fresh = InMemoryPruner::new(&q_row, &k, 0.09, noise, 5).unwrap();
             let a = grown.prune_query(q_row.row(0), 0.02, &spec).unwrap();
@@ -1411,18 +1345,21 @@ mod tests {
         let mut widened = k.as_slice().to_vec();
         widened.extend(k.row(0).iter().map(|x| x * 3.0));
         let k_wide = Matrix::from_vec(65, 32, widened).unwrap();
-        assert!(grown.extend(&k_wide).unwrap(), "range grew: must reprogram");
+        assert!(
+            grown.extend_row(k_wide.row(64), || k_wide.clone()).unwrap(),
+            "range grew: must reprogram"
+        );
         grown.calibrate_query(&q, true).unwrap();
         let mut fresh = InMemoryPruner::new(&q, &k_wide, 0.176, noise, 9).unwrap();
         let spec = ThresholdSpec::default();
         let a = grown.prune_query(q.row(0), 0.02, &spec).unwrap();
         let b = fresh.prune_query(q.row(0), 0.02, &spec).unwrap();
         assert_eq!(a, b);
-        // An in-range append afterwards goes back to the cheap path.
-        let mut more = k_wide.as_slice().to_vec();
-        more.extend_from_slice(k.row(1));
-        let k_more = Matrix::from_vec(66, 32, more).unwrap();
-        assert!(!grown.extend(&k_more).unwrap());
+        // An in-range append afterwards goes back to the cheap path
+        // and never gathers the history.
+        let appended = grown.extend_row(k.row(1), || unreachable!("in-range append"));
+        assert!(!appended.unwrap());
+        assert_eq!(grown.keys(), 66);
     }
 
     #[test]
@@ -1431,12 +1368,12 @@ mod tests {
         let k = random_matrix(8, 16, 92);
         let mut p = InMemoryPruner::new(&q, &k, 0.25, NoiseModel::ideal(), 3).unwrap();
         // Wrong embedding.
-        assert!(p.extend(&random_matrix(9, 8, 93)).is_err());
-        // Shrunk history.
-        assert!(p.extend(&random_matrix(4, 16, 94)).is_err());
-        // Same length: no-op.
-        assert!(!p.extend(&k).unwrap());
-        assert_eq!(p.keys(), 8);
+        assert!(p.extend_row(&[0.5; 8], || unreachable!()).is_err());
+        // A widening row whose history is not the grown geometry.
+        let wide = [1e3f32; 16];
+        assert!(p.extend_row(&wide, || k.clone()).is_err());
+        assert!(p.extend_row(&wide, || random_matrix(9, 8, 93)).is_err());
+        assert_eq!(p.keys(), 8, "a rejected row appends nothing");
         // Query calibration validates the embedding too.
         assert!(p.calibrate_query(&random_matrix(1, 8, 95), false).is_err());
     }

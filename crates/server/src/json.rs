@@ -332,14 +332,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so
-                    // boundaries are valid).
+                    // Consume the whole run of plain characters up to
+                    // the next quote or escape (both ASCII and the
+                    // input is &str, so the run ends on a boundary).
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let run = rest
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(rest.len());
+                    let s = std::str::from_utf8(&rest[..run])
                         .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
                 None => return Err("unterminated string".to_string()),
             }

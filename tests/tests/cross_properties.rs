@@ -3,35 +3,43 @@
 
 use proptest::prelude::*;
 
+use sprint_energy::TimingParams;
 use sprint_engine::cost::{assign_tokens, MappingPolicy};
-use sprint_memory::{MemoryGeometry, MemoryRequestGenerator, SldEngine};
+use sprint_memory::{MemoryController, MemoryGeometry, MemoryRequestGenerator};
 use sprint_workloads::{TraceGenerator, TraceSpec};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// SLD split -> per-channel MRG -> union must equal exactly the
-    /// fetchable set, with every key on its home channel.
+    /// Controller split -> per-channel MRG -> union must equal exactly
+    /// the fetched set, with every key on its home channel.
     #[test]
     fn sld_and_mrg_compose_without_loss(
         prev in proptest::collection::vec(proptest::bool::ANY, 32..96),
         cur_bits in proptest::collection::vec(proptest::bool::ANY, 32..96),
     ) {
         let n = prev.len().min(cur_bits.len());
-        let mut sld = SldEngine::new();
-        sld.process(&prev[..n]).unwrap();
-        let split = sld.process(&cur_bits[..n]).unwrap();
         let geometry = MemoryGeometry::default();
+        let mut controller = MemoryController::new(geometry, TimingParams::default()).unwrap();
+        controller.process_query(&prev[..n]).unwrap();
+        let before = controller.stats().fetched_vectors;
+        let outcome = controller.process_query(&cur_bits[..n]).unwrap();
+        let mut requests = vec![false; n];
+        for &j in &outcome.fetched_keys {
+            requests[j] = true;
+        }
         let mut fetched = Vec::new();
         for ch in 0..geometry.channels {
             let mrg = MemoryRequestGenerator::new(ch, geometry).unwrap();
-            for addr in mrg.generate(&split.memory_requests) {
+            for addr in mrg.generate(&requests) {
                 prop_assert_eq!(addr.location.channel, addr.key % geometry.channels);
                 fetched.push(addr.key);
             }
         }
         fetched.sort_unstable();
-        prop_assert_eq!(fetched, split.request_indices());
+        // The controller's own MRGs scheduled that many fetches.
+        prop_assert_eq!(controller.stats().fetched_vectors - before, fetched.len() as u64);
+        prop_assert_eq!(fetched, outcome.fetched_keys);
     }
 
     /// Trace decisions assigned to CORELETs cover exactly the kept set

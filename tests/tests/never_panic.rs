@@ -217,6 +217,22 @@ proptest! {
 }
 
 #[test]
+fn a_string_value_at_the_body_scale_parses_in_linear_time() {
+    // 1 MiB of ASCII and multi-byte characters with one escape in the
+    // middle: a parser that revalidates the rest of the input on every
+    // character does not get through this in a debug build.
+    let half = "ab é€𝄞 ".repeat((1 << 19) / 13 + 1);
+    let text = format!("{{\"k\":\"{half}\\n{half}\"}}");
+    assert!(text.len() > 1 << 20);
+    let value = Json::parse(&text).expect("a long string is still a string");
+    assert_eq!(
+        value.str_field("k"),
+        Some(format!("{half}\n{half}").as_str())
+    );
+    assert_eq!(value.to_string(), text);
+}
+
+#[test]
 fn the_body_generator_reaches_accepted_requests() {
     // The bounds above are vacuous if nothing is ever accepted.
     let mut runner = proptest::runner("never_panic::acceptance");

@@ -7,7 +7,7 @@
 //! quantiles as `{quantile="..."}` labels.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Capacity of the latency reservoir: quantiles reflect the most
@@ -98,7 +98,7 @@ impl Metrics {
 
     /// Records one completed request's end-to-end latency.
     pub fn record_latency(&self, ns: u64) {
-        let mut ring = self.latencies_ns.lock().expect("latency ring poisoned");
+        let mut ring = self.ring();
         if ring.samples.len() < LATENCY_RING {
             ring.samples.push(ns);
         } else {
@@ -119,15 +119,18 @@ impl Metrics {
     /// Nearest-rank quantiles over the reservoir: `(p50, p90, p99)` in
     /// nanoseconds, zeros when nothing has completed.
     pub fn latency_quantiles_ns(&self) -> (u64, u64, u64) {
-        let mut sorted = self
-            .latencies_ns
-            .lock()
-            .expect("latency ring poisoned")
-            .samples
-            .clone();
+        let mut sorted = self.ring().samples.clone();
         sorted.sort_unstable();
         let pick = |pct: f64| sprint_engine::nearest_rank(&sorted, pct);
         (pick(50.0), pick(90.0), pick(99.0))
+    }
+
+    /// The latency ring, even if a holder panicked: a ring of `u64`
+    /// samples has no state a half-done update can break.
+    fn ring(&self) -> MutexGuard<'_, LatencyRing> {
+        self.latencies_ns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Completed requests per second of server uptime.
@@ -337,6 +340,29 @@ mod tests {
         // the most recent LATENCY_RING values (100..4196).
         assert!(p50 >= 100, "p50 {p50}");
         assert!(p99 < LATENCY_RING as u64 + 100, "p99 {p99}");
+    }
+
+    #[test]
+    fn a_poisoned_latency_ring_still_records_and_renders() {
+        let m = Metrics::new();
+        m.record_latency(2_000_000);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _ring = m.latencies_ns.lock().unwrap();
+                panic!("panic while holding the latency ring");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(m.latencies_ns.is_poisoned());
+        m.record_latency(4_000_000);
+        assert_eq!(m.latency_quantiles_ns(), (2_000_000, 4_000_000, 4_000_000));
+        let text = m.render(0, 0, 0);
+        for needle in [
+            "sprint_request_latency_ms{quantile=\"0.5\"} 2.000",
+            "sprint_request_latency_ms{quantile=\"0.99\"} 4.000",
+        ] {
+            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
     }
 
     #[test]

@@ -13,12 +13,33 @@ pub(crate) fn normal<R: Rng>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
+/// Overwrites `v` with a uniformly random unit vector: i.i.d.
+/// standard-normal deviates in index order, divided by their norm, with
+/// a redraw of the whole vector when the norm is (numerically) zero.
+pub(crate) fn unit_vec_into<R: Rng>(rng: &mut R, v: &mut [f64]) {
+    loop {
+        for x in v.iter_mut() {
+            *x = normal(rng);
+        }
+        let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm > 1e-9 {
+            for x in v.iter_mut() {
+                *x /= norm;
+            }
+            return;
+        }
+    }
+}
+
 /// Fills a vector with i.i.d. standard-normal deviates.
+#[cfg(test)]
 pub(crate) fn normal_vec<R: Rng>(rng: &mut R, n: usize) -> Vec<f64> {
     (0..n).map(|_| normal(rng)).collect()
 }
 
-/// Returns a uniformly random unit vector of dimension `n`.
+/// Returns a uniformly random unit vector of dimension `n`: the
+/// allocating form [`unit_vec_into`] is pinned to.
+#[cfg(test)]
 pub(crate) fn unit_vec<R: Rng>(rng: &mut R, n: usize) -> Vec<f64> {
     loop {
         let v = normal_vec(rng, n);
@@ -75,6 +96,28 @@ mod tests {
         // Random high-dimensional unit vectors are nearly orthogonal.
         let dot: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         assert!(dot.abs() < 0.5);
+    }
+
+    #[test]
+    fn unit_vec_into_draws_the_allocating_form_bit_for_bit() {
+        for n in [1, 2, 7, 64] {
+            let (mut a, mut b) = (
+                StdRng::seed_from_u64(n as u64),
+                StdRng::seed_from_u64(n as u64),
+            );
+            let mut v = vec![f64::NAN; n];
+            for _ in 0..20 {
+                unit_vec_into(&mut a, &mut v);
+                let expected = unit_vec(&mut b, n);
+                let bits = |x: &[f64]| x.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&v), bits(&expected), "n = {n}");
+            }
+            assert_eq!(
+                a.gen::<u64>(),
+                b.gen::<u64>(),
+                "n = {n}: same draws consumed"
+            );
+        }
     }
 
     #[test]

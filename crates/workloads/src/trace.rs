@@ -23,12 +23,15 @@
 //! One lane-blocked score kernel serves the λ bisection, the real build
 //! and decision derivation, each score bit-identical to the scalar
 //! [`HeadTrace::score_row`]; the learned threshold is a selected
-//! quantile, not a sorted one; a bisection step draws no V and builds
-//! no trace. The digital-reference decisions are derived once, on the
-//! first [`HeadTrace::reference_decisions`] call, so `generate` — and
-//! the benchmark's `workloads.generate_ms` — no longer includes that
-//! work. ARCHITECTURE.md "Trace synthesis" states the draw order and
-//! the oracle test that pins every bit.
+//! quantile, not a sorted one. The λ bisection draws its calibration
+//! stream once — the salience direction, K and the topic walk, none of
+//! which depends on λ — and each of its nine steps only re-blends Q and
+//! re-scores; it draws no V and builds no trace. The digital-reference
+//! decisions are derived once, on the first
+//! [`HeadTrace::reference_decisions`] call, so `generate` — and the
+//! benchmark's `workloads.generate_ms` — no longer includes that work.
+//! ARCHITECTURE.md "Trace synthesis" states the draw order and the
+//! oracle test that pins every bit.
 
 use std::sync::OnceLock;
 
@@ -40,7 +43,9 @@ use sprint_attention::{
     PruningStats,
 };
 
-use crate::stats::{normal, unit_vec};
+#[cfg(test)]
+use crate::stats::unit_vec;
+use crate::stats::{normal, normalize, unit_vec_into};
 
 /// Specification of one synthetic head trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -730,6 +735,12 @@ impl TraceGenerator {
 /// adjacent overlap on a calibration-size instance matches the
 /// target. Overlap is monotone in λ: more salience weight means
 /// more of the kept set is the static popular-key set.
+///
+/// Each step reads what `build_trace(cal_spec, λ, seed)` would return —
+/// its mean adjacent overlap — but λ only sets the Q blend, so the
+/// stream is drawn once and each step re-blends Q and re-scores. V is
+/// drawn last and nothing after it consumes the stream, so it is not
+/// drawn. A failing step falls back to λ = 0.5.
 fn calibrate_lambda(spec: &TraceSpec, seed: u64) -> f64 {
     let cal_live = spec.live_tokens().min(CALIBRATION_LEN);
     let cal_spec = TraceSpec {
@@ -737,40 +748,50 @@ fn calibrate_lambda(spec: &TraceSpec, seed: u64) -> f64 {
         padding_fraction: 0.0,
         ..*spec
     };
-    let (mut lo, mut hi) = (0.02f64, 0.97f64);
-    for _ in 0..9 {
-        let mid = 0.5 * (lo + hi);
-        let overlap = match adjacent_overlap(&cal_spec, mid, seed) {
-            Ok(overlap) => overlap,
-            Err(_) => return 0.5,
-        };
-        if overlap < spec.target_overlap {
-            lo = mid;
-        } else {
-            hi = mid;
+    let bisect = || -> Result<f64, AttentionError> {
+        let draws = Draws::new(&cal_spec, &mut StdRng::seed_from_u64(seed))?;
+        let lanes = KeyLanes::new(&draws.k, cal_live);
+        let scale = AttentionConfig::new(spec.head_dim).scale();
+        let mut q = Matrix::zeros(cal_live, spec.head_dim)?;
+        let mut scores = Matrix::zeros(cal_live, cal_live)?;
+        let (mut lo, mut hi) = (0.02f64, 0.97f64);
+        for _ in 0..9 {
+            let mid = 0.5 * (lo + hi);
+            draws.blend_q(mid, &mut q);
+            lanes.score_rows(&q, scale, &mut scores);
+            let (_, stats) = threshold_and_stats(&cal_spec, &scores)?;
+            if stats.mean_adjacent_overlap < spec.target_overlap {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
         }
-    }
-    0.5 * (lo + hi)
-}
-
-/// What one bisection step reads of the trace `build_trace(spec,
-/// lambda, seed)` would return: its mean adjacent overlap. V is drawn
-/// last and nothing after it consumes the stream, so it is not drawn.
-fn adjacent_overlap(spec: &TraceSpec, lambda: f64, seed: u64) -> Result<f64, AttentionError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (q, k) = draw_qk(spec, lambda, &mut rng)?;
-    let (_, stats) = threshold_and_stats(spec, &q, &k)?;
-    Ok(stats.mean_adjacent_overlap)
+        Ok(0.5 * (lo + hi))
+    };
+    bisect().unwrap_or(0.5)
 }
 
 /// Synthesizes the actual matrices for a given salience blend.
 fn build_trace(spec: &TraceSpec, lambda: f64, seed: u64) -> Result<HeadTrace, AttentionError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let padding = PaddingMask::new(spec.seq_len, spec.live_tokens())?;
-    let (q, k) = draw_qk(spec, lambda, &mut rng)?;
-    // Scoring draws nothing, so the threshold is calibrated before V is
+    let draws = Draws::new(spec, &mut rng)?;
+    let mut q = Matrix::zeros(spec.seq_len, spec.head_dim)?;
+    draws.blend_q(lambda, &mut q);
+    // The topic rows are gone before the score matrix is allocated, and
+    // scoring draws nothing, so the threshold is calibrated before V is
     // drawn and the score matrix is gone before V is allocated.
-    let (threshold, stats) = threshold_and_stats(spec, &q, &k)?;
+    let k = draws.into_keys();
+    let (threshold, stats) = {
+        let live = padding.live();
+        let mut scores = Matrix::zeros(live, live)?;
+        KeyLanes::new(&k, live).score_rows(
+            &q,
+            AttentionConfig::new(spec.head_dim).scale(),
+            &mut scores,
+        );
+        threshold_and_stats(spec, &scores)?
+    };
 
     // Values: independent content per key.
     let mut v = Matrix::zeros(spec.seq_len, spec.head_dim)?;
@@ -793,83 +814,96 @@ fn build_trace(spec: &TraceSpec, lambda: f64, seed: u64) -> Result<HeadTrace, At
     })
 }
 
-/// Draws the salience direction, then K, then Q from the head of a
-/// build's stream; V's draws follow them.
-fn draw_qk(
-    spec: &TraceSpec,
-    lambda: f64,
-    rng: &mut StdRng,
-) -> Result<(Matrix, Matrix), AttentionError> {
-    let s = spec.seq_len;
-    let d = spec.head_dim;
-    let live = spec.live_tokens();
-
-    // Shared salience direction.
-    let u = unit_vec(rng, d);
-
-    // Keys: salient cluster + topical remainder.
-    let mut k = Matrix::zeros(s, d)?;
-    for j in 0..live {
-        let gamma: f64 = if rng.gen_bool(0.3) {
-            rng.gen_range(0.55..0.9)
-        } else {
-            rng.gen_range(0.0..0.25)
-        };
-        let xi = unit_vec(rng, d);
-        let mag = 1.0 + 0.05 * normal(rng);
-        let ortho = (1.0 - gamma * gamma).sqrt();
-        let row = k.row_mut(j);
-        for (c, slot) in row.iter_mut().enumerate() {
-            *slot = ((gamma * u[c] + ortho * xi[c]) * mag) as f32;
-        }
-    }
-
-    // Queries: slow topic drift blended with the salience direction.
-    // With score = (1/√d)·q·k and k ≈ γu + √(1−γ²)ξ, the coefficients
-    // below give score ≈ SCORE_COEFF·(λγ + (1−λ)·z) where z ~ N(0,1)
-    // is the topic affinity: salient keys score high for everyone,
-    // topical keys for the queries whose drift vector aligns.
-    let mut q = Matrix::zeros(s, d)?;
-    let mut w = unit_vec(rng, d);
-    let alpha = SCORE_COEFF * lambda * (d as f64).sqrt();
-    let beta = SCORE_COEFF * (1.0 - lambda) * d as f64;
-    for i in 0..live {
-        if i > 0 {
-            let g = unit_vec(rng, d);
-            let mut next: Vec<f64> = w
-                .iter()
-                .zip(&g)
-                .map(|(wi, gi)| DRIFT_RHO * wi + (1.0 - DRIFT_RHO * DRIFT_RHO).sqrt() * gi)
-                .collect();
-            crate::stats::normalize(&mut next);
-            w = next;
-        }
-        let row = q.row_mut(i);
-        for (c, slot) in row.iter_mut().enumerate() {
-            *slot = (alpha * u[c] + beta * w[c]) as f32;
-        }
-    }
-
-    Ok((q, k))
+/// What the head of a build's stream draws before V, none of which
+/// depends on the salience blend λ: the salience direction `u`, the
+/// keys, and the topic random walk Q follows.
+struct Draws {
+    u: Vec<f64>,
+    k: Matrix,
+    /// Query `i`'s unit topic vector `w_i`, `live × d` flat.
+    topics: Vec<f64>,
 }
 
-/// The threshold calibrated over the live scores and the
-/// `pruning_stats` of the decisions it makes, computed while the
-/// score rows stream past; the score matrix is dropped on return.
+impl Draws {
+    /// Draws `u`, then per live key its salience γ, topic ξ and
+    /// magnitude, then `w₀` and one drift vector per later live query;
+    /// V's draws follow them.
+    fn new(spec: &TraceSpec, rng: &mut StdRng) -> Result<Self, AttentionError> {
+        let d = spec.head_dim;
+        let live = spec.live_tokens();
+
+        // Shared salience direction.
+        let mut u = vec![0.0; d];
+        unit_vec_into(rng, &mut u);
+
+        // Keys: salient cluster + topical remainder.
+        let mut k = Matrix::zeros(spec.seq_len, d)?;
+        let mut xi = vec![0.0; d];
+        for j in 0..live {
+            let gamma: f64 = if rng.gen_bool(0.3) {
+                rng.gen_range(0.55..0.9)
+            } else {
+                rng.gen_range(0.0..0.25)
+            };
+            unit_vec_into(rng, &mut xi);
+            let mag = 1.0 + 0.05 * normal(rng);
+            let ortho = (1.0 - gamma * gamma).sqrt();
+            let row = k.row_mut(j);
+            for (c, slot) in row.iter_mut().enumerate() {
+                *slot = ((gamma * u[c] + ortho * xi[c]) * mag) as f32;
+            }
+        }
+
+        // Topics: a slow random walk of unit vectors, one step per query.
+        let mut topics = vec![0.0; live * d];
+        unit_vec_into(rng, &mut topics[..d]);
+        let g = &mut xi;
+        for i in 1..live {
+            unit_vec_into(rng, g);
+            let (walked, rest) = topics.split_at_mut(i * d);
+            let next = &mut rest[..d];
+            for ((n, w), gc) in next.iter_mut().zip(&walked[(i - 1) * d..]).zip(g.iter()) {
+                *n = DRIFT_RHO * w + (1.0 - DRIFT_RHO * DRIFT_RHO).sqrt() * gc;
+            }
+            normalize(next);
+        }
+
+        Ok(Draws { u, k, topics })
+    }
+
+    /// Writes the queries for salience blend `lambda` into the first
+    /// live rows of `q`, blending the salience direction with each
+    /// query's topic.
+    ///
+    /// With score = (1/√d)·q·k and k ≈ γu + √(1−γ²)ξ, the coefficients
+    /// below give score ≈ SCORE_COEFF·(λγ + (1−λ)·z) where z ~ N(0,1)
+    /// is the topic affinity: salient keys score high for everyone,
+    /// topical keys for the queries whose drift vector aligns.
+    fn blend_q(&self, lambda: f64, q: &mut Matrix) {
+        let d = self.u.len();
+        let alpha = SCORE_COEFF * lambda * (d as f64).sqrt();
+        let beta = SCORE_COEFF * (1.0 - lambda) * d as f64;
+        for (i, w) in self.topics.chunks_exact(d).enumerate() {
+            for ((slot, u), w) in q.row_mut(i).iter_mut().zip(&self.u).zip(w) {
+                *slot = (alpha * u + beta * w) as f32;
+            }
+        }
+    }
+
+    /// The keys, dropping the rest of the draws.
+    fn into_keys(self) -> Matrix {
+        self.k
+    }
+}
+
+/// The threshold calibrated over the live `scores` (one row per live
+/// query) and the `pruning_stats` of the decisions it makes.
 fn threshold_and_stats(
     spec: &TraceSpec,
-    q: &Matrix,
-    k: &Matrix,
+    scores: &Matrix,
 ) -> Result<(f32, PruningStats), AttentionError> {
     let live = spec.live_tokens();
-    let scale = AttentionConfig::new(spec.head_dim).scale();
-    let mut scores = Matrix::zeros(live, live)?;
-    let lanes = KeyLanes::new(k, live);
-    for i in 0..live {
-        lanes.scores_into(q.row(i), scale, scores.row_mut(i));
-    }
-    drop(lanes);
-    let threshold = calibrate_threshold(&scores, spec.prune_rate)?;
+    let threshold = calibrate_threshold(scores, spec.prune_rate)?;
 
     // `pruning_stats` over the live rows' decisions, each covering all
     // `seq_len` keys (a padded key is pruned, so it adds to no count),
@@ -969,6 +1003,14 @@ impl KeyLanes {
             for (o, a) in out.iter_mut().zip(acc) {
                 *o = scale * a;
             }
+        }
+    }
+
+    /// Writes row `i` of `scores` with query `q.row(i)`'s scores, for
+    /// every row of `scores`.
+    fn score_rows(&self, q: &Matrix, scale: f32, scores: &mut Matrix) {
+        for i in 0..scores.rows() {
+            self.scores_into(q.row(i), scale, scores.row_mut(i));
         }
     }
 }
@@ -1604,6 +1646,70 @@ mod tests {
                 decisions,
                 stats,
             })
+        }
+    }
+
+    /// The one-pass draw the draw step and [`Draws::blend_q`] replaced:
+    /// `u`, K, then Q with its drift vectors drawn and blended as they
+    /// come, from the head of a build's stream.
+    fn one_pass_qk(spec: &TraceSpec, lambda: f64, rng: &mut StdRng) -> (Matrix, Matrix) {
+        let (s, d, live) = (spec.seq_len, spec.head_dim, spec.live_tokens());
+        let u = unit_vec(rng, d);
+        let mut k = Matrix::zeros(s, d).unwrap();
+        for j in 0..live {
+            let gamma: f64 = if rng.gen_bool(0.3) {
+                rng.gen_range(0.55..0.9)
+            } else {
+                rng.gen_range(0.0..0.25)
+            };
+            let xi = unit_vec(rng, d);
+            let mag = 1.0 + 0.05 * normal(rng);
+            let ortho = (1.0 - gamma * gamma).sqrt();
+            for (c, slot) in k.row_mut(j).iter_mut().enumerate() {
+                *slot = ((gamma * u[c] + ortho * xi[c]) * mag) as f32;
+            }
+        }
+        let mut q = Matrix::zeros(s, d).unwrap();
+        let mut w = unit_vec(rng, d);
+        let alpha = SCORE_COEFF * lambda * (d as f64).sqrt();
+        let beta = SCORE_COEFF * (1.0 - lambda) * d as f64;
+        for i in 0..live {
+            if i > 0 {
+                let g = unit_vec(rng, d);
+                let mut next: Vec<f64> = w
+                    .iter()
+                    .zip(&g)
+                    .map(|(wi, gi)| DRIFT_RHO * wi + (1.0 - DRIFT_RHO * DRIFT_RHO).sqrt() * gi)
+                    .collect();
+                normalize(&mut next);
+                w = next;
+            }
+            for (c, slot) in q.row_mut(i).iter_mut().enumerate() {
+                *slot = (alpha * u[c] + beta * w[c]) as f32;
+            }
+        }
+        (q, k)
+    }
+
+    #[test]
+    fn blended_queries_match_the_one_pass_draw() {
+        for model in crate::ModelConfig::all() {
+            for s in [1, 2, 16, 192] {
+                for padding in [model.padding_fraction, 0.0] {
+                    let spec = model.trace_spec().with_seq_len(s).with_padding(padding);
+                    for lambda in [0.02, 0.3, 0.495, 0.97] {
+                        let label = format!("{spec:?} λ = {lambda}");
+                        let (mut a, mut b) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+                        let draws = Draws::new(&spec, &mut a).unwrap();
+                        let mut q = Matrix::zeros(s, spec.head_dim).unwrap();
+                        draws.blend_q(lambda, &mut q);
+                        let (one_q, one_k) = one_pass_qk(&spec, lambda, &mut b);
+                        assert_eq!(bits(&q), bits(&one_q), "{label}: Q");
+                        assert_eq!(bits(&draws.into_keys()), bits(&one_k), "{label}: K");
+                        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "{label}: V starts here");
+                    }
+                }
+            }
         }
     }
 

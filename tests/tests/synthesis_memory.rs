@@ -82,10 +82,10 @@ fn a_bert_base_trace_holds_its_matrices_and_synthesis_peaks_below_the_full_decis
         (qkv..qkv + 4 * KIB).contains(&held),
         "trace holds {held} B, Q + K + V are {qkv} B"
     );
-    // The live score matrix and calibration's copy of it are the peak;
-    // 1492 KiB is what the sorted threshold plus a stored s × s decision
-    // set reached.
-    assert!(peak < 1492 * KIB, "synthesis peaked at {} KiB", peak / KIB);
+    // Q, K, the live score matrix and calibration's copy of it are the
+    // peak (about 851 KiB); keeping the build's `live × d` topic rows
+    // alive while it scores would add their 138 KiB.
+    assert!(peak < 900 * KIB, "synthesis peaked at {} KiB", peak / KIB);
 
     let decisions = trace.reference_decisions();
     assert_eq!(decisions.len(), 512);

@@ -563,33 +563,19 @@ impl Engine {
     /// head id (`head_id.unwrap_or(position)`), which would silently
     /// give them identical pruner seeds.
     pub fn run_batch(&self, requests: &[HeadRequest]) -> Result<Vec<HeadResponse>, SprintError> {
-        self.run_batch_threads(sprint_parallel::max_threads(), requests)
+        Ok(self
+            .run_batch_report(sprint_parallel::max_threads(), requests)?
+            .0)
     }
 
-    /// [`Engine::run_batch`] with an explicit worker-count cap (the
-    /// thread-independence tests sweep this; production code should
-    /// prefer `run_batch`).
-    ///
-    /// `threads` is clamped to `1..=worker_slots`, so zero runs
-    /// single-threaded rather than panicking.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::run_batch`].
-    pub fn run_batch_threads(
-        &self,
-        threads: usize,
-        requests: &[HeadRequest],
-    ) -> Result<Vec<HeadResponse>, SprintError> {
-        Ok(self.run_batch_report(threads, requests)?.0)
-    }
-
-    /// [`Engine::run_batch_threads`] with per-worker execution
-    /// accounting: returns the responses together with a
-    /// [`BatchReport`] holding the fan-out's wall-clock span and each
-    /// worker's item/busy-time counters. The scaling benches and the
-    /// worker-distribution tests ride on this; `run_batch` is this
-    /// minus the report.
+    /// [`Engine::run_batch`] over an explicit worker count (clamped to
+    /// `1..=worker_slots`, so zero runs single-threaded rather than
+    /// panicking), with per-worker execution accounting: returns the
+    /// responses together with a [`BatchReport`] holding the fan-out's
+    /// wall-clock span and each worker's item/busy-time counters. The
+    /// scaling benches and the thread-independence tests sweep widths
+    /// through this; `run_batch` is this at the default width, minus
+    /// the report.
     ///
     /// # Errors
     ///

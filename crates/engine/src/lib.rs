@@ -27,14 +27,13 @@
 //! * [`DecodeSession`] — autoregressive decode: a stateful session
 //!   over programmed crossbars, an append-only KV cache and per-step
 //!   scratch, serving one-query SPRINT attention per generated token
-//!   without reprogramming ([`Engine::open_session`]); [`DecodeLoop`]
-//!   interleaves many concurrent sessions over [`sprint_parallel`]
-//!   with the same bit-identical-across-worker-counts seeding
-//!   contract as `run_batch`;
-//! * [`SessionTable`] — the one owner of decode-session residency
-//!   (LRU eviction under a residency cap or page-pool pressure,
-//!   transparent rehydration), called by [`DecodeLoop`] and by the
-//!   HTTP server's `/v1/decode`;
+//!   without reprogramming ([`Engine::open_session`]);
+//! * [`SessionTable`] — the one decode driver: it owns decode-session
+//!   residency (LRU eviction under a residency cap or page-pool
+//!   pressure, transparent rehydration) and is stepped from any number
+//!   of threads at once — a session's bits never depend on the thread
+//!   count, and under ideal noise not on eviction either. The HTTP
+//!   server's `/v1/decode` is its caller;
 //! * [`FaultPolicy`] / [`FaultReport`] — fault-tolerant serving over a
 //!   faulty substrate: an engine built with a
 //!   [`sprint_reram::FaultModel`] scrubs each head's programmed
@@ -113,8 +112,6 @@ pub use fault::{FaultPolicy, FaultReport};
 pub use mode::ExecutionMode;
 pub use model::{HeadPlan, LayerReport, ModelProfile, ModelRequest, ModelResponse, PerfRollup};
 pub use request::{HeadRequest, HeadResponse};
-pub use serve::{
-    nearest_rank, DecodeLoop, DecodeReport, DecodeTask, ModelServer, ServeStats, SessionReport,
-};
+pub use serve::{nearest_rank, ModelServer, ServeStats};
 pub use sessions::{SessionError, SessionOpen, SessionTable};
 pub use sprint_attention::{active_tier, avx2_available, SimdTier};

@@ -18,9 +18,7 @@ use crate::{derive_head_seed, ExecutionMode, HeadResponse, SprintConfig, SprintE
 
 /// Salt mixed into the base seed for trace synthesis (distinct from
 /// the pruner-seed stream, so traces and analog noise are independent).
-/// Shared with the decode loop so decode traces ride the same stream
-/// discipline.
-pub(crate) const TRACE_SALT: u64 = 0x7ace;
+const TRACE_SALT: u64 = 0x7ace;
 /// Salt mixed into the base seed for proxy-task construction.
 const TASK_SALT: u64 = 0x7a51;
 

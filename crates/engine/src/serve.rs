@@ -1,5 +1,4 @@
-//! Model-level serving: [`ModelServer`] over the [`Engine`], and the
-//! interleaved decode driver [`DecodeLoop`].
+//! Model-level serving: [`ModelServer`] over the [`Engine`].
 //!
 //! The [`Engine`] serves isolated heads; the evaluation — and any real
 //! deployment — is model-shaped. [`ModelServer`] closes that gap: it
@@ -16,19 +15,16 @@
 //! Traffic — arrivals, admission, in-flight batching, latency
 //! percentiles — is the HTTP server's job (`sprint_server`: its
 //! admission queue and batcher call
-//! [`ModelServer::serve_many_threads`]).
+//! [`ModelServer::serve_many_report`]). Decode sessions are served by
+//! [`crate::SessionTable`], not here.
 
 use std::time::Instant;
 
-use sprint_energy::EnergyBreakdown;
-use sprint_reram::ThresholdSpec;
 use sprint_workloads::{ProxyTask, TaskScore, TraceGenerator, TraceSpec};
 
-use crate::decode::SessionPerf;
-use crate::engine::{derive_head_seed, BatchReport};
-use crate::model::{HeadPlan, LayerReport, ModelRequest, ModelResponse, PerfRollup, TRACE_SALT};
-use crate::sessions::{SessionOpen, SessionTable};
-use crate::{Engine, ExecutionMode, HeadRequest, SprintError};
+use crate::engine::BatchReport;
+use crate::model::{HeadPlan, LayerReport, ModelRequest, ModelResponse, PerfRollup};
+use crate::{Engine, HeadRequest, SprintError};
 
 /// Per-stage execution accounting for one [`ModelServer::serve_many`]
 /// pass ([`ModelServer::serve_many_report`]).
@@ -127,27 +123,11 @@ impl ModelServer {
     /// [`SprintError::Request`] for degenerate profiles or accuracy
     /// requests without a source model; substrate errors otherwise.
     pub fn serve(&self, request: &ModelRequest) -> Result<ModelResponse, SprintError> {
-        self.serve_threads(sprint_parallel::max_threads(), request)
-    }
-
-    /// [`ModelServer::serve`] with an explicit worker-count cap (the
-    /// determinism tests sweep this; production code should prefer
-    /// `serve`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ModelServer::serve`].
-    pub fn serve_threads(
-        &self,
-        threads: usize,
-        request: &ModelRequest,
-    ) -> Result<ModelResponse, SprintError> {
-        let mut responses = self.serve_many_threads(threads, std::slice::from_ref(request))?;
+        let mut responses = self.serve_many(std::slice::from_ref(request))?;
         Ok(responses.remove(0))
     }
 
-    /// Serves several passes as one flattened head batch — the
-    /// in-flight batching entry the HTTP server's batcher uses. Each pass
+    /// Serves several passes as one flattened head batch. Each pass
     /// keeps its own base seed, so the responses equal one
     /// [`ModelServer::serve`] call per request.
     ///
@@ -155,25 +135,16 @@ impl ModelServer {
     ///
     /// The first failing request's error, in request order.
     pub fn serve_many(&self, requests: &[ModelRequest]) -> Result<Vec<ModelResponse>, SprintError> {
-        self.serve_many_threads(sprint_parallel::max_threads(), requests)
+        Ok(self
+            .serve_many_report(sprint_parallel::max_threads(), requests)?
+            .0)
     }
 
-    /// [`ModelServer::serve_many`] with an explicit worker-count cap.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ModelServer::serve_many`].
-    pub fn serve_many_threads(
-        &self,
-        threads: usize,
-        requests: &[ModelRequest],
-    ) -> Result<Vec<ModelResponse>, SprintError> {
-        Ok(self.serve_many_report(threads, requests)?.0)
-    }
-
-    /// [`ModelServer::serve_many_threads`] with per-stage execution
-    /// accounting: returns the responses together with a
-    /// [`ServeStats`] locating where the pass spent its time (serial
+    /// [`ModelServer::serve_many`] over an explicit worker count, with
+    /// per-stage execution accounting — the in-flight batching entry
+    /// the HTTP server's batcher uses, and the one the determinism
+    /// tests sweep widths through. Returns the responses together with
+    /// a [`ServeStats`] locating where the pass spent its time (serial
     /// planning/scoring/folding vs. the synthesis and head-batch
     /// fan-outs, with per-worker counters for both).
     ///
@@ -370,348 +341,6 @@ impl ModelServer {
     }
 }
 
-/// One autoregressive decode task for the [`DecodeLoop`]: synthesize
-/// a token stream, prefill a session with its head, and decode the
-/// remaining tokens one step at a time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DecodeTask {
-    /// The trace to synthesize the token stream from. `seq_len` is the
-    /// *total* token count (prefill + decoded); the padding fraction
-    /// is forced to zero — decode histories hold only real tokens.
-    pub spec: TraceSpec,
-    /// Tokens in the prefill (`1..spec.seq_len`); the rest decode.
-    pub prefill: usize,
-    /// Per-task [`ExecutionMode`] override.
-    pub mode: Option<ExecutionMode>,
-    /// Per-task comparator override.
-    pub threshold_spec: Option<ThresholdSpec>,
-}
-
-/// The deterministic outcome of one decode session run by the
-/// [`DecodeLoop`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionReport {
-    /// The task's index in the submitted slice.
-    pub session: usize,
-    /// Prefill length.
-    pub prefill: usize,
-    /// Tokens decoded.
-    pub tokens: u64,
-    /// Fraction of considered scores kept across all steps.
-    pub kept_fraction: f64,
-    /// Summed recurring step energy.
-    pub energy: EnergyBreakdown,
-    /// Summed program-once energy (prefill write + appends +
-    /// recalibrations).
-    pub program_energy: EnergyBreakdown,
-    /// Summed step latency in cycles.
-    pub cycles: u64,
-    /// Full requantize/reprogram events across the session.
-    pub recalibrations: u64,
-    /// ReRAM cell faults detected by the session's scrubs.
-    pub faults_detected: u64,
-    /// Write-verify reprogram retries spent repairing mid-session.
-    pub fault_retries: u64,
-    /// Whether the session demoted to the exact digital pipeline
-    /// mid-decode (and stayed there; see [`crate::FaultPolicy`]).
-    pub demoted: bool,
-    /// The last decoded token's attention output row.
-    pub final_output: Vec<f32>,
-}
-
-/// The outcome of one [`DecodeLoop::run`]: per-session reports (pure
-/// functions of the tasks and the engine seed — bit-identical across
-/// worker counts) plus wall-clock throughput.
-#[derive(Debug, Clone)]
-pub struct DecodeReport {
-    /// One report per task, in task order.
-    pub sessions: Vec<SessionReport>,
-    /// Total tokens decoded across all sessions.
-    pub tokens: u64,
-    /// ReRAM cell faults detected across all sessions.
-    pub faults_detected: u64,
-    /// Sessions that demoted to the exact digital pipeline mid-decode.
-    pub demoted_sessions: u64,
-    /// KV-page eviction events across all sessions (zero for
-    /// [`DecodeLoop::run`]; only [`DecodeLoop::run_churn`] evicts).
-    pub evictions: u64,
-    /// Session rehydrations across all sessions (zero for
-    /// [`DecodeLoop::run`]).
-    pub rehydrations: u64,
-    /// History tokens replayed across all rehydrations.
-    pub rehydrated_tokens: u64,
-    /// Pages the engine's shared KV pool held when the run finished
-    /// (zero once every session closed, unless other sessions share
-    /// the pool).
-    pub kv_pages_in_use: usize,
-    /// The pool's lifetime peak resident page count.
-    pub kv_pages_peak: usize,
-    /// Wall-clock nanoseconds the run took.
-    pub busy_ns: u128,
-    /// Per-worker counters from the session fan-out (sessions are
-    /// distributed by [`sprint_parallel::chunk_ranges`], so which
-    /// worker ran a session is deterministic).
-    pub workers: Vec<sprint_parallel::WorkerStats>,
-}
-
-impl DecodeReport {
-    /// Decoded tokens per wall-clock second.
-    pub fn tokens_per_s(&self) -> f64 {
-        self.tokens as f64 / (self.busy_ns.max(1) as f64 / 1e9)
-    }
-}
-
-/// Interleaves many concurrent [`crate::DecodeSession`]s over
-/// [`sprint_parallel`] workers.
-///
-/// Sessions are mutually independent, so the loop fans one worker out
-/// per session; session `i` derives its trace seed from
-/// `engine_seed ^ TRACE_SALT` and its pruner seed from the engine seed
-/// at head id `i` — the same derivation discipline as
-/// [`Engine::run_batch`], so reports are **bit-identical across
-/// worker counts** and across runs.
-///
-/// # Example
-///
-/// ```
-/// use sprint_engine::{DecodeLoop, DecodeTask, Engine, SprintConfig};
-/// use sprint_reram::NoiseModel;
-/// use sprint_workloads::ModelConfig;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let engine = Engine::builder(SprintConfig::small())
-///     .noise(NoiseModel::ideal())
-///     .seed(4)
-///     .build()?;
-/// let task = DecodeTask {
-///     spec: ModelConfig::bert_base().trace_spec().with_seq_len(24),
-///     prefill: 16,
-///     mode: None,
-///     threshold_spec: None,
-/// };
-/// let report = DecodeLoop::new(&engine).run(&[task, task])?;
-/// assert_eq!(report.sessions.len(), 2);
-/// assert_eq!(report.tokens, 16); // 8 decoded tokens per session
-/// // Same engine, same tasks, any worker count: identical reports.
-/// let again = DecodeLoop::new(&engine).run_threads(1, &[task, task])?;
-/// assert_eq!(report.sessions, again.sessions);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct DecodeLoop<'a> {
-    engine: &'a Engine,
-}
-
-impl<'a> DecodeLoop<'a> {
-    /// A loop decoding over `engine`'s defaults and seed.
-    pub fn new(engine: &'a Engine) -> Self {
-        DecodeLoop { engine }
-    }
-
-    /// Runs every task to completion, one session per task, fanned out
-    /// across up to [`sprint_parallel::max_threads`] workers.
-    ///
-    /// # Errors
-    ///
-    /// [`SprintError::Request`] for a degenerate task (prefill outside
-    /// `1..seq_len`); substrate errors otherwise. The first failing
-    /// task's error wins, in task order.
-    pub fn run(&self, tasks: &[DecodeTask]) -> Result<DecodeReport, SprintError> {
-        self.run_threads(sprint_parallel::max_threads(), tasks)
-    }
-
-    /// [`DecodeLoop::run`] with an explicit worker-count cap (the
-    /// determinism tests sweep this).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DecodeLoop::run`].
-    pub fn run_threads(
-        &self,
-        threads: usize,
-        tasks: &[DecodeTask],
-    ) -> Result<DecodeReport, SprintError> {
-        // One single-session chunk per task: a round-robin over one
-        // session is that session run to completion.
-        let singles: Vec<_> = (0..tasks.len()).map(|i| i..i + 1).collect();
-        self.run_chunks(threads, tasks, &singles, 1)
-    }
-
-    /// Runs every task under a per-worker **residency cap**: at most
-    /// `resident_cap` sessions per worker hold KV pages at once, the
-    /// rest sit evicted (in the worker's own [`crate::SessionTable`])
-    /// with only their stub and retained trace. Each worker serves its
-    /// sessions one token per turn, round-robin; a turn on an evicted
-    /// session transparently rehydrates it through the ordinary prefill
-    /// path ([`Engine::resume_session`]), evicting its own least-recently
-    /// used session first when the shared page pool is exhausted.
-    ///
-    /// Under an ideal noise model and no fault model, the per-session
-    /// reports are **bit-identical** to [`DecodeLoop::run`] over the
-    /// same tasks — eviction and rehydration are invisible in every
-    /// output, decision and step-attributed perf number; only the
-    /// churn counters ([`DecodeReport::evictions`],
-    /// [`DecodeReport::rehydrations`]) and the separately-booked
-    /// [`crate::SessionPerf::rehydration_energy`] differ. The counter
-    /// *values* depend on the worker count (chunk boundaries move);
-    /// the session reports do not.
-    ///
-    /// Size a bounded pool for at least `workers × resident_cap`
-    /// resident sessions: a worker whose own resident set is empty
-    /// cannot free pages held by other workers, so an undersized pool
-    /// surfaces as the pool-exhausted error instead of deadlocking.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DecodeLoop::run`], plus the pool-exhausted error
-    /// ([`SprintError::is_pool_exhausted`]) when eviction cannot free
-    /// enough pages for the next turn.
-    pub fn run_churn(
-        &self,
-        tasks: &[DecodeTask],
-        resident_cap: usize,
-    ) -> Result<DecodeReport, SprintError> {
-        self.run_churn_threads(sprint_parallel::max_threads(), tasks, resident_cap)
-    }
-
-    /// [`DecodeLoop::run_churn`] with an explicit worker-count cap.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DecodeLoop::run_churn`].
-    pub fn run_churn_threads(
-        &self,
-        threads: usize,
-        tasks: &[DecodeTask],
-        resident_cap: usize,
-    ) -> Result<DecodeReport, SprintError> {
-        // One chunk per worker, the same contiguous split `run` uses —
-        // the chunk round-robins internally instead of finishing each
-        // session before the next.
-        let ranges = sprint_parallel::chunk_ranges(tasks.len(), threads.max(1));
-        self.run_chunks(threads, tasks, &ranges, resident_cap.max(1))
-    }
-
-    /// Runs each of `ranges` as one [`DecodeLoop::churn_chunk`] over up
-    /// to `threads` workers and folds the closed sessions into a report.
-    fn run_chunks(
-        &self,
-        threads: usize,
-        tasks: &[DecodeTask],
-        ranges: &[std::ops::Range<usize>],
-        cap: usize,
-    ) -> Result<DecodeReport, SprintError> {
-        for (i, task) in tasks.iter().enumerate() {
-            if task.prefill == 0 || task.prefill >= task.spec.seq_len {
-                return Err(SprintError::Request(format!(
-                    "decode task {i}: prefill {} outside 1..{}",
-                    task.prefill, task.spec.seq_len
-                )));
-            }
-        }
-        let started = Instant::now();
-        // Honor the explicit count (sessions are independent; there is
-        // no slot constraint to clamp against).
-        let (chunks, workers) =
-            sprint_parallel::par_chunk_try_map_threads(threads.max(1), ranges, |_, _, range| {
-                self.churn_chunk(range.clone(), tasks, cap)
-            })?;
-        let busy_ns = started.elapsed().as_nanos().max(1);
-        let closed: Vec<(SessionReport, SessionPerf)> = chunks.into_iter().flatten().collect();
-        let sum = |count: fn(&SessionPerf) -> u64| closed.iter().map(|(_, perf)| count(perf)).sum();
-        let pool = self.engine.kv_pool();
-        Ok(DecodeReport {
-            tokens: sum(|perf| perf.tokens),
-            faults_detected: sum(|perf| perf.faults_detected),
-            demoted_sessions: sum(|perf| u64::from(perf.demoted)),
-            evictions: sum(|perf| perf.evictions),
-            rehydrations: sum(|perf| perf.rehydrations),
-            rehydrated_tokens: sum(|perf| perf.rehydrated_tokens),
-            kv_pages_in_use: pool.pages_in_use(),
-            kv_pages_peak: pool.peak_pages(),
-            busy_ns,
-            workers,
-            sessions: closed.into_iter().map(|(report, _)| report).collect(),
-        })
-    }
-
-    /// What task `i`'s session opens from: its synthesized token stream
-    /// (the retained history every rehydration replays from), seeded
-    /// and overridden as the task asks.
-    fn session_open(&self, i: usize, task: &DecodeTask) -> Result<SessionOpen, SprintError> {
-        let mut spec = task.spec;
-        spec.padding_fraction = 0.0;
-        let trace_seed = derive_head_seed(self.engine.seed() ^ TRACE_SALT, i as u64);
-        Ok(SessionOpen {
-            trace: TraceGenerator::new(trace_seed).generate(&spec)?,
-            prefill: task.prefill,
-            head_id: i as u64,
-            mode: task.mode,
-            threshold_spec: task.threshold_spec,
-        })
-    }
-
-    /// Folds a finished session into its report.
-    fn report(
-        i: usize,
-        task: &DecodeTask,
-        perf: &SessionPerf,
-        final_output: Vec<f32>,
-    ) -> SessionReport {
-        SessionReport {
-            session: i,
-            prefill: task.prefill,
-            tokens: perf.tokens,
-            kept_fraction: perf.kept_fraction(),
-            energy: perf.energy,
-            program_energy: perf.program_energy,
-            cycles: perf.cycles,
-            recalibrations: perf.recalibrations,
-            faults_detected: perf.faults_detected,
-            fault_retries: perf.fault_retries,
-            demoted: perf.demoted,
-            final_output,
-        }
-    }
-
-    /// One worker's share of a run: round-robin one-token turns over
-    /// `range`'s sessions through a [`SessionTable`] of its own capped
-    /// at `cap` resident sessions — a worker evicts only its own
-    /// sessions, in an order fixed by the turn sequence. Sessions open
-    /// on their first turn and close on their last, freeing their
-    /// pages. Returns each session's report and final accounting, in
-    /// task order.
-    fn churn_chunk(
-        &self,
-        range: std::ops::Range<usize>,
-        tasks: &[DecodeTask],
-        cap: usize,
-    ) -> Result<Vec<(SessionReport, SessionPerf)>, SprintError> {
-        let table = SessionTable::new(Some(cap));
-        let mut ids: Vec<Option<u64>> = vec![None; range.len()];
-        let mut closed: Vec<Option<(SessionReport, SessionPerf)>> = vec![None; range.len()];
-        while closed.iter().any(Option::is_none) {
-            for (s, i) in range.clone().enumerate() {
-                if closed[s].is_some() {
-                    continue;
-                }
-                let task = &tasks[i];
-                let id = match ids[s] {
-                    Some(id) => id,
-                    None => *ids[s].insert(table.open(self.engine, self.session_open(i, task)?)?),
-                };
-                let response = table.step(self.engine, id)?;
-                if response.position + 1 == task.spec.seq_len {
-                    let perf = table.close(id)?;
-                    closed[s] = Some((Self::report(i, task, &perf, response.output), perf));
-                }
-            }
-        }
-        Ok(closed.into_iter().flatten().collect())
-    }
-}
-
 /// The nearest-rank percentile of an ascending-sorted slice: the
 /// sample at rank `⌈pct/100 · n⌉`, no interpolation; `T::default()`
 /// (zero) for an empty slice. The one estimator behind the server's
@@ -853,152 +482,5 @@ mod tests {
         let big: Vec<u128> = (1..=200).collect();
         assert_eq!(nearest_rank(&big, 99.0), 198);
         assert_eq!(nearest_rank::<u128>(&[], 50.0), 0);
-    }
-
-    #[test]
-    fn decode_loop_reports_ragged_sessions_deterministically() {
-        let engine = Engine::builder(SprintConfig::small())
-            .noise(NoiseModel::ideal())
-            .seed(21)
-            .build()
-            .unwrap();
-        let tasks = churn_tasks();
-        let loop_ = DecodeLoop::new(&engine);
-        let reference = loop_.run_threads(1, &tasks).unwrap();
-        assert_eq!(reference.sessions.len(), 3);
-        assert_eq!(reference.tokens, 8 + 32 + 4);
-        assert!(reference.tokens_per_s() > 0.0);
-        assert_eq!(reference.sessions[0].tokens, 8);
-        assert!(reference.sessions[0].kept_fraction < 1.0, "sprint prunes");
-        assert!(
-            (reference.sessions[2].kept_fraction - 1.0).abs() < 1e-12,
-            "dense keeps everything"
-        );
-        for workers in [2usize, 4, 8] {
-            let run = loop_.run_threads(workers, &tasks).unwrap();
-            assert_eq!(run.sessions, reference.sessions, "workers = {workers}");
-        }
-    }
-
-    fn churn_tasks() -> [DecodeTask; 3] {
-        let base = ModelConfig::bert_base().trace_spec();
-        [
-            DecodeTask {
-                spec: base.with_seq_len(24),
-                prefill: 16,
-                mode: None,
-                threshold_spec: None,
-            },
-            DecodeTask {
-                spec: base.with_seq_len(40),
-                prefill: 8,
-                mode: Some(ExecutionMode::Oracle),
-                threshold_spec: None,
-            },
-            DecodeTask {
-                spec: base.with_seq_len(16),
-                prefill: 12,
-                mode: Some(ExecutionMode::Dense),
-                threshold_spec: None,
-            },
-        ]
-    }
-
-    #[test]
-    fn churn_loop_is_bit_identical_to_the_never_evicted_twin() {
-        use sprint_attention::PagePool;
-        let tasks = churn_tasks();
-        let twin_engine = Engine::builder(SprintConfig::small())
-            .noise(NoiseModel::ideal())
-            .seed(21)
-            .build()
-            .unwrap();
-        let twin = DecodeLoop::new(&twin_engine)
-            .run_threads(1, &tasks)
-            .unwrap();
-        assert_eq!(twin.evictions, 0);
-        assert_eq!(twin.rehydrations, 0);
-
-        // Small pages (4 tokens each at d = d_v = 64) so sessions span
-        // many pages; residency cap 1 forces every round-robin turn to
-        // evict and rehydrate.
-        let engine = Engine::builder(SprintConfig::small())
-            .noise(NoiseModel::ideal())
-            .seed(21)
-            .kv_pool(PagePool::unbounded(4 * 5 * 128))
-            .build()
-            .unwrap();
-        let loop_ = DecodeLoop::new(&engine);
-        for workers in [1usize, 2, 4] {
-            let churn = loop_.run_churn_threads(workers, &tasks, 1).unwrap();
-            assert_eq!(churn.sessions, twin.sessions, "workers = {workers}");
-            if workers < tasks.len() {
-                // A worker holding one session alone never exceeds the
-                // cap, so only shared workers are forced to churn.
-                assert!(churn.evictions > 0, "cap 1 over shared workers must churn");
-                assert!(churn.rehydrations > 0);
-                assert!(churn.rehydrated_tokens > 0);
-            }
-            assert_eq!(
-                churn.kv_pages_in_use, 0,
-                "every session closed; pages leaked"
-            );
-            assert!(churn.kv_pages_peak > 0);
-        }
-        assert_eq!(engine.kv_pool().pages_in_use(), 0);
-    }
-
-    #[test]
-    fn churn_loop_serves_more_sessions_than_a_bounded_pool_holds() {
-        use sprint_attention::PagePool;
-        let tasks = churn_tasks();
-        let twin_engine = Engine::builder(SprintConfig::small())
-            .noise(NoiseModel::ideal())
-            .seed(21)
-            .build()
-            .unwrap();
-        let twin = DecodeLoop::new(&twin_engine)
-            .run_threads(1, &tasks)
-            .unwrap();
-
-        // 12 pages of 4 tokens: the 40-token session alone needs 10,
-        // so a cap-2 resident set (up to 16 pages) cannot fit — the
-        // pool-exhausted retry path must evict mid-turn.
-        let engine = Engine::builder(SprintConfig::small())
-            .noise(NoiseModel::ideal())
-            .seed(21)
-            .kv_pool(PagePool::bounded(4 * 5 * 128, 12))
-            .build()
-            .unwrap();
-        let churn = DecodeLoop::new(&engine)
-            .run_churn_threads(1, &tasks, 2)
-            .unwrap();
-        assert_eq!(churn.sessions, twin.sessions);
-        assert!(churn.evictions > 0);
-        assert!(churn.kv_pages_peak <= 12, "bounded pool never overshoots");
-        assert_eq!(engine.kv_pool().pages_in_use(), 0, "no accounting drift");
-        assert_eq!(
-            engine.kv_pool().free_pages(),
-            engine.kv_pool().peak_pages(),
-            "every allocated page returned to the free list"
-        );
-    }
-
-    #[test]
-    fn decode_loop_validates_prefill() {
-        let engine = Engine::builder(SprintConfig::small()).build().unwrap();
-        let spec = ModelConfig::bert_base().trace_spec().with_seq_len(8);
-        for prefill in [0usize, 8, 9] {
-            let task = DecodeTask {
-                spec,
-                prefill,
-                mode: None,
-                threshold_spec: None,
-            };
-            assert!(matches!(
-                DecodeLoop::new(&engine).run(&[task]),
-                Err(SprintError::Request(_))
-            ));
-        }
     }
 }

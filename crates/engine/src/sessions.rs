@@ -1,12 +1,15 @@
-//! [`SessionTable`]: the one owner of decode-session residency, LRU
-//! eviction and evict-and-retry under page-pool pressure, used by
-//! [`crate::DecodeLoop`] and by the HTTP server's `POST /v1/decode`.
+//! [`SessionTable`]: the one decode driver — the owner of
+//! decode-session residency, LRU eviction and evict-and-retry under
+//! page-pool pressure — called by the HTTP server's `POST /v1/decode`.
+//! One table is safe to drive from many threads at once; the decode
+//! suites in `tests/` hold it to a single-threaded, never-evicted
+//! reference across 1/2/4/8 threads.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use sprint_reram::ThresholdSpec;
 use sprint_workloads::HeadTrace;
@@ -87,9 +90,10 @@ impl From<SessionError> for SprintError {
 enum Slot {
     Resident(Box<DecodeSession>),
     Evicted(Box<EvictedSession>),
-    /// Closed, or mid-transition inside a held entry lock. An evictor
-    /// that cloned the entry before [`SessionTable::close`] removed it
-    /// finds this and leaves it alone.
+    /// Closed, reaped after a poisoning, or mid-transition inside a
+    /// held entry lock. An evictor that cloned the entry before
+    /// [`SessionTable::close`] removed it finds this and leaves it
+    /// alone.
     Closed,
 }
 
@@ -127,6 +131,15 @@ type SharedEntry = Arc<Mutex<Entry>>;
 /// (a locked entry is mid-step and therefore hot), so callers stepping
 /// different sessions run concurrently and two callers evicting at
 /// once cannot deadlock on each other's entries.
+///
+/// Poisoning degrades, it does not cascade. The map lock is recovered
+/// (only `insert`, `remove`, `get` and the eviction probe run under it,
+/// none of which can leave the map half-written). An entry whose lock
+/// was poisoned — a panic mid-step — is closed by the next `step`,
+/// `close` or eviction probe that meets it: its slot is dropped, so its
+/// pages return to the pool, and its id then answers
+/// [`SessionError::Unknown`] like any closed id. Other sessions are
+/// untouched.
 #[derive(Debug)]
 pub struct SessionTable {
     cap: Option<usize>,
@@ -227,7 +240,7 @@ impl SessionTable {
             .get(&id)
             .cloned()
             .ok_or(SessionError::Unknown(id))?;
-        let mut entry = entry.lock().expect("session entry poisoned");
+        let mut entry = self.lock_entry(id, &entry)?;
         let Entry {
             trace,
             cursor,
@@ -278,7 +291,7 @@ impl SessionTable {
             .lock_entries()
             .remove(&id)
             .ok_or(SessionError::Unknown(id))?;
-        let mut entry = entry.lock().expect("session entry poisoned");
+        let mut entry = self.lock_entry(id, &entry)?;
         match std::mem::replace(&mut entry.slot, Slot::Closed) {
             Slot::Resident(session) => {
                 self.resident.fetch_sub(1, Ordering::Relaxed);
@@ -289,8 +302,30 @@ impl SessionTable {
         }
     }
 
-    fn lock_entries(&self) -> std::sync::MutexGuard<'_, HashMap<u64, SharedEntry>> {
-        self.entries.lock().expect("session table poisoned")
+    fn lock_entries(&self) -> MutexGuard<'_, HashMap<u64, SharedEntry>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks `id`'s entry; a poisoned lock closes the session instead
+    /// ([`SessionTable::reap`]) and answers [`SessionError::Unknown`].
+    fn lock_entry<'e>(
+        &self,
+        id: u64,
+        entry: &'e SharedEntry,
+    ) -> Result<MutexGuard<'e, Entry>, SessionError> {
+        entry.lock().map_err(|poisoned| {
+            self.reap(poisoned.into_inner());
+            self.lock_entries().remove(&id);
+            SessionError::Unknown(id)
+        })
+    }
+
+    /// Closes a poisoned entry: drops its slot, returning a resident
+    /// session's pages to the pool. Its id is the caller's to remove.
+    fn reap(&self, mut entry: MutexGuard<'_, Entry>) {
+        if let Slot::Resident(_) = std::mem::replace(&mut entry.slot, Slot::Closed) {
+            self.resident.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
     /// Runs `attempt`, and for as long as it fails on pool pressure
@@ -322,20 +357,33 @@ impl SessionTable {
     }
 
     /// The resident sessions other than `keep` that are not mid-step,
-    /// coldest first, each with its tick.
-    fn eviction_candidates(&self, keep: Option<u64>) -> Vec<(u64, SharedEntry)> {
-        let mut candidates: Vec<(u64, SharedEntry)> = self
-            .lock_entries()
-            .iter()
-            .filter(|(&id, _)| Some(id) != keep)
-            .filter_map(|(_, entry)| {
-                let probe = entry.try_lock().ok()?;
-                matches!(probe.slot, Slot::Resident(_))
-                    .then(|| (probe.last_used, Arc::clone(entry)))
-            })
-            .collect();
+    /// coldest first, each with its tick — or `None` when the probe
+    /// reaped a poisoned entry instead, which may itself have made the
+    /// room the caller needs.
+    fn eviction_candidates(&self, keep: Option<u64>) -> Option<Vec<(u64, SharedEntry)>> {
+        let mut candidates = Vec::new();
+        let mut reaped = false;
+        self.lock_entries().retain(|&id, entry| {
+            if Some(id) == keep {
+                return true;
+            }
+            match entry.try_lock() {
+                Ok(probe) => {
+                    if let Slot::Resident(_) = probe.slot {
+                        candidates.push((probe.last_used, Arc::clone(entry)));
+                    }
+                    true
+                }
+                Err(TryLockError::WouldBlock) => true,
+                Err(TryLockError::Poisoned(poisoned)) => {
+                    self.reap(poisoned.into_inner());
+                    reaped = true;
+                    false
+                }
+            }
+        });
         candidates.sort_by_key(|&(tick, _)| tick);
-        candidates
+        (!reaped).then_some(candidates)
     }
 
     /// Evicts `entry` if it is still resident and not mid-step.
@@ -345,8 +393,10 @@ impl SessionTable {
         };
         match std::mem::replace(&mut entry.slot, Slot::Closed) {
             Slot::Resident(session) => {
-                entry.slot = Slot::Evicted(Box::new(session.evict()));
+                // Uncounted before `evict` runs: if it panics, the slot
+                // is left `Closed`, which a reap does not count again.
                 self.resident.fetch_sub(1, Ordering::Relaxed);
+                entry.slot = Slot::Evicted(Box::new(session.evict()));
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 true
             }
@@ -357,11 +407,14 @@ impl SessionTable {
         }
     }
 
-    /// Evicts the least-recently-used resident session other than
-    /// `keep`; `false` when there is none to evict.
+    /// Makes room: reaps the poisoned entries the probe meets or, when
+    /// there are none, evicts the least-recently-used resident session
+    /// other than `keep`; `false` when there was nothing to do either.
     fn evict_coldest(&self, keep: Option<u64>) -> bool {
-        let candidates = self.eviction_candidates(keep);
-        candidates.iter().any(|(_, entry)| self.try_evict(entry))
+        match self.eviction_candidates(keep) {
+            Some(candidates) => candidates.iter().any(|(_, entry)| self.try_evict(entry)),
+            None => true,
+        }
     }
 }
 
@@ -403,13 +456,22 @@ mod tests {
         table.open(engine, stream(seed, SEQ, PREFILL)).unwrap()
     }
 
+    /// Steps `id` to the end of its stream; every remaining output.
+    fn outputs_to_end(table: &SessionTable, engine: &Engine, id: u64) -> Vec<Vec<f32>> {
+        std::iter::from_fn(|| match table.step(engine, id) {
+            Ok(step) => Some(step.output),
+            Err(SessionError::Exhausted(_)) => None,
+            Err(e) => panic!("step failed: {e}"),
+        })
+        .collect()
+    }
+
     /// Every step's output from a session that is never evicted.
     fn twin_outputs(seed: u64) -> Vec<Vec<f32>> {
         let engine = engine(PagePool::unbounded(PAGE_BYTES));
         let table = SessionTable::new(None);
         let id = open(&table, &engine, seed);
-        let steps = (PREFILL..SEQ).map(|_| table.step(&engine, id).unwrap().output);
-        steps.collect()
+        outputs_to_end(&table, &engine, id)
     }
 
     fn resident_ids(table: &SessionTable) -> Vec<u64> {
@@ -555,13 +617,100 @@ mod tests {
     }
 
     #[test]
+    fn open_refuses_a_prefill_outside_the_stream() {
+        let engine = engine(PagePool::unbounded(PAGE_BYTES));
+        let table = SessionTable::new(None);
+        for prefill in [0, SEQ + 1] {
+            let refused = table.open(&engine, stream(1, SEQ, prefill));
+            assert!(matches!(refused, Err(SessionError::Engine(_))), "{prefill}");
+            assert_eq!((table.resident(), engine.kv_pool().pages_in_use()), (0, 0));
+        }
+    }
+
+    /// Poisons `id`'s entry lock the way a panic inside a step does.
+    fn poison_entry(table: &SessionTable, id: u64) {
+        let entry = Arc::clone(&table.lock_entries()[&id]);
+        let panicked = std::thread::spawn(move || {
+            let _held = entry.lock().unwrap();
+            panic!("poisoning session {id}");
+        });
+        assert!(panicked.join().is_err());
+    }
+
+    #[test]
+    fn a_poisoned_entry_is_closed_and_its_pages_returned() {
+        let engine = engine(PagePool::unbounded(PAGE_BYTES));
+        let pages = || engine.kv_pool().pages_in_use();
+        let table = SessionTable::new(Some(2));
+        let unknown = |r: Result<_, SessionError>, id| {
+            assert!(matches!(r, Err(SessionError::Unknown(x)) if x == id));
+        };
+        let a = open(&table, &engine, 1);
+        let b = open(&table, &engine, 2);
+        let mut outputs = vec![table.step(&engine, b).unwrap().output];
+        assert_eq!((table.resident(), pages()), (2, 2 * PREFILL + 1));
+
+        // A step meets the poisoned lock: a's share goes, b's stays.
+        poison_entry(&table, a);
+        unknown(table.step(&engine, a).map(drop), a);
+        assert_eq!((table.resident(), pages()), (1, PREFILL + 1));
+        unknown(table.close(a).map(drop), a);
+
+        // So does a close.
+        let c = open(&table, &engine, 3);
+        poison_entry(&table, c);
+        unknown(table.close(c).map(drop), c);
+        assert_eq!((table.resident(), pages()), (1, PREFILL + 1));
+
+        // The cap's eviction probe reaps d, which makes room for e
+        // without evicting b.
+        let d = open(&table, &engine, 4);
+        poison_entry(&table, d);
+        let e = open(&table, &engine, 5);
+        unknown(table.step(&engine, d).map(drop), d);
+        assert_eq!(resident_ids(&table), [b, e]);
+        assert_eq!((table.resident(), pages()), (2, 2 * PREFILL + 1));
+        assert_eq!(table.evictions(), 0);
+
+        // The survivors never noticed.
+        outputs.extend(outputs_to_end(&table, &engine, b));
+        assert_eq!(outputs, twin_outputs(2));
+        assert_eq!(outputs_to_end(&table, &engine, e), twin_outputs(5));
+        table.close(b).unwrap();
+        table.close(e).unwrap();
+        assert_eq!((table.resident(), pages()), (0, 0));
+        assert_eq!(engine.kv_pool().free_pages(), engine.kv_pool().peak_pages());
+    }
+
+    #[test]
+    fn a_poisoned_map_lock_is_recovered() {
+        let engine = engine(PagePool::unbounded(PAGE_BYTES));
+        let table = SessionTable::new(Some(1));
+        let a = open(&table, &engine, 1);
+        std::thread::scope(|scope| {
+            let panicked = scope.spawn(|| {
+                let _held = table.entries.lock().unwrap();
+                panic!("poisoning the session map");
+            });
+            assert!(panicked.join().is_err());
+        });
+        assert!(table.entries.is_poisoned());
+        let b = open(&table, &engine, 2);
+        assert_eq!(outputs_to_end(&table, &engine, a), twin_outputs(1));
+        assert_eq!(outputs_to_end(&table, &engine, b), twin_outputs(2));
+        table.close(a).unwrap();
+        table.close(b).unwrap();
+        assert_eq!((table.resident(), engine.kv_pool().pages_in_use()), (0, 0));
+    }
+
+    #[test]
     fn an_evictor_that_lost_the_race_to_close_finds_nothing() {
         let engine = engine(PagePool::unbounded(PAGE_BYTES));
         let table = SessionTable::new(Some(1));
         let a = open(&table, &engine, 1);
         // An evictor probes and picks a; a closes before the evictor
         // gets to it; the evictor must not count a session that is gone.
-        let late = table.eviction_candidates(None);
+        let late = table.eviction_candidates(None).unwrap();
         assert_eq!(late.len(), 1);
         table.close(a).unwrap();
         assert!(!table.try_evict(&late[0].1));

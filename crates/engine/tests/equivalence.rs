@@ -149,7 +149,7 @@ fn engine_matches_seed_path_for_all_pruned_heads() {
 fn run_batch_is_worker_count_independent() {
     // The acceptance criterion: run_batch results depend only on the
     // batch, never on SPRINT_THREADS (which flows into the same
-    // worker-count cap run_batch_threads sweeps here).
+    // worker-count cap run_batch_report sweeps here).
     let spec = ModelConfig::bert_base().trace_spec().with_seq_len(64);
     let heads = TraceGenerator::new(21).generate_many(&spec, 6).unwrap();
     let engine = Engine::builder(SprintConfig::small())
@@ -161,9 +161,9 @@ fn run_batch_is_worker_count_independent() {
         .build()
         .unwrap();
     let requests: Vec<HeadRequest> = heads.iter().map(HeadRequest::from_trace).collect();
-    let one = engine.run_batch_threads(1, &requests).unwrap();
+    let (one, _) = engine.run_batch_report(1, &requests).unwrap();
     for threads in [2usize, 4, 8] {
-        let many = engine.run_batch_threads(threads, &requests).unwrap();
+        let (many, _) = engine.run_batch_report(threads, &requests).unwrap();
         assert_eq!(one, many, "{threads} workers");
     }
     // And each slot equals the single-head path seeded by position.

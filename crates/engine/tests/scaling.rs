@@ -10,10 +10,7 @@
 
 use std::time::Instant;
 
-use sprint_engine::{
-    DecodeLoop, DecodeTask, Engine, HeadRequest, ModelProfile, ModelRequest, ModelServer,
-    SprintConfig,
-};
+use sprint_engine::{Engine, HeadRequest, ModelProfile, ModelRequest, ModelServer, SprintConfig};
 use sprint_reram::NoiseModel;
 use sprint_workloads::{ModelConfig, TraceGenerator};
 
@@ -143,23 +140,6 @@ fn serve_stats_localize_the_pass_stages() {
 }
 
 #[test]
-fn decode_report_accounts_sessions_to_workers() {
-    let e = engine(4);
-    let task = DecodeTask {
-        spec: ModelConfig::bert_base().trace_spec().with_seq_len(24),
-        prefill: 16,
-        mode: None,
-        threshold_spec: None,
-    };
-    let report = DecodeLoop::new(&e).run_threads(2, &[task; 6]).unwrap();
-    assert_eq!(report.workers.len(), 2);
-    assert_eq!(report.workers.iter().map(|w| w.items).sum::<usize>(), 6);
-    for stats in &report.workers {
-        assert_eq!(stats.items, 3, "6 sessions over 2 workers is 3 each");
-    }
-}
-
-#[test]
 fn seed_collision_rejection_guards_the_public_batch_entries() {
     // Regression: duplicate effective head ids silently shared pruner
     // seeds. The public batch entries now reject them up front.
@@ -170,7 +150,6 @@ fn seed_collision_rejection_guards_the_public_batch_entries() {
         .map(|t| HeadRequest::from_trace(t).with_head_id(3))
         .collect();
     assert!(e.run_batch(&tagged).is_err());
-    assert!(e.run_batch_threads(2, &tagged).is_err());
     assert!(e.run_batch_report(2, &tagged).is_err());
     // Mode sweeps through the model server intentionally reuse head
     // ids across flattened passes and must keep working.
@@ -203,12 +182,12 @@ fn four_workers_beat_one_on_wall_clock() {
     let heads = traces(64, 128, 43);
     let reqs: Vec<HeadRequest> = heads.iter().map(HeadRequest::from_trace).collect();
     // Warm the scratches so first-touch allocation is off the clock.
-    e.run_batch_threads(1, &reqs).unwrap();
+    e.run_batch_report(1, &reqs).unwrap();
     let started = Instant::now();
-    e.run_batch_threads(1, &reqs).unwrap();
+    e.run_batch_report(1, &reqs).unwrap();
     let one = started.elapsed();
     let started = Instant::now();
-    e.run_batch_threads(4, &reqs).unwrap();
+    e.run_batch_report(4, &reqs).unwrap();
     let four = started.elapsed();
     // Generous margin: 4 workers must be at least ~1.7x faster.
     assert!(

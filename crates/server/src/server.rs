@@ -13,7 +13,7 @@
 //!                                 batch window│ round-robin drain
 //!                                             ▼
 //!                              ┌──────────────────────────────┐
-//!                              │ batcher → serve_many_threads │
+//!                              │ batcher → serve_many_report  │
 //!                              └──────────────────────────────┘
 //! ```
 //!
@@ -27,7 +27,7 @@
 //!   channel after admission;
 //! * the **batcher** wakes every batching window, drains up to
 //!   `max_batch` admitted requests fairly across tenants, and runs
-//!   them as one [`ModelServer::serve_many_threads`] call, so
+//!   them as one [`ModelServer::serve_many_report`] call, so
 //!   coalescing under load is deterministic in shape.
 //!
 //! Shutdown is graceful by construction: the queue closes first (new
@@ -290,9 +290,9 @@ fn batch_loop(shared: &Shared) {
         let requests: Vec<ModelRequest> = batch.iter().map(|q| q.request.clone()).collect();
         match shared
             .server
-            .serve_many_threads(shared.config.engine_workers, &requests)
+            .serve_many_report(shared.config.engine_workers, &requests)
         {
-            Ok(responses) => {
+            Ok((responses, _)) => {
                 for (queued, response) in batch.into_iter().zip(responses) {
                     finish_serve(shared, queued, Ok(response));
                 }
@@ -304,7 +304,11 @@ fn batch_loop(shared: &Shared) {
                 for queued in batch {
                     let result = shared
                         .server
-                        .serve_threads(shared.config.engine_workers, &queued.request);
+                        .serve_many_report(
+                            shared.config.engine_workers,
+                            std::slice::from_ref(&queued.request),
+                        )
+                        .map(|(mut responses, _)| responses.remove(0));
                     finish_serve(shared, queued, result);
                 }
             }

@@ -7,15 +7,16 @@
 //! history. Under the ideal (noise-free) analog model the two must
 //! agree bit for bit — output row, pruning decision, per-step hardware
 //! counters and memory statistics — at every step, in all four
-//! [`ExecutionMode`]s, across ragged session lengths and worker
-//! counts.
+//! [`ExecutionMode`]s, across ragged session lengths, and through a
+//! [`SessionTable`] shared by 1/2/4/8 threads with and without churn.
 
 use sprint_attention::{Matrix, PagePool};
 use sprint_engine::{
-    DecodeLoop, DecodeSession, DecodeStep, DecodeTask, Engine, EvictedSession, ExecutionMode,
-    HeadRequest, SessionRequest, SprintConfig,
+    DecodeSession, DecodeStep, Engine, EvictedSession, ExecutionMode, HeadRequest, SessionOpen,
+    SessionPerf, SessionRequest, SessionTable, SprintConfig, StepResponse,
 };
 use sprint_reram::{NoiseModel, ThresholdSpec};
+use sprint_tests::run_streams;
 use sprint_workloads::{ChurnEvent, ChurnSpec, HeadTrace, ModelConfig, TraceGenerator};
 
 fn trace(seq: usize, seed: u64) -> HeadTrace {
@@ -246,12 +247,10 @@ fn rehydration_straddling_recalibration_rebuilds_the_running_max_from_history() 
     }
 }
 
-#[test]
-fn decode_loop_is_bit_identical_across_1_2_4_8_workers() {
-    let e = engine(ExecutionMode::Sprint);
-    let base = ModelConfig::bert_base().trace_spec();
-    // Ragged lengths, mixed modes, mixed prefills.
-    let tasks: Vec<DecodeTask> = [
+/// Six ragged, mixed-mode, mixed-prefill streams; stream `i` decodes
+/// under head id `i`.
+fn six_streams() -> Vec<SessionOpen> {
+    [
         (32usize, 16usize, None),
         (48, 8, Some(ExecutionMode::Oracle)),
         (24, 20, Some(ExecutionMode::NoRecompute)),
@@ -260,69 +259,138 @@ fn decode_loop_is_bit_identical_across_1_2_4_8_workers() {
         (64, 32, None),
     ]
     .into_iter()
-    .map(|(seq, prefill, mode)| DecodeTask {
-        spec: base.with_seq_len(seq),
+    .enumerate()
+    .map(|(i, (seq, prefill, mode))| SessionOpen {
+        trace: trace(seq, 60 + i as u64),
         prefill,
+        head_id: i as u64,
         mode,
         threshold_spec: None,
     })
-    .collect();
-    let reference = DecodeLoop::new(&e).run_threads(1, &tasks).unwrap();
-    let expected_tokens: u64 = tasks
-        .iter()
-        .map(|t| (t.spec.seq_len - t.prefill) as u64)
-        .sum();
-    assert_eq!(reference.tokens, expected_tokens);
-    for workers in [2usize, 4, 8] {
-        let run = DecodeLoop::new(&e).run_threads(workers, &tasks).unwrap();
+    .collect()
+}
+
+/// Runs [`six_streams`] through a [`SessionTable`] capped at `cap`,
+/// shared by 1/2/4/8 threads, and holds every response and every
+/// step-attributed counter bit-identical to one thread over an uncapped
+/// table; the pool must drain completely after each run.
+fn assert_shared_table_matches_the_single_thread_reference(cap: Option<usize>) {
+    let streams = six_streams();
+    // The reference: one thread, no cap, an unbounded pool.
+    let reference = run_streams(
+        &engine(ExecutionMode::Sprint),
+        &SessionTable::new(None),
+        &streams,
+        1,
+    );
+    assert!(reference[0].1.kept_fraction() < 1.0, "sprint prunes");
+    assert_eq!(
+        reference[4].1.kept_fraction(),
+        1.0,
+        "dense keeps everything"
+    );
+    let bits = |r: &StepResponse| r.output.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    // Eviction and rehydration are booked apart from the steps.
+    let step_attributed = |perf: &SessionPerf| SessionPerf {
+        evictions: 0,
+        rehydrations: 0,
+        rehydrated_tokens: 0,
+        rehydration_energy: Default::default(),
+        ..*perf
+    };
+    for threads in [1usize, 2, 4, 8] {
+        // 4-token pages (d = d_v = 64), so sessions span many pages.
+        let e = Engine::builder(SprintConfig::small())
+            .noise(NoiseModel::ideal())
+            .mode(ExecutionMode::Sprint)
+            .seed(17)
+            .kv_pool(PagePool::unbounded(4 * 5 * 128))
+            .build()
+            .unwrap();
+        let table = SessionTable::new(cap);
+        let run = run_streams(&e, &table, &streams, threads);
+        for (s, ((steps, perf), (want_steps, want_perf))) in run.iter().zip(&reference).enumerate()
+        {
+            let at = format!("stream {s}, {threads} threads, cap {cap:?}");
+            assert_eq!(steps, want_steps, "{at}");
+            for (got, want) in steps.iter().zip(want_steps) {
+                assert_eq!(bits(got), bits(want), "{at}, step {}", got.position);
+            }
+            assert_eq!(step_attributed(perf), step_attributed(want_perf), "{at}");
+        }
+        let evictions: u64 = run.iter().map(|(_, perf)| perf.evictions).sum();
+        assert_eq!(evictions, table.evictions());
+        if cap.is_some() {
+            assert!(
+                table.evictions() > 0 && table.rehydrations() > 0,
+                "cap {cap:?} at {threads} threads must churn"
+            );
+        } else {
+            assert_eq!(table.evictions(), 0);
+        }
+        assert_eq!(table.resident(), 0);
+        assert_eq!(e.kv_pool().pages_in_use(), 0, "pages leaked");
         assert_eq!(
-            run.sessions, reference.sessions,
-            "decode loop diverged at {workers} workers"
+            e.kv_pool().free_pages(),
+            e.kv_pool().peak_pages(),
+            "the pool must drain completely"
         );
     }
 }
 
 #[test]
-fn decode_loop_sessions_match_manually_driven_sessions() {
-    // The loop's seeding contract: session i decodes the trace drawn
-    // from derive_head_seed(engine_seed ^ TRACE_SALT, i) with head id
-    // i — so a by-hand session over the same trace reproduces it.
-    let e = engine(ExecutionMode::Sprint);
-    let spec = ModelConfig::bert_base().trace_spec().with_seq_len(28);
-    let task = DecodeTask {
-        spec,
+fn decode_loop_is_bit_identical_across_1_2_4_8_workers() {
+    assert_shared_table_matches_the_single_thread_reference(None);
+}
+
+#[test]
+fn churn_loop_matches_the_never_evicted_loop_across_1_2_4_8_workers() {
+    // A resident cap of one session forces eviction and rehydration on
+    // every switch between streams.
+    assert_shared_table_matches_the_single_thread_reference(Some(1));
+}
+
+#[test]
+fn table_sessions_match_manually_driven_sessions() {
+    // The seeding contract: a table session opened with head id h is
+    // `Engine::open_session(..with_head_id(h))`, response for response.
+    // Default noise, so the head id reaches the bits.
+    let e = Engine::builder(SprintConfig::small())
+        .noise(NoiseModel::default())
+        .seed(17)
+        .build()
+        .unwrap();
+    let t = trace(28, 31);
+    let open = |head_id| SessionOpen {
+        trace: t.clone(),
         prefill: 12,
+        head_id,
         mode: None,
         threshold_spec: None,
     };
-    let report = DecodeLoop::new(&e).run(&[task]).unwrap();
-    // Reproduce by hand: the loop zeroes the padding fraction and uses
-    // the engine's seed streams.
-    let mut tspec = spec;
-    tspec.padding_fraction = 0.0;
-    let trace_seed = sprint_engine::derive_head_seed(e.seed() ^ 0x7ace, 0);
-    let t = TraceGenerator::new(trace_seed).generate(&tspec).unwrap();
+    let table = SessionTable::new(None);
+    let (id, other) = (
+        table.open(&e, open(3)).unwrap(),
+        table.open(&e, open(4)).unwrap(),
+    );
     let (pk, pv) = (prefix(t.k(), 12), prefix(t.v(), 12));
     let mut session = e
-        .open_session(&SessionRequest::new(&pk, &pv, t.config(), t.threshold()).with_head_id(0))
+        .open_session(&SessionRequest::new(&pk, &pv, t.config(), t.threshold()).with_head_id(3))
         .unwrap();
-    let mut last = Vec::new();
+    let mut seeds_differ = false;
     for step in 12..28 {
-        last = session
+        let by_hand = session
             .step(&DecodeStep {
                 q: t.q().row(step),
                 k: t.k().row(step),
                 v: t.v().row(step),
             })
-            .unwrap()
-            .output;
+            .unwrap();
+        assert_eq!(table.step(&e, id).unwrap(), by_hand, "step {step}");
+        seeds_differ |= table.step(&e, other).unwrap().output != by_hand.output;
     }
-    assert_eq!(report.sessions[0].final_output, last);
-    assert_eq!(report.sessions[0].tokens, 16);
-    assert_eq!(
-        report.sessions[0].kept_fraction,
-        session.perf().kept_fraction()
-    );
+    assert!(seeds_differ, "head id 4 decoded head id 3's bits");
+    assert_eq!(table.close(id).unwrap(), *session.perf());
 }
 
 #[test]
@@ -466,64 +534,6 @@ fn random_evict_rehydrate_interleavings_stay_bit_identical_in_all_modes() {
         assert!(e.kv_pool().pages_in_use() > 0);
         drop(sessions);
         assert_eq!(e.kv_pool().pages_in_use(), 0, "{mode:?}: pages leaked");
-    }
-}
-
-#[test]
-fn churn_loop_matches_the_never_evicted_loop_across_1_2_4_8_workers() {
-    // The same ragged task mix as the plain decode-loop sweep, but run
-    // through `run_churn_threads` over a tiny-page pool with a
-    // per-worker resident cap of one session: every SessionReport must
-    // still be bit-identical to the never-evicted single-worker loop.
-    let base = ModelConfig::bert_base().trace_spec();
-    let tasks: Vec<DecodeTask> = [
-        (32usize, 16usize, None),
-        (48, 8, Some(ExecutionMode::Oracle)),
-        (24, 20, Some(ExecutionMode::NoRecompute)),
-        (40, 1, None),
-        (16, 12, Some(ExecutionMode::Dense)),
-        (64, 32, None),
-    ]
-    .into_iter()
-    .map(|(seq, prefill, mode)| DecodeTask {
-        spec: base.with_seq_len(seq),
-        prefill,
-        mode,
-        threshold_spec: None,
-    })
-    .collect();
-    let reference = DecodeLoop::new(&engine(ExecutionMode::Sprint))
-        .run_threads(1, &tasks)
-        .unwrap();
-    assert_eq!(reference.evictions, 0);
-    for workers in [1usize, 2, 4, 8] {
-        let e = Engine::builder(SprintConfig::small())
-            .noise(NoiseModel::ideal())
-            .mode(ExecutionMode::Sprint)
-            .seed(17)
-            .kv_pool(PagePool::unbounded(4 * 5 * 128))
-            .build()
-            .unwrap();
-        let run = DecodeLoop::new(&e)
-            .run_churn_threads(workers, &tasks, 1)
-            .unwrap();
-        assert_eq!(
-            run.sessions, reference.sessions,
-            "churn loop diverged from the never-evicted loop at {workers} workers"
-        );
-        if workers < tasks.len() {
-            assert!(
-                run.evictions > 0 && run.rehydrations > 0,
-                "{workers} workers over {} sessions at cap 1 must churn",
-                tasks.len()
-            );
-        }
-        assert_eq!(run.kv_pages_in_use, 0, "pages leaked at {workers} workers");
-        assert_eq!(
-            e.kv_pool().free_pages(),
-            e.kv_pool().peak_pages(),
-            "the pool must drain completely at {workers} workers"
-        );
     }
 }
 

@@ -6,10 +6,11 @@
 
 use sprint_core::SprintConfig;
 use sprint_engine::{
-    DecodeLoop, DecodeTask, Engine, ExecutionMode, FaultPolicy, HeadRequest, ModelProfile,
-    ModelRequest, ModelServer, SprintError,
+    Engine, ExecutionMode, FaultPolicy, HeadRequest, ModelProfile, ModelRequest, ModelServer,
+    SessionOpen, SessionTable, SprintError,
 };
 use sprint_reram::{FaultModel, NoiseModel, ReramError};
+use sprint_tests::run_streams;
 use sprint_workloads::{ModelConfig, TraceGenerator};
 
 fn traces(n: usize, seq: usize) -> Vec<sprint_workloads::HeadTrace> {
@@ -189,89 +190,93 @@ fn remap_policy_substitutes_spares_without_demoting() {
     }
 }
 
+/// Decode streams of the given `(seq_len, prefill, mode)` shapes;
+/// stream `i` decodes under head id `i`.
+fn decode_streams(shapes: &[(usize, usize, Option<ExecutionMode>)]) -> Vec<SessionOpen> {
+    shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(seq, prefill, mode))| {
+            let spec = ModelConfig::bert_base()
+                .trace_spec()
+                .with_seq_len(seq)
+                .with_padding(0.0);
+            SessionOpen {
+                trace: TraceGenerator::new(2000 + i as u64)
+                    .generate(&spec)
+                    .unwrap(),
+                prefill,
+                head_id: i as u64,
+                mode,
+                threshold_spec: None,
+            }
+        })
+        .collect()
+}
+
 #[test]
-fn faulted_decode_loop_completes_and_is_worker_invariant() {
+fn faulted_decode_sessions_complete_and_are_thread_invariant() {
     // Mid-decode fault handling: every session must run to completion
     // under a nonzero fault rate, account its scrub findings, and stay
-    // bit-identical across worker counts.
+    // bit-identical across the threads sharing its table.
     let model = FaultModel::uniform(0.05, 0x5eed).unwrap();
-    let base = ModelConfig::bert_base().trace_spec();
-    let tasks: Vec<DecodeTask> = [
-        (32usize, 16usize, None),
+    let streams = decode_streams(&[
+        (32, 16, None),
         (24, 8, Some(ExecutionMode::NoRecompute)),
         (16, 12, Some(ExecutionMode::Dense)),
         (40, 1, None),
-    ]
-    .into_iter()
-    .map(|(seq, prefill, mode)| DecodeTask {
-        spec: base.with_seq_len(seq),
-        prefill,
-        mode,
-        threshold_spec: None,
-    })
-    .collect();
+    ]);
     let engine = engine_with(Some(model), FaultPolicy::Monitor, ExecutionMode::Sprint, 1);
-    let reference = DecodeLoop::new(&engine).run_threads(1, &tasks).unwrap();
-    assert_eq!(reference.sessions.len(), tasks.len());
-    assert!(reference.faults_detected > 0);
+    let reference = run_streams(&engine, &SessionTable::new(None), &streams, 1);
+    let detected: u64 = reference.iter().map(|(_, perf)| perf.faults_detected).sum();
+    assert!(detected > 0);
     // Monitoring never demotes; the Dense session never scrubs.
-    assert_eq!(reference.demoted_sessions, 0);
-    assert_eq!(reference.sessions[2].faults_detected, 0);
-    for report in &reference.sessions {
-        assert!(report.final_output.iter().all(|x| x.is_finite()));
+    assert!(reference.iter().all(|(_, perf)| !perf.demoted));
+    assert_eq!(reference[2].1.faults_detected, 0);
+    for (steps, _) in &reference {
+        assert!(steps.iter().all(|s| s.output.iter().all(|x| x.is_finite())));
     }
-    for workers in [2usize, 4, 8] {
-        let run = DecodeLoop::new(&engine)
-            .run_threads(workers, &tasks)
-            .unwrap();
-        assert_eq!(
-            run.sessions, reference.sessions,
-            "decode diverged at {workers} workers"
-        );
+    for threads in [2usize, 4, 8] {
+        let run = run_streams(&engine, &SessionTable::new(None), &streams, threads);
+        assert_eq!(run, reference, "decode diverged at {threads} threads");
     }
 }
 
 #[test]
 fn fully_faulted_decode_sessions_demote_and_match_dense() {
     // The graceful-degradation floor for decode: unrepairable faults
-    // demote analog sessions mid-stream, after which every step must
-    // match the fault-free Dense decode of the same tasks.
+    // demote analog sessions mid-stream, after which every session must
+    // end where the fault-free Dense decode of the same streams ends.
     let model = FaultModel::new(4).with_line_rates(1.0, 0.0).unwrap();
-    let base = ModelConfig::bert_base().trace_spec();
-    let tasks: Vec<DecodeTask> = [(24usize, 10usize), (32, 16)]
-        .into_iter()
-        .map(|(seq, prefill)| DecodeTask {
-            spec: base.with_seq_len(seq),
-            prefill,
-            mode: None,
-            threshold_spec: None,
-        })
-        .collect();
+    let shapes = [(24, 10, None), (32, 16, None)];
     let faulted = engine_with(
         Some(model),
         FaultPolicy::Demote { max_attempts: 1 },
         ExecutionMode::Sprint,
         1,
     );
-    let report = DecodeLoop::new(&faulted).run(&tasks).unwrap();
-    assert_eq!(report.demoted_sessions, tasks.len() as u64);
-    let dense_tasks: Vec<DecodeTask> = tasks
-        .iter()
-        .map(|t| DecodeTask {
-            mode: Some(ExecutionMode::Dense),
-            ..*t
-        })
-        .collect();
+    let demoted = run_streams(
+        &faulted,
+        &SessionTable::new(None),
+        &decode_streams(&shapes),
+        2,
+    );
+    let dense_shapes = shapes.map(|(seq, prefill, _)| (seq, prefill, Some(ExecutionMode::Dense)));
     let dense_engine = engine_with(None, FaultPolicy::default(), ExecutionMode::Sprint, 1);
-    let dense = DecodeLoop::new(&dense_engine).run(&dense_tasks).unwrap();
-    for (faulted_session, dense_session) in report.sessions.iter().zip(&dense.sessions) {
+    let dense = run_streams(
+        &dense_engine,
+        &SessionTable::new(None),
+        &decode_streams(&dense_shapes),
+        2,
+    );
+    for (s, ((steps, perf), (dense_steps, _))) in demoted.iter().zip(&dense).enumerate() {
+        assert!(perf.demoted, "session {s} must demote");
+        assert!(perf.faults_detected > 0);
         assert_eq!(
-            faulted_session.final_output, dense_session.final_output,
-            "session {} strays from the dense floor",
-            faulted_session.session
+            steps.last().unwrap().output,
+            dense_steps.last().unwrap().output,
+            "session {s} strays from the dense floor"
         );
-        assert!(faulted_session.demoted);
-        assert!(faulted_session.faults_detected > 0);
     }
 }
 

@@ -96,8 +96,14 @@ fn serving_is_bit_identical_across_worker_counts() {
     let reference = reference_serve(&server, &request);
     assert!(reference.total.accuracy().is_some());
     for workers in [1usize, 2, 4, 8] {
-        let response = server.serve_threads(workers, &request).unwrap();
-        assert_eq!(response, reference, "workers = {workers}");
+        let (responses, _) = server
+            .serve_many_report(workers, std::slice::from_ref(&request))
+            .unwrap();
+        assert_eq!(
+            responses,
+            std::slice::from_ref(&reference),
+            "workers = {workers}"
+        );
     }
 }
 
@@ -158,7 +164,10 @@ proptest! {
             .with_mode(ExecutionMode::ALL[mode_idx])
             .with_accuracy(true);
         let server = server(4);
-        let served = server.serve_threads(workers, &request).unwrap();
+        let (mut served, _) = server
+            .serve_many_report(workers, std::slice::from_ref(&request))
+            .unwrap();
+        let served = served.remove(0);
         let reference = reference_serve(&server, &request);
         prop_assert_eq!(&served, &reference);
         // Aggregation sanity on top of equality: totals are the merge

@@ -493,8 +493,9 @@ fn model_server_rollups_are_bit_identical_in_sprint_mode() {
         .with_heads(2)
         .with_seq_len(48);
     let request = ModelRequest::new(profile).with_seed(17).with_accuracy(true);
-    let s = scalar.serve_threads(2, &request).unwrap();
-    let a = avx2.serve_threads(4, &request).unwrap();
+    let request = std::slice::from_ref(&request);
+    let (s, _) = scalar.serve_many_report(2, request).unwrap();
+    let (a, _) = avx2.serve_many_report(4, request).unwrap();
     assert_eq!(s, a, "ModelResponse diverged across tiers/worker counts");
 }
 
@@ -539,8 +540,8 @@ proptest! {
         let spec = ModelConfig::bert_base().trace_spec().with_seq_len(seq);
         let traces = TraceGenerator::new(seed ^ 0xD1F).generate_many(&spec, heads).unwrap();
         let requests: Vec<HeadRequest> = traces.iter().map(HeadRequest::from_trace).collect();
-        let rs = scalar.run_batch_threads(workers, &requests).unwrap();
-        let ra = avx2.run_batch_threads(workers, &requests).unwrap();
+        let (rs, _) = scalar.run_batch_report(workers, &requests).unwrap();
+        let (ra, _) = avx2.run_batch_report(workers, &requests).unwrap();
         prop_assert_eq!(rs, ra, "Sprint batch diverged: config {} workers {}", cfg_pick, workers);
     }
 }

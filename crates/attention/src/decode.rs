@@ -23,14 +23,12 @@
 //! eviction safe: a rehydrated cache rebuilt from the same rows is the
 //! same cache, bit for bit.
 
-use crate::attention::{
-    check_shapes, quantized_score_row_into, softmax_vpu_row_into, DENSE_AV_CROSSOVER,
-};
+use crate::attention::{quantized_score_row_into, softmax_vpu_row_into, DENSE_AV_CROSSOVER};
 use crate::paged::{PageBuffers, PagePool, DEFAULT_PAGE_BYTES};
 use crate::simd;
 use crate::{
-    dense_attention_with, quantize_matrix, AttentionConfig, AttentionError, Matrix, PruneDecision,
-    QuantParams, SoftmaxLut, Workspace,
+    quantize_matrix, AttentionConfig, AttentionError, Matrix, PruneDecision, QuantParams,
+    SoftmaxLut, Workspace,
 };
 
 /// One page of history: a slice of the K/V rows and their codes, plus
@@ -431,21 +429,8 @@ impl Drop for KvCache {
     }
 }
 
-/// Checks that `q` is a single query row matching the history's
+/// Checks that `q` is a single query row matching the paged history's
 /// embedding.
-fn check_decode_query(q: &Matrix, k: &Matrix) -> Result<(), AttentionError> {
-    if q.rows() != 1 {
-        return Err(AttentionError::ShapeMismatch {
-            op: "decode query (one row expected)",
-            left: q.shape(),
-            right: (1, k.cols()),
-        });
-    }
-    check_shapes(q, k, k)
-}
-
-/// [`check_decode_query`] against a paged cache (same error shapes and
-/// op strings as the matrix form).
 fn check_decode_query_cached(q: &Matrix, kv: &KvCache) -> Result<(), AttentionError> {
     if q.rows() != 1 {
         return Err(AttentionError::ShapeMismatch {
@@ -462,29 +447,6 @@ fn check_decode_query_cached(q: &Matrix, kv: &KvCache) -> Result<(), AttentionEr
         });
     }
     Ok(())
-}
-
-/// Single-query dense attention: one output row of
-/// `softmax(scale · q Kᵀ) × V`, bit-identical to
-/// [`dense_attention_with`] over the same one-row `Q` (it *is* that
-/// call, with the intermediate matrices recycled into the workspace).
-///
-/// # Errors
-///
-/// Shape errors as in [`dense_attention_with`]; additionally `q` must
-/// hold exactly one row.
-pub fn dense_attention_decode_with(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    cfg: &AttentionConfig,
-    ws: &mut Workspace,
-) -> Result<Vec<f32>, AttentionError> {
-    check_decode_query(q, k)?;
-    let out = dense_attention_with(q, k, v, cfg, ws)?;
-    ws.recycle(out.scores);
-    ws.recycle(out.probs);
-    Ok(out.output.into_vec())
 }
 
 /// Single-query runtime-pruned attention reading K/V straight from a
@@ -776,10 +738,12 @@ mod tests {
         let batch_ws = &mut Workspace::new();
         for r in 0..4 {
             let q1 = one_row(&q_all, r);
-            // Dense.
-            let dense_row = dense_attention_decode_with(&q1, &k, &v, &cfg, &mut ws).unwrap();
+            // Dense: the f32::MIN threshold a Dense decode step runs.
+            let (dense_row, kept_all) =
+                pruned_attention_decode_cached_with(&q1, &kv, &cfg, f32::MIN, &mut ws).unwrap();
             let dense_full = dense_attention_with(&q1, &k, &v, &cfg, batch_ws).unwrap();
             assert_eq!(dense_row.as_slice(), dense_full.output.row(0));
+            assert_eq!(kept_all.kept_count(), k.rows());
             // Pruned, over the paged cache.
             let (pruned_row, decision) =
                 pruned_attention_decode_cached_with(&q1, &kv, &cfg, 0.02, &mut ws).unwrap();
@@ -811,8 +775,11 @@ mod tests {
         let q2 = random_matrix(2, 8, 12);
         let kv = KvCache::new(&k, &k).unwrap();
         let mut ws = Workspace::new();
-        assert!(dense_attention_decode_with(&q2, &k, &k, &cfg, &mut ws).is_err());
-        assert!(pruned_attention_decode_cached_with(&q2, &kv, &cfg, 0.0, &mut ws).is_err());
+        for threshold in [f32::MIN, 0.0] {
+            assert!(
+                pruned_attention_decode_cached_with(&q2, &kv, &cfg, threshold, &mut ws).is_err()
+            );
+        }
         assert!(quantized_attention_decode_with(&q2, &kv, &cfg, None, &mut ws).is_err());
         // Wrong decision length.
         let q1 = one_row(&q2, 0);

@@ -139,26 +139,6 @@ impl QuantParams {
     }
 }
 
-/// Quantizes a single value with `bits` covering `[-max_abs, max_abs]`.
-///
-/// Convenience wrapper over [`QuantParams::for_range`].
-///
-/// # Errors
-///
-/// Propagates parameter validation errors.
-pub fn quantize_value(x: f32, bits: u32, max_abs: f32) -> Result<i32, AttentionError> {
-    Ok(QuantParams::for_range(bits, max_abs)?.quantize(x))
-}
-
-/// Reconstructs a value quantized by [`quantize_value`].
-///
-/// # Errors
-///
-/// Propagates parameter validation errors.
-pub fn dequantize(q: i32, bits: u32, max_abs: f32) -> Result<f32, AttentionError> {
-    Ok(QuantParams::for_range(bits, max_abs)?.dequantize(q))
-}
-
 /// A matrix quantized to integer codes with shared [`QuantParams`].
 ///
 /// This is the at-rest format of Q/K/V data in SPRINT's ReRAM: 8-bit
@@ -390,8 +370,8 @@ mod tests {
 
     #[test]
     fn value_helpers_round_trip() {
-        let q = quantize_value(0.5, 12, 2.0).unwrap();
-        let x = dequantize(q, 12, 2.0).unwrap();
+        let p = QuantParams::for_range(12, 2.0).unwrap();
+        let x = p.dequantize(p.quantize(0.5));
         assert!((x - 0.5).abs() < 2.0 / 2047.0);
     }
 

@@ -5,8 +5,8 @@
 //! fixed-point quantization for the 8-bit QK/V datapath (12-bit softmax
 //! inputs, 16-bit attention outputs), exact and hardware (two-LUT)
 //! softmax, dense reference attention, learned-threshold runtime pruning
-//! in the style of LeOPArd, and the agreement metrics used by the
-//! accuracy studies of Figs. 5 and 9.
+//! in the style of LeOPArd, and the error and recall metrics used by
+//! the accuracy studies of Figs. 5 and 9.
 //!
 //! # Example
 //!
@@ -44,18 +44,14 @@ pub use attention::{
     AttentionOutput, PaddingMask, QuantizedAttentionOutput, MASK_NEG,
 };
 pub use decode::{
-    dense_attention_decode_with, pruned_attention_decode_cached_with,
-    quantized_attention_decode_with, KvCache, KvDelta,
+    pruned_attention_decode_cached_with, quantized_attention_decode_with, KvCache, KvDelta,
 };
 pub use error::AttentionError;
-pub use fixed::{dequantize, quantize_matrix, quantize_value, QuantParams, QuantizedMatrix};
+pub use fixed::{quantize_matrix, QuantParams, QuantizedMatrix};
 pub use matrix::Matrix;
-pub use metrics::{kl_divergence, mean_abs_error, prune_set_overlap, top1_agreement};
+pub use metrics::{mean_abs_error, prune_set_overlap};
 pub use paged::{PagePool, DEFAULT_PAGE_BYTES};
-pub use pruning::{calibrate_threshold, pruning_stats, PruneDecision, PruningStats, ThresholdSet};
+pub use pruning::{calibrate_threshold, pruning_stats, PruneDecision, PruningStats};
 pub use simd::{active_tier, avx2_available, sanitize_tier, ulp_distance, SimdTier};
-pub use softmax::{
-    softmax_exact, softmax_inplace, softmax_inplace_tier, softmax_masked, softmax_masked_inplace,
-    SoftmaxLut,
-};
+pub use softmax::{softmax_exact, softmax_inplace, softmax_inplace_tier, SoftmaxLut};
 pub use workspace::Workspace;

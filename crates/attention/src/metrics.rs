@@ -1,50 +1,6 @@
-//! Agreement metrics for the accuracy studies of Figs. 5 and 9.
+//! Error and recall metrics for the accuracy studies of Figs. 5 and 9.
 
 use crate::{AttentionError, Matrix, PruneDecision};
-
-/// Fraction of rows whose argmax column agrees between two matrices.
-///
-/// This is the decision-agreement metric the accuracy proxy uses: when
-/// approximate pruning changes which value vector dominates a query's
-/// attention output, the downstream prediction flips.
-///
-/// # Errors
-///
-/// Returns [`AttentionError::ShapeMismatch`] unless both matrices have
-/// the same shape.
-///
-/// # Example
-///
-/// ```
-/// use sprint_attention::{top1_agreement, Matrix};
-///
-/// # fn main() -> Result<(), sprint_attention::AttentionError> {
-/// let a = Matrix::from_rows(&[vec![0.9, 0.1], vec![0.2, 0.8]])?;
-/// let b = Matrix::from_rows(&[vec![0.8, 0.2], vec![0.6, 0.4]])?;
-/// assert_eq!(top1_agreement(&a, &b)?, 0.5);
-/// # Ok(())
-/// # }
-/// ```
-pub fn top1_agreement(a: &Matrix, b: &Matrix) -> Result<f64, AttentionError> {
-    if a.shape() != b.shape() {
-        return Err(AttentionError::ShapeMismatch {
-            op: "top1_agreement",
-            left: a.shape(),
-            right: b.shape(),
-        });
-    }
-    let argmax = |row: &[f32]| -> usize {
-        row.iter()
-            .enumerate()
-            .max_by(|(_, x), (_, y)| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    };
-    let agree = (0..a.rows())
-        .filter(|&i| argmax(a.row(i)) == argmax(b.row(i)))
-        .count();
-    Ok(agree as f64 / a.rows() as f64)
-}
 
 /// Mean absolute error between two matrices, ignoring positions where
 /// either side is non-finite (pruned entries carry `-inf`).
@@ -69,35 +25,6 @@ pub fn mean_abs_error(a: &Matrix, b: &Matrix) -> Result<f64, AttentionError> {
         }
     }
     Ok(if n == 0 { 0.0 } else { sum / n as f64 })
-}
-
-/// Kullback-Leibler divergence `KL(p ‖ q)` in nats between two
-/// probability rows, with an epsilon floor to keep masked zeros finite.
-///
-/// # Errors
-///
-/// Returns [`AttentionError::ShapeMismatch`] for unequal lengths, or
-/// [`AttentionError::EmptyInput`] for empty rows.
-pub fn kl_divergence(p: &[f32], q: &[f32]) -> Result<f64, AttentionError> {
-    if p.len() != q.len() {
-        return Err(AttentionError::ShapeMismatch {
-            op: "kl_divergence",
-            left: (p.len(), 1),
-            right: (q.len(), 1),
-        });
-    }
-    if p.is_empty() {
-        return Err(AttentionError::EmptyInput("kl_divergence rows"));
-    }
-    const EPS: f64 = 1e-9;
-    let mut kl = 0.0f64;
-    for (&pi, &qi) in p.iter().zip(q) {
-        let pi = pi.max(0.0) as f64;
-        if pi > 0.0 {
-            kl += pi * (pi / (qi.max(0.0) as f64 + EPS)).ln();
-        }
-    }
-    Ok(kl.max(0.0))
 }
 
 /// Fraction of keys kept by `reference` that are also kept by `approx`
@@ -130,23 +57,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn top1_agreement_counts_matching_rows() {
-        let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.5]]).unwrap();
-        let b = Matrix::from_rows(&[vec![2.0, 0.0], vec![1.0, 0.0], vec![0.9, 0.1]]).unwrap();
-        assert!((top1_agreement(&a, &b).unwrap() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn top1_agreement_requires_matching_shapes() {
-        let a = Matrix::zeros(2, 2).unwrap();
-        let b = Matrix::zeros(2, 3).unwrap();
-        assert!(top1_agreement(&a, &b).is_err());
-    }
-
-    #[test]
     fn identical_matrices_agree_fully() {
         let a = Matrix::from_rows(&[vec![0.3, 0.7], vec![0.6, 0.4]]).unwrap();
-        assert_eq!(top1_agreement(&a, &a).unwrap(), 1.0);
         assert_eq!(mean_abs_error(&a, &a).unwrap(), 0.0);
     }
 
@@ -155,26 +67,6 @@ mod tests {
         let a = Matrix::from_rows(&[vec![f32::NEG_INFINITY, 1.0]]).unwrap();
         let b = Matrix::from_rows(&[vec![0.0, 2.0]]).unwrap();
         assert_eq!(mean_abs_error(&a, &b).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn kl_is_zero_for_identical_distributions() {
-        let p = [0.25f32, 0.25, 0.5];
-        assert!(kl_divergence(&p, &p).unwrap() < 1e-9);
-    }
-
-    #[test]
-    fn kl_is_positive_for_different_distributions() {
-        let p = [0.9f32, 0.1];
-        let q = [0.1f32, 0.9];
-        let kl = kl_divergence(&p, &q).unwrap();
-        assert!(kl > 1.0, "kl={kl}");
-    }
-
-    #[test]
-    fn kl_validates_inputs() {
-        assert!(kl_divergence(&[0.5], &[0.5, 0.5]).is_err());
-        assert!(kl_divergence(&[], &[]).is_err());
     }
 
     #[test]

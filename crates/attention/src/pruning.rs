@@ -3,8 +3,8 @@
 //! The paper builds on gradient-based learned runtime pruning: a
 //! per-layer threshold `Th` is learned during fine-tuning and applied at
 //! inference, pruning every key whose score falls below it. This module
-//! provides the converged artifact — a per-layer [`ThresholdSet`] — and
-//! a calibration routine that recovers the threshold from sample score
+//! provides the per-query [`PruneDecision`] and a calibration routine
+//! that recovers the converged threshold from sample score
 //! distributions and a target pruning rate (the two are interchangeable
 //! for the architecture study; see DESIGN.md substitutions).
 
@@ -243,50 +243,6 @@ pub fn pruning_stats(decisions: &[PruneDecision]) -> PruningStats {
     }
 }
 
-/// Per-layer learned pruning thresholds.
-///
-/// # Example
-///
-/// ```
-/// use sprint_attention::ThresholdSet;
-///
-/// let set = ThresholdSet::uniform(12, -0.5);
-/// assert_eq!(set.layer(3), -0.5);
-/// assert_eq!(set.layers(), 12);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThresholdSet {
-    per_layer: Vec<f32>,
-}
-
-impl ThresholdSet {
-    /// Creates a set with one threshold per layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_layer` is empty.
-    pub fn new(per_layer: Vec<f32>) -> Self {
-        assert!(!per_layer.is_empty(), "a model has at least one layer");
-        ThresholdSet { per_layer }
-    }
-
-    /// Creates a set with the same threshold in every layer.
-    pub fn uniform(layers: usize, threshold: f32) -> Self {
-        ThresholdSet::new(vec![threshold; layers.max(1)])
-    }
-
-    /// Number of layers covered.
-    pub fn layers(&self) -> usize {
-        self.per_layer.len()
-    }
-
-    /// Threshold for `layer`, clamping past the last layer (ALBERT-style
-    /// layer sharing reuses the last threshold).
-    pub fn layer(&self, layer: usize) -> f32 {
-        self.per_layer[layer.min(self.per_layer.len() - 1)]
-    }
-}
-
 /// Calibrates a pruning threshold from sample scores so that the target
 /// fraction of entries falls below it.
 ///
@@ -444,14 +400,6 @@ mod tests {
         let stats = pruning_stats(&decisions);
         assert_eq!(stats.mean_prune_rate, 1.0);
         assert_eq!(stats.mean_adjacent_overlap, 0.0);
-    }
-
-    #[test]
-    fn threshold_set_clamps_layer_index() {
-        let set = ThresholdSet::new(vec![-1.0, -2.0]);
-        assert_eq!(set.layer(0), -1.0);
-        assert_eq!(set.layer(1), -2.0);
-        assert_eq!(set.layer(99), -2.0);
     }
 
     #[test]

@@ -75,54 +75,6 @@ pub fn softmax_inplace_tier(row: &mut [f32], tier: crate::SimdTier) {
     crate::simd::scale_row(tier, row, 1.0 / sum);
 }
 
-/// Exact masked softmax computed in place: positions where `keep[i]` is
-/// `false` get exactly zero probability, the rest are renormalized over
-/// the kept set. Allocation-free counterpart of [`softmax_masked`].
-///
-/// # Errors
-///
-/// Returns [`AttentionError::ShapeMismatch`] if the mask length differs
-/// from the row length.
-pub fn softmax_masked_inplace(row: &mut [f32], keep: &[bool]) -> Result<(), AttentionError> {
-    if row.len() != keep.len() {
-        return Err(AttentionError::ShapeMismatch {
-            op: "softmax_masked",
-            left: (row.len(), 1),
-            right: (keep.len(), 1),
-        });
-    }
-    for (s, &k) in row.iter_mut().zip(keep) {
-        if !k {
-            *s = f32::NEG_INFINITY;
-        }
-    }
-    softmax_inplace(row);
-    Ok(())
-}
-
-/// Exact softmax with a boolean keep-mask.
-///
-/// Positions where `keep[i]` is `false` are excluded (zero probability),
-/// mirroring how transformer implementations place a large negative
-/// value in masked positions before the softmax (§II-C3).
-///
-/// # Errors
-///
-/// Returns [`AttentionError::ShapeMismatch`] if the mask length differs
-/// from the score length.
-pub fn softmax_masked(scores: &[f32], keep: &[bool]) -> Result<Vec<f32>, AttentionError> {
-    if scores.len() != keep.len() {
-        return Err(AttentionError::ShapeMismatch {
-            op: "softmax_masked",
-            left: (scores.len(), 1),
-            right: (keep.len(), 1),
-        });
-    }
-    let mut out = scores.to_vec();
-    softmax_masked_inplace(&mut out, keep)?;
-    Ok(out)
-}
-
 /// The SPRINT hardware softmax unit: 12-bit inputs, two 64-entry
 /// exponent LUTs, 8-bit probability outputs.
 ///
@@ -328,15 +280,12 @@ mod tests {
 
     #[test]
     fn masked_softmax_zeroes_dropped_positions() {
-        let p = softmax_masked(&[1.0, 1.0, 1.0], &[true, false, true]).unwrap();
-        assert_eq!(p[1], 0.0);
-        assert!((p[0] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn masked_softmax_checks_lengths() {
-        assert!(softmax_masked(&[1.0], &[true, false]).is_err());
-        assert!(softmax_masked_inplace(&mut [1.0], &[true, false]).is_err());
+        // Masking is a `-inf` score: it gets exactly zero probability,
+        // the kept positions renormalize among themselves.
+        let mut row = [1.0, f32::NEG_INFINITY, 1.0];
+        softmax_inplace(&mut row);
+        assert_eq!(row[1], 0.0);
+        assert!((row[0] - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -350,17 +299,6 @@ mod tests {
         }
         let mut empty: [f32; 0] = [];
         softmax_inplace(&mut empty);
-    }
-
-    #[test]
-    fn masked_inplace_matches_masked() {
-        let scores = [1.0f32, 2.0, 3.0, 4.0];
-        let keep = [true, false, true, false];
-        let reference = softmax_masked(&scores, &keep).unwrap();
-        let mut row = scores;
-        softmax_masked_inplace(&mut row, &keep).unwrap();
-        assert_eq!(row.to_vec(), reference);
-        assert_eq!(row[1], 0.0);
     }
 
     #[test]

@@ -25,15 +25,6 @@ use crate::counting::{simulate_head, ExecutionMode};
 use crate::experiments::Scale;
 use crate::{ExperimentResult, SprintConfig, SprintError};
 
-/// Extracts the live-region submatrix.
-fn submatrix(m: &sprint_attention::Matrix, rows: usize) -> sprint_attention::Matrix {
-    let mut out = sprint_attention::Matrix::zeros(rows, m.cols()).expect("non-empty");
-    for r in 0..rows {
-        out.row_mut(r).copy_from_slice(m.row(r));
-    }
-    out
-}
-
 /// Runs the functional pipeline on one trace with a custom pruner and
 /// threshold spec, returning (accuracy, measured prune rate, recall of
 /// the digital reference kept set).
@@ -107,8 +98,8 @@ pub fn margin_sweep(scale: &Scale) -> Result<ExperimentResult, SprintError> {
     .headers(["Margin", "Prune rate", "Reference recall", "Accuracy"]);
     for sigmas in [0.0, 1.0, 3.0, 5.0] {
         let mut pruner = InMemoryPruner::new(
-            &submatrix(trace.q(), live),
-            &submatrix(trace.k(), live),
+            &trace.q().prefix_rows(live)?,
+            &trace.k().prefix_rows(live)?,
             trace.config().scale(),
             noise,
             scale.seed ^ 0x3a7,
@@ -152,8 +143,8 @@ pub fn cell_bits_sweep(scale: &Scale) -> Result<ExperimentResult, SprintError> {
     .headers(["Bits/cell", "MSB bits stored/key", "Prune rate", "Accuracy"]);
     for bits in [2u32, 3, 4, 5, 6] {
         let mut pruner = InMemoryPruner::with_cell_bits(
-            &submatrix(trace.q(), live),
-            &submatrix(trace.k(), live),
+            &trace.q().prefix_rows(live)?,
+            &trace.k().prefix_rows(live)?,
             trace.config().scale(),
             NoiseModel::default(),
             scale.seed ^ 0x3b7,

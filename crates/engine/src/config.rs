@@ -1,7 +1,7 @@
 //! The S/M/L-SPRINT hardware configurations (Table I).
 
 use sprint_energy::{AreaModel, TimingParams, UnitEnergies};
-use sprint_memory::MemoryGeometry;
+use sprint_memory::{MemoryController, MemoryError, MemoryGeometry};
 
 /// One SPRINT hardware configuration.
 ///
@@ -145,6 +145,11 @@ impl SprintConfig {
             bytes_per_fetch: 2 * self.head_dim,
             bursts_per_fetch: (2 * self.head_dim).div_ceil(32),
         }
+    }
+
+    /// A fresh memory controller over this geometry and timing.
+    pub(crate) fn memory_controller(&self) -> Result<MemoryController, MemoryError> {
+        MemoryController::new(self.memory_geometry(), self.timing)
     }
 }
 

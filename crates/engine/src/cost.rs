@@ -4,12 +4,13 @@
 //! Every simulated energy and cycle figure in the workspace — the
 //! paper-figure bars of `sprint_core::counting`, the per-head
 //! [`crate::PerfRollup`] and the per-step [`crate::StepPerf`] — is
-//! produced here. The three callers are *count producers*: each fills
-//! an [`OpCounts`] record and a per-query `(worst CORELET load, memory
-//! cycles)` pair from its own source of truth (synthetic kept-set
-//! profiles, executed decisions plus memory-controller statistics, or
-//! one decode step) and hands them over; none of them charges a
-//! [`Category`] or combines latency terms itself.
+//! produced here. There are two *count producers*, each filling an
+//! [`OpCounts`] record and a per-query `(worst CORELET load, memory
+//! cycles)` pair from its own source of truth: `counting` from
+//! synthetic kept-set profiles, and the served `count_queries` from
+//! executed decisions plus memory-controller statistics, for a head
+//! and a decode step alike. Neither charges a [`Category`] or combines
+//! latency terms itself.
 //!
 //! The count → category → unit-energy table and the per-mode
 //! stage/latency table are in `ARCHITECTURE.md`, "Cost model"; the
@@ -25,9 +26,12 @@
 //! [`assign_tokens`] materialises it (and the sequential strawman) as
 //! work lists for the Fig. 8 imbalance statistics.
 
+use sprint_attention::PruneDecision;
 use sprint_energy::{Category, EnergyBreakdown, UnitEnergies};
+use sprint_memory::MemoryStats;
+use sprint_reram::PruneHardwareStats;
 
-use crate::ExecutionMode;
+use crate::{ExecutionMode, SprintConfig};
 
 /// Command-bus occupancy of the thresholding handshake per query
 /// (CopyQ beats + ReadP). The handshake and the fetches for query
@@ -277,6 +281,62 @@ pub fn query_cycles(
         0
     };
     (stages * tiles_per_dot).max(memory_cycles).max(floor)
+}
+
+/// The served count producer: the [`OpCounts`] (without ReRAM writes)
+/// and summed cycles of `decisions`, one executed decision per live
+/// query over `keys` live keys — a head's live rows or a decode step's
+/// one query — with fetches from `memory_stats` (the memory stream is
+/// query-averaged) and analog op counts from `prune_stats`.
+pub(crate) fn count_queries(
+    mode: ExecutionMode,
+    config: &SprintConfig,
+    d: usize,
+    keys: usize,
+    decisions: &[PruneDecision],
+    memory_stats: &MemoryStats,
+    prune_stats: &PruneHardwareStats,
+) -> (OpCounts, u64) {
+    let queries = decisions.len() as u64;
+    let d_bits = (d * 8) as u64;
+    let cpt = d.div_ceil(config.head_dim.max(1)) as u64;
+    let corelets = config.corelets.max(1);
+
+    let mean_fetch = memory_stats.fetched_vectors.div_ceil(queries.max(1));
+    let mem = (mean_fetch as f64 * config.cycles_per_pair()).ceil() as u64;
+    let mut loads = vec![0u64; corelets];
+    let (mut kept, mut cycles) = (0u64, 0u64);
+    for decision in decisions {
+        let worst = worst_corelet_load(decision.iter_kept(), &mut loads);
+        kept += loads.iter().sum::<u64>();
+        cycles += query_cycles(mode, keys, worst, corelets, cpt, mem);
+    }
+
+    let mut counts = OpCounts {
+        // What the controller fetched, plus the streamed query vectors.
+        reram_read_bits: memory_stats.bytes_fetched * 8 + queries * d_bits,
+        onchip_write_bits: memory_stats.fetched_vectors * d_bits,
+        // Dense stages cover every query × key pair.
+        ..OpCounts::on_chip(mode, queries * keys as u64, kept, cpt, d_bits)
+    };
+    // The pruner's own counters plus the CopyQ/ReadP payloads (a head
+    // demoted before its first query charges none of them).
+    if prune_stats.queries_pruned > 0 {
+        counts.in_memory_ops = prune_stats.in_memory_ops;
+        counts.comparator_firings = prune_stats.comparator_firings;
+        counts.command_bits = queries * (d as u64 * 4) + queries * keys as u64 / 8;
+    }
+    (counts, cycles)
+}
+
+/// The energy of writing `tokens` tokens' K and V rows (`2·d` bytes
+/// each) into the crossbars: a decode step's programming, a rehydration.
+pub(crate) fn program_energy(u: &UnitEnergies, tokens: u64, d: usize) -> EnergyBreakdown {
+    OpCounts {
+        reram_write_bits: tokens * 2 * (d * 8) as u64,
+        ..OpCounts::default()
+    }
+    .energy(u)
 }
 
 #[cfg(test)]

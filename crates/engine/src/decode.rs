@@ -26,16 +26,17 @@
 //! order than a fresh build, so equivalence is distributional.
 
 use sprint_attention::{
-    pruned_attention_decode_cached_with, quantized_attention_decode_with, softmax_inplace_tier,
-    AttentionConfig, KvCache, Matrix, PruneDecision, Workspace,
+    pruned_attention_decode_cached_with, quantized_attention_decode_with, AttentionConfig, KvCache,
+    Matrix, PruneDecision, Workspace,
 };
 use sprint_energy::EnergyBreakdown;
 use sprint_memory::{MemoryController, MemoryStats};
 use sprint_reram::{FaultModel, InMemoryPruner, NoiseModel, PruneHardwareStats, ThresholdSpec};
 
-use crate::cost::{query_cycles, worst_corelet_load, OpCounts};
-use crate::engine::{derive_head_seed, lazy_controller};
-use crate::fault::resolve_faults;
+use crate::cost::{count_queries, program_energy};
+use crate::engine::derive_head_seed;
+use crate::fault::fault_step;
+use crate::query::{analog_row, approx_output_row, fetch_stats};
 use crate::{Engine, ExecutionMode, FaultPolicy, SprintConfig, SprintError};
 
 /// The prefill of a decode session: the key/value history accumulated
@@ -467,10 +468,7 @@ impl Engine {
         let mut params = stub.params.clone();
         params.perf.rehydrations += 1;
         params.perf.rehydrated_tokens += stub.history_len as u64;
-        let analog = matches!(
-            params.mode,
-            ExecutionMode::Sprint | ExecutionMode::NoRecompute
-        ) && !params.demoted;
+        let analog = params.mode.uses_in_memory_pruning() && !params.demoted;
         let mut pruner = None;
         if stub.had_pruner && analog {
             // Reprogram the crossbars from the replayed history with a
@@ -480,17 +478,12 @@ impl Engine {
             let q0 = Matrix::zeros(1, stub.d)?;
             let mut p =
                 InMemoryPruner::new(&q0, k, params.attn.scale(), params.noise, params.seed)?;
-            params.perf.rehydration_energy += OpCounts {
-                reram_write_bits: stub.history_len as u64 * 2 * (stub.d * 8) as u64,
-                ..OpCounts::default()
-            }
-            .energy(&params.config.energies);
+            params.perf.rehydration_energy +=
+                program_energy(&params.config.energies, stub.history_len as u64, stub.d);
             if let Some(model) = params.fault_model {
                 // A rebuild is a fresh program epoch: stamp the model
                 // and scrub everything, as the first step would.
-                p.set_fault_model(Some(model));
-                let map = p.scrub()?;
-                let resolved = resolve_faults(&mut p, params.fault_policy, map)?;
+                let resolved = fault_step(&mut p, model, params.fault_policy, true, None)?;
                 params.perf.faults_detected += resolved.faults_detected;
                 params.perf.fault_retries += resolved.retries;
                 if resolved.demoted {
@@ -586,21 +579,15 @@ impl DecodeSession {
                 m.row_mut(0).copy_from_slice(step.q);
                 &*m
             }
-            None => {
-                self.q_step = Some(Matrix::from_vec(1, d, step.q.to_vec())?);
-                self.q_step.as_ref().expect("just set")
-            }
+            None => &*self.q_step.insert(Matrix::from_vec(1, d, step.q.to_vec())?),
         };
 
         let mut perf = StepPerf::default();
-        let analog = matches!(
-            self.params.mode,
-            ExecutionMode::Sprint | ExecutionMode::NoRecompute
-        ) && !self.params.demoted;
+        let analog = self.params.mode.uses_in_memory_pruning() && !self.params.demoted;
         if analog {
             // Grow (or first-build) the programmed crossbars.
             let needs_full_scale = self.params.spec.score_bits.is_some();
-            let (first_build, reprogrammed) = match self.pruner.as_mut() {
+            let reprogrammed = match self.pruner.as_mut() {
                 Some(p) => {
                     // The new key row comes straight from page storage;
                     // the O(s·d) gather is only paid on the rare
@@ -610,7 +597,7 @@ impl DecodeSession {
                     p.calibrate_query(q1, needs_full_scale)?;
                     perf.recalibrated |= reprogrammed;
                     perf.programmed_tokens += if reprogrammed { s as u64 } else { 1 };
-                    (false, reprogrammed)
+                    reprogrammed
                 }
                 None => {
                     // First step: program the whole history once
@@ -623,7 +610,7 @@ impl DecodeSession {
                         self.params.noise,
                         self.params.seed,
                     )?);
-                    (true, false)
+                    false
                 }
             };
             // K/V quantizer recalibration also rewrites the stored
@@ -634,21 +621,12 @@ impl DecodeSession {
             }
             if let Some(model) = self.params.fault_model {
                 let pruner = self.pruner.as_mut().expect("pruner installed above");
-                let fresh_stamp = pruner.fault_model().is_none();
-                if fresh_stamp {
-                    // Stamping clears the remap set, so only stamp
-                    // tiles that have never seen the model.
-                    pruner.set_fault_model(Some(model));
-                }
-                // A reprogram re-rolls every cell's transient state; a
-                // plain append only programs the new column, so the
-                // standing fault picture refreshes incrementally.
-                let map = if fresh_stamp || first_build || reprogrammed {
-                    pruner.scrub()?
-                } else {
-                    pruner.scrub_key(s - 1)?
-                };
-                let resolved = resolve_faults(pruner, self.params.fault_policy, map)?;
+                // Stamp only tiles that never saw the model (stamping
+                // clears the remap set); scrub everything after a build
+                // or reprogram, only the appended column otherwise.
+                let stamp = pruner.fault_model().is_none();
+                let key = (!(stamp || reprogrammed)).then_some(s - 1);
+                let resolved = fault_step(pruner, model, self.params.fault_policy, stamp, key)?;
                 perf.faults_detected = resolved.faults_detected;
                 perf.fault_retries = resolved.retries;
                 if resolved.demoted {
@@ -662,16 +640,9 @@ impl DecodeSession {
         let (output, decision, prune_stats) = if analog && !self.params.demoted {
             let pruner = self.pruner.as_mut().expect("pruner installed above");
             let before = pruner.stats();
-            let mut pruned = vec![false; s];
+            let (threshold, spec) = (self.params.threshold, &self.params.spec);
             let (output, decision) = if self.params.mode == ExecutionMode::Sprint {
-                pruner.prune_query_into(
-                    step.q,
-                    self.params.threshold,
-                    &self.params.spec,
-                    &mut pruned,
-                    None,
-                )?;
-                let decision = PruneDecision::new(pruned);
+                let decision = analog_row(pruner, step.q, threshold, spec, s, None)?;
                 let output = quantized_attention_decode_with(
                     q1,
                     &self.kv,
@@ -684,29 +655,12 @@ impl DecodeSession {
                 // No recompute: softmax directly over the
                 // approximate analog scores of the kept keys.
                 let tier = self.ws.simd_tier();
-                let prow = self.ws.prob_row(s);
-                pruner.prune_query_into(
-                    step.q,
-                    self.params.threshold,
-                    &self.params.spec,
-                    &mut pruned,
-                    Some(&mut *prow),
-                )?;
-                for (slot, &p) in prow.iter_mut().zip(&pruned) {
-                    if p {
-                        *slot = f32::NEG_INFINITY;
-                    }
-                }
-                softmax_inplace_tier(prow, tier);
+                let row = self.ws.prob_row(s);
+                let decision = analog_row(pruner, step.q, threshold, spec, s, Some(&mut *row))?;
                 let mut out = vec![0.0f32; d_v];
-                for (j, &p) in prow.iter().enumerate() {
-                    if p > 0.0 {
-                        for (o, &vx) in out.iter_mut().zip(self.kv.v_row(j)) {
-                            *o += p * vx;
-                        }
-                    }
-                }
-                (out, PruneDecision::new(pruned))
+                let kv = &self.kv;
+                approx_output_row(row, tier, |j| kv.v_row(j), &mut out);
+                (out, decision)
             };
             (output, decision, pruner.stats().delta_since(&before))
         } else {
@@ -729,17 +683,24 @@ impl DecodeSession {
             (output, decision, PruneHardwareStats::default())
         };
 
-        // Selective fetch through the session's controller (statistics
-        // only, exactly as in the engine's head pipeline).
-        let mut memory_stats = MemoryStats::default();
-        if self.params.memory_accounting {
-            let controller = lazy_controller(&mut self.controller, &self.params.config)?;
-            controller.reset_cold();
-            controller.process_query(decision.as_slice())?;
-            memory_stats = controller.stats();
-        }
-
-        self.count_step(&mut perf, &decision, &prune_stats, &memory_stats);
+        // The head pipeline's fetch accounting and price over one
+        // query; the crossbar writes are kept apart.
+        let config = &self.params.config;
+        let decisions = std::slice::from_ref(&decision);
+        let accounting = self.params.memory_accounting.then_some(config);
+        let memory_stats = fetch_stats(&mut self.controller, accounting, decisions, s)?;
+        let (counts, cycles) = count_queries(
+            self.params.mode,
+            config,
+            d,
+            s,
+            decisions,
+            &memory_stats,
+            &prune_stats,
+        );
+        perf.energy = counts.energy(&config.energies);
+        perf.cycles = cycles;
+        perf.program_energy = program_energy(&config.energies, perf.programmed_tokens, d);
         let response = StepResponse {
             position,
             output,
@@ -750,52 +711,6 @@ impl DecodeSession {
         };
         self.params.perf.record(&response);
         Ok(response)
-    }
-
-    /// Fills in the step's energy and latency deltas: the
-    /// [`crate::cost`] producer for a single live query over `s`
-    /// history keys. The crossbar write cost of
-    /// `perf.programmed_tokens` tokens lands in `program_energy` (K
-    /// and V rows, `2·d` bytes per token), kept apart from the
-    /// recurring step energy.
-    fn count_step(
-        &self,
-        perf: &mut StepPerf,
-        decision: &PruneDecision,
-        prune_stats: &PruneHardwareStats,
-        memory_stats: &MemoryStats,
-    ) {
-        let u = &self.params.config.energies;
-        let d = self.kv.embed_dim();
-        let s = decision.len();
-        let d_bits = (d * 8) as u64;
-        let cpt = d.div_ceil(self.params.config.head_dim.max(1)) as u64;
-
-        perf.program_energy = OpCounts {
-            reram_write_bits: perf.programmed_tokens * 2 * d_bits,
-            ..OpCounts::default()
-        }
-        .energy(u);
-
-        let kept = decision.kept_count() as u64;
-        let mut counts = OpCounts {
-            reram_read_bits: memory_stats.bytes_fetched * 8 + d_bits,
-            onchip_write_bits: memory_stats.fetched_vectors * d_bits,
-            // One query's counts: `s` dense pairs, `kept` survivors.
-            ..OpCounts::on_chip(self.params.mode, s as u64, kept, cpt, d_bits)
-        };
-        if prune_stats.queries_pruned > 0 {
-            counts.in_memory_ops = prune_stats.in_memory_ops;
-            counts.comparator_firings = prune_stats.comparator_firings;
-            counts.command_bits = d as u64 * 4 + s as u64 / 8;
-        }
-        perf.energy = counts.energy(u);
-
-        let corelets = self.params.config.corelets.max(1);
-        let worst = worst_corelet_load(decision.iter_kept(), &mut vec![0u64; corelets]);
-        let mem = (memory_stats.fetched_vectors as f64 * self.params.config.cycles_per_pair())
-            .ceil() as u64;
-        perf.cycles = query_cycles(self.params.mode, s, worst, corelets, cpt, mem);
     }
 }
 

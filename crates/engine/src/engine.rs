@@ -6,13 +6,14 @@ use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 use sprint_attention::{
-    pruned_attention_with, quantized_attention_with, softmax_inplace_tier, Matrix, PagePool,
-    PruneDecision, SimdTier, Workspace, DEFAULT_PAGE_BYTES,
+    pruned_attention_with, quantized_attention_with, Matrix, PagePool, PruneDecision, SimdTier,
+    Workspace, DEFAULT_PAGE_BYTES,
 };
 use sprint_memory::MemoryController;
 use sprint_reram::{FaultModel, InMemoryPruner, NoiseModel, ThresholdSpec};
 
-use crate::fault::resolve_faults;
+use crate::fault::fault_step;
+use crate::query::{analog_row, approx_output_row, fetch_stats};
 use crate::{
     ExecutionMode, FaultPolicy, FaultReport, HeadRequest, HeadResponse, SprintConfig, SprintError,
 };
@@ -98,8 +99,7 @@ fn lock_scratch(slot: &Mutex<HeadScratch>, tier: SimdTier) -> MutexGuard<'_, Hea
         Ok(guard) => guard,
         Err(poisoned) => {
             let mut guard = poisoned.into_inner();
-            *guard = HeadScratch::default();
-            guard.ws.set_simd_tier(tier);
+            *guard = HeadScratch::new(tier);
             slot.clear_poison();
             guard
         }
@@ -237,16 +237,10 @@ impl EngineBuilder {
             self.simd_tier.unwrap_or_else(sprint_attention::active_tier),
         );
         let mut scratches: Vec<Mutex<HeadScratch>> = (0..self.worker_slots)
-            .map(|_| {
-                let mut scratch = HeadScratch::default();
-                scratch.ws.set_simd_tier(tier);
-                Mutex::new(scratch)
-            })
+            .map(|_| Mutex::new(HeadScratch::new(tier)))
             .collect();
-        lazy_controller(
-            &mut scratches[0].get_mut().expect("fresh mutex").controller,
-            &self.config,
-        )?;
+        scratches[0].get_mut().expect("fresh mutex").controller =
+            Some(self.config.memory_controller()?);
         Ok(Engine {
             config: self.config,
             noise: self.noise,
@@ -271,27 +265,11 @@ impl EngineBuilder {
 /// allocator so a long serving run cannot accumulate buffers.
 const MAT_POOL_CAP: usize = 4;
 
-/// The memory controller in `slot`, built over `config`'s geometry and
-/// timing on first use. Worker scratches and decode sessions construct
-/// theirs lazily so an accounting-free engine never pays for one.
-pub(crate) fn lazy_controller<'a>(
-    slot: &'a mut Option<MemoryController>,
-    config: &SprintConfig,
-) -> Result<&'a mut MemoryController, SprintError> {
-    if slot.is_none() {
-        *slot = Some(MemoryController::new(
-            config.memory_geometry(),
-            config.timing,
-        )?);
-    }
-    Ok(slot.as_mut().expect("installed above"))
-}
-
 /// Per-worker reusable substrate state. Everything heavy a head needs
 /// — pruner crossbars, the memory controller, attention workspace,
-/// approximate-score rows, live-region staging buffers, the shared
-/// all-pruned padded-row decision — lives here and is recycled across
-/// heads, so steady-state execution re-allocates none of it.
+/// live-region staging buffers, the shared all-pruned padded-row
+/// decision — lives here and is recycled across heads, so steady-state
+/// execution re-allocates none of it.
 #[derive(Debug, Default)]
 struct HeadScratch {
     ws: Workspace,
@@ -299,13 +277,18 @@ struct HeadScratch {
     controller: Option<MemoryController>,
     /// Backing buffers for the live-region Q/K submatrices.
     mat_pool: Vec<Vec<f32>>,
-    /// Approximate in-memory score rows, one per live query.
-    approx: Vec<Vec<f32>>,
     /// Cached all-pruned decision shared by every padded query.
     all_pruned: Option<PruneDecision>,
 }
 
 impl HeadScratch {
+    /// An empty scratch whose workspace dispatches on `tier`.
+    fn new(tier: SimdTier) -> Self {
+        let mut scratch = HeadScratch::default();
+        scratch.ws.set_simd_tier(tier);
+        scratch
+    }
+
     /// The shared all-pruned decision of length `len` (one allocation
     /// per length change; every padded row clones the same storage).
     fn all_pruned(&mut self, len: usize) -> PruneDecision {
@@ -328,13 +311,13 @@ impl HeadScratch {
         buf.extend_from_slice(&src.as_slice()[..rows * cols]);
         Ok(Matrix::from_vec(rows, cols, buf)?)
     }
+}
 
-    /// Returns a matrix's backing buffer to the pool (bounded: excess
-    /// buffers are dropped rather than hoarded across a serving run).
-    fn recycle(&mut self, m: Matrix) {
-        if self.mat_pool.len() < MAT_POOL_CAP {
-            self.mat_pool.push(m.into_vec());
-        }
+/// Returns a matrix's backing buffer to a scratch's pool (bounded:
+/// excess buffers are dropped rather than hoarded across a serving run).
+fn recycle(pool: &mut Vec<Vec<f32>>, m: Matrix) {
+    if pool.len() < MAT_POOL_CAP {
+        pool.push(m.into_vec());
     }
 }
 
@@ -642,8 +625,7 @@ impl Engine {
                 Ok(mut scratch) => return f(&mut scratch),
                 Err(TryLockError::Poisoned(poisoned)) => {
                     let mut scratch = poisoned.into_inner();
-                    *scratch = HeadScratch::default();
-                    scratch.ws.set_simd_tier(self.simd_tier);
+                    *scratch = HeadScratch::new(self.simd_tier);
                     slot.clear_poison();
                     return f(&mut scratch);
                 }
@@ -662,28 +644,12 @@ impl Engine {
         request: &HeadRequest,
         seed: u64,
     ) -> Result<HeadResponse, SprintError> {
-        let (live_q, live_k) = validate_request(request)?;
-        let mode = request.mode_override().unwrap_or(self.mode);
-        let spec = request
-            .threshold_spec_override()
-            .unwrap_or(self.threshold_spec);
-        match mode {
-            ExecutionMode::Sprint | ExecutionMode::NoRecompute => self.run_analog(
-                scratch,
-                request,
-                seed,
-                &spec,
-                mode == ExecutionMode::Sprint,
-                live_q,
-                live_k,
-            ),
-            ExecutionMode::Dense | ExecutionMode::Oracle => {
-                let threshold = match mode {
-                    ExecutionMode::Dense => f32::MIN,
-                    _ => request.threshold(),
-                };
-                self.run_digital(scratch, request, threshold, live_q, live_k)
-            }
+        let live = validate_request(request)?;
+        match request.mode_override().unwrap_or(self.mode) {
+            ExecutionMode::Sprint => self.run_analog(scratch, request, seed, true, live),
+            ExecutionMode::NoRecompute => self.run_analog(scratch, request, seed, false, live),
+            ExecutionMode::Dense => self.run_digital(scratch, request, f32::MIN, live),
+            ExecutionMode::Oracle => self.run_digital(scratch, request, request.threshold(), live),
         }
     }
 
@@ -691,17 +657,15 @@ impl Engine {
     /// thresholding over the live region, selective fetch through the
     /// memory controller, then either the 8-bit recompute datapath or
     /// the approximate-score softmax.
-    #[allow(clippy::too_many_arguments)]
     fn run_analog(
         &self,
         scratch: &mut HeadScratch,
         request: &HeadRequest,
         seed: u64,
-        spec: &ThresholdSpec,
         recompute: bool,
-        live_q: usize,
-        live_k: usize,
+        live: (usize, usize),
     ) -> Result<HeadResponse, SprintError> {
+        let (live_q, live_k) = live;
         let (q, k, v) = (request.q(), request.k(), request.v());
         let (s_q, s_k) = (q.rows(), k.rows());
         if live_q == 0 || live_k == 0 {
@@ -717,126 +681,85 @@ impl Engine {
         let q_live = scratch.live_submatrix(q, live_q)?;
         let k_live = scratch.live_submatrix(k, live_k)?;
         let scale = request.config().scale();
-        match scratch.pruner.as_mut() {
-            Some(p) => p.reprogram(&q_live, &k_live, scale, self.noise, seed)?,
-            None => {
-                scratch.pruner = Some(InMemoryPruner::new(
-                    &q_live, &k_live, scale, self.noise, seed,
-                )?)
+        let pruner = match &mut scratch.pruner {
+            Some(p) => {
+                p.reprogram(&q_live, &k_live, scale, self.noise, seed)?;
+                p
             }
-        }
-        scratch.recycle(q_live);
-        scratch.recycle(k_live);
+            None => scratch.pruner.insert(InMemoryPruner::new(
+                &q_live, &k_live, scale, self.noise, seed,
+            )?),
+        };
+        recycle(&mut scratch.mat_pool, q_live);
+        recycle(&mut scratch.mat_pool, k_live);
 
         // Fault handling: with a model attached, stamp it onto the
-        // freshly programmed crossbars, scrub (transposed-read every
-        // key against its digital shadow), then run the recovery
-        // ladder. Fault state is a pure function of the crossbars'
-        // construction seed, so this whole block is deterministic and
-        // worker-count independent.
+        // freshly programmed crossbars (clearing the previous head's
+        // remaps), scrub every key, then run the recovery ladder.
         let mut faults = FaultReport::default();
         if let Some(model) = self.fault_model {
-            let pruner = scratch.pruner.as_mut().expect("pruner just installed");
-            pruner.set_fault_model(Some(model));
-            let map = pruner.scrub()?;
-            faults = resolve_faults(pruner, self.fault_policy, map)?;
+            faults = fault_step(pruner, model, self.fault_policy, true, None)?;
             if faults.demoted {
                 // Graceful degradation: serve the head through the
                 // exact on-chip pipeline instead, keeping the analog
                 // work already spent (programming, scrub reads, repair
                 // writes) visible in the hardware stats.
                 let prune_stats = pruner.stats();
-                let mut response = self.run_digital(scratch, request, f32::MIN, live_q, live_k)?;
+                let mut response = self.run_digital(scratch, request, f32::MIN, live)?;
                 response.prune_stats = prune_stats;
                 response.faults = faults;
                 return Ok(response);
             }
         }
-        if !recompute && scratch.approx.len() < live_q {
-            scratch.approx.resize_with(live_q, Vec::new);
-        }
-
+        // Each live row's analog decision over the full key sequence;
+        // without recompute the approximate scores become its output
+        // row right away, staged in the workspace's probability row.
         let threshold = request.threshold();
+        let spec = &request
+            .threshold_spec_override()
+            .unwrap_or(self.threshold_spec);
+        let mut approx = (!recompute)
+            .then(|| Matrix::zeros(s_q, v.cols()))
+            .transpose()?;
+        let tier = scratch.ws.simd_tier();
         let mut decisions = Vec::with_capacity(s_q);
-        let (prune_stats, memory_stats) = {
-            let pruner = scratch.pruner.as_mut().expect("pruner just installed");
-            let mut controller = if self.memory_accounting {
-                Some(lazy_controller(&mut scratch.controller, &self.config)?)
-            } else {
-                None
+        for i in 0..live_q {
+            let decision = match approx.as_mut() {
+                None => analog_row(pruner, q.row(i), threshold, spec, s_k, None)?,
+                Some(out) => {
+                    let row = scratch.ws.prob_row(s_k);
+                    let scores = Some(&mut *row);
+                    let decision = analog_row(pruner, q.row(i), threshold, spec, s_k, scores)?;
+                    approx_output_row(row, tier, |j| v.row(j), out.row_mut(i));
+                    decision
+                }
             };
-            if let Some(c) = controller.as_mut() {
-                c.reset_cold();
-            }
-            for i in 0..live_q {
-                // The row's decision over the full key sequence, built
-                // once: the comparators fill the live region, padded
-                // keys stay pruned.
-                let mut pruned = vec![true; s_k];
-                let live = &mut pruned[..live_k];
-                if recompute {
-                    pruner.prune_query_into(q.row(i), threshold, spec, live, None)?;
-                } else {
-                    // Only the approximate-score softmax reads the
-                    // analog scores: kept keys carry theirs, every
-                    // other position is masked.
-                    let row = &mut scratch.approx[i];
-                    row.clear();
-                    row.resize(s_k, f32::NEG_INFINITY);
-                    let scores = Some(&mut row[..live_k]);
-                    pruner.prune_query_into(q.row(i), threshold, spec, live, scores)?;
-                    for (score, &p) in row.iter_mut().zip(&pruned) {
-                        if p {
-                            *score = f32::NEG_INFINITY;
-                        }
-                    }
-                }
-                if let Some(c) = controller.as_mut() {
-                    c.process_query(&pruned[..live_k])?;
-                }
-                decisions.push(PruneDecision::new(pruned));
-            }
-            let memory_stats = controller.map(|c| c.stats()).unwrap_or_default();
-            (pruner.stats(), memory_stats)
-        };
+            decisions.push(decision);
+        }
+        let prune_stats = pruner.stats();
+        let accounting = self.memory_accounting.then_some(&self.config);
+        let memory_stats = fetch_stats(&mut scratch.controller, accounting, &decisions, live_k)?;
         for _ in live_q..s_q {
             decisions.push(scratch.all_pruned(s_k));
         }
 
-        let output = if recompute {
-            // On-chip recompute: full-precision (8-bit datapath) scores
-            // for every surviving key.
-            let out = quantized_attention_with(
-                q,
-                k,
-                v,
-                &request.config(),
-                Some(&decisions),
-                &mut scratch.ws,
-            )?;
-            scratch.ws.recycle(out.scores);
-            scratch.ws.recycle(out.probs);
-            out.output
-        } else {
-            // No recompute: the approximate in-memory scores drive the
-            // softmax and weighted sum directly; the workspace stages
-            // each probability row.
-            let mut out = Matrix::zeros(s_q, v.cols())?;
-            let tier = scratch.ws.simd_tier();
-            let prow = scratch.ws.prob_row(s_k);
-            for (i, row) in scratch.approx[..live_q].iter().enumerate() {
-                prow.copy_from_slice(row);
-                softmax_inplace_tier(prow, tier);
-                let orow = out.row_mut(i);
-                for (j, &p) in prow.iter().enumerate() {
-                    if p > 0.0 {
-                        for (o, &vx) in orow.iter_mut().zip(v.row(j)) {
-                            *o += p * vx;
-                        }
-                    }
-                }
+        let output = match approx {
+            Some(out) => out,
+            None => {
+                // On-chip recompute: full-precision (8-bit datapath)
+                // scores for every surviving key.
+                let out = quantized_attention_with(
+                    q,
+                    k,
+                    v,
+                    &request.config(),
+                    Some(&decisions),
+                    &mut scratch.ws,
+                )?;
+                scratch.ws.recycle(out.scores);
+                scratch.ws.recycle(out.probs);
+                out.output
             }
-            out
         };
 
         Ok(HeadResponse {
@@ -858,8 +781,7 @@ impl Engine {
         scratch: &mut HeadScratch,
         request: &HeadRequest,
         threshold: f32,
-        live_q: usize,
-        live_k: usize,
+        (live_q, live_k): (usize, usize),
     ) -> Result<HeadResponse, SprintError> {
         let (q, k, v) = (request.q(), request.k(), request.v());
         let padding = request.padding();
@@ -874,16 +796,9 @@ impl Engine {
         )?;
         scratch.ws.recycle(out.scores);
         scratch.ws.recycle(out.probs);
-
-        let mut memory_stats = sprint_memory::MemoryStats::default();
-        if self.memory_accounting && live_q > 0 && live_k > 0 {
-            let controller = lazy_controller(&mut scratch.controller, &self.config)?;
-            controller.reset_cold();
-            for d in decisions.iter().take(live_q) {
-                controller.process_query(&d.as_slice()[..live_k])?;
-            }
-            memory_stats = controller.stats();
-        }
+        let accounting = self.memory_accounting.then_some(&self.config);
+        let live = &decisions[..live_q];
+        let memory_stats = fetch_stats(&mut scratch.controller, accounting, live, live_k)?;
 
         Ok(HeadResponse {
             output: out.output,

@@ -26,7 +26,7 @@
 //! never from scheduling — so responses stay bit-identical across
 //! worker counts even with faults injected.
 
-use sprint_reram::{FaultMap, InMemoryPruner, ReramError};
+use sprint_reram::{FaultModel, InMemoryPruner, ReramError};
 
 use crate::SprintError;
 
@@ -115,16 +115,28 @@ impl FaultReport {
     }
 }
 
-/// Runs the policy ladder over a scrubbed fault map: repair (except
-/// under `Monitor`), then resolve the residual per the policy. Returns
-/// the filled report; `report.demoted` tells the caller to fall back
-/// to the digital pipeline. `Fail` surfaces the first residual fault
-/// as an error.
-pub(crate) fn resolve_faults(
+/// The one fault step of a programmed pruner: stamp `model` (when
+/// `stamp`; stamping clears the remap set), scrub every key or only
+/// `key`, then run the policy ladder over what the scrub found —
+/// repair (except under `Monitor`), then resolve the residual per the
+/// policy. `report.demoted` tells the caller to fall back to the
+/// digital pipeline; `Fail` surfaces the first residual fault as an
+/// error. Fault state is a pure function of the crossbars'
+/// construction seed, so the step is deterministic.
+pub(crate) fn fault_step(
     pruner: &mut InMemoryPruner,
+    model: FaultModel,
     policy: FaultPolicy,
-    map: FaultMap,
+    stamp: bool,
+    key: Option<usize>,
 ) -> Result<FaultReport, SprintError> {
+    if stamp {
+        pruner.set_fault_model(Some(model));
+    }
+    let map = match key {
+        None => pruner.scrub()?,
+        Some(j) => pruner.scrub_key(j)?,
+    };
     let mut report = FaultReport {
         faults_detected: map.cell_count() as u64,
         faulty_columns: map.faulty_keys().len() as u64,

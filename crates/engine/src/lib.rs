@@ -97,6 +97,7 @@ mod error;
 mod fault;
 mod mode;
 mod model;
+mod query;
 pub mod reference;
 mod request;
 mod serve;

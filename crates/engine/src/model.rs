@@ -13,7 +13,7 @@ use sprint_energy::EnergyBreakdown;
 use sprint_reram::ThresholdSpec;
 use sprint_workloads::{ModelConfig, TaskScore, TraceSpec};
 
-use crate::cost::{query_cycles, worst_corelet_load, OpCounts};
+use crate::cost::count_queries;
 use crate::{derive_head_seed, ExecutionMode, HeadResponse, SprintConfig, SprintError};
 
 /// Salt mixed into the base seed for trace synthesis (distinct from
@@ -422,11 +422,13 @@ impl PerfRollup {
     ///
     /// `live` is the head's live-token count and `seq_len` its full
     /// padded length; `mode` must be the mode the head actually ran
-    /// under.
+    /// under. The live queries are the first `min(live, decisions)`
+    /// rows, so a cross-shaped head (one query over `live` keys) is
+    /// priced as that one query.
     ///
-    /// This is the execution-grounded producer for [`crate::cost`]; the
-    /// profile-driven one (synthetic kept sets, the figure drivers) is
-    /// `sprint-core::counting`.
+    /// This is [`crate::cost`]'s served producer, which also prices a
+    /// decode step, plus the head's programming writes; the
+    /// profile-driven one (the figure drivers) is `sprint-core::counting`.
     pub fn from_response(
         mode: ExecutionMode,
         config: &SprintConfig,
@@ -435,54 +437,20 @@ impl PerfRollup {
         live: usize,
         response: &HeadResponse,
     ) -> PerfRollup {
-        let d_bits = (head_dim * 8) as u64;
-        let cpt = head_dim.div_ceil(config.head_dim.max(1)) as u64;
-        let cpp = config.cycles_per_pair();
-        let corelets = config.corelets.max(1);
-
         let live_q = live.min(response.decisions.len());
         let decisions = &response.decisions[..live_q];
-        let kept_scores: u64 = decisions.iter().map(|d| d.kept_count() as u64).sum();
-
-        let mut counts = OpCounts {
-            // Embeddings written to ReRAM once per head (Q, K, V).
-            reram_write_bits: 3 * seq_len as u64 * d_bits,
-            // Data movement: what the controller actually fetched, plus
-            // the streamed query vectors.
-            reram_read_bits: response.memory_stats.bytes_fetched * 8 + live as u64 * d_bits,
-            onchip_write_bits: response.memory_stats.fetched_vectors * d_bits,
-            // On-chip compute: which units run depends on the pipeline
-            // (head totals: live×live dense pairs vs. summed kept scores).
-            ..OpCounts::on_chip(mode, (live * live) as u64, kept_scores, cpt, d_bits)
-        };
-        // In-ReRAM pruning: the pruner's own operation counters plus
-        // the CopyQ/ReadP command payloads (analog modes only; a head
-        // demoted before its first query charges none of them).
         let p = &response.prune_stats;
-        if p.queries_pruned > 0 {
-            counts.in_memory_ops = p.in_memory_ops;
-            counts.comparator_firings = p.comparator_firings;
-            counts.command_bits = live as u64 * (head_dim as u64 * 4) + (live * live) as u64 / 8;
-        }
-
-        // Latency: the memory stream is query-averaged.
-        let mean_fetch = if live_q > 0 {
-            response
-                .memory_stats
-                .fetched_vectors
-                .div_ceil(live_q as u64)
-        } else {
-            0
-        };
-        let mem = (mean_fetch as f64 * cpp).ceil() as u64;
-        let mut loads = vec![0u64; corelets];
-        let cycles = decisions
-            .iter()
-            .map(|d| {
-                let worst = worst_corelet_load(d.iter_kept(), &mut loads);
-                query_cycles(mode, live, worst, corelets, cpt, mem)
-            })
-            .sum();
+        let (mut counts, cycles) = count_queries(
+            mode,
+            config,
+            head_dim,
+            live,
+            decisions,
+            &response.memory_stats,
+            p,
+        );
+        // Embeddings written to ReRAM once per head (Q, K, V).
+        counts.reram_write_bits = 3 * seq_len as u64 * (head_dim * 8) as u64;
 
         PerfRollup {
             heads: 1,
@@ -492,16 +460,13 @@ impl PerfRollup {
             reused_vectors: response.memory_stats.reused_vectors,
             bytes_fetched: response.memory_stats.bytes_fetched,
             queries_pruned: p.queries_pruned,
-            kept_scores,
+            kept_scores: decisions.iter().map(|d| d.kept_count() as u64).sum(),
             live_pairs: (live_q * live) as u64,
             faults_detected: response.faults.faults_detected,
             fault_retries: response.faults.retries,
             remapped_columns: response.faults.remapped_columns,
             heads_demoted: u64::from(response.faults.demoted),
-            accuracy_sum: 0.0,
-            perplexity_sum: 0.0,
-            agreement_sum: 0.0,
-            scored_heads: 0,
+            ..PerfRollup::default()
         }
     }
 

@@ -1,0 +1,84 @@
+//! The per-query pipeline of §V that [`crate::Engine::run_head`] and
+//! [`crate::DecodeSession::step`] share: threshold a query in ReRAM,
+//! then look its kept keys up on chip. A decode step is the same query
+//! over a longer history; only the recompute kernels differ, because a
+//! head's quantized softmax range spans the whole head.
+
+use sprint_attention::{softmax_inplace_tier, PruneDecision, SimdTier};
+use sprint_memory::{MemoryController, MemoryStats};
+use sprint_reram::{InMemoryPruner, ThresholdSpec};
+
+use crate::{SprintConfig, SprintError};
+
+/// One query's analog row: the comparators threshold `q` against the
+/// pruner's keys; the rest of the `keys`-long decision (padding) stays
+/// pruned. `scores` (`keys` long), when given, receives the approximate
+/// scores with every pruned position masked to `-inf`.
+pub(crate) fn analog_row(
+    pruner: &mut InMemoryPruner,
+    q: &[f32],
+    threshold: f32,
+    spec: &ThresholdSpec,
+    keys: usize,
+    scores: Option<&mut [f32]>,
+) -> Result<PruneDecision, SprintError> {
+    let live = pruner.keys();
+    let mut pruned = vec![true; keys];
+    match scores {
+        None => pruner.prune_query_into(q, threshold, spec, &mut pruned[..live], None)?,
+        Some(row) => {
+            let live_scores = Some(&mut row[..live]);
+            pruner.prune_query_into(q, threshold, spec, &mut pruned[..live], live_scores)?;
+            for (score, &p) in row.iter_mut().zip(&pruned) {
+                if p {
+                    *score = f32::NEG_INFINITY;
+                }
+            }
+        }
+    }
+    Ok(PruneDecision::new(pruned))
+}
+
+/// NoRecompute's output row: softmax over the masked approximate
+/// `scores` in place, then each key with a positive probability adds
+/// its value row `v_row(j)` into the zeroed `out`.
+pub(crate) fn approx_output_row<'v>(
+    scores: &mut [f32],
+    tier: SimdTier,
+    v_row: impl Fn(usize) -> &'v [f32],
+    out: &mut [f32],
+) {
+    softmax_inplace_tier(scores, tier);
+    for (j, &p) in scores.iter().enumerate() {
+        if p > 0.0 {
+            for (o, &vx) in out.iter_mut().zip(v_row(j)) {
+                *o += p * vx;
+            }
+        }
+    }
+}
+
+/// Fetch accounting over a decision slice: the controller in `slot`
+/// (built over `accounting` on first use) is cold-reset and takes each
+/// kept set over the first `live` keys. It shares no state with the
+/// pruner, so this runs after the prune loop. Zeroed when accounting
+/// is off (`None`) or nothing is live.
+pub(crate) fn fetch_stats(
+    slot: &mut Option<MemoryController>,
+    accounting: Option<&SprintConfig>,
+    decisions: &[PruneDecision],
+    live: usize,
+) -> Result<MemoryStats, SprintError> {
+    let Some(config) = accounting.filter(|_| !decisions.is_empty() && live > 0) else {
+        return Ok(MemoryStats::default());
+    };
+    let controller = match slot {
+        Some(controller) => controller,
+        None => slot.insert(config.memory_controller()?),
+    };
+    controller.reset_cold();
+    for d in decisions {
+        controller.process_query(&d.as_slice()[..live])?;
+    }
+    Ok(controller.stats())
+}

@@ -18,7 +18,6 @@ use sprint_attention::{
     pruned_attention_with, quantized_attention_with, softmax_inplace, Matrix, PruneDecision,
     Workspace,
 };
-use sprint_memory::MemoryController;
 use sprint_reram::{InMemoryPruner, NoiseModel, ThresholdSpec};
 
 use crate::{
@@ -69,8 +68,7 @@ pub fn run_head_frozen(
             )?;
             let mut memory_stats = sprint_memory::MemoryStats::default();
             if live_q > 0 && live_k > 0 {
-                let mut controller =
-                    MemoryController::new(config.memory_geometry(), config.timing)?;
+                let mut controller = config.memory_controller()?;
                 controller.start_new_head();
                 for d in decisions.iter().take(live_q) {
                     controller.process_query(&d.as_slice()[..live_k])?;
@@ -101,12 +99,12 @@ pub fn run_head_frozen(
             // In-memory pruning over the live region only (the 2-D
             // reduction filters padded rows/columns before memory ever
             // sees them).
-            let q_live = submatrix(q, live_q)?;
-            let k_live = submatrix(k, live_k)?;
+            let q_live = q.prefix_rows(live_q)?;
+            let k_live = k.prefix_rows(live_k)?;
             let mut pruner =
                 InMemoryPruner::new(&q_live, &k_live, request.config().scale(), noise, seed)?;
 
-            let mut controller = MemoryController::new(config.memory_geometry(), config.timing)?;
+            let mut controller = config.memory_controller()?;
             controller.start_new_head();
 
             let threshold = request.threshold();
@@ -178,13 +176,4 @@ pub fn run_head_frozen(
             })
         }
     }
-}
-
-/// The first `rows` rows of `m` as an owned matrix (the seed helper).
-fn submatrix(m: &Matrix, rows: usize) -> Result<Matrix, sprint_attention::AttentionError> {
-    let mut out = Matrix::zeros(rows, m.cols())?;
-    for r in 0..rows {
-        out.row_mut(r).copy_from_slice(m.row(r));
-    }
-    Ok(out)
 }

@@ -8,10 +8,10 @@
 //! external dependencies (the build environment is offline).
 //!
 //! Work distribution is a shared atomic cursor: each worker claims the
-//! next unclaimed index, computes `f(&items[i])`, and stores the result
-//! in slot `i`. Slot `i` therefore always holds `f(&items[i])`
-//! regardless of which worker ran it or in which order — the output is
-//! bit-identical across thread counts.
+//! next unclaimed index and keeps `(i, f(&items[i]))`; after the join
+//! each result is scattered to slot `i`. Slot `i` therefore always holds
+//! `f(&items[i])` regardless of which worker ran it or in which order —
+//! the output is bit-identical across thread counts.
 //!
 //! # Example
 //!
@@ -23,7 +23,6 @@
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Environment variable overriding the worker count (`0`/unset means
@@ -81,29 +80,37 @@ where
         return items.iter().map(f).collect();
     }
 
-    // Mutex<Option<U>> rather than OnceLock<U>: each slot is written by
-    // exactly one claiming worker, and Mutex only demands `U: Send`.
-    let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    // Each worker keeps the `(index, value)` pairs it claimed; no two
+    // workers claim one index, so scattering them after the join fills
+    // every slot exactly once without a lock.
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let value = f(&items[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(value);
-            });
-        }
+    let claimed: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            return mine;
+                        }
+                        mine.push((i, f(&items[i])));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a scoped thread panicked"))
+            .collect()
     });
+    let mut slots: Vec<Option<U>> = items.iter().map(|_| None).collect();
+    for (i, value) in claimed.into_iter().flatten() {
+        slots[i] = Some(value);
+    }
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot filled by a claiming worker")
-        })
+        .map(|slot| slot.expect("every index is claimed by one worker"))
         .collect()
 }
 

@@ -11,9 +11,10 @@
 //! [`SessionTable`] shared by 1/2/4/8 threads with and without churn.
 
 use sprint_attention::{Matrix, PagePool};
+use sprint_energy::Category;
 use sprint_engine::{
-    DecodeSession, DecodeStep, Engine, EvictedSession, ExecutionMode, HeadRequest, SessionOpen,
-    SessionPerf, SessionRequest, SessionTable, SprintConfig, StepResponse,
+    DecodeSession, DecodeStep, Engine, EvictedSession, ExecutionMode, HeadRequest, PerfRollup,
+    SessionOpen, SessionPerf, SessionRequest, SessionTable, SprintConfig, StepResponse,
 };
 use sprint_reram::{NoiseModel, ThresholdSpec};
 use sprint_tests::run_streams;
@@ -95,6 +96,27 @@ fn assert_session_matches_oracle(
             "step {step}: memory statistics diverged"
         );
         assert_eq!(response.position, step);
+        // One served producer: the oracle head, a one-query head over
+        // the whole history, is priced as that one query. Only the
+        // head's Q/K/V programming differs from the step's sheet.
+        let rolled = PerfRollup::from_response(
+            session.mode(),
+            engine.config(),
+            trace.q().cols(),
+            step + 1,
+            step + 1,
+            &oracle,
+        );
+        assert_eq!(rolled.cycles, response.perf.cycles, "step {step}: cycles");
+        for category in Category::ALL {
+            if category != Category::ReramWrite {
+                assert_eq!(
+                    rolled.energy.get(category),
+                    response.perf.energy.get(category),
+                    "step {step}: {category} priced apart"
+                );
+            }
+        }
     }
 }
 

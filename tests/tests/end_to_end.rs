@@ -42,8 +42,8 @@ fn margin_protects_reference_kept_set_across_the_stack() {
     let live = trace.live_tokens();
     let noise = NoiseModel::default();
     let mut pruner = InMemoryPruner::new(
-        &submatrix(trace.q(), live),
-        &submatrix(trace.k(), live),
+        &trace.q().prefix_rows(live).unwrap(),
+        &trace.k().prefix_rows(live).unwrap(),
         trace.config().scale(),
         noise,
         77,
@@ -244,12 +244,4 @@ fn model_server_serves_the_four_pipelines_end_to_end() {
         }
         assert_eq!(merged, r.total);
     }
-}
-
-fn submatrix(m: &sprint_attention::Matrix, rows: usize) -> sprint_attention::Matrix {
-    let mut out = sprint_attention::Matrix::zeros(rows, m.cols()).unwrap();
-    for r in 0..rows {
-        out.row_mut(r).copy_from_slice(m.row(r));
-    }
-    out
 }

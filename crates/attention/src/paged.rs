@@ -17,7 +17,7 @@
 //! [`AttentionError::PoolExhausted`] — rather than overcommits. A
 //! refused allocation mutates nothing, so callers can evict and retry.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::AttentionError;
 
@@ -222,8 +222,12 @@ impl PagePool {
         s.free.push(buf);
     }
 
-    fn state(&self) -> std::sync::MutexGuard<'_, PoolState> {
-        self.inner.lock().expect("page pool poisoned")
+    /// Locks the pool. A thread that panicked while holding the lock
+    /// cannot have left half an update: every critical section is a
+    /// counter update or a free-list push or pop, so the state is
+    /// recovered as it is and the pool keeps serving its other caches.
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -231,6 +235,26 @@ impl PagePool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn a_poisoned_pool_lock_is_recovered() {
+        let pool = PagePool::bounded(640, 2);
+        let held = pool.allocate(8, 8, 4).unwrap();
+        let shared = pool.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = shared.state();
+            panic!("a cache owner panics while holding the pool lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(pool.inner.is_poisoned());
+        assert_eq!(pool.pages_in_use(), 1, "the state is read as it was left");
+        let next = pool.allocate(8, 8, 4).unwrap();
+        assert_eq!(pool.pages_in_use(), 2);
+        pool.release(held);
+        pool.release(next);
+        assert_eq!((pool.pages_in_use(), pool.free_pages()), (0, 2));
+    }
 
     #[test]
     fn bounded_pool_refuses_at_capacity_and_recovers() {

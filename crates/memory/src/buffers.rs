@@ -10,10 +10,11 @@
 //! fetches through it, and the residency ablation runs it under both
 //! replacement policies.
 //!
-//! The resident keys sit in one list ordered by retention, lowest
-//! first, beside a key-indexed presence table; a full buffer gives up
-//! the front of the list. The two [`ResidencyPolicy`] values differ
-//! only in where a query's accesses put the keys it touches.
+//! Each resident key carries a retention stamp, its place in a FIFO of
+//! keys that a query's accesses append to; a full buffer gives up the
+//! key with the smallest live stamp, the first live entry of the FIFO.
+//! The two [`ResidencyPolicy`] values differ only in which keys a
+//! query's accesses append, and in what order.
 
 /// Where a query's kept set puts the keys it touches in the retention
 /// order.
@@ -61,10 +62,19 @@ pub enum ResidencyPolicy {
 pub struct Residency {
     capacity: usize,
     policy: ResidencyPolicy,
-    /// Resident keys, lowest retention first: the front is evicted.
-    order: Vec<usize>,
-    /// The look-up table: `present[key]` iff `key` is in `order`.
-    present: Vec<bool>,
+    /// The look-up table: `stamps[key]` is the key's retention stamp
+    /// while it is resident, 0 when it is not. The stamp is one past
+    /// the index of the key's live entry in `fifo`, so a higher stamp
+    /// is retained longer.
+    stamps: Vec<usize>,
+    /// Keys in ascending stamp order; the entries before `front` are
+    /// gone. An entry whose key has since been restamped or evicted is
+    /// stale: it is skipped when it reaches the front, and compacted
+    /// away once stale entries outnumber the resident keys.
+    fifo: Vec<usize>,
+    front: usize,
+    /// Number of resident keys (non-zero stamps).
+    len: usize,
     /// The last access's non-resident and resident keys, in kept order.
     missed: Vec<usize>,
     reused: Vec<usize>,
@@ -78,8 +88,10 @@ impl Residency {
         Residency {
             capacity: capacity.max(1),
             policy,
-            order: Vec::new(),
-            present: Vec::new(),
+            stamps: Vec::new(),
+            fifo: Vec::new(),
+            front: 0,
+            len: 0,
             missed: Vec::new(),
             reused: Vec::new(),
             hits: 0,
@@ -89,55 +101,75 @@ impl Residency {
     /// Processes one query's kept key indices (distinct, in the order
     /// the CORELETs consume them) and returns how many had to be
     /// fetched. Every non-resident kept key is fetched; what stays
-    /// resident afterwards is the policy's choice.
+    /// resident afterwards is the policy's choice. Costs O(kept),
+    /// amortized, however many keys are resident.
     pub fn access(&mut self, kept: &[usize]) -> u64 {
         self.missed.clear();
         self.reused.clear();
         match self.policy {
             ResidencyPolicy::SldPinned => {
-                // Stable partition: lift the resident kept keys out of
-                // the list, then append the block lowest first.
+                // The block goes above every older resident, lowest
+                // first: the fetched keys, then the resident ones, each
+                // in reverse kept order. Restamping a resident key
+                // lifts it out of its old place — unless the whole block
+                // is resident and already holds the top stamps in that
+                // order (a query that keeps what the last one kept):
+                // then the order stays as it is.
+                //
+                // Every key is written to both lists and only the cursor
+                // of its side advances: no branch on the look-up.
+                let n = kept.len();
+                self.missed.resize(n, 0);
+                self.reused.resize(n, 0);
+                let top = self.fifo.len();
+                let (missed, reused) = (&mut self.missed[..], &mut self.reused[..]);
+                let (mut m, mut r, mut highest, mut in_place) = (0, 0, 0, true);
                 for &j in kept {
-                    match self.present.get_mut(j) {
-                        Some(resident) if *resident => {
-                            *resident = false;
-                            self.reused.push(j);
-                        }
-                        _ => {
-                            self.missed.push(j);
-                            self.cover(j);
-                        }
+                    let stamp = self.stamps.get(j).copied().unwrap_or(0);
+                    let resident = stamp != 0;
+                    missed[m] = j;
+                    reused[r] = j;
+                    in_place &= resident & (stamp + r == top);
+                    m += usize::from(!resident);
+                    r += usize::from(resident);
+                    highest = highest.max(j);
+                }
+                self.missed.truncate(m);
+                self.reused.truncate(r);
+                if n > 0 {
+                    self.cover(highest);
+                }
+                if !in_place {
+                    self.len += self.missed.len();
+                    let block = self.missed.iter().rev().chain(self.reused.iter().rev());
+                    self.fifo.extend(block);
+                    for (place, &j) in self.fifo.iter().enumerate().skip(top) {
+                        self.stamps[j] = place + 1;
                     }
                 }
-                let present = &self.present;
-                self.order.retain(|&k| present[k]);
-                for &j in self.missed.iter().rev().chain(self.reused.iter().rev()) {
-                    self.present[j] = true;
-                    self.order.push(j);
-                }
-                let excess = self.order.len().saturating_sub(self.capacity);
-                for k in self.order.drain(..excess) {
-                    self.present[k] = false;
+                while self.len > self.capacity {
+                    self.evict_oldest();
                 }
             }
             ResidencyPolicy::Lru => {
                 for &j in kept {
                     if self.contains(j) {
                         self.reused.push(j);
-                        let at = self.order.iter().position(|&k| k == j);
-                        self.order.remove(at.expect("a present key is in the list"));
                     } else {
                         self.missed.push(j);
-                        if self.order.len() == self.capacity {
-                            let victim = self.order.remove(0);
-                            self.present[victim] = false;
+                        if self.len == self.capacity {
+                            self.evict_oldest();
                         }
                         self.cover(j);
-                        self.present[j] = true;
+                        self.len += 1;
                     }
-                    self.order.push(j);
+                    self.fifo.push(j);
+                    self.stamps[j] = self.fifo.len();
                 }
             }
+        }
+        if self.fifo.len() > 2 * self.len + COMPACT_SLACK {
+            self.compact();
         }
         self.hits += self.reused.len() as u64;
         self.missed.len() as u64
@@ -160,38 +192,79 @@ impl Residency {
 
     /// Whether `key` is resident (the look-up-table check).
     pub fn contains(&self, key: usize) -> bool {
-        self.present.get(key).is_some_and(|&p| p)
+        self.stamps.get(key).is_some_and(|&s| s != 0)
     }
 
     /// Number of resident pairs; never above the capacity.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.len
     }
 
     /// Whether nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len == 0
     }
 
     /// Empties the buffer and zeroes the hit count, keeping the
-    /// allocations; costs the number of resident pairs, not the size
-    /// of the table.
+    /// allocations; costs the FIFO's length (at most about twice the
+    /// resident pairs), not the size of the table.
     pub fn clear(&mut self) {
-        for k in self.order.drain(..) {
-            self.present[k] = false;
+        for &k in &self.fifo[self.front..] {
+            self.stamps[k] = 0;
         }
+        self.fifo.clear();
+        self.front = 0;
+        self.len = 0;
         self.missed.clear();
         self.reused.clear();
         self.hits = 0;
     }
 
+    /// Gives up the resident key of lowest retention: the first live
+    /// entry from the FIFO's front.
+    fn evict_oldest(&mut self) {
+        while let Some(&k) = self.fifo.get(self.front) {
+            self.front += 1;
+            if self.stamps[k] == self.front {
+                self.stamps[k] = 0;
+                self.len -= 1;
+                return;
+            }
+        }
+        unreachable!("a resident key has a live FIFO entry");
+    }
+
+    /// Drops the gone and stale FIFO entries, moving the live ones
+    /// down in order and restamping them with their new places: the
+    /// retention order is unchanged.
+    fn compact(&mut self) {
+        // Branch-free: about half the entries are stale, so every entry
+        // is written and only a live one advances the cursor; a stale
+        // one writes its key's stamp back unchanged.
+        let (fifo, stamps) = (&mut self.fifo[..], &mut self.stamps[..]);
+        let mut live = 0;
+        for i in self.front..fifo.len() {
+            let k = fifo[i];
+            let kept = stamps[k] == i + 1;
+            fifo[live] = k;
+            stamps[k] = if kept { live + 1 } else { stamps[k] };
+            live += usize::from(kept);
+        }
+        self.fifo.truncate(live);
+        self.front = 0;
+    }
+
     /// Grows the look-up table to index `key`.
     fn cover(&mut self, key: usize) {
-        if key >= self.present.len() {
-            self.present.resize(key + 1, false);
+        if key >= self.stamps.len() {
+            self.stamps.resize(key + 1, 0);
         }
     }
 }
+
+/// Stale FIFO entries tolerated beyond the resident count before a
+/// compaction, so a small buffer does not compact on every access.
+const COMPACT_SLACK: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -327,6 +400,16 @@ mod tests {
         assert_eq!(resident(&buffer, 16), vec![1, 2, 3, 9]);
         assert_eq!(buffer.access(&[8]), 1); // block 8; then 3, 9, 1
         assert_eq!(resident(&buffer, 16), vec![1, 3, 8, 9]);
+    }
+
+    #[test]
+    fn sld_lifts_a_wholly_resident_kept_set_above_the_rest() {
+        let mut buffer = Residency::new(3, SldPinned);
+        buffer.access(&[1, 2, 3]); // retention order 3, 2, 1
+        assert_eq!(buffer.access(&[1, 2, 3]), 0, "already on top: 3, 2, 1");
+        assert_eq!(buffer.access(&[3]), 0); // lifted: 2, 1, 3
+        assert_eq!(buffer.access(&[9]), 1); // 2 goes
+        assert_eq!(resident(&buffer, 16), vec![1, 3, 9]);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 
 use sprint_energy::{Cycles, TimingParams};
 
+use crate::engines::ChannelBatches;
 use crate::{
-    ChannelScheduler, CommandTrace, MemoryError, MemoryGeometry, MemoryRequestGenerator, Residency,
-    ResidencyPolicy,
+    ChannelScheduler, CommandTrace, MemoryError, MemoryGeometry, Residency, ResidencyPolicy,
+    TimedCommand,
 };
 
 /// Aggregate controller statistics.
@@ -37,13 +38,15 @@ pub struct MemoryStats {
     pub busy_until: Cycles,
 }
 
-/// Per-query outcome of the threshold-and-fetch flow.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Per-query outcome of the threshold-and-fetch flow. The key lists
+/// themselves stay in the controller until the next query
+/// ([`MemoryController::fetched_keys`], [`MemoryController::reused_keys`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOutcome {
-    /// Keys fetched from main memory (ascending).
-    pub fetched_keys: Vec<usize>,
-    /// Keys reused from the on-chip K buffer (ascending).
-    pub reused_keys: Vec<usize>,
+    /// Number of kept keys fetched from main memory.
+    pub fetched: usize,
+    /// Number of kept keys reused from the on-chip K buffer.
+    pub reused: usize,
     /// Cycle the pruning vector arrived on chip (compute on reused
     /// keys can bootstrap here — the KIG path).
     pub pruning_ready: Cycles,
@@ -52,12 +55,14 @@ pub struct QueryOutcome {
     pub first_data: Option<Cycles>,
     /// Cycle every fetch completed.
     pub finish: Cycles,
-    /// The full command trace (only when trace recording is enabled).
-    pub commands: Option<CommandTrace>,
 }
 
 /// The memory controller: one on-chip residency table in the frontend
-/// plus one scheduler and MRG per channel.
+/// plus one scheduler per channel.
+///
+/// A query allocates nothing once the controller has seen one as long:
+/// the kept list, the per-channel fetch lists and (when recording) the
+/// command trace are scratch it reuses.
 ///
 /// # Example
 ///
@@ -67,11 +72,11 @@ pub struct QueryOutcome {
 ///
 /// # fn main() -> Result<(), sprint_memory::MemoryError> {
 /// let mut mc = MemoryController::new(MemoryGeometry::default(), TimingParams::default())?;
-/// let o1 = mc.process_query(&[false, false, true, true])?;
+/// mc.process_query(&[false, false, true, true])?;
 /// let o2 = mc.process_query(&[false, true, false, true])?;
-/// assert_eq!(o2.reused_keys, vec![0], "key 0 stays on chip");
-/// assert_eq!(o2.fetched_keys, vec![2]);
-/// # drop(o1);
+/// assert_eq!((o2.fetched, o2.reused), (1, 1));
+/// assert_eq!(mc.reused_keys(), [0], "key 0 stays on chip");
+/// assert_eq!(mc.fetched_keys(), [2]);
 /// # Ok(())
 /// # }
 /// ```
@@ -79,7 +84,6 @@ pub struct QueryOutcome {
 pub struct MemoryController {
     geometry: MemoryGeometry,
     schedulers: Vec<ChannelScheduler>,
-    mrgs: Vec<MemoryRequestGenerator>,
     /// Keys currently resident on chip (the per-CORELET look-up
     /// tables of §VI): what a kept key misses here is fetched, what
     /// it finds is reused — also a key that left the kept set for a
@@ -89,10 +93,12 @@ pub struct MemoryController {
     residency: Residency,
     /// Length of this head's pruning vectors, fixed by its first query.
     keys: Option<usize>,
-    /// Per-query scratch: the kept key indices and the Eq. 4
-    /// memory-request vector the MRGs walk.
+    /// Per-query scratch: the kept key indices, then the fetched ones
+    /// addressed and split by channel.
     kept: Vec<usize>,
-    requests: Vec<bool>,
+    batches: ChannelBatches,
+    /// The last query's command trace (filled only when recording).
+    commands: CommandTrace,
     stats: MemoryStats,
     now: Cycles,
     record_traces: bool,
@@ -108,24 +114,17 @@ impl MemoryController {
     /// Propagates geometry/timing validation errors.
     pub fn new(geometry: MemoryGeometry, timing: TimingParams) -> Result<Self, MemoryError> {
         geometry.validate()?;
-        let mut schedulers = Vec::with_capacity(geometry.channels);
-        let mut mrgs = Vec::with_capacity(geometry.channels);
-        for ch in 0..geometry.channels {
-            schedulers.push(ChannelScheduler::new(
-                ch,
-                geometry.banks_per_channel,
-                timing,
-            )?);
-            mrgs.push(MemoryRequestGenerator::new(ch, geometry)?);
-        }
+        let schedulers = (0..geometry.channels)
+            .map(|ch| ChannelScheduler::new(ch, geometry.banks_per_channel, timing))
+            .collect::<Result<_, _>>()?;
         Ok(MemoryController {
             geometry,
             schedulers,
-            mrgs,
             residency: Residency::new(usize::MAX, ResidencyPolicy::SldPinned),
             keys: None,
             kept: Vec::new(),
-            requests: Vec::new(),
+            batches: ChannelBatches::default(),
+            commands: CommandTrace::new(),
             stats: MemoryStats::default(),
             now: Cycles::ZERO,
             record_traces: false,
@@ -146,6 +145,23 @@ impl MemoryController {
     /// Accumulated statistics.
     pub fn stats(&self) -> MemoryStats {
         self.stats
+    }
+
+    /// The keys the last query fetched from main memory (ascending).
+    pub fn fetched_keys(&self) -> &[usize] {
+        self.residency.missed()
+    }
+
+    /// The keys the last query reused from the on-chip K buffer
+    /// (ascending).
+    pub fn reused_keys(&self) -> &[usize] {
+        self.residency.reused()
+    }
+
+    /// The last query's full command trace, in issue order per channel;
+    /// empty unless trace recording is on.
+    pub fn commands(&self) -> &[TimedCommand] {
+        &self.commands
     }
 
     /// Empties the residency table (new head: on-chip buffers
@@ -173,8 +189,8 @@ impl MemoryController {
     }
 
     /// Runs the full per-query flow: thresholding handshake,
-    /// residency look-up, MRG address generation and backend fetch
-    /// scheduling.
+    /// residency look-up, per-channel address generation and backend
+    /// fetch scheduling.
     ///
     /// `pruned[j] == true` means key `j` was pruned by the in-memory
     /// comparators.
@@ -194,70 +210,71 @@ impl MemoryController {
         }
 
         // 1. Thresholding handshake on every channel holding K MSBs.
-        let mut trace = self.record_traces.then(CommandTrace::new);
+        self.commands.clear();
+        let mut trace = self.record_traces.then_some(&mut self.commands);
         let mut pruning_ready = self.now;
         for sched in &mut self.schedulers {
-            let (done, t) = sched.schedule_thresholding(self.copyq_beats, self.now)?;
+            let done =
+                sched.schedule_thresholding(self.copyq_beats, self.now, trace.as_deref_mut());
             pruning_ready = pruning_ready.max(done);
             self.stats.copyq_commands += self.copyq_beats as u64;
             self.stats.readp_commands += 1;
-            if let Some(tr) = trace.as_mut() {
-                tr.extend(t);
-            }
         }
         self.stats.queries += 1;
 
         // 2. Frontend split: the kept keys the look-up tables miss are
         // the memory requests (Eq. 4), the ones they hold the locality
         // hits (Eq. 5).
+        // (Every index is written, the cursor advances past the kept
+        // ones: no branch on a flag.)
         self.kept.clear();
-        let kept = pruned.iter().enumerate().filter(|(_, &p)| !p);
-        self.kept.extend(kept.map(|(j, _)| j));
-        let missed = self.residency.access(&self.kept);
-
-        // 3. Per-channel MRG + backend scheduling. When every kept key
-        // was on chip the request vector stays empty: nothing to build
-        // and nothing for the MRGs to walk.
-        self.requests.clear();
-        if missed > 0 {
-            self.requests.resize(pruned.len(), false);
-            for &j in self.residency.missed() {
-                self.requests[j] = true;
-            }
+        self.kept.resize(pruned.len(), 0);
+        let kept = &mut self.kept[..];
+        let mut n = 0;
+        for (j, &p) in pruned.iter().enumerate() {
+            kept[n] = j;
+            n += usize::from(!p);
         }
+        self.kept.truncate(n);
+        self.residency.access(&self.kept);
+
+        // 3. Per-channel address generation (the MRGs), then backend
+        // scheduling of each channel's selective fetches.
+        let missed = self.residency.missed();
+        self.batches.split(&self.geometry, missed);
         let mut first_data: Option<Cycles> = None;
         let mut finish = pruning_ready;
-        for (sched, mrg) in self.schedulers.iter_mut().zip(&self.mrgs) {
-            let fetches = mrg.generate(&self.requests);
-            if fetches.is_empty() {
+        for (sched, batch) in self.schedulers.iter_mut().zip(self.batches.iter()) {
+            if batch.is_empty() {
                 continue;
             }
-            let r =
-                sched.schedule_fetches(&fetches, pruning_ready, self.geometry.bursts_per_fetch)?;
-            self.stats.fetched_vectors += fetches.len() as u64;
-            self.stats.bytes_fetched += (fetches.len() * self.geometry.bytes_per_fetch) as u64;
+            let r = sched.schedule_fetches(
+                batch,
+                pruning_ready,
+                self.geometry.bursts_per_fetch,
+                trace.as_deref_mut(),
+            )?;
+            self.stats.fetched_vectors += batch.len() as u64;
+            self.stats.bytes_fetched += (batch.len() * self.geometry.bytes_per_fetch) as u64;
             self.stats.row_hits += r.row_hits;
             self.stats.row_misses += r.row_misses;
             finish = finish.max(r.finish);
             if let Some(fd) = r.first_data {
                 first_data = Some(first_data.map_or(fd, |x| x.min(fd)));
             }
-            if let Some(tr) = trace.as_mut() {
-                tr.extend(r.commands);
-            }
         }
 
-        self.stats.reused_vectors += self.residency.reused().len() as u64;
+        let (fetched, reused) = (missed.len(), self.residency.reused().len());
+        self.stats.reused_vectors += reused as u64;
         self.now = finish;
         self.stats.busy_until = finish;
 
         Ok(QueryOutcome {
-            fetched_keys: self.residency.missed().to_vec(),
-            reused_keys: self.residency.reused().to_vec(),
+            fetched,
+            reused,
             pruning_ready,
             first_data,
             finish,
-            commands: trace,
         })
     }
 }
@@ -301,8 +318,9 @@ mod tests {
     fn cold_query_fetches_entire_kept_set() {
         let mut mc = controller();
         let o = mc.process_query(&keep(32, &[0, 3, 17, 31])).unwrap();
-        assert_eq!(o.fetched_keys, vec![0, 3, 17, 31]);
-        assert!(o.reused_keys.is_empty());
+        assert_eq!(mc.fetched_keys(), [0, 3, 17, 31]);
+        assert!(mc.reused_keys().is_empty());
+        assert_eq!((o.fetched, o.reused), (4, 0));
         assert!(o.first_data.unwrap() >= o.pruning_ready);
         assert!(o.finish >= o.first_data.unwrap());
     }
@@ -312,8 +330,9 @@ mod tests {
         let mut mc = controller();
         mc.process_query(&keep(32, &[0, 3, 17, 31])).unwrap();
         let o = mc.process_query(&keep(32, &[0, 3, 18, 31])).unwrap();
-        assert_eq!(o.fetched_keys, vec![18]);
-        assert_eq!(o.reused_keys, vec![0, 3, 31]);
+        assert_eq!(mc.fetched_keys(), [18]);
+        assert_eq!(mc.reused_keys(), [0, 3, 31]);
+        assert_eq!((o.fetched, o.reused), (1, 3));
         let stats = mc.stats();
         assert_eq!(stats.fetched_vectors, 5);
         assert_eq!(stats.reused_vectors, 3);
@@ -327,7 +346,7 @@ mod tests {
         mc.process_query(&mask).unwrap();
         let before = mc.stats().bytes_fetched;
         let o = mc.process_query(&mask).unwrap();
-        assert!(o.fetched_keys.is_empty());
+        assert_eq!(o.fetched, 0);
         assert_eq!(o.first_data, None);
         assert_eq!(mc.stats().bytes_fetched, before, "no new bytes moved");
         // Still pays the thresholding handshake.
@@ -340,8 +359,8 @@ mod tests {
         let mask = keep(16, &[1, 2]);
         mc.process_query(&mask).unwrap();
         mc.start_new_head();
-        let o = mc.process_query(&mask).unwrap();
-        assert_eq!(o.fetched_keys, vec![1, 2], "cold again after head switch");
+        mc.process_query(&mask).unwrap();
+        assert_eq!(mc.fetched_keys(), [1, 2], "cold again after head switch");
     }
 
     #[test]
@@ -356,23 +375,19 @@ mod tests {
     fn recorded_traces_are_globally_legal_per_channel() {
         let mut mc = controller();
         mc.set_trace_recording(true);
-        let o1 = mc
-            .process_query(&keep(64, &(0..24).collect::<Vec<_>>()))
+        mc.process_query(&keep(64, &(0..24).collect::<Vec<_>>()))
             .unwrap();
-        let o2 = mc
-            .process_query(&keep(64, &(8..40).collect::<Vec<_>>()))
+        let first = mc.commands().to_vec();
+        mc.process_query(&keep(64, &(8..40).collect::<Vec<_>>()))
             .unwrap();
         // Replay both traces in per-channel order through fresh checkers.
         let g = mc.geometry();
         for ch in 0..g.channels {
             let mut checker =
                 TimingChecker::new(g.banks_per_channel, TimingParams::default()).unwrap();
-            let mut cmds: Vec<_> = o1
-                .commands
-                .as_ref()
-                .unwrap()
+            let mut cmds: Vec<_> = first
                 .iter()
-                .chain(o2.commands.as_ref().unwrap().iter())
+                .chain(mc.commands())
                 .filter(|c| c.channel == ch)
                 .copied()
                 .collect();
@@ -389,8 +404,8 @@ mod tests {
     fn sprint_commands_are_present_in_trace() {
         let mut mc = controller();
         mc.set_trace_recording(true);
-        let o = mc.process_query(&keep(16, &[0])).unwrap();
-        let trace = o.commands.unwrap();
+        mc.process_query(&keep(16, &[0])).unwrap();
+        let trace = mc.commands();
         let copyq = trace
             .iter()
             .filter(|c| matches!(c.command, MemoryCommand::CopyQ { .. }))
@@ -464,8 +479,9 @@ mod tests {
                 reused_total += reused.len() as u64;
 
                 let outcome = mc.process_query(pruned).unwrap();
-                prop_assert_eq!(outcome.fetched_keys, fetched);
-                prop_assert_eq!(outcome.reused_keys, reused);
+                prop_assert_eq!((outcome.fetched, outcome.reused), (fetched.len(), reused.len()));
+                prop_assert_eq!(mc.fetched_keys(), fetched);
+                prop_assert_eq!(mc.reused_keys(), reused);
                 let stats = mc.stats();
                 prop_assert_eq!(stats.fetched_vectors, fetched_total);
                 prop_assert_eq!(stats.reused_vectors, reused_total);

@@ -9,7 +9,7 @@
 use crate::{KeyLocation, MemoryError, MemoryGeometry};
 
 /// One generated key fetch: logical key index plus physical location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KeyAddress {
     /// Logical key index within the sequence.
     pub key: usize,
@@ -92,6 +92,60 @@ impl MemoryRequestGenerator {
     }
 }
 
+/// What every channel's MRG emits for one request vector, built at
+/// once: the requested keys, addressed and grouped by home channel,
+/// each channel's ascending — exactly the lists the per-channel
+/// [`MemoryRequestGenerator`] walks would emit — in one stable counting
+/// pass over the ascending request list, into storage reused from
+/// query to query. A key past the geometry's capacity has no address
+/// and is left out, as the walks leave it out.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChannelBatches {
+    /// The addressable requests in request order, then grouped by
+    /// channel into `fetches`.
+    addressed: Vec<KeyAddress>,
+    fetches: Vec<KeyAddress>,
+    /// `ends[c]`: one past channel `c`'s last fetch.
+    ends: Vec<usize>,
+}
+
+impl ChannelBatches {
+    /// Splits `requested` (ascending key indices) by channel.
+    pub(crate) fn split(&mut self, geometry: &MemoryGeometry, requested: &[usize]) {
+        self.addressed.clear();
+        self.ends.clear();
+        self.ends.resize(geometry.channels, 0);
+        for &j in requested {
+            if let Ok(location) = geometry.key_location(j) {
+                self.ends[location.channel] += 1;
+                self.addressed.push(KeyAddress { key: j, location });
+            }
+        }
+        // Counts to starts, then each placement advances its channel's
+        // start to where the channel ends.
+        let mut start = 0;
+        for end in &mut self.ends {
+            (*end, start) = (start, start + *end);
+        }
+        self.fetches.clear();
+        self.fetches.resize(start, KeyAddress::default());
+        for &fetch in &self.addressed {
+            let at = &mut self.ends[fetch.location.channel];
+            self.fetches[*at] = fetch;
+            *at += 1;
+        }
+    }
+
+    /// Each channel's fetches, in channel order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[KeyAddress]> {
+        self.ends.iter().scan(0, |start, &end| {
+            let batch = &self.fetches[*start..end];
+            *start = end;
+            Some(batch)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +203,22 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_channel_batches_are_the_walks(
+            bits in proptest::collection::vec(proptest::bool::ANY, 0..128),
+        ) {
+            let g = small_geometry();
+            let requested: Vec<usize> =
+                bits.iter().enumerate().filter_map(|(j, &b)| b.then_some(j)).collect();
+            let mut batches = ChannelBatches::default();
+            batches.split(&g, &requested);
+            let walks: Vec<Vec<KeyAddress>> = (0..g.channels)
+                .map(|ch| MemoryRequestGenerator::new(ch, g).unwrap().generate(&bits))
+                .collect();
+            let split: Vec<Vec<KeyAddress>> = batches.iter().map(<[_]>::to_vec).collect();
+            prop_assert_eq!(split, walks);
+        }
+
         #[test]
         fn prop_partition_over_channels(
             bits in proptest::collection::vec(proptest::bool::ANY, 0..128),

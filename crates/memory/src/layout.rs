@@ -11,7 +11,7 @@
 use crate::MemoryError;
 
 /// Physical location of one key/value vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct KeyLocation {
     /// Memory channel.
     pub channel: usize,

@@ -22,11 +22,14 @@
 //!   *memory requests* (kept, not on chip) and *locality hits* (kept,
 //!   already on chip);
 //! * [`MemoryRequestGenerator`] — the per-channel MRG engine with its
-//!   base register + shared up-counter address generation;
+//!   base register + shared up-counter address generation (the
+//!   controller splits a query's fetched keys by channel into exactly
+//!   the lists these walks emit, in one pass);
 //! * [`ChannelScheduler`] and [`MemoryController`] — an FR-FCFS-style
 //!   backend and the frontend orchestration of the
 //!   threshold-fetch-compute flow over one unbounded [`Residency`],
-//!   with cycle and energy accounting.
+//!   with cycle and energy accounting. A query costs its own work and
+//!   allocates nothing once the controller is warm.
 //!
 //! # Example
 //!
@@ -41,8 +44,8 @@
 //! pruned[0] = false;
 //! pruned[5] = false;
 //! let outcome = mc.process_query(&pruned)?;
-//! assert_eq!(outcome.fetched_keys, vec![0, 5]);
-//! assert!(outcome.reused_keys.is_empty());
+//! assert_eq!((outcome.fetched, outcome.reused), (2, 0));
+//! assert_eq!(mc.fetched_keys(), [0, 5]);
 //! # Ok(())
 //! # }
 //! ```

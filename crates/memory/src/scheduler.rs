@@ -11,7 +11,7 @@ use sprint_energy::{Cycles, TimingParams};
 use crate::{CommandTrace, KeyAddress, MemoryCommand, MemoryError, TimedCommand, TimingChecker};
 
 /// The outcome of scheduling one batch of fetches on one channel.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleResult {
     /// Cycle the first fetched vector is fully on the bus (the
     /// accelerator can start computing then).
@@ -22,11 +22,22 @@ pub struct ScheduleResult {
     pub row_hits: u64,
     /// Row-buffer misses (needed a precharge and/or activate).
     pub row_misses: u64,
-    /// The issued commands, stamped with cycles.
-    pub commands: CommandTrace,
+}
+
+/// One (bank, row) group of a fetch batch: the fetches that share a
+/// row buffer, served together.
+#[derive(Debug, Clone, Copy)]
+struct RowGroup {
+    bank: usize,
+    row: usize,
+    fetches: usize,
 }
 
 /// Scheduler for a single memory channel.
+///
+/// Every scheduling call takes an optional [`CommandTrace`] that the
+/// issued commands are appended to; without one nothing is recorded
+/// and nothing is allocated.
 ///
 /// # Example
 ///
@@ -41,8 +52,10 @@ pub struct ScheduleResult {
 ///     KeyAddress { key: 0, location: g.key_location(0)? },
 ///     KeyAddress { key: 16, location: g.key_location(16)? },
 /// ];
-/// let result = sched.schedule_fetches(&fetches, Cycles::ZERO, g.bursts_per_fetch)?;
+/// let mut trace = Vec::new();
+/// let result = sched.schedule_fetches(&fetches, Cycles::ZERO, g.bursts_per_fetch, Some(&mut trace))?;
 /// assert_eq!(result.row_hits + result.row_misses, 2);
+/// assert_eq!(trace.len(), 1 + 2 * g.bursts_per_fetch, "one activate, then the reads");
 /// # Ok(())
 /// # }
 /// ```
@@ -54,6 +67,8 @@ pub struct ChannelScheduler {
     /// Monotonic issue pointer: the command bus takes one command per
     /// cycle.
     next_issue: Cycles,
+    /// Reused grouping scratch of [`ChannelScheduler::schedule_fetches`].
+    groups: Vec<RowGroup>,
 }
 
 impl ChannelScheduler {
@@ -68,6 +83,7 @@ impl ChannelScheduler {
             checker: TimingChecker::new(banks, timing)?,
             timing,
             next_issue: Cycles::ZERO,
+            groups: Vec::new(),
         })
     }
 
@@ -93,48 +109,62 @@ impl ChannelScheduler {
         &mut self,
         command: MemoryCommand,
         not_before: Cycles,
-        trace: &mut CommandTrace,
+        trace: &mut Option<&mut CommandTrace>,
     ) -> Result<Cycles, MemoryError> {
         let floor = self.next_issue.max(not_before);
         let at = self.checker.issue_at_earliest(command, floor)?;
         self.next_issue = at + Cycles::new(1);
-        trace.push(TimedCommand {
-            at,
-            channel: self.channel,
-            command,
-        });
+        self.record(trace, at, command);
         Ok(at)
+    }
+
+    fn record(&self, trace: &mut Option<&mut CommandTrace>, at: Cycles, command: MemoryCommand) {
+        if let Some(trace) = trace {
+            trace.push(TimedCommand {
+                at,
+                channel: self.channel,
+                command,
+            });
+        }
     }
 
     /// Performs the in-memory thresholding handshake on this channel:
     /// `CopyQ` beats for the query MSBs (the final one carrying the
     /// start bit) followed by `ReadP` for the pruning vector.
     ///
-    /// Returns the cycle the pruning vector is available on chip.
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing errors.
+    /// Returns the cycle the pruning vector is available on chip. The
+    /// handshake is priced in one step
+    /// ([`TimingChecker::issue_thresholding`]) and cannot fail.
     pub fn schedule_thresholding(
         &mut self,
         copyq_beats: usize,
         not_before: Cycles,
-    ) -> Result<(Cycles, CommandTrace), MemoryError> {
+        mut trace: Option<&mut CommandTrace>,
+    ) -> Cycles {
         let timing = self.timing;
-        let mut trace = CommandTrace::new();
         let beats = copyq_beats.max(1);
-        let mut last = not_before;
-        for beat in 0..beats {
-            let start = beat + 1 == beats;
-            last = self.issue(MemoryCommand::CopyQ { start }, last, &mut trace)?;
+        let floor = self.next_issue.max(not_before);
+        let (first, readp_at) = self.checker.issue_thresholding(beats, floor);
+        self.next_issue = readp_at + Cycles::new(1);
+        if trace.is_some() {
+            for beat in 0..beats {
+                let start = beat + 1 == beats;
+                let at = first + timing.t_cl * beat as u64;
+                self.record(&mut trace, at, MemoryCommand::CopyQ { start });
+            }
+            self.record(&mut trace, readp_at, MemoryCommand::ReadP);
         }
-        let readp_at = self.issue(MemoryCommand::ReadP, last, &mut trace)?;
         // Pruning vector lands after the read-like data phase.
-        let done = readp_at + timing.t_cl + timing.t_burst;
-        Ok((done, trace))
+        readp_at + timing.t_cl + timing.t_burst
     }
 
     /// Schedules one query's fetch batch, FR-FCFS style.
+    ///
+    /// A group's reads go out back to back on its open row, so each
+    /// group is priced as one read train
+    /// ([`TimingChecker::issue_read_train`]): the cost is the batch
+    /// length for grouping plus O(1) per group, and the individual
+    /// reads are spelled out only into a `trace`.
     ///
     /// # Errors
     ///
@@ -144,26 +174,43 @@ impl ChannelScheduler {
         fetches: &[KeyAddress],
         not_before: Cycles,
         bursts_per_fetch: usize,
+        mut trace: Option<&mut CommandTrace>,
     ) -> Result<ScheduleResult, MemoryError> {
         let timing = self.timing;
-        let mut trace = CommandTrace::new();
+        let bursts = bursts_per_fetch.max(1);
         let mut row_hits = 0u64;
         let mut row_misses = 0u64;
         let mut first_data: Option<Cycles> = None;
         let mut finish = self.next_issue.max(not_before);
 
         // FR-FCFS-lite: group by (bank, row), serve groups in arrival
-        // order so open-row requests batch together.
-        let mut groups: Vec<((usize, usize), Vec<&KeyAddress>)> = Vec::new();
+        // order so open-row requests batch together. An ascending
+        // batch (what the controller sends) holds each group as one
+        // run, so the search from the back finds it at once.
+        self.groups.clear();
         for f in fetches {
-            let key = (f.location.bank, f.location.row);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => v.push(f),
-                None => groups.push((key, vec![f])),
+            let (bank, row) = (f.location.bank, f.location.row);
+            match self
+                .groups
+                .iter_mut()
+                .rev()
+                .find(|g| g.bank == bank && g.row == row)
+            {
+                Some(g) => g.fetches += 1,
+                None => self.groups.push(RowGroup {
+                    bank,
+                    row,
+                    fetches: 1,
+                }),
             }
         }
 
-        for ((bank, row), group) in groups {
+        for i in 0..self.groups.len() {
+            let RowGroup {
+                bank,
+                row,
+                fetches: n,
+            } = self.groups[i];
             let open = self.checker.open_row(bank);
             if open != Some(row) {
                 if open.is_some() {
@@ -177,24 +224,29 @@ impl ChannelScheduler {
                 // The access that opened the row is the miss; the rest
                 // of the group rides the now-open row buffer.
                 row_misses += 1;
-                row_hits += group.len() as u64 - 1;
+                row_hits += n as u64 - 1;
             } else {
-                row_hits += group.len() as u64;
+                row_hits += n as u64;
             }
-            for f in group {
-                for burst in 0..bursts_per_fetch.max(1) {
-                    let at = self.issue(
-                        MemoryCommand::Read {
-                            bank,
-                            slot: f.location.slot * bursts_per_fetch.max(1) + burst,
-                        },
-                        not_before,
-                        &mut trace,
-                    )?;
-                    let data_done = at + timing.t_cl + timing.t_burst;
-                    finish = finish.max(data_done);
-                    if burst + 1 == bursts_per_fetch.max(1) {
-                        first_data = Some(first_data.map_or(data_done, |f0| f0.min(data_done)));
+            let floor = self.next_issue.max(not_before);
+            let first = self.checker.issue_read_train(bank, n * bursts, floor)?;
+            let at = |read: usize| first + timing.t_burst * read as u64;
+            let last = at(n * bursts - 1);
+            self.next_issue = last + Cycles::new(1);
+            finish = finish.max(last + timing.t_cl + timing.t_burst);
+            // Reads only grow in time, so the group's first fetch is
+            // its first to land.
+            let landed = at(bursts - 1) + timing.t_cl + timing.t_burst;
+            first_data = Some(first_data.map_or(landed, |f0| f0.min(landed)));
+            if trace.is_some() {
+                let members = fetches
+                    .iter()
+                    .filter(|f| f.location.bank == bank && f.location.row == row);
+                for (m, f) in members.enumerate() {
+                    for burst in 0..bursts {
+                        let slot = f.location.slot * bursts + burst;
+                        let read = MemoryCommand::Read { bank, slot };
+                        self.record(&mut trace, at(m * bursts + burst), read);
                     }
                 }
             }
@@ -205,7 +257,6 @@ impl ChannelScheduler {
             finish,
             row_hits,
             row_misses,
-            commands: trace,
         })
     }
 }
@@ -243,18 +294,19 @@ mod tests {
             ChannelScheduler::new(0, g.banks_per_channel, TimingParams::default()).unwrap();
         // Keys 0, 16, 32 are consecutive slots of one row on channel 0.
         let fetches: Vec<KeyAddress> = [0usize, 16, 32].iter().map(|&k| addr(&g, k)).collect();
+        let mut trace = CommandTrace::new();
         let r = sched
-            .schedule_fetches(&fetches, Cycles::ZERO, g.bursts_per_fetch)
+            .schedule_fetches(&fetches, Cycles::ZERO, g.bursts_per_fetch, Some(&mut trace))
             .unwrap();
         assert_eq!(r.row_misses, 1, "one activate opens the row");
         assert_eq!(r.row_hits, 2, "the rest of the group rides the open row");
         // Re-fetch immediately: now the row is open.
         let r2 = sched
-            .schedule_fetches(&fetches, r.finish, g.bursts_per_fetch)
+            .schedule_fetches(&fetches, r.finish, g.bursts_per_fetch, None)
             .unwrap();
         assert_eq!(r2.row_hits, 3);
         assert_eq!(r2.row_misses, 0);
-        audit(&r.commands, g.banks_per_channel);
+        audit(&trace, g.banks_per_channel);
     }
 
     #[test]
@@ -270,9 +322,13 @@ mod tests {
             .collect();
         let mut full_trace = CommandTrace::new();
         let r = sched
-            .schedule_fetches(&fetches, Cycles::ZERO, g.bursts_per_fetch)
+            .schedule_fetches(
+                &fetches,
+                Cycles::ZERO,
+                g.bursts_per_fetch,
+                Some(&mut full_trace),
+            )
             .unwrap();
-        full_trace.extend(r.commands.iter().copied());
         audit(&full_trace, g.banks_per_channel);
         assert!(r.finish > Cycles::ZERO);
         assert!(r.first_data.unwrap() <= r.finish);
@@ -283,7 +339,8 @@ mod tests {
         let g = geometry();
         let mut sched =
             ChannelScheduler::new(0, g.banks_per_channel, TimingParams::default()).unwrap();
-        let (done, trace) = sched.schedule_thresholding(2, Cycles::ZERO).unwrap();
+        let mut trace = CommandTrace::new();
+        let done = sched.schedule_thresholding(2, Cycles::ZERO, Some(&mut trace));
         audit(&trace, g.banks_per_channel);
         assert_eq!(trace.len(), 3, "2 CopyQ + 1 ReadP");
         assert!(matches!(
@@ -305,12 +362,12 @@ mod tests {
         let g = geometry();
         let mut sched =
             ChannelScheduler::new(0, g.banks_per_channel, TimingParams::default()).unwrap();
-        let (done, mut trace) = sched.schedule_thresholding(2, Cycles::ZERO).unwrap();
+        let mut trace = CommandTrace::new();
+        let done = sched.schedule_thresholding(2, Cycles::ZERO, Some(&mut trace));
         let fetches: Vec<KeyAddress> = [0usize, 16].iter().map(|&k| addr(&g, k)).collect();
         let r = sched
-            .schedule_fetches(&fetches, done, g.bursts_per_fetch)
+            .schedule_fetches(&fetches, done, g.bursts_per_fetch, Some(&mut trace))
             .unwrap();
-        trace.extend(r.commands.iter().copied());
         audit(&trace, g.banks_per_channel);
         assert!(r.first_data.unwrap() >= done);
     }
@@ -320,10 +377,11 @@ mod tests {
         let g = geometry();
         let mut sched =
             ChannelScheduler::new(3, g.banks_per_channel, TimingParams::default()).unwrap();
+        let mut trace = CommandTrace::new();
         let r = sched
-            .schedule_fetches(&[], Cycles::new(10), g.bursts_per_fetch)
+            .schedule_fetches(&[], Cycles::new(10), g.bursts_per_fetch, Some(&mut trace))
             .unwrap();
-        assert!(r.commands.is_empty());
+        assert!(trace.is_empty());
         assert_eq!(r.first_data, None);
         assert_eq!(r.row_hits + r.row_misses, 0);
     }
@@ -343,14 +401,14 @@ mod tests {
             assert_eq!(a.location.bank, 0, "test setup: same bank");
         }
         let rc = s1
-            .schedule_fetches(&conflict, Cycles::ZERO, g.bursts_per_fetch)
+            .schedule_fetches(&conflict, Cycles::ZERO, g.bursts_per_fetch, None)
             .unwrap();
 
         let mut s2 =
             ChannelScheduler::new(0, g.banks_per_channel, TimingParams::default()).unwrap();
         let hits: Vec<KeyAddress> = hit_keys.iter().map(|&k| addr(&g, k)).collect();
         let rh = s2
-            .schedule_fetches(&hits, Cycles::ZERO, g.bursts_per_fetch)
+            .schedule_fetches(&hits, Cycles::ZERO, g.bursts_per_fetch, None)
             .unwrap();
 
         assert!(

@@ -169,6 +169,55 @@ impl TimingChecker {
         Ok(at)
     }
 
+    /// Issues `reads` column reads from the open row of `bank`, each at
+    /// its earliest legal cycle ≥ `not_before` and after the one before,
+    /// and returns the first one's cycle (for `reads == 0`, where it
+    /// would issue; nothing is issued). Past the first, the data bus
+    /// is the only gate left (the row is open and `not_before` is
+    /// behind), so read `k` issues at `first + k · tBURST`: the train
+    /// costs O(1) and leaves the state `reads` single
+    /// [`TimingChecker::issue_at_earliest`] calls would.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`TimingChecker::earliest`] for a `Read`.
+    pub fn issue_read_train(
+        &mut self,
+        bank: usize,
+        reads: usize,
+        not_before: Cycles,
+    ) -> Result<Cycles, MemoryError> {
+        let read = MemoryCommand::Read { bank, slot: 0 };
+        let first = self.earliest(read, not_before)?;
+        if reads > 0 {
+            let last = first + self.timing.t_burst * (reads - 1) as u64;
+            self.apply(read, last)?;
+        }
+        Ok(first)
+    }
+
+    /// Issues the thresholding handshake — `beats` `CopyQ` beats (at
+    /// least one), the last one carrying the start bit, then the
+    /// `ReadP` — each at its earliest legal cycle after the one before,
+    /// the first not before `not_before`, and returns the first beat's
+    /// cycle and the `ReadP`'s. Each beat holds the bus for tCL, so
+    /// beat `k` issues at `first + k · tCL`; the `ReadP` then waits out
+    /// tAxTh. O(1), and the state is the one single issues would leave.
+    /// Neither command touches a bank, so the handshake cannot fail.
+    pub fn issue_thresholding(&mut self, beats: usize, not_before: Cycles) -> (Cycles, Cycles) {
+        let t = self.timing;
+        // `earliest` of a CopyQ, then of the ReadP after the start beat
+        // (its bus gate, the last beat's cycle, is already behind).
+        let first = not_before.max(self.bus_free_at);
+        let last = first + t.t_cl * beats.saturating_sub(1) as u64;
+        let readp = (last + Cycles::new(1)).max(last + t.t_cl + t.t_ax_th);
+        // What `apply` leaves after the ReadP.
+        self.bus_free_at = readp + t.t_cl + t.t_burst;
+        self.threshold_ready = None;
+        self.last_issue = self.last_issue.max(readp);
+        (first, readp)
+    }
+
     /// Validates that issuing `command` at `at` is legal, then applies
     /// it. Used to replay and audit externally produced traces.
     ///
@@ -413,6 +462,49 @@ mod tests {
         let early = trace[1].1.saturating_sub(Cycles::new(1));
         let err = audit2.check_and_apply(trace[1].0, early).unwrap_err();
         assert!(matches!(err, MemoryError::TimingViolation { .. }));
+    }
+
+    #[test]
+    fn handshake_and_read_train_leave_what_single_issues_leave() {
+        let t = TimingParams::default();
+        let read = MemoryCommand::Read { bank: 1, slot: 0 };
+        for floor in [0, 3, 40, 90].map(Cycles::new) {
+            // A busy bus and an open row on both checkers.
+            let (mut one, mut closed) = (checker(), checker());
+            for tc in [&mut one, &mut closed] {
+                tc.issue_at_earliest(MemoryCommand::Activate { bank: 1, row: 2 }, Cycles::ZERO)
+                    .unwrap();
+                tc.issue_at_earliest(read, Cycles::ZERO).unwrap();
+            }
+            let step = Cycles::new(1);
+            let c0 = one
+                .issue_at_earliest(MemoryCommand::CopyQ { start: false }, floor)
+                .unwrap();
+            let c1 = one
+                .issue_at_earliest(MemoryCommand::CopyQ { start: true }, c0 + step)
+                .unwrap();
+            let readp = one
+                .issue_at_earliest(MemoryCommand::ReadP, c1 + step)
+                .unwrap();
+            assert_eq!(closed.issue_thresholding(2, floor), (c0, readp));
+            assert_eq!(
+                format!("{one:?}"),
+                format!("{closed:?}"),
+                "after the handshake"
+            );
+
+            let mut at = readp + step;
+            let mut reads = Vec::new();
+            for _ in 0..5 {
+                at = one.issue_at_earliest(read, at).unwrap();
+                reads.push(at);
+                at += step;
+            }
+            let first = closed.issue_read_train(1, 5, readp + step).unwrap();
+            let train: Vec<Cycles> = (0..5).map(|k| first + t.t_burst * k).collect();
+            assert_eq!(reads, train);
+            assert_eq!(format!("{one:?}"), format!("{closed:?}"), "after the train");
+        }
     }
 
     #[test]

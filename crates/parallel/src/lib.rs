@@ -117,12 +117,15 @@ where
 /// Per-worker execution counters from a chunked fan-out
 /// ([`par_chunk_try_map_threads`]).
 ///
-/// `busy_ns` is the worker's **thread CPU time** where the platform
-/// exposes it (Linux), so it counts only cycles the worker actually
-/// executed — on an oversubscribed or single-core host it stays an
-/// honest measure of how the work was distributed, unlike wall-clock,
-/// which also charges a worker for time it spent descheduled.
-/// `wall_ns` is the worker's wall-clock span for comparison.
+/// `busy_ns` is a spawned worker's **thread CPU time** where the
+/// platform exposes it (Linux), so it counts only cycles the worker
+/// actually executed — on an oversubscribed or single-core host it
+/// stays an honest measure of how the work was distributed, unlike
+/// wall-clock, which also charges a worker for time it spent
+/// descheduled. `wall_ns` is the worker's wall-clock span for
+/// comparison. A fan-out of one chunk runs it inline on the caller's
+/// thread and reports `busy_ns == wall_ns`: with nothing to balance,
+/// it reads no CPU clock (two `/proc` reads a chunk on Linux).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// The worker's index (`0..workers`).
@@ -211,7 +214,8 @@ pub fn chunk_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
 ///
 /// Returns the results alongside one [`WorkerStats`] per spawned
 /// worker (chunks run on the caller's thread when only one chunk
-/// exists; the stats still report it as worker 0).
+/// exists; the stats still report it as worker 0, busy for its wall
+/// time).
 ///
 /// # Errors
 ///
@@ -234,9 +238,11 @@ where
 {
     assert!(threads > 0, "at least one worker is required");
     let ranges = chunk_ranges(items.len(), threads);
+    let inline = ranges.len() <= 1;
+    let cpu_clock = || if inline { None } else { thread_cpu_ns() };
     let run_chunk = |worker: usize, range: Range<usize>| -> (Result<Vec<U>, E>, WorkerStats) {
         let wall = Instant::now();
-        let cpu_start = thread_cpu_ns();
+        let cpu_start = cpu_clock();
         let mut out = Vec::with_capacity(range.len());
         let mut failure = None;
         for i in range.clone() {
@@ -249,7 +255,7 @@ where
             }
         }
         let wall_ns = wall.elapsed().as_nanos();
-        let busy_ns = match (cpu_start, thread_cpu_ns()) {
+        let busy_ns = match (cpu_start, cpu_clock()) {
             (Some(a), Some(b)) => b.saturating_sub(a),
             _ => wall_ns,
         };
@@ -265,7 +271,7 @@ where
         }
     };
 
-    let chunks: Vec<(Result<Vec<U>, E>, WorkerStats)> = if ranges.len() <= 1 {
+    let chunks: Vec<(Result<Vec<U>, E>, WorkerStats)> = if inline {
         ranges
             .into_iter()
             .map(|range| run_chunk(0, range))
@@ -475,6 +481,18 @@ mod tests {
                 }
             });
             assert_eq!(err.err(), Some(3), "lowest failing index wins at {threads}");
+        }
+    }
+
+    #[test]
+    fn an_inline_chunk_reports_its_wall_time_as_busy() {
+        let items: Vec<u64> = (0..64).collect();
+        for threads in [1, 4] {
+            let (_, stats) =
+                par_chunk_try_map_threads(threads, &items[..1], |_, _, &x| Ok::<_, ()>(x + 1))
+                    .unwrap();
+            assert_eq!(stats.len(), 1);
+            assert_eq!(stats[0].busy_ns, stats[0].wall_ns, "{threads} threads");
         }
     }
 

@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:>6} {:>6} {:>8} {:>8}",
             i,
             trace.reference_decisions()[i].kept_count(),
-            outcome.fetched_keys.len(),
-            outcome.reused_keys.len()
+            outcome.fetched,
+            outcome.reused
         );
     }
     println!("\nafter the first query, fetches collapse to the few keys whose");

@@ -24,8 +24,9 @@ proptest! {
         controller.process_query(&prev[..n]).unwrap();
         let before = controller.stats().fetched_vectors;
         let outcome = controller.process_query(&cur_bits[..n]).unwrap();
+        prop_assert_eq!(outcome.fetched, controller.fetched_keys().len());
         let mut requests = vec![false; n];
-        for &j in &outcome.fetched_keys {
+        for &j in controller.fetched_keys() {
             requests[j] = true;
         }
         let mut fetched = Vec::new();
@@ -37,9 +38,9 @@ proptest! {
             }
         }
         fetched.sort_unstable();
-        // The controller's own MRGs scheduled that many fetches.
+        // The controller's own per-channel split scheduled that many fetches.
         prop_assert_eq!(controller.stats().fetched_vectors - before, fetched.len() as u64);
-        prop_assert_eq!(fetched, outcome.fetched_keys);
+        prop_assert_eq!(fetched, controller.fetched_keys());
     }
 
     /// Trace decisions assigned to CORELETs cover exactly the kept set

@@ -490,19 +490,39 @@ pub fn quantized_attention_with(
     let qv = quantize_matrix(v, 8)?;
     let score_lsb = qq.params().step() * qk.params().step() * cfg.scale();
 
+    // Both stages split the query rows over the workspace's width,
+    // balanced by kept keys (a padded row costs next to nothing). Rows
+    // are independent, so the split never changes a bit.
+    let blocks = sprint_parallel::weighted_ranges(s_q, ws.threads, |i| kept.row(i).len() + 1);
+
     // Integer MAC: i8 x i8 accumulated in i32 (the QK-PU). The softmax
-    // range is the largest finite score offset seen in this head.
+    // range is the largest finite score offset seen in this head: an
+    // `f32::max` over finite offsets, the same whichever worker folds
+    // which row.
     let mut scores = ws.filled_matrix(s_q, s_k, f32::NEG_INFINITY)?;
-    let mut max_offset = 1.0f32;
-    for i in 0..s_q {
-        let q_codes = qq.code_row(i);
-        max_offset = max_offset.max(quantized_score_row_into(
-            kept.row(i),
-            |j| simd::idot(tier, q_codes, qk.code_row(j)),
-            score_lsb,
-            scores.row_mut(i),
-        ));
-    }
+    let mut parts: Vec<_> = blocks
+        .iter()
+        .cloned()
+        .zip(sprint_parallel::split_ranges_mut(
+            scores.as_mut_slice(),
+            &blocks,
+            s_k,
+        ))
+        .map(|(rows, block)| (rows, block, 1.0f32))
+        .collect();
+    sprint_parallel::fan_out(&mut parts, |_, (rows, block, offset)| {
+        for (i, srow) in rows.clone().zip(block.chunks_exact_mut(s_k)) {
+            let q_codes = qq.code_row(i);
+            *offset = offset.max(quantized_score_row_into(
+                kept.row(i),
+                |j| simd::idot(tier, q_codes, qk.code_row(j)),
+                score_lsb,
+                srow,
+            ));
+        }
+        Ok::<_, AttentionError>(())
+    })?;
+    let max_offset = parts.iter().fold(1.0f32, |m, part| m.max(part.2));
 
     // Softmax with 12-bit inputs via the two-LUT unit, then the V-PU:
     // 8-bit probabilities x 8-bit values, accumulated per output row
@@ -512,19 +532,39 @@ pub fn quantized_attention_with(
     let d_v = v.cols();
     let out_lsb = qv.params().step() / 255.0;
     let mut output = ws.zeroed_matrix(s_q, d_v)?;
-    let acc = ws.acc_row(d_v);
-    for i in 0..s_q {
-        softmax_vpu_row_into(
-            &unit,
-            kept.row(i),
-            scores.row(i),
-            probs.row_mut(i),
-            |acc, p_code, j| simd::vpu_accumulate(tier, acc, p_code, qv.code_row(j)),
-            out_lsb,
-            acc,
-            output.row_mut(i),
-        );
-    }
+    let accs = ws.acc_rows(blocks.len(), d_v);
+    let mut parts: Vec<_> = blocks
+        .iter()
+        .cloned()
+        .zip(sprint_parallel::split_ranges_mut(
+            probs.as_mut_slice(),
+            &blocks,
+            s_k,
+        ))
+        .zip(sprint_parallel::split_ranges_mut(
+            output.as_mut_slice(),
+            &blocks,
+            d_v,
+        ))
+        .zip(accs.iter_mut())
+        .collect();
+    let score_rows = &scores;
+    sprint_parallel::fan_out(&mut parts, |_, (((rows, prows), outs), acc)| {
+        let out_rows = prows.chunks_exact_mut(s_k).zip(outs.chunks_exact_mut(d_v));
+        for (i, (prow, out_row)) in rows.clone().zip(out_rows) {
+            softmax_vpu_row_into(
+                &unit,
+                kept.row(i),
+                score_rows.row(i),
+                prow,
+                |acc, p_code, j| simd::vpu_accumulate(tier, acc, p_code, qv.code_row(j)),
+                out_lsb,
+                acc,
+                out_row,
+            );
+        }
+        Ok::<_, AttentionError>(())
+    })?;
     ws.kept = kept;
 
     Ok(QuantizedAttentionOutput {
@@ -674,6 +714,38 @@ mod tests {
                 .collect(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn the_row_split_recompute_is_bit_identical_at_every_width() {
+        // 40 queries, the last 12 padded (all pruned); the live rows
+        // keep between 0 and all 40 keys.
+        let cfg = AttentionConfig::new(16);
+        let (q, k, v) = (wavy(40, 16, 0.3), wavy(40, 16, 1.1), wavy(40, 16, 2.7));
+        let decisions: Vec<PruneDecision> = (0..40)
+            .map(|i| {
+                PruneDecision::new(
+                    (0..40)
+                        .map(|j| i >= 28 || (i * 7 + j * 3) % (i % 5 + 2) != 0)
+                        .collect(),
+                )
+            })
+            .collect();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for decided in [Some(&decisions[..]), None] {
+            let mut ws = Workspace::new();
+            let want = quantized_attention_with(&q, &k, &v, &cfg, decided, &mut ws).unwrap();
+            for threads in 2..=4 {
+                ws.set_threads(threads);
+                let got = quantized_attention_with(&q, &k, &v, &cfg, decided, &mut ws).unwrap();
+                assert_eq!(bits(&got.scores), bits(&want.scores), "{threads} threads");
+                assert_eq!(bits(&got.probs), bits(&want.probs), "{threads} threads");
+                assert_eq!(bits(&got.output), bits(&want.output), "{threads} threads");
+                ws.recycle(got.scores);
+                ws.recycle(got.probs);
+                ws.recycle(got.output);
+            }
+        }
     }
 
     #[test]

@@ -196,6 +196,11 @@ impl Matrix {
         &self.data
     }
 
+    /// The whole backing buffer in row-major order, mutably.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
     /// Consumes the matrix, returning its backing buffer (row-major).
     /// Pairs with [`crate::Workspace::recycle`] for buffer reuse.
     pub fn into_vec(self) -> Vec<f32> {

@@ -179,11 +179,15 @@ impl KeptLists {
         };
         self.offsets.push(0);
         for d in decisions {
-            self.indices.extend(
-                (0..keys)
-                    .zip(d.as_slice())
-                    .filter_map(|(j, &p)| (!p).then_some(j)),
-            );
+            // A wholly pruned run of 16 keys (a padded row, most of a
+            // sparse one) is one branch-free fold, not 16 tests.
+            for (base, run) in (0..keys).step_by(16).zip(d.as_slice().chunks(16)) {
+                if run.iter().fold(true, |all, &p| all & p) {
+                    continue;
+                }
+                self.indices
+                    .extend((base..).zip(run).filter_map(|(j, &p)| (!p).then_some(j)));
+            }
             self.offsets.push(self.indices.len());
         }
         Ok(())

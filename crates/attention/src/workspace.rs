@@ -41,22 +41,28 @@
 #[derive(Debug, Clone)]
 pub struct Workspace {
     prob_row: Vec<f32>,
-    acc_row: Vec<i32>,
+    /// One integer accumulator row per worker of the quantized V-PU
+    /// stage (row 0 is [`Workspace::acc_row`]).
+    acc_rows: Vec<Vec<i32>>,
     /// The quantized kernels' kept-key lists (taken for the length of
     /// a call, put back on success).
     pub(crate) kept: crate::pruning::KeptLists,
     pool: Vec<Vec<f32>>,
     tier: crate::SimdTier,
+    /// How many workers [`crate::quantized_attention_with`] splits its
+    /// query rows over ([`Workspace::set_threads`]).
+    pub(crate) threads: usize,
 }
 
 impl Default for Workspace {
     fn default() -> Self {
         Workspace {
             prob_row: Vec::new(),
-            acc_row: Vec::new(),
+            acc_rows: Vec::new(),
             kept: Default::default(),
             pool: Vec::new(),
             tier: crate::active_tier(),
+            threads: 1,
         }
     }
 }
@@ -85,7 +91,7 @@ impl Workspace {
     pub fn with_capacity(s_k: usize, d_v: usize) -> Self {
         Workspace {
             prob_row: vec![0.0; s_k],
-            acc_row: vec![0; d_v],
+            acc_rows: vec![vec![0; d_v]],
             ..Workspace::default()
         }
     }
@@ -101,6 +107,14 @@ impl Workspace {
     /// The kernel tier this workspace dispatches on.
     pub fn simd_tier(&self) -> crate::SimdTier {
         self.tier
+    }
+
+    /// Sets how many workers [`crate::quantized_attention_with`] splits
+    /// its query rows over (at least 1; never more than the rows). The
+    /// rows are independent, so every output bit is the same at any
+    /// width; a fresh workspace runs at width 1.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
     }
 
     /// Returns a matrix's backing buffer to the workspace pool, so the
@@ -180,7 +194,7 @@ impl Workspace {
     }
 
     /// Drops every buffer, returning the workspace to its freshly
-    /// constructed state.
+    /// constructed state, keeping its kernel tier and width.
     ///
     /// Pipelines recovering from a fault in unrelated code (e.g. an
     /// engine shard whose mutex was poisoned by a panicking worker)
@@ -192,6 +206,7 @@ impl Workspace {
     pub fn reset(&mut self) {
         *self = Workspace {
             tier: self.tier,
+            threads: self.threads,
             ..Workspace::default()
         };
     }
@@ -206,9 +221,22 @@ impl Workspace {
     /// A zeroed integer accumulator row of length `n` (the quantized
     /// V-PU's 16-bit-bounded accumulation lives here before clamping).
     pub fn acc_row(&mut self, n: usize) -> &mut [i32] {
-        self.acc_row.clear();
-        self.acc_row.resize(n, 0);
-        &mut self.acc_row
+        &mut self.acc_rows(1, n)[0]
+    }
+
+    /// `count` zeroed accumulator rows of length `n`, one per worker.
+    pub(crate) fn acc_rows(&mut self, count: usize, n: usize) -> &mut [Vec<i32>] {
+        if self.acc_rows.len() < count {
+            self.acc_rows.resize_with(count, Vec::new);
+        }
+        for row in &mut self.acc_rows[..count] {
+            row.clear();
+            // A spare 128 bytes past each row keeps two workers'
+            // accumulators off one cache line.
+            row.reserve(n + 32);
+            row.resize(n, 0);
+        }
+        &mut self.acc_rows[..count]
     }
 }
 
@@ -282,7 +310,7 @@ mod tests {
         ws.reset();
         assert!(ws.pool.is_empty());
         assert_eq!(ws.prob_row.capacity(), 0);
-        assert_eq!(ws.acc_row.capacity(), 0);
+        assert!(ws.acc_rows.is_empty());
         // And it still works after the reset.
         assert_eq!(ws.prob_row(3), &[0.0; 3]);
     }

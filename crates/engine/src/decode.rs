@@ -36,7 +36,7 @@ use sprint_reram::{FaultModel, InMemoryPruner, NoiseModel, PruneHardwareStats, T
 use crate::cost::{count_queries, program_energy};
 use crate::engine::derive_head_seed;
 use crate::fault::fault_step;
-use crate::query::{analog_row, approx_output_row, fetch_stats};
+use crate::query::{analog_rows, approx_output_row, fetch_stats};
 use crate::{Engine, ExecutionMode, FaultPolicy, SprintConfig, SprintError};
 
 /// The prefill of a decode session: the key/value history accumulated
@@ -642,7 +642,7 @@ impl DecodeSession {
             let before = pruner.stats();
             let (threshold, spec) = (self.params.threshold, &self.params.spec);
             let (output, decision) = if self.params.mode == ExecutionMode::Sprint {
-                let decision = analog_row(pruner, step.q, threshold, spec, s, None)?;
+                let decision = analog_rows(pruner, step.q, threshold, spec, s, None)?.remove(0);
                 let output = quantized_attention_decode_with(
                     q1,
                     &self.kv,
@@ -656,7 +656,8 @@ impl DecodeSession {
                 // approximate analog scores of the kept keys.
                 let tier = self.ws.simd_tier();
                 let row = self.ws.prob_row(s);
-                let decision = analog_row(pruner, step.q, threshold, spec, s, Some(&mut *row))?;
+                let scores = Some(&mut *row);
+                let decision = analog_rows(pruner, step.q, threshold, spec, s, scores)?.remove(0);
                 let mut out = vec![0.0f32; d_v];
                 let kv = &self.kv;
                 approx_output_row(row, tier, |j| kv.v_row(j), &mut out);

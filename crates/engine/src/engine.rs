@@ -10,10 +10,10 @@ use sprint_attention::{
     Workspace, DEFAULT_PAGE_BYTES,
 };
 use sprint_memory::MemoryController;
-use sprint_reram::{FaultModel, InMemoryPruner, NoiseModel, ThresholdSpec};
+use sprint_reram::{FaultModel, InMemoryPruner, NoiseModel, ThresholdSpec, ARRAY_COLS};
 
 use crate::fault::fault_step;
-use crate::query::{analog_row, approx_output_row, fetch_stats};
+use crate::query::{analog_rows, approx_output_row, fetch_stats};
 use crate::{
     ExecutionMode, FaultPolicy, FaultReport, HeadRequest, HeadResponse, SprintConfig, SprintError,
 };
@@ -503,7 +503,8 @@ impl Engine {
         request: &HeadRequest,
         seed: u64,
     ) -> Result<HeadResponse, SprintError> {
-        self.with_scratch(|scratch| self.run_on_scratch(scratch, request, seed))
+        let threads = sprint_parallel::max_threads();
+        self.with_scratch(|scratch| self.run_on_scratch(scratch, request, seed, threads))
     }
 
     /// Runs a batch of heads, fanned out across up to
@@ -597,12 +598,13 @@ impl Engine {
         requests: &[HeadRequest],
     ) -> Result<(Vec<HeadResponse>, BatchReport), SprintError> {
         let workers = threads.min(self.scratches.len()).max(1);
+        let per_head = threads / requests.len().max(1);
         let wall = Instant::now();
         let (responses, worker_stats) =
             sprint_parallel::par_chunk_try_map_threads(workers, requests, |worker, i, request| {
                 let seed = derive_head_seed(self.seed, request.head_id().unwrap_or(i as u64));
                 let mut scratch = lock_scratch(&self.scratches[worker], self.simd_tier);
-                self.run_on_scratch(&mut scratch, request, seed)
+                self.run_on_scratch(&mut scratch, request, seed, per_head)
             })?;
         Ok((
             responses,
@@ -637,17 +639,24 @@ impl Engine {
         f(&mut scratch)
     }
 
-    /// The mode-dispatched head pipeline over one worker's scratch.
+    /// The mode-dispatched head pipeline over one worker's scratch. An
+    /// analog head whose live keys span two or more column tiles fans
+    /// out over `threads` workers; any other head runs on the caller's
+    /// thread alone.
     fn run_on_scratch(
         &self,
         scratch: &mut HeadScratch,
         request: &HeadRequest,
         seed: u64,
+        threads: usize,
     ) -> Result<HeadResponse, SprintError> {
         let live = validate_request(request)?;
+        let width = if live.1 > ARRAY_COLS { threads } else { 1 };
         match request.mode_override().unwrap_or(self.mode) {
-            ExecutionMode::Sprint => self.run_analog(scratch, request, seed, true, live),
-            ExecutionMode::NoRecompute => self.run_analog(scratch, request, seed, false, live),
+            ExecutionMode::Sprint => self.run_analog(scratch, request, seed, width, true, live),
+            ExecutionMode::NoRecompute => {
+                self.run_analog(scratch, request, seed, width, false, live)
+            }
             ExecutionMode::Dense => self.run_digital(scratch, request, f32::MIN, live),
             ExecutionMode::Oracle => self.run_digital(scratch, request, request.threshold(), live),
         }
@@ -656,12 +665,14 @@ impl Engine {
     /// The analog pipeline (Sprint / NoRecompute): in-memory
     /// thresholding over the live region, selective fetch through the
     /// memory controller, then either the 8-bit recompute datapath or
-    /// the approximate-score softmax.
+    /// the approximate-score softmax. Programming, thresholding and the
+    /// recompute kernel split their work over `width` workers.
     fn run_analog(
         &self,
         scratch: &mut HeadScratch,
         request: &HeadRequest,
         seed: u64,
+        width: usize,
         recompute: bool,
         live: (usize, usize),
     ) -> Result<HeadResponse, SprintError> {
@@ -677,18 +688,27 @@ impl Engine {
         // reduction filters padded rows/columns before memory ever
         // sees them). The pruner crossbars are reprogrammed in place —
         // bit-identical to fresh construction, without the per-head
-        // allocations.
+        // allocations. Only a quantized-score comparator reads the
+        // provisioned full scale, so only such a head pays its scan.
+        let spec = &request
+            .threshold_spec_override()
+            .unwrap_or(self.threshold_spec);
         let q_live = scratch.live_submatrix(q, live_q)?;
         let k_live = scratch.live_submatrix(k, live_k)?;
         let scale = request.config().scale();
         let pruner = match &mut scratch.pruner {
             Some(p) => {
-                p.reprogram(&q_live, &k_live, scale, self.noise, seed)?;
+                p.set_threads(width);
+                p.reprogram_keys(&k_live, scale, self.noise, seed)?;
+                p.calibrate_query(&q_live, spec.score_bits.is_some())?;
                 p
             }
-            None => scratch.pruner.insert(InMemoryPruner::new(
-                &q_live, &k_live, scale, self.noise, seed,
-            )?),
+            None => {
+                let fresh = InMemoryPruner::new(&q_live, &k_live, scale, self.noise, seed)?;
+                let p = scratch.pruner.insert(fresh);
+                p.set_threads(width);
+                p
+            }
         };
         recycle(&mut scratch.mat_pool, q_live);
         recycle(&mut scratch.mat_pool, k_live);
@@ -711,31 +731,27 @@ impl Engine {
                 return Ok(response);
             }
         }
-        // Each live row's analog decision over the full key sequence;
-        // without recompute the approximate scores become its output
-        // row right away, staged in the workspace's probability row.
+        // Every live row's analog decision over the full key sequence,
+        // in one pruner call; without recompute the approximate scores
+        // (staged in the workspace's probability row, one row per live
+        // query) become the output rows.
         let threshold = request.threshold();
-        let spec = &request
-            .threshold_spec_override()
-            .unwrap_or(self.threshold_spec);
-        let mut approx = (!recompute)
-            .then(|| Matrix::zeros(s_q, v.cols()))
-            .transpose()?;
-        let tier = scratch.ws.simd_tier();
-        let mut decisions = Vec::with_capacity(s_q);
-        for i in 0..live_q {
-            let decision = match approx.as_mut() {
-                None => analog_row(pruner, q.row(i), threshold, spec, s_k, None)?,
-                Some(out) => {
-                    let row = scratch.ws.prob_row(s_k);
-                    let scores = Some(&mut *row);
-                    let decision = analog_row(pruner, q.row(i), threshold, spec, s_k, scores)?;
-                    approx_output_row(row, tier, |j| v.row(j), out.row_mut(i));
-                    decision
-                }
-            };
-            decisions.push(decision);
-        }
+        let q_rows = &q.as_slice()[..live_q * q.cols()];
+        let mut approx = None;
+        let mut decisions = if recompute {
+            analog_rows(pruner, q_rows, threshold, spec, s_k, None)?
+        } else {
+            let tier = scratch.ws.simd_tier();
+            let rows = scratch.ws.prob_row(live_q * s_k);
+            let decisions = analog_rows(pruner, q_rows, threshold, spec, s_k, Some(&mut *rows))?;
+            let mut out = Matrix::zeros(s_q, v.cols())?;
+            for (i, row) in rows.chunks_exact_mut(s_k).enumerate() {
+                approx_output_row(row, tier, |j| v.row(j), out.row_mut(i));
+            }
+            approx = Some(out);
+            decisions
+        };
+        decisions.reserve(s_q - live_q);
         let prune_stats = pruner.stats();
         let accounting = self.memory_accounting.then_some(&self.config);
         let memory_stats = fetch_stats(&mut scratch.controller, accounting, &decisions, live_k)?;
@@ -748,6 +764,7 @@ impl Engine {
             None => {
                 // On-chip recompute: full-precision (8-bit datapath)
                 // scores for every surviving key.
+                scratch.ws.set_threads(width);
                 let out = quantized_attention_with(
                     q,
                     k,

@@ -10,33 +10,41 @@ use sprint_reram::{InMemoryPruner, ThresholdSpec};
 
 use crate::{SprintConfig, SprintError};
 
-/// One query's analog row: the comparators threshold `q` against the
-/// pruner's keys; the rest of the `keys`-long decision (padding) stays
-/// pruned. `scores` (`keys` long), when given, receives the approximate
-/// scores with every pruned position masked to `-inf`.
-pub(crate) fn analog_row(
+/// The analog rows of consecutive queries `q_rows`, thresholded by one
+/// pruner call: the comparators test each query against the pruner's
+/// keys; the rest of each `keys`-long decision (padding) stays pruned.
+/// `scores` (one `keys`-long row per query), when given, receives the
+/// approximate scores with every pruned position masked to `-inf`.
+pub(crate) fn analog_rows(
     pruner: &mut InMemoryPruner,
-    q: &[f32],
+    q_rows: &[f32],
     threshold: f32,
     spec: &ThresholdSpec,
     keys: usize,
     scores: Option<&mut [f32]>,
-) -> Result<PruneDecision, SprintError> {
+) -> Result<Vec<PruneDecision>, SprintError> {
     let live = pruner.keys();
-    let mut pruned = vec![true; keys];
+    let n = q_rows.len() / pruner.embedding();
+    let mut flags: Vec<Vec<bool>> = (0..n).map(|_| vec![true; keys]).collect();
+    let mut rows: Vec<&mut [bool]> = flags.iter_mut().map(|f| &mut f[..live]).collect();
     match scores {
-        None => pruner.prune_query_into(q, threshold, spec, &mut pruned[..live], None)?,
-        Some(row) => {
-            let live_scores = Some(&mut row[..live]);
-            pruner.prune_query_into(q, threshold, spec, &mut pruned[..live], live_scores)?;
-            for (score, &p) in row.iter_mut().zip(&pruned) {
-                if p {
-                    *score = f32::NEG_INFINITY;
+        None => pruner.prune_rows_into(q_rows, threshold, spec, &mut rows, None)?,
+        Some(scores) => {
+            let mut live_scores: Vec<&mut [f32]> = scores
+                .chunks_exact_mut(keys)
+                .map(|row| &mut row[..live])
+                .collect();
+            pruner.prune_rows_into(q_rows, threshold, spec, &mut rows, Some(&mut live_scores))?;
+            for (row, pruned) in scores.chunks_exact_mut(keys).zip(&flags) {
+                for (score, &p) in row.iter_mut().zip(pruned) {
+                    if p {
+                        *score = f32::NEG_INFINITY;
+                    }
                 }
             }
         }
     }
-    Ok(PruneDecision::new(pruned))
+    Ok(flags.into_iter().map(PruneDecision::new).collect())
 }
 
 /// NoRecompute's output row: softmax over the masked approximate

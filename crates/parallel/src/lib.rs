@@ -23,6 +23,7 @@
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Environment variable overriding the worker count (`0`/unset means
@@ -31,15 +32,22 @@ pub const THREADS_ENV: &str = "SPRINT_THREADS";
 
 /// The default worker count: `SPRINT_THREADS` when set to a positive
 /// integer, otherwise the machine's available parallelism.
+///
+/// The parallelism is read once per process: on Linux each read walks
+/// the affinity mask and the cgroup quota files (~15 µs), and every
+/// `Engine::run_head` asks for its width.
 pub fn max_threads() -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     std::env::var(THREADS_ENV)
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
         .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
+            *AVAILABLE.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
         })
 }
 
@@ -300,6 +308,190 @@ where
     Ok((results, stats))
 }
 
+/// Splits `0..n` into at most `parts` contiguous, non-empty ranges of
+/// near-equal total `weight`: boundary `k` sits where the running
+/// weight comes closest to `k/parts` of the total. Like
+/// [`chunk_ranges`], the split is a pure function of its inputs.
+///
+/// The intra-head fan-out splits by work, not by item count: a head's
+/// column tiles weigh their column counts (128, 128, 20 split as
+/// 128 | 148, not 256 | 20), and its query rows weigh their kept keys
+/// (padded rows weigh next to nothing).
+///
+/// # Example
+///
+/// ```
+/// let tiles = [128, 128, 20];
+/// let ranges = sprint_parallel::weighted_ranges(3, 2, |t| tiles[t]);
+/// assert_eq!(ranges, vec![0..1, 1..3]);
+/// ```
+pub fn weighted_ranges(
+    n: usize,
+    parts: usize,
+    weight: impl Fn(usize) -> usize,
+) -> Vec<Range<usize>> {
+    let parts = parts.max(1).min(n);
+    let total: usize = (0..n).map(&weight).sum();
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut start, mut end, mut below) = (0, 0, 0usize);
+    for k in 1..parts {
+        let target = total * k / parts;
+        // Every range takes at least one item and leaves one for each
+        // range after it.
+        below += weight(end);
+        end += 1;
+        while end < n - (parts - k) {
+            let next = below + weight(end);
+            if next.abs_diff(target) >= below.abs_diff(target) {
+                break;
+            }
+            below = next;
+            end += 1;
+        }
+        ranges.push(start..end);
+        start = end;
+    }
+    if parts > 0 {
+        ranges.push(start..n);
+    }
+    ranges
+}
+
+/// Cuts `items` into the consecutive pieces `ranges` covers, each
+/// `unit` items per range index: `ranges` must tile `0..n` from 0 in
+/// order, as [`chunk_ranges`] and [`weighted_ranges`] return them, and
+/// `items` hold at least `n · unit` items (a matrix of `unit`-wide rows
+/// splits into row blocks this way).
+///
+/// # Panics
+///
+/// Panics if `items` is shorter than the ranges cover.
+pub fn split_ranges_mut<'a, T>(
+    mut items: &'a mut [T],
+    ranges: &[Range<usize>],
+    unit: usize,
+) -> Vec<&'a mut [T]> {
+    ranges
+        .iter()
+        .map(|range| {
+            let (piece, rest) = std::mem::take(&mut items).split_at_mut(range.len() * unit);
+            items = rest;
+            piece
+        })
+        .collect()
+}
+
+thread_local! {
+    /// A pending [`inject_worker_panic`]: `(fan-outs to let pass, worker)`.
+    static INJECTED_PANIC: std::cell::Cell<Option<(usize, usize)>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Fault injection for robustness tests: makes part `worker` of a
+/// later [`fan_out`] called from this thread panic once it has run.
+/// The first `skip` fan-outs wide enough to have that part run
+/// normally; the one after them panics and clears the injection. Other
+/// threads' fan-outs are never affected.
+#[doc(hidden)]
+pub fn inject_worker_panic(skip: usize, worker: usize) {
+    INJECTED_PANIC.with(|slot| slot.set(Some((skip, worker))));
+}
+
+/// The worker a fan-out of `parts` parts must panic in, if any.
+fn take_injected_panic(parts: usize) -> Option<usize> {
+    INJECTED_PANIC.with(|slot| match slot.get() {
+        Some((0, worker)) if worker < parts => {
+            slot.set(None);
+            Some(worker)
+        }
+        Some((skip, worker)) if worker < parts => {
+            slot.set(Some((skip - 1, worker)));
+            None
+        }
+        _ => None,
+    })
+}
+
+/// Runs `f(w, &mut parts[w])` once for every part, on the calling
+/// thread and `parts.len() - 1` scoped helpers at once. Parts are
+/// claimed in index order from a shared cursor, so the caller also
+/// runs parts: a helper that starts late (its core busy elsewhere)
+/// costs its spawn, never a wait. A single part runs inline and spawns
+/// nothing, so the width-1 case of a fan-out is the plain sequential
+/// call.
+///
+/// This is the intra-head fan-out: the caller hands each part
+/// exclusive state (a group of crossbar tiles, a range of query rows,
+/// that part's scratch), so parts share nothing mutable and every
+/// part's result is independent of the width and of which thread ran
+/// it. Results a part produces stay in the part for the caller to
+/// fold after the join.
+///
+/// # Errors
+///
+/// The error of the lowest-indexed failing part; every part still runs
+/// before the call returns.
+///
+/// # Panics
+///
+/// A panic in any part reaches the caller, with its own payload, after
+/// every thread has stopped.
+pub fn fan_out<P, E, F>(parts: &mut [P], f: F) -> Result<(), E>
+where
+    P: Send,
+    E: Send,
+    F: Fn(usize, &mut P) -> Result<(), E> + Sync,
+{
+    let injected = take_injected_panic(parts.len());
+    let run = |w: usize, part: &mut P| {
+        let out = f(w, part);
+        if injected == Some(w) {
+            panic!("injected panic in fan-out part {w}");
+        }
+        out
+    };
+    let n = parts.len();
+    if n <= 1 {
+        return parts.first_mut().map_or(Ok(()), |part| run(0, part));
+    }
+    // The cursor only hands out indices; a part itself passes between
+    // threads through its slot's mutex, which one claimer ever locks.
+    let slots: Vec<Mutex<Option<&mut P>>> = parts.iter_mut().map(|p| Mutex::new(Some(p))).collect();
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut errors = Vec::new();
+        loop {
+            let w = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(w) else {
+                return errors;
+            };
+            let part = slot
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("each part is claimed once");
+            if let Err(e) = run(w, part) {
+                errors.push((w, e));
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..n).map(|_| scope.spawn(claim)).collect();
+        let mut errors = claim();
+        for helper in helpers {
+            errors.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        errors
+            .into_iter()
+            .min_by_key(|(w, _)| *w)
+            .map_or(Ok(()), |(_, e)| Err(e))
+    })
+}
+
 /// Fallible [`par_map`]: runs every item, then returns either all
 /// results in input order or the error of the *lowest-indexed* failing
 /// item — so the reported error is deterministic across thread counts
@@ -517,6 +709,120 @@ mod tests {
         std::hint::black_box(acc);
         let after = thread_cpu_ns().expect("clock available above");
         assert!(after >= before, "per-thread CPU clock must be monotonic");
+    }
+
+    #[test]
+    fn weighted_ranges_split_by_weight_not_count() {
+        let tiles = [128, 128, 20];
+        assert_eq!(weighted_ranges(3, 2, |t| tiles[t]), vec![0..1, 1..3]);
+        assert_eq!(weighted_ranges(3, 4, |t| tiles[t]), vec![0..1, 1..2, 2..3]);
+        assert_eq!(weighted_ranges(3, 1, |t| tiles[t]), vec![0..3]);
+        // 276 live rows of ~74 units, then 236 padded rows of one.
+        let row = |i: usize| if i < 276 { 74 } else { 1 };
+        let halves = weighted_ranges(512, 2, row);
+        assert_eq!(halves.len(), 2);
+        assert!((139..=141).contains(&halves[0].end), "{halves:?}");
+        assert!(weighted_ranges(0, 3, |_| 1).is_empty());
+        assert_eq!(weighted_ranges(4, 2, |_| 0), vec![0..1, 1..4]);
+    }
+
+    #[test]
+    fn split_ranges_mut_cuts_rows_of_units() {
+        let mut items: Vec<u32> = (0..12).collect();
+        let pieces = split_ranges_mut(&mut items, &[0..1, 1..4], 3);
+        assert_eq!(pieces.len(), 2);
+        assert_eq!(pieces[0], &[0, 1, 2]);
+        assert_eq!(pieces[1], &[3, 4, 5, 6, 7, 8, 9, 10, 11]);
+    }
+
+    #[test]
+    fn fan_out_runs_every_part_once_with_its_index() {
+        for width in 1..6usize {
+            let mut parts: Vec<(usize, Option<usize>)> =
+                (0..width).map(|w| (w * 10, None)).collect();
+            fan_out(&mut parts, |w, part| {
+                part.1 = Some(w);
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+            for (w, part) in parts.iter().enumerate() {
+                assert_eq!(*part, (w * 10, Some(w)));
+            }
+        }
+        assert_eq!(fan_out(&mut [] as &mut [u8], |_, _| Err(())), Ok(()));
+    }
+
+    #[test]
+    fn fan_out_reports_the_lowest_failing_part() {
+        let mut parts = vec![0u8; 4];
+        let err = fan_out(&mut parts, |w, p| {
+            *p = 1;
+            if w >= 2 {
+                Err(w)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(err, Err(2));
+        assert_eq!(parts, vec![1; 4], "every part ran to its end");
+    }
+
+    #[test]
+    fn a_panicking_part_reaches_the_caller_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            let mut parts = vec![0u8; 3];
+            let _ = fan_out(&mut parts, |w, _| {
+                if w == 2 {
+                    panic!("part two");
+                }
+                Ok::<_, ()>(())
+            });
+        })
+        .unwrap_err();
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"part two"));
+    }
+
+    #[test]
+    fn an_injected_panic_fires_once_in_the_chosen_fan_out() {
+        let count = |_: usize, c: &mut usize| {
+            *c += 1;
+            Ok::<_, ()>(())
+        };
+        let mut calls = vec![0usize; 2];
+        inject_worker_panic(1, 1);
+        // Too narrow to have part 1: does not count.
+        fan_out(&mut calls[..1], count).unwrap();
+        fan_out(&mut calls, count).unwrap();
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fan_out(&mut calls, count)));
+        assert!(caught.is_err());
+        assert_eq!(calls, vec![3, 2], "the panicking part ran first");
+        fan_out(&mut calls, count).unwrap();
+        // Another thread never sees this thread's injection.
+        inject_worker_panic(0, 1);
+        std::thread::spawn(|| fan_out(&mut [0u8; 2], |_, _| Ok::<_, ()>(())).unwrap())
+            .join()
+            .unwrap();
+        let caught = std::panic::catch_unwind(|| fan_out(&mut [0u8; 2], |_, _| Ok::<_, ()>(())));
+        assert!(caught.is_err());
+    }
+
+    proptest! {
+        #[test]
+        fn prop_weighted_ranges_cover_everything_once(
+            weights in proptest::collection::vec(0usize..300, 0..64),
+            parts in 1usize..9,
+        ) {
+            let ranges = weighted_ranges(weights.len(), parts, |i| weights[i]);
+            prop_assert_eq!(ranges.len(), parts.min(weights.len()));
+            let mut next = 0;
+            for r in &ranges {
+                prop_assert_eq!(r.start, next);
+                prop_assert!(!r.is_empty());
+                next = r.end;
+            }
+            prop_assert_eq!(next, weights.len());
+        }
     }
 
     proptest! {

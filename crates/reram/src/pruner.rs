@@ -10,6 +10,7 @@
 //! the analog domain only — no multi-bit ADC anywhere on this path.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use sprint_attention::{active_tier, quantize_matrix, simd, Matrix, PruneDecision, QuantParams};
 
@@ -189,12 +190,29 @@ pub struct InMemoryPruner {
     /// instead of the faulty analog column.
     remapped: BTreeSet<usize>,
     stats: PruneHardwareStats,
-    /// Staging kept from query to query: the staged query's MSB
-    /// nibbles, every key's merged code-unit score, and one tile's
-    /// partial sums.
+    /// How many workers the next program, calibration or prune call
+    /// splits the column tiles over ([`InMemoryPruner::set_threads`]).
+    threads: usize,
+    /// Staging kept from call to call: the staged query rows' MSB
+    /// nibbles (row-major) and each staged row's comparator cut.
     q_msb: Vec<i32>,
-    code_scores: Vec<f64>,
+    cuts: Vec<f64>,
+    /// One scratch per fan-out worker, kept from head to head.
+    lanes: Vec<Lane>,
+}
+
+/// One fan-out worker's scratch: the merged code-unit scores of its
+/// columns for the row in flight, one tile's partial sums, and what it
+/// adds to the counters and to the full-scale scan. Aligned so that no
+/// two workers' lanes share a cache line.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Lane {
+    scores: Vec<f64>,
     partial: Vec<f64>,
+    in_memory_ops: u64,
+    dac_conversions: u64,
+    largest: u64,
 }
 
 impl InMemoryPruner {
@@ -261,9 +279,10 @@ impl InMemoryPruner {
             fault: None,
             remapped: BTreeSet::new(),
             stats: PruneHardwareStats::default(),
+            threads: 1,
             q_msb: Vec::new(),
-            code_scores: Vec::new(),
-            partial: Vec::new(),
+            cuts: Vec::new(),
+            lanes: Vec::new(),
         };
         pruner.reprogram_with_cell_bits(q, k, attention_scale, noise, seed, cell_bits)?;
         Ok(pruner)
@@ -314,6 +333,41 @@ impl InMemoryPruner {
         seed: u64,
         cell_bits: u32,
     ) -> Result<(), ReramError> {
+        self.program_head(Some(q), k, attention_scale, noise, seed, cell_bits)?;
+        self.calibrate_query(q, true)
+    }
+
+    /// The key half of [`InMemoryPruner::reprogram`]: programs `k`
+    /// exactly as `reprogram` does and leaves the query side to the
+    /// [`InMemoryPruner::calibrate_query`] that must follow. A caller
+    /// that never compares quantized scores calibrates without the
+    /// full-scale scan; with it, the pair equals `reprogram`.
+    ///
+    /// # Errors
+    ///
+    /// As [`InMemoryPruner::reprogram`], except that the query shape is
+    /// checked by the calibration.
+    pub fn reprogram_keys(
+        &mut self,
+        k: &Matrix,
+        attention_scale: f32,
+        noise: NoiseModel,
+        seed: u64,
+    ) -> Result<(), ReramError> {
+        self.program_head(None, k, attention_scale, noise, seed, 4)
+    }
+
+    /// Validates a head's parameters (and `q`'s embedding, when given)
+    /// in the order fresh construction does, then programs `k`.
+    fn program_head(
+        &mut self,
+        q: Option<&Matrix>,
+        k: &Matrix,
+        attention_scale: f32,
+        noise: NoiseModel,
+        seed: u64,
+        cell_bits: u32,
+    ) -> Result<(), ReramError> {
         if !(1..=8).contains(&cell_bits) {
             return Err(ReramError::InvalidParameter(format!(
                 "cell_bits {cell_bits} outside 1..=8"
@@ -323,7 +377,7 @@ impl InMemoryPruner {
         // validate the scaled model up front (matching the pre-split
         // error order) even though `program_keys` rederives it.
         effective_noise(noise, cell_bits)?;
-        if q.cols() != k.cols() {
+        if let Some(q) = q.filter(|q| q.cols() != k.cols()) {
             return Err(ReramError::LengthMismatch {
                 what: "query embedding",
                 expected: k.cols(),
@@ -340,8 +394,7 @@ impl InMemoryPruner {
         self.seed = seed;
         self.attention_scale = attention_scale;
         self.d = k.cols();
-        self.program_keys(k)?;
-        self.calibrate_query(q, true)
+        self.program_keys(k)
     }
 
     /// (Re)tiles and programs the full key matrix: quantizes `k` to
@@ -350,63 +403,75 @@ impl InMemoryPruner {
     /// key-side state (`s`, `k_params`) consistent and zeroes the
     /// hardware counters — exactly what a fresh construction over `k`
     /// would hold.
+    ///
+    /// The column tiles are split over the fan-out's workers; each
+    /// tile programs its keys in slot order from its own noise stream,
+    /// so the split never changes a drawn bit.
     fn program_keys(&mut self, k: &Matrix) -> Result<(), ReramError> {
         let noise = effective_noise(self.noise, self.cell_bits)?;
         let s = k.rows();
         let d = self.d;
-        let cell_bits = self.cell_bits;
+        let (cell_bits, seed, fault) = (self.cell_bits, self.seed, self.fault);
         let qk = quantize_matrix(k, 8)
             .map_err(|e| ReramError::InvalidParameter(format!("key quantization: {e}")))?;
 
         let col_tiles = s.div_ceil(ARRAY_COLS);
         let row_tiles = d.div_ceil(ARRAY_ROWS);
         self.tiles.truncate(col_tiles);
-        for ct in 0..col_tiles {
-            if ct == self.tiles.len() {
-                self.tiles.push(Vec::with_capacity(row_tiles));
-            }
-            let row_arrays = &mut self.tiles[ct];
-            row_arrays.truncate(row_tiles);
-            for rt in 0..row_tiles {
-                let rows = (d - rt * ARRAY_ROWS).min(ARRAY_ROWS);
+        self.tiles.resize_with(col_tiles, Vec::new);
+        let groups = tile_groups(s, self.threads);
+        let mut parts: Vec<_> = groups
+            .iter()
+            .map(|g| g.start)
+            .zip(sprint_parallel::split_ranges_mut(
+                &mut self.tiles,
+                &groups,
+                1,
+            ))
+            .collect();
+        let shift = 8 - cell_bits;
+        sprint_parallel::fan_out(&mut parts, |_, (first, tiles)| {
+            let mut codes = Vec::with_capacity(ARRAY_ROWS);
+            for (ct, row_arrays) in (*first..).zip(tiles.iter_mut()) {
                 let cols = (s - ct * ARRAY_COLS).min(ARRAY_COLS);
-                let tile_seed = tile_seed(self.seed, ct, rt);
-                if rt == row_arrays.len() {
-                    row_arrays.push(TransposableArray::with_cell_bits(
-                        rows, cols, cell_bits, noise, tile_seed,
-                    )?);
-                } else {
-                    // Programmed detached: the overlay is a pure
-                    // function of the finished cells, so the fault
-                    // model goes back on once, after the last key.
-                    row_arrays[rt].set_fault_model(None);
-                    row_arrays[rt].reset(rows, cols, cell_bits, noise, tile_seed)?;
+                row_arrays.truncate(row_tiles);
+                for rt in 0..row_tiles {
+                    let rows = (d - rt * ARRAY_ROWS).min(ARRAY_ROWS);
+                    let tile_seed = tile_seed(seed, ct, rt);
+                    if rt == row_arrays.len() {
+                        row_arrays.push(TransposableArray::with_cell_bits(
+                            rows, cols, cell_bits, noise, tile_seed,
+                        )?);
+                    } else {
+                        // Programmed detached: the overlay is a pure
+                        // function of the finished cells, so the fault
+                        // model goes back on once, after the last key.
+                        row_arrays[rt].set_fault_model(None);
+                        row_arrays[rt].reset(rows, cols, cell_bits, noise, tile_seed)?;
+                    }
+                }
+                // Program the tile's keys' MSB nibbles.
+                for slot in 0..cols {
+                    let key = qk.code_row(ct * ARRAY_COLS + slot);
+                    for (rt, arr) in row_arrays.iter_mut().enumerate() {
+                        let base = rt * ARRAY_ROWS;
+                        codes.clear();
+                        codes.extend(
+                            key[base..base + arr.rows()]
+                                .iter()
+                                .map(|&code| round_msb_bits(code, shift, cell_bits)),
+                        );
+                        arr.store_key(slot, &codes)?;
+                    }
+                }
+                if fault.is_some() {
+                    for arr in row_arrays.iter_mut() {
+                        arr.set_fault_model(fault);
+                    }
                 }
             }
-        }
-
-        // Program every key's MSB nibbles.
-        let shift = 8 - cell_bits;
-        let mut codes = Vec::with_capacity(ARRAY_ROWS);
-        for j in 0..s {
-            let ct = j / ARRAY_COLS;
-            let slot = j % ARRAY_COLS;
-            for (rt, arr) in self.tiles[ct].iter_mut().enumerate() {
-                let base = rt * ARRAY_ROWS;
-                codes.clear();
-                codes.extend(
-                    qk.code_row(j)[base..base + arr.rows()]
-                        .iter()
-                        .map(|&code| round_msb_bits(code, shift, cell_bits)),
-                );
-                arr.store_key(slot, &codes)?;
-            }
-        }
-        if self.fault.is_some() {
-            for arr in self.tiles.iter_mut().flatten() {
-                arr.set_fault_model(self.fault);
-            }
-        }
+            Ok(())
+        })?;
 
         self.s = s;
         self.k_params = qk.params();
@@ -462,23 +527,42 @@ impl InMemoryPruner {
         // exact |code dot|, as the score the digital reference reports
         // for it (`exact_msb_scores` rounds each score to `f32`). That
         // round trip is monotone in |dot| and symmetric in its sign, so
-        // it is applied once, to the largest integer dot.
+        // it is applied once, to the largest integer dot. Each worker
+        // scans its column tiles; the largest of their maxima is the
+        // same `u64` in any split.
         let tier = active_tier();
-        let mut largest = 0u64;
-        for i in 0..q.rows().min(128) {
-            self.stage_query_msb(q.row(i));
-            for row_arrays in &self.tiles {
-                for slot in 0..row_arrays[0].cols() {
-                    let mut dot = 0i64;
-                    for (rt, arr) in row_arrays.iter().enumerate() {
-                        let base = rt * ARRAY_ROWS;
-                        let nibbles = &self.q_msb[base..base + arr.rows()];
-                        dot += i64::from(simd::idot(tier, arr.intended_key(slot)?, nibbles));
+        let d = self.d;
+        self.stage_rows(&q.as_slice()[..q.rows().min(128) * d]);
+        let q_msb = &self.q_msb;
+        let groups = tile_groups(self.s, self.threads);
+        self.lanes
+            .resize_with(self.lanes.len().max(groups.len()), Lane::default);
+        let mut parts: Vec<_> = sprint_parallel::split_ranges_mut(&mut self.tiles, &groups, 1)
+            .into_iter()
+            .zip(self.lanes.iter_mut())
+            .collect();
+        sprint_parallel::fan_out(&mut parts, |_, (tiles, lane)| {
+            lane.largest = 0;
+            for row in q_msb.chunks_exact(d) {
+                for row_arrays in tiles.iter() {
+                    for slot in 0..row_arrays[0].cols() {
+                        let mut dot = 0i64;
+                        for (rt, arr) in row_arrays.iter().enumerate() {
+                            let base = rt * ARRAY_ROWS;
+                            let nibbles = &row[base..base + arr.rows()];
+                            dot += i64::from(simd::idot(tier, arr.intended_key(slot)?, nibbles));
+                        }
+                        lane.largest = lane.largest.max(dot.unsigned_abs());
                     }
-                    largest = largest.max(dot.unsigned_abs());
                 }
             }
-        }
+            Ok(())
+        })?;
+        let largest = self.lanes[..groups.len()]
+            .iter()
+            .map(|lane| lane.largest)
+            .max()
+            .unwrap_or(0);
         let reported = (largest as f64 * self.score_lsb) as f32;
         let observed = 0.0f64.max((reported as f64 / self.score_lsb).abs());
         // The comparator/ADC reference range is provisioned with 4x
@@ -691,6 +775,49 @@ impl InMemoryPruner {
                 found: q_row.len(),
             });
         }
+        let mut approx_rows = approx_scores.map(|row| [row]);
+        self.prune_rows_into(
+            q_row,
+            threshold,
+            spec,
+            &mut [pruned],
+            approx_rows.as_mut().map(|rows| &mut rows[..]),
+        )
+    }
+
+    /// [`InMemoryPruner::prune_query_into`] for consecutive query rows
+    /// at once: `q_rows` holds `pruned.len()` rows of the embedding
+    /// size back to back, and row `i`'s flags (and approximate scores)
+    /// land in `pruned[i]` (and `approx_scores[i]`).
+    ///
+    /// The column tiles are split over [`InMemoryPruner::set_threads`]
+    /// workers, each walking every row in order over its own tiles.
+    /// A tile draws its read noise from its own stream, in the same
+    /// row order as the one-row call, and merges its row tiles' currents
+    /// per column in row-tile order, so every output bit and counter is
+    /// the same at any width.
+    ///
+    /// # Errors
+    ///
+    /// As [`InMemoryPruner::prune_query_into`] per row; additionally
+    /// [`ReramError::LengthMismatch`] unless `q_rows` holds exactly one
+    /// row per output row.
+    pub fn prune_rows_into(
+        &mut self,
+        q_rows: &[f32],
+        threshold: f32,
+        spec: &ThresholdSpec,
+        pruned: &mut [&mut [bool]],
+        approx_scores: Option<&mut [&mut [f32]]>,
+    ) -> Result<(), ReramError> {
+        let (n, d, s) = (pruned.len(), self.d, self.s);
+        if q_rows.len() != n * d {
+            return Err(ReramError::LengthMismatch {
+                what: "query rows",
+                expected: n * d,
+                found: q_rows.len(),
+            });
+        }
         if let Some(bits) = spec.score_bits {
             if !(1..=16).contains(&bits) {
                 return Err(ReramError::InvalidParameter(format!(
@@ -698,90 +825,116 @@ impl InMemoryPruner {
                 )));
             }
         }
-        let approx_len = approx_scores.as_ref().map_or(self.s, |a| a.len());
-        for found in [pruned.len(), approx_len] {
-            if found != self.s {
-                return Err(ReramError::LengthMismatch {
-                    what: "per-key output row",
-                    expected: self.s,
-                    found,
-                });
+        if let Some(approx) = approx_scores.as_ref().filter(|a| a.len() != n) {
+            return Err(ReramError::LengthMismatch {
+                what: "approximate score rows",
+                expected: n,
+                found: approx.len(),
+            });
+        }
+        for (i, flags) in pruned.iter().enumerate() {
+            let approx_len = approx_scores.as_ref().map_or(s, |a| a[i].len());
+            for found in [flags.len(), approx_len] {
+                if found != s {
+                    return Err(ReramError::LengthMismatch {
+                        what: "per-key output row",
+                        expected: s,
+                        found,
+                    });
+                }
             }
+        }
+        if n == 0 {
+            return Ok(());
         }
         // Query MSB nibbles (the low-precision DAC input), rounded to
         // keep the approximation zero-mean. Query and key precision
         // are set identically (§III-B footnote).
-        self.stage_query_msb(q_row);
+        self.stage_rows(q_rows);
 
         // The analog noise is referenced to the crossbar's drive-based
         // full scale (that is what the ADC-equivalent accuracy of the
         // noise model is specified against), so the safety margin must
         // use the same reference to bound it.
-        let drive_fs: f64 = self.tiles[0]
+        self.cuts.clear();
+        for row in self.q_msb.chunks_exact(d) {
+            let drive_fs: f64 = self.tiles[0]
+                .iter()
+                .enumerate()
+                .map(|(rt, arr)| {
+                    let base = rt * ARRAY_ROWS;
+                    arr.full_scale(&row[base..base + arr.rows()])
+                })
+                .sum();
+            self.cuts
+                .push(threshold as f64 / self.score_lsb - spec.margin_fraction * drive_fs);
+        }
+
+        let groups = tile_groups(s, self.threads);
+        let columns: Vec<_> = groups
             .iter()
-            .enumerate()
-            .map(|(rt, arr)| {
-                let base = rt * ARRAY_ROWS;
-                arr.full_scale(&self.q_msb[base..base + arr.rows()])
+            .map(|g| g.start * ARRAY_COLS..(g.end * ARRAY_COLS).min(s))
+            .collect();
+        let mut flag_parts = split_columns(pruned, &columns);
+        let mut approx_parts = approx_scores.map(|rows| split_columns(rows, &columns));
+        self.lanes
+            .resize_with(self.lanes.len().max(groups.len()), Lane::default);
+        let mut parts: Vec<_> = sprint_parallel::split_ranges_mut(&mut self.tiles, &groups, 1)
+            .into_iter()
+            .zip(self.lanes.iter_mut())
+            .zip(columns.iter().cloned())
+            .zip(flag_parts.iter_mut())
+            .map(|(((tiles, lane), cols), flags)| RowPart {
+                tiles,
+                lane,
+                cols,
+                flags,
+                approx: None,
             })
-            .sum();
-
-        self.analog_scores()?;
-        self.stats.queries_pruned += 1;
-        self.stats.comparator_firings += self.s as u64;
-
-        // Keys remapped to spare columns are served by verified
-        // fault-free cells: the controller substitutes their exact
-        // digital-shadow scores for the faulty analog readings.
-        for &j in &self.remapped {
-            self.code_scores[j] = exact_key_score(&self.tiles, &self.q_msb, j)? as f64;
-        }
-
-        let cut = threshold as f64 / self.score_lsb - spec.margin_fraction * drive_fs;
-        for (flag, score) in pruned.iter_mut().zip(self.code_scores.iter_mut()) {
-            if let Some(bits) = spec.score_bits {
-                *score = quantize_symmetric(*score, self.full_scale_codes, bits);
-            }
-            *flag = *score < cut;
-        }
-        if let Some(approx) = approx_scores {
-            for (a, &compared) in approx.iter_mut().zip(&self.code_scores) {
-                *a = (compared * self.score_lsb) as f32;
+            .collect();
+        if let Some(approx) = approx_parts.as_mut() {
+            for (part, rows) in parts.iter_mut().zip(approx.iter_mut()) {
+                part.approx = Some(rows);
             }
         }
+        let rows = Rows {
+            q_msb: &self.q_msb,
+            cuts: &self.cuts,
+            d,
+            remapped: &self.remapped,
+            score_bits: spec.score_bits,
+            full_scale_codes: self.full_scale_codes,
+            score_lsb: self.score_lsb,
+        };
+        sprint_parallel::fan_out(&mut parts, |_, part| rows.prune(part))?;
+
+        for lane in &self.lanes[..groups.len()] {
+            self.stats.in_memory_ops += lane.in_memory_ops;
+            self.stats.dac_conversions += lane.dac_conversions;
+        }
+        self.stats.queries_pruned += n as u64;
+        self.stats.comparator_firings += (n * s) as u64;
         Ok(())
     }
 
-    /// Stages a query row's MSB nibbles in `self.q_msb`.
-    fn stage_query_msb(&mut self, q_row: &[f32]) {
+    /// Sets how many workers [`InMemoryPruner::reprogram`] (and its
+    /// key half), [`InMemoryPruner::calibrate_query`] and the prune
+    /// calls split the column tiles over (at least 1; never more than
+    /// the tiles). Every output bit and counter is the same at any
+    /// width, and a freshly built pruner runs at width 1.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
+    }
+
+    /// Stages consecutive query rows' MSB nibbles in `self.q_msb`.
+    fn stage_rows(&mut self, q_rows: &[f32]) {
         let shift = 8 - self.cell_bits;
         self.q_msb.clear();
         self.q_msb.extend(
-            q_row
+            q_rows
                 .iter()
                 .map(|&x| round_msb_bits(self.q_params.quantize(x), shift, self.cell_bits)),
         );
-    }
-
-    /// The analog code-unit score of every key for the staged query
-    /// nibbles, merging row-tile currents, left in `self.code_scores`.
-    fn analog_scores(&mut self) -> Result<(), ReramError> {
-        self.code_scores.clear();
-        self.code_scores.resize(self.s, 0.0);
-        for (ct, row_arrays) in self.tiles.iter_mut().enumerate() {
-            let base_col = ct * ARRAY_COLS;
-            for (rt, arr) in row_arrays.iter_mut().enumerate() {
-                let base_row = rt * ARRAY_ROWS;
-                let input = &self.q_msb[base_row..base_row + arr.rows()];
-                arr.in_situ_compute_into(input, &mut self.partial)?;
-                self.stats.in_memory_ops += 1;
-                self.stats.dac_conversions += arr.rows() as u64;
-                for (merged, p) in self.code_scores[base_col..].iter_mut().zip(&self.partial) {
-                    *merged += p;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Exact digital reference of the MSB-level scores (no analog
@@ -1025,6 +1178,113 @@ fn exact_key_score(
         }
     }
     Ok(acc)
+}
+
+/// The shared, read-only side of a prune fan-out: the staged rows,
+/// their cuts and the comparator settings.
+struct Rows<'a> {
+    q_msb: &'a [i32],
+    cuts: &'a [f64],
+    d: usize,
+    remapped: &'a BTreeSet<usize>,
+    score_bits: Option<u32>,
+    full_scale_codes: f64,
+    score_lsb: f64,
+}
+
+/// One prune worker's share: its column tiles (keys `cols`), its lane,
+/// and the `cols` piece of every output row.
+struct RowPart<'t, 'p, 'o> {
+    tiles: &'t mut [Vec<TransposableArray>],
+    lane: &'t mut Lane,
+    cols: Range<usize>,
+    flags: &'p mut Vec<&'o mut [bool]>,
+    approx: Option<&'p mut Vec<&'o mut [f32]>>,
+}
+
+impl Rows<'_> {
+    /// Thresholds every staged row over one worker's columns: the
+    /// analog scores of its tiles (row-tile currents merged per column
+    /// in row-tile order), the spare-column substitutes of its remapped
+    /// keys, then the comparators.
+    fn prune(&self, part: &mut RowPart<'_, '_, '_>) -> Result<(), ReramError> {
+        let lane = &mut *part.lane;
+        let (mut in_memory_ops, mut dac_conversions) = (0, 0);
+        let first = part.cols.start;
+        for (i, (q, flags)) in self
+            .q_msb
+            .chunks_exact(self.d)
+            .zip(part.flags.iter_mut())
+            .enumerate()
+        {
+            lane.scores.clear();
+            lane.scores.resize(part.cols.len(), 0.0);
+            for (t, row_arrays) in part.tiles.iter_mut().enumerate() {
+                let base_col = t * ARRAY_COLS;
+                for (rt, arr) in row_arrays.iter_mut().enumerate() {
+                    let base_row = rt * ARRAY_ROWS;
+                    arr.in_situ_compute_into(
+                        &q[base_row..base_row + arr.rows()],
+                        &mut lane.partial,
+                    )?;
+                    in_memory_ops += 1;
+                    dac_conversions += arr.rows() as u64;
+                    for (merged, p) in lane.scores[base_col..].iter_mut().zip(&lane.partial) {
+                        *merged += p;
+                    }
+                }
+            }
+            // Keys remapped to spare columns are served by verified
+            // fault-free cells: the controller substitutes their exact
+            // digital-shadow scores for the faulty analog readings.
+            for &j in self.remapped.range(part.cols.clone()) {
+                lane.scores[j - first] = exact_key_score(part.tiles, q, j - first)? as f64;
+            }
+            let cut = self.cuts[i];
+            for (flag, score) in flags.iter_mut().zip(lane.scores.iter_mut()) {
+                if let Some(bits) = self.score_bits {
+                    *score = quantize_symmetric(*score, self.full_scale_codes, bits);
+                }
+                *flag = *score < cut;
+            }
+            if let Some(approx) = part.approx.as_mut() {
+                for (a, &compared) in approx[i].iter_mut().zip(&lane.scores) {
+                    *a = (compared * self.score_lsb) as f32;
+                }
+            }
+        }
+        (lane.in_memory_ops, lane.dac_conversions) = (in_memory_ops, dac_conversions);
+        Ok(())
+    }
+}
+
+/// Cuts every row at the boundaries of `columns` (consecutive ranges
+/// from 0): piece `g` of each row, in row order, lands in entry `g`.
+fn split_columns<'o, T>(
+    rows: &'o mut [&mut [T]],
+    columns: &[Range<usize>],
+) -> Vec<Vec<&'o mut [T]>> {
+    let mut out: Vec<Vec<&mut [T]>> = columns
+        .iter()
+        .map(|_| Vec::with_capacity(rows.len()))
+        .collect();
+    for row in rows.iter_mut() {
+        let mut rest: &mut [T] = row;
+        for (pieces, cols) in out.iter_mut().zip(columns) {
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(cols.len());
+            pieces.push(piece);
+            rest = tail;
+        }
+    }
+    out
+}
+
+/// The column-tile groups of a `threads`-wide fan-out over `s` keys,
+/// balanced by column count (a 128/128/20 head splits 128 | 148).
+fn tile_groups(s: usize, threads: usize) -> Vec<Range<usize>> {
+    sprint_parallel::weighted_ranges(s.div_ceil(ARRAY_COLS), threads, |ct| {
+        (s - ct * ARRAY_COLS).min(ARRAY_COLS)
+    })
 }
 
 /// The derived RNG seed of tile `(col_tile, row_tile)` — shared by the
@@ -1288,6 +1548,126 @@ mod tests {
             assert_eq!(reused.keys(), k.rows());
             assert_eq!(reused.embedding(), k.cols());
         }
+    }
+
+    /// Rows-at-once over `threads` workers, against the one-row loop
+    /// of a width-1 twin: flags, approximate scores and counters.
+    fn assert_rows_call_matches_the_row_loop(
+        q: &Matrix,
+        k: &Matrix,
+        noise: NoiseModel,
+        spec: ThresholdSpec,
+        setup: impl Fn(&mut InMemoryPruner),
+        label: &str,
+    ) {
+        let s = k.rows();
+        let mut serial = InMemoryPruner::new(q, k, 0.125, noise, 17).unwrap();
+        setup(&mut serial);
+        let mut want_flags = vec![vec![false; s]; q.rows()];
+        let mut want_scores = vec![vec![0.0f32; s]; q.rows()];
+        for (i, (f, a)) in want_flags.iter_mut().zip(&mut want_scores).enumerate() {
+            serial
+                .prune_query_into(q.row(i), 0.02, &spec, f, Some(a))
+                .unwrap();
+        }
+        for threads in 1..=4 {
+            let mut wide = InMemoryPruner::new(q, k, 0.5, NoiseModel::ideal(), 3).unwrap();
+            wide.set_threads(threads);
+            wide.reprogram(q, k, 0.125, noise, 17).unwrap();
+            setup(&mut wide);
+            let mut flags = vec![vec![true; s]; q.rows()];
+            let mut scores = vec![vec![0.0f32; s]; q.rows()];
+            let mut flag_rows: Vec<&mut [bool]> = flags.iter_mut().map(|f| &mut f[..]).collect();
+            let mut score_rows: Vec<&mut [f32]> = scores.iter_mut().map(|a| &mut a[..]).collect();
+            wide.prune_rows_into(
+                q.as_slice(),
+                0.02,
+                &spec,
+                &mut flag_rows,
+                Some(&mut score_rows),
+            )
+            .unwrap();
+            assert_eq!(flags, want_flags, "{label} at {threads} threads");
+            let bits = |rows: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                rows.iter()
+                    .map(|r| r.iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(
+                bits(&scores),
+                bits(&want_scores),
+                "{label} at {threads} threads"
+            );
+            assert_eq!(wide.stats(), serial.stats(), "{label} at {threads} threads");
+            assert_eq!(
+                wide.full_scale_codes.to_bits(),
+                serial.full_scale_codes.to_bits(),
+                "{label} at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn the_tile_parallel_rows_call_equals_the_one_row_loop() {
+        // 48 keys: one tile; 257: the last tile holds one column; 276:
+        // tiles of 128/128/20; d = 128 merges two row tiles per key.
+        for (s, d) in [(48usize, 64usize), (257, 64), (276, 64), (276, 128)] {
+            let q = random_matrix(9, d, 40 + s as u64);
+            let k = random_matrix(s, d, 41 + s as u64);
+            for (noise, name) in [
+                (NoiseModel::ideal(), "ideal"),
+                (NoiseModel::default(), "default"),
+            ] {
+                for spec in [ThresholdSpec::default(), ThresholdSpec::quantized(5)] {
+                    let label = format!("s {s} d {d} {name} {spec:?}");
+                    assert_rows_call_matches_the_row_loop(&q, &k, noise, spec, |_| {}, &label);
+                }
+            }
+            // Spare-column substitutes on both sides of a tile border,
+            // under a stuck-cell fault overlay.
+            let remap = |p: &mut InMemoryPruner| {
+                p.set_fault_model(Some(FaultModel::uniform(0.02, 7).unwrap()));
+                p.set_remapped(&[0, s / 2, s - 1]).unwrap();
+            };
+            let label = format!("s {s} d {d} remapped");
+            assert_rows_call_matches_the_row_loop(
+                &q,
+                &k,
+                NoiseModel::default(),
+                ThresholdSpec::default(),
+                remap,
+                &label,
+            );
+        }
+    }
+
+    #[test]
+    fn the_rows_call_validates_its_rows() {
+        let q = random_matrix(2, 16, 61);
+        let k = random_matrix(8, 16, 62);
+        let mut pruner = InMemoryPruner::new(&q, &k, 0.25, NoiseModel::ideal(), 63).unwrap();
+        let spec = ThresholdSpec::default();
+        let (mut a, mut b) = ([false; 8], [false; 8]);
+        assert!(pruner
+            .prune_rows_into(&q.as_slice()[..16], 0.0, &spec, &mut [&mut a, &mut b], None)
+            .is_err());
+        let mut scores = [0.0f32; 8];
+        assert!(pruner
+            .prune_rows_into(
+                q.as_slice(),
+                0.0,
+                &spec,
+                &mut [&mut a, &mut b],
+                Some(&mut [&mut scores])
+            )
+            .is_err());
+        pruner
+            .prune_rows_into(q.as_slice(), 0.0, &spec, &mut [], None)
+            .unwrap_err();
+        pruner
+            .prune_rows_into(&[], 0.0, &spec, &mut [], None)
+            .unwrap();
+        assert_eq!(pruner.stats().queries_pruned, 0);
     }
 
     /// The rows `0..n` of `m` as an owned matrix.

@@ -1,10 +1,11 @@
 //! Criterion bench: the memory controller's per-query accounting.
 //!
 //! `MemoryController::process_query` is the §V flow every served query
-//! and decode step pays for: the CopyQ/ReadP handshake on every
-//! channel, the on-chip look-up of the kept keys, and the cycle-level
-//! scheduling of the fetches they miss. Two rows, on M-SPRINT's
-//! geometry and timing, over the trace decisions of the benchmark seed:
+//! and decode step pays for: the CopyQ/ReadP handshake counted on every
+//! channel, the on-chip look-up of the kept keys, and the per-channel
+//! split of the fetches they miss, each counted against its bank's open
+//! row. Two rows, on M-SPRINT's geometry, over the trace decisions of
+//! the benchmark seed:
 //!
 //! * `memory/process_query/warm_prefill_s512` — every live row of one
 //!   BERT-base s = 512 head (276 queries) through one controller, cold
@@ -20,14 +21,14 @@ use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
 use sprint_engine::SprintConfig;
-use sprint_memory::MemoryController;
 use sprint_workloads::{ModelConfig, TraceGenerator};
 
 const SEED: u64 = 20220930;
 
 fn bench(c: &mut Criterion) {
-    let cfg = SprintConfig::medium();
-    let mut mc = MemoryController::new(cfg.memory_geometry(), cfg.timing).expect("controller");
+    let mut mc = SprintConfig::medium()
+        .memory_controller()
+        .expect("controller");
 
     let spec = ModelConfig::bert_base().trace_spec().with_seq_len(512);
     let head = TraceGenerator::new(SEED).generate(&spec).expect("trace");

@@ -119,7 +119,6 @@ pub fn fault_scenarios(
         .noise(NoiseModel::default())
         .seed(seed ^ 0xacc)
         .worker_slots(1)
-        .memory_accounting(false)
         .fault_policy(FaultPolicy::Monitor);
     if fault_rate > 0.0 {
         let fault_model = FaultModel::uniform(fault_rate, seed ^ 0xfa11)
@@ -168,15 +167,12 @@ fn accuracy_profile(model: &ModelConfig, seq_len: Option<usize>) -> ModelProfile
     profile
 }
 
-/// The engine the accuracy sweeps share: M-SPRINT, one worker, memory
-/// accounting off (only the attention outputs feed the proxy task, so
-/// the per-query DRAM timing simulation would be pure overhead).
+/// The engine the accuracy sweeps share: M-SPRINT, one worker.
 fn accuracy_engine(noise: NoiseModel, seed: u64) -> Result<Engine, SprintError> {
     Engine::builder(SprintConfig::medium())
         .noise(noise)
         .seed(seed)
         .worker_slots(1)
-        .memory_accounting(false)
         .build()
 }
 

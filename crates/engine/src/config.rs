@@ -47,10 +47,11 @@ pub struct SprintConfig {
     pub channels_per_corelet: usize,
     /// Effective payload bytes one channel moves per cycle. 64-bit
     /// channels peak at 8 B/cycle; command gaps, row misses and bank
-    /// conflicts derate this (calibrated against the cycle-level
-    /// `sprint-memory` model).
+    /// conflicts derate this. It is the one memory-time parameter:
+    /// [`SprintConfig::cycles_per_pair`] derives from it.
     pub channel_bytes_per_cycle: f64,
-    /// Memory timing parameters.
+    /// Memory timing parameters, validated by
+    /// [`SprintConfig::memory_controller`]; no cost reads them.
     pub timing: TimingParams,
     /// Unit energies (Table II).
     pub energies: UnitEnergies,
@@ -147,8 +148,13 @@ impl SprintConfig {
         }
     }
 
-    /// A fresh memory controller over this geometry and timing.
-    pub(crate) fn memory_controller(&self) -> Result<MemoryController, MemoryError> {
+    /// A fresh memory controller over [`SprintConfig::memory_geometry`]
+    /// (the timing is validated, not kept).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the controller's geometry/timing validation errors.
+    pub fn memory_controller(&self) -> Result<MemoryController, MemoryError> {
         MemoryController::new(self.memory_geometry(), self.timing)
     }
 }

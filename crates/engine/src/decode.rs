@@ -312,7 +312,6 @@ struct SessionParams {
     seed: u64,
     attn: AttentionConfig,
     threshold: f32,
-    memory_accounting: bool,
     perf: SessionPerf,
     fault_model: Option<FaultModel>,
     fault_policy: FaultPolicy,
@@ -408,7 +407,6 @@ impl Engine {
                 seed: derive_head_seed(self.seed(), request.head_id.unwrap_or(0)),
                 attn: request.config,
                 threshold: request.threshold,
-                memory_accounting: self.memory_accounting_enabled(),
                 perf: SessionPerf::default(),
                 fault_model: self.fault_model(),
                 fault_policy: self.fault_policy(),
@@ -688,8 +686,7 @@ impl DecodeSession {
         // query; the crossbar writes are kept apart.
         let config = &self.params.config;
         let decisions = std::slice::from_ref(&decision);
-        let accounting = self.params.memory_accounting.then_some(config);
-        let memory_stats = fetch_stats(&mut self.controller, accounting, decisions, s)?;
+        let memory_stats = fetch_stats(&mut self.controller, config, decisions, s)?;
         let (counts, cycles) = count_queries(
             self.params.mode,
             config,

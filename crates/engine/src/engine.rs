@@ -115,7 +115,6 @@ pub struct EngineBuilder {
     mode: ExecutionMode,
     seed: u64,
     worker_slots: usize,
-    memory_accounting: bool,
     fault_model: Option<FaultModel>,
     fault_policy: FaultPolicy,
     kv_pool: Option<PagePool>,
@@ -160,18 +159,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn worker_slots(mut self, slots: usize) -> Self {
         self.worker_slots = slots.max(1);
-        self
-    }
-
-    /// Enables or disables memory-controller accounting (default:
-    /// on). The controller only produces statistics — attention
-    /// outputs and pruning decisions never depend on it — so callers
-    /// that discard [`crate::HeadResponse::memory_stats`] (e.g. pure
-    /// accuracy sweeps) can turn it off to skip the per-query DRAM
-    /// timing simulation; `memory_stats` then stays zeroed.
-    #[must_use]
-    pub fn memory_accounting(mut self, on: bool) -> Self {
-        self.memory_accounting = on;
         self
     }
 
@@ -248,7 +235,6 @@ impl EngineBuilder {
             mode: self.mode,
             seed: self.seed,
             scratches,
-            memory_accounting: self.memory_accounting,
             fault_model: self.fault_model,
             fault_policy: self.fault_policy,
             kv_pool: self
@@ -363,7 +349,6 @@ pub struct Engine {
     mode: ExecutionMode,
     seed: u64,
     scratches: Vec<Mutex<HeadScratch>>,
-    memory_accounting: bool,
     fault_model: Option<FaultModel>,
     fault_policy: FaultPolicy,
     kv_pool: PagePool,
@@ -406,7 +391,6 @@ impl Engine {
             mode: ExecutionMode::Sprint,
             seed: 0,
             worker_slots: sprint_parallel::max_threads(),
-            memory_accounting: true,
             fault_model: None,
             fault_policy: FaultPolicy::default(),
             kv_pool: None,
@@ -465,13 +449,6 @@ impl Engine {
     /// dispatch on (see [`EngineBuilder::simd_tier`]).
     pub fn simd_tier(&self) -> SimdTier {
         self.simd_tier
-    }
-
-    /// Whether memory-controller accounting is enabled (decode
-    /// sessions inherit this; see
-    /// [`EngineBuilder::memory_accounting`]).
-    pub(crate) fn memory_accounting_enabled(&self) -> bool {
-        self.memory_accounting
     }
 
     /// Runs one head with the engine defaults (and the request's
@@ -753,8 +730,7 @@ impl Engine {
         };
         decisions.reserve(s_q - live_q);
         let prune_stats = pruner.stats();
-        let accounting = self.memory_accounting.then_some(&self.config);
-        let memory_stats = fetch_stats(&mut scratch.controller, accounting, &decisions, live_k)?;
+        let memory_stats = fetch_stats(&mut scratch.controller, &self.config, &decisions, live_k)?;
         for _ in live_q..s_q {
             decisions.push(scratch.all_pruned(s_k));
         }
@@ -791,8 +767,8 @@ impl Engine {
     /// The digital pipeline (Dense / Oracle): full-precision pruned
     /// attention over the live region, with the resulting kept sets
     /// driven through the memory controller for fetch/reuse
-    /// accounting (skipped when [`EngineBuilder::memory_accounting`]
-    /// is off). `threshold == f32::MIN` reduces to the dense baseline.
+    /// accounting. `threshold == f32::MIN` reduces to the dense
+    /// baseline.
     fn run_digital(
         &self,
         scratch: &mut HeadScratch,
@@ -813,9 +789,8 @@ impl Engine {
         )?;
         scratch.ws.recycle(out.scores);
         scratch.ws.recycle(out.probs);
-        let accounting = self.memory_accounting.then_some(&self.config);
         let live = &decisions[..live_q];
-        let memory_stats = fetch_stats(&mut scratch.controller, accounting, live, live_k)?;
+        let memory_stats = fetch_stats(&mut scratch.controller, &self.config, live, live_k)?;
 
         Ok(HeadResponse {
             output: out.output,
@@ -1080,32 +1055,6 @@ mod tests {
             e.run_head(&bad_mask),
             Err(SprintError::Request(_))
         ));
-    }
-
-    #[test]
-    fn disabling_memory_accounting_changes_stats_but_not_results() {
-        let t = trace(48, 12);
-        for mode in ExecutionMode::ALL {
-            let with = engine(mode).run_head(&HeadRequest::from_trace(&t)).unwrap();
-            let without = Engine::builder(SprintConfig::small())
-                .noise(NoiseModel::ideal())
-                .mode(mode)
-                .seed(11)
-                .memory_accounting(false)
-                .build()
-                .unwrap()
-                .run_head(&HeadRequest::from_trace(&t))
-                .unwrap();
-            assert_eq!(with.output, without.output, "{mode:?}");
-            assert_eq!(with.decisions, without.decisions, "{mode:?}");
-            assert_eq!(with.prune_stats, without.prune_stats, "{mode:?}");
-            assert_eq!(
-                without.memory_stats,
-                sprint_memory::MemoryStats::default(),
-                "{mode:?}"
-            );
-            assert!(with.memory_stats.queries > 0, "{mode:?}");
-        }
     }
 
     #[test]

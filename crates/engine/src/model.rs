@@ -381,8 +381,7 @@ pub struct PerfRollup {
     pub cycles: u64,
     /// Counted energy by category (Table II units).
     pub energy: EnergyBreakdown,
-    /// K/V vectors fetched from main memory (zero when the engine was
-    /// built with memory accounting off).
+    /// K/V vectors fetched from main memory.
     pub fetched_vectors: u64,
     /// K/V vectors reused on chip via spatial locality.
     pub reused_vectors: u64,

@@ -67,19 +67,19 @@ pub(crate) fn approx_output_row<'v>(
 }
 
 /// Fetch accounting over a decision slice: the controller in `slot`
-/// (built over `accounting` on first use) is cold-reset and takes each
+/// (built over `config` on first use) is cold-reset and takes each
 /// kept set over the first `live` keys. It shares no state with the
-/// pruner, so this runs after the prune loop. Zeroed when accounting
-/// is off (`None`) or nothing is live.
+/// pruner, so this runs after the prune loop. Zeroed when nothing is
+/// live.
 pub(crate) fn fetch_stats(
     slot: &mut Option<MemoryController>,
-    accounting: Option<&SprintConfig>,
+    config: &SprintConfig,
     decisions: &[PruneDecision],
     live: usize,
 ) -> Result<MemoryStats, SprintError> {
-    let Some(config) = accounting.filter(|_| !decisions.is_empty() && live > 0) else {
+    if decisions.is_empty() || live == 0 {
         return Ok(MemoryStats::default());
-    };
+    }
     let controller = match slot {
         Some(controller) => controller,
         None => slot.insert(config.memory_controller()?),

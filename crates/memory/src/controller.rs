@@ -1,19 +1,21 @@
 //! The SPRINT memory controller frontend (§V-B/C).
 //!
-//! Orchestrates, per query: the in-memory thresholding handshake
-//! (`CopyQ`/`ReadP`), the look-up of the returned pruning vector's
-//! kept keys in the on-chip [`Residency`] (the SLD split, Eqs. 4–5),
-//! per-channel MRG address generation for the ones that missed, and
-//! backend scheduling of those selective fetches. Accumulates the
-//! statistics the §VII performance simulator consumes.
+//! Counts, per query: the in-memory thresholding handshake
+//! (`CopyQ`/`ReadP` on every channel), the look-up of the returned
+//! pruning vector's kept keys in the on-chip [`Residency`] (the SLD
+//! split, Eqs. 4–5), and the per-channel MRG fetches of the ones that
+//! missed, with the row buffers they open. These are the statistics
+//! the §VII performance simulator consumes; memory *time* is priced
+//! there, analytically, from the fetch counts.
 
-use sprint_energy::{Cycles, TimingParams};
+use sprint_energy::TimingParams;
 
 use crate::engines::ChannelBatches;
-use crate::{
-    ChannelScheduler, CommandTrace, MemoryError, MemoryGeometry, Residency, ResidencyPolicy,
-    TimedCommand,
-};
+use crate::{KeyAddress, MemoryError, MemoryGeometry, Residency, ResidencyPolicy};
+
+/// `CopyQ` beats per query on each channel (the query MSBs over the
+/// bus; the last beat carries the start bit).
+const COPYQ_BEATS: u64 = 2;
 
 /// Aggregate controller statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,8 +36,23 @@ pub struct MemoryStats {
     pub copyq_commands: u64,
     /// `ReadP` commands issued.
     pub readp_commands: u64,
-    /// Cycle the controller last went idle.
-    pub busy_until: Cycles,
+}
+
+impl MemoryStats {
+    /// Every counter, in field order: the one view to hash or compare
+    /// the statistics through.
+    pub fn counters(&self) -> [u64; 8] {
+        [
+            self.queries,
+            self.fetched_vectors,
+            self.reused_vectors,
+            self.bytes_fetched,
+            self.row_hits,
+            self.row_misses,
+            self.copyq_commands,
+            self.readp_commands,
+        ]
+    }
 }
 
 /// Per-query outcome of the threshold-and-fetch flow. The key lists
@@ -47,22 +64,13 @@ pub struct QueryOutcome {
     pub fetched: usize,
     /// Number of kept keys reused from the on-chip K buffer.
     pub reused: usize,
-    /// Cycle the pruning vector arrived on chip (compute on reused
-    /// keys can bootstrap here — the KIG path).
-    pub pruning_ready: Cycles,
-    /// Cycle the first fetched vector arrived (compute on fetched keys
-    /// can start).
-    pub first_data: Option<Cycles>,
-    /// Cycle every fetch completed.
-    pub finish: Cycles,
 }
 
 /// The memory controller: one on-chip residency table in the frontend
-/// plus one scheduler per channel.
+/// plus the open row of every bank behind it.
 ///
 /// A query allocates nothing once the controller has seen one as long:
-/// the kept list, the per-channel fetch lists and (when recording) the
-/// command trace are scratch it reuses.
+/// the kept list and the per-channel fetch lists are scratch it reuses.
 ///
 /// # Example
 ///
@@ -83,7 +91,6 @@ pub struct QueryOutcome {
 #[derive(Debug)]
 pub struct MemoryController {
     geometry: MemoryGeometry,
-    schedulers: Vec<ChannelScheduler>,
     /// Keys currently resident on chip (the per-CORELET look-up
     /// tables of §VI): what a kept key misses here is fetched, what
     /// it finds is reused — also a key that left the kept set for a
@@ -91,50 +98,41 @@ pub struct MemoryController {
     /// capacity argument is the one thing the figure drivers set
     /// differently.
     residency: Residency,
+    /// The row open in each bank, `channel · banks_per_channel + bank`:
+    /// a fetch from it is a row-buffer hit. Only fetches open rows
+    /// (`CopyQ`/`ReadP` work against the in-memory query buffer), and
+    /// only [`MemoryController::reset_cold`] closes them.
+    open_rows: Vec<Option<usize>>,
     /// Length of this head's pruning vectors, fixed by its first query.
     keys: Option<usize>,
     /// Per-query scratch: the kept key indices, then the fetched ones
     /// addressed and split by channel.
     kept: Vec<usize>,
     batches: ChannelBatches,
-    /// The last query's command trace (filled only when recording).
-    commands: CommandTrace,
     stats: MemoryStats,
-    now: Cycles,
-    record_traces: bool,
-    /// CopyQ beats per query (query MSBs over the bus).
-    copyq_beats: usize,
 }
 
 impl MemoryController {
-    /// Creates a controller over the given geometry and timing.
+    /// Creates a controller over the given geometry. `timing` is
+    /// validated but not kept: the engine's cost model prices memory
+    /// time from the counts this controller keeps.
     ///
     /// # Errors
     ///
-    /// Propagates geometry/timing validation errors.
+    /// Returns [`MemoryError::InvalidGeometry`] or
+    /// [`MemoryError::InvalidTiming`] for an invalid parameter.
     pub fn new(geometry: MemoryGeometry, timing: TimingParams) -> Result<Self, MemoryError> {
         geometry.validate()?;
-        let schedulers = (0..geometry.channels)
-            .map(|ch| ChannelScheduler::new(ch, geometry.banks_per_channel, timing))
-            .collect::<Result<_, _>>()?;
+        timing.validate().map_err(MemoryError::InvalidTiming)?;
         Ok(MemoryController {
             geometry,
-            schedulers,
             residency: Residency::new(usize::MAX, ResidencyPolicy::SldPinned),
+            open_rows: vec![None; geometry.channels * geometry.banks_per_channel],
             keys: None,
             kept: Vec::new(),
             batches: ChannelBatches::default(),
-            commands: CommandTrace::new(),
             stats: MemoryStats::default(),
-            now: Cycles::ZERO,
-            record_traces: false,
-            copyq_beats: 2,
         })
-    }
-
-    /// Enables per-query command-trace recording (tests, debugging).
-    pub fn set_trace_recording(&mut self, on: bool) {
-        self.record_traces = on;
     }
 
     /// The geometry in use.
@@ -158,39 +156,31 @@ impl MemoryController {
         self.residency.reused()
     }
 
-    /// The last query's full command trace, in issue order per channel;
-    /// empty unless trace recording is on.
-    pub fn commands(&self) -> &[TimedCommand] {
-        &self.commands
-    }
-
     /// Empties the residency table (new head: on-chip buffers
-    /// invalid, and its pruning vectors may have another length).
+    /// invalid, and its pruning vectors may have another length). The
+    /// memory's row buffers stay open.
     pub fn start_new_head(&mut self) {
         self.residency.clear();
         self.keys = None;
     }
 
     /// Restores the controller to its freshly-constructed state —
-    /// cold schedulers, empty residency table, zeroed statistics
-    /// and cycle counters — reusing every allocation. A controller
-    /// reset this way behaves bit-identically to a new one over the
-    /// same geometry and timing; the serving engine uses this to run
-    /// an unbounded stream of heads through one controller, and a
-    /// decode session calls it before each step so per-step statistics
-    /// match a fresh-controller oracle exactly.
+    /// every row closed, empty residency table, zeroed statistics —
+    /// reusing every allocation. A controller reset this way behaves
+    /// bit-identically to a new one over the same geometry; the
+    /// serving engine uses this to run an unbounded stream of heads
+    /// through one controller, and a decode session calls it before
+    /// each step so per-step statistics match a fresh-controller
+    /// oracle exactly.
     pub fn reset_cold(&mut self) {
-        for sched in &mut self.schedulers {
-            sched.reset_cold();
-        }
+        self.open_rows.fill(None);
         self.start_new_head();
         self.stats = MemoryStats::default();
-        self.now = Cycles::ZERO;
     }
 
     /// Runs the full per-query flow: thresholding handshake,
-    /// residency look-up, per-channel address generation and backend
-    /// fetch scheduling.
+    /// residency look-up and per-channel address generation of the
+    /// fetches, counting each fetch against its bank's open row.
     ///
     /// `pruned[j] == true` means key `j` was pruned by the in-memory
     /// comparators.
@@ -198,7 +188,7 @@ impl MemoryController {
     /// # Errors
     ///
     /// Returns [`MemoryError::LengthMismatch`] if the vector length
-    /// changes within a head; propagates addressing and timing errors.
+    /// changes within a head.
     pub fn process_query(&mut self, pruned: &[bool]) -> Result<QueryOutcome, MemoryError> {
         let expected = *self.keys.get_or_insert(pruned.len());
         if expected != pruned.len() {
@@ -210,16 +200,9 @@ impl MemoryController {
         }
 
         // 1. Thresholding handshake on every channel holding K MSBs.
-        self.commands.clear();
-        let mut trace = self.record_traces.then_some(&mut self.commands);
-        let mut pruning_ready = self.now;
-        for sched in &mut self.schedulers {
-            let done =
-                sched.schedule_thresholding(self.copyq_beats, self.now, trace.as_deref_mut());
-            pruning_ready = pruning_ready.max(done);
-            self.stats.copyq_commands += self.copyq_beats as u64;
-            self.stats.readp_commands += 1;
-        }
+        let channels = self.geometry.channels as u64;
+        self.stats.copyq_commands += COPYQ_BEATS * channels;
+        self.stats.readp_commands += channels;
         self.stats.queries += 1;
 
         // 2. Frontend split: the kept keys the look-up tables miss are
@@ -238,51 +221,42 @@ impl MemoryController {
         self.kept.truncate(n);
         self.residency.access(&self.kept);
 
-        // 3. Per-channel address generation (the MRGs), then backend
-        // scheduling of each channel's selective fetches.
+        // 3. Per-channel address generation (the MRGs). A channel's
+        // batch is ascending, so each (bank, row) it touches is one
+        // run: on the bank's open row every fetch hits; otherwise the
+        // first one misses and opens the row for the rest.
         let missed = self.residency.missed();
         self.batches.split(&self.geometry, missed);
-        let mut first_data: Option<Cycles> = None;
-        let mut finish = pruning_ready;
-        for (sched, batch) in self.schedulers.iter_mut().zip(self.batches.iter()) {
-            if batch.is_empty() {
-                continue;
+        let banks = self.geometry.banks_per_channel;
+        let same_row = |a: &KeyAddress, b: &KeyAddress| {
+            (a.location.bank, a.location.row) == (b.location.bank, b.location.row)
+        };
+        let rows = self.open_rows.chunks_exact_mut(banks);
+        for (open, batch) in rows.zip(self.batches.iter()) {
+            for run in batch.chunk_by(same_row) {
+                let (bank, row) = (run[0].location.bank, run[0].location.row);
+                let n = run.len() as u64;
+                if open[bank] == Some(row) {
+                    self.stats.row_hits += n;
+                } else {
+                    open[bank] = Some(row);
+                    self.stats.row_misses += 1;
+                    self.stats.row_hits += n - 1;
+                }
             }
-            let r = sched.schedule_fetches(
-                batch,
-                pruning_ready,
-                self.geometry.bursts_per_fetch,
-                trace.as_deref_mut(),
-            )?;
             self.stats.fetched_vectors += batch.len() as u64;
             self.stats.bytes_fetched += (batch.len() * self.geometry.bytes_per_fetch) as u64;
-            self.stats.row_hits += r.row_hits;
-            self.stats.row_misses += r.row_misses;
-            finish = finish.max(r.finish);
-            if let Some(fd) = r.first_data {
-                first_data = Some(first_data.map_or(fd, |x| x.min(fd)));
-            }
         }
 
         let (fetched, reused) = (missed.len(), self.residency.reused().len());
         self.stats.reused_vectors += reused as u64;
-        self.now = finish;
-        self.stats.busy_until = finish;
-
-        Ok(QueryOutcome {
-            fetched,
-            reused,
-            pruning_ready,
-            first_data,
-            finish,
-        })
+        Ok(QueryOutcome { fetched, reused })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MemoryCommand, TimingChecker};
     use proptest::prelude::*;
 
     fn controller() -> MemoryController {
@@ -300,7 +274,7 @@ mod tests {
     #[test]
     fn reset_cold_is_bit_identical_to_fresh_construction() {
         let mut reused = controller();
-        // Dirty the controller: queries, open rows, advanced cycles.
+        // Dirty the controller: queries, open rows, a resident set.
         for _ in 0..3 {
             reused.process_query(&keep(64, &[0, 5, 9, 33, 63])).unwrap();
         }
@@ -321,8 +295,6 @@ mod tests {
         assert_eq!(mc.fetched_keys(), [0, 3, 17, 31]);
         assert!(mc.reused_keys().is_empty());
         assert_eq!((o.fetched, o.reused), (4, 0));
-        assert!(o.first_data.unwrap() >= o.pruning_ready);
-        assert!(o.finish >= o.first_data.unwrap());
     }
 
     #[test]
@@ -347,10 +319,8 @@ mod tests {
         let before = mc.stats().bytes_fetched;
         let o = mc.process_query(&mask).unwrap();
         assert_eq!(o.fetched, 0);
-        assert_eq!(o.first_data, None);
         assert_eq!(mc.stats().bytes_fetched, before, "no new bytes moved");
-        // Still pays the thresholding handshake.
-        assert!(o.finish >= o.pruning_ready);
+        assert_eq!(mc.stats().queries, 2, "still thresholded");
     }
 
     #[test]
@@ -372,60 +342,91 @@ mod tests {
     }
 
     #[test]
-    fn recorded_traces_are_globally_legal_per_channel() {
+    fn sprint_commands_are_counted_on_every_channel() {
         let mut mc = controller();
-        mc.set_trace_recording(true);
-        mc.process_query(&keep(64, &(0..24).collect::<Vec<_>>()))
-            .unwrap();
-        let first = mc.commands().to_vec();
-        mc.process_query(&keep(64, &(8..40).collect::<Vec<_>>()))
-            .unwrap();
-        // Replay both traces in per-channel order through fresh checkers.
-        let g = mc.geometry();
-        for ch in 0..g.channels {
-            let mut checker =
-                TimingChecker::new(g.banks_per_channel, TimingParams::default()).unwrap();
-            let mut cmds: Vec<_> = first
-                .iter()
-                .chain(mc.commands())
-                .filter(|c| c.channel == ch)
-                .copied()
-                .collect();
-            cmds.sort_by_key(|c| c.at);
-            for c in &cmds {
-                checker
-                    .check_and_apply(c.command, c.at)
-                    .unwrap_or_else(|e| panic!("channel {ch}: {e}"));
-            }
+        let channels = mc.geometry().channels as u64;
+        // Two CopyQ beats and one ReadP per channel, whatever is kept
+        // and whether or not anything is fetched.
+        let queries: [Vec<usize>; 4] = [vec![0], vec![0], vec![], (0..16).collect()];
+        for (q, kept) in queries.iter().enumerate() {
+            mc.process_query(&keep(16, kept)).unwrap();
+            let s = mc.stats();
+            let queries = q as u64 + 1;
+            assert_eq!(s.copyq_commands, 2 * channels * queries);
+            assert_eq!(s.readp_commands, channels * queries);
         }
+        let s = mc.stats();
+        assert_eq!(
+            s.row_hits + s.row_misses,
+            s.fetched_vectors,
+            "the handshake opens no row"
+        );
     }
 
     #[test]
-    fn sprint_commands_are_present_in_trace() {
+    fn an_open_row_survives_a_new_head_but_not_a_cold_reset() {
         let mut mc = controller();
-        mc.set_trace_recording(true);
-        mc.process_query(&keep(16, &[0])).unwrap();
-        let trace = mc.commands();
-        let copyq = trace
-            .iter()
-            .filter(|c| matches!(c.command, MemoryCommand::CopyQ { .. }))
-            .count();
-        let readp = trace
-            .iter()
-            .filter(|c| matches!(c.command, MemoryCommand::ReadP))
-            .count();
+        // Keys 0, 16 and 32 share one row of bank 0 on channel 0.
+        let mask = keep(48, &[0, 16, 32]);
+        mc.process_query(&mask).unwrap();
+        let s = mc.stats();
+        assert_eq!(
+            (s.row_misses, s.row_hits),
+            (1, 2),
+            "one activate, then the row"
+        );
+
+        // The next head refetches the same keys from the row still open.
+        mc.start_new_head();
+        mc.process_query(&mask).unwrap();
+        assert_eq!(mc.fetched_keys(), [0, 16, 32]);
+        let s = mc.stats();
+        assert_eq!((s.row_misses, s.row_hits), (1, 5), "every refetch hits");
+
+        // A cold reset closes it: the same fetches miss once again.
+        mc.reset_cold();
+        mc.process_query(&mask).unwrap();
+        let s = mc.stats();
+        assert_eq!((s.row_misses, s.row_hits), (1, 2));
+    }
+
+    #[test]
+    fn another_row_of_an_open_bank_misses_and_replaces_it() {
+        let mut mc = controller();
         let g = mc.geometry();
-        assert_eq!(copyq, 2 * g.channels);
-        assert_eq!(readp, g.channels);
+        // Key `row_stride` is row 1 of bank 0 on channel 0, like key 0
+        // is row 0.
+        let row_stride = g.channels * g.vectors_per_row * g.banks_per_channel;
+        mc.process_query(&keep(2 * row_stride, &[0, row_stride]))
+            .unwrap();
+        assert_eq!((mc.stats().row_misses, mc.stats().row_hits), (2, 0));
+        mc.start_new_head();
+        mc.process_query(&keep(2 * row_stride, &[0])).unwrap();
+        assert_eq!(
+            (mc.stats().row_misses, mc.stats().row_hits),
+            (3, 0),
+            "row 1 displaced row 0"
+        );
     }
 
     #[test]
-    fn query_time_advances_monotonically() {
-        let mut mc = controller();
-        let o1 = mc.process_query(&keep(32, &[0, 1, 2])).unwrap();
-        let o2 = mc.process_query(&keep(32, &[3, 4, 5])).unwrap();
-        assert!(o2.pruning_ready > o1.finish.saturating_sub(sprint_energy::Cycles::new(1)));
-        assert!(o2.finish >= o1.finish);
+    fn construction_validates_geometry_and_timing() {
+        let no_banks = MemoryGeometry {
+            banks_per_channel: 0,
+            ..MemoryGeometry::default()
+        };
+        assert!(matches!(
+            MemoryController::new(no_banks, TimingParams::default()),
+            Err(MemoryError::InvalidGeometry { .. })
+        ));
+        let bad = TimingParams {
+            t_rcd: sprint_energy::Cycles::ZERO,
+            ..TimingParams::default()
+        };
+        assert!(matches!(
+            MemoryController::new(MemoryGeometry::default(), bad),
+            Err(MemoryError::InvalidTiming(_))
+        ));
     }
 
     #[test]

@@ -3,10 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use sprint_energy::Cycles;
-
-use crate::MemoryCommand;
-
 /// Errors produced by the memory subsystem.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MemoryError {
@@ -19,18 +15,7 @@ pub enum MemoryError {
     },
     /// Timing parameter set failed validation.
     InvalidTiming(String),
-    /// A command was issued before its earliest legal cycle.
-    TimingViolation {
-        /// The offending command.
-        command: MemoryCommand,
-        /// Cycle it was issued at.
-        issued: Cycles,
-        /// Earliest legal cycle.
-        earliest: Cycles,
-        /// Which constraint was violated.
-        constraint: &'static str,
-    },
-    /// A command referenced a bank/row/column outside the geometry.
+    /// A key or channel index outside the geometry.
     AddressOutOfRange {
         /// What was addressed.
         what: &'static str,
@@ -39,13 +24,6 @@ pub enum MemoryError {
         /// Exclusive bound.
         bound: usize,
     },
-    /// A column access was issued to a bank with no (or another) open row.
-    RowNotOpen {
-        /// Bank index.
-        bank: usize,
-    },
-    /// `ReadP` issued with no in-flight thresholding operation.
-    NoThresholdingInFlight,
     /// Vector length mismatch (pruning vectors across queries).
     LengthMismatch {
         /// What was compared.
@@ -64,23 +42,8 @@ impl fmt::Display for MemoryError {
                 write!(f, "invalid memory geometry: {name} = {value}")
             }
             MemoryError::InvalidTiming(msg) => write!(f, "invalid timing parameters: {msg}"),
-            MemoryError::TimingViolation {
-                command,
-                issued,
-                earliest,
-                constraint,
-            } => write!(
-                f,
-                "{command:?} issued at {issued} before earliest legal {earliest} ({constraint})"
-            ),
             MemoryError::AddressOutOfRange { what, index, bound } => {
                 write!(f, "{what} index {index} out of range (< {bound})")
-            }
-            MemoryError::RowNotOpen { bank } => {
-                write!(f, "column access to bank {bank} with no matching open row")
-            }
-            MemoryError::NoThresholdingInFlight => {
-                write!(f, "ReadP issued with no in-flight in-memory thresholding")
             }
             MemoryError::LengthMismatch {
                 what,
@@ -101,16 +64,5 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_err<E: Error + Send + Sync + 'static>() {}
         assert_err::<MemoryError>();
-    }
-
-    #[test]
-    fn display_names_the_constraint() {
-        let e = MemoryError::TimingViolation {
-            command: MemoryCommand::ReadP,
-            issued: Cycles::new(3),
-            earliest: Cycles::new(11),
-            constraint: "tAxTh",
-        };
-        assert!(e.to_string().contains("tAxTh"));
     }
 }

@@ -7,13 +7,6 @@
 //!   memory-mat column, and **adjacent key vectors are distributed
 //!   across different channels** for bandwidth under spatially-local
 //!   fetch patterns;
-//! * [`MemoryCommand`] — conventional ACT/PRE/RD/WR plus the paper's
-//!   two new commands, [`MemoryCommand::CopyQ`] (ship query MSBs to the
-//!   in-memory query buffer; sets a start bit to trigger thresholding)
-//!   and [`MemoryCommand::ReadP`] (collect the binary pruning vector);
-//! * [`TimingChecker`] — validates command streams against
-//!   tRCD/tRP/tCL/tRRD/tFAW and the new `tAxTh` constraint between a
-//!   triggering `CopyQ` and the earliest `ReadP`;
 //! * [`Residency`] — the on-chip K/V buffer and its look-up tables
 //!   (§VI), under SLD-pinned or plain LRU replacement
 //!   ([`ResidencyPolicy`]): the one model of what a kept set must
@@ -25,11 +18,13 @@
 //!   base register + shared up-counter address generation (the
 //!   controller splits a query's fetched keys by channel into exactly
 //!   the lists these walks emit, in one pass);
-//! * [`ChannelScheduler`] and [`MemoryController`] — an FR-FCFS-style
-//!   backend and the frontend orchestration of the
-//!   threshold-fetch-compute flow over one unbounded [`Residency`],
-//!   with cycle and energy accounting. A query costs its own work and
-//!   allocates nothing once the controller is warm.
+//! * [`MemoryController`] — the frontend of the
+//!   threshold-fetch-compute flow over one unbounded [`Residency`]: per
+//!   query it counts the `CopyQ`/`ReadP` thresholding handshake on
+//!   every channel, the fetches and reuses, and each fetch against its
+//!   bank's open row. A query costs its own work and allocates nothing
+//!   once the controller is warm. Memory time is not simulated here:
+//!   the engine's cost model prices it from these counts.
 //!
 //! # Example
 //!
@@ -53,19 +48,13 @@
 #![warn(missing_docs)]
 
 mod buffers;
-mod command;
 mod controller;
 mod engines;
 mod error;
 mod layout;
-mod scheduler;
-mod timing;
 
 pub use buffers::{Residency, ResidencyPolicy};
-pub use command::{CommandTrace, MemoryCommand, TimedCommand};
 pub use controller::{MemoryController, MemoryStats, QueryOutcome};
 pub use engines::{KeyAddress, MemoryRequestGenerator};
 pub use error::MemoryError;
 pub use layout::{KeyLocation, MemoryGeometry};
-pub use scheduler::{ChannelScheduler, ScheduleResult};
-pub use timing::TimingChecker;

@@ -75,8 +75,7 @@ fn counted(mc: &mut MemoryController, queries: &[Vec<bool>], cold_each: bool) ->
 
 #[test]
 fn a_warm_controller_allocates_nothing_per_query() {
-    let cfg = SprintConfig::medium();
-    let mut mc = MemoryController::new(cfg.memory_geometry(), cfg.timing).unwrap();
+    let mut mc = SprintConfig::medium().memory_controller().unwrap();
 
     // Every live row of a BERT-base s = 512 head (276 live keys).
     let spec = ModelConfig::bert_base().trace_spec().with_seq_len(512);

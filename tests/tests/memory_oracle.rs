@@ -2,12 +2,11 @@
 //!
 //! `oracle` below is the controller as it was before queries stopped
 //! allocating: a `Residency` that kept its retention order as one list
-//! (`retain` over every resident, then re-push the block), a scheduler
-//! that grouped each batch into `Vec`s with a linear search and issued
-//! every read one at a time, and per-channel MRG walks over an `s`-long
-//! request vector. The current controller must agree with it on every
-//! statistic, every outcome time, both key lists and every recorded
-//! command, and the current `Residency` with the list on every split,
+//! (`retain` over every resident, then re-push the block), per-channel
+//! row buffers that group each batch into `Vec`s with a linear search,
+//! and per-channel MRG walks over an `s`-long request vector. The
+//! current controller must agree with it on every statistic and both
+//! key lists, and the current `Residency` with the list on every split,
 //! at every capacity, under both policies.
 
 use proptest::prelude::*;
@@ -18,10 +17,9 @@ use sprint_engine::SprintConfig;
 use sprint_memory::{MemoryController, MemoryGeometry, Residency, ResidencyPolicy};
 
 mod oracle {
-    use sprint_energy::{Cycles, TimingParams};
     use sprint_memory::{
-        CommandTrace, KeyAddress, MemoryCommand, MemoryError, MemoryGeometry,
-        MemoryRequestGenerator, MemoryStats, ResidencyPolicy, TimedCommand, TimingChecker,
+        KeyAddress, MemoryError, MemoryGeometry, MemoryRequestGenerator, MemoryStats,
+        ResidencyPolicy,
     };
 
     /// The retention order as one list, lowest first.
@@ -123,68 +121,18 @@ mod oracle {
         }
     }
 
-    struct Scheduled {
-        first_data: Option<Cycles>,
-        finish: Cycles,
-        row_hits: u64,
-        row_misses: u64,
-        commands: CommandTrace,
+    /// One channel's row buffers: a fetch batch grouped into `Vec`s
+    /// by (bank, row) with a linear search, each group counted against
+    /// its bank's open row.
+    struct Channel {
+        open: Vec<Option<usize>>,
     }
 
-    struct ChannelScheduler {
-        channel: usize,
-        checker: TimingChecker,
-        timing: TimingParams,
-        next_issue: Cycles,
-    }
-
-    impl ChannelScheduler {
-        fn issue(
-            &mut self,
-            command: MemoryCommand,
-            not_before: Cycles,
-            trace: &mut CommandTrace,
-        ) -> Result<Cycles, MemoryError> {
-            let floor = self.next_issue.max(not_before);
-            let at = self.checker.issue_at_earliest(command, floor)?;
-            self.next_issue = at + Cycles::new(1);
-            trace.push(TimedCommand {
-                at,
-                channel: self.channel,
-                command,
-            });
-            Ok(at)
-        }
-
-        fn schedule_thresholding(
-            &mut self,
-            copyq_beats: usize,
-            not_before: Cycles,
-        ) -> Result<(Cycles, CommandTrace), MemoryError> {
-            let timing = self.timing;
-            let mut trace = CommandTrace::new();
-            let beats = copyq_beats.max(1);
-            let mut last = not_before;
-            for beat in 0..beats {
-                let start = beat + 1 == beats;
-                last = self.issue(MemoryCommand::CopyQ { start }, last, &mut trace)?;
-            }
-            let readp_at = self.issue(MemoryCommand::ReadP, last, &mut trace)?;
-            Ok((readp_at + timing.t_cl + timing.t_burst, trace))
-        }
-
-        fn schedule_fetches(
-            &mut self,
-            fetches: &[KeyAddress],
-            not_before: Cycles,
-            bursts_per_fetch: usize,
-        ) -> Result<Scheduled, MemoryError> {
-            let timing = self.timing;
-            let mut trace = CommandTrace::new();
+    impl Channel {
+        /// Row hits and misses of one batch.
+        fn count_fetches(&mut self, fetches: &[KeyAddress]) -> (u64, u64) {
             let mut row_hits = 0u64;
             let mut row_misses = 0u64;
-            let mut first_data: Option<Cycles> = None;
-            let mut finish = self.next_issue.max(not_before);
             let mut groups: Vec<((usize, usize), Vec<&KeyAddress>)> = Vec::new();
             for f in fetches {
                 let key = (f.location.bank, f.location.row);
@@ -194,103 +142,58 @@ mod oracle {
                 }
             }
             for ((bank, row), group) in groups {
-                let open = self.checker.open_row(bank);
-                if open != Some(row) {
-                    if open.is_some() {
-                        self.issue(MemoryCommand::Precharge { bank }, not_before, &mut trace)?;
-                    }
-                    self.issue(
-                        MemoryCommand::Activate { bank, row },
-                        not_before,
-                        &mut trace,
-                    )?;
+                if self.open[bank] != Some(row) {
+                    self.open[bank] = Some(row);
                     row_misses += 1;
                     row_hits += group.len() as u64 - 1;
                 } else {
                     row_hits += group.len() as u64;
                 }
-                for f in group {
-                    for burst in 0..bursts_per_fetch.max(1) {
-                        let at = self.issue(
-                            MemoryCommand::Read {
-                                bank,
-                                slot: f.location.slot * bursts_per_fetch.max(1) + burst,
-                            },
-                            not_before,
-                            &mut trace,
-                        )?;
-                        let data_done = at + timing.t_cl + timing.t_burst;
-                        finish = finish.max(data_done);
-                        if burst + 1 == bursts_per_fetch.max(1) {
-                            first_data = Some(first_data.map_or(data_done, |f0| f0.min(data_done)));
-                        }
-                    }
-                }
             }
-            Ok(Scheduled {
-                first_data,
-                finish,
-                row_hits,
-                row_misses,
-                commands: trace,
-            })
+            (row_hits, row_misses)
         }
     }
 
     pub struct Outcome {
         pub fetched_keys: Vec<usize>,
         pub reused_keys: Vec<usize>,
-        pub pruning_ready: Cycles,
-        pub first_data: Option<Cycles>,
-        pub finish: Cycles,
-        pub commands: Option<CommandTrace>,
     }
 
     pub struct MemoryController {
         geometry: MemoryGeometry,
-        timing: TimingParams,
-        schedulers: Vec<ChannelScheduler>,
+        channels: Vec<Channel>,
         mrgs: Vec<MemoryRequestGenerator>,
         residency: Residency,
         keys: Option<usize>,
         pub stats: MemoryStats,
-        now: Cycles,
-        pub record_traces: bool,
     }
 
     impl MemoryController {
-        pub fn new(geometry: MemoryGeometry, timing: TimingParams) -> Self {
+        pub fn new(geometry: MemoryGeometry) -> Self {
             let mut mc = MemoryController {
                 geometry,
-                timing,
-                schedulers: Vec::new(),
+                channels: Vec::new(),
                 mrgs: (0..geometry.channels)
                     .map(|ch| MemoryRequestGenerator::new(ch, geometry).unwrap())
                     .collect(),
                 residency: Residency::new(usize::MAX, ResidencyPolicy::SldPinned),
                 keys: None,
                 stats: MemoryStats::default(),
-                now: Cycles::ZERO,
-                record_traces: false,
             };
             mc.reset_cold();
             mc
         }
 
         pub fn reset_cold(&mut self) {
-            let (g, timing) = (self.geometry, self.timing);
-            self.schedulers = (0..g.channels)
-                .map(|channel| ChannelScheduler {
-                    channel,
-                    checker: TimingChecker::new(g.banks_per_channel, timing).unwrap(),
-                    timing,
-                    next_issue: Cycles::ZERO,
+            let g = self.geometry;
+            self.channels = (0..g.channels)
+                .map(|_| Channel {
+                    open: vec![None; g.banks_per_channel],
                 })
                 .collect();
             self.residency.clear();
             self.keys = None;
             self.stats = MemoryStats::default();
-            self.now = Cycles::ZERO;
         }
 
         pub fn process_query(&mut self, pruned: &[bool]) -> Result<Outcome, MemoryError> {
@@ -303,16 +206,9 @@ mod oracle {
                 });
             }
             let copyq_beats = 2;
-            let mut trace = self.record_traces.then(CommandTrace::new);
-            let mut pruning_ready = self.now;
-            for sched in &mut self.schedulers {
-                let (done, t) = sched.schedule_thresholding(copyq_beats, self.now)?;
-                pruning_ready = pruning_ready.max(done);
-                self.stats.copyq_commands += copyq_beats as u64;
+            for _ in &self.channels {
+                self.stats.copyq_commands += copyq_beats;
                 self.stats.readp_commands += 1;
-                if let Some(tr) = trace.as_mut() {
-                    tr.extend(t);
-                }
             }
             self.stats.queries += 1;
             let kept: Vec<usize> = (0..pruned.len()).filter(|&j| !pruned[j]).collect();
@@ -324,40 +220,21 @@ mod oracle {
                     requests[j] = true;
                 }
             }
-            let mut first_data: Option<Cycles> = None;
-            let mut finish = pruning_ready;
-            for (sched, mrg) in self.schedulers.iter_mut().zip(&self.mrgs) {
+            for (channel, mrg) in self.channels.iter_mut().zip(&self.mrgs) {
                 let fetches = mrg.generate(&requests);
                 if fetches.is_empty() {
                     continue;
                 }
-                let r = sched.schedule_fetches(
-                    &fetches,
-                    pruning_ready,
-                    self.geometry.bursts_per_fetch,
-                )?;
+                let (row_hits, row_misses) = channel.count_fetches(&fetches);
                 self.stats.fetched_vectors += fetches.len() as u64;
                 self.stats.bytes_fetched += (fetches.len() * self.geometry.bytes_per_fetch) as u64;
-                self.stats.row_hits += r.row_hits;
-                self.stats.row_misses += r.row_misses;
-                finish = finish.max(r.finish);
-                if let Some(fd) = r.first_data {
-                    first_data = Some(first_data.map_or(fd, |x| x.min(fd)));
-                }
-                if let Some(tr) = trace.as_mut() {
-                    tr.extend(r.commands);
-                }
+                self.stats.row_hits += row_hits;
+                self.stats.row_misses += row_misses;
             }
             self.stats.reused_vectors += self.residency.reused.len() as u64;
-            self.now = finish;
-            self.stats.busy_until = finish;
             Ok(Outcome {
                 fetched_keys: self.residency.missed.clone(),
                 reused_keys: self.residency.reused.clone(),
-                pruning_ready,
-                first_data,
-                finish,
-                commands: trace,
             })
         }
     }
@@ -411,14 +288,7 @@ fn run_both(
             (want.fetched_keys.len(), want.reused_keys.len()),
             "{at}"
         );
-        assert_eq!(got.pruning_ready, want.pruning_ready, "{at}");
-        assert_eq!(got.first_data, want.first_data, "{at}");
-        assert_eq!(got.finish, want.finish, "{at}");
         assert_eq!(new.stats(), old.stats, "{at}");
-        match want.commands {
-            Some(trace) => assert_eq!(new.commands(), trace, "{at}"),
-            None => assert!(new.commands().is_empty(), "{at}"),
-        }
     }
 }
 
@@ -444,17 +314,14 @@ proptest! {
 
     /// Heads of up to 1024 keys through one controller each (a cold
     /// reset between heads, as the engine does), then decode-style
-    /// steps that reset before every query, traced and untraced.
+    /// steps that reset before every query.
     #[test]
     fn the_controller_matches_its_frozen_oracle(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let timing = SprintConfig::medium().timing;
         for geometry in geometries() {
-            let record = rng.gen_bool(0.5);
             let mut new = MemoryController::new(geometry, timing).unwrap();
-            let mut old = oracle::MemoryController::new(geometry, timing);
-            new.set_trace_recording(record);
-            old.record_traces = record;
+            let mut old = oracle::MemoryController::new(geometry);
             for _ in 0..3 {
                 let keys = rng.gen_range(1..1025usize);
                 let queries = rng.gen_range(1..13usize);

@@ -7,7 +7,7 @@
 //! order or draw count moves these bits. The values below were recorded
 //! at commit cad92d3; a host-speed change to `sprint-reram`,
 //! `sprint-attention` or `sprint-engine` must leave them alone, and a
-//! change that means to move them (ROADMAP item 1) re-records them in
+//! change that means to move them (ROADMAP item 2) re-records them in
 //! the same commit that documents the new contract.
 //!
 //! The Sprint datapath is integer end to end and therefore one value
@@ -43,21 +43,14 @@ impl Checksum {
     }
 
     fn stats(&mut self, p: &PruneHardwareStats, m: &MemoryStats) {
-        for w in [
+        let prune = [
             p.in_memory_ops,
             p.comparator_firings,
             p.dac_conversions,
             p.transposed_reads,
             p.queries_pruned,
-            m.queries,
-            m.fetched_vectors,
-            m.reused_vectors,
-            m.bytes_fetched,
-            m.row_hits,
-            m.row_misses,
-            m.copyq_commands,
-            m.readp_commands,
-        ] {
+        ];
+        for w in prune.into_iter().chain(m.counters()) {
             self.word(w);
         }
     }

@@ -226,25 +226,6 @@ pub(crate) fn query_is_live(i: usize, padding: Option<&PaddingMask>) -> bool {
     padding.map_or(true, |p| i >= p.total() || p.is_live(i))
 }
 
-/// `out += a * x` over equal-length rows (the sparse AV inner step).
-/// The d = 64 case (every studied model) takes a fixed-size path so the
-/// loop fully unrolls with no bounds checks.
-#[inline]
-pub(crate) fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
-    if let (Ok(o), Ok(xv)) = (
-        <&mut [f32; 64]>::try_from(&mut *out),
-        <&[f32; 64]>::try_from(x),
-    ) {
-        for t in 0..64 {
-            o[t] += a * xv[t];
-        }
-        return;
-    }
-    for (o, &xv) in out.iter_mut().zip(x) {
-        *o += a * xv;
-    }
-}
-
 /// Reference dense self-attention in `f32`:
 /// `softmax(scale · Q Kᵀ) × V`.
 ///
@@ -762,10 +743,8 @@ mod tests {
             for threshold in [-10.0f32, -0.05, 0.05, 0.2] {
                 let (out, _dec) =
                     pruned_attention_with(&q, &k, &v, &cfg, threshold, None, &mut ws).unwrap();
-                // Oracle: the tier's own per-key skip walk over the
-                // kernel's probability rows (the tiers differ in the
-                // AV tolerance class, so each tier is checked against
-                // its own axpy chain).
+                // Oracle: the per-key skip walk over the kernel's
+                // probability rows, through the tier's own axpy.
                 for i in 0..q.rows() {
                     let mut expected = vec![0.0f32; v.cols()];
                     for (&p, v_row) in out

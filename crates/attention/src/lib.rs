@@ -52,6 +52,6 @@ pub use matrix::Matrix;
 pub use metrics::{mean_abs_error, prune_set_overlap};
 pub use paged::{PagePool, DEFAULT_PAGE_BYTES};
 pub use pruning::{calibrate_threshold, pruning_stats, PruneDecision, PruningStats};
-pub use simd::{active_tier, avx2_available, sanitize_tier, ulp_distance, SimdTier};
+pub use simd::{active_tier, avx2_available, sanitize_tier, SimdTier};
 pub use softmax::{softmax_exact, softmax_inplace, softmax_inplace_tier, SoftmaxLut};
 pub use workspace::Workspace;

@@ -290,7 +290,11 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self × rhs`.
+    /// Matrix product `self × rhs`: each output row accumulates
+    /// `self[r][k] · rhs.row(k)` in ascending `k`, one fused
+    /// multiply-add per element, skipping zero coefficients — the AV
+    /// stage's chain, so the naive reference kernels that call this stay
+    /// bit-exact oracles of the fused ones.
     ///
     /// # Errors
     ///
@@ -318,7 +322,7 @@ impl Matrix {
                 let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
                 let out_row = &mut out.data[r * rhs.cols..(r + 1) * rhs.cols];
                 for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
+                    *o = a.mul_add(b, *o);
                 }
             }
         }
@@ -387,153 +391,6 @@ impl Matrix {
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
     }
-}
-
-/// Scalar-tier body of the region matmul: writes
-/// `out[i][j] = scale * (a.row(i) · b.row(j))` for every `i` in `rows`
-/// and `j` in `cols`, leaving the rest of `out` untouched (the pruned
-/// path computes only the live region and masks the remainder). Tiered
-/// callers go through [`crate::simd::matmul_transposed_scaled_into`],
-/// which falls back to this function on the scalar tier.
-///
-/// Works directly on the row-major buffers with a four-lane inner loop
-/// — the same reduction order as [`dot`], but with the row slices
-/// hoisted so the bounds checks sit outside the MAC loop and the lanes
-/// vectorize. `a`'s current row stays register/L1-hot while `b` streams
-/// row-major (the cache-friendly `Q × Kᵀ` walk; `b` itself fits L2 at
-/// every sequence length this repo models).
-pub(crate) fn mt_scalar_into(
-    a: &Matrix,
-    b: &Matrix,
-    scale: f32,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-    out: &mut Matrix,
-) {
-    debug_assert_eq!(a.cols, b.cols, "inner dimensions must agree");
-    debug_assert!(rows.end <= a.rows && rows.end <= out.rows);
-    debug_assert!(cols.end <= b.rows && cols.end <= out.cols);
-    // Monomorphize the hot embedding sizes: a compile-time inner
-    // dimension lets the MAC loop fully unroll and drop its bounds
-    // checks (~3x on d = 64, the head size of every studied model).
-    match a.cols {
-        32 => mt_fixed::<32>(a, b, scale, rows, cols, out),
-        64 => mt_fixed::<64>(a, b, scale, rows, cols, out),
-        128 => mt_fixed::<128>(a, b, scale, rows, cols, out),
-        _ => mt_generic(a, b, scale, rows, cols, out),
-    }
-}
-
-/// [`mt_scalar_into`] body for a compile-time inner
-/// dimension, register-blocked two query rows at a time: each `b` row
-/// is loaded once per row *pair*, and the eight live lane accumulators
-/// keep the FP pipelines full (~2x over the single-row walk). The
-/// per-row reduction order is identical in the paired and single-row
-/// tails, so results do not depend on row parity.
-fn mt_fixed<const D: usize>(
-    a: &Matrix,
-    b: &Matrix,
-    scale: f32,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-    out: &mut Matrix,
-) {
-    let out_cols = out.cols;
-    let mut i = rows.start;
-    while i + 2 <= rows.end {
-        let a0: &[f32; D] = a.data[i * D..(i + 1) * D].try_into().expect("row of D");
-        let a1: &[f32; D] = a.data[(i + 1) * D..(i + 2) * D]
-            .try_into()
-            .expect("row of D");
-        let (o0, o1) = out.data[i * out_cols..(i + 2) * out_cols].split_at_mut(out_cols);
-        for j in cols.clone() {
-            let b_row: &[f32; D] = b.data[j * D..(j + 1) * D].try_into().expect("row of D");
-            let mut l0 = [0.0f32; 4];
-            let mut l1 = [0.0f32; 4];
-            let mut c = 0;
-            while c + 4 <= D {
-                for t in 0..4 {
-                    l0[t] += a0[c + t] * b_row[c + t];
-                    l1[t] += a1[c + t] * b_row[c + t];
-                }
-                c += 4;
-            }
-            while c < D {
-                l0[0] += a0[c] * b_row[c];
-                l1[0] += a1[c] * b_row[c];
-                c += 1;
-            }
-            o0[j] = scale * ((l0[0] + l0[1]) + (l0[2] + l0[3]));
-            o1[j] = scale * ((l1[0] + l1[1]) + (l1[2] + l1[3]));
-        }
-        i += 2;
-    }
-    if i < rows.end {
-        let a_row: &[f32; D] = a.data[i * D..(i + 1) * D].try_into().expect("row of D");
-        let out_row = &mut out.data[i * out_cols..(i + 1) * out_cols];
-        for j in cols.clone() {
-            let b_row: &[f32; D] = b.data[j * D..(j + 1) * D].try_into().expect("row of D");
-            let mut lanes = [0.0f32; 4];
-            let mut c = 0;
-            while c + 4 <= D {
-                for t in 0..4 {
-                    lanes[t] += a_row[c + t] * b_row[c + t];
-                }
-                c += 4;
-            }
-            while c < D {
-                lanes[0] += a_row[c] * b_row[c];
-                c += 1;
-            }
-            out_row[j] = scale * ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]));
-        }
-    }
-}
-
-/// [`mt_scalar_into`] body for arbitrary inner
-/// dimensions. Same four-lane reduction order as [`dot`].
-fn mt_generic(
-    a: &Matrix,
-    b: &Matrix,
-    scale: f32,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-    out: &mut Matrix,
-) {
-    let d = a.cols;
-    let out_cols = out.cols;
-    for i in rows {
-        let a_row = &a.data[i * d..(i + 1) * d];
-        let out_row = &mut out.data[i * out_cols..(i + 1) * out_cols];
-        for j in cols.clone() {
-            let b_row = &b.data[j * d..(j + 1) * d];
-            out_row[j] = scale * dot(a_row, b_row);
-        }
-    }
-}
-
-/// Dot product of two equal-length slices, unrolled four wide so the
-/// independent accumulators keep the FP pipeline full.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot product of unequal lengths");
-    let mut lanes = [0.0f32; 4];
-    let mut chunks_a = a.chunks_exact(4);
-    let mut chunks_b = b.chunks_exact(4);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        lanes[0] += ca[0] * cb[0];
-        lanes[1] += ca[1] * cb[1];
-        lanes[2] += ca[2] * cb[2];
-        lanes[3] += ca[3] * cb[3];
-    }
-    for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        lanes[0] += x * y;
-    }
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
 #[cfg(test)]
@@ -637,7 +494,15 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]).unwrap();
         let b = a.clone();
         let mut out = Matrix::zeros(3, 3).unwrap();
-        mt_scalar_into(&a, &b, 0.5, 0..2, 0..2, &mut out);
+        crate::simd::matmul_transposed_scaled_into(
+            crate::SimdTier::Scalar,
+            &a,
+            &b,
+            0.5,
+            0..2,
+            0..2,
+            &mut out,
+        );
         assert!((out.get(0, 0) - 1.0).abs() < 1e-6);
         assert!((out.get(1, 1) - 4.0).abs() < 1e-6);
         assert_eq!(out.get(2, 2), 0.0, "outside the region stays zero");
@@ -653,11 +518,14 @@ mod tests {
 
     #[test]
     fn dot_handles_remainders() {
-        let a: Vec<f32> = (0..7).map(|i| i as f32).collect();
-        let b: Vec<f32> = (0..7).map(|i| (i + 1) as f32).collect();
-        let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        assert!((dot(&a, &b) - naive).abs() < 1e-4);
-        assert_eq!(dot(&[], &[]), 0.0);
+        // Inner sizes below, at and past the 8- and 16-float chunks;
+        // small integers keep every sum exact in any order.
+        for d in [1usize, 7, 8, 9, 16, 23] {
+            let a = Matrix::from_vec(1, d, (0..d).map(|i| i as f32).collect()).unwrap();
+            let b = Matrix::from_vec(1, d, (0..d).map(|i| (i + 1) as f32).collect()).unwrap();
+            let naive: f32 = (0..d).map(|i| (i * (i + 1)) as f32).sum();
+            assert_eq!(a.matmul_transposed(&b).unwrap().get(0, 0), naive, "d {d}");
+        }
     }
 
     #[test]

@@ -5,19 +5,20 @@
 //! for two jobs:
 //!
 //! 1. **oracle** — the property tests assert the fused kernels match
-//!    these within tight tolerances on random inputs;
+//!    these bit for bit on random inputs;
 //! 2. **baseline** — the `attention_kernels` criterion bench measures
 //!    the fused speedup against them (the before/after table in
 //!    `BENCH_report.json`).
 //!
 //! They are *not* the hot path; nothing outside tests and benches
 //! should call them. As the oracle they are pinned to the scalar
-//! kernel tier throughout — the per-pair dots use the scalar `dot`
-//! and the softmax runs [`crate::softmax_inplace_tier`] with
-//! [`SimdTier::Scalar`] — so their outputs never change with the
-//! process-wide [`crate::active_tier`].
+//! kernel tier throughout — the per-pair dots and the softmax run on
+//! [`SimdTier::Scalar`], the probability × V product is
+//! [`Matrix::matmul`]'s fused chain — so their outputs never change
+//! with the process-wide [`crate::active_tier`], and they equal the
+//! fused kernels' on every tier bit for bit.
 
-use crate::matrix::dot;
+use crate::simd::dot;
 use crate::{
     quantize_matrix, softmax_inplace_tier, AttentionError, AttentionOutput, Matrix, PaddingMask,
     PruneDecision, QuantizedAttentionOutput, SimdTier, SoftmaxLut, MASK_NEG,
@@ -42,7 +43,11 @@ pub fn dense_attention_naive(
     let mut scores = Matrix::zeros(s_q, s_k)?;
     for i in 0..s_q {
         for j in 0..s_k {
-            scores.set(i, j, cfg.scale() * dot(q.row(i), k.row(j)));
+            scores.set(
+                i,
+                j,
+                cfg.scale() * dot(SimdTier::Scalar, q.row(i), k.row(j)),
+            );
         }
     }
     let mut probs = Matrix::zeros(s_q, s_k)?;
@@ -77,6 +82,7 @@ pub fn pruned_attention_naive(
     check_shapes(q, k, v)?;
     validate_padding(k, padding)?;
     let (s_q, s_k) = (q.rows(), k.rows());
+    let live_k = padding.map_or(s_k, |p| p.live());
     let mut scores = Matrix::zeros(s_q, s_k)?;
     let mut probs = Matrix::zeros(s_q, s_k)?;
     let mut decisions = Vec::with_capacity(s_q);
@@ -93,7 +99,7 @@ pub fn pruned_attention_naive(
         for (j, rs) in row_scores.iter_mut().enumerate() {
             let key_live = padding.map_or(true, |p| p.is_live(j));
             *rs = if key_live {
-                cfg.scale() * dot(q.row(i), k.row(j))
+                cfg.scale() * dot(SimdTier::Scalar, q.row(i), k.row(j))
             } else {
                 MASK_NEG
             };
@@ -119,7 +125,10 @@ pub fn pruned_attention_naive(
                 *s = f32::NEG_INFINITY;
             }
         }
-        softmax_inplace_tier(&mut p, SimdTier::Scalar);
+        // Normalize over the live keys only, as the fused kernel does:
+        // the exponent pass's lane layout depends on the row length.
+        p[live_k..].fill(0.0);
+        softmax_inplace_tier(&mut p[..live_k], SimdTier::Scalar);
         probs.row_mut(i).copy_from_slice(&p);
         decisions.push(decision);
     }

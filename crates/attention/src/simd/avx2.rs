@@ -5,29 +5,20 @@
 //! in [`super`], which guarantee the features are present at runtime
 //! (forced tiers are sanitized against [`super::avx2_available`]).
 //!
-//! ## Equivalence classes (see `docs/simd.md`)
+//! ## Equivalence (see `docs/simd.md`)
 //!
-//! * **Bit-identical to the scalar tier:** [`row_max`], [`scale_row`],
-//!   [`axpy`], [`av_row`], [`idot`], [`idot_i8`], [`vpu_accumulate`],
-//!   [`vpu_accumulate_i8`] — element-wise operations performed in the
-//!   scalar tier's per-element order (multiply *then* add, never a
-//!   fused multiply-add), or order-free integer / max reductions.
-//! * **≤ 4 ULP vs the scalar tier:** [`dot`] and the matmul built from
-//!   it ([`matmul_transposed_scaled_into`]) — the FMA reduction tree
-//!   reassociates the sum relative to the scalar four-lane reduction.
-//! * **Small relative error vs the scalar tier:** [`exp_rows`] — the
-//!   softmax exponent runs through the polynomial [`exp8`] (relative
-//!   error ≲ 2⁻²¹ of `f32::exp`) and an 8-lane partial sum, so
-//!   probabilities agree across tiers to ~1e-6 relative, not bitwise.
-//!   Masked `-inf` scores still produce exactly `0.0` in every tier.
+//! Every kernel here gives the scalar tier's bits on every input: the
+//! scalar float kernels (`scalar.rs`) are the executable specification
+//! of these lanes — the same accumulator assignment, [`hsum`] tree,
+//! fused steps, [`exp8`] polynomial and `maxps` rule, one lane at a
+//! time — and the integer kernels are exact in any order.
 //!
-//! Within the AVX2 tier itself, the batch matmul computes every cell
-//! in the *same* fixed reduction order as [`dot`] (the column-blocked
-//! [`dot4`] interleaves four independent per-cell chains without
-//! changing any chain's association), so batch scores and the per-key
-//! decode scores agree bit for bit — the decode ≡ batch contract of
-//! `crate::decode` holds inside this tier by construction, exactly as
-//! it does in the scalar tier.
+//! The batch matmul computes every cell in the *same* fixed reduction
+//! order as [`dot`] (the column-blocked [`dot4`] interleaves four
+//! independent per-cell chains without changing any chain's
+//! association), so batch scores and the per-key decode scores agree
+//! bit for bit — the decode ≡ batch contract of `crate::decode` holds
+//! by construction.
 //!
 //! Memory safety never depends on the shape preconditions: every trip
 //! count is derived from `min`s of the slice lengths involved, so all
@@ -85,8 +76,8 @@ fn hsum_epi32(v: __m256i) -> i32 {
 /// FMA dot product with the tier's one fixed reduction order: two
 /// 8-lane accumulators over 16-float chunks, an optional trailing
 /// 8-chunk into the first accumulator, one [`hsum`], then a scalar
-/// `mul_add` tail. ≤ 4 ULP from the scalar tier's four-lane reduction;
-/// reused verbatim per matmul cell so decode ≡ batch inside this tier.
+/// `mul_add` tail — the scalar tier's `dot` bit for bit; reused
+/// verbatim per matmul cell so decode ≡ batch.
 ///
 /// # Safety
 ///
@@ -347,9 +338,9 @@ pub(crate) unsafe fn matmul_transposed_scaled_into(
 /// final `p · 2^n` multiply can never produce a denormal. At the true
 /// boundary it does — and masked rows (75%+ `-inf` lanes under paper
 /// pruning rates) then pay the per-µop denormal assist on every lane,
-/// an ~8x softmax slowdown measured end to end. Scalar `exp` returns
-/// tiny subnormals (< 1.5e-38) in the flushed band `[-87.336, -87.0)`;
-/// the cross-tier difference is one subnormal of absolute error.
+/// an ~8x softmax slowdown measured end to end. The scalar tier's lane
+/// flushes at the same cutoff, so the two tiers agree in the band
+/// `[-87.336, -87.0)` where `f32::exp` would still return ~1e-38.
 ///
 /// # Safety
 ///
@@ -357,17 +348,7 @@ pub(crate) unsafe fn matmul_transposed_scaled_into(
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 fn exp8(x: __m256) -> __m256 {
-    const EXP_LO: f32 = -87.0; // flush-to-zero cutoff (see above)
-    const EXP_HI: f32 = 88.376_26; // above this, expf overflows to inf
-    const LOG2EF: f32 = std::f32::consts::LOG2_E;
-    const LN2_HI: f32 = 0.693_359_4;
-    const LN2_LO: f32 = -2.121_944_4e-4;
-    const P0: f32 = 1.987_569_1e-4;
-    const P1: f32 = 1.398_199_9e-3;
-    const P2: f32 = 8.333_452e-3;
-    const P3: f32 = 4.166_579_6e-2;
-    const P4: f32 = 1.666_666_6e-1;
-    const P5: f32 = 5.000_000_3e-1;
+    use super::cephes::{EXP_HI, EXP_LO, LN2_HI, LN2_LO, LOG2EF, P0, P1, P2, P3, P4, P5};
     let underflow = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(EXP_LO));
     let x = _mm256_min_ps(
         _mm256_max_ps(x, _mm256_set1_ps(EXP_LO)),
@@ -403,9 +384,8 @@ fn exp8(x: __m256) -> __m256 {
 /// sum of the results returned. Eight lanes at a time through [`exp8`]
 /// with an 8-lane partial sum (reduced by [`hsum`]), scalar `f32::exp`
 /// tail. `-inf` inputs (masked scores) become exactly `0.0` in both
-/// the vector body and the tail. Tolerance-class vs the scalar tier:
-/// the polynomial and the reassociated sum differ from sequential
-/// `f32::exp` by ~1e-6 relative.
+/// the vector body and the tail. The scalar tier runs the same lanes,
+/// sums and tail, bit for bit.
 ///
 /// # Safety
 ///
@@ -467,7 +447,7 @@ static SPREAD_MASK: [u64; 256] = spread_mask_table();
 /// byte written, and the kept count returned. Comparison, select and
 /// stores are exact operations, so the results are bit-identical to
 /// the scalar tier's sequential loop (NaN scores compare false and
-/// stay kept in both tiers).
+/// stay kept).
 ///
 /// # Safety
 ///
@@ -523,9 +503,9 @@ pub(crate) unsafe fn prune_mask_row(
     kept
 }
 
-/// Maximum over a row. Bit-identical to the scalar fold for rows
-/// without NaN: `max` over a multiset does not depend on association
-/// order.
+/// Maximum over a row: `maxps` lanes (`a > b ? a : b`), a 4 → 2 → 1
+/// tree, an `f32::max` tail — the scalar tier's `row_max` bit for bit,
+/// NaN handling included.
 ///
 /// # Safety
 ///
@@ -586,10 +566,8 @@ pub(crate) unsafe fn scale_row(row: &mut [f32], factor: f32) {
 /// `out[t] = fma(a, x[t], out[t])` — one fused multiply-add per
 /// element, the same per-element chain as the tier's AV accumulators
 /// ([`av_row`]), so decode (per-key `axpy`) and batch (register-blocked
-/// [`av_row`]) produce bit-identical outputs within the tier. Versus
-/// the scalar tier's multiply-then-add the fused form keeps the full
-/// product before rounding: a ≤ 0.5 ULP difference per step, in the
-/// documented AV tolerance class.
+/// [`av_row`]) produce bit-identical outputs; the scalar tier runs the
+/// same `mul_add` per element.
 ///
 /// # Safety
 ///
@@ -618,10 +596,8 @@ pub(crate) unsafe fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
 
 /// One output row of the AV stage over a contiguous row-major `V`:
 /// `out[t] += Σ_j probs[j] * v[j*d_v + t]`, ascending `j`, one fused
-/// multiply-add per element — the scalar tier's accumulation order
-/// with the multiply-round step fused away, so cross-tier results sit
-/// in the documented AV tolerance class while decode ([`axpy`] per
-/// key) and batch walks stay bit-identical *within* the tier. With
+/// multiply-add per element — the scalar tier's accumulation chain, so
+/// decode ([`axpy`] per key) and batch walks are bit-identical. With
 /// `skip_zero`, keys whose probability is exactly `0.0` are skipped
 /// (the sparse pruned-AV contract); without it every key contributes
 /// (the dense-crossover path).
@@ -663,7 +639,7 @@ pub(crate) unsafe fn av_row(
 /// [`av_row`] specialized to `d_v == 64`: the output row lives in
 /// eight `ymm` accumulators across the whole key loop. Same
 /// per-element order (ascending `j`, one FMA per element) as the
-/// tier's generic path and [`axpy`].
+/// generic path and [`axpy`].
 ///
 /// # Safety
 ///
@@ -802,7 +778,7 @@ pub(crate) unsafe fn av_rows64(
 
 /// One key's contribution to the 64-wide register-resident AV
 /// accumulators: one FMA per element, matching [`axpy`]'s chain so
-/// decode and batch agree bitwise within the tier.
+/// decode and batch agree bitwise.
 ///
 /// # Safety
 ///

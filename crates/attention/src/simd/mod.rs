@@ -1,40 +1,28 @@
 //! Runtime-dispatched SIMD kernel tiers for the hot attention loops.
 //!
-//! Two tiers exist: [`SimdTier::Scalar`], the register-blocked Rust
-//! that has always been here (and remains the reference oracle every
-//! vector lane is differential-tested against), and
-//! [`SimdTier::Avx2`], AVX2/FMA lanes for the fused `Q × Kᵀ`, softmax,
-//! AV, and 8-bit QK-PU/V-PU paths. Tier selection is automatic at
+//! Two tiers exist: [`SimdTier::Avx2`], AVX2/FMA lanes for the fused
+//! `Q × Kᵀ`, softmax, AV, and 8-bit QK-PU/V-PU paths, and
+//! [`SimdTier::Scalar`], portable Rust that is the executable
+//! specification of those lanes' bits. Tier selection is automatic at
 //! runtime ([`active_tier`]) and overridable for testing via the
 //! `SPRINT_SIMD={auto,scalar,avx2}` environment variable or
 //! per-[`crate::Workspace`] / per-engine knobs.
 //!
 //! ## Equivalence contract
 //!
-//! | kernel family                         | cross-tier guarantee |
-//! |---------------------------------------|----------------------|
-//! | integer QK-PU / V-PU (`idot`, `idot_i8`, V-PU accumulate) | bit-identical |
-//! | softmax `row_max` / `scale_row` stages | bit-identical |
-//! | prune scan (`prune_mask_row`)         | bit-identical |
-//! | float `Q × Kᵀ` / decode score dots    | ≤ 4 ULP (FMA reduction tree) |
-//! | softmax exponent pass (`exp_rows`)    | ~1e-6 relative (polynomial exp + lane sums) |
-//! | AV stage (`axpy`, `av_row`)           | ≤ 0.5 ULP per step (fused multiply-add) |
-//!
-//! Three kernel families diverge across tiers, all by bounded float
-//! tolerance: the float dot (its FMA reduction tree reassociates the
-//! sum), the softmax exponent pass (the AVX2 tier evaluates a
-//! Cephes-style polynomial `exp` eight lanes at a time and sums
-//! per-lane), and the AV stage (the AVX2 tier fuses each
-//! multiply-add where the scalar tier rounds the product first — the
-//! accumulation *order* is identical, so the drift is sub-ULP per
-//! element). Masked `-inf` scores produce *exactly* `0.0` in every
-//! tier, so pruning decisions and the sparse AV walk's `p == 0.0`
-//! skips are tier-independent. Everything else either performs the
-//! exact per-element operation order of the scalar tier or reduces an
-//! order-free operation (integer add, max). The quantized SPRINT path
-//! never touches `exp_rows` — its integer two-LUT softmax is
-//! tier-independent, keeping that path bit-identical end to end.
-//! `docs/simd.md` documents the contract and how to add a lane.
+//! Every kernel is bit-identical across tiers, on every input — NaN,
+//! ±inf and the `exp` flush band included. The scalar float kernels
+//! (`scalar.rs`) run the AVX2 operation order one lane at a time: the
+//! same eight-lane accumulators and horizontal-sum tree, `f32::mul_add`
+//! wherever a vector body fuses, the same Cephes `exp` polynomial and
+//! `-87.0` flush, and the `maxps` select rule for maxima. The integer
+//! kernels and the element-wise stages are exact in any order. So the
+//! float modes' outputs do not depend on the host CPU, and a masked
+//! `-inf` score is exactly `0.0` probability everywhere. The one host
+//! dependence left is libm `f32::exp` on the exponent pass's tail
+//! (the last `len % 8` entries of a row), which both tiers call:
+//! replacing it would move the AVX2 tier's bits. `docs/simd.md`
+//! documents the contract and how to add a lane.
 //!
 //! A forced [`SimdTier::Avx2`] on a host without AVX2+FMA is sanitized
 //! back to [`SimdTier::Scalar`] everywhere a tier enters the system
@@ -50,13 +38,32 @@ use crate::Matrix;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+mod scalar;
 
-/// One kernel tier. The scalar tier is always available and is the
-/// reference implementation; the AVX2 tier requires runtime-detected
-/// AVX2 *and* FMA support.
+/// The Cephes `expf` constants both tiers' `exp` lanes share.
+mod cephes {
+    /// Flush-to-zero cutoff: lanes below it return exactly `0.0`.
+    pub(super) const EXP_LO: f32 = -87.0;
+    /// Above this, `expf` overflows to `inf`.
+    pub(super) const EXP_HI: f32 = 88.376_26;
+    pub(super) const LOG2EF: f32 = std::f32::consts::LOG2_E;
+    pub(super) const LN2_HI: f32 = 0.693_359_4;
+    pub(super) const LN2_LO: f32 = -2.121_944_4e-4;
+    pub(super) const P0: f32 = 1.987_569_1e-4;
+    pub(super) const P1: f32 = 1.398_199_9e-3;
+    pub(super) const P2: f32 = 8.333_452e-3;
+    pub(super) const P3: f32 = 4.166_579_6e-2;
+    pub(super) const P4: f32 = 1.666_666_6e-1;
+    pub(super) const P5: f32 = 5.000_000_3e-1;
+}
+
+/// One kernel tier. The scalar tier is always available; the AVX2 tier
+/// requires runtime-detected AVX2 *and* FMA support. Both give the same
+/// bits on every input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdTier {
-    /// Portable register-blocked Rust — the reference oracle.
+    /// Portable Rust — the executable specification: the AVX2 tier's
+    /// operation order one lane at a time.
     Scalar,
     /// AVX2/FMA vector lanes (x86-64 hosts with both features).
     Avx2,
@@ -133,8 +140,8 @@ pub fn active_tier() -> SimdTier {
     })
 }
 
-/// Dot product of two equal-length float rows. Scalar: the four-lane
-/// reduction of `crate::matrix`. AVX2: the FMA reduction (≤ 4 ULP).
+/// Dot product of two equal-length float rows: two 8-lane FMA
+/// accumulators, one horizontal-sum tree, a `mul_add` tail.
 pub(crate) fn dot(tier: SimdTier, a: &[f32], b: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 {
@@ -144,13 +151,12 @@ pub(crate) fn dot(tier: SimdTier, a: &[f32], b: &[f32]) -> f32 {
         return unsafe { avx2::dot(a, b) };
     }
     let _ = tier;
-    crate::matrix::dot(a, b)
+    scalar::dot(a, b)
 }
 
 /// Tiered `out[i][j] = scale * (a.row(i) · b.row(j))` over a region,
-/// leaving the rest of `out` untouched. Scalar: the blocked kernels of
-/// `crate::matrix`. AVX2: per-cell [`dot`] (≤ 4 ULP; decode ≡ batch by
-/// construction in both tiers).
+/// leaving the rest of `out` untouched. Every cell is one [`dot`], so
+/// decode ≡ batch by construction.
 pub(crate) fn matmul_transposed_scaled_into(
     tier: SimdTier,
     a: &Matrix,
@@ -169,11 +175,11 @@ pub(crate) fn matmul_transposed_scaled_into(
         return;
     }
     let _ = tier;
-    crate::matrix::mt_scalar_into(a, b, scale, rows, cols, out);
+    scalar::matmul_transposed_scaled_into(a, b, scale, rows, cols, out);
 }
 
-/// Maximum of a row (`-inf` for an empty row). Bit-identical across
-/// tiers for NaN-free rows.
+/// Maximum of a row (`-inf` for an empty row): 8 lane maxima by the
+/// `maxps` rule `a > b ? a : b`, a 4 → 2 → 1 tree, an `f32::max` tail.
 pub(crate) fn row_max(tier: SimdTier, row: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 && !row.is_empty() {
@@ -183,11 +189,10 @@ pub(crate) fn row_max(tier: SimdTier, row: &[f32]) -> f32 {
         return unsafe { avx2::row_max(row) };
     }
     let _ = tier;
-    row.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+    scalar::row_max(row)
 }
 
-/// `row[t] *= factor` (the softmax normalization). Bit-identical
-/// across tiers: element-wise multiply.
+/// `row[t] *= factor` (the softmax normalization).
 pub(crate) fn scale_row(tier: SimdTier, row: &mut [f32], factor: f32) {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 {
@@ -206,9 +211,8 @@ pub(crate) fn scale_row(tier: SimdTier, row: &mut [f32], factor: f32) {
 /// The fused prune scan of one scores row (Eq. 3): per element,
 /// `pruned = s < threshold`; pruned positions are masked to `-inf` in
 /// both the scores row and the probability staging row; the decision
-/// flag is written; the kept count is returned. Bit-identical across
-/// tiers — comparison and select are exact (NaN scores compare false
-/// and stay kept in both tiers).
+/// flag is written; the kept count is returned. NaN scores compare
+/// false and stay kept.
 pub(crate) fn prune_mask_row(
     tier: SimdTier,
     srow: &mut [f32],
@@ -237,11 +241,11 @@ pub(crate) fn prune_mask_row(
 }
 
 /// The softmax exponent pass: `row[t] = exp(row[t] - max)`, returning
-/// the sum of the exponentials. `-inf` entries (masked scores) become
-/// exactly `0.0` in every tier. Scalar: sequential `f32::exp`. AVX2:
-/// the polynomial [`avx2::exp_rows`] — tolerance class, ~1e-6
-/// relative. `max` must be finite; callers handle the all-`-inf` row
-/// before this.
+/// the sum of the exponentials: the Cephes polynomial over whole
+/// 8-chunks (flushing below `-87.0`) with 8 lane partial sums, then
+/// `f32::exp` on the tail. `-inf` entries (masked scores) become
+/// exactly `0.0`. `max` must be finite; callers handle the all-`-inf`
+/// row before this.
 pub(crate) fn exp_rows(tier: SimdTier, row: &mut [f32], max: f32) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 {
@@ -251,24 +255,12 @@ pub(crate) fn exp_rows(tier: SimdTier, row: &mut [f32], max: f32) -> f32 {
         return unsafe { avx2::exp_rows(row, max) };
     }
     let _ = tier;
-    let mut sum = 0.0f32;
-    for s in row.iter_mut() {
-        let e = if *s == f32::NEG_INFINITY {
-            0.0
-        } else {
-            (*s - max).exp()
-        };
-        *s = e;
-        sum += e;
-    }
-    sum
+    scalar::exp_rows(row, max)
 }
 
-/// `out[t] += a * x[t]` (the sparse AV inner step over one V row).
-/// AV tolerance class: the AVX2 tier fuses the multiply-add (≤ 0.5 ULP
-/// per step vs the scalar tier's multiply-then-add), and within each
-/// tier this is exactly the [`av_row`] per-element chain, so decode
-/// and batch outputs agree bitwise per tier.
+/// `out[t] = fma(a, x[t], out[t])` (the sparse AV inner step over one
+/// V row) — exactly the [`av_row`] per-element chain, so decode and
+/// batch outputs agree bitwise.
 pub(crate) fn axpy(tier: SimdTier, out: &mut [f32], a: f32, x: &[f32]) {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 {
@@ -279,15 +271,14 @@ pub(crate) fn axpy(tier: SimdTier, out: &mut [f32], a: f32, x: &[f32]) {
         return;
     }
     let _ = tier;
-    crate::attention::axpy(out, a, x);
+    scalar::axpy(out, a, x);
 }
 
 /// One output row of the AV stage over a contiguous row-major `V`:
 /// ascending-key accumulation, with `skip_zero` skipping exactly-zero
 /// probabilities (the sparse pruned path) or visiting every key (the
-/// dense-crossover path). AV tolerance class across tiers (the AVX2
-/// tier uses one FMA per element, see [`axpy`]); the skip and stream
-/// walks are bit-identical to each other within every tier.
+/// dense-crossover path). One FMA per element, see [`axpy`]; the skip
+/// and stream walks are bit-identical to each other.
 pub(crate) fn av_row(
     tier: SimdTier,
     out: &mut [f32],
@@ -305,17 +296,13 @@ pub(crate) fn av_row(
         return;
     }
     let _ = tier;
-    for (&p, v_row) in probs.iter().zip(v.chunks_exact(d_v)) {
-        if !skip_zero || p != 0.0 {
-            crate::attention::axpy(out, p, v_row);
-        }
-    }
+    scalar::av_row(out, probs, v, d_v, skip_zero);
 }
 
 /// The whole-matrix AV stage: row `i` of `out` accumulates
 /// `probs.row(i)[..live] × V` for each plan `(live, skip_zero)`
 /// (`live == 0` leaves the row untouched — padded queries). Every row
-/// is bit-identical to a standalone [`av_row`] call on the same tier:
+/// is bit-identical to a standalone [`av_row`] call:
 /// the AVX2 `d_v == 64` arm sweeps key panels across all rows so the
 /// `V` panel stays L1-resident (spilling each row's partial sums
 /// between panels, which is exact), every other combination simply
@@ -352,8 +339,7 @@ pub(crate) fn av_rows(
 }
 
 /// Integer QK-PU dot over `i32` code rows (8-bit-range codes, whose
-/// products cannot overflow the `i32` sum). Bit-identical across
-/// tiers. Public for `sprint-reram`'s comparator calibration, which
+/// products cannot overflow the `i32` sum). Public for `sprint-reram`'s comparator calibration, which
 /// walks the same codes; a forced [`SimdTier::Avx2`] on a host without
 /// it takes the scalar arm.
 pub fn idot(tier: SimdTier, a: &[i32], b: &[i32]) -> i32 {
@@ -368,7 +354,7 @@ pub fn idot(tier: SimdTier, a: &[i32], b: &[i32]) -> i32 {
 }
 
 /// Integer QK-PU dot with the key side widened from cached `i8` page
-/// codes (the decode path). Bit-identical across tiers.
+/// codes (the decode path).
 pub(crate) fn idot_i8(tier: SimdTier, a: &[i32], b: &[i8]) -> i32 {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 {
@@ -382,7 +368,7 @@ pub(crate) fn idot_i8(tier: SimdTier, a: &[i32], b: &[i8]) -> i32 {
 }
 
 /// One key's V-PU accumulation over `i32` value codes:
-/// `acc[t] += p_code * codes[t]`. Bit-identical across tiers.
+/// `acc[t] += p_code * codes[t]`.
 pub(crate) fn vpu_accumulate(tier: SimdTier, acc: &mut [i32], p_code: i32, codes: &[i32]) {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 {
@@ -399,7 +385,6 @@ pub(crate) fn vpu_accumulate(tier: SimdTier, acc: &mut [i32], p_code: i32, codes
 }
 
 /// [`vpu_accumulate`] over cached `i8` page codes (the decode V-PU).
-/// Bit-identical across tiers.
 pub(crate) fn vpu_accumulate_i8(tier: SimdTier, acc: &mut [i32], p_code: i32, codes: &[i8]) {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 {
@@ -413,23 +398,6 @@ pub(crate) fn vpu_accumulate_i8(tier: SimdTier, acc: &mut [i32], p_code: i32, co
     for (a, &vc) in acc.iter_mut().zip(codes) {
         *a += p_code * i32::from(vc);
     }
-}
-
-/// Distance between two floats in units in the last place, through the
-/// standard monotone total order on the bit patterns. Equal bits give
-/// 0; `+0.0`/`-0.0` are 1 apart; NaNs compare by bit pattern like any
-/// other value. This is the measuring stick of the documented ≤ 4-ULP
-/// float contract (`docs/simd.md`).
-pub fn ulp_distance(a: f32, b: f32) -> u32 {
-    fn key(x: f32) -> i64 {
-        let b = x.to_bits();
-        if b & 0x8000_0000 != 0 {
-            -(i64::from(b & 0x7fff_ffff)) - 1
-        } else {
-            i64::from(b)
-        }
-    }
-    key(a).abs_diff(key(b)).try_into().unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]
@@ -461,22 +429,100 @@ mod tests {
             .collect()
     }
 
-    /// The ≤ 4-ULP dot contract, measured at the accumulated magnitude
-    /// `Σ|aᵢ·bᵢ|`: reassociating a sum perturbs it by a few ULP *of the
-    /// terms being accumulated*, which equals a few ULP of the result
-    /// except under cancellation (where no fixed result-relative bound
-    /// exists for either tier).
-    fn dot_close(s: f32, v: f32, a: &[f32], b: &[f32]) -> bool {
-        let magnitude: f32 = a.iter().zip(b).map(|(&x, &y)| (x * y).abs()).sum();
-        ulp_distance(s, v) <= 4 || (s - v).abs() <= 4.0 * f32::EPSILON * magnitude
-    }
-
     /// Lengths crossing every remainder branch of the 8- and 16-wide
     /// loops: 0, 1, lane−1, lane, lane+1 for both widths, plus the
     /// studied head sizes.
     const TAIL_LENGTHS: &[usize] = &[
         0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 24, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129,
     ];
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The tiers this host runs, scalar first.
+    fn host_tiers() -> Vec<SimdTier> {
+        let mut tiers = vec![SimdTier::Scalar];
+        if avx2_available() {
+            tiers.push(SimdTier::Avx2);
+        }
+        tiers
+    }
+
+    /// Every float kernel of one tier over the equal-length rows `x`
+    /// and `y`, each kernel's outputs as bits under its name. `exp_rows`
+    /// takes `max = 0`, so an entry of `x` is its own exponent offset.
+    fn float_kernels(tier: SimdTier, x: &[f32], y: &[f32]) -> Vec<(&'static str, Vec<u32>)> {
+        let n = x.len();
+        let mut scaled = x.to_vec();
+        scale_row(tier, &mut scaled, 0.7311);
+        let (mut srow, mut prow, mut flags) = (x.to_vec(), y.to_vec(), vec![false; n]);
+        let kept = prune_mask_row(tier, &mut srow, &mut prow, &mut flags, 0.1);
+        let mut exps = x.to_vec();
+        let sum = exp_rows(tier, &mut exps, 0.0);
+        let mut acc = y.to_vec();
+        axpy(tier, &mut acc, 0.4821, x);
+        let mut out = vec![
+            ("dot", vec![dot(tier, x, y).to_bits()]),
+            ("row_max", vec![row_max(tier, x).to_bits()]),
+            ("scale_row", bits(&scaled)),
+            ("prune_mask_row scores", bits(&srow)),
+            ("prune_mask_row probs", bits(&prow)),
+            (
+                "prune_mask_row flags",
+                flags.iter().map(|&f| f.into()).collect(),
+            ),
+            ("prune_mask_row kept", vec![kept as u32]),
+            ("exp_rows", bits(&exps)),
+            ("exp_rows sum", vec![sum.to_bits()]),
+            ("axpy", bits(&acc)),
+        ];
+        if n > 0 {
+            let v = [x, y, x].concat();
+            let probs = [0.3, 0.0, 0.7];
+            for (name, skip_zero) in [("av_row skip", true), ("av_row stream", false)] {
+                let mut row = y.to_vec();
+                av_row(tier, &mut row, &probs, &v, n, skip_zero);
+                out.push((name, bits(&row)));
+            }
+            let a = Matrix::from_vec(2, n, [x, y].concat()).unwrap();
+            let b = Matrix::from_vec(3, n, v.clone()).unwrap();
+            let mut scores = Matrix::zeros(2, 4).unwrap();
+            matmul_transposed_scaled_into(tier, &a, &b, 0.125, 0..2, 0..3, &mut scores);
+            out.push(("matmul", bits(scores.as_slice())));
+            let p = Matrix::from_vec(3, 3, vec![0.3, 0.0, 0.7, 0.5, 0.5, 0.0, 0.0, 0.2, 0.9]);
+            let mut rows = Matrix::from_vec(3, n, [y, x, y].concat()).unwrap();
+            let plans = [(3, true), (3, false), (2, true)];
+            av_rows(tier, &mut rows, &p.unwrap(), &v, n, &plans);
+            out.push(("av_rows", bits(rows.as_slice())));
+        }
+        out
+    }
+
+    /// Every integer kernel of one tier over the equal-length code rows
+    /// `a` and `b`.
+    fn integer_kernels(tier: SimdTier, a: &[i32], b: &[i32], p_code: i32) -> Vec<Vec<i32>> {
+        let b8: Vec<i8> = b.iter().map(|&c| c.clamp(-128, 127) as i8).collect();
+        let mut acc = a.to_vec();
+        vpu_accumulate(tier, &mut acc, p_code, b);
+        let mut acc8 = acc.clone();
+        vpu_accumulate_i8(tier, &mut acc8, p_code, &b8);
+        vec![
+            vec![idot(tier, a, b)],
+            vec![idot_i8(tier, a, &b8)],
+            acc,
+            acc8,
+        ]
+    }
+
+    /// Both tiers give the same bits from every float kernel.
+    fn assert_tiers_agree(x: &[f32], y: &[f32], what: &str) {
+        let scalar = float_kernels(SimdTier::Scalar, x, y);
+        let vector = float_kernels(SimdTier::Avx2, x, y);
+        for ((name, s), (_, v)) in scalar.iter().zip(&vector) {
+            assert_eq!(s, v, "{name}, {what}");
+        }
+    }
 
     #[test]
     fn knob_parsing_recognizes_tiers_and_defaults_to_auto() {
@@ -508,88 +554,57 @@ mod tests {
     }
 
     #[test]
-    fn ulp_distance_behaves_at_the_edges() {
-        assert_eq!(ulp_distance(1.0, 1.0), 0);
-        assert_eq!(ulp_distance(0.0, -0.0), 1);
-        assert_eq!(ulp_distance(1.0, f32::from_bits(1.0f32.to_bits() + 3)), 3);
-        assert_eq!(ulp_distance(-1.5, -1.5), 0);
-        assert!(ulp_distance(1.0, -1.0) > 1_000_000);
-    }
-
-    #[test]
-    fn tail_lengths_dot_within_ulp_budget() {
+    fn every_kernel_agrees_bitwise_at_every_tail_length() {
         if !avx2_available() {
             return;
         }
         for &n in TAIL_LENGTHS {
-            let a = rand_f32(n as u64 + 1, n);
-            let b = rand_f32(n as u64 + 1000, n);
-            let scalar = dot(SimdTier::Scalar, &a, &b);
-            let vector = dot(SimdTier::Avx2, &a, &b);
-            assert!(
-                dot_close(scalar, vector, &a, &b),
-                "len {n}: scalar {scalar} vs avx2 {vector}"
-            );
-        }
-    }
-
-    #[test]
-    fn tail_lengths_row_max_and_scale_are_bit_identical() {
-        if !avx2_available() {
-            return;
-        }
-        for &n in TAIL_LENGTHS {
-            let mut row = rand_f32(n as u64 + 11, n);
-            if n > 0 {
-                row[n / 2] = f32::NEG_INFINITY; // masked entries appear in real rows
-                assert_eq!(
-                    row_max(SimdTier::Scalar, &row).to_bits(),
-                    row_max(SimdTier::Avx2, &row).to_bits(),
-                    "row_max len {n}"
-                );
+            let x: Vec<f32> = rand_f32(n as u64 + 1, n).iter().map(|v| 6.0 * v).collect();
+            let y = rand_f32(n as u64 + 1000, n);
+            assert_tiers_agree(&x, &y, &format!("len {n}"));
+            // Masked scores appear in real rows.
+            let mut masked = x.clone();
+            for s in masked.iter_mut().step_by(3) {
+                *s = f32::NEG_INFINITY;
             }
-            let mut scalar_row = row.clone();
-            scale_row(SimdTier::Scalar, &mut scalar_row, 0.7311);
-            scale_row(SimdTier::Avx2, &mut row, 0.7311);
+            assert_tiers_agree(&masked, &y, &format!("masked, len {n}"));
+            let (a, b) = (rand_codes(n as u64 + 41, n), rand_codes(n as u64 + 42, n));
             assert_eq!(
-                scalar_row.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                row.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "scale_row len {n}"
+                integer_kernels(SimdTier::Scalar, &a, &b, 173),
+                integer_kernels(SimdTier::Avx2, &a, &b, 173),
+                "integer kernels, len {n}"
             );
         }
     }
 
     #[test]
-    fn tail_lengths_axpy_agrees_within_the_av_tolerance() {
+    fn non_finite_and_flush_band_inputs_agree_across_tiers() {
         if !avx2_available() {
             return;
         }
-        // The AVX2 arm fuses each multiply-add; versus the scalar
-        // multiply-then-add that is at most 0.5 ULP of drift per step,
-        // far inside 1e-6 relative for one step.
-        for &n in TAIL_LENGTHS {
-            let x = rand_f32(n as u64 + 21, n);
-            let mut scalar_out = rand_f32(n as u64 + 22, n);
-            let mut vector_out = scalar_out.clone();
-            axpy(SimdTier::Scalar, &mut scalar_out, 0.4821, &x);
-            axpy(SimdTier::Avx2, &mut vector_out, 0.4821, &x);
-            // The drift is sub-ULP of the *operands* (O(1) here), so
-            // the floor is operand-scale: cancellation can make the
-            // result far smaller than the rounding error of one step.
-            for (i, (&s, &v)) in scalar_out.iter().zip(vector_out.iter()).enumerate() {
-                assert!(
-                    (s - v).abs() <= 1e-6 * s.abs().max(1.0),
-                    "axpy len {n} slot {i}: {s} vs {v}"
-                );
+        // 8: lanes 0–7 and no tail; 11: a chunk and a three-entry tail;
+        // 19: the 16-wide dot chunk, an 8-lane row chunk and tails. The
+        // flush band is `x − max` in [−87.336, −87.0): exactly 0.0 in a
+        // lane, libm `exp` in the tail, on both tiers.
+        for n in [8usize, 11, 19] {
+            let base = rand_f32(n as u64 + 7, n);
+            let y = rand_f32(n as u64 + 8, n);
+            for pos in 0..n {
+                let flush_band = [-87.0001, -87.2, -87.33];
+                for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+                    .into_iter()
+                    .chain(flush_band)
+                {
+                    let mut x = base.clone();
+                    x[pos] = value;
+                    assert_tiers_agree(&x, &y, &format!("{value} at {pos} of {n}"));
+                }
             }
         }
     }
 
     #[test]
     fn tail_lengths_av_row_modes_agree_and_walks_match_within_tier() {
-        if !avx2_available() {
-            return;
-        }
         // d_v sweeps the lane boundaries; 64 exercises the
         // register-resident specialization.
         for &d_v in &[1usize, 7, 8, 9, 16, 31, 33, 64, 100] {
@@ -600,46 +615,22 @@ mod tests {
                 for p in probs.iter_mut().step_by(2) {
                     *p = 0.0;
                 }
+                // Per tier, the skip walk and the stream walk visit the
+                // surviving keys in the same order with the same
+                // arithmetic (a visited zero probability is an exact
+                // no-op), and every tier gives the scalar tier's bits.
                 let mut walks = Vec::new();
-                for skip_zero in [true, false] {
-                    let mut scalar_out = rand_f32(9, d_v);
-                    let mut vector_out = scalar_out.clone();
-                    av_row(
-                        SimdTier::Scalar,
-                        &mut scalar_out,
-                        &probs,
-                        &v,
-                        d_v,
-                        skip_zero,
-                    );
-                    av_row(SimdTier::Avx2, &mut vector_out, &probs, &v, d_v, skip_zero);
-                    // Cross-tier: the AV tolerance class (FMA drift,
-                    // operand-scale floor — see the axpy tail test).
-                    for (i, (&s, &a)) in scalar_out.iter().zip(vector_out.iter()).enumerate() {
-                        assert!(
-                            (s - a).abs() <= 1e-5 * s.abs().max(1.0),
-                            "av_row d_v {d_v} keys {keys} skip {skip_zero} slot {i}: {s} vs {a}"
-                        );
+                for tier in host_tiers() {
+                    for skip_zero in [true, false] {
+                        let mut out = rand_f32(9, d_v);
+                        av_row(tier, &mut out, &probs, &v, d_v, skip_zero);
+                        walks.push((tier, skip_zero, bits(&out)));
                     }
-                    walks.push((scalar_out, vector_out));
                 }
-                // Within each tier, the skip walk and the stream walk
-                // visit the surviving keys in the same order with the
-                // same arithmetic (a visited zero probability is an
-                // exact no-op), so they must agree bit for bit.
-                let (skip, stream) = (&walks[0], &walks[1]);
-                for (tier_idx, tier) in ["scalar", "avx2"].iter().enumerate() {
-                    let pick = |w: &(Vec<f32>, Vec<f32>)| {
-                        if tier_idx == 0 {
-                            w.0.clone()
-                        } else {
-                            w.1.clone()
-                        }
-                    };
+                for (tier, skip_zero, walk) in &walks {
                     assert_eq!(
-                        pick(skip).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        pick(stream).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "{tier} skip vs stream, d_v {d_v} keys {keys}"
+                        walk, &walks[0].2,
+                        "{tier} skip {skip_zero}, d_v {d_v} keys {keys}"
                     );
                 }
             }
@@ -654,11 +645,6 @@ mod tests {
         // the 32-key panel boundary both ways, d_v == 64 exercises the
         // panel kernel and 16 the fallback loop; plans mix skip/stream
         // rows, short live prefixes and untouched (live == 0) rows.
-        let tiers = if avx2_available() {
-            vec![SimdTier::Scalar, SimdTier::Avx2]
-        } else {
-            vec![SimdTier::Scalar]
-        };
         for &d_v in &[64usize, 16] {
             for keys in [1usize, 31, 32, 33, 64, 65, 100] {
                 let rows = 5;
@@ -678,7 +664,7 @@ mod tests {
                     (keys.min(17), true),
                     (keys, true),
                 ];
-                for &tier in &tiers {
+                for tier in host_tiers() {
                     let mut batched = Matrix::zeros(rows, d_v).unwrap();
                     av_rows(tier, &mut batched, &probs, &v, d_v, &plans);
                     for (i, &(live, skip_zero)) in plans.iter().enumerate() {
@@ -687,12 +673,8 @@ mod tests {
                             av_row(tier, &mut single, &probs.row(i)[..live], &v, d_v, skip_zero);
                         }
                         assert_eq!(
-                            batched
-                                .row(i)
-                                .iter()
-                                .map(|x| x.to_bits())
-                                .collect::<Vec<_>>(),
-                            single.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                            bits(batched.row(i)),
+                            bits(&single),
                             "{tier} d_v {d_v} keys {keys} row {i}"
                         );
                     }
@@ -702,77 +684,26 @@ mod tests {
     }
 
     #[test]
-    fn tail_lengths_integer_kernels_are_bit_identical() {
-        if !avx2_available() {
-            return;
-        }
-        for &n in TAIL_LENGTHS {
-            let a = rand_codes(n as u64 + 41, n);
-            let b = rand_codes(n as u64 + 42, n);
-            let b8: Vec<i8> = b.iter().map(|&c| (c.clamp(-128, 127)) as i8).collect();
-            assert_eq!(
-                idot(SimdTier::Scalar, &a, &b),
-                idot(SimdTier::Avx2, &a, &b),
-                "idot len {n}"
-            );
-            assert_eq!(
-                idot_i8(SimdTier::Scalar, &a, &b8),
-                idot_i8(SimdTier::Avx2, &a, &b8),
-                "idot_i8 len {n}"
-            );
-            let mut scalar_acc = rand_codes(n as u64 + 43, n);
-            let mut vector_acc = scalar_acc.clone();
-            vpu_accumulate(SimdTier::Scalar, &mut scalar_acc, 173, &b);
-            vpu_accumulate(SimdTier::Avx2, &mut vector_acc, 173, &b);
-            assert_eq!(scalar_acc, vector_acc, "vpu_accumulate len {n}");
-            vpu_accumulate_i8(SimdTier::Scalar, &mut scalar_acc, 91, &b8);
-            vpu_accumulate_i8(SimdTier::Avx2, &mut vector_acc, 91, &b8);
-            assert_eq!(scalar_acc, vector_acc, "vpu_accumulate_i8 len {n}");
-        }
-    }
-
-    #[test]
     fn tiered_matmul_region_matches_scalar_within_ulp() {
+        // Zero ULP: every cell is the one dot order on both tiers.
         if !avx2_available() {
             return;
         }
         for &d in &[31usize, 32, 33, 64, 100, 128] {
             let a = Matrix::from_vec(5, d, rand_f32(d as u64, 5 * d)).unwrap();
             let b = Matrix::from_vec(7, d, rand_f32(d as u64 + 7, 7 * d)).unwrap();
-            let mut scalar_out = Matrix::zeros(5, 7).unwrap();
-            let mut vector_out = Matrix::zeros(5, 7).unwrap();
-            matmul_transposed_scaled_into(
-                SimdTier::Scalar,
-                &a,
-                &b,
-                0.125,
-                0..4,
-                0..6,
-                &mut scalar_out,
+            let [scalar_out, vector_out] = [SimdTier::Scalar, SimdTier::Avx2].map(|tier| {
+                let mut out = Matrix::zeros(5, 7).unwrap();
+                matmul_transposed_scaled_into(tier, &a, &b, 0.125, 0..4, 0..6, &mut out);
+                out
+            });
+            assert_eq!(
+                bits(scalar_out.as_slice()),
+                bits(vector_out.as_slice()),
+                "d {d}"
             );
-            matmul_transposed_scaled_into(
-                SimdTier::Avx2,
-                &a,
-                &b,
-                0.125,
-                0..4,
-                0..6,
-                &mut vector_out,
-            );
-            for r in 0..5 {
-                for c in 0..7 {
-                    let (s, v) = (scalar_out.get(r, c), vector_out.get(r, c));
-                    // 0.125 is a power of two: dividing it back out is
-                    // exact, so the dot contract applies unchanged.
-                    assert!(
-                        dot_close(s / 0.125, v / 0.125, a.row(r), b.row(c)),
-                        "d {d} cell ({r},{c}): {s} vs {v}"
-                    );
-                }
-            }
             // Outside the region both stay zero.
             assert_eq!(vector_out.get(4, 6), 0.0);
-            assert_eq!(scalar_out.get(4, 6), 0.0);
         }
     }
 
@@ -782,14 +713,14 @@ mod tests {
             len in 0usize..130,
             seed in 0u64..500,
         ) {
+            // Zero ULP: the scalar dot is the AVX2 reduction order.
             if avx2_available() {
                 let a = rand_f32(seed, len);
                 let b = rand_f32(seed.wrapping_add(77), len);
-                let s = dot(SimdTier::Scalar, &a, &b);
-                let v = dot(SimdTier::Avx2, &a, &b);
-                prop_assert!(
-                    dot_close(s, v, &a, &b),
-                    "len {} scalar {} avx2 {}", len, s, v
+                prop_assert_eq!(
+                    dot(SimdTier::Scalar, &a, &b).to_bits(),
+                    dot(SimdTier::Avx2, &a, &b).to_bits(),
+                    "len {}", len
                 );
             }
         }
@@ -802,29 +733,18 @@ mod tests {
         ) {
             if avx2_available() {
                 let x = rand_f32(seed, len);
-                let mut s_out = rand_f32(seed.wrapping_add(5), len);
-                let mut v_out = s_out.clone();
-                // axpy is the AV tolerance class: one fused
-                // multiply-add per element on AVX2, ≤ 0.5 ULP of
-                // drift per step vs multiply-then-add.
-                axpy(SimdTier::Scalar, &mut s_out, factor, &x);
-                axpy(SimdTier::Avx2, &mut v_out, factor, &x);
-                for (&s, &v) in s_out.iter().zip(v_out.iter()) {
-                    prop_assert!(
-                        (s - v).abs() <= 1e-6 * s.abs().max(1.0),
-                        "axpy {} vs {}", s, v
-                    );
-                }
-                // scale_row stays bit-identical: same single multiply
-                // per element in both tiers.
-                let mut s_scaled = rand_f32(seed.wrapping_add(9), len);
-                let mut v_scaled = s_scaled.clone();
-                scale_row(SimdTier::Scalar, &mut s_scaled, factor);
-                scale_row(SimdTier::Avx2, &mut v_scaled, factor);
-                prop_assert_eq!(
-                    s_scaled.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    v_scaled.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
+                let [s_out, v_out] = [SimdTier::Scalar, SimdTier::Avx2].map(|tier| {
+                    let mut out = rand_f32(seed.wrapping_add(5), len);
+                    axpy(tier, &mut out, factor, &x);
+                    out
+                });
+                prop_assert_eq!(bits(&s_out), bits(&v_out));
+                let [s_scaled, v_scaled] = [SimdTier::Scalar, SimdTier::Avx2].map(|tier| {
+                    let mut row = rand_f32(seed.wrapping_add(9), len);
+                    scale_row(tier, &mut row, factor);
+                    row
+                });
+                prop_assert_eq!(bits(&s_scaled), bits(&v_scaled));
             }
         }
 
@@ -837,20 +757,10 @@ mod tests {
             if avx2_available() {
                 let a = rand_codes(seed, len);
                 let b = rand_codes(seed.wrapping_add(13), len);
-                let b8: Vec<i8> = b.iter().map(|&c| c as i8).collect();
-                prop_assert_eq!(idot(SimdTier::Scalar, &a, &b), idot(SimdTier::Avx2, &a, &b));
                 prop_assert_eq!(
-                    idot_i8(SimdTier::Scalar, &a, &b8),
-                    idot_i8(SimdTier::Avx2, &a, &b8)
+                    integer_kernels(SimdTier::Scalar, &a, &b, p_code),
+                    integer_kernels(SimdTier::Avx2, &a, &b, p_code)
                 );
-                let mut s_acc = rand_codes(seed.wrapping_add(29), len);
-                let mut v_acc = s_acc.clone();
-                vpu_accumulate(SimdTier::Scalar, &mut s_acc, p_code, &b);
-                vpu_accumulate(SimdTier::Avx2, &mut v_acc, p_code, &b);
-                prop_assert_eq!(&s_acc, &v_acc);
-                vpu_accumulate_i8(SimdTier::Scalar, &mut s_acc, p_code, &b8);
-                vpu_accumulate_i8(SimdTier::Avx2, &mut v_acc, p_code, &b8);
-                prop_assert_eq!(&s_acc, &v_acc);
             }
         }
 
@@ -861,26 +771,20 @@ mod tests {
             mask_every in 1usize..5,
         ) {
             if avx2_available() {
-                let mut scalar_row = rand_f32(seed, len);
-                for s in scalar_row.iter_mut().step_by(mask_every) {
+                let mut scores = rand_f32(seed, len);
+                for s in scores.iter_mut().step_by(mask_every) {
                     *s = f32::NEG_INFINITY;
                 }
-                let mut vector_row = scalar_row.clone();
-                crate::softmax::softmax_inplace_tier(&mut scalar_row, SimdTier::Scalar);
-                crate::softmax::softmax_inplace_tier(&mut vector_row, SimdTier::Avx2);
-                for (i, (&s, &v)) in scalar_row.iter().zip(&vector_row).enumerate() {
-                    if s == 0.0 {
-                        // Masked positions are exactly zero in every tier:
-                        // the pruned AV walk's `p == 0.0` skip depends on it.
-                        prop_assert_eq!(v.to_bits(), 0.0f32.to_bits(), "masked slot {}", i);
-                    } else {
-                        // Probabilities are tolerance-class across tiers
-                        // (polynomial exp + reassociated sum, ~1e-6 rel).
-                        prop_assert!(
-                            (s - v).abs() <= 1e-5 * s.abs().max(1e-3),
-                            "slot {}: scalar {} vs avx2 {}", i, s, v
-                        );
-                    }
+                let [s_row, v_row] = [SimdTier::Scalar, SimdTier::Avx2].map(|tier| {
+                    let mut row = scores.clone();
+                    crate::softmax::softmax_inplace_tier(&mut row, tier);
+                    row
+                });
+                prop_assert_eq!(bits(&s_row), bits(&v_row));
+                // Masked positions are exactly +0.0: the pruned AV
+                // walk's `p == 0.0` skip depends on it.
+                for (i, _) in scores.iter().enumerate().filter(|(_, s)| **s == f32::NEG_INFINITY) {
+                    prop_assert_eq!(v_row[i].to_bits(), 0.0f32.to_bits(), "masked slot {}", i);
                 }
             }
         }
@@ -892,112 +796,98 @@ mod tests {
         ) {
             if avx2_available() {
                 let scores: Vec<f32> = rand_f32(seed, len).iter().map(|x| 6.0 * x).collect();
-                let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut s_row = scores.clone();
-                let mut v_row = scores.clone();
-                let s_sum = exp_rows(SimdTier::Scalar, &mut s_row, max);
-                let v_sum = exp_rows(SimdTier::Avx2, &mut v_row, max);
-                prop_assert!((s_sum - v_sum).abs() <= 1e-4 * s_sum.max(1.0));
-                for (i, (&s, &v)) in s_row.iter().zip(&v_row).enumerate() {
-                    prop_assert!(
-                        (s - v).abs() <= 2e-6 * s.max(1e-6),
-                        "slot {}: scalar {} vs avx2 {}", i, s, v
-                    );
-                }
+                let max = row_max(SimdTier::Scalar, &scores);
+                let [(s_row, s_sum), (v_row, v_sum)] = [SimdTier::Scalar, SimdTier::Avx2].map(|tier| {
+                    let mut row = scores.clone();
+                    let sum = exp_rows(tier, &mut row, max);
+                    (row, sum)
+                });
+                prop_assert_eq!(s_sum.to_bits(), v_sum.to_bits());
+                prop_assert_eq!(bits(&s_row), bits(&v_row));
             }
         }
     }
 
     #[test]
     fn tail_lengths_exp_rows_zero_masked_slots_exactly() {
-        if !avx2_available() {
-            return;
-        }
-        for &n in TAIL_LENGTHS {
-            if n == 0 {
-                continue;
+        for tier in host_tiers() {
+            for &n in TAIL_LENGTHS {
+                if n == 0 {
+                    continue;
+                }
+                let mut row: Vec<f32> =
+                    rand_f32(n as u64 + 51, n).iter().map(|x| 3.0 * x).collect();
+                // Masked scores, deep underflow, and a guaranteed max of 0.
+                row[0] = 0.0;
+                if n > 1 {
+                    row[1] = f32::NEG_INFINITY;
+                }
+                if n > 2 {
+                    row[2] = -120.0; // underflows expf: must be exactly 0.0
+                }
+                exp_rows(tier, &mut row, 0.0);
+                for (slot, want) in [(0, 1.0f32), (1, 0.0), (2, 0.0)] {
+                    if slot < n {
+                        assert_eq!(
+                            row[slot].to_bits(),
+                            want.to_bits(),
+                            "{tier} slot {slot} len {n}"
+                        );
+                    }
+                }
             }
-            let mut row: Vec<f32> = rand_f32(n as u64 + 51, n).iter().map(|x| 3.0 * x).collect();
-            // Masked scores, deep underflow, and a guaranteed max of 0.
-            row[0] = 0.0;
-            if n > 1 {
-                row[1] = f32::NEG_INFINITY;
-            }
-            if n > 2 {
-                row[2] = -120.0; // underflows expf: must be exactly 0.0
-            }
-            let mut v_row = row.clone();
-            let s_sum = exp_rows(SimdTier::Scalar, &mut row, 0.0);
-            let v_sum = exp_rows(SimdTier::Avx2, &mut v_row, 0.0);
-            assert!(
-                (s_sum - v_sum).abs() <= 1e-4 * s_sum.max(1.0),
-                "sum len {n}"
-            );
-            if n > 1 {
-                assert_eq!(v_row[1].to_bits(), 0.0f32.to_bits(), "-inf slot len {n}");
-            }
-            if n > 2 {
-                assert_eq!(
-                    v_row[2].to_bits(),
-                    0.0f32.to_bits(),
-                    "underflow slot len {n}"
-                );
-            }
-            assert_eq!(v_row[0].to_bits(), 1.0f32.to_bits(), "exp(0) len {n}");
         }
     }
 
     #[test]
     fn avx2_exp_tracks_f32_exp_to_relative_tolerance() {
-        if !avx2_available() {
-            return;
+        // The accuracy of the one `exp` polynomial (run on every tier
+        // the host has; they agree bit for bit). The sweep covers the
+        // softmax-relevant domain (offsets from the row max are always
+        // ≤ 0) plus the positive side for completeness, and stops at
+        // the flush cutoff (-87.0): below it the lanes return exactly
+        // 0.0 by design while `f32::exp` still emits ~1e-38.
+        for tier in host_tiers() {
+            let mut worst = 0.0f32;
+            for step in -3480..=300 {
+                let x = step as f32 * 0.025;
+                let mut row = [x; 8];
+                exp_rows(tier, &mut row, 0.0);
+                let exact = x.exp();
+                let rel = if exact == 0.0 {
+                    row[0].abs()
+                } else {
+                    (row[0] - exact).abs() / exact
+                };
+                worst = worst.max(rel);
+            }
+            assert!(worst <= 1e-6, "{tier}: worst relative exp error {worst}");
         }
-        // Sweep the softmax-relevant domain (offsets from the row max
-        // are always ≤ 0) plus the positive side for completeness. The
-        // sweep stops just above the underflow cutoff (-87.336): below
-        // it the AVX2 lane flushes to exactly 0.0 by design while
-        // scalar `exp` still emits ~1e-38 subnormals — an absolute
-        // difference of one subnormal, covered by the tail test above.
-        let mut worst = 0.0f32;
-        for step in -3480..=300 {
-            let x = step as f32 * 0.025;
-            let mut row = [x; 8];
-            exp_rows(SimdTier::Avx2, &mut row, 0.0);
-            let exact = x.exp();
-            let rel = if exact == 0.0 {
-                row[0].abs()
-            } else {
-                (row[0] - exact).abs() / exact
-            };
-            worst = worst.max(rel);
-        }
-        assert!(worst <= 1e-6, "worst relative exp error {worst}");
     }
 
     #[test]
     fn avx2_matmul_cells_are_bitwise_equal_to_the_tier_dot() {
-        if !avx2_available() {
-            return;
-        }
-        // The decode ≡ batch contract inside the AVX2 tier: every cell
-        // of the blocked matmul (dot4 lanes *and* remainder columns)
-        // must equal a standalone tier `dot` bit for bit. Column counts
-        // 1..=9 cross the 4-block boundary in every phase.
-        for &d in &[31usize, 33, 64, 100] {
-            for cols in 1usize..=9 {
-                let a = Matrix::from_vec(3, d, rand_f32(d as u64 + 61, 3 * d)).unwrap();
-                let b = Matrix::from_vec(cols, d, rand_f32(d as u64 + 62, cols * d)).unwrap();
-                let mut out = Matrix::zeros(3, cols).unwrap();
-                matmul_transposed_scaled_into(SimdTier::Avx2, &a, &b, 1.0, 0..3, 0..cols, &mut out);
-                for r in 0..3 {
-                    for c in 0..cols {
-                        let cell = out.get(r, c);
-                        let lone = dot(SimdTier::Avx2, a.row(r), b.row(c));
-                        assert_eq!(
-                            cell.to_bits(),
-                            lone.to_bits(),
-                            "d {d} cols {cols} cell ({r},{c}): {cell} vs {lone}"
-                        );
+        // The decode ≡ batch contract: every cell of the blocked matmul
+        // (dot4 lanes *and* remainder columns) must equal a standalone
+        // tier `dot` bit for bit. Column counts 1..=9 cross the 4-block
+        // boundary in every phase.
+        for tier in host_tiers() {
+            for &d in &[31usize, 33, 64, 100] {
+                for cols in 1usize..=9 {
+                    let a = Matrix::from_vec(3, d, rand_f32(d as u64 + 61, 3 * d)).unwrap();
+                    let b = Matrix::from_vec(cols, d, rand_f32(d as u64 + 62, cols * d)).unwrap();
+                    let mut out = Matrix::zeros(3, cols).unwrap();
+                    matmul_transposed_scaled_into(tier, &a, &b, 1.0, 0..3, 0..cols, &mut out);
+                    for r in 0..3 {
+                        for c in 0..cols {
+                            let cell = out.get(r, c);
+                            let lone = dot(tier, a.row(r), b.row(c));
+                            assert_eq!(
+                                cell.to_bits(),
+                                lone.to_bits(),
+                                "{tier} d {d} cols {cols} cell ({r},{c}): {cell} vs {lone}"
+                            );
+                        }
                     }
                 }
             }

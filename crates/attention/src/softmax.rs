@@ -54,13 +54,11 @@ pub fn softmax_inplace(row: &mut [f32]) {
 }
 
 /// [`softmax_inplace`] dispatching every stage — max scan, exponent
-/// pass, normalization — on an explicit kernel tier. The exponent pass
-/// is the tolerance-class stage of the cross-tier contract: the AVX2
-/// tier evaluates a polynomial `exp` eight lanes at a time, so
-/// probabilities agree across tiers to ~1e-6 relative rather than
-/// bitwise (see the table in [`crate::simd`]). Masked `-inf` entries
-/// become exactly `0.0` in every tier, and a row that is entirely
-/// `-inf` is all-zero, so pruning structure is tier-independent.
+/// pass, normalization — on an explicit kernel tier. Every tier gives
+/// the same bits (see [`crate::simd`]): the exponent pass is one
+/// polynomial `exp` eight lanes at a time. Masked `-inf` entries
+/// become exactly `0.0`, and a row that is entirely `-inf` is
+/// all-zero.
 pub fn softmax_inplace_tier(row: &mut [f32], tier: crate::SimdTier) {
     if row.is_empty() {
         return;

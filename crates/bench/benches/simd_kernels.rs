@@ -1,9 +1,11 @@
-//! Criterion bench: the SIMD kernel tier vs the scalar reference tier.
+//! Criterion bench: the SIMD kernel tier vs the scalar specification
+//! tier.
 //!
 //! Times the same fused kernels under a forced-`Scalar` and a
 //! forced-`Avx2` workspace (the per-workspace knob the engine's
 //! `simd_tier` builder drives), so the recorded ratio is exactly the
-//! dispatch layer's win: `simd/scalar/dense-fused` vs
+//! dispatch layer's win (the scalar float kernels pay a libm `fmaf`
+//! call per fused step without target FMA): `simd/scalar/dense-fused` vs
 //! `simd/avx2/dense-fused`, the paper-default pruned head, and the
 //! quantized single-query decode path over a paged KV history. The
 //! `host/simd_avx2` flag row records whether the AVX2 rows were

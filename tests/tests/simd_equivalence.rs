@@ -1,41 +1,16 @@
-//! The SIMD differential harness (ISSUE 10 tentpole): every AVX2 lane
-//! is proven equivalent to the scalar reference tier it shadows, from
-//! raw kernels up through the engine, decode sessions and the model
-//! server.
+//! The SIMD differential harness: every AVX2 lane is proven
+//! bit-identical to the scalar tier it shadows, from raw kernels up
+//! through the engine, decode sessions and the model server.
 //!
 //! # Equivalence contract
 //!
-//! * **Integer paths are bit-identical.** The quantized comparator /
-//!   MAC kernels (`quantized_attention_with`,
-//!   `quantized_attention_decode_with`) accumulate i8 products in
-//!   i32 — associativity is exact, so every score, probability and
-//!   output must match `to_bits()` across tiers.
-//! * **Element-wise float staging is bit-identical.** Row max, row
-//!   scaling and the prune scan perform the same exact operation per
-//!   element in every tier.
-//! * **The AV accumulation is tolerance-class.** Both tiers walk keys
-//!   in ascending order, but the AVX2 lanes fuse each multiply-add
-//!   where the scalar tier rounds the product first — ≤ 0.5 ULP of
-//!   drift per accumulation step. Decode (`axpy` per key) and batch
-//!   (register-blocked `av_row`) share one chain per tier, so outputs
-//!   stay bit-identical *within* a tier.
-//! * **The float dot product diverges by ≤ 4 ULP.** The AVX2
-//!   `matmul_transposed` reduces through 8 FMA accumulators, so a
-//!   score may differ from the scalar sum by a documented ≤ 4-ULP
-//!   reassociation error (plus a magnitude-scaled escape hatch for
-//!   catastrophic cancellation, where ULP distance is meaningless).
-//! * **The float softmax exponent pass is tolerance-class.** The AVX2
-//!   tier evaluates a Cephes-style polynomial `exp` eight lanes at a
-//!   time with per-lane partial sums (~1e-6 relative vs the scalar
-//!   sequential `f32::exp` loop). Masked `-inf` scores still produce
-//!   exactly `0.0` probability in every tier, so pruning structure
-//!   and sparse-AV skips never diverge. The quantized SPRINT path
-//!   uses the integer two-LUT softmax instead and stays bitwise.
-//!
-//! Everything downstream of a diverged score or probability
-//! (float probabilities, float outputs) is therefore compared with a
-//! small tolerance rather than bitwise; integer-path results and
-//! pruning decisions are compared exactly.
+//! One contract for every kernel, integer and float alike: the tiers
+//! agree bit for bit. The scalar tier is the executable specification
+//! of the AVX2 lanes (the same eight-lane accumulators and reduction
+//! tree, `f32::mul_add` wherever a lane fuses, the same polynomial
+//! `exp` and flush), so every score, probability, output, decision and
+//! counter below is compared with `to_bits()` equality — all four
+//! execution modes, batch and decode.
 //!
 //! Every AVX2-side assertion is gated on
 //! [`sprint_attention::avx2_available`]; on non-AVX2 hosts the suite
@@ -51,8 +26,8 @@
 use proptest::prelude::*;
 use sprint_attention::{
     dense_attention_with, pruned_attention_decode_cached_with, pruned_attention_with,
-    quantized_attention_decode_with, quantized_attention_with, ulp_distance, AttentionConfig,
-    KvCache, Matrix, PaddingMask, PruneDecision, SimdTier, Workspace,
+    quantized_attention_decode_with, quantized_attention_with, AttentionConfig, KvCache, Matrix,
+    PaddingMask, PruneDecision, SimdTier, Workspace,
 };
 use sprint_engine::{
     DecodeStep, Engine, ExecutionMode, HeadRequest, ModelProfile, ModelRequest, ModelServer,
@@ -98,59 +73,22 @@ fn tier_pair() -> Option<(Workspace, Workspace)> {
     Some((scalar, avx2))
 }
 
-/// The documented FMA-dot contract: ≤ 4 ULP apart, or within
-/// `4 · ε · Σ|qᵢ·kᵢ|·scale` when cancellation leaves the result too
-/// close to zero for ULP distance to mean anything.
-fn assert_score_close(s: f32, v: f32, q_row: &[f32], k_row: &[f32], scale: f32, what: &str) {
-    if s.to_bits() == v.to_bits() {
-        return;
-    }
-    let mag: f32 = q_row
-        .iter()
-        .zip(k_row)
-        .map(|(a, b)| (a * b).abs())
-        .sum::<f32>()
-        * scale.abs();
-    assert!(
-        ulp_distance(s, v) <= 4 || (s - v).abs() <= 4.0 * f32::EPSILON * mag,
-        "{what}: scalar {s} vs avx2 {v} ({} ULP apart, mag {mag})",
-        ulp_distance(s, v)
-    );
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Downstream-of-softmax comparison: probabilities live in [0, 1] and
-/// outputs are probability-weighted sums of O(1) values, so a small
-/// absolute tolerance (propagated from the ≤ 4-ULP score divergence
-/// through exp) is the right yardstick. `NEG_INFINITY` markers (masked
-/// scores) must still match exactly.
-fn assert_close(a: &Matrix, b: &Matrix, tol: f32, what: &str) {
+/// Asserts two matrices hold the same bits.
+fn assert_bitwise(a: &Matrix, b: &Matrix, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what} shapes");
-    for r in 0..a.rows() {
-        for c in 0..a.cols() {
-            let (x, y) = (a.get(r, c), b.get(r, c));
-            if x == f32::NEG_INFINITY || y == f32::NEG_INFINITY {
-                assert_eq!(x, y, "{what} at ({r},{c}): {x} vs {y}");
-            } else {
-                assert!(
-                    (x - y).abs() <= tol,
-                    "{what} diverges at ({r},{c}): {x} vs {y}"
-                );
-            }
-        }
-    }
-}
-
-fn assert_rows_close(a: &[f32], b: &[f32], tol: f32, what: &str) {
-    assert_eq!(a.len(), b.len(), "{what} lengths");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert!((x - y).abs() <= tol, "{what} diverges at {i}: {x} vs {y}");
-    }
+    assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "{what}");
 }
 
 // ---------------------------------------------------------------------------
 // Kernel level
 // ---------------------------------------------------------------------------
 
+/// The float dot's contract is zero ULP: scores, probabilities and
+/// outputs are bitwise equal across tiers.
 #[test]
 fn dense_kernels_hold_the_ulp_contract_across_lane_boundaries() {
     let Some((mut scalar, mut avx2)) = tier_pair() else {
@@ -165,21 +103,10 @@ fn dense_kernels_hold_the_ulp_contract_across_lane_boundaries() {
                 let cfg = AttentionConfig::new(d);
                 let s = dense_attention_with(&q, &k, &v, &cfg, &mut scalar).unwrap();
                 let a = dense_attention_with(&q, &k, &v, &cfg, &mut avx2).unwrap();
-                let scale = cfg.scale();
-                for r in 0..s_q {
-                    for c in 0..s_k {
-                        assert_score_close(
-                            s.scores.get(r, c),
-                            a.scores.get(r, c),
-                            q.row(r),
-                            k.row(c),
-                            scale,
-                            &format!("dense score d={d} ({s_q}x{s_k})"),
-                        );
-                    }
-                }
-                assert_close(&s.probs, &a.probs, 1e-5, &format!("dense probs d={d}"));
-                assert_close(&s.output, &a.output, 1e-5, &format!("dense output d={d}"));
+                let what = format!("d={d} ({s_q}x{s_k}) seed {seed}");
+                assert_bitwise(&s.scores, &a.scores, &format!("dense scores {what}"));
+                assert_bitwise(&s.probs, &a.probs, &format!("dense probs {what}"));
+                assert_bitwise(&s.output, &a.output, &format!("dense output {what}"));
             }
         }
     }
@@ -201,9 +128,8 @@ fn pruned_kernels_agree_on_decisions_masks_and_all_pruned_rows() {
             // region on rectangular shapes).
             let live = s_k - (s_k / 4);
             let mask = PaddingMask::new(s_k, live).unwrap();
-            // Arbitrary thresholds — deliberately NOT calibrated from
-            // the scores, so no score sits within ULP noise of the
-            // cut and decisions must match exactly across tiers.
+            // Scores are bitwise equal across tiers, so decisions are
+            // equal at any threshold.
             for threshold in [-0.6f32, 0.05, 0.7] {
                 let (s, sd) =
                     pruned_attention_with(&q, &k, &v, &cfg, threshold, Some(&mask), &mut scalar)
@@ -212,8 +138,10 @@ fn pruned_kernels_agree_on_decisions_masks_and_all_pruned_rows() {
                     pruned_attention_with(&q, &k, &v, &cfg, threshold, Some(&mask), &mut avx2)
                         .unwrap();
                 assert_eq!(sd, ad, "decisions d={d} th={threshold}");
-                assert_close(&s.probs, &a.probs, 1e-5, &format!("pruned probs d={d}"));
-                assert_close(&s.output, &a.output, 1e-5, &format!("pruned output d={d}"));
+                let what = format!("d={d} ({s_q}x{s_k}) th={threshold}");
+                assert_bitwise(&s.scores, &a.scores, &format!("pruned scores {what}"));
+                assert_bitwise(&s.probs, &a.probs, &format!("pruned probs {what}"));
+                assert_bitwise(&s.output, &a.output, &format!("pruned output {what}"));
             }
             // All-pruned rows: +inf threshold kills every key; both
             // tiers must produce the identical all-pruned decisions
@@ -226,8 +154,8 @@ fn pruned_kernels_agree_on_decisions_masks_and_all_pruned_rows() {
             for dec in &sd {
                 assert_eq!(dec.kept_count(), 0, "everything pruned at +inf");
             }
-            assert_eq!(s.probs, a.probs, "all-pruned probs bitwise d={d}");
-            assert_eq!(s.output, a.output, "all-pruned output bitwise d={d}");
+            assert_bitwise(&s.probs, &a.probs, &format!("all-pruned probs d={d}"));
+            assert_bitwise(&s.output, &a.output, &format!("all-pruned output d={d}"));
         }
     }
 }
@@ -296,11 +224,7 @@ fn decode_kernels_match_across_tiers_including_grown_histories() {
                     pruned_attention_decode_cached_with(&q, &kv_a, &cfg, threshold, &mut avx2)
                         .unwrap();
                 assert_eq!(sd, ad, "decode decisions d={d} th={threshold}");
-                if threshold == f32::INFINITY {
-                    assert_eq!(so, ao, "all-pruned decode output bitwise");
-                } else {
-                    assert_rows_close(&so, &ao, 1e-5, &format!("pruned decode d={d}"));
-                }
+                assert_eq!(bits(&so), bits(&ao), "decode output d={d} th={threshold}");
                 let decision = sd;
                 let so =
                     quantized_attention_decode_with(&q, &kv_s, &cfg, Some(&decision), &mut scalar)
@@ -366,29 +290,12 @@ fn all_four_execution_modes_agree_across_tiers() {
             let request = HeadRequest::from_trace(&trace);
             let s = scalar.run_head(&request).unwrap();
             let a = avx2.run_head(&request).unwrap();
-            // The decision-making substrate is tier-independent: the
-            // analog modes decide in the (untiered) ReRAM pruner, and
-            // the digital modes compare scores against thresholds far
-            // outside ULP noise. Stats follow decisions.
+            // Sprint recompute is the integer datapath end to end;
+            // Dense and Oracle run the float matmul, softmax and AV, and
+            // NoRecompute the float softmax. All are one answer.
             assert_eq!(s.decisions, a.decisions, "{mode:?} decisions seq={seq}");
-            assert_eq!(s.prune_stats, a.prune_stats, "{mode:?} prune stats");
-            assert_eq!(s.memory_stats, a.memory_stats, "{mode:?} memory stats");
-            assert_eq!(s.faults, a.faults, "{mode:?} faults");
-            match mode {
-                // Sprint recompute is the integer datapath end to end
-                // (two-LUT softmax included): bitwise.
-                ExecutionMode::Sprint => {
-                    assert_eq!(s.output, a.output, "{mode:?} output bitwise seq={seq}");
-                    assert_eq!(s, a, "{mode:?} full response bitwise");
-                }
-                // NoRecompute flows untiered approximate scores through
-                // the tiered float softmax (polynomial exp on AVX2);
-                // Dense/Oracle additionally run the tiered float
-                // matmul. Outputs inherit those bounded divergences.
-                ExecutionMode::NoRecompute | ExecutionMode::Dense | ExecutionMode::Oracle => {
-                    assert_close(&s.output, &a.output, 1e-5, &format!("{mode:?} output"));
-                }
-            }
+            assert_bitwise(&s.output, &a.output, &format!("{mode:?} output seq={seq}"));
+            assert_eq!(s, a, "{mode:?} full response seq={seq}");
         }
     }
 }

@@ -553,21 +553,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_kernel_agrees_bitwise_at_every_tail_length() {
+    /// Every kernel of `float_kernels` whose name starts with one of
+    /// `kernels` gives both tiers' bits alike at every tail length, on
+    /// plain rows and on rows with masked (−inf) scores.
+    fn assert_tail_lengths_agree(kernels: &[&str]) {
         if !avx2_available() {
             return;
         }
+        let chosen = |name: &str| kernels.iter().any(|k| name.starts_with(k));
         for &n in TAIL_LENGTHS {
             let x: Vec<f32> = rand_f32(n as u64 + 1, n).iter().map(|v| 6.0 * v).collect();
             let y = rand_f32(n as u64 + 1000, n);
-            assert_tiers_agree(&x, &y, &format!("len {n}"));
             // Masked scores appear in real rows.
             let mut masked = x.clone();
             for s in masked.iter_mut().step_by(3) {
                 *s = f32::NEG_INFINITY;
             }
-            assert_tiers_agree(&masked, &y, &format!("masked, len {n}"));
+            for (x, what) in [(&x, "plain"), (&masked, "masked")] {
+                let scalar = float_kernels(SimdTier::Scalar, x, &y);
+                let vector = float_kernels(SimdTier::Avx2, x, &y);
+                for ((name, s), (_, v)) in scalar.iter().zip(&vector) {
+                    if chosen(name) {
+                        assert_eq!(s, v, "{name}, {what}, len {n}");
+                    }
+                }
+            }
+        }
+        let names = float_kernels(SimdTier::Scalar, &[1.0], &[1.0]);
+        for k in kernels {
+            assert!(
+                names.iter().any(|(name, _)| name.starts_with(k)),
+                "no kernel {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn tail_lengths_dot_within_ulp_budget() {
+        // The budget is zero ULP: every cell is the one dot order.
+        assert_tail_lengths_agree(&["dot", "matmul"]);
+    }
+
+    #[test]
+    fn tail_lengths_row_max_and_scale_are_bit_identical() {
+        assert_tail_lengths_agree(&["row_max", "scale_row", "prune_mask_row"]);
+    }
+
+    #[test]
+    fn tail_lengths_axpy_agrees_within_the_av_tolerance() {
+        // The tolerance is zero: one fused multiply-add per element.
+        assert_tail_lengths_agree(&["axpy", "av_row"]);
+    }
+
+    #[test]
+    fn tail_lengths_integer_kernels_are_bit_identical() {
+        if !avx2_available() {
+            return;
+        }
+        for &n in TAIL_LENGTHS {
             let (a, b) = (rand_codes(n as u64 + 41, n), rand_codes(n as u64 + 42, n));
             assert_eq!(
                 integer_kernels(SimdTier::Scalar, &a, &b, 173),
@@ -810,6 +853,7 @@ mod tests {
 
     #[test]
     fn tail_lengths_exp_rows_zero_masked_slots_exactly() {
+        assert_tail_lengths_agree(&["exp_rows"]);
         for tier in host_tiers() {
             for &n in TAIL_LENGTHS {
                 if n == 0 {

@@ -915,3 +915,63 @@ pub(crate) unsafe fn vpu_accumulate_i8(acc: &mut [i32], p_code: i32, codes: &[i8
         i += 1;
     }
 }
+
+/// [`super::lane_sums`]: two blocks at a time (one at the end when
+/// their count is odd), each block's 16 column sums in four `ymm`
+/// accumulators of four `f64` lanes; per row, the weights times the
+/// broadcast drive (`mulpd`, then `addpd`: never fused). Every sum is
+/// the scalar tier's chain; pairing blocks only interleaves eight
+/// independent chains.
+///
+/// # Safety
+///
+/// Requires AVX2. `weights` should hold whole blocks of
+/// `drive.len() × 16` cells (debug-asserted); a ragged end is ignored.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn lane_sums(weights: &[f64], drive: &[f64], out: &mut Vec<f64>) {
+    const LANES: usize = super::SUM_LANES;
+    let block = drive.len() * LANES;
+    debug_assert_eq!(weights.len() % block, 0, "ragged lane blocks");
+    let mut pairs = weights.chunks_exact(2 * block);
+    for pair in pairs.by_ref() {
+        let (a, b) = pair.split_at(block);
+        // SAFETY: both blocks hold `drive.len() × LANES` cells.
+        unsafe { block_sums::<2>([a, b], drive, out) };
+    }
+    if let Some(last) = pairs.remainder().chunks_exact(block).next() {
+        // SAFETY: the block holds `drive.len() × LANES` cells.
+        unsafe { block_sums::<1>([last], drive, out) };
+    }
+}
+
+/// The column sums of `B` lane blocks of `drive.len() × 16` cells,
+/// appended block by block.
+///
+/// # Safety
+///
+/// Requires AVX2; every block must hold `drive.len() × 16` cells.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn block_sums<const B: usize>(blocks: [&[f64]; B], drive: &[f64], out: &mut Vec<f64>) {
+    const LANES: usize = super::SUM_LANES;
+    let mut acc = [[_mm256_setzero_pd(); LANES / 4]; B];
+    for (r, &x) in drive.iter().enumerate() {
+        let x = _mm256_set1_pd(x);
+        for (block, acc) in blocks.iter().zip(acc.iter_mut()) {
+            for (k, a) in acc.iter_mut().enumerate() {
+                // SAFETY: row `r` of a block is `LANES` = 4 · 4 cells at
+                // `r · LANES`, inside the block by the caller's promise.
+                let w = unsafe { _mm256_loadu_pd(block.as_ptr().add(r * LANES + 4 * k)) };
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(w, x));
+            }
+        }
+    }
+    for acc in &acc {
+        let mut sums = [0.0f64; LANES];
+        for (k, a) in acc.iter().enumerate() {
+            // SAFETY: `sums` holds `LANES` = 4 · 4 entries.
+            unsafe { _mm256_storeu_pd(sums.as_mut_ptr().add(4 * k), *a) };
+        }
+        out.extend_from_slice(&sums);
+    }
+}

@@ -400,6 +400,32 @@ pub(crate) fn vpu_accumulate_i8(tier: SimdTier, acc: &mut [i32], p_code: i32, co
     }
 }
 
+/// Columns per block of [`lane_sums`]' lane-blocked weight image.
+pub const SUM_LANES: usize = 16;
+
+/// The analog crossbar's noiseless column sums, one block of
+/// [`SUM_LANES`] columns at a time, appended to `out`. `weights` is
+/// lane-blocked, `[block][row][lane]` with `drive.len()` rows per block;
+/// every column's sum starts at `0.0` and takes its rows ascending,
+/// `acc += w * x` as a multiply then an add (never fused). Public for
+/// `sprint-reram`'s `CrossbarArray`, whose weight image this is; a
+/// forced [`SimdTier::Avx2`] on a host without it takes the scalar arm.
+/// An empty `drive` appends nothing.
+pub fn lane_sums(tier: SimdTier, weights: &[f64], drive: &[f64], out: &mut Vec<f64>) {
+    if drive.is_empty() {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier == SimdTier::Avx2 && avx2_available() {
+        // SAFETY: AVX2+FMA were just confirmed; memory accesses are
+        // chunk-bounded.
+        unsafe { avx2::lane_sums(weights, drive, out) };
+        return;
+    }
+    let _ = tier;
+    scalar::lane_sums(weights, drive, out);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,6 +464,13 @@ mod tests {
 
     fn bits(xs: &[f32]) -> Vec<u32> {
         xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `f64` bits as low, high `u32` halves.
+    fn bits64(xs: &[f64]) -> Vec<u32> {
+        xs.iter()
+            .flat_map(|x| [x.to_bits() as u32, (x.to_bits() >> 32) as u32])
+            .collect()
     }
 
     /// The tiers this host runs, scalar first.
@@ -495,6 +528,28 @@ mod tests {
             let plans = [(3, true), (3, false), (2, true)];
             av_rows(tier, &mut rows, &p.unwrap(), &v, n, &plans);
             out.push(("av_rows", bits(rows.as_slice())));
+            // A crossbar of `n` rows × `n` columns: the drive from `x`,
+            // the cells from `y`, lanes past the last column `0.0`;
+            // both finite, like codes and conductances.
+            let finite = |v: f32| f64::from(if v.is_finite() { v } else { 1.0 });
+            let drive: Vec<f64> = x.iter().map(|&v| finite(v)).collect();
+            let blocks = n.div_ceil(SUM_LANES);
+            let weights: Vec<f64> = (0..blocks * n * SUM_LANES)
+                .map(|i| {
+                    let (col, row) = (
+                        i / (n * SUM_LANES) * SUM_LANES + i % SUM_LANES,
+                        i / SUM_LANES % n,
+                    );
+                    if col < n {
+                        finite(y[(row + col) % n]) * 1.1
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let mut sums = Vec::new();
+            lane_sums(tier, &weights, &drive, &mut sums);
+            out.push(("lane_sums", bits64(&sums[..n])));
         }
         out
     }
@@ -603,6 +658,13 @@ mod tests {
     fn tail_lengths_axpy_agrees_within_the_av_tolerance() {
         // The tolerance is zero: one fused multiply-add per element.
         assert_tail_lengths_agree(&["axpy", "av_row"]);
+    }
+
+    #[test]
+    fn tail_lengths_lane_sums_are_bit_identical() {
+        // Rows and columns both sweep the tails: the 16-lane blocks
+        // and the last block's unused lanes.
+        assert_tail_lengths_agree(&["lane_sums"]);
     }
 
     #[test]

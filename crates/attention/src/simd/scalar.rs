@@ -17,6 +17,7 @@
 use std::ops::Range;
 
 use super::cephes::{EXP_HI, EXP_LO, LN2_HI, LN2_LO, LOG2EF, P0, P1, P2, P3, P4, P5};
+use super::SUM_LANES;
 use crate::Matrix;
 
 /// Lane count of the float kernels' accumulators (one `ymm` of `f32`).
@@ -178,5 +179,21 @@ pub(super) fn av_row(out: &mut [f32], probs: &[f32], v: &[f32], d_v: usize, skip
         if !skip_zero || p != 0.0 {
             axpy(out, p, v_row);
         }
+    }
+}
+
+/// The crossbar column sums over a lane-blocked `f64` weight image
+/// `[block][row][lane]`: per block, every lane starts at `0.0` and takes
+/// the rows ascending, `acc += w * x` as a multiply then an add (Rust
+/// never fuses them).
+pub(super) fn lane_sums(weights: &[f64], drive: &[f64], out: &mut Vec<f64>) {
+    for block in weights.chunks_exact(drive.len() * SUM_LANES) {
+        let mut acc = [0.0f64; SUM_LANES];
+        for (cells, &x) in block.chunks_exact(SUM_LANES).zip(drive) {
+            for (a, &w) in acc.iter_mut().zip(cells) {
+                *a += w * x;
+            }
+        }
+        out.extend_from_slice(&acc);
     }
 }

@@ -12,13 +12,23 @@
 //! * `sprint_head/bert_base_s512/width_1`
 //! * `sprint_head/bert_base_s512/width_2`
 //!
-//! One sample is one head on a warm engine. Run with `-- --bench-json`
-//! to record both in `BENCH_report.json`.
+//! Beside them, the head's analog prune alone, at width 1: all 276
+//! live query rows through one `InMemoryPruner::prune_rows_into` call.
+//! The comparators need only decisions (Sprint) or also the
+//! approximate scores (NoRecompute, `prune_query`), which run the read
+//! noise's Box–Muller transform on every column:
+//!
+//! * `reram/prune_rows/bert_base_s512/decisions`
+//! * `reram/prune_rows/bert_base_s512/scores`
+//!
+//! One sample is one head (or one head's prune) on a warm engine. Run
+//! with `-- --bench-json` to record all four in `BENCH_report.json`.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
 use sprint_engine::{Engine, HeadRequest, SprintConfig};
+use sprint_reram::InMemoryPruner;
 use sprint_workloads::{ModelConfig, TraceGenerator};
 
 const SEED: u64 = 20220930;
@@ -40,6 +50,37 @@ fn bench(c: &mut Criterion) {
         assert_eq!(got, want, "width {width} moved a bit");
         group.bench_function(&format!("bert_base_s512/width_{width}"), |b| {
             b.iter(|| black_box(engine.run_batch_report(width, &request).expect("head")))
+        });
+    }
+    group.finish();
+
+    let live = head.live_tokens();
+    let q = head.q().prefix_rows(live).expect("live queries");
+    let k = head.k().prefix_rows(live).expect("live keys");
+    let scale = head.config().scale();
+    let mut pruner = InMemoryPruner::new(&q, &k, scale, engine.noise(), SEED).expect("pruner");
+    let spec = engine.threshold_spec();
+    let mut flags = vec![vec![false; live]; live];
+    let mut scores = vec![vec![0.0f32; live]; live];
+    let mut group = c.benchmark_group("reram");
+    group.sample_size(30);
+    for with_scores in [false, true] {
+        let name = if with_scores { "scores" } else { "decisions" };
+        group.bench_function(&format!("prune_rows/bert_base_s512/{name}"), |b| {
+            b.iter(|| {
+                let mut rows: Vec<&mut [bool]> = flags.iter_mut().map(|f| &mut f[..]).collect();
+                let mut approx: Vec<&mut [f32]> = scores.iter_mut().map(|s| &mut s[..]).collect();
+                pruner
+                    .prune_rows_into(
+                        q.as_slice(),
+                        head.threshold(),
+                        &spec,
+                        &mut rows,
+                        with_scores.then_some(&mut approx[..]),
+                    )
+                    .expect("prune");
+                black_box(&rows);
+            })
         });
     }
     group.finish();

@@ -10,14 +10,17 @@
 //! The effective weights (and the fault overlay) are stored
 //! column-lane-blocked, `[block of LANES columns][row][lane]`, so one
 //! row step of [`CrossbarArray::vmm`] advances [`LANES`] independent
-//! column sums. Every column still accumulates rows ascending from
-//! `0.0`, multiply then add, and draws its read noise in column order
-//! after the dots — the summation and draw contract of
-//! ARCHITECTURE.md, "Analog path: storage, summation and draw order".
+//! column sums (`sprint_attention::simd::lane_sums`). Every column
+//! still accumulates rows ascending from `0.0`, multiply then add, and
+//! draws its read noise in column order after the dots — the summation
+//! and draw contract of ARCHITECTURE.md, "Analog path: storage,
+//! summation and draw order".
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
+use sprint_attention::{active_tier, simd};
 
+use crate::noise::{box_muller, radius_bound, uniforms, RADIUS_CEILING};
 use crate::{CellFault, FaultModel, NoiseModel, ProgramOutcome, ReramError};
 
 /// A `rows × cols` ReRAM crossbar of signed MLC cells.
@@ -72,7 +75,7 @@ pub struct CrossbarArray {
 /// Columns per block of the lane-blocked weight layout: the number of
 /// independent column sums one row step of [`CrossbarArray::vmm`]
 /// advances.
-pub(crate) const LANES: usize = 16;
+pub(crate) const LANES: usize = simd::SUM_LANES;
 
 /// Cells of a lane-blocked `rows × cols` weight image (whole blocks).
 fn lane_cells(rows: usize, cols: usize) -> usize {
@@ -109,11 +112,52 @@ fn validate_geometry(rows: usize, cols: usize, cell_bits: u32) -> Result<(), Rer
     Ok(())
 }
 
-/// Box-Muller standard normal (no `rand_distr` in the offline set).
-fn normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+/// One analog operation's read, split into the parts of
+/// [`CrossbarArray::vmm`]: the noiseless column sums, each column's
+/// read-noise uniforms (drawn in column order, as `vmm` draws them)
+/// and the noise scale. A comparator that only needs a decision
+/// brackets each column with [`ColumnRead::add_brackets`] and pays for the
+/// Box–Muller transform ([`ColumnRead::output`]) only where the
+/// bracket straddles its cut.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ColumnRead {
+    sums: Vec<f64>,
+    /// One `(u1, u2)` per column; empty when `sigma` is 0.
+    uniforms: Vec<(f64, f64)>,
+    sigma: f64,
+}
+
+impl ColumnRead {
+    /// Column `c`'s output, bit for bit what [`CrossbarArray::vmm`]
+    /// returns for it.
+    pub(crate) fn output(&self, c: usize) -> f64 {
+        if self.sigma > 0.0 {
+            let (u1, u2) = self.uniforms[c];
+            self.sums[c] + self.sigma * box_muller(u1, u2)
+        } else {
+            self.sums[c]
+        }
+    }
+
+    /// Adds every column's output expression at the normals `−R` and
+    /// `+R` to `lo[c]` and `hi[c]`, with `R = radius_bound(u1)` ≥ |the
+    /// drawn normal|. Rounded `+` and `×` are monotone, so from equal
+    /// starts `lo[c] ≤ acc + output(c) ≤ hi[c]` bit for bit.
+    pub(crate) fn add_brackets(&self, lo: &mut [f64], hi: &mut [f64]) {
+        let ends = lo.iter_mut().zip(hi.iter_mut()).zip(&self.sums);
+        if self.sigma > 0.0 {
+            for (((l, h), &sum), &(u1, _)) in ends.zip(&self.uniforms) {
+                let r = radius_bound(u1);
+                *l += sum + self.sigma * -r;
+                *h += sum + self.sigma * r;
+            }
+        } else {
+            for ((l, h), &sum) in ends {
+                *l += sum;
+                *h += sum;
+            }
+        }
+    }
 }
 
 impl CrossbarArray {
@@ -285,10 +329,20 @@ impl CrossbarArray {
             }
         }
         let sigma = self.noise.programming_sigma();
+        // While `sigma · RADIUS_CEILING < 1`, every variation factor
+        // `1 + sigma·n` is positive, so a code-0 cell weighs `+0.0`
+        // whatever it draws: its uniforms are drawn, its transform is
+        // skipped.
+        let zero_is_exact = sigma * RADIUS_CEILING < 1.0;
         self.codes[col * self.rows..(col + 1) * self.rows].copy_from_slice(values);
         for (r, &v) in values.iter().enumerate() {
             let variation = if sigma > 0.0 {
-                1.0 + sigma * normal(&mut self.rng)
+                let (u1, u2) = uniforms(&mut self.rng);
+                if v == 0 && zero_is_exact {
+                    1.0
+                } else {
+                    1.0 + sigma * box_muller(u1, u2)
+                }
             } else {
                 1.0
             };
@@ -394,6 +448,43 @@ impl CrossbarArray {
     /// Returns [`ReramError::LengthMismatch`] unless
     /// `input.len() == rows`; `out` is then left untouched.
     pub fn vmm_into(&mut self, input: &[i32], out: &mut Vec<f64>) -> Result<(), ReramError> {
+        let sigma = self.sums_into(input, out)?;
+        if sigma > 0.0 {
+            for o in out.iter_mut() {
+                let (u1, u2) = uniforms(&mut self.rng);
+                *o += sigma * box_muller(u1, u2);
+            }
+        }
+        Ok(())
+    }
+
+    /// [`CrossbarArray::vmm_into`] up to the transform: the same
+    /// validation, count, sums and draws (in the same stream order),
+    /// with each column's uniforms kept in `read` instead of turned
+    /// into a normal. `read.output(c)` is then `vmm`'s column `c`.
+    ///
+    /// # Errors
+    ///
+    /// As [`CrossbarArray::vmm_into`]; `read` is then left untouched.
+    pub(crate) fn read_into(
+        &mut self,
+        input: &[i32],
+        read: &mut ColumnRead,
+    ) -> Result<(), ReramError> {
+        read.sigma = self.sums_into(input, &mut read.sums)?;
+        read.uniforms.clear();
+        if read.sigma > 0.0 {
+            let rng = &mut self.rng;
+            read.uniforms
+                .extend(read.sums.iter().map(|_| uniforms(rng)));
+        }
+        Ok(())
+    }
+
+    /// The noiseless part of a read: validates `input`, counts the
+    /// operation, writes the lane-blocked column sums to `out` (cleared
+    /// first) and returns the read-noise scale.
+    fn sums_into(&mut self, input: &[i32], out: &mut Vec<f64>) -> Result<f64, ReramError> {
         if input.len() != self.rows {
             return Err(ReramError::LengthMismatch {
                 what: "input vector",
@@ -402,7 +493,6 @@ impl CrossbarArray {
             });
         }
         self.vmm_count += 1;
-        let sigma = self.noise.relative_sigma() * self.full_scale(input);
         self.drive.clear();
         self.drive.extend(input.iter().map(|&x| x as f64));
         let effective = if self.fault.is_some() {
@@ -411,23 +501,9 @@ impl CrossbarArray {
             &self.weights
         };
         out.clear();
-        for block in effective.chunks_exact(self.rows * LANES) {
-            let mut acc = [0.0f64; LANES];
-            for (cells, &x) in block.chunks_exact(LANES).zip(&self.drive) {
-                for (a, &w) in acc.iter_mut().zip(cells) {
-                    *a += w * x;
-                }
-            }
-            out.extend_from_slice(&acc);
-        }
+        simd::lane_sums(active_tier(), effective, &self.drive, out);
         out.truncate(self.cols);
-        if sigma > 0.0 {
-            let rng = &mut self.rng;
-            for o in out.iter_mut() {
-                *o += sigma * normal(rng);
-            }
-        }
-        Ok(())
+        Ok(self.noise.relative_sigma() * self.full_scale(input))
     }
 
     /// The exact digital dot products the analog operation
@@ -462,8 +538,10 @@ impl CrossbarArray {
     /// Noise is proportional to this, matching how ADC-equivalent
     /// accuracy is specified against the converter's full range.
     pub fn full_scale(&self, input: &[i32]) -> f64 {
-        let drive: f64 = input.iter().map(|&x| (x as f64).abs()).sum();
-        drive * self.code_max() as f64
+        // The integer sum is the float fold's value while that stays
+        // below 2^53, where every partial sum is exact.
+        let drive: u64 = input.iter().map(|&x| u64::from(x.unsigned_abs())).sum();
+        drive as f64 * self.code_max() as f64
     }
 
     /// The construction seed, doubling as this array's stable identity
@@ -586,6 +664,12 @@ impl CrossbarArray {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One standard normal: the uniforms, then the transform.
+    fn normal(rng: &mut StdRng) -> f64 {
+        let (u1, u2) = uniforms(rng);
+        box_muller(u1, u2)
+    }
 
     fn ideal_array(rows: usize, cols: usize) -> CrossbarArray {
         CrossbarArray::new(rows, cols, 4, NoiseModel::ideal(), 42).unwrap()
@@ -995,6 +1079,97 @@ mod tests {
                         oracle.fault = attach.map(|_| fault);
                         assert_reads_agree(&mut xb, &mut oracle, &label);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_split_read_is_vmm_and_its_bracket_holds_the_output() {
+        // `read_into` keeps the uniforms; `output` must then give the
+        // oracle's bits and the bracket must contain them. Split reads
+        // and whole `vmm`s alternate on one array, so the split read
+        // must advance the stream exactly as `vmm` does.
+        let fault = FaultModel::uniform(0.2, 17).unwrap();
+        let mut read = ColumnRead::default();
+        for rows in [1usize, 64] {
+            for cols in [1, LANES + 1, 128] {
+                for (name, noise) in noise_models() {
+                    for attach in [None, Some(fault)] {
+                        let label = format!("{rows}x{cols} {name} fault {}", attach.is_some());
+                        let mut xb = CrossbarArray::new(rows, cols, 4, noise, 9).unwrap();
+                        let mut oracle = ColumnOrderArray::new(rows, cols, 4, noise, 9);
+                        for c in 0..cols {
+                            xb.program_column(c, &codes(rows, c)).unwrap();
+                            oracle.program_column(c, &codes(rows, c));
+                        }
+                        xb.set_fault_model(attach);
+                        oracle.fault = attach;
+                        // Split, split with a zero drive (no draws),
+                        // whole, split.
+                        let drives = [
+                            codes(rows, 3),
+                            vec![0; rows],
+                            codes(rows, 11),
+                            codes(rows, 5),
+                        ];
+                        for (step, drive) in drives.iter().enumerate() {
+                            let want = oracle.vmm(drive);
+                            if step == 2 {
+                                assert_eq!(bits(&xb.vmm(drive).unwrap()), bits(&want), "{label}");
+                                continue;
+                            }
+                            xb.read_into(drive, &mut read).unwrap();
+                            let (mut lo, mut hi) = (vec![0.0; cols], vec![0.0; cols]);
+                            read.add_brackets(&mut lo, &mut hi);
+                            for (c, &w) in want.iter().enumerate() {
+                                assert_eq!(
+                                    read.output(c).to_bits(),
+                                    w.to_bits(),
+                                    "{label} col {c}"
+                                );
+                                assert!(
+                                    lo[c] <= w && w <= hi[c],
+                                    "{label} col {c}: {w} outside [{}, {}]",
+                                    lo[c],
+                                    hi[c]
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn skipped_zero_code_transforms_keep_every_weight_bit() {
+        // A code-0 cell skips its transform only while no variation
+        // factor can turn negative; at sigma 1 it must not (a negative
+        // factor stores -0.0), at 1 % it may. Either way every stored
+        // weight, signed zeros included, is the oracle's.
+        for sigma in [0.01, 1.0] {
+            let noise = NoiseModel::from_sigmas(0.0, sigma).unwrap();
+            let (rows, cols) = (8, LANES + 3);
+            let mut xb = CrossbarArray::new(rows, cols, 4, noise, 4).unwrap();
+            let mut oracle = ColumnOrderArray::new(rows, cols, 4, noise, 4);
+            for c in 0..cols {
+                // Every other cell holds code 0.
+                let col: Vec<i32> = codes(rows, c)
+                    .iter()
+                    .enumerate()
+                    .map(|(r, &v)| if r % 2 == 0 { 0 } else { v })
+                    .collect();
+                xb.program_column(c, &col).unwrap();
+                oracle.program_column(c, &col);
+            }
+            for c in 0..cols {
+                for r in 0..rows {
+                    assert_eq!(
+                        xb.weights[lane_cell(rows, r, c)].to_bits(),
+                        oracle.weights[c * rows + r].to_bits(),
+                        "sigma {sigma} cell ({r}, {c})"
+                    );
                 }
             }
         }

@@ -9,6 +9,11 @@
 //! output, parameterized as an equivalent ADC bit count, plus a static
 //! per-cell programming variation applied by [`crate::CrossbarArray`].
 
+use std::sync::OnceLock;
+
+use rand::rngs::StdRng;
+use rand::Rng;
+
 use crate::ReramError;
 
 /// Aggregate analog error model.
@@ -147,6 +152,66 @@ impl Default for NoiseModel {
     }
 }
 
+/// The two uniforms of one Box–Muller draw, in stream order: `u1` in
+/// `[f64::MIN_POSITIVE, 1)`, then `u2` in `[0, 1)`.
+pub(crate) fn uniforms(rng: &mut StdRng) -> (f64, f64) {
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    (u1, u2)
+}
+
+/// The Box–Muller standard normal of one uniform pair (no
+/// `rand_distr` in the offline set): the radius `sqrt(-2·ln u1)` times
+/// `cos(2π·u2)`.
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Top mantissa bits of `u1` that pick a bucket within a binade.
+const RADIUS_MANTISSA_BITS: u32 = 6;
+/// Binades of `u1` below 1 that the radius table covers:
+/// `[2^-16, 1)`.
+const RADIUS_BINADES: u64 = 16;
+/// `u1.to_bits() >> (52 - RADIUS_MANTISSA_BITS)` of the table's first
+/// bucket, the lower edge `2^-16`.
+const RADIUS_FIRST_KEY: u64 = (1023 - RADIUS_BINADES) << RADIUS_MANTISSA_BITS;
+/// Buckets in the table: 1024 `f32`, 4 KiB.
+const RADIUS_BUCKETS: usize = (RADIUS_BINADES as usize) << RADIUS_MANTISSA_BITS;
+/// The relative slack each bucket's bound carries over the radius at
+/// its lower edge. It covers the `f32` rounding of the entry (2^-24)
+/// and any few-ulp wobble of libm `ln` inside the bucket.
+const RADIUS_SLACK: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// The bound outside the table: at least `√(−2·ln f64::MIN_POSITIVE)`
+/// ≈ 37.64, the largest radius any `u1` reaches.
+pub(crate) const RADIUS_CEILING: f64 = 38.0;
+
+/// Each bucket's bound: the radius at the bucket's lower edge (the
+/// radius falls as `u1` grows) times `1 + RADIUS_SLACK`, as `f32`.
+fn radius_table() -> &'static [f32; RADIUS_BUCKETS] {
+    static TABLE: OnceLock<[f32; RADIUS_BUCKETS]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        std::array::from_fn(|i| {
+            let key = RADIUS_FIRST_KEY + i as u64;
+            let edge = f64::from_bits(key << (52 - RADIUS_MANTISSA_BITS));
+            ((-2.0 * edge.ln()).sqrt() * (1.0 + RADIUS_SLACK)) as f32
+        })
+    })
+}
+
+/// An upper bound on the Box–Muller radius `sqrt(-2·ln u1)` as
+/// [`box_muller`] rounds it, for any `u1` that [`uniforms`] draws
+/// (`[f64::MIN_POSITIVE, 1)`), from `u1`'s exponent and top mantissa
+/// bits alone. Since `|cos| ≤ 1` and a
+/// rounded product is monotone, `|box_muller(u1, u2)| ≤
+/// radius_bound(u1)` for every `u2`.
+pub(crate) fn radius_bound(u1: f64) -> f64 {
+    let key = u1.to_bits() >> (52 - RADIUS_MANTISSA_BITS);
+    key.checked_sub(RADIUS_FIRST_KEY)
+        .and_then(|i| radius_table().get(i as usize))
+        .map_or(RADIUS_CEILING, |&r| f64::from(r))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +267,54 @@ mod tests {
         assert_eq!(overridden.programming_sigma(), 0.05);
         assert!(base.with_programming_sigma(-0.01).is_err());
         assert!(base.with_programming_sigma(f64::INFINITY).is_err());
+    }
+
+    /// `|box_muller(u1, u2)| ≤ radius_bound(u1)` at `u2` where the
+    /// cosine is `±1` and in between.
+    fn assert_bounded(u1: f64) {
+        for u2 in [0.0, 0.125, 0.5, 0.875] {
+            let n = box_muller(u1, u2);
+            let bound = radius_bound(u1);
+            assert!(n.abs() <= bound, "u1 {u1:e}, u2 {u2}: |{n}| > {bound}");
+        }
+    }
+
+    fn assert_bounded_over_draws(seed: u64, draws: u64) {
+        let mut rng = rand::SeedableRng::seed_from_u64(seed);
+        for _ in 0..draws {
+            let (u1, u2) = uniforms(&mut rng);
+            let n = box_muller(u1, u2);
+            assert!(n.abs() <= radius_bound(u1), "u1 {u1:e}, u2 {u2}: {n}");
+        }
+    }
+
+    #[test]
+    fn the_radius_bound_holds_at_every_bucket_edge() {
+        for key in RADIUS_FIRST_KEY..RADIUS_FIRST_KEY + RADIUS_BUCKETS as u64 {
+            let edge = f64::from_bits(key << (52 - RADIUS_MANTISSA_BITS));
+            // The edge is its bucket's largest radius; the value just
+            // below it belongs to the bucket (or the ceiling) below.
+            assert_bounded(edge);
+            assert_bounded(edge.next_down());
+            // The bound is the edge's radius plus the slack, no looser.
+            let radius = (-2.0 * edge.ln()).sqrt();
+            assert!(radius_bound(edge) <= radius * (1.0 + 2.0 * RADIUS_SLACK));
+        }
+        assert_bounded(f64::MIN_POSITIVE);
+        assert_bounded(1.0f64.next_down());
+        assert!(RADIUS_CEILING >= (-2.0 * f64::MIN_POSITIVE.ln()).sqrt());
+        assert_eq!(radius_bound(f64::MIN_POSITIVE), RADIUS_CEILING);
+    }
+
+    #[test]
+    fn the_radius_bound_holds_over_a_million_draws() {
+        assert_bounded_over_draws(1, 1_000_000);
+    }
+
+    #[test]
+    #[ignore = "10^8 draws; run optimized: cargo test --release -p sprint-reram --lib -- --include-ignored"]
+    fn the_radius_bound_holds_over_a_hundred_million_draws() {
+        assert_bounded_over_draws(2, 100_000_000);
     }
 
     #[test]

@@ -28,6 +28,7 @@ fn effective_noise(noise: NoiseModel, cell_bits: u32) -> Result<NoiseModel, Rera
     )
 }
 
+use crate::crossbar::ColumnRead;
 use crate::{
     FaultMap, FaultModel, FaultSite, NoiseModel, RepairOutcome, ReramError, TransposableArray,
 };
@@ -201,15 +202,17 @@ pub struct InMemoryPruner {
     lanes: Vec<Lane>,
 }
 
-/// One fan-out worker's scratch: the merged code-unit scores of its
-/// columns for the row in flight, one tile's partial sums, and what it
-/// adds to the counters and to the full-scale scan. Aligned so that no
-/// two workers' lanes share a cache line.
+/// One fan-out worker's scratch: each row tile's read of the column
+/// tile in flight, its keys' bracket ends, the columns that need their
+/// exact score, and what it adds to the counters and to the full-scale
+/// scan. Aligned so that no two workers' lanes share a cache line.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct Lane {
-    scores: Vec<f64>,
-    partial: Vec<f64>,
+    reads: Vec<ColumnRead>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    exact: Vec<usize>,
     in_memory_ops: u64,
     dac_conversions: u64,
     largest: u64,
@@ -1203,11 +1206,35 @@ struct RowPart<'t, 'p, 'o> {
 }
 
 impl Rows<'_> {
-    /// Thresholds every staged row over one worker's columns: the
-    /// analog scores of its tiles (row-tile currents merged per column
-    /// in row-tile order), the spare-column substitutes of its remapped
-    /// keys, then the comparators.
+    /// Thresholds every staged row over one worker's columns, one
+    /// column tile at a time: every row tile's read, then a comparator
+    /// per key. A key's score is its row-tile outputs added in row-tile
+    /// order from `0.0` (a remapped key's is its spare column's exact
+    /// digital-shadow score), optionally quantized to `score_bits`.
+    ///
+    /// Unless the caller wants the approximate scores, an analog key is
+    /// first bracketed: the same expression with every read's normal
+    /// at `−R` and at `+R` ([`ColumnRead::add_brackets`]). Both ends on
+    /// one side of the cut decide the key without the Box–Muller
+    /// transform; only a straddling bracket pays for the exact score.
     fn prune(&self, part: &mut RowPart<'_, '_, '_>) -> Result<(), ReramError> {
+        match self.score_bits {
+            Some(bits) => {
+                let full_scale = self.full_scale_codes;
+                self.prune_with(part, |score| quantize_symmetric(score, full_scale, bits))
+            }
+            None => self.prune_with(part, |score| score),
+        }
+    }
+
+    /// [`Rows::prune`] with the comparator's view of a code-unit score,
+    /// `compared`: the score itself or its `score_bits` quantization.
+    /// Monotone either way, so it keeps a bracket's order.
+    fn prune_with(
+        &self,
+        part: &mut RowPart<'_, '_, '_>,
+        compared: impl Fn(f64) -> f64,
+    ) -> Result<(), ReramError> {
         let lane = &mut *part.lane;
         let (mut in_memory_ops, mut dac_conversions) = (0, 0);
         let first = part.cols.start;
@@ -1217,39 +1244,67 @@ impl Rows<'_> {
             .zip(part.flags.iter_mut())
             .enumerate()
         {
-            lane.scores.clear();
-            lane.scores.resize(part.cols.len(), 0.0);
-            for (t, row_arrays) in part.tiles.iter_mut().enumerate() {
-                let base_col = t * ARRAY_COLS;
-                for (rt, arr) in row_arrays.iter_mut().enumerate() {
+            let cut = self.cuts[i];
+            let mut approx = part.approx.as_mut().map(|rows| &mut *rows[i]);
+            for t in 0..part.tiles.len() {
+                let row_arrays = &mut part.tiles[t];
+                let row_tiles = row_arrays.len();
+                lane.reads
+                    .resize_with(lane.reads.len().max(row_tiles), ColumnRead::default);
+                for (rt, (arr, read)) in row_arrays.iter_mut().zip(&mut lane.reads).enumerate() {
                     let base_row = rt * ARRAY_ROWS;
-                    arr.in_situ_compute_into(
-                        &q[base_row..base_row + arr.rows()],
-                        &mut lane.partial,
-                    )?;
+                    arr.in_situ_read_into(&q[base_row..base_row + arr.rows()], read)?;
                     in_memory_ops += 1;
                     dac_conversions += arr.rows() as u64;
-                    for (merged, p) in lane.scores[base_col..].iter_mut().zip(&lane.partial) {
-                        *merged += p;
+                }
+                let reads = &lane.reads[..row_tiles];
+                let cols = part.tiles[t][0].cols();
+                let keys = t * ARRAY_COLS..t * ARRAY_COLS + cols;
+                lane.exact.clear();
+                if approx.is_none() {
+                    for ends in [&mut lane.lo, &mut lane.hi] {
+                        ends.clear();
+                        ends.resize(cols, 0.0);
+                    }
+                    for read in reads {
+                        read.add_brackets(&mut lane.lo, &mut lane.hi);
+                    }
+                    // Each key takes its `lo` end's decision; a key whose
+                    // ends disagree is kept in `exact` (without a branch:
+                    // every slot is written, only straddles advance).
+                    lane.exact.resize(cols, 0);
+                    let mut straddles = 0;
+                    let ends = lane.lo.iter().zip(&lane.hi);
+                    for (c, (flag, (&lo, &hi))) in
+                        flags[keys.clone()].iter_mut().zip(ends).enumerate()
+                    {
+                        *flag = compared(lo) < cut;
+                        lane.exact[straddles] = c;
+                        straddles += usize::from(*flag != (compared(hi) < cut));
+                    }
+                    lane.exact.truncate(straddles);
+                } else {
+                    lane.exact.extend(0..cols);
+                }
+                for &c in &lane.exact {
+                    let k = keys.start + c;
+                    let score = compared(reads.iter().fold(0.0, |acc, read| acc + read.output(c)));
+                    flags[k] = score < cut;
+                    if let Some(scores) = approx.as_mut() {
+                        scores[k] = (score * self.score_lsb) as f32;
                     }
                 }
-            }
-            // Keys remapped to spare columns are served by verified
-            // fault-free cells: the controller substitutes their exact
-            // digital-shadow scores for the faulty analog readings.
-            for &j in self.remapped.range(part.cols.clone()) {
-                lane.scores[j - first] = exact_key_score(part.tiles, q, j - first)? as f64;
-            }
-            let cut = self.cuts[i];
-            for (flag, score) in flags.iter_mut().zip(lane.scores.iter_mut()) {
-                if let Some(bits) = self.score_bits {
-                    *score = quantize_symmetric(*score, self.full_scale_codes, bits);
-                }
-                *flag = *score < cut;
-            }
-            if let Some(approx) = part.approx.as_mut() {
-                for (a, &compared) in approx[i].iter_mut().zip(&lane.scores) {
-                    *a = (compared * self.score_lsb) as f32;
+                // Keys remapped to spare columns are served by verified
+                // fault-free cells: the controller substitutes their
+                // exact digital-shadow scores for the faulty analog
+                // readings.
+                let remapped = self.remapped.range(first + keys.start..first + keys.end);
+                for k in remapped.map(|&j| j - first) {
+                    let score = compared(exact_key_score(part.tiles, q, k)? as f64);
+                    flags[k] = score < cut;
+                    if let Some(scores) = approx.as_mut() {
+                        scores[k] = (score * self.score_lsb) as f32;
+                    }
                 }
             }
         }

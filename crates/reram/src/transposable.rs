@@ -13,6 +13,7 @@
 //! vectors possible without sequentially activating every row (§III-A
 //! challenge ③).
 
+use crate::crossbar::ColumnRead;
 use crate::{CrossbarArray, FaultModel, NoiseModel, ProgramOutcome, ReramError};
 
 /// The access mode a transposable array was last used in.
@@ -165,25 +166,27 @@ impl TransposableArray {
     ///
     /// Propagates [`CrossbarArray::vmm`] errors.
     pub fn in_situ_compute(&mut self, query_msb: &[i32]) -> Result<Vec<f64>, ReramError> {
-        let mut out = Vec::new();
-        self.in_situ_compute_into(query_msb, &mut out)?;
-        Ok(out)
+        self.mode = AccessMode::InSituCompute;
+        self.compute_ops += 1;
+        self.inner.vmm(query_msb)
     }
 
-    /// [`TransposableArray::in_situ_compute`] into a caller-owned
-    /// buffer — see [`CrossbarArray::vmm_into`].
+    /// [`TransposableArray::in_situ_compute`] up to the read
+    /// noise's transform — see [`CrossbarArray::read_into`]: the same
+    /// counters, sums and draws, each column's noise left as its
+    /// uniforms.
     ///
     /// # Errors
     ///
-    /// Propagates [`CrossbarArray::vmm_into`] errors.
-    pub fn in_situ_compute_into(
+    /// Propagates [`CrossbarArray::read_into`] errors.
+    pub(crate) fn in_situ_read_into(
         &mut self,
         query_msb: &[i32],
-        out: &mut Vec<f64>,
+        read: &mut ColumnRead,
     ) -> Result<(), ReramError> {
         self.mode = AccessMode::InSituCompute;
         self.compute_ops += 1;
-        self.inner.vmm_into(query_msb, out)
+        self.inner.read_into(query_msb, read)
     }
 
     /// Exact digital reference for [`TransposableArray::in_situ_compute`].

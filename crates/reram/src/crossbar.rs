@@ -128,8 +128,8 @@ pub(crate) struct ColumnRead {
 }
 
 impl ColumnRead {
-    /// Column `c`'s output, bit for bit what [`CrossbarArray::vmm`]
-    /// returns for it.
+    /// Column `c`'s output: its sum plus `sigma` times the Box–Muller
+    /// normal of its uniforms (the one place read noise is added).
     pub(crate) fn output(&self, c: usize) -> f64 {
         if self.sigma > 0.0 {
             let (u1, u2) = self.uniforms[c];
@@ -137,6 +137,11 @@ impl ColumnRead {
         } else {
             self.sums[c]
         }
+    }
+
+    /// Every column's [`ColumnRead::output`], in column order.
+    pub(crate) fn outputs(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..self.sums.len()).map(|c| self.output(c))
     }
 
     /// Adds every column's output expression at the normals `−R` and
@@ -421,51 +426,33 @@ impl CrossbarArray {
     /// codes on the wordlines and returns one analog output per column,
     /// in code units, including programming variation and output noise.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ReramError::LengthMismatch`] unless
-    /// `input.len() == rows`.
-    pub fn vmm(&mut self, input: &[i32]) -> Result<Vec<f64>, ReramError> {
-        let mut out = Vec::new();
-        self.vmm_into(input, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`CrossbarArray::vmm`] into a caller-owned buffer (cleared
-    /// first), so a caller issuing one operation per query reuses one
-    /// allocation.
-    ///
     /// Each block of 16 columns (`LANES`) is summed one wordline at a
     /// time: every column's sum starts at `0.0` and takes its rows in
     /// ascending order, multiply then add, exactly as a column-by-column
     /// walk would. Read noise is added afterwards, one draw per column
     /// in ascending column order from this array's stream, and not at
     /// all when the drive is all zero (the noise scales with the
-    /// drive's full scale).
+    /// drive's full scale). This is the crate's split read with every
+    /// column transformed.
     ///
     /// # Errors
     ///
     /// Returns [`ReramError::LengthMismatch`] unless
-    /// `input.len() == rows`; `out` is then left untouched.
-    pub fn vmm_into(&mut self, input: &[i32], out: &mut Vec<f64>) -> Result<(), ReramError> {
-        let sigma = self.sums_into(input, out)?;
-        if sigma > 0.0 {
-            for o in out.iter_mut() {
-                let (u1, u2) = uniforms(&mut self.rng);
-                *o += sigma * box_muller(u1, u2);
-            }
-        }
-        Ok(())
+    /// `input.len() == rows`.
+    pub fn vmm(&mut self, input: &[i32]) -> Result<Vec<f64>, ReramError> {
+        let mut read = ColumnRead::default();
+        self.read_into(input, &mut read)?;
+        Ok(read.outputs().collect())
     }
 
-    /// [`CrossbarArray::vmm_into`] up to the transform: the same
-    /// validation, count, sums and draws (in the same stream order),
-    /// with each column's uniforms kept in `read` instead of turned
-    /// into a normal. `read.output(c)` is then `vmm`'s column `c`.
+    /// One analog operation up to the read noise's transform: validates
+    /// `input`, counts the operation, writes the column sums and draws
+    /// each column's uniforms into `read`. `read.output(c)` is then
+    /// [`CrossbarArray::vmm`]'s column `c`.
     ///
     /// # Errors
     ///
-    /// As [`CrossbarArray::vmm_into`]; `read` is then left untouched.
+    /// As [`CrossbarArray::vmm`]; `read` is then left untouched.
     pub(crate) fn read_into(
         &mut self,
         input: &[i32],
@@ -538,10 +525,8 @@ impl CrossbarArray {
     /// Noise is proportional to this, matching how ADC-equivalent
     /// accuracy is specified against the converter's full range.
     pub fn full_scale(&self, input: &[i32]) -> f64 {
-        // The integer sum is the float fold's value while that stays
-        // below 2^53, where every partial sum is exact.
-        let drive: u64 = input.iter().map(|&x| u64::from(x.unsigned_abs())).sum();
-        drive as f64 * self.code_max() as f64
+        let drive: f64 = input.iter().map(|&x| (x as f64).abs()).sum();
+        drive * self.code_max() as f64
     }
 
     /// The construction seed, doubling as this array's stable identity

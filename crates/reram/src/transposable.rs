@@ -166,9 +166,9 @@ impl TransposableArray {
     ///
     /// Propagates [`CrossbarArray::vmm`] errors.
     pub fn in_situ_compute(&mut self, query_msb: &[i32]) -> Result<Vec<f64>, ReramError> {
-        self.mode = AccessMode::InSituCompute;
-        self.compute_ops += 1;
-        self.inner.vmm(query_msb)
+        let mut read = ColumnRead::default();
+        self.in_situ_read_into(query_msb, &mut read)?;
+        Ok(read.outputs().collect())
     }
 
     /// [`TransposableArray::in_situ_compute`] up to the read

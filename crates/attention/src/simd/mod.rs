@@ -339,9 +339,9 @@ pub(crate) fn av_rows(
 }
 
 /// Integer QK-PU dot over `i32` code rows (8-bit-range codes, whose
-/// products cannot overflow the `i32` sum). Public for `sprint-reram`'s comparator calibration, which
-/// walks the same codes; a forced [`SimdTier::Avx2`] on a host without
-/// it takes the scalar arm.
+/// products cannot overflow the `i32` sum). Public for `sprint-reram`'s
+/// one exact MSB dot, which walks the same codes; a forced
+/// [`SimdTier::Avx2`] on a host without it takes the scalar arm.
 pub fn idot(tier: SimdTier, a: &[i32], b: &[i32]) -> i32 {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 && avx2_available() {
@@ -408,8 +408,9 @@ pub const SUM_LANES: usize = 16;
 /// lane-blocked, `[block][row][lane]` with `drive.len()` rows per block;
 /// every column's sum starts at `0.0` and takes its rows ascending,
 /// `acc += w * x` as a multiply then an add (never fused). Public for
-/// `sprint-reram`'s `CrossbarArray`, whose weight image this is; a
-/// forced [`SimdTier::Avx2`] on a host without it takes the scalar arm.
+/// `sprint-reram`'s crossbar tile (crate-private there), whose weight
+/// image this is; a forced [`SimdTier::Avx2`] on a host without it
+/// takes the scalar arm.
 /// An empty `drive` appends nothing.
 pub fn lane_sums(tier: SimdTier, weights: &[f64], drive: &[f64], out: &mut Vec<f64>) {
     if drive.is_empty() {

@@ -2,13 +2,11 @@
 //!
 //! Implements the analog half of the paper's contribution:
 //!
-//! * [`CrossbarArray`] — an MLC ReRAM crossbar performing analog
-//!   vector-matrix multiplication (Eq. 2) with per-cell programming
-//!   variation and per-operation read noise;
-//! * [`TransposableArray`] — the taped-out transposable crossbar of
-//!   Wan et al. \[141\] with its two access modes: *in-situ compute*
-//!   (assert all bitlines, dot product per column) and *transposed
-//!   read* (assert one vertical wordline, read a stored key vector);
+//! * the crossbar tile (crate-private) — Wan et al.'s transposable MLC
+//!   ReRAM array \[141\]: analog vector-matrix multiplication (Eq. 2)
+//!   with per-cell programming variation and per-operation read noise
+//!   (*in-situ compute*), and the digital *transposed read* of one
+//!   stored key vector;
 //! * [`NoiseModel`] — calibrated to the "5-bit-equivalent output
 //!   accuracy for a 64-tap dot product" measurement of Hu et al.;
 //! * [`InMemoryPruner`] — the complete in-memory thresholding engine:
@@ -39,13 +37,10 @@ mod error;
 mod fault;
 mod noise;
 mod pruner;
-mod transposable;
 
-pub use crossbar::CrossbarArray;
 pub use error::ReramError;
 pub use fault::{CellFault, FaultMap, FaultModel, FaultSite, ProgramOutcome, RepairOutcome};
 pub use noise::NoiseModel;
 pub use pruner::{
     InMemoryPruner, PruneHardwareStats, PruneOutcome, ThresholdSpec, ARRAY_COLS, ARRAY_ROWS,
 };
-pub use transposable::{AccessMode, TransposableArray};

@@ -7,7 +7,7 @@
 //! equivalent output accuracy** (Hu et al., DAC'16). This model folds
 //! all per-operation effects into one additive Gaussian on the analog
 //! output, parameterized as an equivalent ADC bit count, plus a static
-//! per-cell programming variation applied by [`crate::CrossbarArray`].
+//! per-cell programming variation applied by the crossbar at write time.
 
 use std::sync::OnceLock;
 

@@ -9,9 +9,12 @@
 //! [`Workspace`]; the naive originals survive in [`crate::reference`]
 //! as the property-test oracle and bench baseline.
 
+use std::ops::Range;
+
+use crate::pruning::KeptLists;
 use crate::simd;
 use crate::softmax::softmax_inplace_tier;
-use crate::{quantize_matrix, AttentionError, Matrix, PruneDecision, SoftmaxLut, Workspace};
+use crate::{AttentionError, Matrix, PruneDecision, QuantParams, SoftmaxLut, Workspace};
 
 /// The "sufficiently large negative value" placed in padded positions
 /// before the softmax (§II-C3). Passing it through softmax drives the
@@ -440,11 +443,13 @@ pub struct QuantizedAttentionOutput {
 /// full dense computation is performed in quantized arithmetic (the
 /// iso-precision baseline accelerator).
 ///
-/// Every stage walks one ascending list of kept keys per query row
-/// (`None` is the list `0..s_k`): the QK-PU dot, the head-wide softmax
-/// range, the two-LUT softmax and the V-PU accumulate all cost what
-/// survived. `scores` and `probs` are still returned whole, `-inf` and
-/// `0.0` at pruned positions.
+/// This is the materialising view of the recompute: the row core of
+/// [`quantized_attention_output_with`] (kept-ordered scores and
+/// probabilities, see there) runs unchanged, and its compact rows are
+/// scattered into the whole `s_q × s_k` `scores` and `probs` returned
+/// here, `-inf` and `0.0` at pruned positions. Callers that only need
+/// the output take [`quantized_attention_output_with`] and never build
+/// the two matrices.
 ///
 /// # Errors
 ///
@@ -458,70 +463,198 @@ pub fn quantized_attention_with(
     decisions: Option<&[PruneDecision]>,
     ws: &mut Workspace,
 ) -> Result<QuantizedAttentionOutput, AttentionError> {
+    let mut scores = ws.filled_matrix(q.rows(), k.rows(), f32::NEG_INFINITY)?;
+    let mut probs = ws.zeroed_matrix(q.rows(), k.rows())?;
+    let output = recompute(q, k, v, cfg, decisions, ws, Some((&mut scores, &mut probs)))?;
+    Ok(QuantizedAttentionOutput {
+        scores,
+        probs,
+        output,
+    })
+}
+
+/// The SPRINT on-chip recompute (§VI), output only: the attention
+/// values of [`quantized_attention_with`], bit for bit, without its
+/// `s_q × s_k` score and probability matrices.
+///
+/// Every stage costs what survived the prune. Each query row's kept
+/// keys (`None` keeps all) own one `f32` slot per key in one
+/// kept-ordered buffer: the QK-PU writes the row's dequantized 8-bit
+/// scores there in one dispatch, the head-wide softmax range is the
+/// largest score offset of any row, the two-LUT softmax turns the
+/// scores into 8-bit probabilities in place, and the V-PU accumulates
+/// the row's value codes in one more dispatch. Quantization params
+/// come from each whole tensor, codes only for the query rows that
+/// keep a key and the keys up to the largest kept one. Both stages
+/// split the query rows over the workspace's width
+/// ([`Workspace::set_threads`]), which never changes a bit.
+///
+/// # Errors
+///
+/// As [`quantized_attention_with`].
+///
+/// # Example
+///
+/// ```
+/// use sprint_attention::{
+///     quantized_attention_output_with, quantized_attention_with, AttentionConfig, Matrix,
+///     PruneDecision, Workspace,
+/// };
+///
+/// # fn main() -> Result<(), sprint_attention::AttentionError> {
+/// let q = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]])?;
+/// let cfg = AttentionConfig::new(2);
+/// let decisions = [PruneDecision::new(vec![false, true]), PruneDecision::new(vec![true, true])];
+/// let mut ws = Workspace::new();
+/// let out = quantized_attention_output_with(&q, &q, &q, &cfg, Some(&decisions), &mut ws)?;
+/// let full = quantized_attention_with(&q, &q, &q, &cfg, Some(&decisions), &mut ws)?;
+/// assert_eq!(out, full.output);
+/// assert!(out.row(1).iter().all(|&x| x == 0.0), "a row that keeps nothing");
+/// # Ok(())
+/// # }
+/// ```
+pub fn quantized_attention_output_with(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    cfg: &AttentionConfig,
+    decisions: Option<&[PruneDecision]>,
+    ws: &mut Workspace,
+) -> Result<Matrix, AttentionError> {
+    recompute(q, k, v, cfg, decisions, ws, None)
+}
+
+/// The recompute's reusable state, taken from the [`Workspace`] for
+/// the length of a call: the kept lists, the kept-ordered value buffer
+/// (one `f32` per kept pair: scores, then probabilities) and the 8-bit
+/// codes of the rows the call reads (`i8`, the `KvCache` page format).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RecomputeScratch {
+    kept: KeptLists,
+    values: Vec<f32>,
+    q_codes: Vec<i8>,
+    k_codes: Vec<i8>,
+    v_codes: Vec<i8>,
+}
+
+impl RecomputeScratch {
+    /// What a single-query decode step uses: the kept list, the row's
+    /// kept-ordered slots and the query's codes.
+    pub(crate) fn decode_parts(&mut self) -> (&mut KeptLists, &mut Vec<f32>, &mut Vec<i8>) {
+        (&mut self.kept, &mut self.values, &mut self.q_codes)
+    }
+}
+
+/// Writes each row's kept-ordered values to its kept positions of the
+/// dense `dest`.
+fn scatter(dest: &mut Matrix, kept: &KeptLists, values: &[f32]) {
+    for i in 0..dest.rows() {
+        let row = dest.row_mut(i);
+        for (&j, &x) in kept.row(i).iter().zip(&values[kept.span(i)]) {
+            row[j as usize] = x;
+        }
+    }
+}
+
+/// The rows `rows` of a block, each with its kept-ordered slots cut in
+/// turn from the block's `values`.
+fn row_slots<'a>(
+    kept: &'a KeptLists,
+    rows: Range<usize>,
+    mut values: &'a mut [f32],
+) -> impl Iterator<Item = (usize, &'a mut [f32])> + 'a {
+    rows.map(move |i| {
+        let (row, rest) = std::mem::take(&mut values).split_at_mut(kept.row(i).len());
+        values = rest;
+        (i, row)
+    })
+}
+
+/// The batch recompute's one pipeline. With `dense` (the score and
+/// probability matrices of [`quantized_attention_with`], filled with
+/// `-inf` and `0.0`) it scatters each stage's kept-ordered rows there
+/// on the way.
+fn recompute(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    cfg: &AttentionConfig,
+    decisions: Option<&[PruneDecision]>,
+    ws: &mut Workspace,
+    mut dense: Option<(&mut Matrix, &mut Matrix)>,
+) -> Result<Matrix, AttentionError> {
     check_shapes(q, k, v)?;
     let tier = ws.simd_tier();
-    let (s_q, s_k) = (q.rows(), k.rows());
+    let (s_q, s_k, d, d_v) = (q.rows(), k.rows(), q.cols(), v.cols());
     validate_decisions(s_q, s_k, decisions)?;
-    let mut kept = std::mem::take(&mut ws.kept);
+    let mut scratch = std::mem::take(&mut ws.recompute);
+    let RecomputeScratch {
+        kept,
+        values,
+        q_codes,
+        k_codes,
+        v_codes,
+    } = &mut scratch;
     kept.fill(s_k, decisions)?;
+    let kept = &*kept;
 
-    // 8-bit quantization of the operand matrices (per-tensor symmetric).
-    let qq = quantize_matrix(q, 8)?;
-    let qk = quantize_matrix(k, 8)?;
-    let qv = quantize_matrix(v, 8)?;
-    let score_lsb = qq.params().step() * qk.params().step() * cfg.scale();
+    // 8-bit per-tensor symmetric quantization: each tensor's params
+    // from its whole range, codes only where the stages read them.
+    let (qp, kp, vp) = (
+        QuantParams::for_matrix(8, q)?,
+        QuantParams::for_matrix(8, k)?,
+        QuantParams::for_matrix(8, v)?,
+    );
+    q_codes.resize(s_q * d, 0);
+    for i in (0..s_q).filter(|&i| !kept.row(i).is_empty()) {
+        qp.quantize_i8_into(q.row(i), &mut q_codes[i * d..(i + 1) * d]);
+    }
+    let key_end = kept.key_end();
+    k_codes.resize(key_end * d, 0);
+    kp.quantize_i8_into(k.as_slice(), k_codes);
+    v_codes.resize(key_end * d_v, 0);
+    vp.quantize_i8_into(v.as_slice(), v_codes);
+    let score_lsb = qp.step() * kp.step() * cfg.scale();
+    values.resize(kept.spans(0..s_q).len(), 0.0);
 
     // Both stages split the query rows over the workspace's width,
     // balanced by kept keys (a padded row costs next to nothing). Rows
     // are independent, so the split never changes a bit.
     let blocks = sprint_parallel::weighted_ranges(s_q, ws.threads, |i| kept.row(i).len() + 1);
+    let block_slots: Vec<Range<usize>> = blocks.iter().map(|r| kept.spans(r.clone())).collect();
 
-    // Integer MAC: i8 x i8 accumulated in i32 (the QK-PU). The softmax
-    // range is the largest finite score offset seen in this head: an
-    // `f32::max` over finite offsets, the same whichever worker folds
-    // which row.
-    let mut scores = ws.filled_matrix(s_q, s_k, f32::NEG_INFINITY)?;
+    // The QK-PU, and per block the largest score offset of its rows:
+    // an `f32::max` over finite offsets, the same whichever worker
+    // folds which row.
+    let key = |j: usize| &k_codes[j * d..(j + 1) * d];
     let mut parts: Vec<_> = blocks
         .iter()
         .cloned()
-        .zip(sprint_parallel::split_ranges_mut(
-            scores.as_mut_slice(),
-            &blocks,
-            s_k,
-        ))
-        .map(|(rows, block)| (rows, block, 1.0f32))
+        .zip(sprint_parallel::split_ranges_mut(values, &block_slots, 1))
+        .map(|(rows, slots)| (rows, slots, 1.0f32))
         .collect();
-    sprint_parallel::fan_out(&mut parts, |_, (rows, block, offset)| {
-        for (i, srow) in rows.clone().zip(block.chunks_exact_mut(s_k)) {
-            let q_codes = qq.code_row(i);
-            *offset = offset.max(quantized_score_row_into(
-                kept.row(i),
-                |j| simd::idot(tier, q_codes, qk.code_row(j)),
-                score_lsb,
-                srow,
-            ));
+    sprint_parallel::fan_out(&mut parts, |_, (rows, slots, offset)| {
+        for (i, row) in row_slots(kept, rows.clone(), slots) {
+            let q_codes = &q_codes[i * d..(i + 1) * d];
+            *offset = offset.max(score_row(tier, q_codes, kept.row(i), key, score_lsb, row));
         }
         Ok::<_, AttentionError>(())
     })?;
     let max_offset = parts.iter().fold(1.0f32, |m, part| m.max(part.2));
+    if let Some((scores, _)) = dense.as_mut() {
+        scatter(scores, kept, values);
+    }
 
-    // Softmax with 12-bit inputs via the two-LUT unit, then the V-PU:
-    // 8-bit probabilities x 8-bit values, accumulated per output row
-    // in i32 and clamped to 16 bits at the end.
+    // The two-LUT softmax in place, then the V-PU.
     let unit = SoftmaxLut::new(max_offset.max(1e-3))?;
-    let mut probs = ws.zeroed_matrix(s_q, s_k)?;
-    let d_v = v.cols();
-    let out_lsb = qv.params().step() / 255.0;
+    let out_lsb = vp.step() / 255.0;
     let mut output = ws.zeroed_matrix(s_q, d_v)?;
+    let value = |j: usize| &v_codes[j * d_v..(j + 1) * d_v];
     let accs = ws.acc_rows(blocks.len(), d_v);
     let mut parts: Vec<_> = blocks
         .iter()
         .cloned()
-        .zip(sprint_parallel::split_ranges_mut(
-            probs.as_mut_slice(),
-            &blocks,
-            s_k,
-        ))
+        .zip(sprint_parallel::split_ranges_mut(values, &block_slots, 1))
         .zip(sprint_parallel::split_ranges_mut(
             output.as_mut_slice(),
             &blocks,
@@ -529,30 +662,18 @@ pub fn quantized_attention_with(
         ))
         .zip(accs.iter_mut())
         .collect();
-    let score_rows = &scores;
-    sprint_parallel::fan_out(&mut parts, |_, (((rows, prows), outs), acc)| {
-        let out_rows = prows.chunks_exact_mut(s_k).zip(outs.chunks_exact_mut(d_v));
-        for (i, (prow, out_row)) in rows.clone().zip(out_rows) {
-            softmax_vpu_row_into(
-                &unit,
-                kept.row(i),
-                score_rows.row(i),
-                prow,
-                |acc, p_code, j| simd::vpu_accumulate(tier, acc, p_code, qv.code_row(j)),
-                out_lsb,
-                acc,
-                out_row,
-            );
+    sprint_parallel::fan_out(&mut parts, |_, (((rows, slots), outs), acc)| {
+        let rows = row_slots(kept, rows.clone(), slots).zip(outs.chunks_exact_mut(d_v));
+        for ((i, row), out_row) in rows {
+            output_row(tier, &unit, kept.row(i), row, value, out_lsb, acc, out_row);
         }
         Ok::<_, AttentionError>(())
     })?;
-    ws.kept = kept;
-
-    Ok(QuantizedAttentionOutput {
-        scores,
-        probs,
-        output,
-    })
+    if let Some((_, probs)) = dense {
+        scatter(probs, kept, values);
+    }
+    ws.recompute = scratch;
+    Ok(output)
 }
 
 /// Integer dot product (the QK-PU's i8 × i8 → i32 MAC chain), the
@@ -562,63 +683,60 @@ pub(crate) fn idot(a: &[i32], b: &[i32]) -> i32 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
-/// One query's QK-PU score row over its kept keys: `srow[j]` gets the
-/// dequantized integer MAC `dot(j)`, every other position stays as the
-/// caller filled it (`-inf`). Returns the row's largest finite score
-/// offset `max − s` (0 for a row with no finite score), which the
-/// caller folds into the softmax range. With
-/// [`softmax_vpu_row_into`], the code-level row core the batch kernel
-/// and the single-query decode kernel share, so their bit-identical
-/// contract holds by construction, not just by test.
-pub(crate) fn quantized_score_row_into(
+/// The row core's first stage, shared by the batch and the decode
+/// kernel (so their bit-identical contract holds by construction):
+/// the QK-PU writes the dequantized score of each of the row's kept
+/// keys to `row`, in kept order, and the row's largest score offset
+/// `max − min` comes back (0 for a row that keeps nothing) for the
+/// caller to fold into the softmax range.
+pub(crate) fn score_row<'k>(
+    tier: simd::SimdTier,
+    q_codes: &[i8],
     kept: &[u32],
-    dot: impl Fn(usize) -> i32,
+    key: impl Fn(usize) -> &'k [i8],
     score_lsb: f32,
-    srow: &mut [f32],
+    row: &mut [f32],
 ) -> f32 {
-    let mut max = f32::NEG_INFINITY;
-    for &j in kept {
-        let score = dot(j as usize) as f32 * score_lsb;
-        srow[j as usize] = score;
-        max = max.max(score);
+    if kept.is_empty() {
+        return 0.0;
     }
-    let mut offset = 0.0f32;
-    if max != f32::NEG_INFINITY {
-        for &j in kept {
-            let score = srow[j as usize];
-            if score != f32::NEG_INFINITY {
-                offset = offset.max(max - score);
-            }
-        }
-    }
-    offset
+    simd::qk_row(tier, q_codes, kept, key, score_lsb, row);
+    // Subtracting from a fixed maximum is monotone, so the largest
+    // offset is the one from the smallest score.
+    let (lo, hi) = min_max(row);
+    hi - lo
 }
 
-/// One query's two-LUT softmax and V-PU accumulation over its kept
-/// keys: 8-bit probabilities into `prow` (zero elsewhere, as the caller
-/// zeroed it), then 8-bit probability codes × 8-bit value codes —
-/// `accumulate(acc, p_code, j)` adds key `j`'s value row — summed in
-/// `i32`, clamped to 16 bits and dequantized into `out_row`.
+/// The smallest and largest entry of `row`, NaN ignored, by
+/// [`crate::matrix::fold_lanes`] of the selects `v < lo ? v : lo` and
+/// `v > hi ? v : hi`: the values of the `f32::min` / `f32::max` folds
+/// (a score is never `-0.0`, so no zero's sign is in question).
+fn min_max(row: &[f32]) -> (f32, f32) {
+    use crate::matrix::fold_lanes;
+    (
+        fold_lanes(row, f32::INFINITY, |lo, v| if v < lo { v } else { lo }),
+        fold_lanes(row, f32::NEG_INFINITY, |hi, v| if v > hi { v } else { hi }),
+    )
+}
+
+/// The row core's second stage: the two-LUT softmax turns the row's
+/// kept-ordered scores into 8-bit probabilities in place, the V-PU
+/// sums 8-bit probability codes × 8-bit value codes in `i32` into
+/// `acc`, and each sum is clamped to 16 bits and dequantized into
+/// `out_row`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn softmax_vpu_row_into(
+pub(crate) fn output_row<'v>(
+    tier: simd::SimdTier,
     unit: &SoftmaxLut,
     kept: &[u32],
-    srow: &[f32],
-    prow: &mut [f32],
-    mut accumulate: impl FnMut(&mut [i32], i32, usize),
+    row: &mut [f32],
+    value: impl Fn(usize) -> &'v [i8],
     out_lsb: f32,
     acc: &mut [i32],
     out_row: &mut [f32],
 ) {
-    let keys = kept.iter().map(|&j| j as usize);
-    unit.probabilities_over(srow, prow, keys.clone());
-    acc.fill(0);
-    for j in keys {
-        let p_code = (prow[j] * 255.0).round() as i32;
-        if p_code != 0 {
-            accumulate(acc, p_code, j);
-        }
-    }
+    unit.probabilities_in_place(row, tier);
+    simd::vpu_row(tier, acc, kept, row, value);
     for (slot, &a) in out_row.iter_mut().zip(acc.iter()) {
         // Final attention value kept in 16 bits.
         let acc16 = a.clamp(i32::from(i16::MIN), i32::from(i16::MAX));

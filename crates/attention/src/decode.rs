@@ -23,12 +23,11 @@
 //! eviction safe: a rehydrated cache rebuilt from the same rows is the
 //! same cache, bit for bit.
 
-use crate::attention::{quantized_score_row_into, softmax_vpu_row_into, DENSE_AV_CROSSOVER};
+use crate::attention::{output_row, score_row, DENSE_AV_CROSSOVER};
 use crate::paged::{PageBuffers, PagePool, DEFAULT_PAGE_BYTES};
 use crate::simd;
 use crate::{
-    quantize_matrix, AttentionConfig, AttentionError, Matrix, PruneDecision, QuantParams,
-    SoftmaxLut, Workspace,
+    AttentionConfig, AttentionError, Matrix, PruneDecision, QuantParams, SoftmaxLut, Workspace,
 };
 
 /// One page of history: a slice of the K/V rows and their codes, plus
@@ -251,24 +250,20 @@ impl KvCache {
         let (p, slot) = (j / self.tokens_per_page, j % self.tokens_per_page);
         let params = self.k_params;
         let page = &mut self.pages[p];
-        for (code, &x) in page.buf.k_codes[slot * self.d..(slot + 1) * self.d]
-            .iter_mut()
-            .zip(k_row)
-        {
-            *code = params.quantize(x) as i8;
-        }
+        params.quantize_i8_into(
+            k_row,
+            &mut page.buf.k_codes[slot * self.d..(slot + 1) * self.d],
+        );
     }
 
     fn write_v_codes(&mut self, j: usize, v_row: &[f32]) {
         let (p, slot) = (j / self.tokens_per_page, j % self.tokens_per_page);
         let params = self.v_params;
         let page = &mut self.pages[p];
-        for (code, &x) in page.buf.v_codes[slot * self.d_v..(slot + 1) * self.d_v]
-            .iter_mut()
-            .zip(v_row)
-        {
-            *code = params.quantize(x) as i8;
-        }
+        params.quantize_i8_into(
+            v_row,
+            &mut page.buf.v_codes[slot * self.d_v..(slot + 1) * self.d_v],
+        );
     }
 
     /// Rewrites every key code under `params` (the token that widened
@@ -282,12 +277,8 @@ impl KvCache {
             let d = self.d;
             let page = &mut self.pages[p];
             page.k_params = params;
-            for (code, &x) in page.buf.k_codes[..tokens * d]
-                .iter_mut()
-                .zip(&page.buf.k_floats[..tokens * d])
-            {
-                *code = params.quantize(x) as i8;
-            }
+            let buf = &mut page.buf;
+            params.quantize_i8_into(&buf.k_floats[..tokens * d], &mut buf.k_codes[..tokens * d]);
         }
     }
 
@@ -299,12 +290,11 @@ impl KvCache {
             let d_v = self.d_v;
             let page = &mut self.pages[p];
             page.v_params = params;
-            for (code, &x) in page.buf.v_codes[..tokens * d_v]
-                .iter_mut()
-                .zip(&page.buf.v_floats[..tokens * d_v])
-            {
-                *code = params.quantize(x) as i8;
-            }
+            let buf = &mut page.buf;
+            params.quantize_i8_into(
+                &buf.v_floats[..tokens * d_v],
+                &mut buf.v_codes[..tokens * d_v],
+            );
         }
     }
 
@@ -518,9 +508,11 @@ pub fn pruned_attention_decode_cached_with(
 /// the same one-row `Q`, the cache's gathered float `K`/`V` and the
 /// same decision — but the per-call `K`/`V` quantization (`O(s·d)`) is
 /// replaced by the cache's incrementally maintained page-resident
-/// codes, so a step costs `O(kept·d)` in the MAC stages plus the
-/// unavoidable `O(s)` softmax staging. Only the query is quantized per
-/// call (its DAC/datapath calibration is per-step by design).
+/// codes, so a step costs `O(kept·d)` in the MAC and softmax stages
+/// plus the `O(s)` scan of the decision's flags. Only the query is
+/// quantized per call (its DAC/datapath calibration is per-step by
+/// design). The row core is the batch kernel's, over a kept-ordered
+/// row of `kept` slots.
 ///
 /// # Errors
 ///
@@ -546,51 +538,50 @@ pub fn quantized_attention_decode_with(
         }
     }
 
-    let mut kept = std::mem::take(&mut ws.kept);
+    // The batch kernel's row core over this step's single row, each
+    // key's codes read from its page: only the query is quantized per
+    // call; the softmax range follows the same per-call rule (the
+    // row's largest score offset, at least 1).
+    let mut scratch = std::mem::take(&mut ws.recompute);
+    let (kept, values, q_codes) = scratch.decode_parts();
     kept.fill(s_k, decision.map(std::slice::from_ref))?;
     let kept_row = kept.row(0);
-
-    // Per-step 8-bit query quantization; K/V codes come from the
-    // cache's pages.
-    let qq = quantize_matrix(q, 8)?;
-    let score_lsb = qq.params().step() * kv.k_params().step() * cfg.scale();
-
-    // The batch kernel's row core over this step's single row, each
-    // key's codes read from its page: QK-PU MACs over kept keys, the
-    // same per-call softmax range rule (largest finite score offset),
-    // two-LUT softmax, V-PU.
-    let q_codes = qq.code_row(0);
-    let mut scores = ws.filled_matrix(1, s_k, f32::NEG_INFINITY)?;
-    let max_offset = 1.0f32.max(quantized_score_row_into(
+    let qp = QuantParams::for_matrix(8, q)?;
+    q_codes.resize(q.cols(), 0);
+    qp.quantize_i8_into(q.row(0), q_codes);
+    let score_lsb = qp.step() * kv.k_params().step() * cfg.scale();
+    values.resize(kept_row.len(), 0.0);
+    let offset = score_row(
+        tier,
+        q_codes,
         kept_row,
-        |j| simd::idot_i8(tier, q_codes, kv.k_code_row(j)),
+        |j| kv.k_code_row(j),
         score_lsb,
-        scores.row_mut(0),
-    ));
-    let unit = SoftmaxLut::new(max_offset.max(1e-3))?;
-    let mut probs = ws.zeroed_matrix(1, s_k)?;
+        values,
+    );
+    let unit = SoftmaxLut::new(1.0f32.max(offset).max(1e-3))?;
     let d_v = kv.value_dim();
     let mut output = vec![0.0f32; d_v];
-    softmax_vpu_row_into(
+    output_row(
+        tier,
         &unit,
         kept_row,
-        scores.row(0),
-        probs.row_mut(0),
-        |acc, p_code, j| simd::vpu_accumulate_i8(tier, acc, p_code, kv.v_code_row(j)),
+        values,
+        |j| kv.v_code_row(j),
         kv.v_params().step() / 255.0,
         ws.acc_row(d_v),
         &mut output,
     );
-    ws.kept = kept;
-    ws.recycle(scores);
-    ws.recycle(probs);
+    ws.recompute = scratch;
     Ok(output)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dense_attention_with, pruned_attention_with, quantized_attention_with};
+    use crate::{
+        dense_attention_with, pruned_attention_with, quantize_matrix, quantized_attention_with,
+    };
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut state = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(99);

@@ -152,6 +152,32 @@ impl QuantParams {
         ((clamped + ROUNDER) - ROUNDER) as i32
     }
 
+    /// [`QuantParams::quantize`] over a slice into `i8` codes, for
+    /// widths up to 8 bits (`codes` and `src` pair up to the shorter).
+    /// The same clamp and add trick, but the code is read off the
+    /// rounded sum's bits: `clamped + 1.5·2²³` lies in the binade of
+    /// unit spacing above `2²³`, so its bits minus the rounder's are
+    /// the code, and the loop vectorizes without a float-to-integer
+    /// conversion (NaN still gives 0).
+    pub(crate) fn quantize_i8_into(&self, src: &[f32], codes: &mut [i8]) {
+        const ROUNDER: f32 = 12_582_912.0; // 1.5 · 2²³
+        debug_assert!(self.bits <= 8, "{}-bit codes do not fit i8", self.bits);
+        let qmax = self.qmax() as f32;
+        for (code, &x) in codes.iter_mut().zip(src) {
+            let y = x / self.scale;
+            let clamped = if y < -qmax {
+                -qmax
+            } else if y > qmax {
+                qmax
+            } else {
+                y
+            };
+            let t = clamped + ROUNDER;
+            let q = (t.to_bits() as i32).wrapping_sub(ROUNDER.to_bits() as i32);
+            *code = if t.is_nan() { 0 } else { q as i8 };
+        }
+    }
+
     /// Reconstructs the real value of an integer code.
     pub fn dequantize(&self, q: i32) -> f32 {
         q as f32 * self.scale
@@ -480,6 +506,26 @@ mod tests {
         let top = QuantParams::new(23, 1.0).unwrap();
         assert_eq!(top.quantize(4_194_302.5), 4_194_302);
         assert_eq!(top.quantize(4_194_303.5), top.qmax());
+    }
+
+    #[test]
+    fn slice_quantizer_gives_the_element_codes() {
+        // Every 65537th bit pattern (NaNs, ±0, ±inf, subnormals) and the
+        // ties around each code, through 1- to 8-bit quantizers.
+        let mut xs: Vec<f32> = (0..=u32::MAX / 65_537)
+            .map(|k| f32::from_bits(k * 65_537))
+            .collect();
+        xs.extend((-300..=300).map(|h| h as f32 * 0.5));
+        for bits in 1..=8 {
+            for scale in [1.0, 0.007_812_5, 3.7e-3, 1.7e3, 1e-30] {
+                let p = QuantParams::new(bits, scale).unwrap();
+                let mut codes = vec![0i8; xs.len()];
+                p.quantize_i8_into(&xs, &mut codes);
+                for (&x, &c) in xs.iter().zip(&codes) {
+                    assert_eq!(c, p.quantize(x) as i8, "{bits} bits, scale {scale}, x {x}");
+                }
+            }
+        }
     }
 
     proptest! {

@@ -40,8 +40,9 @@ mod softmax;
 mod workspace;
 
 pub use attention::{
-    dense_attention_with, pruned_attention_with, quantized_attention_with, AttentionConfig,
-    AttentionOutput, PaddingMask, QuantizedAttentionOutput, MASK_NEG,
+    dense_attention_with, pruned_attention_with, quantized_attention_output_with,
+    quantized_attention_with, AttentionConfig, AttentionOutput, PaddingMask,
+    QuantizedAttentionOutput, MASK_NEG,
 };
 pub use decode::{
     pruned_attention_decode_cached_with, quantized_attention_decode_with, KvCache, KvDelta,

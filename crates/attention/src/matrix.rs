@@ -387,16 +387,86 @@ impl Matrix {
         }
     }
 
-    /// Maximum absolute value over all elements (0.0 for all-zero data).
+    /// Maximum absolute value over all elements (0.0 for all-zero data;
+    /// NaN entries are ignored).
     pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
+        max_abs(&self.data)
     }
+}
+
+/// `xs.iter().fold(0.0, |m, v| m.max(v.abs()))`, bit for bit: the
+/// running maximum is never NaN and every `|v|` is `+0.0` or more, so
+/// `f32::max` here is the select `|v| > m ? |v| : m` (a NaN `|v|`
+/// loses), which [`fold_lanes`] may group freely.
+fn max_abs(xs: &[f32]) -> f32 {
+    fold_lanes(xs, 0.0, |m, v| if v.abs() > m { v.abs() } else { m })
+}
+
+/// `xs.iter().fold(init, f)` in eight independent lanes that each start
+/// at `init`, the lanes then folded into the tail's fold: the serial
+/// fold's bits whenever `f` is associative and commutative over the
+/// values it meets, with `init` its identity (the NaN-ignoring `<` / `>`
+/// selects of the maxima and minima here). Eight lanes of selects
+/// vectorize; the serial fold is a latency chain.
+pub(crate) fn fold_lanes(xs: &[f32], init: f32, f: impl Fn(f32, f32) -> f32) -> f32 {
+    const LANES: usize = 8;
+    let mut lanes = [init; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = f(*m, v);
+        }
+    }
+    let tail = chunks.remainder().iter().fold(init, |m, &v| f(m, v));
+    lanes.into_iter().fold(tail, f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn lane_parallel_max_abs_is_the_serial_fold_bit_for_bit() {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            -3.5,
+            2.25,
+            f32::MAX,
+        ];
+        let mut state = 0x9e37_79b9u32;
+        for len in 0..=40usize {
+            for round in 0..40 {
+                let xs: Vec<f32> = (0..len)
+                    .map(|t| {
+                        state ^= state << 13;
+                        state ^= state >> 17;
+                        state ^= state << 5;
+                        // Mostly specials in early rounds, plain values later.
+                        if (state % 40) as usize >= round {
+                            specials[(state >> 8) as usize % specials.len()]
+                        } else {
+                            (t as f32 - 20.0) * 0.37
+                        }
+                    })
+                    .collect();
+                let serial = xs.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                assert_eq!(
+                    max_abs(&xs).to_bits(),
+                    serial.to_bits(),
+                    "len {len}: {xs:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn zeros_has_requested_shape() {

@@ -8,6 +8,7 @@
 //! distributions and a target pruning rate (the two are interchangeable
 //! for the architecture study; see DESIGN.md substitutions).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::{AttentionError, Matrix};
@@ -143,20 +144,50 @@ impl PruneDecision {
 
 /// Ascending kept-key indices per query row: what the deciding step
 /// hands the recompute kernel, so that every stage of the quantized
-/// datapath visits only surviving keys.
+/// datapath visits only surviving keys. Row `i`'s kept pairs also own
+/// the slots [`KeptLists::span`] of a kept-ordered value buffer (one
+/// `f32` per pair: the row's scores, then its probabilities).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KeptLists {
+    /// The lists back to back, then unused slack.
     indices: Vec<u32>,
-    /// Row `i` is `indices[offsets[i]..offsets[i + 1]]`. Empty when no
-    /// decisions were given: every row then shares the one list
-    /// `0..s_k`.
+    /// Row `i` is `indices[offsets[i]..offsets[i + 1]]`; without
+    /// decisions `offsets` is `[0, s_k]` and every row shares the one
+    /// list `0..s_k`.
     offsets: Vec<usize>,
+    shared: bool,
+    /// One past the largest key any row keeps (0 when none does).
+    key_end: usize,
 }
+
+/// For each byte `m`, the positions of its set bits, ascending (the
+/// rest zero): the kept keys of one eight-flag word whose kept mask is
+/// `m`.
+static SET_BITS: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut m = 0;
+    while m < 256 {
+        let (mut n, mut bit) = (0, 0);
+        while bit < 8 {
+            if m & (1 << bit) != 0 {
+                table[m][n] = bit as u8;
+                n += 1;
+            }
+            bit += 1;
+        }
+        m += 1;
+    }
+    table
+};
 
 impl KeptLists {
     /// Rebuilds the lists for `decisions` over `s_k` keys (each
     /// decision already validated to cover exactly `s_k`), reusing the
-    /// allocations.
+    /// allocations. Flags are read eight at a time, branch-free: the
+    /// kept ones are the zero bytes of the word (`!word & 0x0101…`),
+    /// gathered into an 8-bit mask whose set-bit positions a table
+    /// lists; all eight candidates are written and the list advances
+    /// by the mask's popcount.
     ///
     /// # Errors
     ///
@@ -167,39 +198,89 @@ impl KeptLists {
         s_k: usize,
         decisions: Option<&[PruneDecision]>,
     ) -> Result<(), AttentionError> {
+        const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+        // Moves the low bit of byte `t` to bit `56 + t`.
+        const GATHER: u64 = 0x0102_0408_1020_4080;
         let keys = u32::try_from(s_k).map_err(|_| AttentionError::InvalidDimension {
             name: "keys",
             value: s_k,
         })?;
-        self.indices.clear();
         self.offsets.clear();
+        self.offsets.push(0);
+        self.shared = decisions.is_none();
         let Some(decisions) = decisions else {
+            self.indices.clear();
             self.indices.extend(0..keys);
+            self.offsets.push(s_k);
+            self.key_end = s_k;
             return Ok(());
         };
-        self.offsets.push(0);
+        self.key_end = 0;
+        let mut len = 0;
         for d in decisions {
-            // A wholly pruned run of 16 keys (a padded row, most of a
-            // sparse one) is one branch-free fold, not 16 tests.
-            for (base, run) in (0..keys).step_by(16).zip(d.as_slice().chunks(16)) {
-                if run.iter().fold(true, |all, &p| all & p) {
-                    continue;
-                }
-                self.indices
-                    .extend((base..).zip(run).filter_map(|(j, &p)| (!p).then_some(j)));
+            // Room for every key of the row plus one word's overshoot.
+            if self.indices.len() < len + s_k + 8 {
+                self.indices.resize(len + s_k + 8, 0);
             }
-            self.offsets.push(self.indices.len());
+            let mut words = d.as_slice().chunks_exact(8);
+            let mut base = 0u32;
+            for word in &mut words {
+                let flags = (0..)
+                    .zip(word)
+                    .fold(0u64, |w, (t, &p)| w | u64::from(p) << (8 * t));
+                let kept = !flags & LOW_BITS;
+                if kept != 0 {
+                    let mask = (kept.wrapping_mul(GATHER) >> 56) as usize;
+                    for (slot, &bit) in self.indices[len..len + 8].iter_mut().zip(&SET_BITS[mask]) {
+                        *slot = base + u32::from(bit);
+                    }
+                    // The byte sum, i.e. the number of kept flags.
+                    len += (kept.wrapping_mul(LOW_BITS) >> 56) as usize;
+                }
+                base += 8;
+            }
+            for (j, &pruned) in (base..).zip(words.remainder()) {
+                if !pruned {
+                    self.indices[len] = j;
+                    len += 1;
+                }
+            }
+            if len > self.offsets[self.offsets.len() - 1] {
+                self.key_end = self.key_end.max(self.indices[len - 1] as usize + 1);
+            }
+            self.offsets.push(len);
         }
         Ok(())
     }
 
     /// The kept keys of query row `i`, ascending.
     pub(crate) fn row(&self, i: usize) -> &[u32] {
-        if self.offsets.is_empty() {
-            &self.indices
+        let i = if self.shared { 0 } else { i };
+        &self.indices[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Row `i`'s slots in the kept-ordered value buffer.
+    pub(crate) fn span(&self, i: usize) -> Range<usize> {
+        if self.shared {
+            let n = self.offsets[1];
+            i * n..(i + 1) * n
         } else {
-            &self.indices[self.offsets[i]..self.offsets[i + 1]]
+            self.offsets[i]..self.offsets[i + 1]
         }
+    }
+
+    /// The value slots rows `rows` own, contiguous and in row order.
+    pub(crate) fn spans(&self, rows: Range<usize>) -> Range<usize> {
+        if rows.is_empty() {
+            return 0..0;
+        }
+        self.span(rows.start).start..self.span(rows.end - 1).end
+    }
+
+    /// One past the largest kept key of any row: the keys whose codes
+    /// the recompute reads.
+    pub(crate) fn key_end(&self) -> usize {
+        self.key_end
     }
 }
 
@@ -332,6 +413,49 @@ fn stable_zero(scores: &[f32], pos: usize) -> f32 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn word_wise_kept_lists_match_the_flags() {
+        // Lengths across the eight-flag words and their ragged ends,
+        // densities from none kept to all kept.
+        let mut state = 0x2545_f491u32;
+        let mut lists = KeptLists::default();
+        for s_k in [0usize, 1, 7, 8, 9, 16, 17, 40, 63, 64, 65] {
+            for density in [0u32, 1, 4, 8, 15, 16] {
+                let decisions: Vec<PruneDecision> = (0..5)
+                    .map(|_| {
+                        PruneDecision::new(
+                            (0..s_k)
+                                .map(|_| {
+                                    state ^= state << 13;
+                                    state ^= state >> 17;
+                                    state ^= state << 5;
+                                    state % 16 >= density
+                                })
+                                .collect(),
+                        )
+                    })
+                    .collect();
+                lists.fill(s_k, Some(&decisions)).unwrap();
+                let mut slot = 0;
+                let mut key_end = 0;
+                for (i, d) in decisions.iter().enumerate() {
+                    let want: Vec<u32> = d.iter_kept().map(|j| j as u32).collect();
+                    assert_eq!(lists.row(i), want.as_slice(), "s_k {s_k}, row {i}");
+                    assert_eq!(lists.span(i), slot..slot + want.len());
+                    slot += want.len();
+                    key_end = key_end.max(want.last().map_or(0, |&j| j as usize + 1));
+                }
+                assert_eq!(lists.spans(0..5), 0..slot);
+                assert_eq!(lists.key_end(), key_end, "s_k {s_k}");
+            }
+            lists.fill(s_k, None).unwrap();
+            let all: Vec<u32> = (0..s_k as u32).collect();
+            assert_eq!(lists.row(3), all.as_slice());
+            assert_eq!(lists.span(3), 3 * s_k..4 * s_k);
+            assert_eq!(lists.key_end(), s_k);
+        }
+    }
 
     #[test]
     fn decision_from_scores_applies_strict_less_than() {

@@ -827,92 +827,274 @@ pub(crate) unsafe fn idot(a: &[i32], b: &[i32]) -> i32 {
     sum
 }
 
-/// [`idot`] with the right side widened from cached `i8` page codes
-/// (the decode QK-PU). Bit-identical to the scalar widening sum.
+/// The QK-PU over one query row, one call for all its kept keys:
+/// `out[n]` gets the dot of the `i8` query codes with key `kept[n]`'s
+/// codes as `f32` times `lsb`. Sixteen codes at a time are widened to
+/// `i16` and multiplied pairwise into eight `i32` lanes (`vpmaddwd`:
+/// `i8` products and their pair sums are exact), the lanes summed and
+/// the `d % 16` tail added scalar — integer sums are exact in any
+/// order, so every score is the scalar tier's.
 ///
 /// # Safety
 ///
-/// Requires AVX2+FMA. Slices should have equal length
+/// Requires AVX2+FMA. Every key row should have `q.len()` codes
 /// (debug-asserted); the trip count is bounded by the shorter one.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn idot_i8(a: &[i32], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len(), "idot_i8 of unequal lengths");
-    let n = a.len().min(b.len());
-    let mut acc = _mm256_setzero_si256();
-    let mut i = 0;
-    while i + 8 <= n {
-        // SAFETY: `i + 8 <= n` bounds the 8-lane load and the 8-byte
-        // low-quadword load.
-        unsafe {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_cvtepi8_epi32(_mm_loadl_epi64(b.as_ptr().add(i).cast()));
-            acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(va, vb));
+pub(crate) unsafe fn qk_row<'k>(
+    q: &[i8],
+    kept: &[u32],
+    key: impl Fn(usize) -> &'k [i8],
+    lsb: f32,
+    out: &mut [f32],
+) {
+    for (slot, &j) in out.iter_mut().zip(kept) {
+        let k = key(j as usize);
+        debug_assert_eq!(k.len(), q.len(), "key row width");
+        let n = q.len().min(k.len());
+        let mut acc = _mm256_setzero_si256();
+        let mut i = 0;
+        while i + 16 <= n {
+            // SAFETY: `i + 16 <= n` bounds both 16-byte loads.
+            unsafe {
+                let a = _mm256_cvtepi8_epi16(_mm_loadu_si128(q.as_ptr().add(i).cast()));
+                let b = _mm256_cvtepi8_epi16(_mm_loadu_si128(k.as_ptr().add(i).cast()));
+                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));
+            }
+            i += 16;
         }
-        i += 8;
-    }
-    let mut sum = hsum_epi32(acc);
-    while i < n {
-        sum = sum.wrapping_add(a[i].wrapping_mul(i32::from(b[i])));
-        i += 1;
-    }
-    sum
-}
-
-/// One key's V-PU accumulation over `i32` value codes:
-/// `acc[t] += p_code * codes[t]` — element-wise, bit-identical to the
-/// scalar loop.
-///
-/// # Safety
-///
-/// Requires AVX2+FMA. Slices should have equal length
-/// (debug-asserted); the trip count is bounded by the shorter one.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn vpu_accumulate(acc: &mut [i32], p_code: i32, codes: &[i32]) {
-    debug_assert_eq!(acc.len(), codes.len(), "vpu rows of unequal lengths");
-    let n = acc.len().min(codes.len());
-    let vp = _mm256_set1_epi32(p_code);
-    let mut i = 0;
-    while i + 8 <= n {
-        // SAFETY: `i + 8 <= n` bounds the loads and the store.
-        unsafe {
-            let pa: *mut __m256i = acc.as_mut_ptr().add(i).cast();
-            let vc = _mm256_loadu_si256(codes.as_ptr().add(i).cast());
-            let sum = _mm256_add_epi32(_mm256_loadu_si256(pa), _mm256_mullo_epi32(vp, vc));
-            _mm256_storeu_si256(pa, sum);
+        let mut sum = hsum_epi32(acc);
+        for (&a, &b) in q[i..n].iter().zip(&k[i..n]) {
+            sum = sum.wrapping_add(i32::from(a) * i32::from(b));
         }
-        i += 8;
-    }
-    while i < n {
-        acc[i] = acc[i].wrapping_add(p_code.wrapping_mul(codes[i]));
-        i += 1;
+        *slot = sum as f32 * lsb;
     }
 }
 
-/// [`vpu_accumulate`] over cached `i8` page codes (the decode V-PU).
+/// The V-PU over one query row, one call for all its kept keys: `acc`
+/// gets `Σ code(probs[n]) × value(kept[n])`, keys whose 8-bit
+/// probability code ([`crate::softmax::prob_code`], at most 255) is
+/// zero skipped. Each 64-column block of the row lives in eight `ymm`
+/// accumulators across all the keys, one store per block; the
+/// surviving keys go in pairs through [`vpu_pair64`]. The last
+/// `d_v % 64` columns accumulate through memory eight at a time, then
+/// scalar. Integer sums: exact in any order, the scalar tier's bits.
 ///
 /// # Safety
 ///
-/// Requires AVX2+FMA. Slices should have equal length
-/// (debug-asserted); the trip count is bounded by the shorter one.
+/// Requires AVX2+FMA. Every value row should have `acc.len()` codes
+/// (slicing panics otherwise, before any out-of-bounds load).
 #[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn vpu_accumulate_i8(acc: &mut [i32], p_code: i32, codes: &[i8]) {
-    debug_assert_eq!(acc.len(), codes.len(), "vpu rows of unequal lengths");
-    let n = acc.len().min(codes.len());
-    let vp = _mm256_set1_epi32(p_code);
+pub(crate) unsafe fn vpu_row<'v>(
+    acc: &mut [i32],
+    kept: &[u32],
+    probs: &[f32],
+    value: impl Fn(usize) -> &'v [i8],
+) {
+    let d_v = acc.len();
+    let mut cb = 0;
+    while cb + 64 <= d_v {
+        let (mut lo, mut hi) = ([_mm256_setzero_si256(); 4], [_mm256_setzero_si256(); 4]);
+        let mut pending: Option<(i32, &[i8])> = None;
+        let mut add = |code: i32, j: u32| {
+            let v = &value(j as usize)[cb..cb + 64];
+            match pending.take() {
+                None => pending = Some((code, v)),
+                // SAFETY: both rows hold 64 codes, both codes `0..=255`.
+                Some(first) => unsafe { vpu_pair64(&mut lo, &mut hi, first, (code, v)) },
+            }
+        };
+        let n = kept.len().min(probs.len());
+        let mut i = 0;
+        while i + 8 <= n {
+            // SAFETY: `i + 8 <= n <= probs.len()` bounds the load.
+            let codes = prob_codes8(unsafe { load8(probs, i) });
+            let mut lanes = [0i32; 8];
+            // SAFETY: `lanes` holds eight `i32`.
+            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), codes) };
+            let mut live = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(
+                codes,
+                _mm256_setzero_si256(),
+            ))) as u32;
+            while live != 0 {
+                let t = live.trailing_zeros() as usize;
+                live &= live - 1;
+                add(lanes[t], kept[i + t]);
+            }
+            i += 8;
+        }
+        for (&j, &p) in kept[i..n].iter().zip(&probs[i..n]) {
+            let code = crate::softmax::prob_code(p);
+            if code != 0 {
+                add(code, j);
+            }
+        }
+        if let Some(first) = pending {
+            // SAFETY: the row holds 64 codes; a zero code adds nothing.
+            unsafe { vpu_pair64(&mut lo, &mut hi, first, (0, first.1)) };
+        }
+        for (g, (l, h)) in lo.iter().zip(&hi).enumerate() {
+            // SAFETY: `cb + 64 <= d_v` bounds both 8-lane stores.
+            unsafe {
+                let out = acc.as_mut_ptr().add(cb + 16 * g);
+                _mm256_storeu_si256(out.cast(), _mm256_permute2x128_si256::<0x20>(*l, *h));
+                _mm256_storeu_si256(out.add(8).cast(), _mm256_permute2x128_si256::<0x31>(*l, *h));
+            }
+        }
+        cb += 64;
+    }
+    let rest = &mut acc[cb..];
+    if rest.is_empty() {
+        return;
+    }
+    rest.fill(0);
+    let n = rest.len();
+    for (&j, &p) in kept.iter().zip(probs) {
+        let code = crate::softmax::prob_code(p);
+        if code == 0 {
+            continue;
+        }
+        let vp = _mm256_set1_epi32(code);
+        let v = &value(j as usize)[cb..cb + n];
+        let mut i = 0;
+        while i + 8 <= n {
+            // SAFETY: `i + 8 <= n` bounds the loads and the store.
+            unsafe {
+                let pa: *mut __m256i = rest.as_mut_ptr().add(i).cast();
+                let c = _mm256_cvtepi8_epi32(_mm_loadl_epi64(v.as_ptr().add(i).cast()));
+                _mm256_storeu_si256(
+                    pa,
+                    _mm256_add_epi32(_mm256_loadu_si256(pa), _mm256_mullo_epi32(vp, c)),
+                );
+            }
+            i += 8;
+        }
+        for (a, &c) in rest[i..].iter_mut().zip(&v[i..]) {
+            *a = a.wrapping_add(code.wrapping_mul(i32::from(c)));
+        }
+    }
+}
+
+/// `y` rounded half up after clamping it to `[0, top]` (a NaN to 0), in
+/// eight lanes: the truncation, plus one where the exact fraction is at
+/// least one half. For an integer `top` below `2²⁴` this is the scalar
+/// `round_half_up(y).min(top)` of `crate::softmax`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn round_clamped(y: __m256, top: f32) -> __m256i {
+    // `maxps` returns its second operand for a NaN first one.
+    let y = _mm256_min_ps(_mm256_max_ps(y, _mm256_setzero_ps()), _mm256_set1_ps(top));
+    let whole = _mm256_cvttps_epi32(y);
+    let frac = _mm256_sub_ps(y, _mm256_cvtepi32_ps(whole));
+    // All ones (−1) in the lanes that round up.
+    let up = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GE_OQ>(frac, _mm256_set1_ps(0.5)));
+    _mm256_sub_epi32(whole, up)
+}
+
+/// [`crate::softmax::prob_code`] of eight probabilities.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn prob_codes8(p: __m256) -> __m256i {
+    round_clamped(_mm256_mul_ps(p, _mm256_set1_ps(255.0)), 255.0)
+}
+
+/// The two-LUT exponent pass, eight scores at a time: the offset
+/// `max − s` over the step (`vdivps`), its 12-bit code by
+/// [`round_clamped`], the coarse and fine entries gathered from `i32`
+/// copies of the two tables, their product over `255²` (`vdivps`), and
+/// `+0.0` where `s` is `-inf`. Each lane is the scalar
+/// `SoftmaxLut::exp_score`; the tail calls it.
+///
+/// # Safety
+///
+/// Requires AVX2+FMA.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn lut_exps(unit: &crate::SoftmaxLut, row: &mut [f32], max: f32) {
+    let (step, coarse, fine) = unit.tables();
+    let widen = |table: &[u8; 64]| -> [i32; 64] { std::array::from_fn(|t| i32::from(table[t])) };
+    let (coarse32, fine32) = (widen(coarse), widen(fine));
+    let (vmax, vstep) = (_mm256_set1_ps(max), _mm256_set1_ps(step));
+    let (low6, square) = (_mm256_set1_epi32(63), _mm256_set1_ps(255.0 * 255.0));
+    let n = row.len();
     let mut i = 0;
     while i + 8 <= n {
-        // SAFETY: `i + 8 <= n` bounds the loads and the store.
+        // SAFETY: `i + 8 <= n` bounds the load and the store; every
+        // gather index is a 6-bit half of a code in `0..4096`.
         unsafe {
-            let pa: *mut __m256i = acc.as_mut_ptr().add(i).cast();
-            let vc = _mm256_cvtepi8_epi32(_mm_loadl_epi64(codes.as_ptr().add(i).cast()));
-            let sum = _mm256_add_epi32(_mm256_loadu_si256(pa), _mm256_mullo_epi32(vp, vc));
-            _mm256_storeu_si256(pa, sum);
+            let s = load8(row, i);
+            let code = round_clamped(_mm256_div_ps(_mm256_sub_ps(vmax, s), vstep), 4095.0);
+            let hi = _mm256_i32gather_epi32::<4>(coarse32.as_ptr(), _mm256_srli_epi32::<6>(code));
+            let lo = _mm256_i32gather_epi32::<4>(fine32.as_ptr(), _mm256_and_si256(code, low6));
+            let e = _mm256_div_ps(_mm256_cvtepi32_ps(_mm256_mullo_epi32(hi, lo)), square);
+            let masked = _mm256_cmp_ps::<_CMP_EQ_OQ>(s, _mm256_set1_ps(f32::NEG_INFINITY));
+            _mm256_storeu_ps(row.as_mut_ptr().add(i), _mm256_andnot_ps(masked, e));
         }
         i += 8;
     }
-    while i < n {
-        acc[i] = acc[i].wrapping_add(p_code.wrapping_mul(i32::from(codes[i])));
-        i += 1;
+    for s in &mut row[i..] {
+        *s = unit.exp_score(max, *s);
+    }
+}
+
+/// The divider pass, eight exponents at a time: `e / sum · 255` coded
+/// by [`round_clamped`], over 255. Each lane is the scalar
+/// `softmax::divide8`; the tail calls it.
+///
+/// # Safety
+///
+/// Requires AVX2+FMA.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn lut_normalize(row: &mut [f32], sum: f32) {
+    let (vsum, scale) = (_mm256_set1_ps(sum), _mm256_set1_ps(255.0));
+    let n = row.len();
+    let mut i = 0;
+    while i + 8 <= n {
+        // SAFETY: `i + 8 <= n` bounds the load and the store.
+        unsafe {
+            let y = _mm256_mul_ps(_mm256_div_ps(load8(row, i), vsum), scale);
+            let p = _mm256_div_ps(_mm256_cvtepi32_ps(round_clamped(y, 255.0)), scale);
+            _mm256_storeu_ps(row.as_mut_ptr().add(i), p);
+        }
+        i += 8;
+    }
+    for p in &mut row[i..] {
+        *p = crate::softmax::divide8(*p, sum);
+    }
+}
+
+/// Two keys' contribution to a 64-column V-PU block. Per 16 columns,
+/// both rows' codes widen to `i16` and interleave (`vpunpck*wd`, within
+/// each 128-bit half), so one `vpmaddwd` against the broadcast code
+/// pair gives `c0·v0[t] + c1·v1[t]` for eight columns: `lo[g]` holds
+/// columns `16g + {0..4, 8..12}`, `hi[g]` columns `16g + {4..8, 12..16}`
+/// (the caller's `vperm2i128` restores the order). Codes of at most 255
+/// times `i8` values, summed in pairs, are exact in `i16` × `i16` → `i32`.
+///
+/// # Safety
+///
+/// Requires AVX2+FMA; both value rows must hold at least 64 codes and
+/// both codes lie in `0..=255`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn vpu_pair64(
+    lo: &mut [__m256i; 4],
+    hi: &mut [__m256i; 4],
+    (c0, v0): (i32, &[i8]),
+    (c1, v1): (i32, &[i8]),
+) {
+    debug_assert!(
+        v0.len() >= 64 && v1.len() >= 64 && (0..=255).contains(&c0) && (0..=255).contains(&c1)
+    );
+    let codes = _mm256_set1_epi32(c1 << 16 | c0);
+    for (g, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
+        // SAFETY: `16 g + 16 <= 64` bounds both 16-byte loads.
+        let (a, b) = unsafe {
+            (
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(v0.as_ptr().add(16 * g).cast())),
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(v1.as_ptr().add(16 * g).cast())),
+            )
+        };
+        *l = _mm256_add_epi32(*l, _mm256_madd_epi16(_mm256_unpacklo_epi16(a, b), codes));
+        *h = _mm256_add_epi32(*h, _mm256_madd_epi16(_mm256_unpackhi_epi16(a, b), codes));
     }
 }
 

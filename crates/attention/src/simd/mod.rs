@@ -353,51 +353,89 @@ pub fn idot(tier: SimdTier, a: &[i32], b: &[i32]) -> i32 {
     crate::attention::idot(a, b)
 }
 
-/// Integer QK-PU dot with the key side widened from cached `i8` page
-/// codes (the decode path).
-pub(crate) fn idot_i8(tier: SimdTier, a: &[i32], b: &[i8]) -> i32 {
+/// The two-LUT softmax's exponent pass over a row with maximum `max`:
+/// `row[t] = unit.exp_score(max, row[t])` — the offset `max − s`
+/// divided by the 12-bit step, rounded half up and saturated to a
+/// 12-bit code, the two 6-bit halves' table entries multiplied and
+/// divided by `255²`; exactly `0.0` for a `-inf` score. Every step is
+/// exact or one correctly rounded operation, so lanes give the scalar
+/// bits.
+pub(crate) fn lut_exps(tier: SimdTier, unit: &crate::SoftmaxLut, row: &mut [f32], max: f32) {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 {
         debug_assert!(avx2_available(), "unsanitized Avx2 tier");
         // SAFETY: Avx2 tiers only exist after `sanitize_tier` confirmed
         // AVX2+FMA; memory accesses are slice-bounded.
-        return unsafe { avx2::idot_i8(a, b) };
-    }
-    let _ = tier;
-    a.iter().zip(b).map(|(&x, &y)| x * i32::from(y)).sum()
-}
-
-/// One key's V-PU accumulation over `i32` value codes:
-/// `acc[t] += p_code * codes[t]`.
-pub(crate) fn vpu_accumulate(tier: SimdTier, acc: &mut [i32], p_code: i32, codes: &[i32]) {
-    #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx2 {
-        debug_assert!(avx2_available(), "unsanitized Avx2 tier");
-        // SAFETY: Avx2 tiers only exist after `sanitize_tier` confirmed
-        // AVX2+FMA; memory accesses are slice-bounded.
-        unsafe { avx2::vpu_accumulate(acc, p_code, codes) };
+        unsafe { avx2::lut_exps(unit, row, max) };
         return;
     }
     let _ = tier;
-    for (a, &vc) in acc.iter_mut().zip(codes) {
-        *a += p_code * vc;
-    }
+    scalar::lut_exps(unit, row, max);
 }
 
-/// [`vpu_accumulate`] over cached `i8` page codes (the decode V-PU).
-pub(crate) fn vpu_accumulate_i8(tier: SimdTier, acc: &mut [i32], p_code: i32, codes: &[i8]) {
+/// The two-LUT softmax's divider over a row of exponents summing to
+/// `sum`: `row[t] = round(row[t] / sum · 255) / 255`, the code
+/// saturated to `0..=255`.
+pub(crate) fn lut_normalize(tier: SimdTier, row: &mut [f32], sum: f32) {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 {
         debug_assert!(avx2_available(), "unsanitized Avx2 tier");
         // SAFETY: Avx2 tiers only exist after `sanitize_tier` confirmed
         // AVX2+FMA; memory accesses are slice-bounded.
-        unsafe { avx2::vpu_accumulate_i8(acc, p_code, codes) };
+        unsafe { avx2::lut_normalize(row, sum) };
         return;
     }
     let _ = tier;
-    for (a, &vc) in acc.iter_mut().zip(codes) {
-        *a += p_code * i32::from(vc);
+    scalar::lut_normalize(row, sum);
+}
+
+/// The QK-PU over one query row: `out[n]` is `lsb` times the dot of
+/// `q` with `key(kept[n])`, the exact `i32` sum of `i8 × i8` code
+/// products, as `f32` (`out` and `kept` pair up to the shorter). One dispatch serves the
+/// whole row; `key` maps a key index to its codes (a contiguous code
+/// matrix in the batch kernel, a `KvCache` page in decode).
+pub(crate) fn qk_row<'k>(
+    tier: SimdTier,
+    q: &[i8],
+    kept: &[u32],
+    key: impl Fn(usize) -> &'k [i8],
+    lsb: f32,
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == SimdTier::Avx2 {
+        debug_assert!(avx2_available(), "unsanitized Avx2 tier");
+        // SAFETY: Avx2 tiers only exist after `sanitize_tier` confirmed
+        // AVX2+FMA; memory accesses are slice-bounded.
+        unsafe { avx2::qk_row(q, kept, key, lsb, out) };
+        return;
     }
+    let _ = tier;
+    scalar::qk_row(q, kept, key, lsb, out);
+}
+
+/// The V-PU over one query row: `acc` (one `i32` per value column) gets
+/// `Σ code(probs[n]) × value(kept[n])`, where `code` is the 8-bit
+/// probability code [`crate::softmax::prob_code`] and keys whose code
+/// is zero are skipped. One dispatch serves the whole row; the sums
+/// are exact integers, the same in any order.
+pub(crate) fn vpu_row<'v>(
+    tier: SimdTier,
+    acc: &mut [i32],
+    kept: &[u32],
+    probs: &[f32],
+    value: impl Fn(usize) -> &'v [i8],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == SimdTier::Avx2 {
+        debug_assert!(avx2_available(), "unsanitized Avx2 tier");
+        // SAFETY: Avx2 tiers only exist after `sanitize_tier` confirmed
+        // AVX2+FMA; memory accesses are slice-bounded.
+        unsafe { avx2::vpu_row(acc, kept, probs, value) };
+        return;
+    }
+    let _ = tier;
+    scalar::vpu_row(acc, kept, probs, value);
 }
 
 /// Columns per block of [`lane_sums`]' lane-blocked weight image.
@@ -496,6 +534,26 @@ mod tests {
         let sum = exp_rows(tier, &mut exps, 0.0);
         let mut acc = y.to_vec();
         axpy(tier, &mut acc, 0.4821, x);
+        // The two-LUT passes see scores at or below their maximum, or
+        // `-inf`; offsets run past the 12-bit range (the flush band).
+        let unit = crate::SoftmaxLut::new(5.3).unwrap();
+        let mut lut = x
+            .iter()
+            .map(|&s| {
+                if s == f32::NEG_INFINITY || s <= 2.0 {
+                    s
+                } else {
+                    1.5
+                }
+            })
+            .collect::<Vec<_>>();
+        lut_exps(tier, &unit, &mut lut, 2.0);
+        let lut_sum = lut.iter().sum::<f32>().max(1e-3);
+        let mut divided = lut.clone();
+        lut_normalize(tier, &mut divided, lut_sum);
+        // A sum below the largest exponent saturates codes at 255.
+        let mut saturated = lut.clone();
+        lut_normalize(tier, &mut saturated, 0.37);
         let mut out = vec![
             ("dot", vec![dot(tier, x, y).to_bits()]),
             ("row_max", vec![row_max(tier, x).to_bits()]),
@@ -510,6 +568,9 @@ mod tests {
             ("exp_rows", bits(&exps)),
             ("exp_rows sum", vec![sum.to_bits()]),
             ("axpy", bits(&acc)),
+            ("lut_exps", bits(&lut)),
+            ("lut_normalize", bits(&divided)),
+            ("lut_normalize saturated", bits(&saturated)),
         ];
         if n > 0 {
             let v = [x, y, x].concat();
@@ -556,18 +617,35 @@ mod tests {
     }
 
     /// Every integer kernel of one tier over the equal-length code rows
-    /// `a` and `b`.
+    /// `a` and `b`. The row kernels see five keys of `i8` codes — `a`,
+    /// `b`, their negations and the `-128` extreme — kept in a scrambled
+    /// order, each twice, with probabilities whose codes run from 0
+    /// (skipped) to 255 around `p_code`.
     fn integer_kernels(tier: SimdTier, a: &[i32], b: &[i32], p_code: i32) -> Vec<Vec<i32>> {
-        let b8: Vec<i8> = b.iter().map(|&c| c.clamp(-128, 127) as i8).collect();
-        let mut acc = a.to_vec();
-        vpu_accumulate(tier, &mut acc, p_code, b);
-        let mut acc8 = acc.clone();
-        vpu_accumulate_i8(tier, &mut acc8, p_code, &b8);
+        let i8s =
+            |row: &[i32]| -> Vec<i8> { row.iter().map(|&c| c.clamp(-128, 127) as i8).collect() };
+        let (a8, b8) = (i8s(a), i8s(b));
+        let neg = |row: &[i8]| -> Vec<i8> { row.iter().map(|&c| c.saturating_neg()).collect() };
+        let keys = [
+            a8.clone(),
+            b8.clone(),
+            neg(&a8),
+            neg(&b8),
+            vec![-128i8; a.len()],
+        ];
+        let key = |j: usize| keys[j].as_slice();
+        let kept = [3u32, 0, 4, 1, 2, 2, 4, 0, 1, 3];
+        let mut scores = vec![0.0f32; kept.len()];
+        qk_row(tier, &b8, &kept, key, 0.37, &mut scores);
+        let probs: Vec<f32> = (0..kept.len())
+            .map(|n| ((p_code + 41 * n as i32) % 256) as f32 / 255.0)
+            .collect();
+        let mut acc = vec![7i32; a.len()];
+        vpu_row(tier, &mut acc, &kept, &probs, key);
         vec![
             vec![idot(tier, a, b)],
-            vec![idot_i8(tier, a, &b8)],
+            scores.iter().map(|s| s.to_bits() as i32).collect(),
             acc,
-            acc8,
         ]
     }
 
@@ -659,6 +737,11 @@ mod tests {
     fn tail_lengths_axpy_agrees_within_the_av_tolerance() {
         // The tolerance is zero: one fused multiply-add per element.
         assert_tail_lengths_agree(&["axpy", "av_row"]);
+    }
+
+    #[test]
+    fn tail_lengths_lut_softmax_passes_are_bit_identical() {
+        assert_tail_lengths_agree(&["lut_exps", "lut_normalize"]);
     }
 
     #[test]

@@ -18,7 +18,8 @@ use std::ops::Range;
 
 use super::cephes::{EXP_HI, EXP_LO, LN2_HI, LN2_LO, LOG2EF, P0, P1, P2, P3, P4, P5};
 use super::SUM_LANES;
-use crate::Matrix;
+use crate::softmax::divide8;
+use crate::{Matrix, SoftmaxLut};
 
 /// Lane count of the float kernels' accumulators (one `ymm` of `f32`).
 const LANES: usize = 8;
@@ -179,6 +180,60 @@ pub(super) fn av_row(out: &mut [f32], probs: &[f32], v: &[f32], d_v: usize, skip
         if !skip_zero || p != 0.0 {
             axpy(out, p, v_row);
         }
+    }
+}
+
+/// The QK-PU over one query row: `out[n]` gets the `i8 × i8` dot of
+/// `q` with key `kept[n]`'s codes, summed in `i32`, as `f32` times
+/// `lsb`.
+pub(super) fn qk_row<'k>(
+    q: &[i8],
+    kept: &[u32],
+    key: impl Fn(usize) -> &'k [i8],
+    lsb: f32,
+    out: &mut [f32],
+) {
+    for (slot, &j) in out.iter_mut().zip(kept) {
+        let dot: i32 = q
+            .iter()
+            .zip(key(j as usize))
+            .map(|(&a, &b)| i32::from(a) * i32::from(b))
+            .sum();
+        *slot = dot as f32 * lsb;
+    }
+}
+
+/// The V-PU over one query row: `acc` is zeroed, then every kept key
+/// whose 8-bit probability code ([`crate::softmax::prob_code`] of
+/// `probs[n]`) is not zero adds `code × value(kept[n])` element-wise.
+pub(super) fn vpu_row<'v>(
+    acc: &mut [i32],
+    kept: &[u32],
+    probs: &[f32],
+    value: impl Fn(usize) -> &'v [i8],
+) {
+    acc.fill(0);
+    for (&j, &p) in kept.iter().zip(probs) {
+        let code = crate::softmax::prob_code(p);
+        if code != 0 {
+            for (a, &c) in acc.iter_mut().zip(value(j as usize)) {
+                *a += code * i32::from(c);
+            }
+        }
+    }
+}
+
+/// The two-LUT exponent pass: `row[t] = unit.exp_score(max, row[t])`.
+pub(super) fn lut_exps(unit: &SoftmaxLut, row: &mut [f32], max: f32) {
+    for s in row.iter_mut() {
+        *s = unit.exp_score(max, *s);
+    }
+}
+
+/// The divider pass: `row[t] = divide8(row[t], sum)`.
+pub(super) fn lut_normalize(row: &mut [f32], sum: f32) {
+    for p in row.iter_mut() {
+        *p = divide8(*p, sum);
     }
 }
 

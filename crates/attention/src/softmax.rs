@@ -7,7 +7,7 @@
 //! into a coarse and a fine part, each indexing a 64-entry table, and
 //! the two table outputs are multiplied.
 
-use crate::AttentionError;
+use crate::{AttentionError, SimdTier};
 
 /// Numerically-stable exact softmax over a slice.
 ///
@@ -98,10 +98,12 @@ pub fn softmax_inplace_tier(row: &mut [f32], tier: crate::SimdTier) {
 pub struct SoftmaxLut {
     /// Real score range covered by the 12-bit input (max − min).
     range: f32,
+    /// The real value of one 12-bit input step, `range / 4096`.
+    step: f32,
     /// Coarse exponent table: `exp(-(i * 64) * step)`, 8-bit fraction.
-    coarse: Vec<u8>,
+    coarse: [u8; LUT_ENTRIES],
     /// Fine exponent table: `exp(-i * step)`, 8-bit fraction.
-    fine: Vec<u8>,
+    fine: [u8; LUT_ENTRIES],
 }
 
 /// Entries per LUT ("2EA of 64B LUTs" in Table I: 64 bytes = 64 8-bit
@@ -126,14 +128,12 @@ impl SoftmaxLut {
         }
         let step = range / INPUT_CODES as f32;
         let to_u8 = |x: f32| -> u8 { (x * 255.0).round().clamp(0.0, 255.0) as u8 };
-        let coarse = (0..LUT_ENTRIES)
-            .map(|i| to_u8((-(i as f32) * LUT_ENTRIES as f32 * step).exp()))
-            .collect();
-        let fine = (0..LUT_ENTRIES)
-            .map(|i| to_u8((-(i as f32) * step).exp()))
-            .collect();
+        let coarse =
+            std::array::from_fn(|i| to_u8((-(i as f32) * LUT_ENTRIES as f32 * step).exp()));
+        let fine = std::array::from_fn(|i| to_u8((-(i as f32) * step).exp()));
         Ok(SoftmaxLut {
             range,
+            step,
             coarse,
             fine,
         })
@@ -141,7 +141,7 @@ impl SoftmaxLut {
 
     /// The real value of one 12-bit input step.
     pub fn step(&self) -> f32 {
-        self.range / INPUT_CODES as f32
+        self.step
     }
 
     /// The score-offset range covered by the unit.
@@ -156,7 +156,7 @@ impl SoftmaxLut {
     /// Returns a fraction in `[0, 1]` with ~8 bits of precision.
     pub fn exp_neg(&self, offset: f32) -> f32 {
         debug_assert!(offset >= -1e-6, "offset {offset} must be non-negative");
-        let code = ((offset / self.step()).round() as usize).min(INPUT_CODES - 1);
+        let code = (round_half_up(offset / self.step) as usize).min(INPUT_CODES - 1);
         let hi = code / LUT_ENTRIES;
         let lo = code % LUT_ENTRIES;
         // 8-bit x 8-bit multiply -> 16-bit product, kept as fraction.
@@ -202,46 +202,93 @@ impl SoftmaxLut {
                 right: (out.len(), 1),
             });
         }
-        self.probabilities_over(scores, out, 0..scores.len());
+        out.copy_from_slice(scores);
+        self.probabilities_in_place(out, crate::active_tier());
         Ok(())
     }
 
-    /// The unit over the positions `keys` yields, in that order; every
-    /// other position of `out` is left as it is. A `-inf` score adds
-    /// exactly `0.0` to the FIFO sum and divides to `0.0`, so walking
-    /// only a row's kept keys over a zeroed `out` is the same
-    /// arithmetic, bit for bit, as walking the whole row.
-    pub(crate) fn probabilities_over(
-        &self,
-        scores: &[f32],
-        out: &mut [f32],
-        keys: impl Iterator<Item = usize> + Clone,
-    ) {
-        let max = keys
-            .clone()
-            .map(|j| scores[j])
-            .fold(f32::NEG_INFINITY, f32::max);
+    /// [`SoftmaxLut::probabilities`] over `row` in place: the scores
+    /// become their 8-bit probabilities. Four passes: the row maximum;
+    /// the two-LUT exponents ([`crate::simd`], eight lanes at a time on
+    /// AVX2); their sum in row order (the FIFO accumulator); the
+    /// divider's element-wise normalisation. A `-inf` score adds
+    /// exactly `0.0` to the sum and divides to `0.0`, so a row holding
+    /// only its kept scores gets, at each kept position, the bits a
+    /// whole row with `-inf` at the pruned ones gets. Every tier gives
+    /// the same bits.
+    pub(crate) fn probabilities_in_place(&self, row: &mut [f32], tier: SimdTier) {
+        let max = row_max(row);
         let mut sum = 0.0f32;
         if max != f32::NEG_INFINITY {
-            for j in keys.clone() {
-                let e = if scores[j] == f32::NEG_INFINITY {
-                    0.0
-                } else {
-                    self.exp_neg(max - scores[j])
-                };
-                out[j] = e;
-                sum += e;
-            }
+            crate::simd::lut_exps(tier, self, row, max);
+            sum = row.iter().fold(0.0, |sum, &e| sum + e);
         }
         if sum == 0.0 {
-            keys.for_each(|j| out[j] = 0.0);
+            row.fill(0.0);
             return;
         }
-        // The divider output is an 8-bit probability.
-        for j in keys {
-            out[j] = (out[j] / sum * 255.0).round() / 255.0;
+        crate::simd::lut_normalize(tier, row, sum);
+    }
+
+    /// The exponent the unit gives score `s` against the row maximum
+    /// `max`: exactly `0.0` for a `-inf` score, else
+    /// [`SoftmaxLut::exp_neg`] of the offset.
+    #[inline]
+    pub(crate) fn exp_score(&self, max: f32, s: f32) -> f32 {
+        if s == f32::NEG_INFINITY {
+            0.0
+        } else {
+            self.exp_neg(max - s)
         }
     }
+
+    /// The 12-bit input step and the coarse and fine tables.
+    pub(crate) fn tables(&self) -> (f32, &[u8; LUT_ENTRIES], &[u8; LUT_ENTRIES]) {
+        (self.step, &self.coarse, &self.fine)
+    }
+}
+
+/// The largest entry of `row`, NaN ignored (`-inf` for an empty or
+/// all-NaN row), by [`crate::matrix::fold_lanes`] of the select
+/// `v > m ? v : m`. The value is the `f32::max` fold's; only the sign
+/// of a zero maximum may differ, which no exponent sees (`±0 − s` is
+/// `−s` for every other `s`, and a zero offset codes to 0 either way).
+fn row_max(row: &[f32]) -> f32 {
+    crate::matrix::fold_lanes(row, f32::NEG_INFINITY, |m, v| if v > m { v } else { m })
+}
+
+/// The divider's 8-bit probability for exponent `e` of a row summing
+/// to `sum`: `round(e / sum · 255) / 255`.
+#[inline]
+pub(crate) fn divide8(e: f32, sum: f32) -> f32 {
+    code8(e / sum * 255.0) as f32 / 255.0
+}
+
+/// The V-PU's 8-bit code of a two-LUT probability `p`: `round(p · 255)`
+/// (for the probabilities [`divide8`] emits, the divider's code).
+#[inline]
+pub(crate) fn prob_code(p: f32) -> i32 {
+    code8(p * 255.0) as i32
+}
+
+/// An 8-bit code: `y.round()` for `y` in `[0, 255]`, saturated to
+/// `0..=255` elsewhere (NaN to 0), the width of the divider's output
+/// and of the V-PU's probability port.
+#[inline]
+fn code8(y: f32) -> u32 {
+    round_half_up(y).min(255)
+}
+
+/// `y.round()` for `y ≥ 0` (ties away from zero), saturated to `u32`:
+/// `0` for NaN and negative `y`, [`u32::MAX`] from `2³²` up, exactly
+/// what `y.round() as u32` gives there. Below `2²⁴` the truncation and
+/// the fraction `y − trunc(y)` are exact; above it `y` is an integer.
+/// Unlike `f32::round` (a libm call on baseline x86-64) this is a
+/// convert, a subtract and a compare.
+#[inline]
+fn round_half_up(y: f32) -> u32 {
+    let whole = y as u32;
+    whole.saturating_add(u32::from(y - whole as f32 >= 0.5))
 }
 
 #[cfg(test)]
@@ -353,6 +400,41 @@ mod tests {
         let all = unit.probabilities(&[f32::NEG_INFINITY; 4]).unwrap();
         assert_eq!(all, vec![0.0; 4]);
         assert!(unit.probabilities(&[]).is_err());
+    }
+
+    #[test]
+    fn rounding_half_up_is_libm_round_on_a_bit_pattern_sample() {
+        // Every 97th f32 bit pattern: NaNs, ±0, ±inf, subnormals, ties.
+        let specials = [
+            0.5f32,
+            1.5,
+            2.5,
+            254.5,
+            255.5,
+            0.499_999_97,
+            4_194_303.5,
+            4_294_967_296.0,
+        ];
+        let sample = (0..=u32::MAX / 97).map(|k| f32::from_bits(k * 97));
+        for y in sample.chain(specials) {
+            assert_eq!(round_half_up(y), y.round() as u32, "{y:e}");
+        }
+    }
+
+    #[test]
+    fn the_divider_and_the_code_port_round_as_the_unit_did() {
+        // The probabilities the unit can emit: e / sum for every 8-bit
+        // product over a spread of sums, against the `f32::round` form.
+        let unit = SoftmaxLut::new(7.0).unwrap();
+        for offset in 0..4096 {
+            let e = unit.exp_neg(offset as f32 * unit.step());
+            for sum in [e, 1.0, 1.7, 13.3, 270.0] {
+                let sum = sum.max(e).max(f32::MIN_POSITIVE);
+                let p = divide8(e, sum);
+                assert_eq!(p.to_bits(), ((e / sum * 255.0).round() / 255.0).to_bits());
+                assert_eq!(prob_code(p), (p * 255.0).round() as i32);
+            }
+        }
     }
 
     #[test]

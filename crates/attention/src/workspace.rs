@@ -1,7 +1,8 @@
 //! Reusable scratch buffers for the fused attention kernels.
 
 /// Per-pipeline scratch for the fused attention kernels: a probability
-/// staging row, an integer accumulator row, and a pool of recyclable
+/// staging row, integer accumulator rows, the recompute's kept lists,
+/// kept-ordered values and 8-bit codes, and a pool of recyclable
 /// matrix buffers, all grown on demand and reused across calls.
 ///
 /// The fused kernels write scores and probabilities directly into
@@ -44,12 +45,12 @@ pub struct Workspace {
     /// One integer accumulator row per worker of the quantized V-PU
     /// stage (row 0 is [`Workspace::acc_row`]).
     acc_rows: Vec<Vec<i32>>,
-    /// The quantized kernels' kept-key lists (taken for the length of
-    /// a call, put back on success).
-    pub(crate) kept: crate::pruning::KeptLists,
+    /// The quantized kernels' kept lists, kept-ordered values and
+    /// codes (taken for the length of a call, put back on success).
+    pub(crate) recompute: crate::attention::RecomputeScratch,
     pool: Vec<Vec<f32>>,
     tier: crate::SimdTier,
-    /// How many workers [`crate::quantized_attention_with`] splits its
+    /// How many workers the quantized recompute splits its
     /// query rows over ([`Workspace::set_threads`]).
     pub(crate) threads: usize,
 }
@@ -59,7 +60,7 @@ impl Default for Workspace {
         Workspace {
             prob_row: Vec::new(),
             acc_rows: Vec::new(),
-            kept: Default::default(),
+            recompute: Default::default(),
             pool: Vec::new(),
             tier: crate::active_tier(),
             threads: 1,
@@ -67,8 +68,10 @@ impl Default for Workspace {
     }
 }
 
-/// Recycled matrix buffers kept per workspace. Three per kernel call
-/// (scores, probs, output) plus headroom for a second head size.
+/// Recycled matrix buffers kept per workspace. Up to three per kernel
+/// call (the dense, pruned and materialising quantized kernels return
+/// scores, probs and output; the output-only recompute only its
+/// output) plus headroom for a second head size.
 const POOL_CAP: usize = 8;
 
 /// Total floats the pool may retain across all of its buffers

@@ -15,8 +15,8 @@ use sprint_attention::reference::{
 };
 use sprint_attention::{
     dense_attention_with, pruned_attention_with, quantized_attention_decode_with,
-    quantized_attention_with, AttentionConfig, KvCache, Matrix, PaddingMask, PruneDecision,
-    Workspace,
+    quantized_attention_output_with, quantized_attention_with, AttentionConfig, KvCache, Matrix,
+    PaddingMask, PruneDecision, Workspace,
 };
 
 /// Deterministic pseudo-random matrix from a seed (splitmix-style).
@@ -250,6 +250,133 @@ proptest! {
             let fresh = pruned_attention_with(&q, &k, &v, &cfg, threshold, None, &mut Workspace::new()).unwrap();
             prop_assert_eq!(shared.0.probs, fresh.0.probs);
             prop_assert_eq!(shared.1, fresh.1);
+        }
+    }
+}
+
+/// Decisions of an engine-shaped head: the last fifth of the keys and
+/// queries is padding (every flag pruned), every 11th live query keeps
+/// nothing, and the other live queries keep about a quarter of the live
+/// keys, scattered by a hash.
+fn engine_decisions(s: usize, seed: u64) -> Vec<PruneDecision> {
+    let live = s - s / 5;
+    (0..s)
+        .map(|i| {
+            PruneDecision::new(
+                (0..s)
+                    .map(|j| {
+                        let h = ((i * 7919 + j * 104_729) as u64 ^ seed)
+                            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        i >= live || j >= live || i % 11 == 3 || (h >> 60) >= 4
+                    })
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn both_entry_points_match_naive_at_engine_shapes_on_both_tiers_and_widths() {
+    // The register blocks the small proptest never fills: 16-code QK
+    // chunks and their tails (d = 8, 63, 64, 65, 128), 64-column V-PU
+    // blocks with and without a remainder, eight-probability code
+    // chunks, eight-flag words with a ragged end (s = 17), and heads as
+    // long as the engine's (s = 276, 512).
+    let tiers = [
+        sprint_attention::SimdTier::Scalar,
+        sprint_attention::SimdTier::Avx2,
+    ];
+    for d in [8usize, 63, 64, 65, 128] {
+        for s in [17usize, 276, 512] {
+            let seed = (d * 1000 + s) as u64;
+            let q = random_matrix(s, d, seed, 2.0);
+            let k = random_matrix(s, d, seed ^ 1, 2.0);
+            let v = random_matrix(s, d, seed ^ 2, 1.0);
+            let cfg = AttentionConfig::new(d);
+            let pruned = engine_decisions(s, seed);
+            for decisions in [Some(pruned.as_slice()), None] {
+                let naive = quantized_attention_naive(&q, &k, &v, &cfg, decisions).unwrap();
+                let kept: usize =
+                    decisions.map_or(s * s, |ds| ds.iter().map(|d| d.kept_count()).sum());
+                let what = format!("d {d} s {s} kept {kept}");
+                for tier in tiers {
+                    for width in [1, 2] {
+                        let mut ws = Workspace::new();
+                        ws.set_simd_tier(tier);
+                        ws.set_threads(width);
+                        let full =
+                            quantized_attention_with(&q, &k, &v, &cfg, decisions, &mut ws).unwrap();
+                        assert_eq!(
+                            bits(&full.scores),
+                            bits(&naive.scores),
+                            "scores, {what}, {tier} x{width}"
+                        );
+                        assert_eq!(
+                            bits(&full.probs),
+                            bits(&naive.probs),
+                            "probs, {what}, {tier} x{width}"
+                        );
+                        assert_eq!(
+                            bits(&full.output),
+                            bits(&naive.output),
+                            "output, {what}, {tier} x{width}"
+                        );
+                        let out =
+                            quantized_attention_output_with(&q, &k, &v, &cfg, decisions, &mut ws)
+                                .unwrap();
+                        assert_eq!(
+                            bits(&out),
+                            bits(&naive.output),
+                            "output-only, {what}, {tier} x{width}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_decode_kernel_equals_the_batch_kernel_row_by_row_at_engine_shapes() {
+    // Sampled rows of a 276-key head (kept, empty and padded rows) on
+    // both tiers, against the batch kernel over the same one-row Q.
+    for d in [63usize, 64, 128] {
+        let s = 276;
+        let seed = d as u64;
+        let q = random_matrix(s, d, seed, 2.0);
+        let k = random_matrix(s, d, seed ^ 1, 2.0);
+        let v = random_matrix(s, d, seed ^ 2, 1.0);
+        let cfg = AttentionConfig::new(d);
+        let decisions = engine_decisions(s, seed);
+        let kv = KvCache::new(&k, &v).unwrap();
+        for tier in [
+            sprint_attention::SimdTier::Scalar,
+            sprint_attention::SimdTier::Avx2,
+        ] {
+            let mut ws = Workspace::new();
+            ws.set_simd_tier(tier);
+            for i in (0..s).step_by(17).chain([3, 14, s - 1]) {
+                let q1 = Matrix::from_vec(1, d, q.row(i).to_vec()).unwrap();
+                for decision in [Some(&decisions[i]), None] {
+                    let step =
+                        quantized_attention_decode_with(&q1, &kv, &cfg, decision, &mut ws).unwrap();
+                    let batch = quantized_attention_output_with(
+                        &q1,
+                        &k,
+                        &v,
+                        &cfg,
+                        decision.map(std::slice::from_ref),
+                        &mut ws,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        step.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        bits(&batch),
+                        "d {d} row {i} {tier} decided {}",
+                        decision.is_some()
+                    );
+                }
+            }
         }
     }
 }

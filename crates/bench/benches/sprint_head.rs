@@ -12,6 +12,13 @@
 //! * `sprint_head/bert_base_s512/width_1`
 //! * `sprint_head/bert_base_s512/width_2`
 //!
+//! Beside them, the head's recompute kernel alone, at width 1, on the
+//! head's own decisions (`quantized_attention_output_with`: the QK-PU,
+//! the two-LUT softmax and the V-PU over the kept pairs). `report
+//! --check` holds it under a third of `width_1`:
+//!
+//! * `sprint_head/bert_base_s512/recompute`
+//!
 //! Beside them, the head's analog prune alone, at width 1: all 276
 //! live query rows through one `InMemoryPruner::prune_rows_into` call.
 //! The comparators need only decisions (Sprint) or also the
@@ -21,12 +28,14 @@
 //! * `reram/prune_rows/bert_base_s512/decisions`
 //! * `reram/prune_rows/bert_base_s512/scores`
 //!
-//! One sample is one head (or one head's prune) on a warm engine. Run
-//! with `-- --bench-json` to record all four in `BENCH_report.json`.
+//! One sample is one head (or one head's recompute or prune) on a warm
+//! engine. Run with `-- --bench-json` to record all five in
+//! `BENCH_report.json`.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
+use sprint_attention::{quantized_attention_output_with, Workspace};
 use sprint_engine::{Engine, HeadRequest, SprintConfig};
 use sprint_reram::InMemoryPruner;
 use sprint_workloads::{ModelConfig, TraceGenerator};
@@ -52,6 +61,21 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(engine.run_batch_report(width, &request).expect("head")))
         });
     }
+    let decisions = Some(want[0].decisions.as_slice());
+    let mut ws = Workspace::new();
+    let (q, k, v, cfg) = (head.q(), head.k(), head.v(), head.config());
+    let recomputed = quantized_attention_output_with(q, k, v, &cfg, decisions, &mut ws);
+    assert_eq!(
+        recomputed.expect("recompute"),
+        want[0].output,
+        "the head's own output"
+    );
+    group.bench_function("bert_base_s512/recompute", |b| {
+        b.iter(|| {
+            let out = quantized_attention_output_with(q, k, v, &cfg, decisions, &mut ws);
+            ws.recycle(black_box(out.expect("recompute")));
+        })
+    });
     group.finish();
 
     let live = head.live_tokens();

@@ -268,7 +268,7 @@ impl Report {
         report.save(path)
     }
 
-    /// Validates every bench row and runs the four floors; returns the
+    /// Validates every bench row and runs the five floors; returns the
     /// lines to print, one per floor checked or skipped, or the first
     /// malformed row or missed floor. A floor whose rows are absent is
     /// skipped: CI's fresh emission and the committed snapshot hold
@@ -308,6 +308,15 @@ impl Report {
         let (shed, p99) = ("server/overload/shed_rate_ppm", "server/overload/p99_ns");
         lines.push(floors.value(shed, Unit::Ppm, 1_000..=950_000)?);
         lines.push(floors.value(p99, Unit::Ns, 0..=2_000_000_000)?);
+        // 5. The Sprint recompute costs what survived the prune: the
+        // kernel alone stays under a third of its whole head (the
+        // kernel that built s_q × s_k score and probability matrices
+        // read about 0.4).
+        let (recompute, head) = (
+            "sprint_head/bert_base_s512/recompute",
+            "sprint_head/bert_base_s512/width_1",
+        );
+        lines.push(floors.ratio("recompute", recompute, head, 0.0..=1.0 / 3.0)?);
         let (benches, experiments) = (rows.len(), self.experiments.len());
         lines.push(format!(
             "{benches} bench rows and {experiments} experiments ok"
@@ -458,7 +467,7 @@ pub fn write_bench_json(extra: Vec<Row>) {
 }
 
 /// `fn main` for a bench whose rows are committed: runs each
-/// `criterion_group!`, then [`write_bench_json`](crate::report::write_bench_json)
+/// `criterion_group!`, then [`crate::report::write_bench_json`]
 /// with the `Vec<Row>` of an optional `; extra` expression beside the
 /// timings.
 #[macro_export]
@@ -533,6 +542,12 @@ mod tests {
         let crossover = |rate50| vec![ns("dense/fused", 100), ns("pruned/fused-rate50", rate50)];
         let shed = |unit, ppm| Row::value("server/overload/shed_rate_ppm", unit, ppm, 400);
         let overload = |ppm, p99| vec![shed(Unit::Ppm, ppm), ns("server/overload/p99_ns", p99)];
+        let recompute = |kernel| {
+            vec![
+                ns("sprint_head/bert_base_s512/width_1", 300),
+                ns("sprint_head/bert_base_s512/recompute", kernel),
+            ]
+        };
         let unsampled = Row::value("dense/fused", Unit::Ns, 5, 0);
         let cases: Vec<(Vec<Row>, &str)> = vec![
             (simd(1, 200), "2.00x simd/avx2/dense-fused, inside"),
@@ -548,6 +563,14 @@ mod tests {
             (overload(999, 9), "!shed_rate_ppm: 999 ppm is outside"),
             (overload(950_001, 9), "!950001 ppm is outside"),
             (overload(570_000, 2_000_000_001), "!p99_ns: 2000000001 ns"),
+            (
+                recompute(99),
+                "recompute: sprint_head/bert_base_s512/recompute is 0.33x",
+            ),
+            (
+                recompute(101),
+                "!0.34x sprint_head/bert_base_s512/width_1, outside",
+            ),
             (vec![unsampled], "!'dense/fused': missing or zero samples"),
             (
                 vec![flag(Unit::Count, 1)],

@@ -15,7 +15,7 @@
 //! * [`residency_policy`] — §VI: the per-CORELET look-up tables and
 //!   index buffers vs a plain LRU cache.
 
-use sprint_attention::{quantized_attention_with, PruneDecision, Workspace};
+use sprint_attention::{quantized_attention_output_with, PruneDecision, Workspace};
 use sprint_energy::AdcCostModel;
 use sprint_memory::{Residency, ResidencyPolicy};
 use sprint_reram::{InMemoryPruner, NoiseModel, ThresholdSpec};
@@ -61,7 +61,7 @@ fn run_variant(
     for _ in live..s {
         decisions.push(PruneDecision::new(vec![true; s]));
     }
-    let out = quantized_attention_with(
+    let output = quantized_attention_output_with(
         trace.q(),
         trace.k(),
         trace.v(),
@@ -69,7 +69,7 @@ fn run_variant(
         Some(&decisions),
         &mut Workspace::new(),
     )?;
-    let score = task.evaluate(&out.output)?;
+    let score = task.evaluate(&output)?;
     Ok((
         score.accuracy,
         prune_sum / live as f64,

@@ -6,8 +6,8 @@ use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 use sprint_attention::{
-    pruned_attention_with, quantized_attention_with, Matrix, PagePool, PruneDecision, SimdTier,
-    Workspace, DEFAULT_PAGE_BYTES,
+    pruned_attention_with, quantized_attention_output_with, Matrix, PagePool, PruneDecision,
+    SimdTier, Workspace, DEFAULT_PAGE_BYTES,
 };
 use sprint_memory::MemoryController;
 use sprint_reram::{FaultModel, InMemoryPruner, NoiseModel, ThresholdSpec, ARRAY_COLS};
@@ -741,17 +741,14 @@ impl Engine {
                 // On-chip recompute: full-precision (8-bit datapath)
                 // scores for every surviving key.
                 scratch.ws.set_threads(width);
-                let out = quantized_attention_with(
+                quantized_attention_output_with(
                     q,
                     k,
                     v,
                     &request.config(),
                     Some(&decisions),
                     &mut scratch.ws,
-                )?;
-                scratch.ws.recycle(out.scores);
-                scratch.ws.recycle(out.probs);
-                out.output
+                )?
             }
         };
 

@@ -1,7 +1,7 @@
 //! The finite on-chip K/V buffer (§VI): which key/value pairs are
 //! resident, and what each query's kept set has to fetch.
 //!
-//! "Each CORELET keeps look-up tables [that] record which key and
+//! "Each CORELET keeps look-up tables \[that\] record which key and
 //! value vectors are currently present on chip"; SPRINT has no double
 //! buffering, so an incoming pair replaces a resident one. This is
 //! the one model of that buffer: the served

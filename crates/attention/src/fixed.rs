@@ -182,18 +182,14 @@ impl QuantParams {
     pub fn dequantize(&self, q: i32) -> f32 {
         q as f32 * self.scale
     }
-
-    /// Quantize-dequantize round trip ("fake quantization").
-    pub fn fake_quantize(&self, x: f32) -> f32 {
-        self.dequantize(self.quantize(x))
-    }
 }
 
 /// A matrix quantized to integer codes with shared [`QuantParams`].
 ///
 /// This is the at-rest format of Q/K/V data in SPRINT's ReRAM: 8-bit
-/// codes whose upper four bits (`msb_nibble`) live in the transposable
-/// arrays and lower four (`lsb_nibble`) in standard arrays (§III-B).
+/// codes whose rounded upper four bits
+/// ([`QuantizedMatrix::msb_rounded`]) are what the pruner's crossbar
+/// tiles compute on in memory (§III-B).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     rows: usize,
@@ -280,22 +276,6 @@ impl QuantizedMatrix {
         .expect("shape preserved by construction")
     }
 
-    /// Splits an 8-bit code into its 4 most significant bits, re-signed.
-    ///
-    /// For an 8-bit code `q`, the MSB nibble is `q >> 4`, i.e. the value
-    /// a 4-bit MLC ReRAM cell stores for in-memory thresholding. The
-    /// reconstruction `(q >> 4) << 4` differs from `q` by at most 15
-    /// codes — the approximation the in-memory compute sees.
-    pub fn msb_nibble(&self, r: usize, c: usize) -> i32 {
-        self.code(r, c) >> 4
-    }
-
-    /// The complementary low nibble such that
-    /// `(msb << 4) + lsb == code` always holds.
-    pub fn lsb_nibble(&self, r: usize, c: usize) -> i32 {
-        self.code(r, c) - ((self.code(r, c) >> 4) << 4)
-    }
-
     /// The *rounded* MSB nibble: `round(code / 16)` clamped to the
     /// signed 4-bit range.
     ///
@@ -314,14 +294,6 @@ impl QuantizedMatrix {
             (code - 8) / 16
         };
         rounded.clamp(-8, 7)
-    }
-
-    /// The signed residual paired with [`QuantizedMatrix::msb_rounded`]:
-    /// `code − 16·msb`, in `[-8, 8]` (clamping at the positive extreme
-    /// widens it by one code, still within a 4-bit signed cell plus
-    /// the shared sign).
-    pub fn lsb_residual(&self, r: usize, c: usize) -> i32 {
-        self.code(r, c) - 16 * self.msb_rounded(r, c)
     }
 }
 
@@ -383,7 +355,7 @@ mod tests {
         let p = QuantParams::for_range(8, 4.0).unwrap();
         for i in -100..=100 {
             let x = i as f32 * 0.037;
-            let err = (p.fake_quantize(x) - x).abs();
+            let err = (p.dequantize(p.quantize(x)) - x).abs();
             assert!(err <= p.step() / 2.0 + 1e-6, "x={x} err={err}");
         }
     }
@@ -403,19 +375,6 @@ mod tests {
         let q = quantize_matrix(&m, 8).unwrap();
         assert!(q.code_row(0).iter().all(|&c| c == 0));
         assert_eq!(q.to_matrix(), m);
-    }
-
-    #[test]
-    fn nibble_split_reconstructs_code() {
-        let m = Matrix::from_rows(&[vec![1.0, -0.37, 0.92, -1.0, 0.004]]).unwrap();
-        let q = quantize_matrix(&m, 8).unwrap();
-        for c in 0..5 {
-            let msb = q.msb_nibble(0, c);
-            let lsb = q.lsb_nibble(0, c);
-            assert_eq!((msb << 4) + lsb, q.code(0, c));
-            assert!((0..16).contains(&lsb), "lsb nibble {lsb} out of range");
-            assert!((-8..8).contains(&msb), "msb nibble {msb} out of range");
-        }
     }
 
     #[test]
@@ -550,15 +509,8 @@ mod tests {
         #[test]
         fn prop_round_trip_bounded(bits in 4u32..16, x in -8.0f32..8.0) {
             let p = QuantParams::for_range(bits, 8.0).unwrap();
-            let err = (p.fake_quantize(x) - x).abs();
+            let err = (p.dequantize(p.quantize(x)) - x).abs();
             prop_assert!(err <= p.step() / 2.0 + 1e-6);
-        }
-
-        #[test]
-        fn prop_nibbles_recombine(x in -1.0f32..1.0) {
-            let m = Matrix::from_rows(&[vec![x, 1.0]]).unwrap();
-            let q = quantize_matrix(&m, 8).unwrap();
-            prop_assert_eq!((q.msb_nibble(0, 0) << 4) + q.lsb_nibble(0, 0), q.code(0, 0));
         }
     }
 }

@@ -1,17 +1,21 @@
 //! Scoped-thread fan-out with deterministic result ordering.
 //!
-//! The experiment drivers, profile generators and trace synthesizers of
-//! the SPRINT reproduction are embarrassingly parallel: every item is
-//! independent and the result order must match the input order so that
-//! reports, seeds and tests stay reproducible. This crate provides that
-//! one primitive — [`par_map`] — built on `std::thread::scope` with no
-//! external dependencies (the build environment is offline).
+//! The experiment drivers, profile generators, trace synthesizers and
+//! the intra-head crossbar and recompute stages of the SPRINT
+//! reproduction are embarrassingly parallel: every item is independent
+//! and the result order must match the input order so that reports,
+//! seeds and tests stay reproducible. This crate has one executor,
+//! [`fan_out`], the only code here that starts or joins threads (scoped
+//! threads from the standard library, with no external dependencies:
+//! the build environment is offline). The two maps are folds over it:
 //!
-//! Work distribution is a shared atomic cursor: each worker claims the
-//! next unclaimed index and keeps `(i, f(&items[i]))`; after the join
-//! each result is scattered to slot `i`. Slot `i` therefore always holds
-//! `f(&items[i])` regardless of which worker ran it or in which order —
-//! the output is bit-identical across thread counts.
+//! - [`par_try_map_threads`] (and its [`par_map`] / [`par_try_map`]
+//!   wrappers) hands items out from a shared cursor and puts each
+//!   `(i, f(&items[i]))` back in slot `i` after the join, so the output
+//!   is bit-identical across thread counts;
+//! - [`par_chunk_try_map_threads`] gives each part one fixed
+//!   [`chunk_ranges`] chunk and its own [`WorkerStats`], so a caller
+//!   can pin per-worker state to a part.
 //!
 //! # Example
 //!
@@ -20,6 +24,7 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
+use std::convert::Infallible;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,89 +56,18 @@ pub fn max_threads() -> usize {
         })
 }
 
-/// Maps `f` over `items` on up to [`max_threads`] workers, returning
-/// results in input order (slot `i` holds `f(&items[i])`).
-///
-/// Spawns no threads when `items` has zero or one element or only one
-/// worker is available; the closure then runs on the caller's thread.
-///
-/// # Panics
-///
-/// Panics if any invocation of `f` panics (the scope rethrows on join,
-/// reporting "a scoped thread panicked").
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_threads(max_threads(), items, f)
-}
-
-/// [`par_map`] with an explicit worker-count cap (used by the ordering
-/// tests; production code should prefer `par_map`).
-///
-/// # Panics
-///
-/// Panics if `threads` is zero; propagates panics from `f`.
-pub fn par_map_threads<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    assert!(threads > 0, "at least one worker is required");
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-
-    // Each worker keeps the `(index, value)` pairs it claimed; no two
-    // workers claim one index, so scattering them after the join fills
-    // every slot exactly once without a lock.
-    let cursor = AtomicUsize::new(0);
-    let claimed: Vec<Vec<(usize, U)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            return mine;
-                        }
-                        mine.push((i, f(&items[i])));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("a scoped thread panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<U>> = items.iter().map(|_| None).collect();
-    for (i, value) in claimed.into_iter().flatten() {
-        slots[i] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index is claimed by one worker"))
-        .collect()
-}
-
 /// Per-worker execution counters from a chunked fan-out
 /// ([`par_chunk_try_map_threads`]).
 ///
-/// `busy_ns` is a spawned worker's **thread CPU time** where the
-/// platform exposes it (Linux), so it counts only cycles the worker
-/// actually executed — on an oversubscribed or single-core host it
-/// stays an honest measure of how the work was distributed, unlike
-/// wall-clock, which also charges a worker for time it spent
-/// descheduled. `wall_ns` is the worker's wall-clock span for
-/// comparison. A fan-out of one chunk runs it inline on the caller's
-/// thread and reports `busy_ns == wall_ns`: with nothing to balance,
-/// it reads no CPU clock (two `/proc` reads a chunk on Linux).
+/// `busy_ns` is a part's **thread CPU time** where the platform
+/// exposes it (Linux), so it counts only cycles the part actually
+/// executed — on an oversubscribed or single-core host it stays an
+/// honest measure of how the work was distributed, unlike wall-clock,
+/// which also charges a part for time its thread spent descheduled.
+/// `wall_ns` is the part's wall-clock span for comparison. A map of
+/// one chunk runs it inline on the caller's thread and reports
+/// `busy_ns == wall_ns`: with nothing to balance, it reads no CPU
+/// clock (two `/proc` reads a chunk on Linux).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// The worker's index (`0..workers`).
@@ -206,23 +140,21 @@ pub fn chunk_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Chunked fallible fan-out with per-worker busy accounting: item `i`
-/// of `items` runs as `f(worker, i, &items[i])` on the worker that
-/// [`chunk_ranges`] deterministically assigns it, and each worker
-/// walks its contiguous chunk in index order on one thread.
+/// Chunked fallible map with per-worker busy accounting, as a fold
+/// over [`fan_out`]: one part per [`chunk_ranges`] chunk, and part `w`
+/// runs item `i` of its chunk as `f(w, i, &items[i])`, in index order
+/// on one thread.
 ///
-/// This is the shard-friendly sibling of [`par_try_map_threads`]: the
-/// worker index passed to `f` is stable for the whole chunk, so `f`
-/// can own per-worker state (a scratch arena, a pinned substrate
+/// The worker index passed to `f` is stable for the whole chunk, so
+/// `f` can own per-worker state (a scratch arena, a pinned substrate
 /// shard) for its entire run with no cross-worker locking and no
 /// slot-stealing. Results come back in input order; the reported
-/// error is the lowest-indexed failure (a failing worker stops at its
+/// error is the lowest-indexed failure (a failing part stops at its
 /// first error, and chunks are index-ordered, so the first failing
 /// chunk in order holds the globally lowest failing index).
 ///
-/// Returns the results alongside one [`WorkerStats`] per spawned
-/// worker (chunks run on the caller's thread when only one chunk
-/// exists; the stats still report it as worker 0, busy for its wall
+/// Returns the results alongside one [`WorkerStats`] per chunk (a
+/// single chunk runs inline and reports itself busy for its wall
 /// time).
 ///
 /// # Errors
@@ -231,7 +163,8 @@ pub fn chunk_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
 ///
 /// # Panics
 ///
-/// Panics if `threads` is zero; propagates panics from `f`.
+/// Panics if `threads` is zero; a panic in `f` reaches the caller with
+/// its own payload.
 #[allow(clippy::type_complexity)]
 pub fn par_chunk_try_map_threads<T, U, E, F>(
     threads: usize,
@@ -246,66 +179,33 @@ where
 {
     assert!(threads > 0, "at least one worker is required");
     let ranges = chunk_ranges(items.len(), threads);
-    let inline = ranges.len() <= 1;
-    let cpu_clock = || if inline { None } else { thread_cpu_ns() };
-    let run_chunk = |worker: usize, range: Range<usize>| -> (Result<Vec<U>, E>, WorkerStats) {
+    let timed = ranges.len() > 1;
+    let cpu_clock = || timed.then(thread_cpu_ns).flatten();
+    let mut parts: Vec<(Vec<U>, WorkerStats)> = ranges
+        .iter()
+        .map(|range| (Vec::with_capacity(range.len()), WorkerStats::default()))
+        .collect();
+    fan_out(&mut parts, |worker, (out, stats)| {
         let wall = Instant::now();
         let cpu_start = cpu_clock();
-        let mut out = Vec::with_capacity(range.len());
-        let mut failure = None;
-        for i in range.clone() {
-            match f(worker, i, &items[i]) {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
+        for i in ranges[worker].clone() {
+            out.push(f(worker, i, &items[i])?);
         }
         let wall_ns = wall.elapsed().as_nanos();
         let busy_ns = match (cpu_start, cpu_clock()) {
             (Some(a), Some(b)) => b.saturating_sub(a),
             _ => wall_ns,
         };
-        let stats = WorkerStats {
+        *stats = WorkerStats {
             worker,
-            items: out.len() + usize::from(failure.is_some()),
+            items: out.len(),
             busy_ns,
             wall_ns,
         };
-        match failure {
-            Some(e) => (Err(e), stats),
-            None => (Ok(out), stats),
-        }
-    };
-
-    let chunks: Vec<(Result<Vec<U>, E>, WorkerStats)> = if inline {
-        ranges
-            .into_iter()
-            .map(|range| run_chunk(0, range))
-            .collect()
-    } else {
-        let run_chunk = &run_chunk;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .enumerate()
-                .map(|(w, range)| scope.spawn(move || run_chunk(w, range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("a scoped thread panicked"))
-                .collect()
-        })
-    };
-
-    let mut results = Vec::with_capacity(items.len());
-    let mut stats = Vec::with_capacity(chunks.len());
-    for (outcome, s) in chunks {
-        stats.push(s);
-        results.extend(outcome?);
-    }
-    Ok((results, stats))
+        Ok(())
+    })?;
+    let (chunks, stats): (Vec<Vec<U>>, Vec<WorkerStats>) = parts.into_iter().unzip();
+    Ok((chunks.into_iter().flatten().collect(), stats))
 }
 
 /// Splits `0..n` into at most `parts` contiguous, non-empty ranges of
@@ -389,9 +289,9 @@ thread_local! {
 
 /// Fault injection for robustness tests: makes part `worker` of a
 /// later [`fan_out`] called from this thread panic once it has run.
-/// The first `skip` fan-outs wide enough to have that part run
-/// normally; the one after them panics and clears the injection. Other
-/// threads' fan-outs are never affected.
+/// The first `skip` fan-outs wide enough to have that part (the maps'
+/// included) run normally; the one after them panics and clears the
+/// injection. Other threads' fan-outs are never affected.
 #[doc(hidden)]
 pub fn inject_worker_panic(skip: usize, worker: usize) {
     INJECTED_PANIC.with(|slot| slot.set(Some((skip, worker))));
@@ -420,7 +320,8 @@ fn take_injected_panic(parts: usize) -> Option<usize> {
 /// nothing, so the width-1 case of a fan-out is the plain sequential
 /// call.
 ///
-/// This is the intra-head fan-out: the caller hands each part
+/// This is the crate's one executor (the maps are folds over it) and
+/// the intra-head fan-out: the caller hands each part
 /// exclusive state (a group of crossbar tiles, a range of query rows,
 /// that part's scratch), so parts share nothing mutable and every
 /// part's result is independent of the width and of which thread ran
@@ -492,10 +393,24 @@ where
     })
 }
 
-/// Fallible [`par_map`]: runs every item, then returns either all
-/// results in input order or the error of the *lowest-indexed* failing
-/// item — so the reported error is deterministic across thread counts
-/// too.
+/// Maps `f` over `items` on up to [`max_threads`] workers, returning
+/// results in input order (slot `i` holds `f(&items[i])`): the
+/// infallible [`par_try_map_threads`].
+///
+/// # Panics
+///
+/// A panic in `f` reaches the caller with its own payload.
+pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    par_try_map_threads(max_threads(), items, |x| Ok::<_, Infallible>(f(x)))
+        .unwrap_or_else(|never| match never {})
+}
+
+/// [`par_try_map_threads`] on up to [`max_threads`] workers.
 ///
 /// # Errors
 ///
@@ -510,10 +425,16 @@ where
     par_try_map_threads(max_threads(), items, f)
 }
 
-/// [`par_try_map`] with an explicit worker-count cap. Use this for the
-/// *outer* level of a nested fan-out: capping it bounds the total
-/// thread product when the mapped tasks spawn their own `par_map`
-/// workers internally.
+/// Fallible map as a fold over [`fan_out`]: `min(threads, n)` parts
+/// claim items from a shared cursor, each keeping the `(i, f(&items[i]))`
+/// pairs it claimed, and after the join the pairs go back into input
+/// order. Slot `i` therefore always holds `f(&items[i])` regardless of
+/// which part ran it or in which order, so the output is bit-identical
+/// across thread counts. Every item runs, then the call returns either
+/// all results or the error of the *lowest-indexed* failing item.
+///
+/// Cap `threads` for the *outer* level of a nested fan-out: it bounds
+/// the total thread product when the mapped tasks fan out internally.
 ///
 /// # Errors
 ///
@@ -521,7 +442,8 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `threads` is zero; propagates panics from `f`.
+/// Panics if `threads` is zero; a panic in `f` reaches the caller with
+/// its own payload.
 pub fn par_try_map_threads<T, U, E, F>(threads: usize, items: &[T], f: F) -> Result<Vec<U>, E>
 where
     T: Sync,
@@ -529,8 +451,21 @@ where
     E: Send,
     F: Fn(&T) -> Result<U, E> + Sync,
 {
-    let outcomes = par_map_threads(threads, items, f);
-    outcomes.into_iter().collect()
+    assert!(threads > 0, "at least one worker is required");
+    let mut parts: Vec<Vec<(usize, Result<U, E>)>> =
+        (0..threads.min(items.len())).map(|_| Vec::new()).collect();
+    let cursor = AtomicUsize::new(0);
+    fan_out(&mut parts, |_, claimed| loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else {
+            return Ok::<_, Infallible>(());
+        };
+        claimed.push((i, f(item)));
+    })
+    .unwrap_or_else(|never| match never {});
+    let mut pairs: Vec<_> = parts.into_iter().flatten().collect();
+    pairs.sort_unstable_by_key(|&(i, _)| i);
+    pairs.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 #[cfg(test)]
@@ -557,12 +492,20 @@ mod tests {
     fn runs_every_item_exactly_once() {
         let counter = AtomicUsize::new(0);
         let items: Vec<usize> = (0..100).collect();
-        let out = par_map_threads(8, &items, |&i| {
+        let out = par_try_map_threads(8, &items, |&i| {
             counter.fetch_add(1, Ordering::Relaxed);
-            i
+            if i == 7 {
+                Err(i)
+            } else {
+                Ok(i)
+            }
         });
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert_eq!(out.len(), 100);
+        assert_eq!(out, Err(7));
+        assert_eq!(
+            counter.load(Ordering::Relaxed),
+            100,
+            "items after a failure still run"
+        );
     }
 
     #[test]
@@ -577,19 +520,39 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
-        let _ = par_map_threads(0, &[1], |&x: &i32| x);
+        let _ = par_try_map_threads(0, &[1], |&x: &i32| Ok::<_, ()>(x));
     }
 
     #[test]
-    #[should_panic(expected = "scoped thread panicked")]
+    #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
         let items: Vec<usize> = (0..8).collect();
-        let _ = par_map_threads(4, &items, |&i| {
+        let _ = par_try_map_threads(4, &items, |&i| {
             if i == 5 {
                 panic!("boom");
             }
-            i
+            Ok::<_, ()>(i)
         });
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_with_its_payload_in_both_maps() {
+        let items: Vec<usize> = (0..8).collect();
+        let boom = |i: usize| -> Result<usize, ()> {
+            if i == 5 {
+                panic!("item five");
+            }
+            Ok(i)
+        };
+        let caught = [
+            std::panic::catch_unwind(|| par_try_map_threads(4, &items, |&i| boom(i))),
+            std::panic::catch_unwind(|| {
+                par_chunk_try_map_threads(4, &items, |_, _, &i| boom(i)).map(|(out, _)| out)
+            }),
+        ];
+        for payload in caught.map(Result::unwrap_err) {
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"item five"));
+        }
     }
 
     #[test]
@@ -850,8 +813,8 @@ mod tests {
         ) {
             let items: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9e3779b9)).collect();
             let sequential: Vec<u64> = items.iter().map(|&x| x ^ (x >> 7)).collect();
-            let parallel = par_map_threads(threads, &items, |&x| x ^ (x >> 7));
-            prop_assert_eq!(parallel, sequential);
+            let parallel = par_try_map_threads(threads, &items, |&x| Ok::<_, ()>(x ^ (x >> 7)));
+            prop_assert_eq!(parallel, Ok(sequential));
         }
     }
 }

@@ -48,12 +48,12 @@ impl InMemoryPruner {
     ) -> Result<PruneOutcome, ReramError> {
         let mut pruned = vec![false; self.s];
         let mut approx_scores = vec![0.0; self.s];
-        self.prune_query_into(
+        self.prune_rows_into(
             q_row,
             threshold,
             spec,
-            &mut pruned,
-            Some(&mut approx_scores),
+            &mut [&mut pruned[..]],
+            Some(&mut [&mut approx_scores[..]]),
         )?;
         Ok(PruneOutcome {
             decision: PruneDecision::new(pruned),
@@ -61,46 +61,13 @@ impl InMemoryPruner {
         })
     }
 
-    /// [`InMemoryPruner::prune_query`] into caller-owned rows: one
-    /// pruned flag per key in `pruned` and, when asked for, one
-    /// approximate score per key in `approx_scores`. A caller that
-    /// embeds the key region in a longer row (padding), or never reads
-    /// the approximate scores, stages neither twice.
-    ///
-    /// # Errors
-    ///
-    /// As [`InMemoryPruner::prune_query`]; additionally
-    /// [`ReramError::LengthMismatch`] unless both rows hold exactly
-    /// [`InMemoryPruner::keys`] entries.
-    pub fn prune_query_into(
-        &mut self,
-        q_row: &[f32],
-        threshold: f32,
-        spec: &ThresholdSpec,
-        pruned: &mut [bool],
-        approx_scores: Option<&mut [f32]>,
-    ) -> Result<(), ReramError> {
-        if q_row.len() != self.d {
-            return Err(ReramError::LengthMismatch {
-                what: "query row",
-                expected: self.d,
-                found: q_row.len(),
-            });
-        }
-        let mut approx_rows = approx_scores.map(|row| [row]);
-        self.prune_rows_into(
-            q_row,
-            threshold,
-            spec,
-            &mut [pruned],
-            approx_rows.as_mut().map(|rows| &mut rows[..]),
-        )
-    }
-
-    /// [`InMemoryPruner::prune_query_into`] for consecutive query rows
-    /// at once: `q_rows` holds `pruned.len()` rows of the embedding
-    /// size back to back, and row `i`'s flags (and approximate scores)
-    /// land in `pruned[i]` (and `approx_scores[i]`).
+    /// [`InMemoryPruner::prune_query`] for consecutive query rows at
+    /// once, into caller-owned rows: `q_rows` holds `pruned.len()` rows
+    /// of the embedding size back to back, and row `i`'s flags (and,
+    /// when asked for, approximate scores) land in `pruned[i]` (and
+    /// `approx_scores[i]`). A caller that embeds the key region in a
+    /// longer row (padding), or never reads the approximate scores,
+    /// stages neither twice.
     ///
     /// The column tiles are split over [`InMemoryPruner::set_threads`]
     /// workers, each walking every row in order over its own tiles.
@@ -111,9 +78,10 @@ impl InMemoryPruner {
     ///
     /// # Errors
     ///
-    /// As [`InMemoryPruner::prune_query_into`] per row; additionally
+    /// As [`InMemoryPruner::prune_query`] per row; additionally
     /// [`ReramError::LengthMismatch`] unless `q_rows` holds exactly one
-    /// row per output row.
+    /// row per output row and every output row holds exactly
+    /// [`InMemoryPruner::keys`] entries.
     pub fn prune_rows_into(
         &mut self,
         q_rows: &[f32],

@@ -187,13 +187,25 @@ fn prune_query_validates_inputs() {
     let spec = ThresholdSpec::default();
     let (mut flags, mut scores) = ([false; 8], [0.0f32; 8]);
     assert!(pruner
-        .prune_query_into(q.row(0), 0.0, &spec, &mut flags[..7], None)
+        .prune_rows_into(q.row(0), 0.0, &spec, &mut [&mut flags[..7]], None)
         .is_err());
     assert!(pruner
-        .prune_query_into(q.row(0), 0.0, &spec, &mut flags, Some(&mut scores[..7]))
+        .prune_rows_into(
+            q.row(0),
+            0.0,
+            &spec,
+            &mut [&mut flags],
+            Some(&mut [&mut scores[..7]])
+        )
         .is_err());
     pruner
-        .prune_query_into(q.row(0), 0.0, &spec, &mut flags, Some(&mut scores))
+        .prune_rows_into(
+            q.row(0),
+            0.0,
+            &spec,
+            &mut [&mut flags],
+            Some(&mut [&mut scores]),
+        )
         .unwrap();
     let outcome = pruner.prune_query(q.row(0), 0.0, &spec).unwrap();
     assert_eq!(outcome.decision.as_slice(), flags);
@@ -245,7 +257,7 @@ fn assert_rows_call_matches_the_row_loop(
     let mut want_scores = vec![vec![0.0f32; s]; q.rows()];
     for (i, (f, a)) in want_flags.iter_mut().zip(&mut want_scores).enumerate() {
         serial
-            .prune_query_into(q.row(i), 0.02, &spec, f, Some(a))
+            .prune_rows_into(q.row(i), 0.02, &spec, &mut [f], Some(&mut [a]))
             .unwrap();
     }
     for threads in 1..=4 {

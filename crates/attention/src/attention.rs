@@ -1,13 +1,17 @@
-//! Dense, pruned and quantized self-attention (§II-A, §VI).
+//! Runtime-pruned and quantized self-attention (§II-A, §VI).
 //!
-//! These are the *fused* kernels: scores come from a cache-blocked
-//! `Q × Kᵀ` ([`Matrix::matmul_transposed`]) written once per row,
-//! softmax runs in place on matrix rows, and the post-prune `A × V`
-//! product iterates only the kept indices of each [`PruneDecision`] —
-//! the software mirror of the paper's "on-chip recomputation of the
-//! surviving scores". Per-query staging lives in a reusable
-//! [`Workspace`]; the naive originals survive in [`crate::reference`]
-//! as the property-test oracle and bench baseline.
+//! These are the *fused* kernels. The float kernel
+//! [`pruned_attention_with`] is the only one: dense attention is the
+//! same kernel at `threshold = f32::MIN`, which prunes nothing. Its
+//! scores come from the tiered, register-blocked `Q × Kᵀ` pass
+//! (`simd::matmul_transposed_scaled_into`) written once per row; each
+//! live row then runs one row stage (mask, softmax in place, AV-walk
+//! choice) that the single-query decode kernel shares, and the
+//! post-prune `A × V` product visits only the kept keys below the
+//! crossover — the software mirror of the paper's "on-chip
+//! recomputation of the surviving scores". Per-query staging lives in a
+//! reusable [`Workspace`]; the naive originals survive in
+//! [`crate::reference`] as the property-test oracle and bench baseline.
 
 use std::ops::Range;
 
@@ -31,7 +35,7 @@ pub const MASK_NEG: f32 = -1.0e9;
 /// values (`0.0 * v + acc == acc` since softmax probabilities are
 /// non-negative), so the crossover never changes results; a regression
 /// test pins both AV walks bit-identical.
-pub(crate) const DENSE_AV_CROSSOVER: f32 = 0.35;
+const DENSE_AV_CROSSOVER: f32 = 0.35;
 
 /// Configuration of one attention head.
 ///
@@ -229,57 +233,6 @@ pub(crate) fn query_is_live(i: usize, padding: Option<&PaddingMask>) -> bool {
     padding.map_or(true, |p| i >= p.total() || p.is_live(i))
 }
 
-/// Reference dense self-attention in `f32`:
-/// `softmax(scale · Q Kᵀ) × V`.
-///
-/// Output matrices come from the workspace's buffer pool (see
-/// [`Workspace::recycle`]), the register-blocked `Q × Kᵀ` pass writes
-/// the scores once, and the softmax runs in place on each
-/// probability-matrix row.
-///
-/// # Errors
-///
-/// Returns [`AttentionError::ShapeMismatch`] when `Q`/`K` embedding
-/// sizes differ or `K`/`V` sequence lengths differ.
-pub fn dense_attention_with(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    cfg: &AttentionConfig,
-    ws: &mut Workspace,
-) -> Result<AttentionOutput, AttentionError> {
-    check_shapes(q, k, v)?;
-    let tier = ws.simd_tier();
-    let (s_q, s_k) = (q.rows(), k.rows());
-    let d_v = v.cols();
-    let mut scores = ws.zeroed_matrix(s_q, s_k)?;
-    simd::matmul_transposed_scaled_into(tier, q, k, cfg.scale(), 0..s_q, 0..s_k, &mut scores);
-    let mut probs = ws.zeroed_matrix(s_q, s_k)?;
-    let mut output = ws.zeroed_matrix(s_q, d_v)?;
-    for i in 0..s_q {
-        let prow = probs.row_mut(i);
-        prow.copy_from_slice(scores.row(i));
-        softmax_inplace_tier(prow, tier);
-    }
-    // Dense rows have no pruned keys: stream every key rather than
-    // branching on `p != 0` per key (the crossover's dense walk). The
-    // matrix-level stage key-panels `V` across rows on the AVX2 tier;
-    // each row remains the tier's one per-row accumulation chain.
-    simd::av_rows(
-        tier,
-        &mut output,
-        &probs,
-        v.as_slice(),
-        d_v,
-        &vec![(s_k, false); s_q],
-    );
-    Ok(AttentionOutput {
-        scores,
-        probs,
-        output,
-    })
-}
-
 /// Runtime-pruned self-attention (Eq. 3): scores below `threshold` are
 /// removed before the softmax; padded positions are removed everywhere.
 ///
@@ -289,17 +242,20 @@ pub fn dense_attention_with(
 /// two-dimensional sequence reduction of §VI).
 ///
 /// The fused flow per live query row: the blocked `Q × Kᵀ` pass has
-/// already written the raw scores for the live region, the keep mask is
-/// built in the workspace, pruned entries are masked to `-inf` in the
-/// scores row, the masked softmax runs in place on the probability row,
-/// and the value product accumulates **only the kept indices** — work
-/// in the AV stage scales with the keep rate, the software counterpart
-/// of SPRINT recomputing only the ~O(10%) surviving scores on chip.
+/// already written the raw scores for the live region, one row stage
+/// (shared with [`crate::pruned_attention_decode_with`]) masks pruned
+/// entries to `-inf` and softmaxes the probability row in place, and
+/// the value product accumulates **only the kept indices** — work in
+/// the AV stage scales with the keep rate, the software counterpart of
+/// SPRINT recomputing only the ~O(10%) surviving scores on chip.
+/// `threshold = f32::MIN` keeps every finite score: that is dense
+/// attention, the paper's unpruned baseline.
 ///
 /// # Errors
 ///
-/// Shape errors as in [`dense_attention_with`]; additionally the
-/// padding mask, when given, must cover exactly `k.rows()` tokens.
+/// Returns [`AttentionError::ShapeMismatch`] when `Q`/`K` embedding
+/// sizes differ or `K`/`V` sequence lengths differ, and when the
+/// padding mask, given, does not cover exactly `k.rows()` tokens.
 pub fn pruned_attention_with(
     q: &Matrix,
     k: &Matrix,
@@ -376,18 +332,15 @@ pub fn pruned_attention_with(
             );
             continue;
         }
-        // One fused pass over the live keys: the pruned flag (Eq. 3,
-        // `s < th` mirroring `PruneDecision::from_scores`), the -inf
-        // masking of the scores row, and the staging of the masked row
-        // as the probability row — the tiered `prune_mask_row` scan,
-        // bit-identical across tiers. Padded keys (always pruned) are
-        // handled by the `true`-initialized flag tail and a fill. The
-        // flag vector becomes the returned decision — the only
-        // per-query allocation left on this path.
+        // The row stage over the live keys. Padded keys (always
+        // pruned) get the `true`-initialized flag tail, a `-inf` score
+        // and exactly zero probability. The flag vector becomes the
+        // returned decision — the only per-query allocation left on
+        // this path.
         let srow = scores.row_mut(i);
         let prow = probs.row_mut(i);
         let mut flags = vec![true; s_k];
-        let kept = simd::prune_mask_row(
+        let skip_zero = prune_row(
             tier,
             &mut srow[..live_k],
             &mut prow[..live_k],
@@ -395,16 +348,7 @@ pub fn pruned_attention_with(
             threshold,
         );
         srow[live_k..].fill(f32::NEG_INFINITY);
-        // Padded keys get exactly zero probability; the exact softmax
-        // runs in place over the live prefix only (-inf pruned entries
-        // get zero — the masked softmax).
         prow[live_k..].fill(0.0);
-        softmax_inplace_tier(&mut prow[..live_k], tier);
-        // AV plan for this row. Below the crossover the walk skips
-        // pruned (exactly-zero) probabilities so work scales with the
-        // keep rate; at low sparsity it streams every live key instead
-        // (see [`DENSE_AV_CROSSOVER`] — bit-identical either way).
-        let skip_zero = (kept as f32) < DENSE_AV_CROSSOVER * live_k as f32;
         *plan = (live_k, skip_zero);
         decisions.push(PruneDecision::new(flags));
     }
@@ -420,6 +364,28 @@ pub fn pruned_attention_with(
         },
         decisions,
     ))
+}
+
+/// The float kernel's per-row stage, shared by the batch and the
+/// decode kernel (so their bit-identical contract holds by
+/// construction). Over one row's live keys: the tiered prune scan
+/// (Eq. 3, `s < threshold` as in `PruneDecision::from_scores`) writes
+/// the pruned flags, masks pruned scores to `-inf` and stages the masked
+/// row as the probability row; the exact softmax runs there in place
+/// (pruned entries get exactly zero). Returns the row's AV walk: `true`
+/// to skip pruned (exactly-zero) probabilities, so work scales with the
+/// keep rate, `false` at or above [`DENSE_AV_CROSSOVER`] to stream every
+/// key — bit-identical either way.
+pub(crate) fn prune_row(
+    tier: simd::SimdTier,
+    srow: &mut [f32],
+    prow: &mut [f32],
+    flags: &mut [bool],
+    threshold: f32,
+) -> bool {
+    let kept = simd::prune_mask_row(tier, srow, prow, flags, threshold);
+    softmax_inplace_tier(prow, tier);
+    (kept as f32) < DENSE_AV_CROSSOVER * srow.len() as f32
 }
 
 /// Result of the quantized (hardware) attention datapath.
@@ -453,7 +419,7 @@ pub struct QuantizedAttentionOutput {
 ///
 /// # Errors
 ///
-/// Shape errors as in [`dense_attention_with`]; a decision slice, when
+/// Shape errors as in [`pruned_attention_with`]; a decision slice, when
 /// given, must contain one decision of length `k.rows()` per query.
 pub fn quantized_attention_with(
     q: &Matrix,
@@ -770,6 +736,17 @@ mod tests {
         (q, k, v)
     }
 
+    /// Dense attention: the one float kernel with nothing pruned.
+    fn dense_attention(
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        cfg: &AttentionConfig,
+        ws: &mut Workspace,
+    ) -> Result<AttentionOutput, AttentionError> {
+        pruned_attention_with(q, k, v, cfg, f32::MIN, None, ws).map(|(out, _)| out)
+    }
+
     #[test]
     fn config_defaults_to_inverse_sqrt_scale() {
         let cfg = AttentionConfig::new(64);
@@ -794,7 +771,7 @@ mod tests {
     fn dense_attention_rows_are_distributions() {
         let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
-        let out = dense_attention_with(&q, &k, &v, &AttentionConfig::new(4), ws).unwrap();
+        let out = dense_attention(&q, &k, &v, &AttentionConfig::new(4), ws).unwrap();
         for i in 0..3 {
             let sum: f32 = out.probs.row(i).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
@@ -861,20 +838,12 @@ mod tests {
             for threshold in [-10.0f32, -0.05, 0.05, 0.2] {
                 let (out, _dec) =
                     pruned_attention_with(&q, &k, &v, &cfg, threshold, None, &mut ws).unwrap();
-                // Oracle: the per-key skip walk over the kernel's
-                // probability rows, through the tier's own axpy.
+                // Oracle: the tier's skip walk over the kernel's
+                // probability rows.
                 for i in 0..q.rows() {
                     let mut expected = vec![0.0f32; v.cols()];
-                    for (&p, v_row) in out
-                        .probs
-                        .row(i)
-                        .iter()
-                        .zip(v.as_slice().chunks_exact(v.cols()))
-                    {
-                        if p != 0.0 {
-                            crate::simd::axpy(ws.simd_tier(), &mut expected, p, v_row);
-                        }
-                    }
+                    let (probs, d_v) = (out.probs.row(i), v.cols());
+                    crate::simd::av_row(tier, &mut expected, probs, v.as_slice(), d_v, true);
                     assert_eq!(
                         out.output
                             .row(i)
@@ -893,7 +862,7 @@ mod tests {
     fn dense_attention_prefers_aligned_key() {
         let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
-        let out = dense_attention_with(&q, &k, &v, &AttentionConfig::new(4), ws).unwrap();
+        let out = dense_attention(&q, &k, &v, &AttentionConfig::new(4), ws).unwrap();
         // Query 0 aligns with key 0; its probability must dominate.
         assert!(out.probs.get(0, 0) > out.probs.get(0, 1));
         assert!(out.probs.get(0, 0) > out.probs.get(0, 2));
@@ -905,10 +874,10 @@ mod tests {
         let q = Matrix::zeros(2, 3).unwrap();
         let k = Matrix::zeros(2, 4).unwrap();
         let v = Matrix::zeros(2, 4).unwrap();
-        assert!(dense_attention_with(&q, &k, &v, &AttentionConfig::new(3), ws).is_err());
+        assert!(dense_attention(&q, &k, &v, &AttentionConfig::new(3), ws).is_err());
         let k2 = Matrix::zeros(2, 3).unwrap();
         let v2 = Matrix::zeros(3, 3).unwrap();
-        assert!(dense_attention_with(&q, &k2, &v2, &AttentionConfig::new(3), ws).is_err());
+        assert!(dense_attention(&q, &k2, &v2, &AttentionConfig::new(3), ws).is_err());
     }
 
     #[test]
@@ -916,7 +885,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
         let cfg = AttentionConfig::new(4);
-        let dense = dense_attention_with(&q, &k, &v, &cfg, ws).unwrap();
+        let dense = crate::reference::dense_attention_naive(&q, &k, &v, &cfg).unwrap();
         let (pruned, decisions) = pruned_attention_with(&q, &k, &v, &cfg, -1e30, None, ws).unwrap();
         for (i, d) in decisions.iter().enumerate().take(3) {
             assert!(d.kept_count() == 3, "nothing pruned");
@@ -999,7 +968,7 @@ mod tests {
         let (q, k, v) = small_qkv();
         let cfg = AttentionConfig::new(4);
         let mut ws = Workspace::with_capacity(3, 4);
-        let dense = dense_attention_with(&q, &k, &v, &cfg, &mut ws).unwrap();
+        let dense = dense_attention(&q, &k, &v, &cfg, &mut ws).unwrap();
         let (pruned, _) = pruned_attention_with(&q, &k, &v, &cfg, -1e30, None, &mut ws).unwrap();
         let hw = quantized_attention_with(&q, &k, &v, &cfg, None, &mut ws).unwrap();
         assert_eq!(dense.probs, pruned.probs, "unpruned path is dense");
@@ -1020,7 +989,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let (q, k, v) = small_qkv();
         let cfg = AttentionConfig::new(4);
-        let dense = dense_attention_with(&q, &k, &v, &cfg, ws).unwrap();
+        let dense = dense_attention(&q, &k, &v, &cfg, ws).unwrap();
         let hw = quantized_attention_with(&q, &k, &v, &cfg, None, ws).unwrap();
         for i in 0..3 {
             for j in 0..3 {

@@ -23,7 +23,7 @@
 //! eviction safe: a rehydrated cache rebuilt from the same rows is the
 //! same cache, bit for bit.
 
-use crate::attention::{output_row, score_row, DENSE_AV_CROSSOVER};
+use crate::attention::{output_row, prune_row, score_row};
 use crate::paged::{PageBuffers, PagePool, DEFAULT_PAGE_BYTES};
 use crate::simd;
 use crate::{
@@ -394,10 +394,20 @@ impl KvCache {
     /// An owned contiguous copy of the value history (`s × d_v`).
     pub fn gather_v(&self) -> Matrix {
         let mut data = Vec::with_capacity(self.len * self.d_v);
-        for (p, page) in self.pages.iter().enumerate() {
-            data.extend_from_slice(&page.buf.v_floats[..self.page_tokens(p) * self.d_v]);
+        for block in self.v_pages() {
+            data.extend_from_slice(block);
         }
         Matrix::from_vec(self.len, self.d_v, data).expect("paged history is non-empty and exact")
+    }
+
+    /// Each page's occupied value rows, one contiguous row-major block
+    /// per page, in token order (every block but the last holds
+    /// `tokens_per_page` rows).
+    fn v_pages(&self) -> impl Iterator<Item = &[f32]> + '_ {
+        self.pages
+            .iter()
+            .enumerate()
+            .map(|(p, page)| &page.buf.v_floats[..self.page_tokens(p) * self.d_v])
     }
 
     /// Pages this cache currently holds.
@@ -444,18 +454,20 @@ fn check_decode_query_cached(q: &Matrix, kv: &KvCache) -> Result<(), AttentionEr
 /// [`PruneDecision`], bit-identical to
 /// [`crate::pruned_attention_with`] over the same one-row `Q` and the
 /// cache's gathered history without padding. The per-key score is the
-/// same four-lane `dot` reduction the blocked `Q × Kᵀ` pass performs
-/// for a one-row `Q`, and the mask/softmax/sparse-AV flow is the batch
-/// kernel's, verbatim, over page-resident rows. `threshold ==
-/// f32::MIN` reduces to the dense baseline with an all-kept decision —
-/// the digital decode pipelines (Dense/Oracle) both route through
-/// here.
+/// same `dot` the blocked `Q × Kᵀ` pass computes for a one-row `Q`, the
+/// row stage (mask, softmax, AV-walk choice) is the batch kernel's, and
+/// the AV stage runs the batch kernel's row walk over each page's
+/// contiguous `V` block in page order: that walk continues every
+/// element's chain from `output`, so splitting it at page boundaries
+/// moves no bit. `threshold == f32::MIN` reduces to the dense baseline
+/// with an all-kept decision — the digital decode pipelines
+/// (Dense/Oracle) both route through here.
 ///
 /// # Errors
 ///
 /// Shape errors as in [`crate::pruned_attention_with`]; additionally
 /// `q` must hold exactly one row.
-pub fn pruned_attention_decode_cached_with(
+pub fn pruned_attention_decode_with(
     q: &Matrix,
     kv: &KvCache,
     cfg: &AttentionConfig,
@@ -470,31 +482,14 @@ pub fn pruned_attention_decode_cached_with(
     let mut probs = ws.zeroed_matrix(1, s_k)?;
     let mut output = vec![0.0f32; kv.value_dim()];
     let mut flags = vec![true; s_k];
-    {
-        let srow = scores.row_mut(0);
-        for (j, slot) in srow.iter_mut().enumerate() {
-            *slot = cfg.scale() * simd::dot(tier, q_row, kv.k_row(j));
-        }
-        let prow = probs.row_mut(0);
-        let mut kept = 0usize;
-        for ((flag, s), p) in flags.iter_mut().zip(srow.iter_mut()).zip(prow.iter_mut()) {
-            let pruned = *s < threshold;
-            *flag = pruned;
-            kept += usize::from(!pruned);
-            let masked = if pruned { f32::NEG_INFINITY } else { *s };
-            *s = masked;
-            *p = masked;
-        }
-        crate::softmax::softmax_inplace_tier(prow, tier);
-        // Same kept-fraction crossover as the batch kernel: at low
-        // sparsity stream every key (a visited zero probability is a
-        // bit-exact no-op), below it skip pruned keys.
-        let skip_zero = (kept as f32) < DENSE_AV_CROSSOVER * s_k as f32;
-        for (j, &p) in prow.iter().enumerate() {
-            if !skip_zero || p != 0.0 {
-                simd::axpy(tier, &mut output, p, kv.v_row(j));
-            }
-        }
+    let srow = scores.row_mut(0);
+    for (j, slot) in srow.iter_mut().enumerate() {
+        *slot = cfg.scale() * simd::dot(tier, q_row, kv.k_row(j));
+    }
+    let prow = probs.row_mut(0);
+    let skip_zero = prune_row(tier, srow, prow, &mut flags, threshold);
+    for (page_probs, v_page) in prow.chunks(kv.tokens_per_page).zip(kv.v_pages()) {
+        simd::av_row(tier, &mut output, page_probs, v_page, kv.d_v, skip_zero);
     }
     ws.recycle(scores);
     ws.recycle(probs);
@@ -579,9 +574,7 @@ pub fn quantized_attention_decode_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        dense_attention_with, pruned_attention_with, quantize_matrix, quantized_attention_with,
-    };
+    use crate::{pruned_attention_with, quantize_matrix, quantized_attention_with, SimdTier};
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut state = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(99);
@@ -719,30 +712,66 @@ mod tests {
 
     #[test]
     fn decode_kernels_match_their_batch_siblings() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let cfg = AttentionConfig::new(16);
         let k = random_matrix(48, 16, 7);
-        let v = random_matrix(48, 16, 8);
         let q_all = random_matrix(4, 16, 9);
-        // Paged storage (7 tokens/page) must not perturb a single bit.
+        // The float kernel walks V page by page: d_v = 64 takes the
+        // AVX2 tier's register-resident row, 63 and 65 its generic
+        // walk; pages of 1, 3 and 7 tokens cut the walk at every phase
+        // of its eight-key chunks.
+        for d_v in [63usize, 64, 65] {
+            let v = random_matrix(48, d_v, 8);
+            for tier in [SimdTier::Scalar, SimdTier::Avx2] {
+                let mut ws = Workspace::new();
+                ws.set_simd_tier(tier);
+                let batch_ws = &mut Workspace::new();
+                batch_ws.set_simd_tier(tier);
+                for tokens in [1usize, 3, 7] {
+                    let kv = KvCache::new_in(&tiny_pool(tokens, 16, d_v), &k, &v).unwrap();
+                    assert_eq!(kv.pages(), 48usize.div_ceil(tokens));
+                    for r in 0..4 {
+                        let q1 = one_row(&q_all, r);
+                        let (dense, _) =
+                            pruned_attention_with(&q1, &k, &v, &cfg, f32::MIN, None, batch_ws)
+                                .unwrap();
+                        let mut sorted = dense.scores.row(0).to_vec();
+                        sorted.sort_by(f32::total_cmp);
+                        // Dense (what a Dense decode step runs), a cut
+                        // keeping under 35 % of the keys (the skip walk)
+                        // and one keeping over 35 % (the stream walk).
+                        let cuts = [
+                            (f32::MIN, 48..=48),
+                            (sorted[38], 1..=16),
+                            (sorted[19], 17..=48),
+                        ];
+                        for (threshold, kept) in cuts {
+                            let what =
+                                format!("{tier} d_v {d_v} page {tokens} q {r} th {threshold}");
+                            let (row, decision) =
+                                pruned_attention_decode_with(&q1, &kv, &cfg, threshold, &mut ws)
+                                    .unwrap();
+                            let (full, decisions) =
+                                pruned_attention_with(&q1, &k, &v, &cfg, threshold, None, batch_ws)
+                                    .unwrap();
+                            assert!(kept.contains(&decision.kept_count()), "{what}");
+                            assert_eq!(decision, decisions[0], "{what}");
+                            assert_eq!(bits(&row), bits(full.output.row(0)), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+        // The quantized kernel over a 7-token-page cache, pruned by the
+        // float kernel's decision and unpruned.
+        let v = random_matrix(48, 16, 8);
         let kv = KvCache::new_in(&tiny_pool(7, 16, 16), &k, &v).unwrap();
         let mut ws = Workspace::new();
         let batch_ws = &mut Workspace::new();
         for r in 0..4 {
             let q1 = one_row(&q_all, r);
-            // Dense: the f32::MIN threshold a Dense decode step runs.
-            let (dense_row, kept_all) =
-                pruned_attention_decode_cached_with(&q1, &kv, &cfg, f32::MIN, &mut ws).unwrap();
-            let dense_full = dense_attention_with(&q1, &k, &v, &cfg, batch_ws).unwrap();
-            assert_eq!(dense_row.as_slice(), dense_full.output.row(0));
-            assert_eq!(kept_all.kept_count(), k.rows());
-            // Pruned, over the paged cache.
-            let (pruned_row, decision) =
-                pruned_attention_decode_cached_with(&q1, &kv, &cfg, 0.02, &mut ws).unwrap();
-            let (pruned_full, decisions) =
-                pruned_attention_with(&q1, &k, &v, &cfg, 0.02, None, batch_ws).unwrap();
-            assert_eq!(pruned_row.as_slice(), pruned_full.output.row(0));
-            assert_eq!(decision, decisions[0]);
-            // Quantized, pruned and unpruned.
+            let (_, decision) =
+                pruned_attention_decode_with(&q1, &kv, &cfg, 0.02, &mut ws).unwrap();
             for d in [None, Some(&decision)] {
                 let hw_row = quantized_attention_decode_with(&q1, &kv, &cfg, d, &mut ws).unwrap();
                 let hw_full = quantized_attention_with(
@@ -767,9 +796,7 @@ mod tests {
         let kv = KvCache::new(&k, &k).unwrap();
         let mut ws = Workspace::new();
         for threshold in [f32::MIN, 0.0] {
-            assert!(
-                pruned_attention_decode_cached_with(&q2, &kv, &cfg, threshold, &mut ws).is_err()
-            );
+            assert!(pruned_attention_decode_with(&q2, &kv, &cfg, threshold, &mut ws).is_err());
         }
         assert!(quantized_attention_decode_with(&q2, &kv, &cfg, None, &mut ws).is_err());
         // Wrong decision length.

@@ -4,22 +4,27 @@
 //! §VI on-chip datapath): a small row-major [`Matrix`] type, symmetric
 //! fixed-point quantization for the 8-bit QK/V datapath (12-bit softmax
 //! inputs, 16-bit attention outputs), exact and hardware (two-LUT)
-//! softmax, dense reference attention, learned-threshold runtime pruning
-//! in the style of LeOPArd, and the error and recall metrics used by
-//! the accuracy studies of Figs. 5 and 9.
+//! softmax, one float attention kernel (dense attention is its unpruned
+//! case) with learned-threshold runtime pruning in the style of
+//! LeOPArd, and the error and recall metrics used by the accuracy
+//! studies of Figs. 5 and 9.
 //!
 //! # Example
 //!
 //! ```
-//! use sprint_attention::{dense_attention_with, AttentionConfig, Matrix, Workspace};
+//! use sprint_attention::{pruned_attention_with, AttentionConfig, Matrix, Workspace};
 //!
 //! # fn main() -> Result<(), sprint_attention::AttentionError> {
 //! let d = 4;
 //! let q = Matrix::from_rows(&[vec![1.0, 0.0, 0.0, 0.0], vec![0.0, 1.0, 0.0, 0.0]])?;
 //! let k = q.clone();
 //! let v = Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0], vec![5.0, 6.0, 7.0, 8.0]])?;
-//! let out = dense_attention_with(&q, &k, &v, &AttentionConfig::new(d), &mut Workspace::new())?;
+//! // Dense attention is the pruned kernel at a threshold that prunes nothing.
+//! let cfg = AttentionConfig::new(d);
+//! let (out, decisions) =
+//!     pruned_attention_with(&q, &k, &v, &cfg, f32::MIN, None, &mut Workspace::new())?;
 //! assert_eq!(out.output.rows(), 2);
+//! assert!(decisions.iter().all(|d| d.kept_count() == 2));
 //! # Ok(())
 //! # }
 //! ```
@@ -40,13 +45,10 @@ mod softmax;
 mod workspace;
 
 pub use attention::{
-    dense_attention_with, pruned_attention_with, quantized_attention_output_with,
-    quantized_attention_with, AttentionConfig, AttentionOutput, PaddingMask,
-    QuantizedAttentionOutput, MASK_NEG,
+    pruned_attention_with, quantized_attention_output_with, quantized_attention_with,
+    AttentionConfig, AttentionOutput, PaddingMask, QuantizedAttentionOutput, MASK_NEG,
 };
-pub use decode::{
-    pruned_attention_decode_cached_with, quantized_attention_decode_with, KvCache, KvDelta,
-};
+pub use decode::{pruned_attention_decode_with, quantized_attention_decode_with, KvCache, KvDelta};
 pub use error::AttentionError;
 pub use fixed::{quantize_matrix, QuantParams, QuantizedMatrix};
 pub use matrix::Matrix;

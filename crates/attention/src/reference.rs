@@ -27,11 +27,14 @@ use crate::{
 use crate::attention::{check_shapes, query_is_live, validate_decisions, validate_padding};
 
 /// Naive dense attention: per-pair dot products, per-row allocations,
-/// dense `probs × V`. Semantics identical to [`crate::dense_attention_with`].
+/// dense `probs × V`. Semantics identical to
+/// [`crate::pruned_attention_with`] at `threshold = f32::MIN` (nothing
+/// pruned, no padding), the one float kernel's dense case.
 ///
 /// # Errors
 ///
-/// Same shape errors as [`crate::dense_attention_with`].
+/// Returns [`AttentionError::ShapeMismatch`] when `Q`/`K` embedding
+/// sizes differ or `K`/`V` sequence lengths differ.
 pub fn dense_attention_naive(
     q: &Matrix,
     k: &Matrix,

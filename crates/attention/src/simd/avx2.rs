@@ -564,17 +564,16 @@ pub(crate) unsafe fn scale_row(row: &mut [f32], factor: f32) {
 }
 
 /// `out[t] = fma(a, x[t], out[t])` — one fused multiply-add per
-/// element, the same per-element chain as the tier's AV accumulators
-/// ([`av_row`]), so decode (per-key `axpy`) and batch (register-blocked
-/// [`av_row`]) produce bit-identical outputs; the scalar tier runs the
-/// same `mul_add` per element.
+/// element, one key's step of [`av_row`]'s generic path and the same
+/// per-element chain as its register-resident `d_v == 64` path; the
+/// scalar tier runs the same `mul_add` per element.
 ///
 /// # Safety
 ///
 /// Requires AVX2+FMA. Slices should have equal length
 /// (debug-asserted); the trip count is bounded by the shorter one.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
+unsafe fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
     debug_assert_eq!(out.len(), x.len(), "axpy of unequal lengths");
     let n = out.len().min(x.len());
     let va = _mm256_set1_ps(a);
@@ -596,8 +595,9 @@ pub(crate) unsafe fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
 
 /// One output row of the AV stage over a contiguous row-major `V`:
 /// `out[t] += Σ_j probs[j] * v[j*d_v + t]`, ascending `j`, one fused
-/// multiply-add per element — the scalar tier's accumulation chain, so
-/// decode ([`axpy`] per key) and batch walks are bit-identical. With
+/// multiply-add per element — the scalar tier's accumulation chain.
+/// Each element's chain starts from `out`, so walking the keys in
+/// consecutive blocks over several calls gives the one-call bits. With
 /// `skip_zero`, keys whose probability is exactly `0.0` are skipped
 /// (the sparse pruned-AV contract); without it every key contributes
 /// (the dense-crossover path).
@@ -778,7 +778,7 @@ pub(crate) unsafe fn av_rows64(
 
 /// One key's contribution to the 64-wide register-resident AV
 /// accumulators: one FMA per element, matching [`axpy`]'s chain so
-/// decode and batch agree bitwise.
+/// the `d_v == 64` and generic walks agree bitwise.
 ///
 /// # Safety
 ///

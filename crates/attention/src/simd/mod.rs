@@ -258,27 +258,14 @@ pub(crate) fn exp_rows(tier: SimdTier, row: &mut [f32], max: f32) -> f32 {
     scalar::exp_rows(row, max)
 }
 
-/// `out[t] = fma(a, x[t], out[t])` (the sparse AV inner step over one
-/// V row) — exactly the [`av_row`] per-element chain, so decode and
-/// batch outputs agree bitwise.
-pub(crate) fn axpy(tier: SimdTier, out: &mut [f32], a: f32, x: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx2 {
-        debug_assert!(avx2_available(), "unsanitized Avx2 tier");
-        // SAFETY: Avx2 tiers only exist after `sanitize_tier` confirmed
-        // AVX2+FMA; memory accesses are slice-bounded.
-        unsafe { avx2::axpy(out, a, x) };
-        return;
-    }
-    let _ = tier;
-    scalar::axpy(out, a, x);
-}
-
 /// One output row of the AV stage over a contiguous row-major `V`:
 /// ascending-key accumulation, with `skip_zero` skipping exactly-zero
 /// probabilities (the sparse pruned path) or visiting every key (the
-/// dense-crossover path). One FMA per element, see [`axpy`]; the skip
-/// and stream walks are bit-identical to each other.
+/// dense-crossover path). One FMA per element, `out[t] = fma(p, v[t],
+/// out[t])`; the skip and stream walks are bit-identical to each other.
+/// Every element's chain starts from `out`, so walking the keys in
+/// consecutive blocks (the decode kernel's `KvCache` pages) gives the
+/// one-call bits.
 pub(crate) fn av_row(
     tier: SimdTier,
     out: &mut [f32],
@@ -532,8 +519,6 @@ mod tests {
         let kept = prune_mask_row(tier, &mut srow, &mut prow, &mut flags, 0.1);
         let mut exps = x.to_vec();
         let sum = exp_rows(tier, &mut exps, 0.0);
-        let mut acc = y.to_vec();
-        axpy(tier, &mut acc, 0.4821, x);
         // The two-LUT passes see scores at or below their maximum, or
         // `-inf`; offsets run past the 12-bit range (the flush band).
         let unit = crate::SoftmaxLut::new(5.3).unwrap();
@@ -567,12 +552,15 @@ mod tests {
             ("prune_mask_row kept", vec![kept as u32]),
             ("exp_rows", bits(&exps)),
             ("exp_rows sum", vec![sum.to_bits()]),
-            ("axpy", bits(&acc)),
             ("lut_exps", bits(&lut)),
             ("lut_normalize", bits(&divided)),
             ("lut_normalize saturated", bits(&saturated)),
         ];
         if n > 0 {
+            // One key: a single fused multiply-add per element.
+            let mut acc = y.to_vec();
+            av_row(tier, &mut acc, &[0.4821], x, n, false);
+            out.push(("av_row one key", bits(&acc)));
             let v = [x, y, x].concat();
             let probs = [0.3, 0.0, 0.7];
             for (name, skip_zero) in [("av_row skip", true), ("av_row stream", false)] {
@@ -736,7 +724,7 @@ mod tests {
     #[test]
     fn tail_lengths_axpy_agrees_within_the_av_tolerance() {
         // The tolerance is zero: one fused multiply-add per element.
-        assert_tail_lengths_agree(&["axpy", "av_row"]);
+        assert_tail_lengths_agree(&["av_row"]);
     }
 
     #[test]
@@ -922,9 +910,13 @@ mod tests {
         ) {
             if avx2_available() {
                 let x = rand_f32(seed, len);
+                // One key of width `len`: one fused multiply-add per
+                // element (a zero-width row has no key to walk).
                 let [s_out, v_out] = [SimdTier::Scalar, SimdTier::Avx2].map(|tier| {
                     let mut out = rand_f32(seed.wrapping_add(5), len);
-                    axpy(tier, &mut out, factor, &x);
+                    if len > 0 {
+                        av_row(tier, &mut out, &[factor], &x, len, false);
+                    }
                     out
                 });
                 prop_assert_eq!(bits(&s_out), bits(&v_out));

@@ -165,7 +165,7 @@ pub(super) fn row_max(row: &[f32]) -> f32 {
 }
 
 /// `out[t] = fma(a, x[t], out[t])`.
-pub(super) fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
+fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
     debug_assert_eq!(out.len(), x.len(), "axpy of unequal lengths");
     for (o, &xv) in out.iter_mut().zip(x) {
         *o = a.mul_add(xv, *o);

@@ -9,10 +9,9 @@
 /// their output matrices, so the only per-query heap traffic left is
 /// what a kernel genuinely returns (the [`crate::PruneDecision`]
 /// vectors). A single `Workspace` threaded through a pipeline of
-/// [`crate::dense_attention_with`] / [`crate::pruned_attention_with`] /
-/// [`crate::quantized_attention_with`] calls supplies their output
-/// matrices from the buffer pool and stages the quantized V-PU's
-/// accumulation; [`Workspace::prob_row`] is a caller-side staging row
+/// [`crate::pruned_attention_with`] / [`crate::quantized_attention_with`]
+/// calls supplies their output matrices from the buffer pool and stages
+/// the quantized V-PU's accumulation; [`Workspace::prob_row`] is a caller-side staging row
 /// (the system pipeline's no-recompute softmax uses it).
 ///
 /// **Pool contract.** The pool never affects results — a pooled buffer
@@ -134,13 +133,14 @@ impl Workspace {
     /// # Example
     ///
     /// ```
-    /// use sprint_attention::{dense_attention_with, AttentionConfig, Matrix, Workspace};
+    /// use sprint_attention::{pruned_attention_with, AttentionConfig, Matrix, Workspace};
     ///
     /// # fn main() -> Result<(), sprint_attention::AttentionError> {
     /// let q = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]])?;
     /// let mut ws = Workspace::new();
     /// for _ in 0..10 {
-    ///     let out = dense_attention_with(&q, &q, &q, &AttentionConfig::new(2), &mut ws)?;
+    ///     let cfg = AttentionConfig::new(2);
+    ///     let (out, _) = pruned_attention_with(&q, &q, &q, &cfg, f32::MIN, None, &mut ws)?;
     ///     // ... use out ...
     ///     ws.recycle(out.scores);
     ///     ws.recycle(out.probs);

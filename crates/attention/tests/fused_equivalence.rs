@@ -3,8 +3,9 @@
 //!
 //! Every fused kernel is compared against its counterpart in
 //! `sprint_attention::reference` on random Q/K/V across sizes,
-//! thresholds and padding splits, including the `threshold = -inf`
-//! case where the pruned path must reduce to dense attention exactly.
+//! thresholds and padding splits. Dense attention is the one float
+//! kernel at `threshold = f32::MIN`, checked against the naive dense
+//! oracle, and `threshold = -inf` must reduce to it exactly.
 //! The fused kernels run on the process tier and the references on the
 //! scalar tier; the tiers agree bit for bit, so every comparison is
 //! `to_bits()` equality.
@@ -14,9 +15,9 @@ use sprint_attention::reference::{
     dense_attention_naive, pruned_attention_naive, quantized_attention_naive,
 };
 use sprint_attention::{
-    dense_attention_with, pruned_attention_with, quantized_attention_decode_with,
-    quantized_attention_output_with, quantized_attention_with, AttentionConfig, KvCache, Matrix,
-    PaddingMask, PruneDecision, Workspace,
+    pruned_attention_with, quantized_attention_decode_with, quantized_attention_output_with,
+    quantized_attention_with, AttentionConfig, KvCache, Matrix, PaddingMask, PruneDecision,
+    Workspace,
 };
 
 /// Deterministic pseudo-random matrix from a seed (splitmix-style).
@@ -115,8 +116,10 @@ proptest! {
         let k = random_matrix(s_k, d, seed ^ 1, 2.0);
         let v = random_matrix(s_k, d, seed ^ 2, 1.0);
         let cfg = AttentionConfig::new(d);
-        let fused = dense_attention_with(&q, &k, &v, &cfg, &mut Workspace::new()).unwrap();
+        let (fused, decisions) =
+            pruned_attention_with(&q, &k, &v, &cfg, f32::MIN, None, &mut Workspace::new()).unwrap();
         let naive = dense_attention_naive(&q, &k, &v, &cfg).unwrap();
+        prop_assert!(decisions.iter().all(|d| d.kept_count() == s_k), "nothing pruned");
         prop_assert_eq!(bits(&fused.scores), bits(&naive.scores), "dense scores");
         prop_assert_eq!(bits(&fused.probs), bits(&naive.probs), "dense probs");
         prop_assert_eq!(bits(&fused.output), bits(&naive.output), "dense output");
@@ -154,15 +157,15 @@ proptest! {
         let k = random_matrix(s, d, seed ^ 1, 2.0);
         let v = random_matrix(s, d, seed ^ 2, 1.0);
         let cfg = AttentionConfig::new(d);
-        let dense = dense_attention_with(&q, &k, &v, &cfg, &mut Workspace::new()).unwrap();
+        let dense = dense_attention_naive(&q, &k, &v, &cfg).unwrap();
         let (pruned, decisions) =
             pruned_attention_with(&q, &k, &v, &cfg, f32::NEG_INFINITY, None, &mut Workspace::new()).unwrap();
         for dec in &decisions {
             prop_assert_eq!(dec.kept_count(), s, "nothing pruned at -inf threshold");
         }
-        // Same kernel, same region, no mask writes: bitwise equality.
-        prop_assert_eq!(&pruned.scores, &dense.scores);
-        prop_assert_eq!(&pruned.probs, &dense.probs);
+        // Finite scores pass the -inf cut unmasked: bitwise dense.
+        prop_assert_eq!(bits(&pruned.scores), bits(&dense.scores), "scores vs dense");
+        prop_assert_eq!(bits(&pruned.probs), bits(&dense.probs), "probs vs dense");
         prop_assert_eq!(bits(&pruned.output), bits(&dense.output), "output vs dense");
     }
 
@@ -195,7 +198,8 @@ proptest! {
         prop_assert_eq!(&fused.scores, &naive.scores);
         prop_assert_eq!(&fused.probs, &naive.probs);
         prop_assert_eq!(&fused.output, &naive.output);
-        let dense_fused = dense_attention_with(&q, &k, &v, &cfg, &mut ws).unwrap();
+        let (dense_fused, _) =
+            pruned_attention_with(&q, &k, &v, &cfg, f32::MIN, None, &mut ws).unwrap();
         let dense_naive = dense_attention_naive(&q, &k, &v, &cfg).unwrap();
         prop_assert_eq!(&dense_fused.scores, &dense_naive.scores);
         prop_assert_eq!(&dense_fused.probs, &dense_naive.probs);

@@ -3,8 +3,10 @@
 //! This is the before/after harness for the fused-kernel work: the
 //! `naive/*` ids time the seed implementations preserved in
 //! `sprint_attention::reference`, the `fused/*` ids time the shipping
-//! kernels, and the `fused/pruned/rate*` series shows the sparse-AV
-//! stage scaling with the prune rate. Run with `-- --bench-json` to
+//! kernel (`dense/fused` is `pruned_attention_with` at
+//! `threshold = f32::MIN`, the dense computation every pipeline runs),
+//! and the `fused/pruned/rate*` series shows the sparse-AV stage
+//! scaling with the prune rate. Run with `-- --bench-json` to
 //! record the timings in `BENCH_report.json`.
 
 use criterion::{criterion_group, Criterion};
@@ -12,8 +14,7 @@ use std::hint::black_box;
 
 use sprint_attention::reference::{dense_attention_naive, pruned_attention_naive};
 use sprint_attention::{
-    calibrate_threshold, dense_attention_with, pruned_attention_with, AttentionConfig, Matrix,
-    PaddingMask, Workspace,
+    calibrate_threshold, pruned_attention_with, AttentionConfig, Matrix, PaddingMask, Workspace,
 };
 
 const SEQ: usize = 512;
@@ -62,7 +63,12 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("dense");
     group.sample_size(10);
     group.bench_function("fused", |b| {
-        b.iter(|| black_box(dense_attention_with(&q, &k, &v, &cfg, &mut Workspace::new()).unwrap()))
+        b.iter(|| {
+            black_box(
+                pruned_attention_with(&q, &k, &v, &cfg, f32::MIN, None, &mut Workspace::new())
+                    .unwrap(),
+            )
+        })
     });
     group.bench_function("naive", |b| {
         b.iter(|| black_box(dense_attention_naive(&q, &k, &v, &cfg).unwrap()))

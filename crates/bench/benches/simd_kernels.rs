@@ -6,7 +6,8 @@
 //! `simd_tier` builder drives), so the recorded ratio is exactly the
 //! dispatch layer's win (the scalar float kernels pay a libm `fmaf`
 //! call per fused step without target FMA): `simd/scalar/dense-fused` vs
-//! `simd/avx2/dense-fused`, the paper-default pruned head, and the
+//! `simd/avx2/dense-fused` (`pruned_attention_with` at
+//! `threshold = f32::MIN`), the paper-default pruned head, and the
 //! quantized single-query decode path over a paged KV history. The
 //! `host/simd_avx2` flag row records whether the AVX2 rows were
 //! actually measured (0 on hosts without AVX2+FMA, where the rows are
@@ -17,9 +18,8 @@ use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
 use sprint_attention::{
-    calibrate_threshold, dense_attention_with, pruned_attention_with,
-    quantized_attention_decode_with, AttentionConfig, KvCache, Matrix, PaddingMask, SimdTier,
-    Workspace,
+    calibrate_threshold, pruned_attention_with, quantized_attention_decode_with, AttentionConfig,
+    KvCache, Matrix, PaddingMask, SimdTier, Workspace,
 };
 use sprint_bench::report::{Row, Unit};
 
@@ -69,7 +69,9 @@ fn bench(c: &mut Criterion) {
         ws.set_simd_tier(tier);
         group.bench_function(&format!("{tier}/dense-fused"), |b| {
             b.iter(|| {
-                let out = dense_attention_with(&q, &k, &v, &cfg, &mut ws).unwrap();
+                let (out, decisions) =
+                    pruned_attention_with(&q, &k, &v, &cfg, f32::MIN, None, &mut ws).unwrap();
+                black_box(&decisions);
                 black_box(&out.output);
                 ws.recycle(out.scores);
                 ws.recycle(out.probs);

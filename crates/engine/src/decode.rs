@@ -26,7 +26,7 @@
 //! order than a fresh build, so equivalence is distributional.
 
 use sprint_attention::{
-    pruned_attention_decode_cached_with, quantized_attention_decode_with, AttentionConfig, KvCache,
+    pruned_attention_decode_with, quantized_attention_decode_with, AttentionConfig, KvCache,
     Matrix, PruneDecision, Workspace,
 };
 use sprint_energy::EnergyBreakdown;
@@ -672,7 +672,7 @@ impl DecodeSession {
             } else {
                 self.params.threshold
             };
-            let (output, decision) = pruned_attention_decode_cached_with(
+            let (output, decision) = pruned_attention_decode_with(
                 q1,
                 &self.kv,
                 &self.params.attn,

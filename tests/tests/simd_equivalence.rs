@@ -25,9 +25,9 @@
 
 use proptest::prelude::*;
 use sprint_attention::{
-    dense_attention_with, pruned_attention_decode_cached_with, pruned_attention_with,
-    quantized_attention_decode_with, quantized_attention_with, AttentionConfig, KvCache, Matrix,
-    PaddingMask, PruneDecision, SimdTier, Workspace,
+    pruned_attention_decode_with, pruned_attention_with, quantized_attention_decode_with,
+    quantized_attention_with, AttentionConfig, KvCache, Matrix, PaddingMask, PruneDecision,
+    SimdTier, Workspace,
 };
 use sprint_engine::{
     DecodeStep, Engine, ExecutionMode, HeadRequest, ModelProfile, ModelRequest, ModelServer,
@@ -87,31 +87,6 @@ fn assert_bitwise(a: &Matrix, b: &Matrix, what: &str) {
 // Kernel level
 // ---------------------------------------------------------------------------
 
-/// The float dot's contract is zero ULP: scores, probabilities and
-/// outputs are bitwise equal across tiers.
-#[test]
-fn dense_kernels_hold_the_ulp_contract_across_lane_boundaries() {
-    let Some((mut scalar, mut avx2)) = tier_pair() else {
-        return;
-    };
-    for &d in &DIMS {
-        for &(s_q, s_k) in &SHAPES {
-            for seed in [3u64, 77, 901] {
-                let q = random_matrix(s_q, d, seed, 2.0);
-                let k = random_matrix(s_k, d, seed ^ 1, 2.0);
-                let v = random_matrix(s_k, d, seed ^ 2, 1.0);
-                let cfg = AttentionConfig::new(d);
-                let s = dense_attention_with(&q, &k, &v, &cfg, &mut scalar).unwrap();
-                let a = dense_attention_with(&q, &k, &v, &cfg, &mut avx2).unwrap();
-                let what = format!("d={d} ({s_q}x{s_k}) seed {seed}");
-                assert_bitwise(&s.scores, &a.scores, &format!("dense scores {what}"));
-                assert_bitwise(&s.probs, &a.probs, &format!("dense probs {what}"));
-                assert_bitwise(&s.output, &a.output, &format!("dense output {what}"));
-            }
-        }
-    }
-}
-
 #[test]
 fn pruned_kernels_agree_on_decisions_masks_and_all_pruned_rows() {
     let Some((mut scalar, mut avx2)) = tier_pair() else {
@@ -129,8 +104,8 @@ fn pruned_kernels_agree_on_decisions_masks_and_all_pruned_rows() {
             let live = s_k - (s_k / 4);
             let mask = PaddingMask::new(s_k, live).unwrap();
             // Scores are bitwise equal across tiers, so decisions are
-            // equal at any threshold.
-            for threshold in [-0.6f32, 0.05, 0.7] {
+            // equal at any threshold; f32::MIN is dense attention.
+            for threshold in [f32::MIN, -0.6, 0.05, 0.7] {
                 let (s, sd) =
                     pruned_attention_with(&q, &k, &v, &cfg, threshold, Some(&mask), &mut scalar)
                         .unwrap();
@@ -218,11 +193,9 @@ fn decode_kernels_match_across_tiers_including_grown_histories() {
             // f32::MIN is the dense decode step.
             for threshold in [f32::MIN, -0.5, 0.3, f32::INFINITY] {
                 let (so, sd) =
-                    pruned_attention_decode_cached_with(&q, &kv_s, &cfg, threshold, &mut scalar)
-                        .unwrap();
+                    pruned_attention_decode_with(&q, &kv_s, &cfg, threshold, &mut scalar).unwrap();
                 let (ao, ad) =
-                    pruned_attention_decode_cached_with(&q, &kv_a, &cfg, threshold, &mut avx2)
-                        .unwrap();
+                    pruned_attention_decode_with(&q, &kv_a, &cfg, threshold, &mut avx2).unwrap();
                 assert_eq!(sd, ad, "decode decisions d={d} th={threshold}");
                 assert_eq!(bits(&so), bits(&ao), "decode output d={d} th={threshold}");
                 let decision = sd;

@@ -87,6 +87,38 @@ fn assert_bitwise(a: &Matrix, b: &Matrix, what: &str) {
 // Kernel level
 // ---------------------------------------------------------------------------
 
+/// The float dot's contract is zero ULP: scores, probabilities and
+/// outputs are bitwise equal across tiers. Dense attention is the pruned
+/// kernel at threshold `f32::MIN`.
+#[test]
+fn dense_kernels_hold_the_ulp_contract_across_lane_boundaries() {
+    let Some((mut scalar, mut avx2)) = tier_pair() else {
+        return;
+    };
+    for &d in &DIMS {
+        for &(s_q, s_k) in &SHAPES {
+            for seed in [3u64, 77, 901] {
+                let q = random_matrix(s_q, d, seed, 2.0);
+                let k = random_matrix(s_k, d, seed ^ 1, 2.0);
+                let v = random_matrix(s_k, d, seed ^ 2, 1.0);
+                let cfg = AttentionConfig::new(d);
+                let (s, sd) =
+                    pruned_attention_with(&q, &k, &v, &cfg, f32::MIN, None, &mut scalar).unwrap();
+                let (a, ad) =
+                    pruned_attention_with(&q, &k, &v, &cfg, f32::MIN, None, &mut avx2).unwrap();
+                let what = format!("d={d} ({s_q}x{s_k}) seed {seed}");
+                assert_eq!(sd, ad, "dense decisions {what}");
+                for dec in &sd {
+                    assert_eq!(dec.kept_count(), s_k, "dense keeps every key {what}");
+                }
+                assert_bitwise(&s.scores, &a.scores, &format!("dense scores {what}"));
+                assert_bitwise(&s.probs, &a.probs, &format!("dense probs {what}"));
+                assert_bitwise(&s.output, &a.output, &format!("dense output {what}"));
+            }
+        }
+    }
+}
+
 #[test]
 fn pruned_kernels_agree_on_decisions_masks_and_all_pruned_rows() {
     let Some((mut scalar, mut avx2)) = tier_pair() else {
@@ -104,7 +136,8 @@ fn pruned_kernels_agree_on_decisions_masks_and_all_pruned_rows() {
             let live = s_k - (s_k / 4);
             let mask = PaddingMask::new(s_k, live).unwrap();
             // Scores are bitwise equal across tiers, so decisions are
-            // equal at any threshold; f32::MIN is dense attention.
+            // equal at any threshold; f32::MIN is dense attention over
+            // the live keys.
             for threshold in [f32::MIN, -0.6, 0.05, 0.7] {
                 let (s, sd) =
                     pruned_attention_with(&q, &k, &v, &cfg, threshold, Some(&mask), &mut scalar)

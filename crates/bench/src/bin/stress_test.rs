@@ -113,7 +113,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // substrate, and must hold its floors on a single-core host.
     let body = r#"{"model":"synth1","layers":1,"heads":1,"seq_len":16,"seed":3}"#;
 
-    // Throttled capacity: max_batch 2 per >=25 ms batch -> ~80 req/s.
+    // Throttled capacity: 2 service permits, each held >=25 ms per
+    // request -> ~80 req/s.
     // The ramp averages ~2x that (80 -> 320 req/s across the phase),
     // so the bounded queues must shed.
     let count = if quick { 80 } else { 400 };
@@ -124,8 +125,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // Handlers are connection-pinned, so the pool must exceed
             // the client count for all clients to contend at once.
             http_threads: OVERLOAD_WORKERS + 2,
-            max_batch: 2,
-            batch_window: Duration::from_millis(1),
+            engine_workers: 2,
             queue_per_tenant: 4,
             queue_global: 8,
             service_delay: Some(Duration::from_millis(25)),

@@ -21,9 +21,9 @@
 //!   (layers × heads, per-layer sequence lengths, shared base seed)
 //!   decomposed into head requests, scheduled over the engine's worker
 //!   pool, and aggregated into per-layer / whole-model
-//!   [`ModelResponse`] roll-ups (traffic — admission, batching,
-//!   latency percentiles — is `sprint_server`'s queue and batcher on
-//!   top of it);
+//!   [`ModelResponse`] roll-ups (traffic — admission, service
+//!   permits, latency percentiles — is `sprint_server`'s gate on top
+//!   of it);
 //! * [`DecodeSession`] — autoregressive decode: a stateful session
 //!   over programmed crossbars, an append-only KV cache and per-step
 //!   scratch, serving one-query SPRINT attention per generated token

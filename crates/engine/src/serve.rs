@@ -12,10 +12,10 @@
 //! to a sequential per-head loop over the same
 //! [`ModelRequest::head_plan`].
 //!
-//! Traffic — arrivals, admission, in-flight batching, latency
-//! percentiles — is the HTTP server's job (`sprint_server`: its
-//! admission queue and batcher call
-//! [`ModelServer::serve_many_report`]). Decode sessions are served by
+//! Traffic — arrivals, admission, service permits, latency
+//! percentiles — is the HTTP server's job (`sprint_server`: each
+//! handler that holds a service permit calls [`ModelServer::serve`]
+//! for its one request). Decode sessions are served by
 //! [`crate::SessionTable`], not here.
 
 use std::time::Instant;
@@ -141,8 +141,7 @@ impl ModelServer {
     }
 
     /// [`ModelServer::serve_many`] over an explicit worker count, with
-    /// per-stage execution accounting — the in-flight batching entry
-    /// the HTTP server's batcher uses, and the one the determinism
+    /// per-stage execution accounting — the entry the determinism
     /// tests sweep widths through. Returns the responses together with
     /// a [`ServeStats`] locating where the pass spent its time (serial
     /// planning/scoring/folding vs. the synthesis and head-batch

@@ -10,9 +10,8 @@
 //! * `--addr HOST:PORT` — bind address (default `127.0.0.1:8080`;
 //!   port 0 picks an ephemeral port and prints it).
 //! * `--seed N` — engine base seed (default 7).
-//! * `--http-threads N` / `--max-batch N` / `--batch-window-ms N` /
-//!   `--queue-per-tenant N` / `--queue-global N` — the corresponding
-//!   [`ServerConfig`] knobs.
+//! * `--http-threads N` / `--queue-per-tenant N` / `--queue-global N`
+//!   — the corresponding [`ServerConfig`] knobs.
 //! * `--kv-pool-pages N` — cap the shared KV page pool at N pages
 //!   (decode sessions beyond the cap are LRU-evicted and rehydrated
 //!   transparently; default 0 = unbounded).
@@ -37,7 +36,6 @@ use std::time::Duration;
 
 const USAGE: &str = "\
 usage: sprint_server [--addr HOST:PORT] [--seed N] [--http-threads N]
-                     [--max-batch N] [--batch-window-ms N]
                      [--queue-per-tenant N] [--queue-global N]
                      [--kv-pool-pages N] [--kv-page-bytes N]
                      [--max-resident-sessions N] [--serve-seconds N]
@@ -94,10 +92,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Options>,
             "--addr" => config.addr = value()?,
             "--seed" => options.seed = number(flag, &value()?)?,
             "--http-threads" => config.http_threads = number(flag, &value()?)?,
-            "--max-batch" => config.max_batch = number(flag, &value()?)?,
-            "--batch-window-ms" => {
-                config.batch_window = Duration::from_millis(number(flag, &value()?)?)
-            }
             "--queue-per-tenant" => config.queue_per_tenant = number(flag, &value()?)?,
             "--queue-global" => config.queue_global = number(flag, &value()?)?,
             "--kv-pool-pages" => options.kv_pool_pages = number(flag, &value()?)?,
@@ -170,14 +164,12 @@ mod tests {
     }
 
     /// Every setting, in the order of [`FLAGS`].
-    fn settings(o: &Options) -> [String; 11] {
+    fn settings(o: &Options) -> [String; 9] {
         let c = &o.config;
         [
             c.addr.clone(),
             o.seed.to_string(),
             c.http_threads.to_string(),
-            c.max_batch.to_string(),
-            c.batch_window.as_millis().to_string(),
             c.queue_per_tenant.to_string(),
             c.queue_global.to_string(),
             o.kv_pool_pages.to_string(),
@@ -188,12 +180,10 @@ mod tests {
     }
 
     /// Every documented flag, its default, and a non-default value.
-    const FLAGS: [(&str, &str, &str); 11] = [
+    const FLAGS: [(&str, &str, &str); 9] = [
         ("--addr", "127.0.0.1:8080", "0.0.0.0:9"),
         ("--seed", "7", "11"),
         ("--http-threads", "4", "3"),
-        ("--max-batch", "16", "5"),
-        ("--batch-window-ms", "2", "9"),
         ("--queue-per-tenant", "32", "6"),
         ("--queue-global", "128", "60"),
         ("--kv-pool-pages", "0", "12"),
@@ -219,7 +209,7 @@ mod tests {
     #[test]
     fn bad_command_lines_are_refused_not_defaulted() {
         for (args, needle) in [
-            (&["--max-batch", "abc"][..], "--max-batch: 'abc'"),
+            (&["--queue-global", "abc"][..], "--queue-global: 'abc'"),
             (&["--kv-pool-pages", "1O"], "--kv-pool-pages: '1O'"),
             (&["--kv-pool-pages=1O"], "--kv-pool-pages: '1O'"),
             (&["--bogus-flag"], "unknown flag '--bogus-flag'"),

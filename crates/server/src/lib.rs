@@ -11,14 +11,14 @@
 //! |-------------------|----------------------------------------------|
 //! | `GET /health`     | liveness + drain state                       |
 //! | `GET /metrics`    | Prometheus-style text exposition             |
-//! | `POST /v1/serve`  | one forward pass, batched behind admission   |
+//! | `POST /v1/serve`  | one forward pass, behind fair admission      |
 //! | `POST /v1/decode` | autoregressive sessions: open / step / close |
 //!
 //! Serve traffic flows through bounded per-tenant queues
 //! ([`queue::AdmissionQueue`]): over capacity the server sheds load
 //! with `429 Too Many Requests` + `Retry-After` instead of queueing
-//! unboundedly, and a deterministic batching window coalesces
-//! admitted requests into [`sprint_engine::ModelServer`] batches.
+//! unboundedly, and service permits granted round-robin across tenants
+//! bound how many run a [`sprint_engine::ModelServer`] pass at once.
 //! Responses are **bit-identical** to direct in-process calls — the
 //! protocol is reference-based (model name + seed, traces
 //! re-synthesized server-side), and floats render shortest-round-trip

@@ -15,7 +15,7 @@ use std::time::Instant;
 pub const LATENCY_RING: usize = 4096;
 
 /// Shared server counters. One instance per [`crate::Server`], behind
-/// an `Arc`; every handler and the batcher update it.
+/// an `Arc`; every handler updates it.
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
@@ -28,12 +28,8 @@ pub struct Metrics {
     /// Serve requests rejected with 503 (shutting down / overloaded
     /// accept path).
     pub unavailable: AtomicU64,
-    /// Serve requests completed (response written).
+    /// Serve requests completed, one engine call each.
     pub completed: AtomicU64,
-    /// Serve requests currently admitted but not yet completed.
-    pub inflight: AtomicU64,
-    /// Engine batches dispatched by the batcher.
-    pub batches: AtomicU64,
     /// Decode sessions opened over HTTP.
     pub sessions_opened: AtomicU64,
     /// Decode sessions currently open.
@@ -71,8 +67,6 @@ impl Default for Metrics {
             rejected: AtomicU64::new(0),
             unavailable: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             sessions_opened: AtomicU64::new(0),
             sessions_open: AtomicU64::new(0),
             decode_steps: AtomicU64::new(0),
@@ -161,6 +155,7 @@ impl Metrics {
             ));
         };
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let completed = load(&self.completed);
         let mut out = String::new();
         counter(
             &mut out,
@@ -190,19 +185,19 @@ impl Metrics {
             &mut out,
             "sprint_requests_completed_total",
             "Serve requests completed.",
-            load(&self.completed),
+            completed,
         );
         counter(
             &mut out,
             "sprint_batches_total",
-            "Engine batches dispatched by the batching loop.",
-            load(&self.batches),
+            "Engine calls, one per served /v1/serve request.",
+            completed,
         );
         gauge(
             &mut out,
             "sprint_requests_inflight",
             "Serve requests admitted but not yet completed.",
-            load(&self.inflight).to_string(),
+            load(&self.admitted).saturating_sub(completed).to_string(),
         );
         gauge(
             &mut out,

@@ -86,7 +86,7 @@ fn model_field(body: &Json) -> Result<(&str, ModelConfig), String> {
 
 /// An optional shape field: an integer in `1..=max`. Zero is refused
 /// here, at the door: a zero-sized grid is the client's mistake, and
-/// past this point it would fail a whole engine batch.
+/// past this point it would come back from the engine as a 500.
 fn bounded_field(body: &Json, key: &str, max: usize) -> Result<Option<usize>, String> {
     let Some(value) = body.get(key) else {
         return Ok(None);

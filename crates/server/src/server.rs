@@ -1,46 +1,33 @@
 //! The long-lived HTTP serving front end.
 //!
 //! ```text
-//!             ┌────────────┐   TcpStream    ┌──────────────────┐
-//!  clients ──▶│  listener  │──sync_channel─▶│ handler pool (N) │
-//!             └────────────┘  (503 if full) └──────┬───────────┘
-//!                                    parse + admit │  reply rx
-//!                                                  ▼
-//!                              ┌──────────────────────────────┐
-//!                              │ AdmissionQueue (per tenant,  │
-//!                              │ bounded → 429 + Retry-After) │
-//!                              └──────────────┬───────────────┘
-//!                                 batch window│ round-robin drain
-//!                                             ▼
-//!                              ┌──────────────────────────────┐
-//!                              │ batcher → serve_many_report  │
-//!                              └──────────────────────────────┘
+//!  clients ─▶ listener ──sync_channel──▶ handler pool (N): parse, then on the same thread
+//!             (503 if full)               │ admit  AdmissionQueue per tenant (full → 429)
+//!                                         │ wait   one of K permits, granted by drain(1)
+//!                                         ▼ serve  ModelServer::serve, return the permit
 //! ```
 //!
-//! Three thread roles share one `Shared` block:
+//! Two thread roles share one `Shared` block:
 //!
 //! * the **listener** accepts sockets and feeds a bounded handoff
 //!   channel (an overflowing accept path answers `503` inline rather
 //!   than queueing connections invisibly);
 //! * **handlers** speak HTTP/1.1 keep-alive, parse and route
-//!   requests, and — for `/v1/serve` — park on a per-request reply
-//!   channel after admission;
-//! * the **batcher** wakes every batching window, drains up to
-//!   `max_batch` admitted requests fairly across tenants, and runs
-//!   them as one [`ModelServer::serve_many_report`] call, so
-//!   coalescing under load is deterministic in shape.
+//!   requests, and run each on their own thread; a `/v1/serve`
+//!   request first passes the `Gate` (see the diagram), whose
+//!   round-robin grants make a flooding tenant delay itself only.
 //!
 //! Shutdown is graceful by construction: the queue closes first (new
-//! work is refused with `503` + `Retry-After`), the batcher drains
-//! everything already admitted, and only then do the listener and
-//! handler pool wind down — an admitted request always gets its
-//! response.
+//! work is refused with `503` + `Retry-After`), the gate waits until
+//! every admitted request has been served and every permit is back,
+//! and only then do the listener and handler pool wind down — an
+//! admitted request always gets its response.
 
 use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
@@ -48,13 +35,10 @@ use crate::metrics::Metrics;
 use crate::protocol::{self, DecodeOpen, ServeRequest};
 use crate::queue::{AdmissionQueue, Rejection};
 use minihttp::{read_request, Request, Response};
-use sprint_engine::{
-    Engine, ModelRequest, ModelResponse, ModelServer, SessionError, SessionOpen, SessionTable,
-    SprintError,
-};
+use sprint_engine::{Engine, ModelServer, SessionError, SessionOpen, SessionTable};
 use sprint_workloads::TraceGenerator;
 
-/// How the server is built: socket, pool sizes, batching, and
+/// How the server is built: socket, pool sizes, service permits, and
 /// admission capacities.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -65,25 +49,21 @@ pub struct ServerConfig {
     /// Sockets the listener may park while every handler is busy
     /// (beyond this, connections get an inline `503`).
     pub accept_backlog: usize,
-    /// The batching window: how long the batcher sleeps between
-    /// queue drains. Longer windows coalesce more per engine batch.
-    pub batch_window: Duration,
-    /// Most serve requests per engine batch.
-    pub max_batch: usize,
     /// Per-tenant admission-queue capacity.
     pub queue_per_tenant: usize,
     /// Global admission capacity across tenants.
     pub queue_global: usize,
-    /// Worker-thread cap handed to the engine per batch.
+    /// Service permits: how many admitted `/v1/serve` requests run on
+    /// their handlers at once; the rest wait in the admission queue.
     pub engine_workers: usize,
     /// Most decode sessions allowed to hold KV pages at once; the
     /// least-recently-used session beyond this is evicted (its pages
     /// return to the engine's shared pool, its next step rehydrates it
     /// transparently). `None` leaves residency to pool pressure alone.
     pub max_resident_sessions: Option<usize>,
-    /// Test hook: an artificial service delay inserted before each
-    /// engine batch. Lets the overload and drain tests hold requests
-    /// in flight deterministically. `None` in production.
+    /// Test hook: a delay a `/v1/serve` request sleeps once it holds
+    /// its permit, so the overload and drain tests can hold permits
+    /// deterministically. `None` in production.
     pub service_delay: Option<Duration>,
 }
 
@@ -93,8 +73,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             http_threads: 4,
             accept_backlog: 64,
-            batch_window: Duration::from_millis(2),
-            max_batch: 16,
             queue_per_tenant: 32,
             queue_global: 128,
             engine_workers: sprint_parallel::max_threads(),
@@ -104,32 +82,118 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted serve request parked in the queue.
-struct QueuedServe {
-    request: ModelRequest,
-    admitted_at: Instant,
-    reply: mpsc::Sender<Result<ModelResponse, SprintError>>,
+/// The fair service gate: admitted tickets wait in the admission queue
+/// until one of `permits` service permits frees, and `drain(1)` hands
+/// it to the next ticket in round-robin tenant order. One condvar wakes
+/// both the waiting handlers and the drain wait.
+struct Gate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+    permits: usize,
+}
+
+/// A ticket is its waiting handler's thread id: a handler waits for
+/// one request at a time.
+struct GateState {
+    queue: AdmissionQueue<ThreadId>,
+    free: usize,
+    /// Tickets granted a permit whose handler has not yet woken.
+    granted: Vec<ThreadId>,
+}
+
+impl GateState {
+    fn grant(&mut self) {
+        let granted = self.free.min(self.queue.depth());
+        self.free -= granted;
+        self.granted.extend(self.queue.drain(granted));
+    }
+}
+
+/// One held service permit; dropping it, also while unwinding, returns
+/// the permit and grants it to the next queued ticket.
+struct Permit<'a>(&'a Gate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.free += 1;
+        state.grant();
+        drop(state);
+        self.0.changed.notify_all();
+    }
+}
+
+impl Gate {
+    fn new(permits: usize, per_tenant: usize, global: usize) -> Gate {
+        let permits = permits.max(1);
+        let queue = AdmissionQueue::new(per_tenant, global);
+        let state = GateState {
+            queue,
+            free: permits,
+            granted: Vec::new(),
+        };
+        Gate {
+            state: Mutex::new(state),
+            changed: Condvar::new(),
+            permits,
+        }
+    }
+
+    /// No code panics while holding the gate lock and every update
+    /// leaves the state consistent, so a poisoned lock is recovered.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Admits a request under `tenant` (counting it admitted), then
+    /// blocks until it holds a permit.
+    fn enter(&self, tenant: &str, metrics: &Metrics) -> Result<Permit<'_>, Rejection> {
+        let ticket = std::thread::current().id();
+        let mut state = self.lock();
+        state.queue.submit(tenant, ticket)?;
+        metrics.admitted.fetch_add(1, Ordering::Relaxed);
+        state.grant();
+        while !state.granted.contains(&ticket) {
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.granted.retain(|&t| t != ticket);
+        Ok(Permit(self))
+    }
+
+    /// Closes admission, then waits until every admitted request has
+    /// been served and all permits are back.
+    fn close_and_drain(&self) {
+        let mut state = self.lock();
+        state.queue.close();
+        while state.queue.depth() > 0 || state.free < self.permits {
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 struct Shared {
     server: ModelServer,
     config: ServerConfig,
     metrics: Metrics,
-    queue: Mutex<AdmissionQueue<QueuedServe>>,
-    queue_cv: Condvar,
+    gate: Gate,
     shutdown: AtomicBool,
     /// Every open `/v1/decode` session: residency, LRU eviction and
     /// rehydration all happen inside the table.
     sessions: SessionTable,
 }
 
-/// A running server: the listener, handler pool and batcher threads,
-/// plus the shared state they communicate through.
+/// A running server: the listener and handler pool threads, plus the
+/// shared state they communicate through.
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: std::net::SocketAddr,
-    listener: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
+    listener: JoinHandle<()>,
     handlers: Vec<JoinHandle<()>>,
 }
 
@@ -154,11 +218,11 @@ impl Server {
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             server: ModelServer::new(engine),
-            queue: Mutex::new(AdmissionQueue::new(
+            gate: Gate::new(
+                config.engine_workers,
                 config.queue_per_tenant,
                 config.queue_global,
-            )),
-            queue_cv: Condvar::new(),
+            ),
             shutdown: AtomicBool::new(false),
             metrics: Metrics::new(),
             sessions: SessionTable::new(config.max_resident_sessions),
@@ -174,7 +238,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             handlers.push(std::thread::spawn(move || loop {
                 let stream = {
-                    let rx = rx.lock().expect("conn channel poisoned");
+                    let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
                     rx.recv()
                 };
                 match stream {
@@ -189,16 +253,10 @@ impl Server {
             std::thread::spawn(move || listen_loop(&shared, &listener, &conn_tx))
         };
 
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || batch_loop(&shared))
-        };
-
         Ok(Server {
             shared,
             local_addr,
-            listener: Some(listener_thread),
-            batcher: Some(batcher),
+            listener: listener_thread,
             handlers,
         })
     }
@@ -215,22 +273,16 @@ impl Server {
 
     /// Gracefully shuts down: refuse new work, drain everything
     /// already admitted, then stop the threads.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         // 1. Close admission — queued and in-flight work still drains.
-        self.shared.queue.lock().expect("queue poisoned").close();
-        self.shared.queue_cv.notify_all();
-        // 2. The batcher exits once the closed queue is empty; joining
-        //    it proves every admitted request got a response.
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
-        }
+        // 2. Wait until the closed queue is empty and every permit is
+        //    back: every admitted request has then been served.
+        self.shared.gate.close_and_drain();
         // 3. Now stop accepting sockets and wind down the handlers
         //    (their idle keep-alive loops poll this flag).
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(listener) = self.listener.take() {
-            let _ = listener.join(); // dropping the thread drops conn_tx
-        }
-        for handler in self.handlers.drain(..) {
+        let _ = self.listener.join(); // dropping the thread drops conn_tx
+        for handler in self.handlers {
             let _ = handler.join();
         }
     }
@@ -262,78 +314,6 @@ fn listen_loop(shared: &Shared, listener: &TcpListener, conn_tx: &mpsc::SyncSend
     }
 }
 
-fn batch_loop(shared: &Shared) {
-    loop {
-        let batch: Vec<QueuedServe> = {
-            let mut queue = shared.queue.lock().expect("queue poisoned");
-            // Sleep out the batching window (or until woken) so
-            // concurrent arrivals coalesce into one engine batch.
-            if queue.depth() == 0 {
-                if queue.is_closed() {
-                    return;
-                }
-                let (q, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, shared.config.batch_window)
-                    .expect("queue poisoned");
-                queue = q;
-            }
-            queue.drain(shared.config.max_batch)
-        };
-        if batch.is_empty() {
-            continue;
-        }
-        if let Some(delay) = shared.config.service_delay {
-            std::thread::sleep(delay);
-        }
-        shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
-        let requests: Vec<ModelRequest> = batch.iter().map(|q| q.request.clone()).collect();
-        match shared
-            .server
-            .serve_many_report(shared.config.engine_workers, &requests)
-        {
-            Ok((responses, _)) => {
-                for (queued, response) in batch.into_iter().zip(responses) {
-                    finish_serve(shared, queued, Ok(response));
-                }
-            }
-            Err(_) => {
-                // One bad request fails a whole batch; retry each
-                // request alone so its neighbors still succeed and the
-                // offender gets its own error.
-                for queued in batch {
-                    let result = shared
-                        .server
-                        .serve_many_report(
-                            shared.config.engine_workers,
-                            std::slice::from_ref(&queued.request),
-                        )
-                        .map(|(mut responses, _)| responses.remove(0));
-                    finish_serve(shared, queued, result);
-                }
-            }
-        }
-    }
-}
-
-fn finish_serve(shared: &Shared, queued: QueuedServe, result: Result<ModelResponse, SprintError>) {
-    if let Ok(response) = &result {
-        shared.metrics.record_faults(
-            response.total.faults_detected,
-            response.total.fault_retries,
-            response.total.remapped_columns,
-            response.total.heads_demoted,
-        );
-    }
-    shared
-        .metrics
-        .record_latency(queued.admitted_at.elapsed().as_nanos() as u64);
-    shared.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
-    shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
-    // A dropped receiver means the client hung up; nothing to do.
-    let _ = queued.reply.send(result);
-}
-
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut reader = BufReader::new(match stream.try_clone() {
@@ -363,8 +343,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let body = Json::obj([("error", Json::Str(e.to_string()))]).to_string();
-                let _ = Response::json(400, body).write_to(&mut writer, false);
+                let _ = error_json(400, e.to_string()).write_to(&mut writer, false);
                 return;
             }
             Err(_) => return,
@@ -377,7 +356,7 @@ fn route(shared: &Shared, request: &Request) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") => health(shared),
         ("GET", "/metrics") => {
-            let depth = shared.queue.lock().expect("queue poisoned").depth();
+            let depth = shared.gate.lock().queue.depth();
             let pool = shared.server.engine().kv_pool();
             // The table owns these two counts; the exposition copies them.
             let metrics = &shared.metrics;
@@ -404,7 +383,7 @@ fn route(shared: &Shared, request: &Request) -> Response {
 }
 
 fn health(shared: &Shared) -> Response {
-    let draining = shared.queue.lock().expect("queue poisoned").is_closed();
+    let draining = shared.gate.lock().queue.is_closed();
     let body = Json::obj([
         (
             "status",
@@ -418,71 +397,68 @@ fn health(shared: &Shared) -> Response {
     Response::json(if draining { 503 } else { 200 }, body.to_string())
 }
 
-fn bad_request(message: impl Into<String>) -> Response {
+/// A `{"error": message}` response.
+fn error_json(status: u16, message: impl Into<String>) -> Response {
     let body = Json::obj([("error", Json::Str(message.into()))]).to_string();
-    Response::json(400, body)
+    Response::json(status, body)
 }
 
 fn serve_endpoint(shared: &Shared, request: &Request) -> Response {
     let body = match Json::parse(&request.body_str()) {
         Ok(body) => body,
-        Err(e) => return bad_request(format!("invalid JSON body: {e}")),
+        Err(e) => return error_json(400, format!("invalid JSON body: {e}")),
     };
     let serve = match ServeRequest::parse(&body) {
         Ok(serve) => serve,
-        Err(e) => return bad_request(e),
+        Err(e) => return error_json(400, e),
     };
-    let tenant = request.header("x-tenant").unwrap_or("default").to_string();
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let queued = QueuedServe {
-        request: serve.to_model_request(),
-        admitted_at: Instant::now(),
-        reply: reply_tx,
-    };
-    {
-        let mut queue = shared.queue.lock().expect("queue poisoned");
-        if let Err(rejection) = queue.submit(&tenant, queued) {
-            let status = match rejection {
-                Rejection::Closed => {
-                    shared.metrics.unavailable.fetch_add(1, Ordering::Relaxed);
-                    503
-                }
-                _ => {
-                    shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                    429
-                }
+    let tenant = request.header("x-tenant").unwrap_or("default");
+    let admitted_at = Instant::now();
+    let permit = match shared.gate.enter(tenant, &shared.metrics) {
+        Ok(permit) => permit,
+        Err(rejection) => {
+            let (status, shed) = match rejection {
+                Rejection::Closed => (503, &shared.metrics.unavailable),
+                _ => (429, &shared.metrics.rejected),
             };
-            let body = Json::obj([("error", Json::Str(rejection.reason()))]).to_string();
-            return Response::json(status, body)
+            shed.fetch_add(1, Ordering::Relaxed);
+            return error_json(status, rejection.reason())
                 .with_header("Retry-After", rejection.retry_after_s().to_string());
         }
-        shared.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.inflight.fetch_add(1, Ordering::Relaxed);
+    };
+    if let Some(delay) = shared.config.service_delay {
+        std::thread::sleep(delay);
     }
-    shared.queue_cv.notify_all();
-    // Wait for the batcher. The generous bound only trips if the
-    // batcher died; admitted work is otherwise always answered.
-    match reply_rx.recv_timeout(Duration::from_secs(120)) {
-        Ok(Ok(response)) => Response::json(200, protocol::response_json(&response).to_string()),
-        Ok(Err(e)) => {
-            let body = Json::obj([("error", Json::Str(e.to_string()))]).to_string();
-            Response::json(500, body)
+    let result = shared.server.serve(&serve.to_model_request());
+    drop(permit);
+    let metrics = &shared.metrics;
+    metrics.record_latency(admitted_at.elapsed().as_nanos() as u64);
+    metrics.completed.fetch_add(1, Ordering::Relaxed);
+    match result {
+        Ok(response) => {
+            metrics.record_faults(
+                response.total.faults_detected,
+                response.total.fault_retries,
+                response.total.remapped_columns,
+                response.total.heads_demoted,
+            );
+            Response::json(200, protocol::response_json(&response).to_string())
         }
-        Err(_) => Response::json(500, r#"{"error":"serve batch loop unresponsive"}"#),
+        Err(e) => error_json(500, e.to_string()),
     }
 }
 
 fn decode_endpoint(shared: &Shared, request: &Request) -> Response {
     let body = match Json::parse(&request.body_str()) {
         Ok(body) => body,
-        Err(e) => return bad_request(format!("invalid JSON body: {e}")),
+        Err(e) => return error_json(400, format!("invalid JSON body: {e}")),
     };
     match (body.str_field("action"), body.u64_field("session")) {
         (Some("open"), _) => decode_open(shared, &body),
         (Some("step"), Some(id)) => decode_step(shared, id).unwrap_or_else(session_error),
         (Some("close"), Some(id)) => decode_close(shared, id).unwrap_or_else(session_error),
-        (Some("step" | "close"), None) => bad_request("missing 'session' id"),
-        _ => bad_request("'action' must be one of open, step, close"),
+        (Some("step" | "close"), None) => error_json(400, "missing 'session' id"),
+        _ => error_json(400, "'action' must be one of open, step, close"),
     }
 }
 
@@ -496,8 +472,7 @@ fn session_error(e: SessionError) -> Response {
         SessionError::Exhausted(_) | SessionError::PoolExhausted(_) => 409,
         SessionError::Engine(_) => 500,
     };
-    let body = Json::obj([("error", Json::Str(e.to_string()))]).to_string();
-    let response = Response::json(status, body);
+    let response = error_json(status, e.to_string());
     if matches!(e, SessionError::PoolExhausted(_)) {
         response.with_header("Retry-After", "1")
     } else {
@@ -506,19 +481,19 @@ fn session_error(e: SessionError) -> Response {
 }
 
 fn decode_open(shared: &Shared, body: &Json) -> Response {
-    if shared.queue.lock().expect("queue poisoned").is_closed() {
+    if shared.gate.lock().queue.is_closed() {
         return Response::json(503, r#"{"error":"server is draining"}"#)
             .with_header("Retry-After", "5");
     }
     let open = match DecodeOpen::parse(body) {
         Ok(open) => open,
-        Err(e) => return bad_request(e),
+        Err(e) => return error_json(400, e),
     };
     let mut spec = open.model.trace_spec().with_seq_len(open.seq_len);
     spec.padding_fraction = 0.0; // decode histories hold only real tokens
     let trace = match TraceGenerator::new(open.seed).generate(&spec) {
         Ok(trace) => trace,
-        Err(e) => return bad_request(format!("trace synthesis failed: {e}")),
+        Err(e) => return error_json(400, format!("trace synthesis failed: {e}")),
     };
     let opened = shared.sessions.open(
         shared.server.engine(),
@@ -587,4 +562,38 @@ fn decode_close(shared: &Shared, id: u64) -> Result<Response, SessionError> {
         ("demoted", Json::Bool(perf.demoted)),
     ]);
     Ok(Response::json(200, body.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panic_while_holding_a_permit_returns_it_and_the_drain_finishes() {
+        let (gate, metrics) = (Gate::new(1, 4, 4), Metrics::new());
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _permit = gate.enter("a", &metrics).expect("admitted");
+                while gate.lock().queue.depth() == 0 {
+                    std::thread::yield_now();
+                }
+                // The next request waits: panic under the gate lock too,
+                // so the unwinding permit meets a poisoned lock.
+                let _state = gate.lock();
+                panic!("injected panic holding the permit and the gate lock");
+            });
+            while gate.lock().free > 0 {
+                std::thread::yield_now();
+            }
+            let waiter = scope.spawn(|| drop(gate.enter("b", &metrics).expect("admitted")));
+            assert!(holder.join().is_err());
+            assert!(waiter.join().is_ok(), "the queued request gets the permit");
+        });
+        assert!(gate.state.is_poisoned());
+        gate.close_and_drain();
+        assert_eq!(gate.enter("c", &metrics).err(), Some(Rejection::Closed));
+        let state = gate.lock();
+        assert_eq!((state.free, state.granted.len()), (1, 0));
+        assert_eq!(metrics.admitted.load(Ordering::Relaxed), 2);
+    }
 }

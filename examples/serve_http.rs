@@ -8,8 +8,8 @@
 //!
 //! An `ArrivalSpec` stream drives the traffic; requests travel
 //! through TCP, HTTP/1.1 keep-alive parsing, per-tenant admission
-//! queues and the deterministic batching window before they reach the
-//! engine — and the responses coming back are bit-identical to direct
+//! queues and the fair service permits before they reach the engine —
+//! and the responses coming back are bit-identical to direct
 //! in-process `ModelServer` calls.
 
 use sprint_engine::{Engine, SprintConfig};
@@ -31,8 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("GET /health -> {} {}", health.status, health.body_str());
 
     // A bursty stream: 48 requests at a 25 ms long-run mean gap,
-    // arriving in bursts of 6 spread over 2 ms — the worst case for a
-    // batching window, and exactly what `ArrivalShape::Burst` models.
+    // arriving in bursts of 6 spread over 2 ms — more at once than
+    // there are service permits, and exactly what `ArrivalShape::Burst`
+    // models.
     let arrivals = TraceGenerator::new(42)
         .arrivals(&ArrivalSpec::poisson(48, 25_000_000.0, 1).burst(6, 2_000_000.0))?;
     let body = r#"{"model":"synth1","layers":1,"heads":1,"seq_len":16,"seed":3}"#;

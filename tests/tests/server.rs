@@ -416,11 +416,11 @@ fn pool_exhaustion_409s_only_when_nothing_is_evictable() {
 
 #[test]
 fn overload_sheds_with_429_and_retry_after() {
-    // One slow batch at a time (50 ms service delay), one-deep queues:
+    // One slow request at a time (50 ms service delay), one-deep queues:
     // concurrent clients beyond ~3 in flight must see 429s.
     let server = boot(ServerConfig {
         http_threads: 10,
-        max_batch: 1,
+        engine_workers: 1,
         queue_per_tenant: 1,
         queue_global: 1,
         service_delay: Some(Duration::from_millis(50)),
@@ -535,7 +535,7 @@ fn fresh_tenant_names_are_served_fairly_and_leave_the_queue_empty() {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_requests() {
-    // A request enters the (slow) batcher; shutdown must wait for it.
+    // A request holds a (slow) service permit; shutdown must wait for it.
     let server = boot(ServerConfig {
         service_delay: Some(Duration::from_millis(300)),
         ..ServerConfig::default()

@@ -642,13 +642,6 @@ fn recompute(
     Ok(output)
 }
 
-/// Integer dot product (the QK-PU's i8 × i8 → i32 MAC chain), the
-/// scalar tier of [`simd::idot`].
-#[inline]
-pub(crate) fn idot(a: &[i32], b: &[i32]) -> i32 {
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-}
-
 /// The row core's first stage, shared by the batch and the decode
 /// kernel (so their bit-identical contract holds by construction):
 /// the QK-PU writes the dequantized score of each of the row's kept

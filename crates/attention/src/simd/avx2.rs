@@ -796,44 +796,41 @@ unsafe fn av_key64(acc: &mut [__m256; 8], p: f32, v: &[f32], j: usize) {
     }
 }
 
-/// Integer dot product over `i32` code rows (the QK-PU MAC chain).
-/// Bit-identical to the scalar sum: integer addition is associative
-/// and 8-bit code products cannot overflow `i32`.
+/// The QK-PU's MAC chain over two `i8` code rows: sixteen codes at a
+/// time are widened to `i16` and multiplied pairwise into eight `i32`
+/// lanes (`vpmaddwd`: `i8` products and their pair sums are exact), the
+/// lanes summed and the `len % 16` tail added scalar. Integer sums are
+/// exact in any order, so the value is the scalar tier's.
 ///
 /// # Safety
 ///
 /// Requires AVX2+FMA. Slices should have equal length
 /// (debug-asserted); the trip count is bounded by the shorter one.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn idot(a: &[i32], b: &[i32]) -> i32 {
+pub(crate) unsafe fn idot(a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len(), "idot of unequal lengths");
     let n = a.len().min(b.len());
     let mut acc = _mm256_setzero_si256();
     let mut i = 0;
-    while i + 8 <= n {
-        // SAFETY: `i + 8 <= n` bounds both 8-lane loads.
+    while i + 16 <= n {
+        // SAFETY: `i + 16 <= n` bounds both 16-byte loads.
         unsafe {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(va, vb));
+            let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(i).cast()));
+            let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(i).cast()));
+            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
         }
-        i += 8;
+        i += 16;
     }
     let mut sum = hsum_epi32(acc);
-    while i < n {
-        sum = sum.wrapping_add(a[i].wrapping_mul(b[i]));
-        i += 1;
+    for (&x, &y) in a[i..n].iter().zip(&b[i..n]) {
+        sum = sum.wrapping_add(i32::from(x) * i32::from(y));
     }
     sum
 }
 
 /// The QK-PU over one query row, one call for all its kept keys:
-/// `out[n]` gets the dot of the `i8` query codes with key `kept[n]`'s
-/// codes as `f32` times `lsb`. Sixteen codes at a time are widened to
-/// `i16` and multiplied pairwise into eight `i32` lanes (`vpmaddwd`:
-/// `i8` products and their pair sums are exact), the lanes summed and
-/// the `d % 16` tail added scalar — integer sums are exact in any
-/// order, so every score is the scalar tier's.
+/// `out[n]` gets the [`idot`] of the `i8` query codes with key
+/// `kept[n]`'s codes as `f32` times `lsb`.
 ///
 /// # Safety
 ///
@@ -850,23 +847,8 @@ pub(crate) unsafe fn qk_row<'k>(
     for (slot, &j) in out.iter_mut().zip(kept) {
         let k = key(j as usize);
         debug_assert_eq!(k.len(), q.len(), "key row width");
-        let n = q.len().min(k.len());
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 16 <= n {
-            // SAFETY: `i + 16 <= n` bounds both 16-byte loads.
-            unsafe {
-                let a = _mm256_cvtepi8_epi16(_mm_loadu_si128(q.as_ptr().add(i).cast()));
-                let b = _mm256_cvtepi8_epi16(_mm_loadu_si128(k.as_ptr().add(i).cast()));
-                acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));
-            }
-            i += 16;
-        }
-        let mut sum = hsum_epi32(acc);
-        for (&a, &b) in q[i..n].iter().zip(&k[i..n]) {
-            sum = sum.wrapping_add(i32::from(a) * i32::from(b));
-        }
-        *slot = sum as f32 * lsb;
+        // SAFETY: the caller guarantees AVX2+FMA.
+        *slot = unsafe { idot(q, k) } as f32 * lsb;
     }
 }
 

@@ -325,11 +325,12 @@ pub(crate) fn av_rows(
     }
 }
 
-/// Integer QK-PU dot over `i32` code rows (8-bit-range codes, whose
-/// products cannot overflow the `i32` sum). Public for `sprint-reram`'s
-/// one exact MSB dot, which walks the same codes; a forced
-/// [`SimdTier::Avx2`] on a host without it takes the scalar arm.
-pub fn idot(tier: SimdTier, a: &[i32], b: &[i32]) -> i32 {
+/// Integer QK-PU dot of two `i8` code rows over the shorter row's
+/// length, summed exactly in `i32`.
+/// Public for `sprint-reram`'s one exact MSB dot, which walks its
+/// crossbars' `i8` code image; a forced [`SimdTier::Avx2`] on a host
+/// without it takes the scalar arm.
+pub fn idot(tier: SimdTier, a: &[i8], b: &[i8]) -> i32 {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 && avx2_available() {
         // SAFETY: AVX2+FMA were just confirmed; memory accesses are
@@ -337,7 +338,7 @@ pub fn idot(tier: SimdTier, a: &[i32], b: &[i32]) -> i32 {
         return unsafe { avx2::idot(a, b) };
     }
     let _ = tier;
-    crate::attention::idot(a, b)
+    scalar::idot(a, b)
 }
 
 /// The two-LUT softmax's exponent pass over a row with maximum `max`:
@@ -608,7 +609,8 @@ mod tests {
     /// `a` and `b`. The row kernels see five keys of `i8` codes — `a`,
     /// `b`, their negations and the `-128` extreme — kept in a scrambled
     /// order, each twice, with probabilities whose codes run from 0
-    /// (skipped) to 255 around `p_code`.
+    /// (skipped) to 255 around `p_code`; the dot pairs `a` with `b` and
+    /// with its negation, and the extreme with itself and with `b`.
     fn integer_kernels(tier: SimdTier, a: &[i32], b: &[i32], p_code: i32) -> Vec<Vec<i32>> {
         let i8s =
             |row: &[i32]| -> Vec<i8> { row.iter().map(|&c| c.clamp(-128, 127) as i8).collect() };
@@ -630,8 +632,14 @@ mod tests {
             .collect();
         let mut acc = vec![7i32; a.len()];
         vpu_row(tier, &mut acc, &kept, &probs, key);
+        let dots = [
+            (&a8, &b8),
+            (&a8, &keys[2]),
+            (&keys[4], &keys[4]),
+            (&keys[4], &b8),
+        ];
         vec![
-            vec![idot(tier, a, b)],
+            dots.iter().map(|(x, y)| idot(tier, x, y)).collect(),
             scores.iter().map(|s| s.to_bits() as i32).collect(),
             acc,
         ]

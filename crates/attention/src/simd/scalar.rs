@@ -183,9 +183,18 @@ pub(super) fn av_row(out: &mut [f32], probs: &[f32], v: &[f32], d_v: usize, skip
     }
 }
 
-/// The QK-PU over one query row: `out[n]` gets the `i8 × i8` dot of
-/// `q` with key `kept[n]`'s codes, summed in `i32`, as `f32` times
-/// `lsb`.
+/// The QK-PU's MAC chain: the `i8 × i8` dot of `a` and `b`, summed in
+/// `i32` (exact: 8-bit products of any row length the crossbars and
+/// heads use stay far inside `i32`).
+pub(super) fn idot(a: &[i8], b: &[i8]) -> i32 {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| i32::from(x) * i32::from(y))
+        .sum()
+}
+
+/// The QK-PU over one query row: `out[n]` gets the [`idot`] of `q`
+/// with key `kept[n]`'s codes as `f32` times `lsb`.
 pub(super) fn qk_row<'k>(
     q: &[i8],
     kept: &[u32],
@@ -194,12 +203,7 @@ pub(super) fn qk_row<'k>(
     out: &mut [f32],
 ) {
     for (slot, &j) in out.iter_mut().zip(kept) {
-        let dot: i32 = q
-            .iter()
-            .zip(key(j as usize))
-            .map(|(&a, &b)| i32::from(a) * i32::from(b))
-            .sum();
-        *slot = dot as f32 * lsb;
+        *slot = idot(q, key(j as usize)) as f32 * lsb;
     }
 }
 

@@ -12,15 +12,28 @@
 //!
 //! Both decode the same token stream with the same seeds. The ratio of
 //! the two medians is the decode speedup (the session side must hold
-//! ≥5x tokens/sec at s = 512); run with `-- --bench-json` to record
-//! both in `BENCH_report.json`.
+//! ≥5x tokens/sec at s = 512).
+//!
+//! Beside them, what a rehydrated session pays for its crossbars over a
+//! GPT-2-large 320-row history under the default noise (sampled in
+//! alternation, see [`rebuild_samples`]):
+//!
+//! * `rebuild/fresh_gpt2l_h320` — `InMemoryPruner::new`, every cell's
+//!   programming variation drawn and transformed;
+//! * `rebuild/in_place_gpt2l_h320` — `InMemoryPruner::reprogram` of a
+//!   pruner whose last 20 keys were appended after reads, as an evicted
+//!   session's are: the 300 columns before them keep their weights.
+//!
+//! `report --check` holds `in_place` at most half of `fresh`. Run with
+//! `-- --bench-json` to record all four rows in `BENCH_report.json`.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 
 use sprint_attention::Matrix;
 use sprint_engine::{DecodeStep, Engine, HeadRequest, SessionRequest, SprintConfig};
-use sprint_reram::NoiseModel;
+use sprint_reram::{InMemoryPruner, NoiseModel, ThresholdSpec};
 use sprint_workloads::{HeadTrace, ModelConfig, TraceGenerator};
 
 const TOTAL: usize = 512;
@@ -37,6 +50,84 @@ fn stream() -> HeadTrace {
 
 fn prefix(m: &Matrix, n: usize) -> Matrix {
     m.prefix_rows(n).expect("prefix")
+}
+
+/// History rows of the rebuild rows: about what a `decode_churn`
+/// session holds when it resumes.
+const HISTORY: usize = 320;
+/// Of those, the keys appended one decode step at a time before the
+/// in-place reprogram.
+const APPENDED: usize = 20;
+/// Samples of each rebuild row.
+const REBUILD_SAMPLES: usize = 10;
+
+/// Samples of `rebuild/fresh_gpt2l_h320` and
+/// `rebuild/in_place_gpt2l_h320`, the two rows the rebuild floor
+/// divides. A round times both, in alternating order, so a slow spell
+/// lands on both alike. Before each in-place sample, untimed, the pruner
+/// is programmed over the first 300 rows and then decodes the last 20 as
+/// a session does (append the key, calibrate, threshold the query), so
+/// every sample reprograms the same state; both pruners must then
+/// threshold a query to the same bits.
+fn rebuild_samples() -> (Vec<u128>, Vec<u128>) {
+    let spec = ModelConfig::gpt2_large()
+        .trace_spec()
+        .with_seq_len(HISTORY)
+        .with_padding(0.0);
+    let trace = TraceGenerator::new(0x4e5).generate(&spec).expect("trace");
+    let (k, q) = (trace.k(), trace.q());
+    let d = k.cols();
+    let q0 = Matrix::zeros(1, d).expect("placeholder query");
+    let (scale, noise, seed) = (trace.config().scale(), NoiseModel::default(), 7);
+    let first = k.prefix_rows(HISTORY - APPENDED).expect("prefix");
+    let spec = ThresholdSpec::default();
+    let mut in_place = InMemoryPruner::new(&q0, &first, scale, noise, seed).expect("pruner");
+    let decode = |pruner: &mut InMemoryPruner| {
+        pruner
+            .reprogram(&q0, &first, scale, noise, seed)
+            .expect("reprogram");
+        for t in HISTORY - APPENDED..HISTORY {
+            let history = || k.prefix_rows(t + 1).expect("history");
+            pruner.extend_row(k.row(t), history).expect("append");
+            let q1 = Matrix::from_vec(1, d, q.row(t).to_vec()).expect("query");
+            pruner.calibrate_query(&q1, false).expect("calibrate");
+            pruner
+                .prune_query(q.row(t), trace.threshold(), &spec)
+                .expect("prune");
+        }
+    };
+    let time = |build: &mut dyn FnMut()| {
+        let start = Instant::now();
+        build();
+        start.elapsed().as_nanos()
+    };
+    let (mut fresh, mut kept, mut built) = (Vec::new(), Vec::new(), None);
+    for round in 0..REBUILD_SAMPLES {
+        decode(&mut in_place);
+        let mut build_fresh = || {
+            built = Some(InMemoryPruner::new(&q0, k, scale, noise, seed).expect("pruner"));
+        };
+        let mut build_in_place = || {
+            in_place
+                .reprogram(&q0, k, scale, noise, seed)
+                .expect("reprogram");
+        };
+        if round % 2 == 0 {
+            fresh.push(time(&mut build_fresh));
+            kept.push(time(&mut build_in_place));
+        } else {
+            kept.push(time(&mut build_in_place));
+            fresh.push(time(&mut build_fresh));
+        }
+    }
+    let mut built = built.expect("sampled");
+    let row = q.row(HISTORY - 1);
+    assert_eq!(
+        built.prune_query(row, trace.threshold(), &spec),
+        in_place.prune_query(row, trace.threshold(), &spec),
+        "the in-place reprogram moved a bit"
+    );
+    (fresh, kept)
 }
 
 fn bench(c: &mut Criterion) {
@@ -95,6 +186,9 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    let (fresh, in_place) = rebuild_samples();
+    group.record_samples("rebuild/fresh_gpt2l_h320", fresh);
+    group.record_samples("rebuild/in_place_gpt2l_h320", in_place);
     group.finish();
 }
 

@@ -268,7 +268,7 @@ impl Report {
         report.save(path)
     }
 
-    /// Validates every bench row and runs the five floors; returns the
+    /// Validates every bench row and runs the six floors; returns the
     /// lines to print, one per floor checked or skipped, or the first
     /// malformed row or missed floor. A floor whose rows are absent is
     /// skipped: CI's fresh emission and the committed snapshot hold
@@ -317,6 +317,14 @@ impl Report {
             "sprint_head/bert_base_s512/width_1",
         );
         lines.push(floors.ratio("recompute", recompute, head, 0.0..=1.0 / 3.0)?);
+        // 6. A resumed session's crossbars pay only for the columns
+        // whose codes or draws changed: reprogramming them in place
+        // costs at most half a fresh build (read about a third).
+        let (in_place, fresh) = (
+            "decode_throughput/rebuild/in_place_gpt2l_h320",
+            "decode_throughput/rebuild/fresh_gpt2l_h320",
+        );
+        lines.push(floors.ratio("rebuild", in_place, fresh, 0.0..=0.5)?);
         let (benches, experiments) = (rows.len(), self.experiments.len());
         lines.push(format!(
             "{benches} bench rows and {experiments} experiments ok"
@@ -548,6 +556,12 @@ mod tests {
                 ns("sprint_head/bert_base_s512/recompute", kernel),
             ]
         };
+        let rebuild = |in_place| {
+            vec![
+                ns("decode_throughput/rebuild/fresh_gpt2l_h320", 1000),
+                ns("decode_throughput/rebuild/in_place_gpt2l_h320", in_place),
+            ]
+        };
         let unsampled = Row::value("dense/fused", Unit::Ns, 5, 0);
         let cases: Vec<(Vec<Row>, &str)> = vec![
             (simd(1, 200), "2.00x simd/avx2/dense-fused, inside"),
@@ -570,6 +584,14 @@ mod tests {
             (
                 recompute(101),
                 "!0.34x sprint_head/bert_base_s512/width_1, outside",
+            ),
+            (
+                rebuild(500),
+                "rebuild: decode_throughput/rebuild/in_place_gpt2l_h320 is 0.50x",
+            ),
+            (
+                rebuild(510),
+                "!0.51x decode_throughput/rebuild/fresh_gpt2l_h320, outside [0, 0.5]",
             ),
             (vec![unsampled], "!'dense/fused': missing or zero samples"),
             (

@@ -321,25 +321,43 @@ struct SessionParams {
 }
 
 /// A decode session with its pages dropped back to the pool: the
-/// configuration, seed, accounting and lifecycle flags survive, the KV
-/// cache, crossbars, controller and scratch do not.
+/// configuration, seed, accounting and lifecycle flags survive, and so
+/// do its programmed crossbars (the session's [`InMemoryPruner`]); the
+/// KV cache, controller and scratch do not.
 ///
 /// Deliberately, **no quantizer state survives eviction** — no running
-/// `max_abs`, no [`sprint_attention::QuantParams`], no programmed
-/// codes. [`Engine::resume_session`] rebuilds all of it from the
-/// replayed token history, exactly as a fresh prefill would, so the
-/// per-column running maxima are recomputed from the rows themselves
-/// rather than restored from a pre-eviction high-water mark (the
-/// running max over the same rows is the same max — which is what
-/// keeps a rehydrated session bit-identical to a never-evicted twin
-/// even when a recalibration straddles the eviction).
+/// `max_abs`, no [`sprint_attention::QuantParams`]. [`Engine::resume_session`]
+/// rebuilds all of it from the replayed token history, exactly as a
+/// fresh prefill would, so the per-column running maxima are recomputed
+/// from the rows themselves rather than restored from a pre-eviction
+/// high-water mark (the running max over the same rows is the same max
+/// — which is what keeps a rehydrated session bit-identical to a
+/// never-evicted twin even when a recalibration straddles the
+/// eviction).
+///
+/// The kept crossbars are only a cache of that rebuild: the resume
+/// reprograms them in place ([`InMemoryPruner::reprogram`]) from the
+/// requantized rows, and a column keeps its weights only when its new
+/// codes equal its stored ones, code by code, and its noise draws start
+/// where they did — the reseeded stream then replays the very draws
+/// that produced those weights, so no bit can differ from a fresh
+/// build. A parked analog session costs about 9 bytes per key element
+/// (an `f64` weight and an `i8` code per crossbar cell), the size of
+/// its `K` history in the crossbars' MSB image; a session that never
+/// programmed, or that runs digitally, parks none.
 ///
 /// The caller retains the token history (the serving layers keep the
 /// per-session trace seed and token count; the engine keeps nothing).
 #[derive(Debug)]
 pub struct EvictedSession {
     params: SessionParams,
+    /// The session had programmed its crossbars: its resume programs
+    /// them again.
     had_pruner: bool,
+    /// Those crossbars, for the resume to reprogram in place; `None`
+    /// when the session runs digitally, or once a resume took them (a
+    /// later resume of this stub then builds a fresh pruner).
+    pruner: Option<InMemoryPruner>,
     history_len: usize,
     d: usize,
     d_v: usize,
@@ -426,14 +444,20 @@ impl Engine {
     /// retained trace seed).
     ///
     /// The KV cache is requantized and, for analog sessions that had
-    /// programmed crossbars, the pruner is reprogrammed from scratch —
-    /// all derived from the rows themselves, never from cached
-    /// pre-eviction state (see [`EvictedSession`]). The reprogram cost
-    /// lands in [`SessionPerf::rehydration_energy`], so every
-    /// subsequent step's [`StepPerf`] stays bit-identical to a
-    /// never-evicted twin's. The stub is borrowed: on error (e.g. the
-    /// pool is still [`SprintError::is_pool_exhausted`]) it remains
-    /// valid and the resume can be retried after more eviction.
+    /// programmed crossbars, the stub's pruner is reprogrammed in place
+    /// over the whole history — every code and quantizer value derived
+    /// from the rows themselves (see [`EvictedSession`]). Only the
+    /// columns whose codes or draws changed pay for their programming
+    /// variation; the rest keep the weights a fresh build would draw
+    /// for them, so the result is the fresh build's, bit for bit. A stub
+    /// without a pruner builds a fresh one. The reprogram cost lands in
+    /// [`SessionPerf::rehydration_energy`], so every subsequent step's
+    /// [`StepPerf`] stays bit-identical to a never-evicted twin's.
+    ///
+    /// The KV cache is built first: on its error (e.g. the pool is
+    /// still [`SprintError::is_pool_exhausted`]) the stub is unchanged
+    /// and the resume can be retried after more eviction. A stub whose
+    /// reprogram fails loses its crossbars and rebuilds them on retry.
     ///
     /// # Errors
     ///
@@ -441,7 +465,7 @@ impl Engine {
     /// evicted geometry; pool exhaustion or substrate errors otherwise.
     pub fn resume_session(
         &self,
-        stub: &EvictedSession,
+        stub: &mut EvictedSession,
         k: &Matrix,
         v: &Matrix,
     ) -> Result<DecodeSession, SprintError> {
@@ -474,8 +498,14 @@ impl Engine {
             // every analog step and recomputes all query-side state,
             // so the placeholder never reaches a step's outcome.
             let q0 = Matrix::zeros(1, stub.d)?;
-            let mut p =
-                InMemoryPruner::new(&q0, k, params.attn.scale(), params.noise, params.seed)?;
+            let (scale, noise, seed) = (params.attn.scale(), params.noise, params.seed);
+            let mut p = match stub.pruner.take() {
+                Some(mut p) => {
+                    p.reprogram(&q0, k, scale, noise, seed)?;
+                    p
+                }
+                None => InMemoryPruner::new(&q0, k, scale, noise, seed)?,
+            };
             params.perf.rehydration_energy +=
                 program_energy(&params.config.energies, stub.history_len as u64, stub.d);
             if let Some(model) = params.fault_model {
@@ -524,21 +554,24 @@ impl DecodeSession {
     }
 
     /// Evicts the session: every KV page returns to the pool, the
-    /// crossbars, controller and scratch are dropped, and a small
-    /// [`EvictedSession`] stub survives with the configuration, seed
-    /// and accounting needed for [`Engine::resume_session`] to rebuild
-    /// the session — bit-identically — from the replayed history.
+    /// controller and scratch are dropped, and an [`EvictedSession`]
+    /// stub survives with the configuration, seed, accounting and — for
+    /// an analog session — the programmed crossbars that
+    /// [`Engine::resume_session`] needs to rebuild the session,
+    /// bit-identically, from the replayed history.
     pub fn evict(mut self) -> EvictedSession {
         self.params.perf.evictions += 1;
+        let analog = self.params.mode.uses_in_memory_pruning() && !self.params.demoted;
         EvictedSession {
             history_len: self.kv.len(),
             d: self.kv.embed_dim(),
             d_v: self.kv.value_dim(),
             had_pruner: self.pruner.is_some(),
+            pruner: self.pruner.take().filter(|_| analog),
             params: self.params,
         }
         // The partially-moved `self` drops here: the KvCache releases
-        // its pages, the pruner/controller/workspace free their state.
+        // its pages, the controller/workspace free their state.
     }
 
     /// Serves one decode step: appends the token's K/V to the history,
@@ -836,6 +869,60 @@ mod tests {
                 v: t.v().row(8)
             })
             .is_ok());
+    }
+
+    #[test]
+    fn a_resume_on_kept_crossbars_steps_as_one_on_fresh_crossbars() {
+        // Row 30's key is amplified, so the step that appends it
+        // recalibrates and reprograms the whole history: the evicted
+        // crossbars then hold columns from two full programs and columns
+        // appended after reads. Resuming the stub reprograms them in
+        // place; resuming it again, its crossbars taken by the first
+        // resume, builds fresh ones. Every later step must agree, under
+        // the default noise and with write-verify retries in the history.
+        let t = trace(48, 17);
+        let mut k = t.k().clone();
+        k.row_mut(30).iter_mut().for_each(|x| *x *= 4.0);
+        let v = t.v();
+        let transient = FaultModel::new(5).with_transient_rate(0.02).unwrap();
+        for fault in [None, Some(transient)] {
+            let mut builder = Engine::builder(SprintConfig::small())
+                .noise(NoiseModel::default())
+                .seed(11);
+            if let Some(model) = fault {
+                let policy = FaultPolicy::Retry { max_attempts: 4 };
+                builder = builder.fault_model(model).fault_policy(policy);
+            }
+            let e = builder.build().unwrap();
+            let (pk, pv) = (prefix(&k, 20), prefix(v, 20));
+            let request = SessionRequest::new(&pk, &pv, t.config(), t.threshold()).with_head_id(2);
+            let step = |session: &mut DecodeSession, i: usize| {
+                let row = DecodeStep {
+                    q: t.q().row(i),
+                    k: k.row(i),
+                    v: v.row(i),
+                };
+                session.step(&row).unwrap()
+            };
+            let mut session = e.open_session(&request).unwrap();
+            let recalibrations = (20..36)
+                .filter(|&i| step(&mut session, i).perf.recalibrated)
+                .count();
+            assert!(recalibrations > 0, "row 30 must recalibrate");
+            let mut stub = session.evict();
+            let (hk, hv) = (prefix(&k, 36), prefix(v, 36));
+            let mut kept = e.resume_session(&mut stub, &hk, &hv).unwrap();
+            assert!(stub.had_pruner && stub.pruner.is_none());
+            let mut fresh = e.resume_session(&mut stub, &hk, &hv).unwrap();
+            for i in 36..48 {
+                let label = format!("fault {fault:?}, step {i}");
+                assert_eq!(step(&mut kept, i), step(&mut fresh, i), "{label}");
+            }
+            assert_eq!(kept.perf(), fresh.perf());
+            if fault.is_some() {
+                assert!(kept.perf().fault_retries > 0, "retries in the history");
+            }
+        }
     }
 
     #[test]

@@ -255,7 +255,7 @@ impl SessionTable {
             return Err(SessionError::Exhausted(id));
         }
         *last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        if let Slot::Evicted(stub) = &*slot {
+        if let Slot::Evicted(stub) = slot {
             let k = trace.k().prefix_rows(t).map_err(SprintError::from)?;
             let v = trace.v().prefix_rows(t).map_err(SprintError::from)?;
             let session = self.with_room(Some(id), || engine.resume_session(stub, &k, &v))?;

@@ -45,8 +45,9 @@ pub(crate) struct CrossbarArray {
     rows: usize,
     cols: usize,
     cell_bits: u32,
-    /// Programmed integer codes, column-major (`cols × rows`).
-    codes: Vec<i32>,
+    /// Programmed integer codes, column-major (`cols × rows`). A cell
+    /// holds at most 8 bits, so each code is one `i8`.
+    codes: Vec<i8>,
     /// Effective analog weight of each cell (code × (1 + variation)),
     /// lane-blocked (see [`lane_cell`]); lanes past `cols` hold `0.0`.
     weights: Vec<f64>,
@@ -56,6 +57,15 @@ pub(crate) struct CrossbarArray {
     seed: u64,
     /// The noise stream (programming variation and read noise).
     rng: StdRng,
+    /// Uniform pairs drawn from `rng` since it was last seeded: a
+    /// programmed column's pairs while the programming sigma is
+    /// positive, a read's pairs while its sigma is.
+    draws: u64,
+    /// Per column, the value of `draws` where its last write started
+    /// ([`UNWRITTEN`] until it is written after a seeding that changed
+    /// the stream). [`CrossbarArray::program_all`] keeps a column whose
+    /// codes are unchanged and whose draws start there again.
+    written_at: Vec<u64>,
     /// Optional hard-fault injector. `None` leaves every path below
     /// bit-identical to the fault-unaware array.
     fault: Option<FaultModel>,
@@ -76,6 +86,9 @@ pub(crate) struct CrossbarArray {
 /// independent column sums one row step of a read advances.
 pub(crate) const LANES: usize = simd::SUM_LANES;
 
+/// `written_at` of a column with no write to reuse.
+const UNWRITTEN: u64 = u64::MAX;
+
 /// Cells of a lane-blocked `rows × cols` weight image (whole blocks).
 fn lane_cells(rows: usize, cols: usize) -> usize {
     cols.div_ceil(LANES) * rows * LANES
@@ -88,8 +101,8 @@ fn lane_cell(rows: usize, row: usize, col: usize) -> usize {
     (col / LANES * rows + row) * LANES + col % LANES
 }
 
-/// Shared geometry validation for [`CrossbarArray::new`] and
-/// [`CrossbarArray::reset`].
+/// Shared geometry validation for [`CrossbarArray::new`],
+/// [`CrossbarArray::reset`] and [`CrossbarArray::program_all`].
 fn validate_geometry(rows: usize, cols: usize, cell_bits: u32) -> Result<(), ReramError> {
     if rows == 0 {
         return Err(ReramError::InvalidGeometry {
@@ -109,6 +122,22 @@ fn validate_geometry(rows: usize, cols: usize, cell_bits: u32) -> Result<(), Rer
         )));
     }
     Ok(())
+}
+
+/// [`ReramError::CodeOutOfRange`] for the first code a
+/// `cell_bits`-deep signed cell cannot store.
+fn check_codes(codes: &[i8], cell_bits: u32) -> Result<(), ReramError> {
+    let half = 1i32 << (cell_bits - 1);
+    match codes
+        .iter()
+        .find(|&&v| !(-half..half).contains(&i32::from(v)))
+    {
+        Some(&v) => Err(ReramError::CodeOutOfRange {
+            code: v.into(),
+            bits: cell_bits,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// One in-situ read ([`CrossbarArray::read_into`]), split into its
@@ -183,6 +212,8 @@ impl CrossbarArray {
             noise,
             seed,
             rng: StdRng::seed_from_u64(seed),
+            draws: 0,
+            written_at: vec![UNWRITTEN; cols],
             fault: None,
             epochs: vec![0; cols],
             faulted_weights: Vec::new(),
@@ -199,10 +230,14 @@ impl CrossbarArray {
     /// code 0 — only the backing `Vec` capacities (invisible to the
     /// model) differ.
     ///
+    /// The programming code runs [`CrossbarArray::program_all`]; this
+    /// is its oracle in the tests.
+    ///
     /// # Errors
     ///
     /// Same validation as [`CrossbarArray::new`]; on error the array is
     /// left unchanged.
+    #[cfg(test)]
     pub fn reset(
         &mut self,
         rows: usize,
@@ -222,6 +257,9 @@ impl CrossbarArray {
         self.noise = noise;
         self.seed = seed;
         self.rng = StdRng::seed_from_u64(seed);
+        self.draws = 0;
+        self.written_at.clear();
+        self.written_at.resize(cols, UNWRITTEN);
         self.epochs.clear();
         self.epochs.resize(cols, 0);
         if self.fault.is_some() {
@@ -250,6 +288,7 @@ impl CrossbarArray {
         self.codes.resize(self.codes.len() + added * self.rows, 0);
         self.cols += added;
         self.weights.resize(lane_cells(self.rows, self.cols), 0.0);
+        self.written_at.resize(self.cols, UNWRITTEN);
         self.epochs.resize(self.cols, 0);
         if self.fault.is_some() {
             self.faulted_weights.resize(self.weights.len(), 0.0);
@@ -275,6 +314,7 @@ impl CrossbarArray {
     }
 
     /// Smallest storable signed code.
+    #[cfg(test)]
     pub fn code_min(&self) -> i32 {
         -(1 << (self.cell_bits - 1))
     }
@@ -290,7 +330,7 @@ impl CrossbarArray {
     /// Returns [`ReramError::IndexOutOfRange`] for a bad column,
     /// [`ReramError::LengthMismatch`] for a wrong vector length, or
     /// [`ReramError::CodeOutOfRange`] for codes outside the cell range.
-    pub fn program_column(&mut self, col: usize, values: &[i32]) -> Result<(), ReramError> {
+    pub fn program_column(&mut self, col: usize, values: &[i8]) -> Result<(), ReramError> {
         if col >= self.cols {
             return Err(ReramError::IndexOutOfRange {
                 what: "column",
@@ -305,22 +345,108 @@ impl CrossbarArray {
                 found: values.len(),
             });
         }
-        for &v in values {
-            if v < self.code_min() || v > self.code_max() {
-                return Err(ReramError::CodeOutOfRange {
-                    code: v,
-                    bits: self.cell_bits,
-                });
+        check_codes(values, self.cell_bits)?;
+        self.codes[col * self.rows..(col + 1) * self.rows].copy_from_slice(values);
+        self.write_weights(col);
+        Ok(())
+    }
+
+    /// Programs every column in place: bit for bit the same as
+    /// [`CrossbarArray::reset`]`(rows, cols, cell_bits, noise, seed)`
+    /// followed by [`CrossbarArray::program_column`] of each column's
+    /// `rows` codes of `codes` (column-major, `cols × rows`) in column
+    /// order — weights, codes, epochs, the stream and the fault overlay.
+    ///
+    /// A column keeps the weights it already holds when the array's
+    /// seed, noise model, rows and cell bits are unchanged, its codes
+    /// equal its stored codes, and its programming draws start at the
+    /// same pair of the reseeded stream as its last write did: the
+    /// stream replays the same pairs from the same seed, so those are
+    /// exactly the weights the write would store. A kept column still
+    /// draws and discards its pairs (only the transforms are saved), so
+    /// the stream, every later write and every read stay where they
+    /// were.
+    ///
+    /// # Errors
+    ///
+    /// As [`CrossbarArray::reset`]; [`ReramError::LengthMismatch`]
+    /// unless `codes` holds `rows × cols` codes and
+    /// [`ReramError::CodeOutOfRange`] for a code outside the cell
+    /// range. On error the array is left unchanged.
+    pub(crate) fn program_all(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        cell_bits: u32,
+        noise: NoiseModel,
+        seed: u64,
+        codes: &[i8],
+    ) -> Result<(), ReramError> {
+        validate_geometry(rows, cols, cell_bits)?;
+        if codes.len() != rows * cols {
+            return Err(ReramError::LengthMismatch {
+                what: "code image",
+                expected: rows * cols,
+                found: codes.len(),
+            });
+        }
+        check_codes(codes, cell_bits)?;
+        let same_stream =
+            (self.seed, self.noise, self.rows, self.cell_bits) == (seed, noise, rows, cell_bits);
+        if !same_stream {
+            self.written_at.fill(UNWRITTEN);
+        }
+        (self.rows, self.cols, self.cell_bits) = (rows, cols, cell_bits);
+        (self.noise, self.seed) = (noise, seed);
+        self.rng = StdRng::seed_from_u64(seed);
+        self.draws = 0;
+        self.written_at.resize(cols, UNWRITTEN);
+        self.codes.resize(rows * cols, 0);
+        self.weights.resize(lane_cells(rows, cols), 0.0);
+        // The last block's lanes past `cols` read as unprogrammed.
+        for c in cols..cols.next_multiple_of(LANES) {
+            for r in 0..rows {
+                self.weights[lane_cell(rows, r, c)] = 0.0;
             }
         }
+        self.epochs.clear();
+        self.epochs.resize(cols, 0);
+        if self.fault.is_some() {
+            self.faulted_weights.clear();
+            self.faulted_weights.resize(self.weights.len(), 0.0);
+        }
+        let sigma = noise.programming_sigma();
+        for (c, column) in codes.chunks_exact(rows).enumerate() {
+            let stored = &mut self.codes[c * rows..(c + 1) * rows];
+            if self.written_at[c] == self.draws && *stored == *column {
+                if sigma > 0.0 {
+                    for _ in 0..rows {
+                        uniforms(&mut self.rng);
+                    }
+                    self.draws += rows as u64;
+                }
+                self.epochs[c] += 1;
+                self.refresh_faulted_column(c);
+            } else {
+                stored.copy_from_slice(column);
+                self.write_weights(c);
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes column `col`'s analog weights for its stored codes, one
+    /// programming-variation draw per cell, and bumps its epoch.
+    fn write_weights(&mut self, col: usize) {
+        let rows = self.rows;
         let sigma = self.noise.programming_sigma();
         // While `sigma · RADIUS_CEILING < 1`, every variation factor
         // `1 + sigma·n` is positive, so a code-0 cell weighs `+0.0`
         // whatever it draws: its uniforms are drawn, its transform is
         // skipped.
         let zero_is_exact = sigma * RADIUS_CEILING < 1.0;
-        self.codes[col * self.rows..(col + 1) * self.rows].copy_from_slice(values);
-        for (r, &v) in values.iter().enumerate() {
+        self.written_at[col] = self.draws;
+        for (r, &v) in self.codes[col * rows..(col + 1) * rows].iter().enumerate() {
             let variation = if sigma > 0.0 {
                 let (u1, u2) = uniforms(&mut self.rng);
                 if v == 0 && zero_is_exact {
@@ -331,11 +457,13 @@ impl CrossbarArray {
             } else {
                 1.0
             };
-            self.weights[lane_cell(self.rows, r, col)] = v as f64 * variation;
+            self.weights[lane_cell(rows, r, col)] = f64::from(v) * variation;
+        }
+        if sigma > 0.0 {
+            self.draws += rows as u64;
         }
         self.epochs[col] += 1;
         self.refresh_faulted_column(col);
-        Ok(())
     }
 
     /// Returns the digitally read codes of column `col` — what the
@@ -357,7 +485,7 @@ impl CrossbarArray {
         }
         let intended = &self.codes[col * self.rows..(col + 1) * self.rows];
         let Some(fault) = &self.fault else {
-            return Ok(intended.to_vec());
+            return Ok(intended.iter().map(|&code| code.into()).collect());
         };
         let epoch = self.epochs[col];
         Ok(intended
@@ -365,10 +493,10 @@ impl CrossbarArray {
             .enumerate()
             .map(
                 |(r, &code)| match fault.cell_fault(self.seed, r, col, epoch) {
-                    CellFault::None => code,
+                    CellFault::None => code.into(),
                     CellFault::StuckOn => self.code_max(),
                     CellFault::StuckOff | CellFault::Transient => 0,
-                    CellFault::Worn(f) => (code as f64 * f).round() as i32,
+                    CellFault::Worn(f) => (f64::from(code) * f).round() as i32,
                 },
             )
             .collect())
@@ -383,7 +511,7 @@ impl CrossbarArray {
     /// # Errors
     ///
     /// Returns [`ReramError::IndexOutOfRange`] for a bad column.
-    pub fn intended_column(&self, col: usize) -> Result<&[i32], ReramError> {
+    pub fn intended_column(&self, col: usize) -> Result<&[i8], ReramError> {
         if col >= self.cols {
             return Err(ReramError::IndexOutOfRange {
                 what: "column",
@@ -415,7 +543,7 @@ impl CrossbarArray {
     /// `input.len() == rows`; `read` is then left untouched.
     pub(crate) fn read_into(
         &mut self,
-        input: &[i32],
+        input: &[i8],
         read: &mut ColumnRead,
     ) -> Result<(), ReramError> {
         if input.len() != self.rows {
@@ -426,7 +554,7 @@ impl CrossbarArray {
             });
         }
         self.drive.clear();
-        self.drive.extend(input.iter().map(|&x| x as f64));
+        self.drive.extend(input.iter().map(|&x| f64::from(x)));
         let effective = if self.fault.is_some() {
             &self.faulted_weights
         } else {
@@ -441,6 +569,7 @@ impl CrossbarArray {
             let rng = &mut self.rng;
             read.uniforms
                 .extend(read.sums.iter().map(|_| uniforms(rng)));
+            self.draws += self.cols as u64;
         }
         Ok(())
     }
@@ -448,7 +577,7 @@ impl CrossbarArray {
     /// [`CrossbarArray::read_into`] with every column transformed: the
     /// whole analog output, the reference of the crossbar's tests.
     #[cfg(test)]
-    pub fn vmm(&mut self, input: &[i32]) -> Result<Vec<f64>, ReramError> {
+    pub fn vmm(&mut self, input: &[i8]) -> Result<Vec<f64>, ReramError> {
         let mut read = ColumnRead::default();
         self.read_into(input, &mut read)?;
         Ok((0..read.sums.len()).map(|c| read.output(c)).collect())
@@ -458,8 +587,8 @@ impl CrossbarArray {
     /// case |Σ input_i · w_i| with every cell at the code extreme.
     /// Noise is proportional to this, matching how ADC-equivalent
     /// accuracy is specified against the converter's full range.
-    pub fn full_scale(&self, input: &[i32]) -> f64 {
-        let drive: f64 = input.iter().map(|&x| (x as f64).abs()).sum();
+    pub fn full_scale(&self, input: &[i8]) -> f64 {
+        let drive: f64 = input.iter().map(|&x| f64::from(x).abs()).sum();
         drive * self.code_max() as f64
     }
 
@@ -532,7 +661,7 @@ impl CrossbarArray {
             .iter()
             .zip(intended)
             .enumerate()
-            .filter(|(_, (r, i))| r != i)
+            .filter(|(_, (&r, &i))| r != i32::from(i))
             .map(|(row, _)| row)
             .collect())
     }
@@ -550,7 +679,7 @@ impl CrossbarArray {
     pub fn program_column_verified(
         &mut self,
         col: usize,
-        values: &[i32],
+        values: &[i8],
         max_attempts: u32,
     ) -> Result<ProgramOutcome, ReramError> {
         let max_attempts = max_attempts.max(1);
@@ -592,7 +721,7 @@ mod tests {
 
     /// Every column's exact integer dot with `input`: the pruner's one
     /// exact MSB dot over this array as a one-row-tile column tile.
-    fn exact(xb: &CrossbarArray, input: &[i32]) -> Vec<i64> {
+    fn exact(xb: &CrossbarArray, input: &[i8]) -> Vec<i64> {
         (0..xb.cols())
             .map(|c| exact_dot(std::slice::from_ref(xb), c, input).unwrap())
             .collect()
@@ -646,9 +775,8 @@ mod tests {
     #[test]
     fn column_codes_round_trip() {
         let mut xb = ideal_array(4, 2);
-        let v = vec![3, -8, 7, 0];
-        xb.program_column(1, &v).unwrap();
-        assert_eq!(xb.column_codes(1).unwrap(), v);
+        xb.program_column(1, &[3, -8, 7, 0]).unwrap();
+        assert_eq!(xb.column_codes(1).unwrap(), [3, -8, 7, 0]);
         assert!(xb.column_codes(2).is_err());
     }
 
@@ -672,11 +800,11 @@ mod tests {
         // Reads go through sense amplifiers: digital levels come back
         // exactly even when analog compute is noisy.
         let mut xb = CrossbarArray::new(8, 2, 4, NoiseModel::default(), 9).unwrap();
-        let key = vec![7, -8, 0, 3, -3, 1, -1, 5];
+        let key = [7, -8, 0, 3, -3, 1, -1, 5];
         xb.program_column(0, &key).unwrap();
         for _ in 0..5 {
             xb.vmm(&[1; 8]).unwrap();
-            assert_eq!(xb.column_codes(0).unwrap(), key);
+            assert_eq!(xb.column_codes(0).unwrap(), key.map(i32::from));
         }
     }
 
@@ -691,10 +819,10 @@ mod tests {
         let noise = NoiseModel::equivalent_bits(5).unwrap();
         let mut xb = CrossbarArray::new(64, 16, 4, noise, 7).unwrap();
         for c in 0..16 {
-            let col: Vec<i32> = (0..64).map(|r| ((r + c) % 15) as i32 - 7).collect();
+            let col: Vec<i8> = (0..64).map(|r| ((r + c) % 15) as i8 - 7).collect();
             xb.program_column(c, &col).unwrap();
         }
-        let input: Vec<i32> = (0..64).map(|r| (r % 15) - 7).collect();
+        let input: Vec<i8> = (0..64i8).map(|r| (r % 15) - 7).collect();
         let exact = exact(&xb, &input);
         let fs = xb.full_scale(&input);
         // Mean over many noisy reads converges to near the exact value
@@ -763,10 +891,10 @@ mod tests {
         let noise = NoiseModel::default();
         let program_and_run = |xb: &mut CrossbarArray| -> Vec<f64> {
             for c in 0..xb.cols() {
-                let col: Vec<i32> = (0..xb.rows()).map(|r| ((r + c) % 15) as i32 - 7).collect();
+                let col: Vec<i8> = (0..xb.rows()).map(|r| ((r + c) % 15) as i8 - 7).collect();
                 xb.program_column(c, &col).unwrap();
             }
-            let input: Vec<i32> = (0..xb.rows()).map(|r| ((r % 15) as i32) - 7).collect();
+            let input: Vec<i8> = (0..xb.rows()).map(|r| ((r % 15) as i8) - 7).collect();
             xb.vmm(&input).unwrap()
         };
         // Dirty an array with one geometry, then reset to another.
@@ -786,7 +914,7 @@ mod tests {
         let mut plain = CrossbarArray::new(16, 8, 4, noise, 5).unwrap();
         let mut faulted = CrossbarArray::new(16, 8, 4, noise, 5).unwrap();
         faulted.set_fault_model(Some(FaultModel::new(99)));
-        let col: Vec<i32> = (0..16).map(|r| (r % 15) - 7).collect();
+        let col: Vec<i8> = (0..16i8).map(|r| (r % 15) - 7).collect();
         for c in 0..8 {
             plain.program_column(c, &col).unwrap();
             faulted.program_column(c, &col).unwrap();
@@ -808,7 +936,7 @@ mod tests {
     fn post_hoc_attachment_equals_program_time_attachment() {
         let fault = FaultModel::uniform(0.2, 17).unwrap();
         let noise = NoiseModel::default();
-        let col: Vec<i32> = (0..16).map(|r| (r % 15) - 7).collect();
+        let col: Vec<i8> = (0..16i8).map(|r| (r % 15) - 7).collect();
         let mut before = CrossbarArray::new(16, 8, 4, noise, 5).unwrap();
         before.set_fault_model(Some(fault));
         let mut after = CrossbarArray::new(16, 8, 4, noise, 5).unwrap();
@@ -830,12 +958,12 @@ mod tests {
     #[test]
     fn detaching_restores_fault_free_reads() {
         let mut xb = ideal_array(8, 2);
-        let col = vec![1, 2, 3, 4, 5, 6, 7, -8];
+        let col = [1, 2, 3, 4, 5, 6, 7, -8];
         xb.program_column(0, &col).unwrap();
         xb.set_fault_model(Some(FaultModel::new(1).with_stuck_rates(0.5, 0.5).unwrap()));
         assert!(!xb.verify_column(0).unwrap().is_empty());
         xb.set_fault_model(None);
-        assert_eq!(xb.column_codes(0).unwrap(), col);
+        assert_eq!(xb.column_codes(0).unwrap(), col.map(i32::from));
         assert_eq!(xb.vmm(&[1; 8]).unwrap()[0], 20.0);
     }
 
@@ -864,7 +992,7 @@ mod tests {
         let fault = FaultModel::new(11).with_transient_rate(0.15).unwrap();
         let mut xb = CrossbarArray::new(16, 1, 4, NoiseModel::ideal(), 13).unwrap();
         xb.set_fault_model(Some(fault));
-        let col: Vec<i32> = (0..16).map(|r| (r % 15) - 7).collect();
+        let col: Vec<i8> = (0..16i8).map(|r| (r % 15) - 7).collect();
         let outcome = xb.program_column_verified(0, &col, 64).unwrap();
         assert!(outcome.verified(), "transients must eventually clear");
         assert!(outcome.attempts > 1, "first write should have upset");
@@ -928,7 +1056,7 @@ mod tests {
             self.epochs.resize(self.epochs.len() + added, 0);
         }
 
-        fn program_column(&mut self, col: usize, values: &[i32]) {
+        fn program_column(&mut self, col: usize, values: &[i8]) {
             let sigma = self.noise.programming_sigma();
             for (r, &v) in values.iter().enumerate() {
                 let variation = if sigma > 0.0 {
@@ -936,13 +1064,13 @@ mod tests {
                 } else {
                     1.0
                 };
-                self.weights[col * self.rows + r] = v as f64 * variation;
+                self.weights[col * self.rows + r] = f64::from(v) * variation;
             }
             self.epochs[col] += 1;
         }
 
-        fn vmm(&mut self, input: &[i32]) -> Vec<f64> {
-            let drive: f64 = input.iter().map(|&x| (x as f64).abs()).sum();
+        fn vmm(&mut self, input: &[i8]) -> Vec<f64> {
+            let drive: f64 = input.iter().map(|&x| f64::from(x).abs()).sum();
             let code_max = ((1 << (self.cell_bits - 1)) - 1) as f64;
             let sigma = self.noise.relative_sigma() * (drive * code_max);
             let mut out = Vec::new();
@@ -958,7 +1086,7 @@ mod tests {
                         CellFault::StuckOff | CellFault::Transient => 0.0,
                         CellFault::Worn(f) => w * f,
                     };
-                    acc += w * x as f64;
+                    acc += w * f64::from(x);
                 }
                 if sigma > 0.0 {
                     acc += sigma * normal(&mut self.rng);
@@ -974,9 +1102,9 @@ mod tests {
     }
 
     /// Codes in the 4-bit range, varying with `salt`.
-    fn codes(n: usize, salt: usize) -> Vec<i32> {
+    fn codes(n: usize, salt: usize) -> Vec<i8> {
         (0..n)
-            .map(|r| ((r * 7 + salt * 13 + 5) % 16) as i32 - 8)
+            .map(|r| ((r * 7 + salt * 13 + 5) % 16) as i8 - 8)
             .collect()
     }
 
@@ -1109,7 +1237,7 @@ mod tests {
             let mut oracle = ColumnOrderArray::new(rows, cols, 4, noise, 4);
             for c in 0..cols {
                 // Every other cell holds code 0.
-                let col: Vec<i32> = codes(rows, c)
+                let col: Vec<i8> = codes(rows, c)
                     .iter()
                     .enumerate()
                     .map(|(r, &v)| if r % 2 == 0 { 0 } else { v })
@@ -1206,6 +1334,148 @@ mod tests {
         assert_reads_agree(&mut xb, &mut oracle, "after verified programming");
     }
 
+    /// Everything an array's later behaviour depends on, as bits: its
+    /// weights, codes, epochs and fault overlay, its draw counters, and
+    /// the next 16 uniforms of its stream (drawn from a clone).
+    fn state_bits(xb: &CrossbarArray) -> Vec<Vec<u64>> {
+        let mut rng = xb.rng.clone();
+        let next = (0..16).flat_map(|_| {
+            let (u1, u2) = uniforms(&mut rng);
+            [u1.to_bits(), u2.to_bits()]
+        });
+        vec![
+            bits(&xb.weights),
+            xb.codes.iter().map(|&c| c as u64).collect(),
+            xb.epochs.clone(),
+            bits(&xb.faulted_weights),
+            vec![xb.draws],
+            xb.written_at.clone(),
+            next.collect(),
+        ]
+    }
+
+    /// Codes of `cell_bits`-deep cells, `-128` among them at 8 bits.
+    fn cell_codes(n: usize, salt: usize, cell_bits: u32) -> Vec<i8> {
+        let levels = 1usize << cell_bits;
+        (0..n)
+            .map(|r| ((r * 7 + salt * 13 + 5) % levels) as i32 - (levels / 2) as i32)
+            .map(|c| c as i8)
+            .collect()
+    }
+
+    #[test]
+    fn program_all_is_reset_then_program_column_in_order() {
+        let rows = 9;
+        let transient = FaultModel::new(11).with_transient_rate(0.15).unwrap();
+        let faults = [
+            None,
+            Some(FaultModel::uniform(0.2, 3).unwrap()),
+            Some(transient),
+        ];
+        let noises = [
+            ("sigma 0", NoiseModel::from_sigmas(0.01, 0.0).unwrap()),
+            ("default", NoiseModel::default()),
+        ];
+        for cell_bits in [4, 8] {
+            for (name, noise) in noises {
+                for fault in faults {
+                    let image = |cols: usize| -> Vec<i8> {
+                        (0..cols)
+                            .flat_map(|c| cell_codes(rows, c, cell_bits))
+                            .collect()
+                    };
+                    let (cols, appended) = (LANES + 3, 5);
+                    // A history: a full program, a read, appended
+                    // columns (their draws start after the read's),
+                    // another read and, under the transient model,
+                    // write-verify retries of two columns.
+                    let mut history = CrossbarArray::new(rows, 2, cell_bits, noise, 8).unwrap();
+                    history.set_fault_model(fault);
+                    history
+                        .program_all(rows, cols, cell_bits, noise, 8, &image(cols))
+                        .unwrap();
+                    history.vmm(&cell_codes(rows, 1, 4)).unwrap();
+                    history.append_cols(appended);
+                    let full = image(cols + appended);
+                    for c in cols..cols + appended {
+                        history
+                            .program_column(c, &full[c * rows..(c + 1) * rows])
+                            .unwrap();
+                    }
+                    history.vmm(&cell_codes(rows, 2, 4)).unwrap();
+                    if fault == Some(transient) {
+                        for c in [2, cols + 1] {
+                            let codes = &full[c * rows..(c + 1) * rows];
+                            history.program_column_verified(c, codes, 8).unwrap();
+                        }
+                    }
+                    let mut changed = full.clone();
+                    changed[3 * rows + 4] = if changed[3 * rows + 4] == 0 { 1 } else { 0 };
+                    let cases = [
+                        ("untouched", full.clone()),
+                        ("one changed code", changed),
+                        ("fewer columns", full[..(cols - 2) * rows].to_vec()),
+                    ];
+                    for (case, codes) in cases {
+                        let label = format!("{cell_bits}-bit {name} fault {fault:?} {case}");
+                        let n = codes.len() / rows;
+                        let mut oracle = history.clone();
+                        oracle.reset(rows, n, cell_bits, noise, 8).unwrap();
+                        for (c, column) in codes.chunks_exact(rows).enumerate() {
+                            oracle.program_column(c, column).unwrap();
+                        }
+                        let mut in_place = history.clone();
+                        in_place
+                            .program_all(rows, n, cell_bits, noise, 8, &codes)
+                            .unwrap();
+                        assert_eq!(state_bits(&in_place), state_bits(&oracle), "{label}");
+                        // And again on the result: every column is kept.
+                        in_place
+                            .program_all(rows, n, cell_bits, noise, 8, &codes)
+                            .unwrap();
+                        assert_eq!(state_bits(&in_place), state_bits(&oracle), "{label}, twice");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn program_all_keeps_exactly_the_columns_whose_codes_and_draws_match() {
+        // A poisoned weight survives only in a column that is kept: the
+        // untouched ones. The changed column, the columns appended after
+        // a read and every column of a reseeded array are rewritten.
+        let (rows, cols, noise) = (5, 4, NoiseModel::default());
+        let codes: Vec<i8> = (0..cols).flat_map(|c| cell_codes(rows, c, 4)).collect();
+        let poisoned = |xb: &CrossbarArray, c: usize| xb.weights[lane_cell(rows, 0, c)].is_nan();
+        let mut xb = CrossbarArray::new(rows, 2, 4, noise, 1).unwrap();
+        xb.program_all(rows, 2, 4, noise, 1, &codes[..2 * rows])
+            .unwrap();
+        xb.vmm(&[1; 5]).unwrap();
+        xb.append_cols(2);
+        for c in 2..cols {
+            xb.program_column(c, &codes[c * rows..(c + 1) * rows])
+                .unwrap();
+        }
+        let poison = |xb: &mut CrossbarArray| {
+            for c in 0..cols {
+                xb.weights[lane_cell(rows, 0, c)] = f64::NAN;
+            }
+        };
+        let mut changed = codes.clone();
+        changed[rows + 1] += 1;
+        poison(&mut xb);
+        xb.program_all(rows, cols, 4, noise, 1, &changed).unwrap();
+        let kept: Vec<bool> = (0..cols).map(|c| poisoned(&xb, c)).collect();
+        assert_eq!(kept, [true, false, false, false]);
+        poison(&mut xb);
+        xb.program_all(rows, cols, 4, noise, 2, &changed).unwrap();
+        assert!(
+            (0..cols).all(|c| !poisoned(&xb, c)),
+            "a new seed keeps nothing"
+        );
+    }
+
     proptest! {
         #[test]
         fn prop_ideal_vmm_matches_naive(
@@ -1217,13 +1487,13 @@ mod tests {
             let mut state = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(1);
             let mut next_code = || {
                 state ^= state << 13; state ^= state >> 7; state ^= state << 17;
-                ((state % 16) as i32) - 8
+                ((state % 16) as i8) - 8
             };
             for c in 0..cols {
-                let col: Vec<i32> = (0..rows).map(|_| next_code()).collect();
+                let col: Vec<i8> = (0..rows).map(|_| next_code()).collect();
                 xb.program_column(c, &col).unwrap();
             }
-            let input: Vec<i32> = (0..rows).map(|_| next_code()).collect();
+            let input: Vec<i8> = (0..rows).map(|_| next_code()).collect();
             let analog = xb.vmm(&input).unwrap();
             for (a, e) in analog.iter().zip(exact(&xb, &input)) {
                 prop_assert_eq!(*a, e as f64);

@@ -196,7 +196,7 @@ pub struct InMemoryPruner {
     threads: usize,
     /// Staging kept from call to call: the staged query rows' MSB
     /// nibbles (row-major) and each staged row's comparator cut.
-    q_msb: Vec<i32>,
+    q_msb: Vec<i8>,
     cuts: Vec<f64>,
     /// One scratch per fan-out worker, kept from head to head.
     lanes: Vec<query::Lane>,
@@ -342,7 +342,7 @@ fn row_pieces<A: IntoIterator, T>(arrays: A, v: &[T]) -> impl Iterator<Item = (A
 pub(crate) fn exact_dot(
     arrays: &[CrossbarArray],
     slot: usize,
-    q: &[i32],
+    q: &[i8],
 ) -> Result<i64, ReramError> {
     let tier = active_tier();
     let mut dot = 0i64;
@@ -353,8 +353,9 @@ pub(crate) fn exact_dot(
 }
 
 /// Rounded top bits of an 8-bit code for a `cell_bits`-deep cell
-/// (zero-mean split; see `QuantizedMatrix::msb_rounded`).
-fn round_msb_bits(code: i32, shift: u32, cell_bits: u32) -> i32 {
+/// (zero-mean split; see `QuantizedMatrix::msb_rounded`), as the cell's
+/// `i8` code.
+fn round_msb_bits(code: i32, shift: u32, cell_bits: u32) -> i8 {
     let denom = 1i32 << shift;
     let half = denom / 2;
     let rounded = if code >= 0 {
@@ -363,5 +364,5 @@ fn round_msb_bits(code: i32, shift: u32, cell_bits: u32) -> i32 {
         (code - half) / denom
     };
     let hi = (1i32 << (cell_bits - 1)) - 1;
-    rounded.clamp(-hi - 1, hi)
+    rounded.clamp(-hi - 1, hi) as i8
 }

@@ -12,16 +12,20 @@ use crate::{NoiseModel, ReramError};
 
 impl InMemoryPruner {
     /// Reprograms the engine in place for a new head, reusing the
-    /// crossbar allocations (the tiles are reset and re-tiled rather
-    /// than reallocated). After a successful call the pruner behaves
-    /// bit-identically to a freshly constructed
+    /// crossbar allocations (the tiles are re-tiled and programmed in
+    /// place rather than reallocated). After a successful call the
+    /// pruner behaves bit-identically to a freshly constructed
     /// [`InMemoryPruner::new`] with the same arguments: the per-tile
     /// RNGs are reseeded, the quantizers recalibrated, and the hardware
-    /// operation counters zeroed.
+    /// operation counters zeroed. A column whose codes and noise draws
+    /// are those of its last write keeps its weights instead of
+    /// transforming its draws again, so reprogramming the same head's
+    /// grown history pays only for the columns that changed.
     ///
     /// This is the steady-state entry of the serving engine: one pruner
     /// per worker amortizes its tile allocations across every head it
-    /// executes.
+    /// executes, and a resumed decode session reprograms the crossbars
+    /// it was evicted with.
     ///
     /// # Errors
     ///
@@ -101,11 +105,13 @@ impl InMemoryPruner {
     }
 
     /// (Re)tiles and programs the full key matrix: quantizes `k` to
-    /// 8 bits, resets or creates every tile with its derived seed, and
-    /// stores each key's MSB codes in its column. Leaves the pruner's
-    /// key-side state (`s`, `k_params`) consistent and zeroes the
-    /// hardware counters — exactly what a fresh construction over `k`
-    /// would hold.
+    /// 8 bits and programs every tile in place
+    /// ([`CrossbarArray::program_all`]) with its derived seed and its
+    /// keys' MSB codes, one key per column. Leaves the pruner's key-side
+    /// state (`s`, `k_params`) consistent and zeroes the hardware
+    /// counters — exactly what a fresh construction over `k` would hold.
+    /// A column whose codes and draws are unchanged keeps its weights,
+    /// which are the bits a fresh construction draws for it.
     ///
     /// The column tiles are split over the fan-out's workers; each
     /// tile programs its keys in slot order from its own noise stream,
@@ -132,29 +138,37 @@ impl InMemoryPruner {
             ))
             .collect();
         let shift = 8 - cell_bits;
+        let row_tiles = d.div_ceil(ARRAY_ROWS);
         sprint_parallel::fan_out(&mut parts, |_, (first, tiles)| {
-            let mut codes = Vec::with_capacity(ARRAY_ROWS);
+            let mut image = Vec::new();
             for (ct, row_arrays) in (*first..).zip(tiles.iter_mut()) {
-                let cols = (s - ct * ARRAY_COLS).min(ARRAY_COLS);
-                // Programmed detached: the overlay is a pure function
-                // of the finished cells, so the fault model goes back
-                // on once, after the last key.
-                reset_column_tile(row_arrays, ct, cols, d, cell_bits, noise, seed)?;
-                // Program the tile's keys' MSB nibbles.
-                for slot in 0..cols {
-                    let key = qk.code_row(ct * ARRAY_COLS + slot);
-                    for (arr, piece) in row_pieces(row_arrays.iter_mut(), key) {
-                        codes.clear();
-                        codes.extend(
-                            piece
+                let keys = ct * ARRAY_COLS..s.min((ct + 1) * ARRAY_COLS);
+                row_arrays.truncate(row_tiles);
+                for rt in 0..row_tiles {
+                    // Row tile `rt`'s piece of every key's MSB nibbles.
+                    let piece = rt * ARRAY_ROWS..d.min((rt + 1) * ARRAY_ROWS);
+                    image.clear();
+                    for j in keys.clone() {
+                        let codes = &qk.code_row(j)[piece.clone()];
+                        image.extend(
+                            codes
                                 .iter()
                                 .map(|&code| round_msb_bits(code, shift, cell_bits)),
                         );
-                        arr.program_column(slot, &codes)?;
                     }
-                }
-                if fault.is_some() {
-                    for arr in row_arrays.iter_mut() {
+                    let (rows, cols) = (piece.len(), keys.len());
+                    let tile_seed = tile_seed(seed, ct, rt);
+                    if rt == row_arrays.len() {
+                        row_arrays
+                            .push(CrossbarArray::new(rows, cols, cell_bits, noise, tile_seed)?);
+                    }
+                    // Programmed detached: the overlay is a pure function
+                    // of the finished cells, so the fault model goes back
+                    // on once, after the last key.
+                    let arr = &mut row_arrays[rt];
+                    arr.set_fault_model(None);
+                    arr.program_all(rows, cols, cell_bits, noise, tile_seed, &image)?;
+                    if fault.is_some() {
                         arr.set_fault_model(fault);
                     }
                 }
@@ -343,18 +357,15 @@ impl InMemoryPruner {
         let fresh = ct == self.tiles.len();
         if fresh {
             // First key of a new column tile: its row tiles get the
-            // same derived seeds a fresh build would use.
+            // same derived seeds a full program would use.
             let noise = effective_noise(self.noise, self.cell_bits)?;
-            let mut row_arrays = Vec::new();
-            reset_column_tile(
-                &mut row_arrays,
-                ct,
-                1,
-                self.d,
-                self.cell_bits,
-                noise,
-                self.seed,
-            )?;
+            let row_arrays = (0..self.d.div_ceil(ARRAY_ROWS))
+                .map(|rt| {
+                    let rows = (self.d - rt * ARRAY_ROWS).min(ARRAY_ROWS);
+                    let seed = tile_seed(self.seed, ct, rt);
+                    CrossbarArray::new(rows, 1, self.cell_bits, noise, seed)
+                })
+                .collect::<Result<_, _>>()?;
             self.tiles.push(row_arrays);
         } else if slot >= self.tiles[ct][0].cols() {
             for arr in &mut self.tiles[ct] {
@@ -362,7 +373,7 @@ impl InMemoryPruner {
             }
         }
         for (arr, piece) in row_pieces(self.tiles[ct].iter_mut(), key) {
-            let codes: Vec<i32> = piece
+            let codes: Vec<i8> = piece
                 .iter()
                 .map(|&x| round_msb_bits(self.k_params.quantize(x), shift, self.cell_bits))
                 .collect();
@@ -387,36 +398,6 @@ fn effective_noise(noise: NoiseModel, cell_bits: u32) -> Result<NoiseModel, Rera
         noise.relative_sigma() * factor,
         noise.programming_sigma() * factor,
     )
-}
-
-/// Makes `row_arrays` column tile `ct` of an embedding of `d` with
-/// `cols` unprogrammed key slots: one crossbar per row tile, reset in
-/// place where it exists and created where not, each seeded
-/// `tile_seed(seed, ct, rt)` and detached from any fault model — what a
-/// fresh build creates, so a tile made by a full program and one made
-/// by an append draw from the same streams.
-fn reset_column_tile(
-    row_arrays: &mut Vec<CrossbarArray>,
-    ct: usize,
-    cols: usize,
-    d: usize,
-    cell_bits: u32,
-    noise: NoiseModel,
-    seed: u64,
-) -> Result<(), ReramError> {
-    let row_tiles = d.div_ceil(ARRAY_ROWS);
-    row_arrays.truncate(row_tiles);
-    for rt in 0..row_tiles {
-        let rows = (d - rt * ARRAY_ROWS).min(ARRAY_ROWS);
-        let tile_seed = tile_seed(seed, ct, rt);
-        if let Some(arr) = row_arrays.get_mut(rt) {
-            arr.set_fault_model(None);
-            arr.reset(rows, cols, cell_bits, noise, tile_seed)?;
-        } else {
-            row_arrays.push(CrossbarArray::new(rows, cols, cell_bits, noise, tile_seed)?);
-        }
-    }
-    Ok(())
 }
 
 /// The derived RNG seed of tile `(col_tile, row_tile)`.

@@ -219,7 +219,7 @@ impl InMemoryPruner {
             });
         }
         let shift = 8 - self.cell_bits;
-        let q_msb: Vec<i32> = q_row
+        let q_msb: Vec<i8> = q_row
             .iter()
             .map(|&x| round_msb_bits(self.q_params.quantize(x), shift, self.cell_bits))
             .collect();
@@ -237,7 +237,7 @@ impl InMemoryPruner {
 /// The shared, read-only side of a prune fan-out: the staged rows,
 /// their cuts and the comparator settings.
 struct Rows<'a> {
-    q_msb: &'a [i32],
+    q_msb: &'a [i8],
     cuts: &'a [f64],
     d: usize,
     remapped: &'a BTreeSet<usize>,

@@ -67,8 +67,8 @@ impl InMemoryPruner {
         for (rt, arr) in self.tiles[j / ARRAY_COLS].iter().enumerate() {
             let read = arr.column_codes(slot)?;
             let intended = arr.intended_column(slot)?;
-            for (r, (got, want)) in read.iter().zip(intended).enumerate() {
-                if got != want {
+            for (r, (&got, &want)) in read.iter().zip(intended).enumerate() {
+                if got != i32::from(want) {
                     sites.push(FaultSite {
                         crossbar: arr.identity(),
                         row: rt * ARRAY_ROWS + r,

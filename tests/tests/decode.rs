@@ -238,9 +238,9 @@ fn rehydration_straddling_recalibration_rebuilds_the_running_max_from_history() 
         let mut recalibrated = 0u64;
         for step in prefill..base.seq_len() {
             if evict_before.contains(&step) {
-                let stub = session.take().unwrap().evict();
+                let mut stub = session.take().unwrap().evict();
                 let (hk, hv) = (prefix(&k, step), prefix(&v, step));
-                session = Some(e.resume_session(&stub, &hk, &hv).unwrap());
+                session = Some(e.resume_session(&mut stub, &hk, &hv).unwrap());
             }
             let ds = DecodeStep {
                 q: base.q().row(step),
@@ -474,14 +474,14 @@ fn random_evict_rehydrate_interleavings_stay_bit_identical_in_all_modes() {
                 }
                 ChurnEvent::Step { session } => {
                     if matches!(state.slot, Slot::Parked(_)) {
-                        let Slot::Parked(stub) = std::mem::replace(&mut state.slot, Slot::Hole)
+                        let Slot::Parked(mut stub) = std::mem::replace(&mut state.slot, Slot::Hole)
                         else {
                             unreachable!()
                         };
                         let hk = prefix(state.trace.k(), state.cursor);
                         let hv = prefix(state.trace.v(), state.cursor);
                         state.slot =
-                            Slot::Live(Box::new(e.resume_session(&stub, &hk, &hv).unwrap()));
+                            Slot::Live(Box::new(e.resume_session(&mut stub, &hk, &hv).unwrap()));
                     }
                     let Slot::Live(live) = &mut state.slot else {
                         unreachable!()

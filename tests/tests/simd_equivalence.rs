@@ -339,8 +339,8 @@ fn decode_sessions_inherit_engine_tier_and_stay_bit_identical() {
     // directions), and because both sides rebuild from the same
     // replayed history with the same seed, the decode streams must
     // stay bitwise-identical even under the default noisy model.
-    let evicted_s = sess_s.evict();
-    let evicted_a = sess_a.evict();
+    let mut evicted_s = sess_s.evict();
+    let mut evicted_a = sess_a.evict();
     let mut hist_k = Matrix::zeros(prefill + 8, d).unwrap();
     let mut hist_v = Matrix::zeros(prefill + 8, d).unwrap();
     for r in 0..prefill {
@@ -355,8 +355,12 @@ fn decode_sessions_inherit_engine_tier_and_stay_bit_identical() {
             .row_mut(prefill + t)
             .copy_from_slice(steps.row(3 * t + 2));
     }
-    let mut on_scalar = scalar.resume_session(&evicted_a, &hist_k, &hist_v).unwrap();
-    let mut on_avx2 = avx2.resume_session(&evicted_s, &hist_k, &hist_v).unwrap();
+    let mut on_scalar = scalar
+        .resume_session(&mut evicted_a, &hist_k, &hist_v)
+        .unwrap();
+    let mut on_avx2 = avx2
+        .resume_session(&mut evicted_s, &hist_k, &hist_v)
+        .unwrap();
     for t in 0..2 {
         let base = 3 * (8 + t);
         let step = DecodeStep {

@@ -18,7 +18,7 @@ use std::ops::Range;
 use crate::pruning::KeptLists;
 use crate::simd;
 use crate::softmax::softmax_inplace_tier;
-use crate::{AttentionError, Matrix, PruneDecision, QuantParams, SoftmaxLut, Workspace};
+use crate::{AttentionError, Matrix, PruneDecision, QuantParams, SimdTier, SoftmaxLut, Workspace};
 
 /// The "sufficiently large negative value" placed in padded positions
 /// before the softmax (§II-C3). Passing it through softmax drives the
@@ -241,13 +241,15 @@ pub(crate) fn query_is_live(i: usize, padding: Option<&PaddingMask>) -> bool {
 /// an all-pruned decision and an all-zero output row, matching the
 /// two-dimensional sequence reduction of §VI).
 ///
-/// The fused flow per live query row: the blocked `Q × Kᵀ` pass has
-/// already written the raw scores for the live region, one row stage
-/// (shared with [`crate::pruned_attention_decode_with`]) masks pruned
-/// entries to `-inf` and softmaxes the probability row in place, and
-/// the value product accumulates **only the kept indices** — work in
-/// the AV stage scales with the keep rate, the software counterpart of
-/// SPRINT recomputing only the ~O(10%) surviving scores on chip.
+/// This is the row core [`pruned_attention_rows`] over every query row,
+/// into three matrices from the workspace's pool. The fused flow per
+/// live query row: the blocked `Q × Kᵀ` pass writes the raw scores for
+/// the live region, one row stage (shared with
+/// [`crate::pruned_attention_decode_with`]) masks pruned entries to
+/// `-inf` and softmaxes the probability row in place, and the value
+/// product accumulates **only the kept indices** — work in the AV
+/// stage scales with the keep rate, the software counterpart of SPRINT
+/// recomputing only the ~O(10%) surviving scores on chip.
 /// `threshold = f32::MIN` keeps every finite score: that is dense
 /// attention, the paper's unpruned baseline.
 ///
@@ -266,65 +268,172 @@ pub fn pruned_attention_with(
     ws: &mut Workspace,
 ) -> Result<(AttentionOutput, Vec<PruneDecision>), AttentionError> {
     check_shapes(q, k, v)?;
-    validate_padding(k, padding)?;
+    let mut out = ws.attention_output(q.rows(), k.rows(), v.cols())?;
+    let mut all = AttentionRows {
+        rows: 0..q.rows(),
+        scores: out.scores.as_mut_slice(),
+        probs: out.probs.as_mut_slice(),
+        output: out.output.as_mut_slice(),
+    };
     let tier = ws.simd_tier();
-    let (s_q, s_k) = (q.rows(), k.rows());
-    let live_k = padding.map_or(s_k, |p| p.live());
-    let mut scores = ws.zeroed_matrix(s_q, s_k)?;
-    // Blocked Q·Kᵀ over the live region only; padded rows/columns are
-    // masked below without ever computing their dot products.
-    match padding {
-        None => {
-            simd::matmul_transposed_scaled_into(
-                tier,
-                q,
-                k,
-                cfg.scale(),
-                0..s_q,
-                0..s_k,
-                &mut scores,
-            );
-        }
-        Some(p) => {
-            let live_q = p.live().min(s_q);
-            simd::matmul_transposed_scaled_into(
-                tier,
-                q,
-                k,
-                cfg.scale(),
-                0..live_q,
-                0..live_k,
-                &mut scores,
-            );
-            if s_q > p.total() {
-                // Queries beyond the key mask are live (see
-                // `query_is_live`).
-                simd::matmul_transposed_scaled_into(
-                    tier,
-                    q,
-                    k,
-                    cfg.scale(),
-                    p.total()..s_q,
-                    0..live_k,
-                    &mut scores,
-                );
-            }
+    let decisions = pruned_attention_rows(q, k, v, cfg, threshold, padding, tier, &mut all)?;
+    Ok((out, decisions))
+}
+
+/// One block of query rows of an [`AttentionOutput`]: its rows `rows`
+/// of the scores, probabilities and outputs, the unit
+/// [`pruned_attention_rows`] writes. [`AttentionOutput::row_blocks`]
+/// cuts them, so workers can each fill their own block of one output.
+#[derive(Debug)]
+pub struct AttentionRows<'a> {
+    /// The query rows of the block.
+    pub rows: Range<usize>,
+    /// The block's scores, `rows.len() × s_k`.
+    pub scores: &'a mut [f32],
+    /// The block's probabilities, `rows.len() × s_k`.
+    pub probs: &'a mut [f32],
+    /// The block's attention values, `rows.len() × d_v`.
+    pub output: &'a mut [f32],
+}
+
+impl AttentionOutput {
+    /// The three matrices cut into consecutive row blocks. `blocks`
+    /// must tile `0..s_q` from 0 in order, as
+    /// [`sprint_parallel::weighted_ranges`] returns them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the blocks reach past the matrices' rows.
+    pub fn row_blocks(&mut self, blocks: &[Range<usize>]) -> Vec<AttentionRows<'_>> {
+        let (s_k, d_v) = (self.scores.cols(), self.output.cols());
+        let scores = sprint_parallel::split_ranges_mut(self.scores.as_mut_slice(), blocks, s_k);
+        let probs = sprint_parallel::split_ranges_mut(self.probs.as_mut_slice(), blocks, s_k);
+        let output = sprint_parallel::split_ranges_mut(self.output.as_mut_slice(), blocks, d_v);
+        blocks
+            .iter()
+            .zip(scores.into_iter().zip(probs).zip(output))
+            .map(|(rows, ((scores, probs), output))| AttentionRows {
+                rows: rows.clone(),
+                scores,
+                probs,
+                output,
+            })
+            .collect()
+    }
+}
+
+/// The float kernel's row-range core: [`pruned_attention_with`]
+/// restricted to the query rows `block.rows`, written into that
+/// block's slices, returning the block's decisions. Every element of
+/// the block is overwritten (what the slices held before is never
+/// read), and every stage is row-independent — the `Q × Kᵀ` pass over
+/// the block's live rows, the row stage, the AV walk — so the blocks
+/// of one [`AttentionOutput`] may run on different workers in any
+/// order, and together they hold `pruned_attention_with`'s bits.
+///
+/// `tier` is sanitized to what the host supports, as
+/// [`Workspace::set_simd_tier`] does.
+///
+/// # Errors
+///
+/// As [`pruned_attention_with`], and
+/// [`AttentionError::ShapeMismatch`] when the block's rows reach past
+/// `q` or its slices do not hold exactly its rows.
+///
+/// # Example
+///
+/// ```
+/// use sprint_attention::{
+///     pruned_attention_rows, pruned_attention_with, AttentionConfig, Matrix, Workspace,
+/// };
+///
+/// # fn main() -> Result<(), sprint_attention::AttentionError> {
+/// let q = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]])?;
+/// let cfg = AttentionConfig::new(2);
+/// let mut ws = Workspace::new();
+/// let (whole, want) = pruned_attention_with(&q, &q, &q, &cfg, 0.1, None, &mut ws)?;
+/// let mut out = ws.attention_output(3, 3, 2)?;
+/// let mut decisions = Vec::new();
+/// for mut block in out.row_blocks(&[0..1, 1..3]) {
+///     let tier = ws.simd_tier();
+///     decisions.extend(pruned_attention_rows(&q, &q, &q, &cfg, 0.1, None, tier, &mut block)?);
+/// }
+/// assert_eq!((out, decisions), (whole, want));
+/// # Ok(())
+/// # }
+/// ```
+#[allow(clippy::too_many_arguments)]
+pub fn pruned_attention_rows(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    cfg: &AttentionConfig,
+    threshold: f32,
+    padding: Option<&PaddingMask>,
+    tier: SimdTier,
+    block: &mut AttentionRows<'_>,
+) -> Result<Vec<PruneDecision>, AttentionError> {
+    check_shapes(q, k, v)?;
+    validate_padding(k, padding)?;
+    let tier = crate::sanitize_tier(tier);
+    let (s_q, s_k, d_v) = (q.rows(), k.rows(), v.cols());
+    let rows = block.rows.clone();
+    if rows.end > s_q {
+        return Err(AttentionError::InvalidDimension {
+            name: "block rows end",
+            value: rows.end,
+        });
+    }
+    let n = rows.len();
+    for (len, width) in [
+        (block.scores.len(), s_k),
+        (block.probs.len(), s_k),
+        (block.output.len(), d_v),
+    ] {
+        if len != n * width {
+            return Err(AttentionError::ShapeMismatch {
+                op: "attention row block",
+                left: (len, 1),
+                right: (n * width, 1),
+            });
         }
     }
-    let mut probs = ws.zeroed_matrix(s_q, s_k)?;
-    let d_v = v.cols();
-    let mut output = ws.zeroed_matrix(s_q, d_v)?;
-    let mut decisions = Vec::with_capacity(s_q);
+    let live_k = padding.map_or(s_k, |p| p.live());
+    // Blocked Q·Kᵀ over the block's live region only; padded rows and
+    // columns are masked below without ever computing their dot
+    // products.
+    let mut qk = |region: Range<usize>, cols: Range<usize>| {
+        if !region.is_empty() {
+            let first = (region.start - rows.start) * s_k;
+            let out = &mut block.scores[first..first + region.len() * s_k];
+            simd::matmul_transposed_scaled_into(tier, q, k, cfg.scale(), region, cols, out);
+        }
+    };
+    match padding {
+        None => qk(rows.clone(), 0..s_k),
+        Some(p) => {
+            qk(rows.start..rows.end.min(p.live()), 0..live_k);
+            // Queries beyond the key mask are live (see
+            // `query_is_live`).
+            qk(rows.start.max(p.total())..rows.end, 0..live_k);
+        }
+    }
+    let mut decisions = Vec::with_capacity(n);
     // Per-row AV plans, filled as each row's keep rate becomes known;
-    // `(0, _)` (padded queries) leaves the output row untouched.
-    let mut av_plans = vec![(0usize, false); s_q];
+    // `(0, _)` (padded queries) leaves the output row at zero.
+    let mut av_plans = vec![(0usize, false); n];
     // Every padded query carries the same all-pruned decision; build it
     // once and share the storage (decision clones are Arc bumps).
     let mut all_pruned: Option<PruneDecision> = None;
-    for (i, plan) in av_plans.iter_mut().enumerate() {
+    let row_parts = rows
+        .zip(block.scores.chunks_exact_mut(s_k))
+        .zip(block.probs.chunks_exact_mut(s_k))
+        .zip(&mut av_plans);
+    for (((i, srow), prow), plan) in row_parts {
         if !query_is_live(i, padding) {
             // Padded query: everything pruned, zero prob/output rows.
-            scores.row_mut(i).fill(f32::NEG_INFINITY);
+            srow.fill(f32::NEG_INFINITY);
+            prow.fill(0.0);
             decisions.push(
                 all_pruned
                     .get_or_insert_with(|| PruneDecision::new(vec![true; s_k]))
@@ -337,8 +446,6 @@ pub fn pruned_attention_with(
         // and exactly zero probability. The flag vector becomes the
         // returned decision — the only per-query allocation left on
         // this path.
-        let srow = scores.row_mut(i);
-        let prow = probs.row_mut(i);
         let mut flags = vec![true; s_k];
         let skip_zero = prune_row(
             tier,
@@ -352,18 +459,19 @@ pub fn pruned_attention_with(
         *plan = (live_k, skip_zero);
         decisions.push(PruneDecision::new(flags));
     }
-    // AV over surviving keys, all rows in one matrix-level stage (the
-    // AVX2 tier key-panels `V` across rows; padded queries keep a
-    // `live == 0` plan and an untouched all-zero output row).
-    simd::av_rows(tier, &mut output, &probs, v.as_slice(), d_v, &av_plans);
-    Ok((
-        AttentionOutput {
-            scores,
-            probs,
-            output,
-        },
-        decisions,
-    ))
+    // AV over surviving keys, all the block's rows in one stage (the
+    // AVX2 tier key-panels `V` across rows), each row's chain from
+    // zero.
+    block.output.fill(0.0);
+    simd::av_rows(
+        tier,
+        block.output,
+        block.probs,
+        v.as_slice(),
+        d_v,
+        &av_plans,
+    );
+    Ok(decisions)
 }
 
 /// The float kernel's per-row stage, shared by the batch and the

@@ -45,8 +45,9 @@ mod softmax;
 mod workspace;
 
 pub use attention::{
-    pruned_attention_with, quantized_attention_output_with, quantized_attention_with,
-    AttentionConfig, AttentionOutput, PaddingMask, QuantizedAttentionOutput, MASK_NEG,
+    pruned_attention_rows, pruned_attention_with, quantized_attention_output_with,
+    quantized_attention_with, AttentionConfig, AttentionOutput, AttentionRows, PaddingMask,
+    QuantizedAttentionOutput, MASK_NEG,
 };
 pub use decode::{pruned_attention_decode_with, quantized_attention_decode_with, KvCache, KvDelta};
 pub use error::AttentionError;

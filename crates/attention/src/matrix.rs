@@ -372,7 +372,7 @@ impl Matrix {
             1.0,
             0..self.rows,
             0..rhs.rows,
-            &mut out,
+            out.as_mut_slice(),
         );
         Ok(out)
     }
@@ -571,7 +571,7 @@ mod tests {
             0.5,
             0..2,
             0..2,
-            &mut out,
+            &mut out.as_mut_slice()[..2 * 3],
         );
         assert!((out.get(0, 0) - 1.0).abs() < 1e-6);
         assert!((out.get(1, 1) - 4.0).abs() < 1e-6);

@@ -280,11 +280,13 @@ const COL_PANEL: usize = 32;
 /// [`dot`] chain, and batch scores agree with per-key decode scores
 /// bit for bit.
 ///
+/// `out` holds the region's rows only, each `b.rows()` wide.
+///
 /// # Safety
 ///
 /// Requires AVX2+FMA. The region must lie inside `a`/`b`/`out` (the
-/// row accessors bounds-check, so violations panic rather than read
-/// out of bounds).
+/// row accessors and slices bounds-check, so violations panic rather
+/// than read out of bounds).
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(crate) unsafe fn matmul_transposed_scaled_into(
     a: &Matrix,
@@ -292,17 +294,18 @@ pub(crate) unsafe fn matmul_transposed_scaled_into(
     scale: f32,
     rows: Range<usize>,
     cols: Range<usize>,
-    out: &mut Matrix,
+    out: &mut [f32],
 ) {
     debug_assert_eq!(a.cols(), b.cols(), "inner dimensions must agree");
-    debug_assert!(rows.end <= a.rows() && rows.end <= out.rows());
-    debug_assert!(cols.end <= b.rows() && cols.end <= out.cols());
+    debug_assert!(rows.end <= a.rows() && rows.len() * b.rows() <= out.len());
+    debug_assert!(cols.end <= b.rows());
+    let width = b.rows();
     let mut jb = cols.start;
     while jb < cols.end {
         let jend = (jb + COL_PANEL).min(cols.end);
-        for i in rows.clone() {
+        for (r, i) in rows.clone().enumerate() {
             let a_row = a.row(i);
-            let out_row = out.row_mut(i);
+            let out_row = &mut out[r * width..(r + 1) * width];
             let mut j = jb;
             while j + 4 <= jend {
                 // SAFETY: AVX2+FMA hold for the whole function.
@@ -715,14 +718,14 @@ unsafe fn av_span64(
     }
 }
 
-/// Key-panel width of the blocked matrix-level AV: 32 key rows of
+/// Key-panel width of the blocked row-block AV: 32 key rows of
 /// `d_v = 64` floats is an 8 KiB panel of `V` that stays L1-resident
 /// while every output row accumulates its contribution. The
 /// single-pass walk streams all of `V` from L2 once *per output row*
 /// and is bandwidth-bound; panel blocking streams it once per panel.
 const KEY_PANEL: usize = 32;
 
-/// Matrix-level AV for `d_v == 64`: every output row accumulates the
+/// Row-block AV for `d_v == 64`: every output row accumulates the
 /// current key panel before the sweep advances, with each row's
 /// partial sums spilled to and reloaded from the output row between
 /// panels. A register spill is exact, and within a row the keys are
@@ -732,24 +735,20 @@ const KEY_PANEL: usize = 32;
 ///
 /// `plans[i] = (live, skip_zero)` processes keys `0..live` of row `i`
 /// (`live == 0` leaves the row untouched), skipping exactly-zero
-/// probabilities when `skip_zero` is set.
+/// probabilities when `skip_zero` is set. `out` rows are 64 wide and
+/// `probs` rows hold one probability per `V` row (`v.len() / 64`).
 ///
 /// # Safety
 ///
-/// Requires AVX2+FMA. For every plan: `out.row(i)` and `probs.row(i)`
-/// must exist with `out.cols() == 64`, `live <= probs.cols()` and
-/// `live * 64 <= v.len()` (debug-asserted; row accessors bounds-check).
+/// Requires AVX2+FMA. For every plan: row `i` of `out` and of `probs`
+/// must exist, with `live * 64 <= v.len()` (debug-asserted; slices
+/// bounds-check).
 #[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn av_rows64(
-    out: &mut Matrix,
-    probs: &Matrix,
-    v: &[f32],
-    plans: &[(usize, bool)],
-) {
-    debug_assert_eq!(out.cols(), 64);
-    debug_assert!(plans.len() <= out.rows() && plans.len() <= probs.rows());
+pub(crate) unsafe fn av_rows64(out: &mut [f32], probs: &[f32], v: &[f32], plans: &[(usize, bool)]) {
+    let s_k = v.len() / 64;
+    debug_assert!(plans.len() * 64 <= out.len() && plans.len() * s_k <= probs.len());
     let max_live = plans.iter().map(|p| p.0).max().unwrap_or(0);
-    debug_assert!(max_live <= probs.cols() && max_live * 64 <= v.len());
+    debug_assert!(max_live <= s_k);
     let mut jb = 0;
     while jb < max_live {
         let panel_end = (jb + KEY_PANEL).min(max_live);
@@ -758,17 +757,26 @@ pub(crate) unsafe fn av_rows64(
             if jb >= end {
                 continue;
             }
-            let orow = out.row_mut(i);
+            let orow = &mut out[i * 64..(i + 1) * 64];
             let mut acc = [_mm256_setzero_ps(); 8];
             for (t, slot) in acc.iter_mut().enumerate() {
-                // SAFETY: `out.cols() == 64` bounds every 8-float load.
+                // SAFETY: `orow` is 64 long, bounding every 8-float load.
                 *slot = unsafe { load8(orow, t * 8) };
             }
-            // SAFETY: `end <= live` is debug-asserted to bound both
-            // `probs.row(i)` and the V rows.
-            unsafe { av_span64(&mut acc, probs.row(i), jb, end, v, skip_zero) };
+            // SAFETY: `end <= live <= s_k` bounds both the probability
+            // row and the V rows.
+            unsafe {
+                av_span64(
+                    &mut acc,
+                    &probs[i * s_k..(i + 1) * s_k],
+                    jb,
+                    end,
+                    v,
+                    skip_zero,
+                )
+            };
             for (t, slot) in acc.iter().enumerate() {
-                // SAFETY: `out.cols() == 64` bounds every 8-float store.
+                // SAFETY: `orow` is 64 long, bounding every 8-float store.
                 unsafe { _mm256_storeu_ps(orow.as_mut_ptr().add(t * 8), *slot) };
             }
         }

@@ -155,8 +155,11 @@ pub(crate) fn dot(tier: SimdTier, a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Tiered `out[i][j] = scale * (a.row(i) · b.row(j))` over a region,
-/// leaving the rest of `out` untouched. Every cell is one [`dot`], so
-/// decode ≡ batch by construction.
+/// leaving the rest of `out` untouched. `out` holds the region's rows
+/// only, one `b.rows()`-wide row per row of `rows` (its first row is
+/// `a`'s row `rows.start`), so a caller can hand each worker its own
+/// block of a score matrix. Every cell is one [`dot`], so decode ≡
+/// batch by construction.
 pub(crate) fn matmul_transposed_scaled_into(
     tier: SimdTier,
     a: &Matrix,
@@ -164,7 +167,7 @@ pub(crate) fn matmul_transposed_scaled_into(
     scale: f32,
     rows: Range<usize>,
     cols: Range<usize>,
-    out: &mut Matrix,
+    out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
     if tier == SimdTier::Avx2 {
@@ -286,37 +289,39 @@ pub(crate) fn av_row(
     scalar::av_row(out, probs, v, d_v, skip_zero);
 }
 
-/// The whole-matrix AV stage: row `i` of `out` accumulates
-/// `probs.row(i)[..live] × V` for each plan `(live, skip_zero)`
-/// (`live == 0` leaves the row untouched — padded queries). Every row
-/// is bit-identical to a standalone [`av_row`] call:
-/// the AVX2 `d_v == 64` arm sweeps key panels across all rows so the
-/// `V` panel stays L1-resident (spilling each row's partial sums
-/// between panels, which is exact), every other combination simply
-/// loops [`av_row`].
+/// The row-block AV stage: row `i` of `out` (`d_v` floats) accumulates
+/// row `i` of `probs` over its first `live` keys × V for each plan
+/// `(live, skip_zero)` (`live == 0` leaves the row untouched — padded
+/// queries). `probs` rows hold one probability per row of `v`
+/// (`v.len() / d_v`). Every row is bit-identical to a standalone
+/// [`av_row`] call: the AVX2 `d_v == 64` arm sweeps key panels across
+/// all rows so the `V` panel stays L1-resident (spilling each row's
+/// partial sums between panels, which is exact), every other
+/// combination simply loops [`av_row`].
 pub(crate) fn av_rows(
     tier: SimdTier,
-    out: &mut Matrix,
-    probs: &Matrix,
+    out: &mut [f32],
+    probs: &[f32],
     v: &[f32],
     d_v: usize,
     plans: &[(usize, bool)],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx2 && d_v == 64 && out.cols() == 64 {
+    if tier == SimdTier::Avx2 && d_v == 64 {
         debug_assert!(avx2_available(), "unsanitized Avx2 tier");
         // SAFETY: Avx2 tiers only exist after `sanitize_tier` confirmed
-        // AVX2+FMA; plan bounds are debug-asserted and row accessors
+        // AVX2+FMA; plan bounds are debug-asserted and row slices
         // bounds-check.
         unsafe { avx2::av_rows64(out, probs, v, plans) };
         return;
     }
+    let s_k = v.len() / d_v.max(1);
     for (i, &(live, skip_zero)) in plans.iter().enumerate() {
         if live > 0 {
             av_row(
                 tier,
-                out.row_mut(i),
-                &probs.row(i)[..live],
+                &mut out[i * d_v..(i + 1) * d_v],
+                &probs[i * s_k..i * s_k + live],
                 v,
                 d_v,
                 skip_zero,
@@ -571,14 +576,14 @@ mod tests {
             }
             let a = Matrix::from_vec(2, n, [x, y].concat()).unwrap();
             let b = Matrix::from_vec(3, n, v.clone()).unwrap();
-            let mut scores = Matrix::zeros(2, 4).unwrap();
+            let mut scores = [0.0f32; 6];
             matmul_transposed_scaled_into(tier, &a, &b, 0.125, 0..2, 0..3, &mut scores);
-            out.push(("matmul", bits(scores.as_slice())));
-            let p = Matrix::from_vec(3, 3, vec![0.3, 0.0, 0.7, 0.5, 0.5, 0.0, 0.0, 0.2, 0.9]);
-            let mut rows = Matrix::from_vec(3, n, [y, x, y].concat()).unwrap();
+            out.push(("matmul", bits(&scores)));
+            let p = [0.3, 0.0, 0.7, 0.5, 0.5, 0.0, 0.0, 0.2, 0.9];
+            let mut rows = [y, x, y].concat();
             let plans = [(3, true), (3, false), (2, true)];
-            av_rows(tier, &mut rows, &p.unwrap(), &v, n, &plans);
-            out.push(("av_rows", bits(rows.as_slice())));
+            av_rows(tier, &mut rows, &p, &v, n, &plans);
+            out.push(("av_rows", bits(&rows)));
             // A crossbar of `n` rows × `n` columns: the drive from `x`,
             // the cells from `y`, lanes past the last column `0.0`;
             // both finite, like codes and conductances.
@@ -824,7 +829,7 @@ mod tests {
 
     #[test]
     fn av_rows_is_bitwise_the_per_row_walk_on_both_tiers() {
-        // The matrix-level stage only re-tiles the sweep (key panels
+        // The row-block stage only re-tiles the sweep (key panels
         // with exact register spills between them); every row must
         // match a standalone av_row call bit for bit. Key counts cross
         // the 32-key panel boundary both ways, d_v == 64 exercises the
@@ -851,7 +856,14 @@ mod tests {
                 ];
                 for tier in host_tiers() {
                     let mut batched = Matrix::zeros(rows, d_v).unwrap();
-                    av_rows(tier, &mut batched, &probs, &v, d_v, &plans);
+                    av_rows(
+                        tier,
+                        batched.as_mut_slice(),
+                        probs.as_slice(),
+                        &v,
+                        d_v,
+                        &plans,
+                    );
                     for (i, &(live, skip_zero)) in plans.iter().enumerate() {
                         let mut single = vec![0.0f32; d_v];
                         if live > 0 {
@@ -879,7 +891,8 @@ mod tests {
             let b = Matrix::from_vec(7, d, rand_f32(d as u64 + 7, 7 * d)).unwrap();
             let [scalar_out, vector_out] = [SimdTier::Scalar, SimdTier::Avx2].map(|tier| {
                 let mut out = Matrix::zeros(5, 7).unwrap();
-                matmul_transposed_scaled_into(tier, &a, &b, 0.125, 0..4, 0..6, &mut out);
+                let region = &mut out.as_mut_slice()[..4 * 7];
+                matmul_transposed_scaled_into(tier, &a, &b, 0.125, 0..4, 0..6, region);
                 out
             });
             assert_eq!(
@@ -1067,7 +1080,8 @@ mod tests {
                     let a = Matrix::from_vec(3, d, rand_f32(d as u64 + 61, 3 * d)).unwrap();
                     let b = Matrix::from_vec(cols, d, rand_f32(d as u64 + 62, cols * d)).unwrap();
                     let mut out = Matrix::zeros(3, cols).unwrap();
-                    matmul_transposed_scaled_into(tier, &a, &b, 1.0, 0..3, 0..cols, &mut out);
+                    let all = out.as_mut_slice();
+                    matmul_transposed_scaled_into(tier, &a, &b, 1.0, 0..3, 0..cols, all);
                     for r in 0..3 {
                         for c in 0..cols {
                             let cell = out.get(r, c);

@@ -77,19 +77,19 @@ pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// `out[i][j] = scale * dot(a.row(i), b.row(j))` over the region,
-/// leaving the rest of `out` untouched.
+/// leaving the rest of `out` (the region's rows, `b.rows()` wide)
+/// untouched.
 pub(super) fn matmul_transposed_scaled_into(
     a: &Matrix,
     b: &Matrix,
     scale: f32,
     rows: Range<usize>,
     cols: Range<usize>,
-    out: &mut Matrix,
+    out: &mut [f32],
 ) {
     debug_assert_eq!(a.cols(), b.cols(), "inner dimensions must agree");
-    for i in rows {
+    for (i, out_row) in rows.zip(out.chunks_exact_mut(b.rows())) {
         let a_row = a.row(i);
-        let out_row = out.row_mut(i);
         for j in cols.clone() {
             out_row[j] = scale * dot(a_row, b.row(j));
         }

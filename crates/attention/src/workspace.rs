@@ -15,8 +15,9 @@
 /// (the system pipeline's no-recompute softmax uses it).
 ///
 /// **Pool contract.** The pool never affects results — a pooled buffer
-/// is cleared and re-zeroed before reuse, so kernels are bit-identical
-/// with or without recycling. Retention is bounded in both buffer
+/// is cleared and re-zeroed before reuse, or wholly overwritten by the
+/// float kernel ([`Workspace::attention_output`]), so kernels are
+/// bit-identical with or without recycling. Retention is bounded in both buffer
 /// count (eight) and total floats (128 MiB), so a
 /// long-lived pipeline (a serving loop, a decode session stepping
 /// thousands of tokens) cannot accumulate memory; recycles beyond
@@ -183,17 +184,51 @@ impl Workspace {
         cols: usize,
         value: f32,
     ) -> Result<crate::Matrix, crate::AttentionError> {
-        let n = rows * cols;
-        // On a miss, allocate fresh rather than consuming (and
-        // reallocating) a pooled buffer that is too small — mixed-size
-        // pipelines keep their small-buffer slots.
-        let mut buf = match self.pool.iter().position(|b| b.capacity() >= n) {
+        let mut buf = self.pooled_buffer(rows * cols);
+        buf.clear();
+        buf.resize(rows * cols, value);
+        crate::Matrix::from_vec(rows, cols, buf)
+    }
+
+    /// The three matrices of one float-kernel call — `s_q × s_k` scores
+    /// and probabilities, `s_q × d_v` attention values — backed by
+    /// pooled buffers when ones with enough capacity are available.
+    /// Their entries are whatever the buffers last held (zero where
+    /// fresh): [`crate::pruned_attention_rows`] overwrites every
+    /// element of the rows it is given, so nothing is cleared up front
+    /// and each worker of a row split pays for its own rows only.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::AttentionError::InvalidDimension`] for zero
+    /// dimensions (as [`crate::Matrix::zeros`] does).
+    pub fn attention_output(
+        &mut self,
+        s_q: usize,
+        s_k: usize,
+        d_v: usize,
+    ) -> Result<crate::AttentionOutput, crate::AttentionError> {
+        let mut matrix = |rows: usize, cols: usize| {
+            let mut buf = self.pooled_buffer(rows * cols);
+            buf.resize(rows * cols, 0.0);
+            crate::Matrix::from_vec(rows, cols, buf)
+        };
+        Ok(crate::AttentionOutput {
+            scores: matrix(s_q, s_k)?,
+            probs: matrix(s_q, s_k)?,
+            output: matrix(s_q, d_v)?,
+        })
+    }
+
+    /// A pooled buffer of capacity at least `n`, or a fresh empty one.
+    /// On a miss this allocates fresh rather than consuming (and
+    /// reallocating) a pooled buffer that is too small — mixed-size
+    /// pipelines keep their small-buffer slots.
+    fn pooled_buffer(&mut self, n: usize) -> Vec<f32> {
+        match self.pool.iter().position(|b| b.capacity() >= n) {
             Some(i) => self.pool.swap_remove(i),
             None => Vec::new(),
-        };
-        buf.clear();
-        buf.resize(n, value);
-        crate::Matrix::from_vec(rows, cols, buf)
+        }
     }
 
     /// Drops every buffer, returning the workspace to its freshly

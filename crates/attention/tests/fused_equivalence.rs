@@ -15,8 +15,9 @@ use sprint_attention::reference::{
     dense_attention_naive, pruned_attention_naive, quantized_attention_naive,
 };
 use sprint_attention::{
-    pruned_attention_with, quantized_attention_decode_with, quantized_attention_output_with,
-    quantized_attention_with, AttentionConfig, KvCache, Matrix, PaddingMask, PruneDecision,
+    calibrate_threshold, pruned_attention_rows, pruned_attention_with,
+    quantized_attention_decode_with, quantized_attention_output_with, quantized_attention_with,
+    AttentionConfig, AttentionOutput, KvCache, Matrix, PaddingMask, PruneDecision, SimdTier,
     Workspace,
 };
 
@@ -383,4 +384,101 @@ fn the_decode_kernel_equals_the_batch_kernel_row_by_row_at_engine_shapes() {
             }
         }
     }
+}
+
+/// The row splits of `0..s_q` a caller may hand the row core: the
+/// balanced ones at widths 1–4, and an uneven one of a one-row block, a
+/// block that ends at `live_q`, and a one-row last block.
+fn row_splits(s_q: usize, live_q: usize) -> Vec<Vec<std::ops::Range<usize>>> {
+    let mut splits: Vec<_> = (1..=4)
+        .map(|width| sprint_parallel::chunk_ranges(s_q, width))
+        .collect();
+    let mut cuts = vec![0, 1, live_q, s_q - 1, s_q];
+    cuts.sort_unstable();
+    cuts.dedup();
+    splits.push(cuts.windows(2).map(|w| w[0]..w[1]).collect());
+    splits
+}
+
+#[test]
+fn the_row_core_over_any_split_is_the_whole_kernel_bit_for_bit() {
+    // Shapes: padded self-shaped heads (a small one and the engine's
+    // BERT-B s = 512 with 276 live), queries past the key mask
+    // (`s_q > p.total()`), and an unpadded head with `s_q < s_k`. Each
+    // at the dense threshold (`f32::MIN`, the stream AV walk) and at an
+    // Oracle threshold that prunes four keys in five (the skip walk),
+    // on both tiers, over every split of `row_splits` run as one
+    // fan-out. The blocks start out NaN: the core must write every
+    // element of its rows.
+    let shapes: [(usize, usize, usize, Option<usize>); 4] = [
+        (40, 40, 64, Some(29)),
+        (512, 512, 64, Some(276)),
+        (23, 16, 32, Some(11)),
+        (9, 30, 65, None),
+    ];
+    for (s_q, s_k, d, live) in shapes {
+        let seed = (s_q * 100 + s_k) as u64;
+        let q = random_matrix(s_q, d, seed, 2.0);
+        let k = random_matrix(s_k, d, seed ^ 1, 2.0);
+        let v = random_matrix(s_k, d, seed ^ 2, 1.0);
+        let cfg = AttentionConfig::new(d);
+        let mask = live.map(|live| PaddingMask::new(s_k, live).unwrap());
+        let live_q = live.map_or(s_q, |live| live.min(s_q));
+        let (dense, _) =
+            pruned_attention_with(&q, &k, &v, &cfg, f32::MIN, None, &mut Workspace::new()).unwrap();
+        let oracle = calibrate_threshold(&dense.scores, 0.8).unwrap();
+        for threshold in [f32::MIN, oracle] {
+            for tier in [SimdTier::Scalar, SimdTier::Avx2] {
+                let mut ws = Workspace::new();
+                ws.set_simd_tier(tier);
+                let (want, want_decisions) =
+                    pruned_attention_with(&q, &k, &v, &cfg, threshold, mask.as_ref(), &mut ws)
+                        .unwrap();
+                for blocks in row_splits(s_q, live_q) {
+                    let what = format!("s_q {s_q} s_k {s_k} d {d} {threshold} {tier} {blocks:?}");
+                    let nan =
+                        |rows, cols| Matrix::from_vec(rows, cols, vec![f32::NAN; rows * cols]);
+                    let mut got = AttentionOutput {
+                        scores: nan(s_q, s_k).unwrap(),
+                        probs: nan(s_q, s_k).unwrap(),
+                        output: nan(s_q, d).unwrap(),
+                    };
+                    let mut parts: Vec<_> = got
+                        .row_blocks(&blocks)
+                        .into_iter()
+                        .map(|rows| (rows, Vec::new()))
+                        .collect();
+                    sprint_parallel::fan_out(&mut parts, |_, (rows, decisions)| {
+                        let mask = mask.as_ref();
+                        *decisions =
+                            pruned_attention_rows(&q, &k, &v, &cfg, threshold, mask, tier, rows)?;
+                        Ok::<_, sprint_attention::AttentionError>(())
+                    })
+                    .unwrap();
+                    let decisions: Vec<_> = parts.into_iter().flat_map(|part| part.1).collect();
+                    assert_eq!(decisions, want_decisions, "decisions, {what}");
+                    assert_eq!(bits(&got.scores), bits(&want.scores), "scores, {what}");
+                    assert_eq!(bits(&got.probs), bits(&want.probs), "probs, {what}");
+                    assert_eq!(bits(&got.output), bits(&want.output), "output, {what}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_row_core_rejects_a_block_that_does_not_fit() {
+    let q = random_matrix(6, 8, 1, 2.0);
+    let cfg = AttentionConfig::new(8);
+    let mut out = Workspace::new().attention_output(6, 6, 8).unwrap();
+    let tier = SimdTier::Scalar;
+    let mut blocks = out.row_blocks(&[0..2, 2..6]);
+    // Rows past `q`.
+    blocks[1].rows = 4..8;
+    let got = pruned_attention_rows(&q, &q, &q, &cfg, 0.0, None, tier, &mut blocks[1]);
+    assert!(got.is_err(), "{got:?}");
+    // Slices that do not hold the block's rows.
+    blocks[0].rows = 0..3;
+    let got = pruned_attention_rows(&q, &q, &q, &cfg, 0.0, None, tier, &mut blocks[0]);
+    assert!(got.is_err(), "{got:?}");
 }

@@ -6,14 +6,14 @@ use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 use sprint_attention::{
-    pruned_attention_with, quantized_attention_output_with, Matrix, PagePool, PruneDecision,
+    pruned_attention_rows, quantized_attention_output_with, Matrix, PagePool, PruneDecision,
     SimdTier, Workspace, DEFAULT_PAGE_BYTES,
 };
 use sprint_memory::MemoryController;
 use sprint_reram::{FaultModel, InMemoryPruner, NoiseModel, ThresholdSpec, ARRAY_COLS};
 
 use crate::fault::fault_step;
-use crate::query::{analog_rows, approx_output_row, fetch_stats};
+use crate::query::{account, analog_rows, approx_output_row, cold_controller, fetch_stats};
 use crate::{
     ExecutionMode, FaultPolicy, FaultReport, HeadRequest, HeadResponse, SprintConfig, SprintError,
 };
@@ -42,7 +42,9 @@ pub fn derive_head_seed(base_seed: u64, head_id: u64) -> u64 {
 /// improve: an even `busy_ns` spread across workers shows the batch
 /// was distributed, and [`BatchReport::critical_path_ns`] is the
 /// wall-clock the same distribution would take with one free core per
-/// worker.
+/// worker. A worker's `busy_ns` is its own thread's: the CPU time of
+/// the scoped helpers a wide head starts inside itself (see
+/// [`Engine::run_batch_report`]'s per-head width) is in no worker's.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchReport {
     /// Wall-clock nanoseconds for the whole fan-out.
@@ -533,10 +535,11 @@ impl Engine {
     /// `1..=worker_slots`, so zero runs single-threaded rather than
     /// panicking), with per-worker execution accounting: returns the
     /// responses together with a [`BatchReport`] holding the fan-out's
-    /// wall-clock span and each worker's item/busy-time counters. The
-    /// scaling benches and the thread-independence tests sweep widths
-    /// through this; `run_batch` is this at the default width, minus
-    /// the report.
+    /// wall-clock span and each worker's item/busy-time counters. Each
+    /// head runs at width `threads / requests.len()` inside itself
+    /// (ARCHITECTURE.md, "Intra-head fan-out"). The scaling benches and
+    /// the thread-independence tests sweep widths through this;
+    /// `run_batch` is this at the default width, minus the report.
     ///
     /// # Errors
     ///
@@ -616,10 +619,10 @@ impl Engine {
         f(&mut scratch)
     }
 
-    /// The mode-dispatched head pipeline over one worker's scratch. An
-    /// analog head whose live keys span two or more column tiles fans
-    /// out over `threads` workers; any other head runs on the caller's
-    /// thread alone.
+    /// The mode-dispatched head pipeline over one worker's scratch. A
+    /// head whose live keys span two or more column tiles runs at width
+    /// `threads` (at least 1), in every mode; a narrower head runs at
+    /// width 1, on the caller's thread alone.
     fn run_on_scratch(
         &self,
         scratch: &mut HeadScratch,
@@ -628,22 +631,30 @@ impl Engine {
         threads: usize,
     ) -> Result<HeadResponse, SprintError> {
         let live = validate_request(request)?;
-        let width = if live.1 > ARRAY_COLS { threads } else { 1 };
+        let width = if live.1 > ARRAY_COLS {
+            threads.max(1)
+        } else {
+            1
+        };
         match request.mode_override().unwrap_or(self.mode) {
             ExecutionMode::Sprint => self.run_analog(scratch, request, seed, width, true, live),
             ExecutionMode::NoRecompute => {
                 self.run_analog(scratch, request, seed, width, false, live)
             }
-            ExecutionMode::Dense => self.run_digital(scratch, request, f32::MIN, live),
-            ExecutionMode::Oracle => self.run_digital(scratch, request, request.threshold(), live),
+            ExecutionMode::Dense => self.run_digital(scratch, request, f32::MIN, live, width),
+            ExecutionMode::Oracle => {
+                self.run_digital(scratch, request, request.threshold(), live, width)
+            }
         }
     }
 
     /// The analog pipeline (Sprint / NoRecompute): in-memory
     /// thresholding over the live region, selective fetch through the
     /// memory controller, then either the 8-bit recompute datapath or
-    /// the approximate-score softmax. Programming, thresholding and the
-    /// recompute kernel split their work over `width` workers.
+    /// the approximate-score softmax. Programming and thresholding split
+    /// their work over `width` workers; at width 2 or more the
+    /// accounting runs beside the recompute, which splits its rows over
+    /// the other `width - 1`.
     fn run_analog(
         &self,
         scratch: &mut HeadScratch,
@@ -702,7 +713,7 @@ impl Engine {
                 // work already spent (programming, scrub reads, repair
                 // writes) visible in the hardware stats.
                 let prune_stats = pruner.stats();
-                let mut response = self.run_digital(scratch, request, f32::MIN, live)?;
+                let mut response = self.run_digital(scratch, request, f32::MIN, live, width)?;
                 response.prune_stats = prune_stats;
                 response.faults = faults;
                 return Ok(response);
@@ -730,25 +741,45 @@ impl Engine {
         };
         decisions.reserve(s_q - live_q);
         let prune_stats = pruner.stats();
-        let memory_stats = fetch_stats(&mut scratch.controller, &self.config, &decisions, live_k)?;
         for _ in live_q..s_q {
             decisions.push(scratch.all_pruned(s_k));
         }
 
-        let output = match approx {
-            Some(out) => out,
+        // The accounting and the recompute only read the decisions. At
+        // width 2 or more they run at once: the controller takes every
+        // live query in order on one part, and the recompute splits its
+        // rows over the other `width - 1`.
+        let mut accounting = || {
+            fetch_stats(
+                &mut scratch.controller,
+                &self.config,
+                &decisions[..live_q],
+                live_k,
+            )
+        };
+        let (memory_stats, output) = match approx {
+            Some(out) => (accounting()?, out),
             None => {
                 // On-chip recompute: full-precision (8-bit datapath)
                 // scores for every surviving key.
-                scratch.ws.set_threads(width);
-                quantized_attention_output_with(
-                    q,
-                    k,
-                    v,
-                    &request.config(),
-                    Some(&decisions),
-                    &mut scratch.ws,
-                )?
+                let mut recompute = || {
+                    let ws = &mut scratch.ws;
+                    ws.set_threads((width - 1).max(1));
+                    quantized_attention_output_with(
+                        q,
+                        k,
+                        v,
+                        &request.config(),
+                        Some(&decisions),
+                        ws,
+                    )
+                };
+                let (stats, output) = if width > 1 {
+                    sprint_parallel::join(accounting, recompute)
+                } else {
+                    (accounting(), recompute())
+                };
+                (stats?, output?)
             }
         };
 
@@ -766,28 +797,59 @@ impl Engine {
     /// driven through the memory controller for fetch/reuse
     /// accounting. `threshold == f32::MIN` reduces to the dense
     /// baseline.
+    ///
+    /// The float kernel's row core runs on `width` blocks of query rows
+    /// in one fan-out, balanced by live keys. The part holding block 0
+    /// drives the controller through its decisions as soon as they
+    /// exist, and after the join the caller drives the rest, so the
+    /// controller still takes every live query in order.
     fn run_digital(
         &self,
         scratch: &mut HeadScratch,
         request: &HeadRequest,
         threshold: f32,
         (live_q, live_k): (usize, usize),
+        width: usize,
     ) -> Result<HeadResponse, SprintError> {
         let (q, k, v) = (request.q(), request.k(), request.v());
-        let padding = request.padding();
-        let (out, decisions) = pruned_attention_with(
-            q,
-            k,
-            v,
-            &request.config(),
-            threshold,
-            padding.as_ref(),
-            &mut scratch.ws,
-        )?;
+        let (padding, cfg) = (request.padding(), request.config());
+        let s_q = q.rows();
+        let tier = scratch.ws.simd_tier();
+        let mut out = scratch.ws.attention_output(s_q, k.rows(), v.cols())?;
+        // A live row costs its live keys; a padded row only its fill.
+        let blocks =
+            sprint_parallel::weighted_ranges(s_q, width, |i| if i < live_q { live_k } else { 1 });
+        let mut controller = if live_q > 0 && live_k > 0 {
+            Some(cold_controller(&mut scratch.controller, &self.config)?)
+        } else {
+            None
+        };
+        let mut parts: Vec<_> = out
+            .row_blocks(&blocks)
+            .into_iter()
+            .map(|rows| (rows, Vec::new(), None))
+            .collect();
+        parts[0].2 = controller.as_deref_mut();
+        sprint_parallel::fan_out(&mut parts, |_, (rows, decisions, controller)| {
+            let live_rows = rows.rows.end.min(live_q).saturating_sub(rows.rows.start);
+            *decisions =
+                pruned_attention_rows(q, k, v, &cfg, threshold, padding.as_ref(), tier, rows)?;
+            if let Some(controller) = controller {
+                account(controller, &decisions[..live_rows], live_k)?;
+            }
+            Ok::<_, SprintError>(())
+        })?;
+        let decisions: Vec<PruneDecision> = parts.into_iter().flat_map(|part| part.1).collect();
+        let memory_stats = match controller {
+            Some(controller) => {
+                let first = blocks[0].end.min(live_q);
+                account(controller, &decisions[first..live_q], live_k)?;
+                controller.stats()
+            }
+            None => sprint_memory::MemoryStats::default(),
+        };
         scratch.ws.recycle(out.scores);
         scratch.ws.recycle(out.probs);
-        let live = &decisions[..live_q];
-        let memory_stats = fetch_stats(&mut scratch.controller, &self.config, live, live_k)?;
 
         Ok(HeadResponse {
             output: out.output,

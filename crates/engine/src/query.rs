@@ -69,8 +69,8 @@ pub(crate) fn approx_output_row<'v>(
 /// Fetch accounting over a decision slice: the controller in `slot`
 /// (built over `config` on first use) is cold-reset and takes each
 /// kept set over the first `live` keys. It shares no state with the
-/// pruner, so this runs after the prune loop. Zeroed when nothing is
-/// live.
+/// pruner or the kernels, so it may run beside the recompute. Zeroed
+/// when nothing is live.
 pub(crate) fn fetch_stats(
     slot: &mut Option<MemoryController>,
     config: &SprintConfig,
@@ -80,13 +80,34 @@ pub(crate) fn fetch_stats(
     if decisions.is_empty() || live == 0 {
         return Ok(MemoryStats::default());
     }
+    let controller = cold_controller(slot, config)?;
+    account(controller, decisions, live)?;
+    Ok(controller.stats())
+}
+
+/// The controller in `slot` (built over `config` on first use),
+/// cold-reset for a new head.
+pub(crate) fn cold_controller<'a>(
+    slot: &'a mut Option<MemoryController>,
+    config: &SprintConfig,
+) -> Result<&'a mut MemoryController, SprintError> {
     let controller = match slot {
         Some(controller) => controller,
         None => slot.insert(config.memory_controller()?),
     };
     controller.reset_cold();
+    Ok(controller)
+}
+
+/// Drives `controller` through each kept set over the first `live`
+/// keys, in order (the controller's residency depends on the order).
+pub(crate) fn account(
+    controller: &mut MemoryController,
+    decisions: &[PruneDecision],
+    live: usize,
+) -> Result<(), SprintError> {
     for d in decisions {
         controller.process_query(&d.as_slice()[..live])?;
     }
-    Ok(controller.stats())
+    Ok(())
 }

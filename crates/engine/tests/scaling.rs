@@ -31,10 +31,10 @@ fn traces(n: usize, seq: usize, seed: u64) -> Vec<sprint_workloads::HeadTrace> {
 #[test]
 fn every_worker_runs_a_balanced_chunk() {
     let e = engine(4);
-    // Large enough that each worker's chunk runs well past one
-    // scheduler tick even in release builds — the busy counters read
-    // /proc schedstat, which only updates at scheduling events, so a
-    // sub-millisecond chunk can legitimately report zero.
+    // Eight heads per worker: every chunk holds real work, and the busy
+    // counters read each worker thread's CPU clock
+    // (`CLOCK_THREAD_CPUTIME_ID`), which counts every cycle the chunk
+    // ran, so a chunk that ran reports busy time.
     let heads = traces(32, 160, 40);
     let reqs: Vec<HeadRequest> = heads.iter().map(HeadRequest::from_trace).collect();
     let (_, report) = e.run_batch_report(4, &reqs).unwrap();
@@ -62,8 +62,8 @@ fn critical_path_shrinks_with_worker_count() {
     // must shrink with workers even on a fully loaded host, because it
     // counts only executed cycles, never descheduled time.
     let e = engine(4);
-    // Sized so each 4-worker chunk far exceeds the schedstat tick
-    // granularity (see every_worker_runs_a_balanced_chunk).
+    // Eight heads per 4-worker chunk, as in
+    // every_worker_runs_a_balanced_chunk.
     let heads = traces(32, 160, 41);
     let reqs: Vec<HeadRequest> = heads.iter().map(HeadRequest::from_trace).collect();
     let (_, one) = e.run_batch_report(1, &reqs).unwrap();
@@ -78,8 +78,8 @@ fn critical_path_shrinks_with_worker_count() {
     );
     // And the chunks are balanced: the busiest worker holds no more
     // than three times the average share of the total work (loose
-    // because the tick-granular busy clock under-measures whichever
-    // workers were context-switched least).
+    // because heads differ in cost, and time-shared cores run a
+    // thread's work slower through cache and frequency effects).
     let avg = four.total_busy_ns() / four.workers.len() as u128;
     assert!(
         four.critical_path_ns() <= 3 * avg,
@@ -129,9 +129,10 @@ fn serve_stats_localize_the_pass_stages() {
         "the head batch fans out all layers x heads"
     );
     assert!(!stats.synth.workers.is_empty());
-    // Busy counters are tick-granular and this pass is small, so
-    // assert on the always-nonzero wall side of the per-worker stats
-    // and on the serial stage timers instead of the busy deltas.
+    // This pass is small, so assert on the wall side of the
+    // per-worker stats and on the serial stage timers, which do not
+    // depend on how the host shares its cores, rather than on busy
+    // deltas.
     assert!(stats.batch.workers.iter().all(|w| w.wall_ns > 0));
     assert!(stats.plan_ns > 0);
     assert!(stats.critical_path_ns() >= stats.batch.critical_path_ns());

@@ -1,13 +1,13 @@
 //! Scoped-thread fan-out with deterministic result ordering.
 //!
 //! The experiment drivers, profile generators, trace synthesizers and
-//! the intra-head crossbar and recompute stages of the SPRINT
+//! the intra-head crossbar, kernel and accounting stages of the SPRINT
 //! reproduction are embarrassingly parallel: every item is independent
 //! and the result order must match the input order so that reports,
 //! seeds and tests stay reproducible. This crate has one executor,
 //! [`fan_out`], the only code here that starts or joins threads (scoped
 //! threads from the standard library, with no external dependencies:
-//! the build environment is offline). The two maps are folds over it:
+//! the build environment is offline). The rest are folds over it:
 //!
 //! - [`par_try_map_threads`] (and its [`par_map`] / [`par_try_map`]
 //!   wrappers) hands items out from a shared cursor and puts each
@@ -15,7 +15,8 @@
 //!   is bit-identical across thread counts;
 //! - [`par_chunk_try_map_threads`] gives each part one fixed
 //!   [`chunk_ranges`] chunk and its own [`WorkerStats`], so a caller
-//!   can pin per-worker state to a part.
+//!   can pin per-worker state to a part;
+//! - [`join`] runs two different closures as the two parts.
 //!
 //! # Example
 //!
@@ -67,7 +68,7 @@ pub fn max_threads() -> usize {
 /// `wall_ns` is the part's wall-clock span for comparison. A map of
 /// one chunk runs it inline on the caller's thread and reports
 /// `busy_ns == wall_ns`: with nothing to balance, it reads no CPU
-/// clock (two `/proc` reads a chunk on Linux).
+/// clock.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// The worker's index (`0..workers`).
@@ -86,15 +87,40 @@ pub struct WorkerStats {
 ///
 /// Unlike wall-clock, two samples of this clock bracket only the
 /// cycles *this thread* executed — the honest busy-time measure on
-/// hosts where workers time-share cores.
+/// hosts where workers time-share cores. On Linux it is
+/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)`, which includes the time of
+/// the running slice. (The first field of `/proc/thread-self/schedstat`
+/// is not this clock: the kernel folds a running thread's time into it
+/// only at a tick or a switch, so a millisecond of spinning can read
+/// zero there.)
 #[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
 pub fn thread_cpu_ns() -> Option<u128> {
-    // `/proc/thread-self/schedstat` line: "<on-cpu ns> <runqueue ns>
-    // <timeslices>". The first field is the scheduler's cumulative
-    // on-CPU time for the calling thread, which is the per-thread CPU
-    // clock without reaching for unsafe FFI.
-    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    stat.split_whitespace().next()?.parse().ok()
+    use std::os::raw::{c_int, c_long};
+    /// `struct timespec` of the Linux C ABI (`time_t` is a `long`).
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock_id: c_int, tp: *mut Timespec) -> c_int;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    let mut now = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `clock_gettime` is the C library's (std links it on
+    // Linux); it writes only the `timespec` it is given, which is a
+    // live, exclusively borrowed value of the C layout.
+    let status = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut now) };
+    if status != 0 {
+        return None;
+    }
+    let secs = u128::try_from(now.tv_sec).ok()?;
+    let nanos = u128::try_from(now.tv_nsec).ok()?;
+    Some(secs * 1_000_000_000 + nanos)
 }
 
 /// The calling thread's CPU time in nanoseconds, or `None` where the
@@ -393,6 +419,47 @@ where
     })
 }
 
+/// Runs `a` and `b` at once and returns both results: the two parts
+/// of one [`fan_out`], so one of them runs on a scoped helper and each
+/// has finished when the call returns. A head's memory accounting runs
+/// beside its recompute this way (both only read the decisions).
+///
+/// # Panics
+///
+/// A panic in `a` or `b` reaches the caller with its own payload.
+///
+/// # Example
+///
+/// ```
+/// let (sum, product) = sprint_parallel::join(|| 2 + 3, || 2 * 3);
+/// assert_eq!((sum, product), (5, 6));
+/// ```
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    enum Side<A, B, RA, RB> {
+        A(Option<A>, Option<RA>),
+        B(Option<B>, Option<RB>),
+    }
+    let mut sides = [Side::A(Some(a), None), Side::B(Some(b), None)];
+    fan_out(&mut sides, |_, side| {
+        match side {
+            Side::A(f, out) => *out = f.take().map(|f| f()),
+            Side::B(f, out) => *out = f.take().map(|f| f()),
+        }
+        Ok::<_, Infallible>(())
+    })
+    .unwrap_or_else(|never| match never {});
+    match sides {
+        [Side::A(_, Some(ra)), Side::B(_, Some(rb))] => (ra, rb),
+        _ => unreachable!("fan_out runs every part once"),
+    }
+}
+
 /// Maps `f` over `items` on up to [`max_threads`] workers, returning
 /// results in input order (slot `i` holds `f(&items[i])`): the
 /// infallible [`par_try_map_threads`].
@@ -674,6 +741,59 @@ mod tests {
         assert!(after >= before, "per-thread CPU clock must be monotonic");
     }
 
+    /// A fixed amount of CPU work, about a millisecond optimized.
+    fn spin() -> u64 {
+        let mut acc = 0u64;
+        for i in 0..1_000_000u64 {
+            acc = std::hint::black_box(acc.wrapping_add(i ^ (acc >> 3)));
+        }
+        acc
+    }
+
+    #[test]
+    fn every_part_of_an_oversubscribed_map_reports_its_whole_spin_as_busy() {
+        // Four parts on a host of two cores or fewer time-share them,
+        // and each part must still be charged the CPU time its spin
+        // took, not the share the kernel had folded in at its last
+        // tick (a lagging clock read 0 for whole millisecond spins).
+        // The same work costs more CPU time while a sibling hardware
+        // thread or another guest is busy, so the spin alone is the
+        // fastest of ten taken around the map, and a map may still
+        // catch every alone spin in a slow spell: an honest clock
+        // passes one of five attempts, a lagging one none.
+        if thread_cpu_ns().is_none() {
+            return; // platform without a per-thread CPU clock
+        }
+        let alone = || {
+            let started = thread_cpu_ns().unwrap();
+            std::hint::black_box(spin());
+            thread_cpu_ns().unwrap() - started
+        };
+        let attempt = || {
+            let before = (0..5).map(|_| alone()).min().unwrap();
+            let (_, stats) =
+                par_chunk_try_map_threads(4, &[(); 4], |_, _, _| Ok::<_, ()>(spin())).unwrap();
+            let fastest = (0..5).map(|_| alone()).fold(before, u128::min);
+            assert!(fastest > 0, "a spin alone reads no CPU time");
+            assert_eq!(stats.len(), 4);
+            match stats.iter().find(|part| part.busy_ns * 10 < fastest * 8) {
+                Some(part) => Err(format!(
+                    "part {} busy {} ns, the same spin alone {fastest} ns",
+                    part.worker, part.busy_ns
+                )),
+                None => Ok(()),
+            }
+        };
+        let mut outcome = attempt();
+        for _ in 1..5 {
+            if outcome.is_ok() {
+                break;
+            }
+            outcome = attempt();
+        }
+        outcome.unwrap();
+    }
+
     #[test]
     fn weighted_ranges_split_by_weight_not_count() {
         let tiles = [128, 128, 20];
@@ -743,6 +863,24 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(caught.downcast_ref::<&str>(), Some(&"part two"));
+    }
+
+    #[test]
+    fn join_runs_both_sides_and_passes_a_panic_on() {
+        let mut left = vec![1u32, 2];
+        let (len, right) = join(
+            || {
+                left.push(3);
+                left.len()
+            },
+            || String::from("right"),
+        );
+        assert_eq!((len, right.as_str(), left), (3, "right", vec![1, 2, 3]));
+        let caught = std::panic::catch_unwind(|| join(|| 1, || -> u8 { panic!("right side") }));
+        assert_eq!(
+            caught.unwrap_err().downcast_ref::<&str>(),
+            Some(&"right side")
+        );
     }
 
     #[test]

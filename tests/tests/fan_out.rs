@@ -1,9 +1,13 @@
 //! The intra-head fan-out: one head's crossbar column tiles program and
-//! prune on several workers, and its recompute kernel splits the query
-//! rows. Every width must give the same bits as width 1 — outputs,
-//! decisions, hardware counters, fetch accounting and fault records —
-//! because each tile draws from its own noise stream, rows are
-//! independent, and the softmax range is an order-free `f32::max`.
+//! prune on several workers, its memory accounting runs beside the
+//! recompute kernel, which splits the query rows, and a digital head
+//! (Dense, Oracle, or a demoted Sprint head) splits the float kernel's
+//! rows while block 0's part drives the memory controller. Every width
+//! must give the same bits as width 1 — outputs, decisions, hardware
+//! counters, fetch accounting and fault records — because each tile
+//! draws from its own noise stream, rows are independent, the softmax
+//! range is an order-free `f32::max`, and the controller takes the live
+//! queries in order.
 //!
 //! Widths come from `Engine::run_batch_report(threads, [one head])`, so
 //! the suite exercises the fan-out even under `SPRINT_THREADS=1`.
@@ -137,31 +141,61 @@ fn a_quantized_comparator_is_width_invariant_and_matches_a_fresh_pruner() {
 }
 
 #[test]
-fn a_panicking_fan_out_worker_reaches_the_caller_and_the_scratch_recovers() {
-    // Part 1 panics in each of the five fan-outs of a quantized Sprint
-    // head in turn (program, full-scale scan, prune, QK-PU rows,
-    // softmax/V-PU rows), after its work mutated the scratch. The panic
-    // reaches the caller; the next head on the same engine recovers the
-    // poisoned scratch and equals a fresh engine's.
-    let padded = trace(512, None, 13);
-    let request = HeadRequest::from_trace(&padded).with_threshold_spec(ThresholdSpec::quantized(6));
-    let want = engine(NoiseModel::default(), None)
-        .run_head(&request)
+fn a_fault_demoted_sprint_head_splits_its_rows_at_every_width() {
+    // Every bitline faulty: repair and remapping cannot help, so the
+    // Sprint head demotes to the digital pipeline, which splits the
+    // float kernel's rows over the head's width as a Dense head does.
+    let model = FaultModel::new(3).with_line_rates(1.0, 0.0).unwrap();
+    let engine = Engine::builder(SprintConfig::medium())
+        .noise(NoiseModel::default())
+        .seed(0x5eed)
+        .worker_slots(1)
+        .fault_model(model)
+        .fault_policy(FaultPolicy::Demote { max_attempts: 2 })
+        .build()
         .unwrap();
-    let engine = engine(NoiseModel::default(), None);
-    for stage in 0..5 {
-        sprint_parallel::inject_worker_panic(stage, 1);
-        let caught = catch_unwind(AssertUnwindSafe(|| run_wide(&engine, 2, &request)));
-        assert!(
-            caught.is_err(),
-            "stage {stage}: the panic must reach the caller"
-        );
-        assert_same(
-            &engine.run_head(&request).unwrap(),
-            &want,
-            &format!("after stage {stage}"),
-        );
-        let wide = run_wide(&engine, 2, &request);
-        assert_same(&wide, &want, &format!("wide after stage {stage}"));
+    let padded = trace(512, None, 14);
+    let request = HeadRequest::from_trace(&padded).with_mode(ExecutionMode::Sprint);
+    let want = run_wide(&engine, 1, &request);
+    assert!(want.faults.demoted, "{:?}", want.faults);
+    for threads in 2..=4 {
+        let got = run_wide(&engine, threads, &request);
+        assert_same(&got, &want, &format!("demoted at {threads}"));
+    }
+}
+
+#[test]
+fn a_panicking_fan_out_worker_reaches_the_caller_and_the_scratch_recovers() {
+    // At width 2, part 1 panics in each fan-out of a head in turn,
+    // after its work mutated the scratch: the four of a quantized
+    // Sprint head (program, full-scale scan, prune, then the memory
+    // accounting beside the recompute, which runs inline at width 1)
+    // and the one of a Dense head (its row blocks; block 0's part
+    // drives the controller). The panic reaches the caller; the next
+    // head on the same engine recovers the poisoned scratch and equals
+    // a fresh engine's.
+    let padded = trace(512, None, 13);
+    let sprint = HeadRequest::from_trace(&padded).with_threshold_spec(ThresholdSpec::quantized(6));
+    let dense = HeadRequest::from_trace(&padded).with_mode(ExecutionMode::Dense);
+    for (request, fan_outs) in [(sprint, 4), (dense, 1)] {
+        let want = engine(NoiseModel::default(), None)
+            .run_head(&request)
+            .unwrap();
+        let engine = engine(NoiseModel::default(), None);
+        for stage in 0..fan_outs {
+            sprint_parallel::inject_worker_panic(stage, 1);
+            let caught = catch_unwind(AssertUnwindSafe(|| run_wide(&engine, 2, &request)));
+            assert!(
+                caught.is_err(),
+                "stage {stage}: the panic must reach the caller"
+            );
+            assert_same(
+                &engine.run_head(&request).unwrap(),
+                &want,
+                &format!("after stage {stage}"),
+            );
+            let wide = run_wide(&engine, 2, &request);
+            assert_same(&wide, &want, &format!("wide after stage {stage}"));
+        }
     }
 }

@@ -344,7 +344,8 @@ impl AttentionOutput {
 ///
 /// ```
 /// use sprint_attention::{
-///     pruned_attention_rows, pruned_attention_with, AttentionConfig, Matrix, Workspace,
+///     pruned_attention_rows, pruned_attention_with, AttentionConfig, AttentionOutput, Matrix,
+///     Workspace,
 /// };
 ///
 /// # fn main() -> Result<(), sprint_attention::AttentionError> {
@@ -352,7 +353,8 @@ impl AttentionOutput {
 /// let cfg = AttentionConfig::new(2);
 /// let mut ws = Workspace::new();
 /// let (whole, want) = pruned_attention_with(&q, &q, &q, &cfg, 0.1, None, &mut ws)?;
-/// let mut out = ws.attention_output(3, 3, 2)?;
+/// let (scores, probs, output) = (Matrix::zeros(3, 3)?, Matrix::zeros(3, 3)?, Matrix::zeros(3, 2)?);
+/// let mut out = AttentionOutput { scores, probs, output };
 /// let mut decisions = Vec::new();
 /// for mut block in out.row_blocks(&[0..1, 1..3]) {
 ///     let tier = ws.simd_tier();

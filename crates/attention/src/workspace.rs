@@ -16,7 +16,7 @@
 ///
 /// **Pool contract.** The pool never affects results — a pooled buffer
 /// is cleared and re-zeroed before reuse, or wholly overwritten by the
-/// float kernel ([`Workspace::attention_output`]), so kernels are
+/// float kernel's row core, so kernels are
 /// bit-identical with or without recycling. Retention is bounded in both buffer
 /// count (eight) and total floats (128 MiB), so a
 /// long-lived pipeline (a serving loop, a decode session stepping
@@ -193,15 +193,22 @@ impl Workspace {
     /// The three matrices of one float-kernel call — `s_q × s_k` scores
     /// and probabilities, `s_q × d_v` attention values — backed by
     /// pooled buffers when ones with enough capacity are available.
-    /// Their entries are whatever the buffers last held (zero where
-    /// fresh): [`crate::pruned_attention_rows`] overwrites every
+    ///
+    /// **Contract.** Unlike [`Workspace::zeroed_matrix`], the entries
+    /// are whatever the buffers last held (an earlier head's values):
+    /// the caller must overwrite every element with
+    /// [`crate::pruned_attention_rows`] over row blocks that cover all
+    /// `s_q` rows before reading any of it. That core overwrites every
     /// element of the rows it is given, so nothing is cleared up front
-    /// and each worker of a row split pays for its own rows only.
+    /// and each worker of a row split pays for its own rows only. This
+    /// is the float kernel's allocator, not a general one, and is
+    /// hidden from the docs.
     ///
     /// # Errors
     ///
     /// Returns [`crate::AttentionError::InvalidDimension`] for zero
     /// dimensions (as [`crate::Matrix::zeros`] does).
+    #[doc(hidden)]
     pub fn attention_output(
         &mut self,
         s_q: usize,

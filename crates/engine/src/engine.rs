@@ -651,10 +651,8 @@ impl Engine {
     /// The analog pipeline (Sprint / NoRecompute): in-memory
     /// thresholding over the live region, selective fetch through the
     /// memory controller, then either the 8-bit recompute datapath or
-    /// the approximate-score softmax. Programming and thresholding split
-    /// their work over `width` workers; at width 2 or more the
-    /// accounting runs beside the recompute, which splits its rows over
-    /// the other `width - 1`.
+    /// the approximate-score softmax. Programming, thresholding and the
+    /// recompute kernel split their work over `width` workers.
     fn run_analog(
         &self,
         scratch: &mut HeadScratch,
@@ -741,45 +739,25 @@ impl Engine {
         };
         decisions.reserve(s_q - live_q);
         let prune_stats = pruner.stats();
+        let memory_stats = fetch_stats(&mut scratch.controller, &self.config, &decisions, live_k)?;
         for _ in live_q..s_q {
             decisions.push(scratch.all_pruned(s_k));
         }
 
-        // The accounting and the recompute only read the decisions. At
-        // width 2 or more they run at once: the controller takes every
-        // live query in order on one part, and the recompute splits its
-        // rows over the other `width - 1`.
-        let mut accounting = || {
-            fetch_stats(
-                &mut scratch.controller,
-                &self.config,
-                &decisions[..live_q],
-                live_k,
-            )
-        };
-        let (memory_stats, output) = match approx {
-            Some(out) => (accounting()?, out),
+        let output = match approx {
+            Some(out) => out,
             None => {
                 // On-chip recompute: full-precision (8-bit datapath)
                 // scores for every surviving key.
-                let mut recompute = || {
-                    let ws = &mut scratch.ws;
-                    ws.set_threads((width - 1).max(1));
-                    quantized_attention_output_with(
-                        q,
-                        k,
-                        v,
-                        &request.config(),
-                        Some(&decisions),
-                        ws,
-                    )
-                };
-                let (stats, output) = if width > 1 {
-                    sprint_parallel::join(accounting, recompute)
-                } else {
-                    (accounting(), recompute())
-                };
-                (stats?, output?)
+                scratch.ws.set_threads(width);
+                quantized_attention_output_with(
+                    q,
+                    k,
+                    v,
+                    &request.config(),
+                    Some(&decisions),
+                    &mut scratch.ws,
+                )?
             }
         };
 

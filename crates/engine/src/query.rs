@@ -69,8 +69,8 @@ pub(crate) fn approx_output_row<'v>(
 /// Fetch accounting over a decision slice: the controller in `slot`
 /// (built over `config` on first use) is cold-reset and takes each
 /// kept set over the first `live` keys. It shares no state with the
-/// pruner or the kernels, so it may run beside the recompute. Zeroed
-/// when nothing is live.
+/// pruner, so this runs after the prune loop. Zeroed when nothing is
+/// live.
 pub(crate) fn fetch_stats(
     slot: &mut Option<MemoryController>,
     config: &SprintConfig,

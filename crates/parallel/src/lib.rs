@@ -1,13 +1,13 @@
 //! Scoped-thread fan-out with deterministic result ordering.
 //!
 //! The experiment drivers, profile generators, trace synthesizers and
-//! the intra-head crossbar, kernel and accounting stages of the SPRINT
+//! the intra-head crossbar and kernel stages of the SPRINT
 //! reproduction are embarrassingly parallel: every item is independent
 //! and the result order must match the input order so that reports,
 //! seeds and tests stay reproducible. This crate has one executor,
 //! [`fan_out`], the only code here that starts or joins threads (scoped
 //! threads from the standard library, with no external dependencies:
-//! the build environment is offline). The rest are folds over it:
+//! the build environment is offline). The two maps are folds over it:
 //!
 //! - [`par_try_map_threads`] (and its [`par_map`] / [`par_try_map`]
 //!   wrappers) hands items out from a shared cursor and puts each
@@ -15,8 +15,7 @@
 //!   is bit-identical across thread counts;
 //! - [`par_chunk_try_map_threads`] gives each part one fixed
 //!   [`chunk_ranges`] chunk and its own [`WorkerStats`], so a caller
-//!   can pin per-worker state to a part;
-//! - [`join`] runs two different closures as the two parts.
+//!   can pin per-worker state to a part.
 //!
 //! # Example
 //!
@@ -417,47 +416,6 @@ where
             .min_by_key(|(w, _)| *w)
             .map_or(Ok(()), |(_, e)| Err(e))
     })
-}
-
-/// Runs `a` and `b` at once and returns both results: the two parts
-/// of one [`fan_out`], so one of them runs on a scoped helper and each
-/// has finished when the call returns. A head's memory accounting runs
-/// beside its recompute this way (both only read the decisions).
-///
-/// # Panics
-///
-/// A panic in `a` or `b` reaches the caller with its own payload.
-///
-/// # Example
-///
-/// ```
-/// let (sum, product) = sprint_parallel::join(|| 2 + 3, || 2 * 3);
-/// assert_eq!((sum, product), (5, 6));
-/// ```
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    enum Side<A, B, RA, RB> {
-        A(Option<A>, Option<RA>),
-        B(Option<B>, Option<RB>),
-    }
-    let mut sides = [Side::A(Some(a), None), Side::B(Some(b), None)];
-    fan_out(&mut sides, |_, side| {
-        match side {
-            Side::A(f, out) => *out = f.take().map(|f| f()),
-            Side::B(f, out) => *out = f.take().map(|f| f()),
-        }
-        Ok::<_, Infallible>(())
-    })
-    .unwrap_or_else(|never| match never {});
-    match sides {
-        [Side::A(_, Some(ra)), Side::B(_, Some(rb))] => (ra, rb),
-        _ => unreachable!("fan_out runs every part once"),
-    }
 }
 
 /// Maps `f` over `items` on up to [`max_threads`] workers, returning
@@ -863,24 +821,6 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(caught.downcast_ref::<&str>(), Some(&"part two"));
-    }
-
-    #[test]
-    fn join_runs_both_sides_and_passes_a_panic_on() {
-        let mut left = vec![1u32, 2];
-        let (len, right) = join(
-            || {
-                left.push(3);
-                left.len()
-            },
-            || String::from("right"),
-        );
-        assert_eq!((len, right.as_str(), left), (3, "right", vec![1, 2, 3]));
-        let caught = std::panic::catch_unwind(|| join(|| 1, || -> u8 { panic!("right side") }));
-        assert_eq!(
-            caught.unwrap_err().downcast_ref::<&str>(),
-            Some(&"right side")
-        );
     }
 
     #[test]

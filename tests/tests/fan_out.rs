@@ -1,13 +1,12 @@
 //! The intra-head fan-out: one head's crossbar column tiles program and
-//! prune on several workers, its memory accounting runs beside the
-//! recompute kernel, which splits the query rows, and a digital head
-//! (Dense, Oracle, or a demoted Sprint head) splits the float kernel's
-//! rows while block 0's part drives the memory controller. Every width
-//! must give the same bits as width 1 — outputs, decisions, hardware
-//! counters, fetch accounting and fault records — because each tile
-//! draws from its own noise stream, rows are independent, the softmax
-//! range is an order-free `f32::max`, and the controller takes the live
-//! queries in order.
+//! prune on several workers, its recompute kernel splits the query
+//! rows, and a digital head (Dense, Oracle, or a demoted Sprint head)
+//! splits the float kernel's rows while block 0's part drives the
+//! memory controller. Every width must give the same bits as width 1 —
+//! outputs, decisions, hardware counters, fetch accounting and fault
+//! records — because each tile draws from its own noise stream, rows
+//! are independent, the softmax range is an order-free `f32::max`, and
+//! the controller takes the live queries in order.
 //!
 //! Widths come from `Engine::run_batch_report(threads, [one head])`, so
 //! the suite exercises the fan-out even under `SPRINT_THREADS=1`.
@@ -167,17 +166,16 @@ fn a_fault_demoted_sprint_head_splits_its_rows_at_every_width() {
 #[test]
 fn a_panicking_fan_out_worker_reaches_the_caller_and_the_scratch_recovers() {
     // At width 2, part 1 panics in each fan-out of a head in turn,
-    // after its work mutated the scratch: the four of a quantized
-    // Sprint head (program, full-scale scan, prune, then the memory
-    // accounting beside the recompute, which runs inline at width 1)
-    // and the one of a Dense head (its row blocks; block 0's part
-    // drives the controller). The panic reaches the caller; the next
-    // head on the same engine recovers the poisoned scratch and equals
-    // a fresh engine's.
+    // after its work mutated the scratch: the five of a quantized
+    // Sprint head (program, full-scale scan, prune, QK-PU rows,
+    // softmax/V-PU rows) and the one of a Dense head (its row blocks;
+    // block 0's part drives the controller). The panic reaches the
+    // caller; the next head on the same engine recovers the poisoned
+    // scratch and equals a fresh engine's.
     let padded = trace(512, None, 13);
     let sprint = HeadRequest::from_trace(&padded).with_threshold_spec(ThresholdSpec::quantized(6));
     let dense = HeadRequest::from_trace(&padded).with_mode(ExecutionMode::Dense);
-    for (request, fan_outs) in [(sprint, 4), (dense, 1)] {
+    for (request, fan_outs) in [(sprint, 5), (dense, 1)] {
         let want = engine(NoiseModel::default(), None)
             .run_head(&request)
             .unwrap();

@@ -91,7 +91,29 @@ impl PruneDecision {
 
     /// Number of kept keys.
     pub fn kept_count(&self) -> usize {
-        self.pruned.iter().filter(|&&p| !p).count()
+        let mut count = [0];
+        self.kept_by_residue(&mut count);
+        count[0] as usize
+    }
+
+    /// Kept keys by index residue: `counts[r]` becomes the number of kept
+    /// keys `j` with `j % counts.len() == r` (non-empty), read eight flags
+    /// a word, one byte lane per `j % 8`, wherever `counts.len()` divides 8.
+    pub fn kept_by_residue(&self, counts: &mut [u64]) {
+        counts.fill(0);
+        let n = counts.len();
+        let word_end = if 8 % n == 0 { self.len() / 8 * 8 } else { 0 };
+        let (words, tail) = self.pruned.split_at(word_end);
+        // Byte `b` of `sum` counts lane `b`: 255 words fill a byte.
+        for block in words.chunks(8 * 255) {
+            let sum = block.chunks_exact(8).fold(0, |sum, w| sum + kept_word(w));
+            for (b, lane) in sum.to_le_bytes().into_iter().enumerate() {
+                counts[b % n] += u64::from(lane);
+            }
+        }
+        for (j, &pruned) in (word_end..).zip(tail) {
+            counts[j % n] += u64::from(!pruned);
+        }
     }
 
     /// Fraction of keys pruned.
@@ -160,6 +182,15 @@ pub(crate) struct KeptLists {
     key_end: usize,
 }
 
+/// Eight pruned flags as one word whose byte `t` is 1 when key `t` is
+/// kept (`!word & 0x0101…`, a safe fold that compiles to one load).
+fn kept_word(word: &[bool]) -> u64 {
+    !(0..)
+        .zip(word)
+        .fold(0, |w, (t, &p)| w | u64::from(p) << (8 * t))
+        & 0x0101_0101_0101_0101
+}
+
 /// For each byte `m`, the positions of its set bits, ascending (the
 /// rest zero): the kept keys of one eight-flag word whose kept mask is
 /// `m`.
@@ -225,10 +256,7 @@ impl KeptLists {
             let mut words = d.as_slice().chunks_exact(8);
             let mut base = 0u32;
             for word in &mut words {
-                let flags = (0..)
-                    .zip(word)
-                    .fold(0u64, |w, (t, &p)| w | u64::from(p) << (8 * t));
-                let kept = !flags & LOW_BITS;
+                let kept = kept_word(word);
                 if kept != 0 {
                     let mask = (kept.wrapping_mul(GATHER) >> 56) as usize;
                     for (slot, &bit) in self.indices[len..len + 8].iter_mut().zip(&SET_BITS[mask]) {
@@ -454,6 +482,27 @@ mod tests {
             assert_eq!(lists.row(3), all.as_slice());
             assert_eq!(lists.span(3), 3 * s_k..4 * s_k);
             assert_eq!(lists.key_end(), s_k);
+        }
+    }
+
+    #[test]
+    fn kept_by_residue_counts_across_word_blocks() {
+        // Lengths around the 255-word blocks, where a byte of the lane
+        // sum would carry, all kept (every byte at its largest) and in
+        // a ragged pattern, over residues that divide 8 and some that
+        // do not; the counts arrive dirty.
+        for len in [0usize, 7, 2039, 2040, 2041, 2048, 4080, 4097] {
+            for pattern in [|_: usize| false, |j: usize| j % 3 == 0 || j % 11 == 4] {
+                let d = PruneDecision::new((0..len).map(pattern).collect());
+                for n in 1..=9 {
+                    let mut want = vec![0u64; n];
+                    d.iter_kept().for_each(|j| want[j % n] += 1);
+                    let mut got = vec![7u64; n];
+                    d.kept_by_residue(&mut got);
+                    assert_eq!(got, want, "len {len}, {n} residues");
+                }
+                assert_eq!(d.kept_count(), d.iter_kept().count(), "len {len}");
+            }
         }
     }
 

@@ -4,8 +4,6 @@
 //! exactly as the SPRINT paper does; the M-SPRINT row is measured on
 //! this reproduction's counting simulator over the studied workloads.
 
-use sprint_energy::dennard_scale;
-
 use crate::counting::{simulate_head, ExecutionMode};
 use crate::{HeadProfile, SprintConfig};
 
@@ -42,11 +40,6 @@ impl AcceleratorMetrics {
     /// GOPs/s/J/mm².
     pub fn gops_per_joule_per_mm2(&self) -> f64 {
         self.gops_per_joule / self.area_mm2
-    }
-
-    /// This row's energy efficiency Dennard-scaled to `node_nm`.
-    pub fn gops_per_joule_at(&self, node_nm: f64) -> f64 {
-        dennard_scale(self.gops_per_joule, self.process_nm, node_nm)
     }
 }
 
@@ -158,6 +151,7 @@ pub fn sprint_metrics(cfg: &SprintConfig, profiles: &[HeadProfile]) -> Accelerat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sprint_energy::dennard_scale;
 
     #[test]
     fn published_rows_match_table_three() {

@@ -68,14 +68,6 @@ impl Energy {
         self.0 * 1e-12
     }
 
-    /// Returns the ratio `self / other`.
-    ///
-    /// Used for reduction factors such as "19.6× energy reduction".
-    /// Returns `f64::INFINITY` when `other` is zero and `self` is not.
-    pub fn ratio_to(self, other: Energy) -> f64 {
-        self.0 / other.0
-    }
-
     /// Returns whether the value is a finite, non-negative quantity.
     pub fn is_valid(self) -> bool {
         self.0.is_finite() && self.0 >= 0.0
@@ -172,13 +164,6 @@ mod tests {
     fn sum_over_iterator() {
         let total: Energy = (1..=4).map(|i| Energy::from_pj(i as f64)).sum();
         assert_eq!(total.as_pj(), 10.0);
-    }
-
-    #[test]
-    fn ratio_reports_reduction_factor() {
-        let baseline = Energy::from_nj(19.6);
-        let sprint = Energy::from_nj(1.0);
-        assert!((baseline.ratio_to(sprint) - 19.6).abs() < 1e-9);
     }
 
     #[test]

@@ -100,12 +100,6 @@ impl UnitEnergies {
     pub fn in_memory_op(&self, rows: usize, cols: usize) -> Energy {
         self.in_memory_mac * (rows as f64 * cols as f64)
     }
-
-    /// Returns the energy of thresholding `cols` crossbar columns with
-    /// analog comparators.
-    pub fn comparator_bank(&self, cols: usize) -> Energy {
-        self.analog_comparator * cols as f64
-    }
 }
 
 /// Relative cost model of analog-to-digital converters, used for the
@@ -194,15 +188,6 @@ mod tests {
         // and the per-MAC value for scaled regions.
         assert!(u.in_memory_op(64, 128).as_pj() <= u.in_memory_computation.as_pj());
         assert!((u.in_memory_op(64, 128).as_pj() - 819.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn comparator_bank_matches_per_unit_cost() {
-        let u = UnitEnergies::default();
-        let bank = u.comparator_bank(128);
-        // 128 * 41 fJ = 5.248 pJ, close to the 5.34 pJ table entry.
-        assert!((bank.as_pj() - 5.248).abs() < 1e-9);
-        assert!(bank.as_pj() <= u.analog_comparator_bank.as_pj());
     }
 
     #[test]

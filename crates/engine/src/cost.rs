@@ -140,14 +140,11 @@ impl OpCounts {
 
 /// Worst per-CORELET share of one query's kept keys under token
 /// interleaving: key `j` belongs to CORELET `j % N` (Fig. 8; the rule
-/// [`assign_tokens`] materialises as work lists).
-/// `loads` is the caller's scratch, one slot per CORELET.
+/// [`assign_tokens`] materialises as work lists), over a list of kept
+/// indices. `loads` is the caller's scratch, one slot per CORELET.
 pub fn worst_corelet_load(kept: impl IntoIterator<Item = usize>, loads: &mut [u64]) -> u64 {
     loads.fill(0);
     let corelets = loads.len();
-    // `for_each`, not `for`: the roll-up walks s² flags per head through
-    // a filtering iterator, and internal iteration is what compiles it
-    // to the plain flag loop (about a third faster, measured).
     kept.into_iter().for_each(|j| loads[j % corelets] += 1);
     loads.iter().copied().max().unwrap_or(0)
 }
@@ -283,11 +280,11 @@ pub fn query_cycles(
     (stages * tiles_per_dot).max(memory_cycles).max(floor)
 }
 
-/// The served count producer: the [`OpCounts`] (without ReRAM writes)
-/// and summed cycles of `decisions`, one executed decision per live
-/// query over `keys` live keys — a head's live rows or a decode step's
-/// one query — with fetches from `memory_stats` (the memory stream is
-/// query-averaged) and analog op counts from `prune_stats`.
+/// The served pricing call: the [`OpCounts`] (without ReRAM writes),
+/// cycles and kept keys of `decisions` (kept key `j` on CORELET `j % N`),
+/// one executed decision per live query over `keys` live keys — a head's
+/// live rows or a decode step's one query — with fetches from
+/// `memory_stats` (query-averaged) and analog op counts from `prune_stats`.
 pub(crate) fn count_queries(
     mode: ExecutionMode,
     config: &SprintConfig,
@@ -296,7 +293,7 @@ pub(crate) fn count_queries(
     decisions: &[PruneDecision],
     memory_stats: &MemoryStats,
     prune_stats: &PruneHardwareStats,
-) -> (OpCounts, u64) {
+) -> (OpCounts, u64, u64) {
     let queries = decisions.len() as u64;
     let d_bits = (d * 8) as u64;
     let cpt = d.div_ceil(config.head_dim.max(1)) as u64;
@@ -307,8 +304,9 @@ pub(crate) fn count_queries(
     let mut loads = vec![0u64; corelets];
     let (mut kept, mut cycles) = (0u64, 0u64);
     for decision in decisions {
-        let worst = worst_corelet_load(decision.iter_kept(), &mut loads);
+        decision.kept_by_residue(&mut loads);
         kept += loads.iter().sum::<u64>();
+        let worst = loads.iter().copied().max().unwrap_or(0);
         cycles += query_cycles(mode, keys, worst, corelets, cpt, mem);
     }
 
@@ -326,7 +324,7 @@ pub(crate) fn count_queries(
         counts.comparator_firings = prune_stats.comparator_firings;
         counts.command_bits = queries * (d as u64 * 4) + queries * keys as u64 / 8;
     }
-    (counts, cycles)
+    (counts, cycles, kept)
 }
 
 /// The energy of writing `tokens` tokens' K and V rows (`2·d` bytes
@@ -592,6 +590,185 @@ mod tests {
                 seq >= 4.0,
                 "sequential suffers on clusters: n={n} seq={seq}"
             );
+        }
+    }
+
+    /// The served pricing call's kept total and worst CORELET load for
+    /// one decision over `corelets` CORELETs, read back from its Oracle
+    /// cycles: with an idle memory stream and one tile per dot they are
+    /// `⌈keys/N⌉ + 2·worst`.
+    fn priced_loads(d: &PruneDecision, corelets: usize) -> (u64, u64) {
+        let config = SprintConfig {
+            corelets,
+            ..SprintConfig::medium()
+        };
+        let (_, cycles, kept) = count_queries(
+            ExecutionMode::Oracle,
+            &config,
+            config.head_dim,
+            d.len(),
+            std::slice::from_ref(d),
+            &MemoryStats::default(),
+            &PruneHardwareStats::default(),
+        );
+        (kept, (cycles - d.len().div_ceil(corelets) as u64) / 2)
+    }
+
+    /// [`crate::PerfRollup::from_response`] as it was before the kept
+    /// total came from the pricing call, frozen: the CORELET loads
+    /// walked each live decision's kept indices, and `kept_scores`
+    /// walked every flag again. Returns cycles, energy and kept scores.
+    fn two_walk_rollup(
+        mode: ExecutionMode,
+        config: &SprintConfig,
+        d: usize,
+        seq_len: usize,
+        keys: usize,
+        response: &crate::HeadResponse,
+    ) -> (u64, EnergyBreakdown, u64) {
+        let decisions = &response.decisions[..keys.min(response.decisions.len())];
+        let (memory_stats, prune_stats) = (&response.memory_stats, &response.prune_stats);
+        let queries = decisions.len() as u64;
+        let d_bits = (d * 8) as u64;
+        let cpt = d.div_ceil(config.head_dim.max(1)) as u64;
+        let corelets = config.corelets.max(1);
+        let mean_fetch = memory_stats.fetched_vectors.div_ceil(queries.max(1));
+        let mem = (mean_fetch as f64 * config.cycles_per_pair()).ceil() as u64;
+        let mut loads = vec![0u64; corelets];
+        let (mut kept, mut cycles) = (0u64, 0u64);
+        for decision in decisions {
+            let worst = worst_corelet_load(decision.iter_kept(), &mut loads);
+            kept += loads.iter().sum::<u64>();
+            cycles += query_cycles(mode, keys, worst, corelets, cpt, mem);
+        }
+        let mut counts = OpCounts {
+            reram_read_bits: memory_stats.bytes_fetched * 8 + queries * d_bits,
+            onchip_write_bits: memory_stats.fetched_vectors * d_bits,
+            ..OpCounts::on_chip(mode, queries * keys as u64, kept, cpt, d_bits)
+        };
+        if prune_stats.queries_pruned > 0 {
+            counts.in_memory_ops = prune_stats.in_memory_ops;
+            counts.comparator_firings = prune_stats.comparator_firings;
+            counts.command_bits = queries * (d as u64 * 4) + queries * keys as u64 / 8;
+        }
+        counts.reram_write_bits = 3 * seq_len as u64 * d_bits;
+        let kept_scores = decisions
+            .iter()
+            .map(|d| d.as_slice().iter().filter(|&&p| !p).count() as u64)
+            .sum();
+        (cycles, counts.energy(&config.energies), kept_scores)
+    }
+
+    #[test]
+    fn the_rollup_prices_every_head_as_the_two_walk_rollup_did() {
+        use crate::{Engine, FaultPolicy, HeadRequest, PerfRollup};
+        use sprint_attention::{Matrix, PaddingMask};
+        use sprint_reram::{FaultModel, NoiseModel};
+        use sprint_workloads::{ModelConfig, TraceGenerator};
+
+        let bert = |seq, seed| {
+            let spec = ModelConfig::bert_base().trace_spec().with_seq_len(seq);
+            TraceGenerator::new(seed).generate(&spec).unwrap()
+        };
+        let (head, short) = (bert(512, 7), bert(200, 8));
+        assert!(head.live_tokens() < 512 && short.live_tokens() % 8 != 0);
+        let q1 = Matrix::from_vec(1, short.q().cols(), short.q().row(0).to_vec()).unwrap();
+        let cross = HeadRequest::new(&q1, short.k(), short.v(), short.config(), short.threshold());
+        let none_live = HeadRequest::from_trace(&short)
+            .with_padding(PaddingMask::new(short.seq_len(), 0).unwrap());
+        let odd = SprintConfig {
+            corelets: 3,
+            ..SprintConfig::medium()
+        };
+        let demoting = FaultModel::new(3).with_line_rates(1.0, 0.0).unwrap();
+
+        // (what, config, fault model, request, its live keys, modes)
+        let mut cases = vec![
+            (
+                "BERT-base s = 512",
+                SprintConfig::medium(),
+                None,
+                HeadRequest::from_trace(&head),
+                head.live_tokens(),
+                ExecutionMode::ALL.to_vec(),
+            ),
+            (
+                "cross-shaped",
+                SprintConfig::medium(),
+                None,
+                cross,
+                short.seq_len(),
+                ExecutionMode::ALL.to_vec(),
+            ),
+            (
+                "zero live",
+                SprintConfig::medium(),
+                None,
+                none_live,
+                0,
+                ExecutionMode::ALL.to_vec(),
+            ),
+            (
+                "fault-demoted",
+                SprintConfig::medium(),
+                Some(demoting),
+                HeadRequest::from_trace(&short),
+                short.live_tokens(),
+                vec![ExecutionMode::Sprint],
+            ),
+        ];
+        for config in [SprintConfig::small(), SprintConfig::large(), odd] {
+            let request = HeadRequest::from_trace(&short);
+            let modes = ExecutionMode::ALL.to_vec();
+            cases.push(("s = 200", config, None, request, short.live_tokens(), modes));
+        }
+        for (what, config, fault, request, live, modes) in cases {
+            for mode in modes {
+                let mut builder = Engine::builder(config.clone())
+                    .noise(NoiseModel::default())
+                    .mode(mode)
+                    .seed(5)
+                    .worker_slots(1);
+                if let Some(model) = fault {
+                    builder = builder
+                        .fault_model(model)
+                        .fault_policy(FaultPolicy::Demote { max_attempts: 2 });
+                }
+                let response = builder.build().unwrap().run_head(&request).unwrap();
+                assert_eq!(fault.is_some(), response.faults.demoted, "{what}");
+                let (d, seq_len) = (request.q().cols(), request.k().rows());
+                let rolled = PerfRollup::from_response(mode, &config, d, seq_len, live, &response);
+                let (cycles, energy, kept) =
+                    two_walk_rollup(mode, &config, d, seq_len, live, &response);
+                let at = format!("{what}, {mode:?} on {} ({})", config.name, config.corelets);
+                assert_eq!(rolled.cycles, cycles, "{at}");
+                assert_eq!(rolled.kept_scores, kept, "{at}");
+                for c in Category::ALL {
+                    let (got, want) = (rolled.energy.get(c).as_pj(), energy.get(c).as_pj());
+                    assert_eq!(got.to_bits(), want.to_bits(), "{at}: {c}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn prop_priced_loads_follow_the_interleaving_rule(
+            flags in proptest::collection::vec(proptest::bool::ANY, 0..71),
+        ) {
+            // Every `len % 8` tail, as drawn and all kept or all pruned,
+            // over CORELET counts that divide 8 and two that do not.
+            let len = flags.len();
+            for flags in [flags, vec![false; len], vec![true; len]] {
+                let d = PruneDecision::new(flags);
+                let per_flag = d.as_slice().iter().filter(|&&p| !p).count() as u64;
+                prop_assert_eq!(d.kept_count() as u64, per_flag);
+                for corelets in [1, 2, 3, 4, 5, 8] {
+                    let worst = worst_corelet_load(d.iter_kept(), &mut vec![0; corelets]);
+                    prop_assert_eq!(priced_loads(&d, corelets), (per_flag, worst), "N = {}", corelets);
+                }
+            }
         }
     }
 

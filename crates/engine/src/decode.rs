@@ -227,14 +227,14 @@ impl SessionPerf {
         self.energy + self.program_energy
     }
 
-    fn record(&mut self, response: &StepResponse) {
+    fn record(&mut self, response: &StepResponse, kept: u64) {
         self.tokens += 1;
         self.energy += response.perf.energy;
         self.program_energy += response.perf.program_energy;
         self.cycles += response.perf.cycles;
         self.programmed_tokens += response.perf.programmed_tokens;
         self.recalibrations += u64::from(response.perf.recalibrated);
-        self.kept_scores += response.decision.kept_count() as u64;
+        self.kept_scores += kept;
         self.score_pairs += response.decision.len() as u64;
         self.fetched_vectors += response.memory_stats.fetched_vectors;
         self.reused_vectors += response.memory_stats.reused_vectors;
@@ -720,7 +720,7 @@ impl DecodeSession {
         let config = &self.params.config;
         let decisions = std::slice::from_ref(&decision);
         let memory_stats = fetch_stats(&mut self.controller, config, decisions, s)?;
-        let (counts, cycles) = count_queries(
+        let (counts, cycles, kept) = count_queries(
             self.params.mode,
             config,
             d,
@@ -740,7 +740,7 @@ impl DecodeSession {
             memory_stats,
             perf,
         };
-        self.params.perf.record(&response);
+        self.params.perf.record(&response, kept);
         Ok(response)
     }
 }

@@ -439,7 +439,7 @@ impl PerfRollup {
         let live_q = live.min(response.decisions.len());
         let decisions = &response.decisions[..live_q];
         let p = &response.prune_stats;
-        let (mut counts, cycles) = count_queries(
+        let (mut counts, cycles, kept_scores) = count_queries(
             mode,
             config,
             head_dim,
@@ -459,7 +459,7 @@ impl PerfRollup {
             reused_vectors: response.memory_stats.reused_vectors,
             bytes_fetched: response.memory_stats.bytes_fetched,
             queries_pruned: p.queries_pruned,
-            kept_scores: decisions.iter().map(|d| d.kept_count() as u64).sum(),
+            kept_scores,
             live_pairs: (live_q * live) as u64,
             faults_detected: response.faults.faults_detected,
             fault_retries: response.faults.retries,

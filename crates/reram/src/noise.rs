@@ -132,11 +132,6 @@ impl NoiseModel {
         self.programming_sigma
     }
 
-    /// Whether this model introduces no error at all.
-    pub fn is_ideal(&self) -> bool {
-        self.relative_sigma == 0.0 && self.programming_sigma == 0.0
-    }
-
     /// A conservative bound (3σ) on the output error for a given full
     /// scale, used to size the thresholding safety margin.
     pub fn margin_bound(&self, full_scale: f64) -> f64 {
@@ -219,7 +214,7 @@ mod tests {
     #[test]
     fn ideal_model_is_exact() {
         let m = NoiseModel::ideal();
-        assert!(m.is_ideal());
+        assert_eq!((m.relative_sigma(), m.programming_sigma()), (0.0, 0.0));
         assert_eq!(m.margin_bound(100.0), 0.0);
     }
 
